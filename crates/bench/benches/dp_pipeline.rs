@@ -1,17 +1,19 @@
 //! `dp_pipeline` — end-to-end offline-solve benchmark of the
 //! slot-batched pricing pipeline (warm-started KKT row sweeps +
-//! time-independent slot de-duplication + checkpointed backtracking)
-//! against the PR-2 cached baseline (legacy per-slot DP over a
-//! [`CachedDispatcher`]).
+//! time-independent slot de-duplication + checkpointed backtracking),
+//! the one path behind `dp::solve`.
 //!
 //! Scenarios: the reference tiled-diurnal workload (d = 2,
 //! m = (40, 40), T = 2000), a bursty MMPP trace with few exact load
 //! repeats, a time-dependent electricity-price workload (no slot
-//! sharing anywhere), and a d = 3 fleet. Every scenario gates on cost
-//! parity ≤ 1e-9 and schedule equality between the pipeline and the
-//! baseline; the ≥ 2× speedup gate applies to the reference workload in
-//! full mode only (`--quick` shrinks horizons for the CI smoke, where
-//! wall-clock is too noisy to gate).
+//! sharing anywhere), and a d = 3 fleet. Every scenario gates on the
+//! schedule being feasible, on `objective::evaluate` of the schedule
+//! matching the reported cost to a relative 1e-9, and on the schedule
+//! and cost bits being unchanged with the kernel layer forced onto its
+//! scalar reference twins. The steady-state kernel speedup on the
+//! reference instance is gated at ≥ 2× in full mode only (`--quick`
+//! shrinks horizons for the CI smoke, where wall-clock is too noisy to
+//! gate).
 //!
 //! Results land in `results/dp_pipeline.json` and, as the trajectory
 //! record the CI uploads, `BENCH_dp.json` at the workspace root.
@@ -19,23 +21,24 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rsz_core::objective::evaluate;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
-use rsz_offline::dp::{solve, solve_with_stats, DpOptions};
+use rsz_dispatch::Dispatcher;
+use rsz_offline::dp::{solve_with_stats, DpOptions};
+use rsz_offline::kernels;
 use rsz_offline::pipeline::RecoveryStats;
 use rsz_workloads::{patterns, stochastic};
 
 struct Scenario {
     name: &'static str,
     instance: Instance,
-    /// Only the reference scenario carries the speedup gate.
-    gated: bool,
+    /// The reference scenario, on which the kernel layer is timed.
+    reference: bool,
 }
 
 fn tiled_diurnal(horizon: usize, base: f64, amplitude: f64) -> Vec<f64> {
     // One exact day, tiled: λ values repeat bit-for-bit across days,
-    // which is what lets both the g_t cache and the pricing pool reuse
-    // slots.
+    // which is what lets the pricing pool reuse slots.
     let day = patterns::diurnal(24, base, amplitude, 24, 0.75);
     day.values().iter().copied().cycle().take(horizon).collect()
 }
@@ -93,10 +96,10 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         .expect("d=3 instance feasible");
 
     vec![
-        Scenario { name: "diurnal_reference", instance: reference, gated: true },
-        Scenario { name: "bursty_mmpp", instance: bursty, gated: false },
-        Scenario { name: "time_dependent_costs", instance: time_dependent, gated: false },
-        Scenario { name: "three_types", instance: three_types, gated: false },
+        Scenario { name: "diurnal_reference", instance: reference, reference: true },
+        Scenario { name: "bursty_mmpp", instance: bursty, reference: false },
+        Scenario { name: "time_dependent_costs", instance: time_dependent, reference: false },
+        Scenario { name: "three_types", instance: three_types, reference: false },
     ]
 }
 
@@ -123,11 +126,10 @@ struct Row {
     name: &'static str,
     d: usize,
     horizon: usize,
-    baseline_ms: f64,
     pipeline_ms: f64,
-    speedup: f64,
-    cost_gap_rel: f64,
-    schedules_equal: bool,
+    cost: f64,
+    eval_gap_rel: f64,
+    scalar_bits_equal: bool,
     stats: RecoveryStats,
 }
 
@@ -140,45 +142,41 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for sc in &all {
         let inst = &sc.instance;
-        // The baseline pins RecoveryMode::Materialized: that is exactly
-        // the PR-2 code path (one forward pass over all tables, no
-        // checkpoint replay), so the comparison does not credit the
-        // pipeline for replay work the old solver never performed.
-        let legacy_opts = DpOptions {
-            parallel: false,
-            recovery: rsz_offline::RecoveryMode::Materialized,
-            ..DpOptions::default()
-        };
-        let pipeline_opts = DpOptions::pipelined();
+        let opts = DpOptions::pipelined();
+        let oracle = Dispatcher::new();
 
         // Warm-up (page in code paths), then timed runs.
-        let _ = solve(inst, &Dispatcher::new(), legacy_opts);
-
-        // PR-2 baseline: legacy per-slot DP over a fresh g_t cache per
-        // iteration (the measured win there was intra-solve reuse).
-        let baseline = time_best(iterations, || {
-            let cache = CachedDispatcher::new(inst);
-            let res = solve(inst, &cache, legacy_opts);
-            (res.cost, res.schedule)
-        });
-
-        // This PR: slot-batched pipeline over the plain dispatcher
-        // (warm sweeps + pricing pool; no hash-map in the hot path).
+        let _ = solve_with_stats(inst, &oracle, opts);
         let mut stats = None;
         let pipeline = time_best(iterations, || {
-            let (res, st) = solve_with_stats(inst, &Dispatcher::new(), pipeline_opts);
+            let (res, st) = solve_with_stats(inst, &oracle, opts);
             stats = Some(st);
             (res.cost, res.schedule)
         });
         let stats = stats.expect("pipeline ran");
 
-        let speedup = baseline.secs / pipeline.secs;
-        let cost_gap_rel = (baseline.cost - pipeline.cost).abs() / baseline.cost.abs().max(1.0);
-        let schedules_equal = baseline.schedule == pipeline.schedule;
-        println!(
-            "bench: dp_pipeline/{:<22} {:>9.2} ms -> {:>9.2} ms  ({speedup:>5.2}x, gap {cost_gap_rel:.2e}, pool {}, peak {} tables)",
+        // Correctness gates (always enforced).
+        if let Err(e) = pipeline.schedule.check_feasible(inst) {
+            panic!("{}: infeasible schedule: {e}", sc.name);
+        }
+        let evaluated = evaluate(inst, &pipeline.schedule, &oracle).total();
+        let eval_gap_rel = (evaluated - pipeline.cost).abs() / pipeline.cost.abs().max(1.0);
+        assert!(
+            eval_gap_rel <= 1e-9,
+            "{}: evaluated schedule cost {evaluated} vs reported {} (gap {eval_gap_rel:e})",
             sc.name,
-            baseline.secs * 1e3,
+            pipeline.cost
+        );
+        kernels::force_scalar(true);
+        let (scalar, _) = solve_with_stats(inst, &oracle, opts);
+        kernels::force_scalar(false);
+        let scalar_bits_equal = scalar.schedule == pipeline.schedule
+            && scalar.cost.to_bits() == pipeline.cost.to_bits();
+        assert!(scalar_bits_equal, "{}: the scalar twins changed the solve", sc.name);
+
+        println!(
+            "bench: dp_pipeline/{:<22} {:>9.2} ms  (eval gap {eval_gap_rel:.2e}, pool {}, peak {} tables)",
+            sc.name,
             pipeline.secs * 1e3,
             stats.pooled_pricing_tables,
             stats.peak_live_tables,
@@ -187,49 +185,22 @@ fn main() {
             name: sc.name,
             d: inst.num_types(),
             horizon: inst.horizon(),
-            baseline_ms: baseline.secs * 1e3,
             pipeline_ms: pipeline.secs * 1e3,
-            speedup,
-            cost_gap_rel,
-            schedules_equal,
+            cost: pipeline.cost,
+            eval_gap_rel,
+            scalar_bits_equal,
             stats,
         });
-
-        // Correctness gates (always enforced).
-        assert!(
-            cost_gap_rel <= 1e-9,
-            "{}: pipeline/baseline cost gap {cost_gap_rel:e} above 1e-9",
-            sc.name
-        );
-        assert!(schedules_equal, "{}: pipeline recovered a different schedule", sc.name);
-        // Performance gates: reference workload ≥ 2×, and the pure
-        // time-dependent scenario must never lose to the cached
-        // baseline (RecoveryMode::Auto materializes the non-poolable
-        // corner instead of paying the replay) — full mode only.
-        if sc.gated && !quick {
-            assert!(
-                speedup >= 2.0,
-                "{}: pipeline speedup {speedup:.2}x below the 2x gate",
-                sc.name
-            );
-        }
-        if sc.name == "time_dependent_costs" && !quick {
-            assert!(
-                speedup >= 1.0,
-                "{}: pipeline regressed below the cached baseline ({speedup:.2}x)",
-                sc.name
-            );
-        }
     }
 
-    // Kernel-layer isolation on the gated instance: steady-state
+    // Kernel-layer isolation on the reference instance: steady-state
     // engine-mode stepping (pool-warm, zero oracle calls per step) under
     // the lanes kernels vs the scalar twins — the transform + fold +
     // argmin work this bench's solves bottom out in, without the pricing
     // dilution. Asserts bit-identity between the modes as it times them.
-    let gated_inst = &all.iter().find(|s| s.gated).expect("one gated scenario").instance;
+    let reference = &all.iter().find(|s| s.reference).expect("one reference scenario").instance;
     let (warm, steps) = (24, if quick { 48 } else { 96 });
-    let kt = rsz_bench::kernelbench::measure(gated_inst, warm, steps, iterations);
+    let kt = rsz_bench::kernelbench::measure(reference, warm, steps, iterations);
     let kernel_speedup = kt.speedup();
     println!(
         "bench: dp_pipeline/kernels{:>16.2} ms -> {:>9.2} ms  ({kernel_speedup:>5.2}x scalar/simd, {steps} steps)",
@@ -249,15 +220,14 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"baseline_cached_ms\": {:.3},\n      \"pipeline_ms\": {:.3},\n      \"speedup\": {:.3},\n      \"cost_gap_rel\": {:.3e},\n      \"schedules_equal\": {},\n      \"segment_len\": {},\n      \"checkpoints\": {},\n      \"peak_live_tables\": {},\n      \"pooled_pricing_tables\": {}\n    }}{}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"pipeline_ms\": {:.3},\n      \"cost\": {:.6},\n      \"eval_gap_rel\": {:.3e},\n      \"scalar_bits_equal\": {},\n      \"segment_len\": {},\n      \"checkpoints\": {},\n      \"peak_live_tables\": {},\n      \"pooled_pricing_tables\": {}\n    }}{}",
             r.name,
             r.d,
             r.horizon,
-            r.baseline_ms,
             r.pipeline_ms,
-            r.speedup,
-            r.cost_gap_rel,
-            r.schedules_equal,
+            r.cost,
+            r.eval_gap_rel,
+            r.scalar_bits_equal,
             r.stats.segment_len,
             r.stats.checkpoints,
             r.stats.peak_live_tables,
@@ -265,13 +235,9 @@ fn main() {
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         );
     }
-    let reference = rows.iter().find(|r| r.name == "diurnal_reference").expect("reference ran");
     let json = format!(
-        "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"reference_speedup\": {:.3},\n  \"kernel_scalar_ms\": {:.3},\n  \"kernel_simd_ms\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        reference.speedup,
-        kt.scalar_ms,
-        kt.simd_ms,
-        kernel_speedup,
+        "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"kernel_scalar_ms\": {:.3},\n  \"kernel_simd_ms\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
+        kt.scalar_ms, kt.simd_ms, kernel_speedup,
     );
 
     // `cargo bench` sets the cwd to crates/bench; resolve the workspace

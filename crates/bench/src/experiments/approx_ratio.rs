@@ -45,12 +45,12 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 let inst = approx_instance(d, m, horizon, seed);
                 let oracle = Dispatcher::new();
                 let exact =
-                    dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+                    dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
                 let approx = approximate_with_mode(
                     &inst,
                     &oracle,
                     GridMode::Gamma(gamma),
-                    DpOptions { parallel: false, ..DpOptions::default() },
+                    DpOptions { threads: Some(1), ..DpOptions::default() },
                 );
                 approx.result.schedule.check_feasible(&inst).expect("feasible");
                 let ratio = approx.result.cost / exact.cost;

@@ -33,7 +33,7 @@ fn run_suite(
     oracle: &Dispatcher,
     algos: Vec<Box<dyn OnlineAlgorithm>>,
 ) {
-    let opt = dp_solve(inst, oracle, DpOptions { parallel: false, ..Default::default() });
+    let opt = dp_solve(inst, oracle, DpOptions { threads: Some(1), ..Default::default() });
     let mut rows: Vec<(String, f64)> = Vec::new();
     let mut all_on_cost = None;
     for mut algo in algos {

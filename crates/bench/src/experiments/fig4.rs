@@ -33,7 +33,7 @@ pub fn run(_cfg: &ExperimentConfig) -> Report {
     let oracle = Dispatcher::new();
 
     let g = graph::solve(&inst, &oracle, GridMode::Full);
-    let dp = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+    let dp = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
     let bf = brute::solve(&inst, &oracle);
 
     report.kv("vertices 2·T·Π(m_j+1)", format!("{} (= 2·2·3·2)", g.vertices));

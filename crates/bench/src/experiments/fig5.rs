@@ -46,12 +46,12 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         .expect("figure instance is valid");
     let oracle = Dispatcher::new();
 
-    let opt = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+    let opt = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
     let witness = corridor_schedule(&inst, &opt.schedule, gamma);
     let dp_gamma = dp_solve(
         &inst,
         &oracle,
-        DpOptions { grid: GridMode::Gamma(gamma), parallel: false, ..DpOptions::default() },
+        DpOptions { grid: GridMode::Gamma(gamma), threads: Some(1), ..DpOptions::default() },
     );
 
     let mut table = TextTable::new(["t", "x*_t (red)", "(2γ−1)·x* (blue)", "x'_t (green)"]);

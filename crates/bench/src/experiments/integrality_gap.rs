@@ -36,7 +36,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     // Convergence table on one representative instance.
     let demo = approx_instance(1, 3, horizon, cfg.seed);
     let oracle = Dispatcher::new();
-    let opts = DpOptions { parallel: false, ..Default::default() };
+    let opts = DpOptions { threads: Some(1), ..Default::default() };
     let mut conv = TextTable::new(["K (granularity 1/K)", "bound", "gap vs K"]);
     let discrete = solve_cost_only(&demo, &oracle, opts);
     let mut last = discrete;

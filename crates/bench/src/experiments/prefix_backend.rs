@@ -40,7 +40,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         .expect("ablation instance is feasible");
     let oracle = Dispatcher::new();
 
-    let opt = dp_solve(&inst, &oracle, DpOptions { parallel: true, ..Default::default() });
+    let opt = dp_solve(&inst, &oracle, DpOptions::default());
     report.kv("fleet", format!("legacy m={m1}, current m={m2}, T={horizon}"));
     report.kv("full grid cells/slot", ((m1 + 1) * (m2 + 1)).to_string());
     report.kv("OPT (clairvoyant)", f(opt.cost));
@@ -57,11 +57,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         let cells: usize =
             (0..inst.num_types()).map(|j| grid.levels(inst.server_count(0, j)).len()).product();
         let (outcome, dur) = timed(|| {
-            let mut algo = AlgorithmA::new(
-                &inst,
-                oracle,
-                AOptions { grid, parallel: false, ..AOptions::default() },
-            );
+            let mut algo = AlgorithmA::new(&inst, oracle, AOptions { grid, ..AOptions::default() });
             run_online(&inst, &mut algo, &oracle)
         });
         outcome.schedule.check_feasible(&inst).expect("feasible");

@@ -61,7 +61,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 let online = run_online(&inst, &mut algo, &oracle);
                 online.schedule.check_feasible(&inst).expect("Lemma 10");
                 let opt =
-                    dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+                    dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
                 let ratio = online.ratio_vs(opt.cost);
                 assert!(
                     ratio <= bound + 1e-6,

@@ -53,7 +53,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 subslots_max =
                     subslots_max.max(algo.subslot_log().iter().copied().max().unwrap_or(1));
                 let opt =
-                    dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+                    dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
                 let ratio = online.ratio_vs(opt.cost);
                 assert!(
                     ratio <= bound + 1e-6,

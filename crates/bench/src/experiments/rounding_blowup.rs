@@ -78,7 +78,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             .expect("valid instance");
         let oracle = Dispatcher::new();
         let c_dp =
-            solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+            solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
 
         table.row([
             format!("{delta}"),

@@ -8,7 +8,7 @@
 //! `log m`, runtime roughly linear in `T` and in cells).
 
 use rsz_dispatch::Dispatcher;
-use rsz_offline::approx::approximate;
+use rsz_offline::approx::approximate_opts;
 use rsz_offline::dp::{solve_cost_only, DpOptions};
 use rsz_offline::grid::gamma_levels;
 
@@ -16,6 +16,12 @@ use crate::experiments::families::approx_instance;
 use crate::report::{f, Report, TextTable};
 use crate::stats::{fmt_duration, timed};
 use crate::ExperimentConfig;
+
+/// Every solve here runs on one thread, so the timings compare like
+/// with like.
+fn sequential() -> DpOptions {
+    DpOptions { threads: Some(1), ..DpOptions::default() }
+}
 
 /// Run the Theorem 21 scaling experiment.
 #[must_use]
@@ -31,11 +37,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     for &m in ms {
         let inst = approx_instance(1, m, t_ax1, seed);
         let oracle = Dispatcher::new();
-        let (approx, d_apx) = timed(|| approximate(&inst, &oracle, 0.5, false));
+        let (approx, d_apx) = timed(|| approximate_opts(&inst, &oracle, 0.5, sequential()));
         let exact_time = if m <= 1_000 {
-            let (_, d_ex) = timed(|| {
-                solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() })
-            });
+            let (_, d_ex) = timed(|| solve_cost_only(&inst, &oracle, sequential()));
             fmt_duration(d_ex)
         } else {
             "(skipped)".to_string()
@@ -59,7 +63,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     for &eps in eps_list {
         let inst = approx_instance(1, m_ax2, t_ax1, seed ^ 1);
         let oracle = Dispatcher::new();
-        let (approx, dur) = timed(|| approximate(&inst, &oracle, eps, false));
+        let (approx, dur) = timed(|| approximate_opts(&inst, &oracle, eps, sequential()));
         t2.row([
             format!("{eps}"),
             format!("{}", 1.0 + eps / 2.0),
@@ -77,7 +81,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     for &t in ts {
         let inst = approx_instance(1, 1_000, t, seed ^ 2);
         let oracle = Dispatcher::new();
-        let (_, dur) = timed(|| approximate(&inst, &oracle, 0.5, false));
+        let (_, dur) = timed(|| approximate_opts(&inst, &oracle, 0.5, sequential()));
         t3.row([
             t.to_string(),
             fmt_duration(dur),
@@ -96,7 +100,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     for &d in ds {
         let inst = approx_instance(d, 30, t_ax4, seed ^ 3);
         let oracle = Dispatcher::new();
-        let (approx, dur) = timed(|| approximate(&inst, &oracle, 0.5, false));
+        let (approx, dur) = timed(|| approximate_opts(&inst, &oracle, 0.5, sequential()));
         t4.row([
             d.to_string(),
             approx.grid_cells.to_string(),

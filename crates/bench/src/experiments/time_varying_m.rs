@@ -25,8 +25,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     let inst = scenario::expansion(len);
     let oracle = Dispatcher::new();
 
-    let exact = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
-    let apx = approximate(&inst, &oracle, 0.5, false);
+    let exact = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
+    let apx = approximate(&inst, &oracle, 0.5);
     let g = graph::solve(&inst, &oracle, GridMode::Full);
 
     exact.schedule.check_feasible(&inst).expect("exact feasible");

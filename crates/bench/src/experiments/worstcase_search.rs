@@ -34,7 +34,7 @@ fn ratio_for(d: usize, betas: &[f64], idles: &[f64], loads: &[f64]) -> f64 {
     let oracle = Dispatcher::new();
     let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
     let online = run_online(&inst, &mut algo, &oracle);
-    let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+    let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
     if opt == 0.0 {
         1.0
     } else {

@@ -3,8 +3,8 @@
 //! One experiment per figure and theorem-level claim of the paper; see
 //! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded results.
 //! Each experiment is a pure function `run(&ExperimentConfig) -> Report`
-//! so the `reproduce` binary, the integration tests (which run quick
-//! configurations) and Criterion benches share the same code.
+//! so the `reproduce` binary and the integration tests (which run quick
+//! configurations) share the same code.
 
 #![warn(missing_docs)]
 

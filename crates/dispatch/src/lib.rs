@@ -32,22 +32,20 @@
 //!
 //! [`Dispatcher`] picks the right solver per call and implements
 //! [`rsz_core::GtOracle`], which is how the offline DP and the online
-//! algorithms price configurations. [`CachedDispatcher`] wraps it with a
-//! memoization layer ([`cache`]) that shares `g(λ, x)` solves across
-//! slots, sub-slots and runs, and [`SlotDispatcher`] is the
-//! buffer-reusing per-slot context DP workers solve through.
+//! algorithms price configurations; [`SlotDispatcher`] is the
+//! buffer-reusing per-slot context DP workers solve through. Repeated
+//! `g_t` work is shared one level up, by the offline pipeline's pricing
+//! pool and the online engine's priced-slot pool.
 
 #![warn(missing_docs)]
 
 pub mod arms;
 pub mod brute;
-pub mod cache;
 pub mod greedy;
 pub mod kkt;
 pub mod solution;
 
 pub use arms::{Arm, SlotArms};
-pub use cache::{CacheStats, CachedDispatcher};
 pub use solution::DispatchSolution;
 
 use rsz_core::{GtOracle, Instance, SlotEval};

@@ -34,13 +34,13 @@ pub fn approximate(
     instance: &Instance,
     oracle: &(impl GtOracle + Sync),
     epsilon: f64,
-    parallel: bool,
 ) -> ApproxResult {
-    approximate_opts(instance, oracle, epsilon, DpOptions { parallel, ..DpOptions::default() })
+    approximate_opts(instance, oracle, epsilon, DpOptions::default())
 }
 
-/// [`approximate`] with full solver options (pipeline pricing, explicit
-/// thread counts); `options.grid` is overridden by the ε-derived γ-grid.
+/// [`approximate`] with full solver options (explicit thread counts,
+/// corridor refinement); `options.grid` is overridden by the ε-derived
+/// γ-grid.
 #[must_use]
 pub fn approximate_opts(
     instance: &Instance,
@@ -107,8 +107,8 @@ mod tests {
                 .unwrap();
             for eps in [0.5, 1.0, 2.0] {
                 let exact =
-                    dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
-                let approx = approximate(&inst, &oracle, eps, false);
+                    dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
+                let approx = approximate(&inst, &oracle, eps);
                 assert!(approx.result.cost + 1e-9 >= exact.cost);
                 assert!(
                     approx.result.cost <= (1.0 + eps) * exact.cost + 1e-9,
@@ -129,8 +129,8 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let tight = approximate(&inst, &oracle, 0.1, false);
-        let loose = approximate(&inst, &oracle, 2.0, false);
+        let tight = approximate(&inst, &oracle, 0.1);
+        let loose = approximate(&inst, &oracle, 2.0);
         assert!(loose.grid_cells < tight.grid_cells);
         assert!(tight.grid_cells < 4097, "reduced grid must beat the full grid");
     }

@@ -166,7 +166,7 @@ mod tests {
             let loads: Vec<f64> = (0..tt).map(|_| rng.gen_range(0.0..max_cap)).collect();
             let inst = Instance::builder().server_types(types).loads(loads).build().unwrap();
             let brute = solve(&inst, &oracle);
-            let dp = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+            let dp = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
             assert!(
                 (brute.cost - dp.cost).abs() < 1e-9,
                 "trial {trial}: brute {} vs dp {}",

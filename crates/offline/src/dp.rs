@@ -23,46 +23,30 @@
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
 use crate::grid::GridMode;
-use crate::parallel::fill_cells_with;
 use crate::table::Table;
-use crate::transform::arrival_transform;
 
 /// Minimum table size (cells) before an unconstrained (`threads: None`)
-/// fill uses worker threads — spawn overhead would swamp the win on
-/// small grids. An explicit `threads` setting overrides this.
+/// solve prices on worker threads — spawn overhead would swamp the win
+/// on small grids. An explicit `threads` setting overrides this.
 pub const PAR_THRESHOLD: usize = 4096;
 
 /// Options for the offline DP.
+///
+/// Every solve prices `g_t` through the slot-batched pipeline
+/// ([`crate::pipeline`]) and every prefix solver through the priced-slot
+/// engine ([`crate::engine`]); the knobs below only choose the grid, the
+/// worker count, the recovery policy, corridor refinement and the pool
+/// bound.
 #[derive(Clone, Copy, Debug)]
 pub struct DpOptions {
     /// Candidate-grid discretization.
     pub grid: GridMode,
-    /// Parallelize the per-cell dispatch solves across threads.
-    pub parallel: bool,
-    /// Use the slot-batched pricing pipeline: `g_t` is priced for all
-    /// slots in one barrier-free pass (warm-started KKT row sweeps,
-    /// slot de-duplication for time-independent instances) before the
-    /// cheap sequential recurrence. Costs agree with the legacy per-slot
-    /// path to a relative `1e-9`, and the epsilon-tolerant tie-breaks
-    /// absorb that wobble so recovered schedules match the legacy
-    /// path's (property-tested and gated on every bench workload).
-    pub pipeline: bool,
-    /// Exact worker count for per-cell solves and the pricing pool.
-    /// `None` picks [`std::thread::available_parallelism`] for large
-    /// tables (honouring `parallel` and [`PAR_THRESHOLD`]); `Some(n)` is
-    /// used as-is, which makes thread sweeps reproducible in benches.
+    /// Worker count of the pricing pool. `None` uses every core
+    /// ([`std::thread::available_parallelism`]) once a batch reaches
+    /// [`PAR_THRESHOLD`] cells; `Some(1)` prices sequentially and
+    /// `Some(n)` is used as-is, which keeps thread sweeps reproducible
+    /// in benches.
     pub threads: Option<usize>,
-    /// Use the online decision engine for incremental stepping: prefix
-    /// solvers ([`crate::PrefixDp`], and the receding-horizon window DP
-    /// built on the same pool) price each slot **once** as a dense
-    /// [`crate::engine::PricedSlot`] via the warm-started sweep path and
-    /// retain it in a bounded `(slot partition, λ, grid)` pool, so
-    /// recurring loads and Algorithm C's sub-slot replays fold priced
-    /// slots in with a vectorized add instead of per-cell oracle calls.
-    /// Priced values match the per-cell path to a relative `1e-9` (the
-    /// documented sweep tolerance) and recovered decisions are identical
-    /// (property-tested across algorithms, grids and caching modes).
-    pub engine: bool,
     /// How [`solve`] recovers the schedule: `√T` checkpoints + segment
     /// replay (`O(|grid|·√T)` memory, up to one extra pricing pass) vs
     /// fully materialized tables (`O(|grid|·T)` memory, single pass).
@@ -80,7 +64,7 @@ pub struct DpOptions {
     /// Retention bound of the engine's priced-slot pool. `None` uses
     /// [`crate::engine::DEFAULT_POOL_CAP`]; an explicit bound is the
     /// fault-injection harness's lever for eviction storms (and a memory
-    /// knob for embedders). Ignored when [`DpOptions::engine`] is off.
+    /// knob for embedders).
     pub pool_capacity: Option<usize>,
 }
 
@@ -97,10 +81,9 @@ pub enum RecoveryMode {
     /// memory, so checkpointing never doubles the pricing for free.
     #[default]
     Auto,
-    /// Always keep every `OPT_t` table: one pass, maximum memory. The
-    /// pre-pipeline behaviour; pick it when the horizon fits in memory
-    /// and nothing (pricing pool, `CachedDispatcher`) would make the
-    /// replay cheap.
+    /// Always keep every `OPT_t` table: one pass, maximum memory; pick
+    /// it when the horizon fits in memory and nothing (pricing pool,
+    /// memoizing oracle) would make the replay cheap.
     Materialized,
     /// Always checkpoint, whatever the horizon.
     Checkpointed,
@@ -110,10 +93,7 @@ impl Default for DpOptions {
     fn default() -> Self {
         Self {
             grid: GridMode::Full,
-            parallel: true,
-            pipeline: false,
             threads: None,
-            engine: false,
             recovery: RecoveryMode::Auto,
             refine: None,
             pool_capacity: None,
@@ -122,38 +102,27 @@ impl Default for DpOptions {
 }
 
 impl DpOptions {
-    /// The default options with the slot-batched pipeline switched on.
+    /// The default options. The pipeline is always on; this alias
+    /// names it at call sites that want to say so.
     #[must_use]
     pub fn pipelined() -> Self {
-        Self { pipeline: true, ..Self::default() }
+        Self::default()
     }
 
-    /// The default options with the online decision engine switched on.
-    #[must_use]
-    pub fn engined() -> Self {
-        Self { engine: true, ..Self::default() }
-    }
-
-    /// The default options with exact corridor refinement (and the
-    /// pipeline, which prices its coarse pass) switched on.
+    /// The default options with exact corridor refinement switched on.
     #[must_use]
     pub fn refined() -> Self {
-        Self {
-            pipeline: true,
-            refine: Some(crate::refine::RefineOptions::exact()),
-            ..Self::default()
-        }
+        Self { refine: Some(crate::refine::RefineOptions::exact()), ..Self::default() }
     }
 
-    /// Resolve the worker count for a fill over `cells` table cells:
-    /// the explicit `threads` knob wins; otherwise `parallel` gates
-    /// [`std::thread::available_parallelism`] behind the
-    /// [`PAR_THRESHOLD`] small-table cutoff.
+    /// Resolve the worker count for pricing `cells` table cells: the
+    /// explicit `threads` knob wins; otherwise every core, behind the
+    /// [`PAR_THRESHOLD`] small-batch cutoff.
     #[must_use]
     pub fn effective_threads(&self, cells: usize) -> usize {
         match self.threads {
             Some(n) => n.max(1),
-            None if !self.parallel || cells < PAR_THRESHOLD => 1,
+            None if cells < PAR_THRESHOLD => 1,
             None => std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
@@ -252,8 +221,7 @@ pub fn solve_with_stats(
     crate::pipeline::solve_checkpointed(instance, oracle, DpOptions { refine: None, ..options })
 }
 
-/// Optimal cost only, O(|grid|) memory for the legacy path and
-/// `O(|grid|·batch)` for the pipeline (no schedule recovery; the
+/// Optimal cost only, `O(|grid|·√T)` memory (no schedule recovery; the
 /// corridor solver still recovers internally — its contact check needs
 /// the trajectory).
 #[must_use]
@@ -266,102 +234,6 @@ pub fn solve_cost_only(
         return crate::refine::solve_refined(instance, oracle, options).0.cost;
     }
     crate::pipeline::cost_only(instance, oracle, options)
-}
-
-/// All per-slot `OPT_t` tables, fully materialized — `O(|grid|·T)`
-/// memory. Kept for tests and cross-checks; [`solve`] itself recovers
-/// schedules from `√T` checkpoints instead.
-#[must_use]
-pub fn forward_tables(
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    options: DpOptions,
-) -> Vec<Table> {
-    let d = instance.num_types();
-    let betas = betas(instance);
-    let mut tables: Vec<Table> = Vec::with_capacity(instance.horizon());
-    for t in 0..instance.horizon() {
-        let prev = tables.last().cloned().unwrap_or_else(|| Table::origin(d));
-        tables.push(dp_step(&prev, instance, oracle, t, &betas, options));
-    }
-    tables
-}
-
-/// One DP step: arrival transform from `prev` onto slot `t`'s grid, then
-/// add `g_t`. Exposed for the incremental prefix solver.
-#[must_use]
-pub fn dp_step(
-    prev: &Table,
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    t: usize,
-    betas: &[f64],
-    options: DpOptions,
-) -> Table {
-    dp_step_scaled(prev, instance, oracle, t, instance.load(t), 1.0, betas, options)
-}
-
-/// One DP step with overridden volume and cost scale — the entry point
-/// used by Algorithm C's sub-slot refinement, where slot `t` is priced at
-/// `cost_scale · g_t` and carries volume `lambda`.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn dp_step_scaled(
-    prev: &Table,
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    t: usize,
-    lambda: f64,
-    cost_scale: f64,
-    betas: &[f64],
-    options: DpOptions,
-) -> Table {
-    let d = instance.num_types();
-    let levels: Vec<Vec<u32>> =
-        (0..d).map(|j| options.grid.levels(instance.server_count(t, j))).collect();
-    let mut cur = arrival_transform(prev, &levels, betas);
-    price_cells(&mut cur, instance, oracle, t, lambda, cost_scale, options);
-    cur
-}
-
-/// Add the slot's operating costs to every finite cell of `table` — the
-/// per-cell pricing block shared by [`dp_step_scaled`] and the online
-/// prefix solver's engine-off path (one definition, so the two can
-/// never silently diverge).
-///
-/// Each worker opens its own slot context, letting the oracle hoist
-/// per-slot arm data out of the per-cell path and solve into reused
-/// scratch (and, for caching oracles, share solved cells globally).
-/// Pipeline mode prices through the oracle's *sweep* context — each
-/// worker's chunk is a contiguous layout-order run, so warm-started
-/// KKT solvers can chain brackets cell to cell.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn price_cells(
-    table: &mut crate::table::Table,
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    t: usize,
-    lambda: f64,
-    cost_scale: f64,
-    options: DpOptions,
-) {
-    let threads = options.effective_threads(table.len());
-    fill_cells_with(
-        table,
-        threads,
-        || {
-            if options.pipeline {
-                oracle.slot_sweep(instance, t, lambda, cost_scale)
-            } else {
-                oracle.slot_eval(instance, t, lambda, cost_scale)
-            }
-        },
-        |slot, _, counts, v| {
-            if v.is_finite() {
-                *v += slot.eval(counts);
-            }
-        },
-    );
 }
 
 /// Switching costs `β_j` as a vector.
@@ -564,7 +436,7 @@ mod tests {
         let approx = solve(
             &inst,
             &oracle,
-            DpOptions { grid: GridMode::Gamma(gamma), parallel: false, ..DpOptions::default() },
+            DpOptions { grid: GridMode::Gamma(gamma), threads: Some(1), ..DpOptions::default() },
         );
         approx.schedule.check_feasible(&inst).unwrap();
         assert!(approx.cost + 1e-9 >= exact.cost, "approx can't beat exact");
@@ -623,16 +495,9 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let seq = solve(
-            &inst,
-            &oracle,
-            DpOptions { grid: GridMode::Full, parallel: false, ..DpOptions::default() },
-        );
-        let par = solve(
-            &inst,
-            &oracle,
-            DpOptions { grid: GridMode::Full, parallel: true, ..DpOptions::default() },
-        );
-        assert!((seq.cost - par.cost).abs() < 1e-9);
+        let seq = solve(&inst, &oracle, DpOptions { threads: Some(1), ..DpOptions::default() });
+        let par = solve(&inst, &oracle, DpOptions { threads: Some(2), ..DpOptions::default() });
+        assert_eq!(seq.schedule, par.schedule);
+        assert_eq!(seq.cost.to_bits(), par.cost.to_bits());
     }
 }

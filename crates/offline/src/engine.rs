@@ -23,12 +23,12 @@
 //!
 //! The grid component of the key packs the slot's per-type fleet sizes
 //! into a mixed-radix `u128` (radix `m_j + 1` from the horizon-max
-//! counts, mirroring `rsz_dispatch`'s cache keying): for a fixed
+//! counts): for a fixed
 //! [`crate::GridMode`] the candidate levels are a pure function of those
 //! counts, so equal keys imply equal grids. Key construction allocates
 //! nothing, and neither does a pool hit — the steady-state step of
-//! [`crate::PrefixDp`] with the engine on is heap-silent, which the
-//! counting-allocator test asserts.
+//! [`crate::PrefixDp`] is heap-silent, which the counting-allocator
+//! test asserts.
 //!
 //! Retention is bounded: at [`PricedSlotPool::capacity`] entries the
 //! oldest insertion is evicted (FIFO — online algorithms visit slots in
@@ -124,7 +124,7 @@ struct PoolKey {
 #[derive(Clone, Debug)]
 pub struct PricedSlotPool {
     /// `true` iff every cost is time-independent: all slots share
-    /// partition 0 (same policy as `rsz_dispatch`'s `CachedDispatcher`).
+    /// partition 0.
     slot_shared: bool,
     /// Mixed-radix strides over the horizon-max fleet sizes, plus the
     /// per-type bounds for validity checks against foreign instances.

@@ -30,8 +30,7 @@ use rsz_core::{GtOracle, Instance, Schedule};
 
 use crate::dp::backtrack;
 use crate::grid::GridMode;
-use crate::parallel::fill_cells;
-use crate::table::Table;
+use crate::table::{GridCursor, Table};
 
 /// Result of the graph shortest-path solve.
 #[derive(Clone, Debug)]
@@ -79,11 +78,14 @@ pub fn solve(instance: &Instance, oracle: &(impl GtOracle + Sync), grid: GridMod
         relax_up(&mut up, instance);
         vertices += 2 * up.len();
         // Operating edges v↑ → v↓.
-        fill_cells(&mut up, 1, |_, counts, v| {
+        let levels = up.all_levels().to_vec();
+        let mut cursor = GridCursor::new(&levels, 0);
+        for v in up.values_mut() {
             if v.is_finite() {
-                *v += oracle.g(instance, t, counts);
+                *v += oracle.g(instance, t, cursor.counts());
             }
-        });
+            cursor.advance();
+        }
         tables.push(up);
     }
     let res = backtrack(instance, &tables);
@@ -179,7 +181,7 @@ mod tests {
         let inst = instance();
         let oracle = Dispatcher::new();
         let g = solve(&inst, &oracle, GridMode::Full);
-        let dp = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let dp = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         assert!((g.cost - dp.cost).abs() < 1e-9, "graph {} vs dp {}", g.cost, dp.cost);
         g.schedule.check_feasible(&inst).unwrap();
     }
@@ -197,7 +199,7 @@ mod tests {
         let dp = dp_solve(
             &inst,
             &oracle,
-            DpOptions { grid: mode, parallel: false, ..DpOptions::default() },
+            DpOptions { grid: mode, threads: Some(1), ..DpOptions::default() },
         );
         assert!((g.cost - dp.cost).abs() < 1e-9, "graph {} vs dp {}", g.cost, dp.cost);
     }
@@ -223,7 +225,7 @@ mod tests {
             .unwrap();
         let oracle = Dispatcher::new();
         let g = solve(&inst, &oracle, GridMode::Full);
-        let dp = dp_solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let dp = dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         assert!((g.cost - dp.cost).abs() < 1e-9);
         assert_eq!(g.vertices, 2 * 2 * 6);
         // slot 1 must use full capacity (load 4 = max capacity)

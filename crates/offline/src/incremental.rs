@@ -19,36 +19,29 @@
 //! [`PrefixDp::step_counts`] touches the allocator only when pricing a
 //! slot it has never seen (asserted by a counting-allocator test).
 //!
-//! **Pricing** depends on [`DpOptions::engine`]:
-//!
-//! * engine **off** — the legacy per-cell path: every table cell is
-//!   priced through [`GtOracle::slot_eval`] (or `slot_sweep` in pipeline
-//!   mode), exactly like [`crate::dp::dp_step_scaled`];
-//! * engine **on** — the slot is priced **once** as a dense
-//!   [`crate::engine::PricedSlot`] and retained in a bounded
-//!   `(slot partition, λ, grid)` pool: recurring loads on
-//!   time-independent instances and Algorithm C's `ñ_t` sub-slot replays
-//!   of one original slot all fold the same priced table in with a
-//!   vectorized `v += scale·g` pass, no per-cell oracle calls at all.
-//!
-//! **Caching:** the oracle is passed per step, so an owner that holds a
-//! `rsz_dispatch::CachedDispatcher` and passes it every step keeps one
-//! `g_t` cache alive across all slots; the engine's priced-slot pool
-//! composes with (and in steady state short-circuits ahead of) it.
+//! **Pricing** goes through the online decision engine: each slot is
+//! priced **once** as a dense [`crate::engine::PricedSlot`] and retained
+//! in a bounded `(slot partition, λ, grid)` pool, so recurring loads on
+//! time-independent instances and Algorithm C's `ñ_t` sub-slot replays
+//! of one original slot all fold the same priced table in with a
+//! vectorized `v += scale·g` pass, with no per-cell oracle calls at all.
+//! The pool is owned by the solver or shared with other solvers of the
+//! same instance shape ([`PrefixDp::share_pool`]).
 
 use std::sync::Arc;
 
 use rsz_core::{Config, GtOracle, Instance};
 
-use crate::dp::{betas, price_cells, DpOptions};
+use crate::dp::{betas, DpOptions};
 use crate::engine::snapshot::{self, Decoder, Encoder, SnapshotError};
 use crate::engine::{
     add_priced, lock_shared, EngineStats, PricedSlotPool, SharedSlotPool, DEFAULT_POOL_CAP,
 };
+use crate::grid::GridMode;
 use crate::table::Table;
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
-/// The engine-mode pricing pool: owned by this solver, or a handle to
+/// The pricing pool: owned by this solver, or a handle to
 /// a pool shared with other solvers of the same instance shape (see
 /// [`SharedSlotPool`]). Decisions never depend on which variant is in
 /// use — pricing is pure — so a shared pool only changes hit-rate
@@ -63,7 +56,8 @@ enum Pool {
 #[derive(Clone, Debug)]
 pub struct PrefixDp {
     betas: Vec<f64>,
-    options: DpOptions,
+    /// Candidate-grid discretization of every step.
+    grid: GridMode,
     /// The live table `OPT_t(·)`.
     table: Table,
     /// Ping-pong partner of `table` for the in-place arrival transform.
@@ -77,9 +71,9 @@ pub struct PrefixDp {
     scratch: TransformScratch,
     /// Counts of the last argmin cell ([`PrefixDp::step_counts`]).
     counts: Vec<u32>,
-    /// Priced-slot pool (engine mode only).
-    pool: Option<Pool>,
-    /// The priced slot folded in by the most recent engine-mode step.
+    /// Priced-slot pool.
+    pool: Pool,
+    /// The priced slot folded in by the most recent step.
     last_priced: Option<Arc<Table>>,
     slots_processed: usize,
 }
@@ -91,7 +85,7 @@ impl PrefixDp {
         let d = instance.num_types();
         Self {
             betas: betas(instance),
-            options,
+            grid: options.grid,
             table: Table::origin(d),
             spare: Table::origin(d),
             levels: Vec::new(),
@@ -99,12 +93,10 @@ impl PrefixDp {
             slot_invariant: !instance.has_time_varying_counts(),
             scratch: TransformScratch::new(),
             counts: Vec::with_capacity(d),
-            pool: options.engine.then(|| {
-                Pool::Owned(PricedSlotPool::with_capacity(
-                    instance,
-                    options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP),
-                ))
-            }),
+            pool: Pool::Owned(PricedSlotPool::with_capacity(
+                instance,
+                options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP),
+            )),
             last_priced: None,
             slots_processed: 0,
         }
@@ -132,41 +124,36 @@ impl PrefixDp {
         }
     }
 
-    /// The dense priced slot folded in by the most recent step, when the
-    /// engine is on: the whole grid's **unscaled** `g_t` values for the
-    /// step's `(t, λ)`. Algorithm C ranks its sub-slot states by reading
-    /// this table instead of re-querying the oracle.
+    /// The dense priced slot folded in by the most recent step (`None`
+    /// before the first step and right after a restore): the whole
+    /// grid's **unscaled** `g_t` values for the step's `(t, λ)`.
+    /// Algorithm C ranks its sub-slot states by reading this table
+    /// instead of re-querying the oracle.
     #[must_use]
     pub fn last_priced(&self) -> Option<&Table> {
         self.last_priced.as_deref()
     }
 
-    /// Pricing counters of the engine's priced-slot pool (`None` when
-    /// the engine is off). With a shared pool installed, the counters
-    /// are the pool's — i.e. aggregated across every sharer.
+    /// Pricing counters of the priced-slot pool. With a shared pool
+    /// installed, the counters are the pool's — i.e. aggregated across
+    /// every sharer.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<EngineStats> {
-        self.pool.as_ref().map(|pool| match pool {
+    pub fn engine_stats(&self) -> EngineStats {
+        match &self.pool {
             Pool::Owned(p) => p.stats(),
             Pool::Shared(p) => lock_shared(p).stats(),
-        })
+        }
     }
 
-    /// Replace the engine's owned pricing pool with a handle to `pool`,
-    /// shared with other solvers of the same instance shape. Returns
-    /// `false` (and installs nothing) when the engine is off — sharing
-    /// only makes sense for the pooled pricing path.
+    /// Replace the owned pricing pool with a handle to `pool`, shared
+    /// with other solvers of the same instance shape.
     ///
     /// The shared pool must have been built against an instance with
     /// the same fleet shape (same `max_counts`); mismatched slots
     /// simply price without pooling, exactly like the owned path, so
     /// this is a performance contract, not a correctness one.
-    pub fn share_pool(&mut self, pool: SharedSlotPool) -> bool {
-        if self.pool.is_none() {
-            return false;
-        }
-        self.pool = Some(Pool::Shared(pool));
-        true
+    pub fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.pool = Pool::Shared(pool);
     }
 
     /// Fold slot `t` of `instance` in and return `x̂^t_t`.
@@ -242,21 +229,14 @@ impl PrefixDp {
             &self.betas,
             &mut self.scratch,
         );
-        if let Some(pool) = self.pool.as_mut() {
-            let priced = match pool {
-                Pool::Owned(p) => p.get_or_price(instance, oracle, t, lambda, &self.levels),
-                Pool::Shared(p) => {
-                    lock_shared(p).get_or_price(instance, oracle, t, lambda, &self.levels)
-                }
-            };
-            add_priced(&mut self.table, &priced, cost_scale);
-            self.last_priced = Some(priced);
-        } else {
-            // Engine off: the exact per-cell pricing block of
-            // `dp_step_scaled` (shared definition — see `price_cells`).
-            price_cells(&mut self.table, instance, oracle, t, lambda, cost_scale, self.options);
-            self.last_priced = None;
-        }
+        let priced = match &mut self.pool {
+            Pool::Owned(p) => p.get_or_price(instance, oracle, t, lambda, &self.levels),
+            Pool::Shared(p) => {
+                lock_shared(p).get_or_price(instance, oracle, t, lambda, &self.levels)
+            }
+        };
+        add_priced(&mut self.table, &priced, cost_scale);
+        self.last_priced = Some(priced);
         self.slots_processed += 1;
         self.table.argmin().expect("prefix instance feasible, so OPT_t has a finite cell")
     }
@@ -271,7 +251,7 @@ impl PrefixDp {
         let d = instance.num_types();
         self.levels.resize_with(d, Vec::new);
         for (j, buf) in self.levels.iter_mut().enumerate() {
-            self.options.grid.fill_levels(instance.server_count(t, j), buf);
+            self.grid.fill_levels(instance.server_count(t, j), buf);
         }
         self.levels_cached = self.slot_invariant;
     }
@@ -283,8 +263,10 @@ impl PrefixDp {
     }
 
     /// Serialize the resumable state into `enc`: the step counter, the
-    /// live table `OPT_t(·)` (exact `f64` bit patterns), and — in engine
-    /// mode — the pool's retention bound and pricing counters.
+    /// live table `OPT_t(·)` (exact `f64` bit patterns), and the pool's
+    /// retention bound and pricing counters behind the pool tag `1`.
+    /// (Tag `0` marked snapshots of the retired engine-off solver;
+    /// [`PrefixDp::restore_state`] refuses them structurally.)
     ///
     /// Everything else (`spare`, transform scratch, cached levels, the
     /// last priced slot) is rebuilt lazily on the first post-restore
@@ -295,33 +277,28 @@ impl PrefixDp {
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_usize(self.slots_processed);
         snapshot::encode_table(enc, &self.table);
-        match &self.pool {
-            None => enc.put_u8(0),
-            Some(pool) => {
-                enc.put_u8(1);
-                // A shared pool snapshots like an owned one (capacity +
-                // the shared counters); the owner re-installs the
-                // shared handle after restore if it wants to keep
-                // sharing — entries re-price on demand either way.
-                let (cap, s) = match pool {
-                    Pool::Owned(p) => (p.capacity(), p.stats()),
-                    Pool::Shared(p) => {
-                        let p = lock_shared(p);
-                        (p.capacity(), p.stats())
-                    }
-                };
-                enc.put_usize(cap);
-                enc.put_u64(s.pricings);
-                enc.put_u64(s.pool_hits);
-                enc.put_u64(s.slice_hits);
+        enc.put_u8(1);
+        // A shared pool snapshots like an owned one (capacity + the
+        // shared counters); the owner re-installs the shared handle
+        // after restore if it wants to keep sharing — entries re-price
+        // on demand either way.
+        let (cap, s) = match &self.pool {
+            Pool::Owned(p) => (p.capacity(), p.stats()),
+            Pool::Shared(p) => {
+                let p = lock_shared(p);
+                (p.capacity(), p.stats())
             }
-        }
+        };
+        enc.put_usize(cap);
+        enc.put_u64(s.pricings);
+        enc.put_u64(s.pool_hits);
+        enc.put_u64(s.slice_hits);
     }
 
     /// Restore state written by [`PrefixDp::save_state`] into this
-    /// solver, which must have been built against the same `instance`
-    /// with the same engine mode. The next [`PrefixDp::step`] must be
-    /// given `t == slots_processed()`.
+    /// solver, which must have been built against the same `instance`.
+    /// The next [`PrefixDp::step`] must be given
+    /// `t == slots_processed()`.
     pub fn restore_state(
         &mut self,
         instance: &Instance,
@@ -338,32 +315,22 @@ impl PrefixDp {
         if slots > instance.horizon().saturating_mul(1 << 20) {
             return Err(SnapshotError::Corrupt("step counter out of range"));
         }
-        let pool = match dec.take_u8()? {
-            0 => {
-                if self.options.engine {
-                    return Err(SnapshotError::Corrupt("snapshot was taken with the engine off"));
-                }
-                None
-            }
-            1 => {
-                if !self.options.engine {
-                    return Err(SnapshotError::Corrupt("snapshot was taken with the engine on"));
-                }
-                let cap = dec.take_usize()?;
-                let pricings = dec.take_u64()?;
-                let pool_hits = dec.take_u64()?;
-                let slice_hits = dec.take_u64()?;
-                if cap == 0 || cap > (1 << 32) {
-                    return Err(SnapshotError::Corrupt("pool capacity out of range"));
-                }
-                let mut pool = PricedSlotPool::with_capacity(instance, cap);
-                pool.restore_counters(pricings, pool_hits, slice_hits);
-                Some(Pool::Owned(pool))
-            }
+        match dec.take_u8()? {
+            0 => return Err(SnapshotError::Corrupt("snapshot was taken with the engine off")),
+            1 => {}
             _ => return Err(SnapshotError::Corrupt("unknown pool tag")),
-        };
+        }
+        let cap = dec.take_usize()?;
+        let pricings = dec.take_u64()?;
+        let pool_hits = dec.take_u64()?;
+        let slice_hits = dec.take_u64()?;
+        if cap == 0 || cap > (1 << 32) {
+            return Err(SnapshotError::Corrupt("pool capacity out of range"));
+        }
+        let mut pool = PricedSlotPool::with_capacity(instance, cap);
+        pool.restore_counters(pricings, pool_hits, slice_hits);
         self.table = table;
-        self.pool = pool;
+        self.pool = Pool::Owned(pool);
         self.slots_processed = slots;
         // Scratch state is rebuilt on the next step.
         self.levels_cached = false;
@@ -375,7 +342,6 @@ impl PrefixDp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{forward_tables, solve};
     use rsz_core::{CostModel, ServerType};
     use rsz_dispatch::Dispatcher;
 
@@ -389,76 +355,33 @@ mod tests {
     }
 
     #[test]
-    fn incremental_tables_match_batch_tables() {
-        let inst = instance();
-        let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let batch = forward_tables(&inst, &oracle, opts);
-        let mut pre = PrefixDp::new(&inst, opts);
-        #[allow(clippy::needless_range_loop)] // t indexes batch tables in lockstep
-        for t in 0..inst.horizon() {
-            pre.step(&inst, &oracle, t);
-            for i in 0..batch[t].len() {
-                let (a, b) = (pre.table().values()[i], batch[t].values()[i]);
-                assert!((a == b) || (a - b).abs() < 1e-9, "t={t} cell {i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn engine_tables_match_legacy_within_sweep_tolerance() {
-        let inst = instance();
-        let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut legacy = PrefixDp::new(&inst, base);
-        let mut engined = PrefixDp::new(&inst, DpOptions { engine: true, ..base });
-        for t in 0..inst.horizon() {
-            let a = legacy.step(&inst, &oracle, t);
-            let b = engined.step(&inst, &oracle, t);
-            assert_eq!(a, b, "t={t}: argmin configs diverged");
-            for i in 0..legacy.table().len() {
-                let (x, y) = (legacy.table().values()[i], engined.table().values()[i]);
-                assert!(
-                    (x == y) || (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "t={t} cell {i}: {x} vs {y}"
-                );
-            }
-            assert!(engined.last_priced().is_some());
-            assert!(legacy.last_priced().is_none());
-        }
-        let stats = engined.engine_stats().expect("engine on");
-        assert!(stats.pricings > 0);
-    }
-
-    #[test]
     fn step_counts_agree_with_step() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut a = PrefixDp::new(&inst, opts);
-        let mut b = PrefixDp::new(&inst, opts);
+        let mut a = PrefixDp::new(&inst, DpOptions::default());
+        let mut b = PrefixDp::new(&inst, DpOptions::default());
         for t in 0..inst.horizon() {
             let xa = a.step(&inst, &oracle, t);
             let xb = b.step_counts(&inst, &oracle, t);
             assert_eq!(xa.counts(), xb, "t={t}");
+            assert!(a.last_priced().is_some());
         }
+        assert!(a.engine_stats().pricings > 0);
     }
 
     #[test]
-    fn prefix_cost_matches_truncated_offline_solve() {
+    fn prefix_cost_matches_the_graph_formulation() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut pre = PrefixDp::new(&inst, opts);
+        let mut pre = PrefixDp::new(&inst, DpOptions::default());
         for t in 0..inst.horizon() {
             pre.step(&inst, &oracle, t);
-            let truncated = inst.truncated(t + 1);
-            let direct = solve(&truncated, &oracle, opts);
+            let graph = crate::graph::solve(&inst.truncated(t + 1), &oracle, crate::GridMode::Full);
             assert!(
-                (pre.prefix_opt_cost() - direct.cost).abs() < 1e-9,
-                "t={t}: incremental {} vs direct {}",
+                (pre.prefix_opt_cost() - graph.cost).abs() <= 1e-9 * graph.cost.abs().max(1.0),
+                "t={t}: incremental {} vs graph {}",
                 pre.prefix_opt_cost(),
-                direct.cost
+                graph.cost
             );
         }
     }
@@ -467,8 +390,7 @@ mod tests {
     fn argmin_config_is_last_state_of_some_prefix_optimum() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut pre = PrefixDp::new(&inst, opts);
+        let mut pre = PrefixDp::new(&inst, DpOptions::default());
         for t in 0..inst.horizon() {
             let xhat = pre.step(&inst, &oracle, t);
             // OPT_t(x̂) equals the prefix optimum by definition of argmin.
@@ -480,33 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_preserves_prefix_tables_and_reuses_solves() {
-        use rsz_dispatch::CachedDispatcher;
+    fn engine_off_snapshots_are_refused_structurally() {
         let inst = instance();
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut a = PrefixDp::new(&inst, opts);
-        let mut b = PrefixDp::new(&inst, opts);
-        for t in 0..inst.horizon() {
-            let xa = a.step(&inst, &plain, t);
-            let xb = b.step(&inst, &cached, t);
-            assert_eq!(xa, xb, "t={t}");
-            for i in 0..a.table().len() {
-                assert_eq!(
-                    a.table().values()[i].to_bits(),
-                    b.table().values()[i].to_bits(),
-                    "t={t} cell {i}"
-                );
-            }
-        }
-        // One cache held across all prefix steps: the time-independent
-        // instance repeats no load value here, but infeasible/feasible
-        // cells of later, larger grids still re-query earlier cells; at
-        // minimum the stats must show the cache was actually consulted.
-        let stats = cached.stats();
-        assert!(stats.misses > 0);
-        assert_eq!(stats.entries as u64, stats.misses, "every miss stores exactly one entry");
+        let mut enc = Encoder::new();
+        enc.put_usize(0);
+        snapshot::encode_table(&mut enc, &Table::origin(inst.num_types()));
+        enc.put_u8(0);
+        let sealed = enc.into_sealed();
+        let mut dec = Decoder::from_sealed(&sealed).unwrap();
+        let err =
+            PrefixDp::new(&inst, DpOptions::default()).restore_state(&inst, &mut dec).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The kernel layer: chunked 4-lane implementations of the solver's three
 //! hot loops, plus the stride-1 row primitives behind the dimension passes.
 //!
-//! Every solve path — the legacy DP, the slot-batched pipeline, the online
-//! engine's prefix stepping, and the corridor refiner — bottoms out in
+//! Every solve path — the slot-batched pipeline, the online engine's
+//! prefix stepping, and the corridor refiner — bottoms out in
 //! three inner loops:
 //!
 //! 1. **suffix minima** over a line of previous-table values

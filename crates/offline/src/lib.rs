@@ -8,8 +8,11 @@
 //!   linear-time power-up distance [`transform`], giving `O(T·|grid|·d)`
 //!   per solve plus one dispatch solve per cell.
 //! * [`graph`] — the paper's explicit two-layer graph `G(I)` (Figure 4)
-//!   solved by per-layer relaxations; an independent implementation used
-//!   to cross-check the DP.
+//!   solved by per-layer relaxations with plain per-cell pricing; the
+//!   independent reference the DP, the prefix solver and the online
+//!   algorithms are cross-checked against (with [`brute`] for tiny
+//!   instances and the scalar kernel twins behind
+//!   [`kernels::force_scalar`]).
 //! * [`grid`] + [`approx`] — the reduced level sets `M^γ_j` and the
 //!   `(1+ε)`-approximation of Theorems 16/21.
 //! * [`rounding`] — the corridor witness `X'` from the proof of
@@ -18,12 +21,11 @@
 //! * [`pipeline`] — the slot-batched pricing pipeline (barrier-free
 //!   `g_t` pricing with warm-started row sweeps and time-independent
 //!   slot de-duplication) plus `√T`-checkpointed schedule recovery; the
-//!   engine behind [`dp::solve`].
+//!   one path behind [`dp::solve`].
 //! * [`incremental`] — a rolling prefix-optimal solver, the substrate
 //!   that makes the online algorithms of Sections 2–3 efficient. It
-//!   steps in place (double-buffered tables, persistent scratch) and,
-//!   with [`DpOptions::engine`], prices through [`engine`]'s dense
-//!   priced-slot pool.
+//!   steps in place (double-buffered tables, persistent scratch) and
+//!   prices through [`engine`]'s dense priced-slot pool.
 //! * [`engine`] — the online decision engine's pricing layer: whole-grid
 //!   `g_t` tables priced once via the warm-started sweep path and
 //!   retained in a bounded `(slot partition, λ, grid)` pool; its
@@ -56,7 +58,6 @@ pub mod graph;
 pub mod grid;
 pub mod incremental;
 pub mod kernels;
-pub mod parallel;
 pub mod pipeline;
 pub mod refine;
 pub mod relax;

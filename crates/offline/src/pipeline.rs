@@ -1,10 +1,8 @@
-//! The slot-batched pricing pipeline and checkpointed schedule recovery.
+//! The slot-batched pricing pipeline and checkpointed schedule recovery
+//! — the one path every offline solve runs.
 //!
-//! The legacy DP interleaves, per slot, an arrival transform with a
-//! table fill that runs one dispatch solve per cell — erecting one
-//! thread barrier per slot and holding every `OPT_t` table alive for
-//! backtracking. This module restructures the solver around the
-//! observation that `g_t(x)` does not depend on `OPT_{t−1}`:
+//! The solver is organized around the observation that `g_t(x)` does
+//! not depend on `OPT_{t−1}`:
 //!
 //! 1. **Pricing pass** — `g_t` is evaluated for whole slots at a time by
 //!    a single work-claiming thread pool (no per-slot barrier). Each
@@ -27,7 +25,8 @@
 //! per-table deterministic and pooled tables are reused verbatim), and
 //! every selection step shares the DP's `TieMin` epsilon tie-break, so
 //! the recovered schedule equals the whole-window backtrack's — the
-//! determinism tests assert this across pipeline/parallel/cache modes.
+//! determinism tests assert this across thread counts and recovery
+//! modes.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -36,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
-use crate::dp::{backtrack_segment, betas, dp_step, DpOptions, DpResult};
+use crate::dp::{backtrack_segment, betas, DpOptions, DpResult};
 use crate::table::{GridCursor, Table};
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
@@ -67,17 +66,16 @@ struct PriceKey {
 }
 
 /// The solver engine: advances `OPT` tables across slot ranges, pricing
-/// in batches when the pipeline is on and stepping the legacy per-slot
-/// path otherwise. One instance lives for the whole solve so the
-/// time-independent pricing pool persists across forward and recovery
-/// passes.
+/// each range as one batch. One instance lives for the whole solve so
+/// the time-independent pricing pool persists across forward and
+/// recovery passes.
 struct Engine<'a, O> {
     instance: &'a Instance,
     oracle: &'a O,
     options: DpOptions,
     betas: Vec<f64>,
-    /// `Some` iff the instance is time-independent and the pipeline is
-    /// on: pricing tables keyed by `(λ, grid)`, capped at `pool_cap`.
+    /// `Some` iff the instance is time-independent: pricing tables
+    /// keyed by `(λ, grid)`, capped at `pool_cap`.
     pool: Option<HashMap<PriceKey, Arc<Table>>>,
     pool_cap: usize,
     /// The candidate grid, hoisted once when fleet sizes are
@@ -98,7 +96,7 @@ struct Engine<'a, O> {
 
 impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     fn new(instance: &'a Instance, oracle: &'a O, options: DpOptions, segment_len: usize) -> Self {
-        let pool = (options.pipeline && instance.is_time_independent()).then(HashMap::new);
+        let pool = instance.is_time_independent().then(HashMap::new);
         let invariant_levels = (!instance.has_time_varying_counts()).then(|| {
             (0..instance.num_types())
                 .map(|j| options.grid.levels(instance.server_count(0, j)))
@@ -250,7 +248,7 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     /// One recurrence step, in place: arrival transform onto the pricing
     /// table's grid (ping-ponging through the engine's spare table), then
     /// fold in `g_t` via [`crate::kernels::axpy_fold`] at scale 1 — cells
-    /// priced infeasible become infinite, matching [`dp_step`]. Zero heap
+    /// priced infeasible become infinite. Zero heap
     /// allocation once the engine's buffers reach the grid's high-water
     /// mark.
     fn recurrence_step(&mut self, prev: &mut Table, pricing: &Table) {
@@ -275,23 +273,13 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         mut out: Option<&mut Vec<Table>>,
         base_live: usize,
     ) -> Table {
-        if self.options.pipeline {
-            let (pricing, owned) = self.price_batch(range.clone());
-            self.note_live(base_live + owned + 1);
-            for (offset, _t) in range.enumerate() {
-                self.recurrence_step(&mut prev, &pricing[offset]);
-                if let Some(out) = out.as_deref_mut() {
-                    out.push(prev.clone());
-                    self.note_live(base_live + owned + out.len() + 1);
-                }
-            }
-        } else {
-            for t in range {
-                prev = dp_step(&prev, self.instance, self.oracle, t, &self.betas, self.options);
-                if let Some(out) = out.as_deref_mut() {
-                    out.push(prev.clone());
-                    self.note_live(base_live + out.len() + 1);
-                }
+        let (pricing, owned) = self.price_batch(range);
+        self.note_live(base_live + owned + 1);
+        for priced in &pricing {
+            self.recurrence_step(&mut prev, priced);
+            if let Some(out) = out.as_deref_mut() {
+                out.push(prev.clone());
+                self.note_live(base_live + owned + out.len() + 1);
             }
         }
         prev
@@ -311,10 +299,9 @@ pub const CHECKPOINT_MIN_HORIZON: usize = 257;
 /// would make the recovery replay cheap** — the instance's costs are
 /// time-dependent (so the pipeline's `(λ, grid)` pricing pool cannot
 /// share slots) *and* the oracle does not memoize
-/// ([`GtOracle::is_memoizing`]). In that corner, checkpointing pays the
-/// full pricing twice, which is exactly how the pipeline used to lose
-/// to the cached baseline on pure time-dependent workloads; detecting
-/// the non-poolable combination up front keeps it strictly a win.
+/// ([`GtOracle::is_memoizing`]). In that corner, checkpointing would pay
+/// the full pricing twice; detecting the non-poolable combination up
+/// front materializes instead.
 pub const AUTO_MATERIALIZE_BUDGET_BYTES: u64 = 64 << 20;
 
 /// `true` if the Auto policy should materialize the whole horizon for
@@ -436,9 +423,47 @@ pub fn cost_only(instance: &Instance, oracle: &(impl GtOracle + Sync), options: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{backtrack, forward_tables, solve_with_stats};
-    use rsz_core::{CostModel, CostSpec, ServerType};
+    use crate::dp::{solve_with_stats, RecoveryMode};
+    use rsz_core::{CostModel, CostSpec, ServerType, SlotEval};
     use rsz_dispatch::Dispatcher;
+
+    fn opts() -> DpOptions {
+        DpOptions { threads: Some(1), ..DpOptions::default() }
+    }
+
+    /// A [`Dispatcher`] that counts the pricing sweeps opened on it.
+    #[derive(Default)]
+    struct SweepCounter {
+        sweeps: AtomicUsize,
+    }
+
+    impl GtOracle for SweepCounter {
+        fn g(&self, instance: &Instance, t: usize, x: &[u32]) -> f64 {
+            Dispatcher::new().g(instance, t, x)
+        }
+
+        fn g_scaled(
+            &self,
+            instance: &Instance,
+            t: usize,
+            x: &[u32],
+            lambda: f64,
+            cost_scale: f64,
+        ) -> f64 {
+            Dispatcher::new().g_scaled(instance, t, x, lambda, cost_scale)
+        }
+
+        fn slot_sweep<'a>(
+            &'a self,
+            instance: &'a Instance,
+            t: usize,
+            lambda: f64,
+            cost_scale: f64,
+        ) -> Box<dyn SlotEval + 'a> {
+            self.sweeps.fetch_add(1, Ordering::Relaxed);
+            self.slot_eval(instance, t, lambda, cost_scale)
+        }
+    }
 
     fn diurnal_instance(horizon: usize) -> Instance {
         let loads: Vec<f64> =
@@ -467,38 +492,31 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_legacy_cost_and_schedule() {
+    fn pipeline_matches_the_graph_formulation() {
         for inst in [diurnal_instance(30), time_dependent_instance(23)] {
             let oracle = Dispatcher::new();
-            let legacy = solve_checkpointed(
-                &inst,
-                &oracle,
-                DpOptions { parallel: false, ..Default::default() },
-            )
-            .0;
-            let piped = solve_checkpointed(
-                &inst,
-                &oracle,
-                DpOptions { parallel: false, pipeline: true, ..Default::default() },
-            )
-            .0;
-            assert_eq!(legacy.schedule, piped.schedule);
+            let graph = crate::graph::solve(&inst, &oracle, crate::GridMode::Full);
+            let piped = solve_checkpointed(&inst, &oracle, opts()).0;
+            assert_eq!(graph.schedule, piped.schedule);
             assert!(
-                (legacy.cost - piped.cost).abs() <= 1e-9 * legacy.cost.abs().max(1.0),
+                (graph.cost - piped.cost).abs() <= 1e-9 * graph.cost.abs().max(1.0),
                 "cost parity: {} vs {}",
-                legacy.cost,
+                graph.cost,
                 piped.cost
             );
         }
     }
 
     #[test]
-    fn checkpointed_recovery_equals_full_table_backtrack() {
+    fn checkpointed_recovery_equals_materialized_recovery() {
         let inst = diurnal_instance(300); // not a square, above the cutoff
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..Default::default() };
-        let full = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
-        let (chk, stats) = solve_with_stats(&inst, &oracle, opts);
+        let (full, _) = solve_with_stats(
+            &inst,
+            &oracle,
+            DpOptions { recovery: RecoveryMode::Materialized, ..opts() },
+        );
+        let (chk, stats) = solve_with_stats(&inst, &oracle, opts());
         assert_eq!(full.schedule, chk.schedule);
         assert_eq!(full.cost.to_bits(), chk.cost.to_bits());
         assert_eq!(stats.horizon, 300);
@@ -508,21 +526,19 @@ mod tests {
 
     #[test]
     fn recovery_mode_overrides_the_auto_cutoff() {
-        use crate::dp::RecoveryMode;
         let inst = diurnal_instance(29);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..Default::default() };
         let (_, forced) = solve_with_stats(
             &inst,
             &oracle,
-            DpOptions { recovery: RecoveryMode::Checkpointed, ..base },
+            DpOptions { recovery: RecoveryMode::Checkpointed, ..opts() },
         );
         assert_eq!(forced.segment_len, 6, "⌈√29⌉ despite the short horizon");
         let long = diurnal_instance(300);
         let (_, mat) = solve_with_stats(
             &long,
             &oracle,
-            DpOptions { recovery: RecoveryMode::Materialized, ..base },
+            DpOptions { recovery: RecoveryMode::Materialized, ..opts() },
         );
         assert_eq!(mat.checkpoints, 1, "single pass despite the long horizon");
         assert_eq!(mat.segment_len, 300);
@@ -531,35 +547,23 @@ mod tests {
     #[test]
     fn short_horizons_skip_checkpointing() {
         // Below CHECKPOINT_MIN_HORIZON the solver materializes one full
-        // segment and must not replay (no 2× dispatch work): the miss
-        // counter of a caching oracle equals a single forward pass.
-        let inst = diurnal_instance(29);
-        let oracle = rsz_dispatch::CachedDispatcher::new(&inst);
-        let opts = DpOptions { parallel: false, ..Default::default() };
-        let (res, stats) = solve_with_stats(&inst, &oracle, opts);
+        // segment and never replays: every slot is priced exactly once.
+        let inst = time_dependent_instance(29);
+        let oracle = SweepCounter::default();
+        let (res, stats) = solve_with_stats(&inst, &oracle, opts());
         assert_eq!(stats.segment_len, 29);
         assert_eq!(stats.checkpoints, 1);
-        let plain = Dispatcher::new();
-        let full = backtrack(&inst, &forward_tables(&inst, &plain, opts));
-        assert_eq!(full.schedule, res.schedule);
-        // 8-periodic loads, shared slots: one forward pass misses at
-        // most (distinct λ) × (largest grid) times; a replay would have
-        // added hits, not misses — but the point is the solve count.
-        let stats_cache = oracle.stats();
-        assert!(
-            stats_cache.misses <= 8 * 35,
-            "expected one forward pass of solves, got {} misses",
-            stats_cache.misses
-        );
+        assert_eq!(oracle.sweeps.load(Ordering::Relaxed), 29, "one pricing sweep per slot");
+        let graph = crate::graph::solve(&inst, &Dispatcher::new(), crate::GridMode::Full);
+        assert_eq!(graph.schedule, res.schedule);
     }
 
     #[test]
     fn pipeline_cost_only_matches_full_solve() {
         for inst in [diurnal_instance(17), time_dependent_instance(17)] {
             let oracle = Dispatcher::new();
-            let opts = DpOptions { parallel: false, pipeline: true, ..Default::default() };
-            let full = solve_checkpointed(&inst, &oracle, opts).0;
-            let cheap = cost_only(&inst, &oracle, opts);
+            let full = solve_checkpointed(&inst, &oracle, opts()).0;
+            let cheap = cost_only(&inst, &oracle, opts());
             assert!((full.cost - cheap).abs() <= 1e-9 * full.cost.abs().max(1.0));
         }
     }
@@ -570,11 +574,7 @@ mod tests {
         // long the horizon.
         let inst = diurnal_instance(64);
         let oracle = Dispatcher::new();
-        let (_, stats) = solve_with_stats(
-            &inst,
-            &oracle,
-            DpOptions { parallel: false, pipeline: true, ..Default::default() },
-        );
+        let (_, stats) = solve_with_stats(&inst, &oracle, opts());
         assert!(
             stats.pooled_pricing_tables <= 8,
             "expected ≤ 8 distinct tables, got {}",
@@ -586,11 +586,7 @@ mod tests {
     fn time_dependent_instances_do_not_pool() {
         let inst = time_dependent_instance(20);
         let oracle = Dispatcher::new();
-        let (_, stats) = solve_with_stats(
-            &inst,
-            &oracle,
-            DpOptions { parallel: false, pipeline: true, ..Default::default() },
-        );
+        let (_, stats) = solve_with_stats(&inst, &oracle, opts());
         assert_eq!(stats.pooled_pricing_tables, 0);
     }
 }

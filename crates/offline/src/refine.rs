@@ -527,7 +527,7 @@ mod tests {
     fn refined_solve_matches_full_grid_solve() {
         let inst = diurnal_instance(30, 14);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let full = solve(&inst, &oracle, base);
         let opts = DpOptions { refine: Some(RefineOptions::exact()), ..base };
         let (refined, stats) = solve_refined(&inst, &oracle, opts);
@@ -556,7 +556,7 @@ mod tests {
     fn epsilon_mode_stops_early_and_keeps_the_guarantee() {
         let inst = diurnal_instance(24, 16);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let exact = solve(&inst, &oracle, base);
         let eps = 0.5;
         let opts = DpOptions { refine: Some(RefineOptions::epsilon(eps)), ..base };
@@ -578,7 +578,7 @@ mod tests {
     fn max_rounds_one_falls_back_to_an_exact_full_solve() {
         let inst = diurnal_instance(18, 12);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let full = solve(&inst, &oracle, base);
         // A coarse gamma so large the first bands almost surely contact.
         let refine = RefineOptions::exact().with_gamma(8.0);
@@ -597,7 +597,7 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let full = solve(&inst, &oracle, base);
         let opts = DpOptions { refine: Some(RefineOptions::exact()), ..base };
         let (refined, _) = solve_refined(&inst, &oracle, opts);

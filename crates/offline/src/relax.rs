@@ -143,12 +143,12 @@ mod tests {
         let inst = instance();
         let oracle = Dispatcher::new();
         let base =
-            solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+            solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let k1 = fractional_lower_bound(
             &inst,
             &oracle,
             1,
-            DpOptions { parallel: false, ..Default::default() },
+            DpOptions { threads: Some(1), ..Default::default() },
         );
         assert!((base - k1).abs() < 1e-9);
     }
@@ -157,7 +157,7 @@ mod tests {
     fn bound_decreases_in_k() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..Default::default() };
+        let opts = DpOptions { threads: Some(1), ..Default::default() };
         let mut prev = f64::INFINITY;
         for k in [1u32, 2, 4] {
             let lb = fractional_lower_bound(&inst, &oracle, k, opts);

@@ -96,7 +96,7 @@ mod tests {
     fn witness_is_feasible_and_in_corridor() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opt = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         for gamma in [1.25, 1.5, 2.0] {
             let w = corridor_schedule(&inst, &opt.schedule, gamma);
             w.check_feasible(&inst).unwrap();
@@ -108,7 +108,7 @@ mod tests {
     fn witness_cost_within_theorem_16_bound() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opt = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         for gamma in [1.25, 1.5, 2.0] {
             let w = corridor_schedule(&inst, &opt.schedule, gamma);
             let bd = rsz_core::objective::evaluate(&inst, &w, &oracle);
@@ -125,7 +125,7 @@ mod tests {
     fn witness_counts_lie_on_grid() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opt = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let gamma = 2.0;
         let levels = GridMode::Gamma(gamma).levels(10);
         let w = corridor_schedule(&inst, &opt.schedule, gamma);
@@ -142,7 +142,7 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let opt = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         // OPT drops to zero servers in the zero-load tail (β=1 < idle 2·1).
         assert_eq!(opt.schedule.count(2, 0), 0);
         let w = corridor_schedule(&inst, &opt.schedule, 2.0);

@@ -79,28 +79,6 @@ impl TransformScratch {
     }
 }
 
-/// Transform one line: `out[i] = min_k prev[k] + beta·(new_vals[i] −
-/// old_vals[k])^+`, where `prev[k]` is read through `get_prev` and results
-/// are written through `set_out`. Both level slices must be sorted
-/// ascending.
-///
-/// Allocates a fresh suffix buffer per call; hot loops over many lines
-/// should hold one buffer and call [`transform_line_scratch`] instead
-/// (the dimension passes themselves run through [`TransformScratch`] and
-/// the [`crate::kernels`] layer).
-#[deprecated(note = "allocates a suffix buffer per call; use transform_line_scratch, or the \
-            transform_dim/arrival_transform passes which route through the kernel layer")]
-pub fn transform_line(
-    old_vals: &[u32],
-    new_vals: &[u32],
-    beta: f64,
-    get_prev: impl Fn(usize) -> f64,
-    set_out: impl FnMut(usize, f64),
-) {
-    let mut suffix = Vec::new();
-    transform_line_scratch(old_vals, new_vals, beta, &mut suffix, get_prev, set_out);
-}
-
 /// One-line transform with a caller-owned suffix-minima buffer: `suffix`
 /// is resized (reusing capacity) and overwritten, so a warm buffer makes
 /// the line pass allocation-free. The buffer carries no state between

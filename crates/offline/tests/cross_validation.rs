@@ -84,7 +84,7 @@ fn dp_graph_brute_agree_on_mixed_costs() {
     let oracle = Dispatcher::new();
     for trial in 0..40 {
         let inst = random_instance(&mut rng, false);
-        let dp = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let dp = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let g = graph::solve(&inst, &oracle, GridMode::Full);
         let bf = brute::solve(&inst, &oracle);
         assert!(
@@ -108,7 +108,7 @@ fn dp_equals_brute_with_time_varying_fleets() {
     let oracle = Dispatcher::new();
     for trial in 0..25 {
         let inst = random_instance(&mut rng, true);
-        let dp = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let dp = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let bf = brute::solve(&inst, &oracle);
         assert!(
             (dp.cost - bf.cost).abs() < 1e-7 * dp.cost.abs().max(1.0),
@@ -138,7 +138,7 @@ fn corridor_witness_bounds_hold_on_random_instances() {
             .loads((0..horizon).map(|_| rng.gen_range(0.0..f64::from(m))).collect::<Vec<_>>())
             .build()
             .unwrap();
-        let opt = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         for gamma in [1.2, 1.7, 2.5] {
             let w = corridor_schedule(&inst, &opt.schedule, gamma);
             assert!(corridor_invariant_holds(&inst, &opt.schedule, &w, gamma));
@@ -149,7 +149,11 @@ fn corridor_witness_bounds_hold_on_random_instances() {
             let gdp = solve_cost_only(
                 &inst,
                 &oracle,
-                DpOptions { grid: GridMode::Gamma(gamma), parallel: false, ..DpOptions::default() },
+                DpOptions {
+                    grid: GridMode::Gamma(gamma),
+                    threads: Some(1),
+                    ..DpOptions::default()
+                },
             );
             assert!(gdp <= wc + 1e-9);
         }
@@ -160,7 +164,7 @@ fn corridor_witness_bounds_hold_on_random_instances() {
 fn subdivision_bounds_bracket_discrete_optimum() {
     let mut rng = StdRng::seed_from_u64(5);
     let oracle = Dispatcher::new();
-    let opts = DpOptions { parallel: false, ..Default::default() };
+    let opts = DpOptions { threads: Some(1), ..Default::default() };
     for _ in 0..10 {
         let inst = random_instance(&mut rng, false);
         let discrete = solve_cost_only(&inst, &oracle, opts);

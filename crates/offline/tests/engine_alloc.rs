@@ -69,8 +69,7 @@ fn steady_state_prefix_step_is_allocation_free() {
     let horizon = 48;
     let inst = tiled_instance(horizon);
     let oracle = Dispatcher::new();
-    let opts = DpOptions { engine: true, parallel: false, threads: Some(1), ..Default::default() };
-    let mut pre = PrefixDp::new(&inst, opts);
+    let mut pre = PrefixDp::new(&inst, DpOptions::default());
 
     // Warm-up: two full periods price every distinct (λ, grid) into the
     // pool and grow every scratch buffer to its high-water mark.
@@ -91,24 +90,7 @@ fn steady_state_prefix_step_is_allocation_free() {
     );
 
     // Sanity: the engine really was answering from the pool.
-    let stats = pre.engine_stats().expect("engine on");
+    let stats = pre.engine_stats();
     assert_eq!(stats.pricings, 8, "one pricing per distinct day slot");
     assert_eq!(stats.pool_hits, horizon as u64 - 8);
-}
-
-#[test]
-fn legacy_step_matches_engine_decisions_on_the_same_trace() {
-    // Companion check in the same process (same allocator): the engine's
-    // zero-alloc path and the legacy per-cell path pick identical
-    // prefix-optimal configurations.
-    let inst = tiled_instance(24);
-    let oracle = Dispatcher::new();
-    let base = DpOptions { parallel: false, ..Default::default() };
-    let mut legacy = PrefixDp::new(&inst, base);
-    let mut engine = PrefixDp::new(&inst, DpOptions { engine: true, ..base });
-    for t in 0..inst.horizon() {
-        let a = legacy.step(&inst, &oracle, t);
-        let b = engine.step(&inst, &oracle, t);
-        assert_eq!(a, b, "t={t}");
-    }
 }

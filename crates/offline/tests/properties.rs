@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rsz_core::{CostModel, CostSpec, Instance, Schedule, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
-use rsz_offline::dp::{betas, dp_step_scaled, forward_tables, solve, solve_cost_only, DpOptions};
+use rsz_dispatch::Dispatcher;
+use rsz_offline::dp::{solve, solve_cost_only, DpOptions};
 use rsz_offline::table::Table;
 use rsz_offline::transform::{arrival_transform, arrival_transform_naive};
 use rsz_offline::{brute, graph, GridMode};
@@ -105,7 +105,7 @@ proptest! {
     fn dp_lower_bounds_random_schedules(spec in inst_strategy(2, 3, 5), seed in 0u64..1_000) {
         let inst = build(&spec);
         let oracle = Dispatcher::new();
-        let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..5 {
             // Random feasible schedule: for each slot pick counts that
@@ -143,7 +143,7 @@ proptest! {
     fn dp_graph_brute_agree(spec in inst_strategy(2, 2, 4)) {
         let inst = build(&spec);
         let oracle = Dispatcher::new();
-        let dp = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let dp = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let g = graph::solve(&inst, &oracle, GridMode::Full);
         let bf = brute::solve(&inst, &oracle);
         prop_assert!((dp.cost - g.cost).abs() < 1e-9, "dp {} vs graph {}", dp.cost, g.cost);
@@ -158,11 +158,11 @@ proptest! {
     fn gamma_guarantee(spec in inst_strategy(1, 12, 6), gamma in 1.1..3.0_f64) {
         let inst = build(&spec);
         let oracle = Dispatcher::new();
-        let exact = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let exact = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let apx = solve_cost_only(
             &inst,
             &oracle,
-            DpOptions { grid: GridMode::Gamma(gamma), parallel: false, ..DpOptions::default() },
+            DpOptions { grid: GridMode::Gamma(gamma), threads: Some(1), ..DpOptions::default() },
         );
         prop_assert!(apx + 1e-9 >= exact);
         prop_assert!(
@@ -172,106 +172,13 @@ proptest! {
         );
     }
 
-    /// The memoizing oracle drives the DP to bit-identical tables,
-    /// costs and schedules — with sequential and parallel fills, on
-    /// time-independent and time-dependent costs alike.
-    #[test]
-    fn cached_dp_is_bit_identical(
-        spec in inst_strategy(2, 3, 5),
-        price in prop::collection::vec(0.25..3.0_f64, 5..=5),
-        time_dependent in prop_oneof![Just(false), Just(true)],
-    ) {
-        let mut inst = build(&spec);
-        if time_dependent {
-            // Re-build with a per-slot price profile on every type.
-            let horizon = inst.horizon();
-            let types: Vec<ServerType> = inst
-                .types()
-                .iter()
-                .map(|ty| {
-                    let base = CostModel::linear(1.0, 1.0);
-                    ServerType::with_spec(
-                        ty.name.clone(),
-                        ty.count,
-                        ty.switching_cost,
-                        ty.capacity,
-                        CostSpec::scaled(base, price[..horizon].to_vec()),
-                    )
-                })
-                .collect();
-            inst = Instance::builder()
-                .server_types(types)
-                .loads(inst.loads().to_vec())
-                .build()
-                .expect("re-priced instance stays feasible");
-        }
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-        for parallel in [false, true] {
-            let opts = DpOptions { parallel, ..Default::default() };
-            let want = forward_tables(&inst, &plain, opts);
-            let got = forward_tables(&inst, &cached, opts);
-            for (t, (a, b)) in want.iter().zip(&got).enumerate() {
-                for i in 0..a.len() {
-                    prop_assert_eq!(
-                        a.values()[i].to_bits(), b.values()[i].to_bits(),
-                        "parallel={} t={} cell {}: {} vs {}",
-                        parallel, t, i, a.values()[i], b.values()[i]
-                    );
-                }
-            }
-            let ws = solve(&inst, &plain, opts);
-            let gs = solve(&inst, &cached, opts);
-            prop_assert_eq!(ws.cost.to_bits(), gs.cost.to_bits());
-            prop_assert_eq!(ws.schedule, gs.schedule);
-        }
-    }
-
-    /// Algorithm C's scaled sub-slot steps (`dp_step_scaled` with
-    /// overridden λ and `1/ñ` scale) are bit-identical under the cache —
-    /// the cache must partition per slot on time-dependent costs yet
-    /// share the unscaled solve across a slot's sub-slots.
-    #[test]
-    fn cached_scaled_steps_are_bit_identical(
-        spec in inst_strategy(2, 3, 4),
-        subslots in 1usize..4,
-        lambda_frac in 0.0..1.0_f64,
-    ) {
-        let inst = build(&spec);
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-        let b = betas(&inst);
-        let opts = DpOptions { parallel: false, ..Default::default() };
-        let scale = 1.0 / subslots as f64;
-        let mut want = Table::origin(inst.num_types());
-        let mut got = Table::origin(inst.num_types());
-        for t in 0..inst.horizon() {
-            let lambda = lambda_frac * inst.load(t);
-            for _ in 0..subslots {
-                want = dp_step_scaled(&want, &inst, &plain, t, lambda, scale, &b, opts);
-                got = dp_step_scaled(&got, &inst, &cached, t, lambda, scale, &b, opts);
-                for i in 0..want.len() {
-                    prop_assert_eq!(
-                        want.values()[i].to_bits(), got.values()[i].to_bits(),
-                        "t={} cell {}", t, i
-                    );
-                }
-            }
-        }
-        // The cache must have shared solves across sub-slots.
-        if subslots > 1 {
-            let stats = cached.stats();
-            prop_assert!(stats.hits > 0, "sub-slot reuse expected, stats {:?}", stats);
-        }
-    }
-
     /// Monotonicity in the workload: removing the last slot never
     /// increases the optimal cost.
     #[test]
     fn prefix_costs_monotone(spec in inst_strategy(2, 3, 6)) {
         let inst = build(&spec);
         let oracle = Dispatcher::new();
-        let opts = DpOptions { parallel: false, ..Default::default() };
+        let opts = DpOptions { threads: Some(1), ..Default::default() };
         let mut prev = 0.0;
         for t in 1..=inst.horizon() {
             let c = solve_cost_only(&inst.truncated(t), &oracle, opts);
@@ -285,10 +192,11 @@ proptest! {
 /// instance the solver must never hold more than `O(√T)` tables alive —
 /// checkpoints plus one replayed segment (plus its pricing batch) —
 /// while still recovering exactly the schedule the fully materialized
-/// `O(T)`-table backtrack produces.
+/// `O(T)`-table recovery produces.
 #[test]
 fn recovery_memory_is_sqrt_t_on_long_horizons() {
-    use rsz_offline::dp::{backtrack, solve_with_stats};
+    use rsz_offline::dp::solve_with_stats;
+    use rsz_offline::RecoveryMode;
     let horizon = 1024;
     // Time-dependent prices disable the time-independent pricing pool,
     // so the accounting below is pure checkpoints + segment replay.
@@ -305,36 +213,33 @@ fn recovery_memory_is_sqrt_t_on_long_horizons() {
         .build()
         .unwrap();
     let oracle = Dispatcher::new();
-    for pipeline in [false, true] {
-        // Checkpointing is forced: under Auto this non-poolable
-        // instance would (correctly) materialize within the memory
-        // budget instead of paying the replay — the machinery under
-        // test here is the checkpointed recovery itself.
-        let opts = DpOptions {
-            parallel: false,
-            pipeline,
-            recovery: rsz_offline::RecoveryMode::Checkpointed,
-            ..Default::default()
-        };
-        let (res, stats) = solve_with_stats(&inst, &oracle, opts);
-        assert_eq!(stats.horizon, horizon);
-        assert_eq!(stats.segment_len, 32, "⌈√1024⌉");
-        assert_eq!(stats.checkpoints, 32);
-        assert_eq!(stats.pooled_pricing_tables, 0, "time-dependent: no pool");
-        // Checkpoints (≤ √T) + one replayed segment (≤ √T OPT tables)
-        // + the segment's pricing batch (≤ √T, pipeline only) + rolling
-        // state — far below the T tables full materialization holds.
-        let bound = 3 * stats.segment_len + 8;
-        assert!(
-            stats.peak_live_tables <= bound,
-            "pipeline={pipeline}: peak {} tables exceeds O(√T) bound {}",
-            stats.peak_live_tables,
-            bound
-        );
-        assert!(stats.peak_live_tables < horizon / 4, "not meaningfully below O(T)");
-        // And the recovered schedule matches the O(T)-memory reference.
-        let full = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
-        assert_eq!(full.schedule, res.schedule, "pipeline={pipeline}");
-        assert!((full.cost - res.cost).abs() <= 1e-9 * full.cost.abs().max(1.0));
-    }
+    // Checkpointing is forced: under Auto this non-poolable instance
+    // would (correctly) materialize within the memory budget instead of
+    // paying the replay — the machinery under test here is the
+    // checkpointed recovery itself.
+    let opts =
+        DpOptions { threads: Some(1), recovery: RecoveryMode::Checkpointed, ..Default::default() };
+    let (res, stats) = solve_with_stats(&inst, &oracle, opts);
+    assert_eq!(stats.horizon, horizon);
+    assert_eq!(stats.segment_len, 32, "⌈√1024⌉");
+    assert_eq!(stats.checkpoints, 32);
+    assert_eq!(stats.pooled_pricing_tables, 0, "time-dependent: no pool");
+    // Checkpoints (≤ √T) + one replayed segment (≤ √T OPT tables) + the
+    // segment's pricing batch (≤ √T) + rolling state — far below the T
+    // tables full materialization holds.
+    let bound = 3 * stats.segment_len + 8;
+    assert!(
+        stats.peak_live_tables <= bound,
+        "peak {} tables exceeds O(√T) bound {bound}",
+        stats.peak_live_tables
+    );
+    assert!(stats.peak_live_tables < horizon / 4, "not meaningfully below O(T)");
+    // And the recovered schedule matches the O(T)-memory reference.
+    let (full, _) = solve_with_stats(
+        &inst,
+        &oracle,
+        DpOptions { recovery: RecoveryMode::Materialized, ..opts },
+    );
+    assert_eq!(full.schedule, res.schedule);
+    assert_eq!(full.cost.to_bits(), res.cost.to_bits());
 }

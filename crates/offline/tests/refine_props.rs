@@ -1,13 +1,12 @@
 //! Property-based tests of the coarse-to-fine corridor solver
 //! (`rsz_offline::refine`).
 //!
-//! The contract under test, per ISSUE 5's acceptance criteria:
+//! The contract under test:
 //!
 //! * **Exactness** — refined-exact solves recover schedules *identical*
 //!   to unrestricted full-grid solves (costs within the documented
-//!   `1e-9` relative sweep tolerance), across plain and memoizing
-//!   oracles, legacy and pipeline pricing, and both fine-grid targets
-//!   (`Full` and `Γ`).
+//!   `1e-9` relative sweep tolerance), across both cost shapes and both
+//!   fine-grid targets (`Full` and `Γ`).
 //! * **Termination** — the band-expansion fixpoint finishes within
 //!   `max_rounds` banded rounds plus at most one full-grid fallback
 //!   round, and stays exact even when `max_rounds = 1` forces the
@@ -19,7 +18,7 @@
 
 use proptest::prelude::*;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
+use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve, DpOptions};
 use rsz_offline::refine::{solve_refined, RefineOptions};
 use rsz_offline::GridMode;
@@ -85,33 +84,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Refined-exact solves are schedule-identical to unrestricted
-    /// solves across {plain, cached} oracles × {legacy, pipeline}
-    /// pricing × {Full, Γ(1.5)} fine targets × both cost shapes.
+    /// solves across {Full, Γ(1.5)} fine targets × both cost shapes.
     #[test]
     fn refined_exact_matches_unrestricted(
         spec in spec_strategy(2, 14, 8),
         time_dependent in prop_oneof![Just(false), Just(true)],
-        pipeline in prop_oneof![Just(false), Just(true)],
-        cached in prop_oneof![Just(false), Just(true)],
     ) {
         let inst = build(&spec, time_dependent);
+        let oracle = Dispatcher::new();
         for target in [GridMode::Full, GridMode::Gamma(1.5)] {
-            let base = DpOptions { parallel: false, pipeline, grid: target, ..DpOptions::default() };
+            let base = DpOptions { threads: Some(1), grid: target, ..DpOptions::default() };
             let refined_opts = DpOptions {
                 refine: Some(RefineOptions::exact().with_target(target)),
                 ..base
             };
-            let (want, got) = if cached {
-                let oracle = CachedDispatcher::new(&inst);
-                (solve(&inst, &oracle, base), solve(&inst, &oracle, refined_opts))
-            } else {
-                let oracle = Dispatcher::new();
-                (solve(&inst, &oracle, base), solve(&inst, &oracle, refined_opts))
-            };
+            let (want, got) = (solve(&inst, &oracle, base), solve(&inst, &oracle, refined_opts));
             prop_assert_eq!(
                 &want.schedule, &got.schedule,
-                "target {:?} pipeline={} cached={} td={}: schedules diverged",
-                target, pipeline, cached, time_dependent
+                "target {:?} td={}: schedules diverged",
+                target, time_dependent
             );
             prop_assert!(
                 (want.cost - got.cost).abs() <= 1e-9 * want.cost.abs().max(1.0),
@@ -132,7 +123,7 @@ proptest! {
     ) {
         let inst = build(&spec, false);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let refine = RefineOptions { max_rounds, ..RefineOptions::exact().with_gamma(gamma) };
         let opts = DpOptions { refine: Some(refine), ..base };
         let (got, stats) = solve_refined(&inst, &oracle, opts);
@@ -152,7 +143,7 @@ proptest! {
     ) {
         let inst = build(&spec, false);
         let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
+        let base = DpOptions { threads: Some(1), ..DpOptions::default() };
         let exact = solve(&inst, &oracle, base);
         let refine = RefineOptions::epsilon(eps);
         let factor = refine.corridor_factor(); // 2γ₀ − 1 = 1 + ε

@@ -35,18 +35,6 @@ pub struct AOptions {
     /// paper's algorithm; `Gamma(γ)` trades the guarantee for speed on
     /// large fleets (the prefix optima become (2γ−1)-approximate).
     pub grid: GridMode,
-    /// Parallelize the prefix DP's dispatch solves.
-    pub parallel: bool,
-    /// Explicit worker count for the prefix DP's fills (`None` = derive
-    /// from `parallel`); see [`DpOptions::threads`].
-    pub threads: Option<usize>,
-    /// Price prefix-DP slots through the warm-started sweep path; see
-    /// [`DpOptions::pipeline`].
-    pub pipeline: bool,
-    /// Run the prefix solver through the online decision engine (dense
-    /// priced-slot pool, allocation-free stepping); see
-    /// [`DpOptions::engine`].
-    pub engine: bool,
     /// Retain the **full** per-slot power-up log `w` (`O(T·d)` memory)
     /// instead of only the ring of rows still inside a retirement
     /// window. Needed by the block decomposition ([`crate::blocks`]);
@@ -60,38 +48,17 @@ pub struct AOptions {
 
 impl Default for AOptions {
     fn default() -> Self {
-        Self {
-            grid: GridMode::Full,
-            parallel: false,
-            threads: None,
-            pipeline: false,
-            engine: false,
-            keep_power_up_log: false,
-            pool_capacity: None,
-        }
+        Self { grid: GridMode::Full, keep_power_up_log: false, pool_capacity: None }
     }
 }
 
 impl AOptions {
     /// The [`DpOptions`] these online options induce for the internal
-    /// prefix solver.
+    /// prefix solver (which prices every slot through the priced-slot
+    /// engine: one sweep per slot, no thread count to choose).
     #[must_use]
     pub fn dp_options(&self) -> DpOptions {
-        DpOptions {
-            grid: self.grid,
-            parallel: self.parallel,
-            pipeline: self.pipeline,
-            threads: self.threads,
-            engine: self.engine,
-            pool_capacity: self.pool_capacity,
-            ..DpOptions::default()
-        }
-    }
-
-    /// The default options with the online decision engine switched on.
-    #[must_use]
-    pub fn engined() -> Self {
-        Self { engine: true, ..Self::default() }
+        DpOptions { grid: self.grid, pool_capacity: self.pool_capacity, ..DpOptions::default() }
     }
 }
 
@@ -192,18 +159,16 @@ impl<O: GtOracle + Sync> AlgorithmA<O> {
         self.prefix.prefix_opt_cost()
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when the
-    /// engine is off).
+    /// Pricing counters of the prefix solver's engine.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.prefix.engine_stats()
     }
 
     /// Share the engine's priced-slot pool with other controllers of
     /// the same instance shape (see [`rsz_offline::SharedSlotPool`]).
-    /// Returns `false` when the engine is off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 }
 
@@ -424,7 +389,7 @@ mod tests {
             .unwrap();
         let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
         let online = run(&inst, &mut a, &oracle);
-        let opt = solve(&inst, &oracle, OffOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, OffOptions { threads: Some(1), ..Default::default() });
         let bound = (2.0 * 2.0 + 1.0) * opt.cost;
         assert!(
             online.cost() <= bound + 1e-9,
@@ -500,17 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_decides_identically() {
-        let inst = simple(vec![1.0, 3.0, 0.0, 2.0, 4.0, 0.0, 1.0, 2.0], 3.0, 1.0);
+    fn recurring_loads_hit_the_priced_slot_pool() {
+        let inst = simple(vec![1.0, 3.0, 0.0, 2.0, 1.0, 3.0, 0.0, 2.0], 3.0, 1.0);
         let oracle = Dispatcher::new();
-        let mut plain = AlgorithmA::new(&inst, oracle, AOptions::default());
-        let want = run(&inst, &mut plain, &oracle);
-        let mut engined = AlgorithmA::new(&inst, oracle, AOptions::engined());
-        let got = run(&inst, &mut engined, &oracle);
-        assert_eq!(want.schedule, got.schedule);
-        let stats = engined.engine_stats().expect("engine on");
-        assert!(stats.pricings > 0);
-        assert!(plain.engine_stats().is_none());
+        let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
+        let _ = run(&inst, &mut a, &oracle);
+        let stats = a.engine_stats();
+        assert_eq!(stats.pricings, 4, "four distinct loads");
+        assert_eq!(stats.pool_hits, 4);
     }
 
     #[test]
@@ -524,7 +486,7 @@ mod tests {
         let mut a = AlgorithmA::new(
             &inst,
             oracle,
-            AOptions { grid: GridMode::Gamma(1.5), parallel: false, ..AOptions::default() },
+            AOptions { grid: GridMode::Gamma(1.5), ..AOptions::default() },
         );
         let run = run(&inst, &mut a, &oracle);
         run.schedule.check_feasible(&inst).unwrap();

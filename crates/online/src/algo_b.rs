@@ -84,10 +84,9 @@ impl BCore {
     }
 
     /// Share the prefix solver's priced-slot pool (see
-    /// [`PrefixDp::share_pool`]). Returns `false` when the engine is
-    /// off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    /// [`PrefixDp::share_pool`]).
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 
     /// Process one (sub-)slot: retire batches whose accumulated idle cost
@@ -270,17 +269,16 @@ impl<O: GtOracle + Sync> AlgorithmB<O> {
         &self.core
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when the
-    /// engine is off).
+    /// Pricing counters of the prefix solver's engine.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.core.prefix().engine_stats()
     }
 
     /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape. Returns `false` when the engine is off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.core.share_pool(pool)
+    /// the same instance shape.
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.core.share_pool(pool);
     }
 }
 
@@ -387,7 +385,7 @@ mod tests {
         let oracle = Dispatcher::new();
         let mut b = AlgorithmB::new(&inst, oracle, AOptions::default());
         let online = run(&inst, &mut b, &oracle);
-        let opt = solve(&inst, &oracle, OffOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, OffOptions { threads: Some(1), ..Default::default() });
         let d = inst.num_types() as f64;
         let bound = (2.0 * d + 1.0 + c_constant(&inst)) * opt.cost;
         assert!(online.cost() <= bound + 1e-9, "B cost {} vs bound {bound}", online.cost());
@@ -436,7 +434,7 @@ mod tests {
         let mut b = AlgorithmB::new(&inst, oracle, AOptions::default());
         let online = run(&inst, &mut b, &oracle);
         online.schedule.check_feasible(&inst).unwrap();
-        let opt = solve(&inst, &oracle, OffOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, OffOptions { threads: Some(1), ..Default::default() });
         let bound = (2.0 * 2.0 + 1.0 + c_constant(&inst)) * opt.cost;
         assert!(online.cost() <= bound + 1e-9);
     }

@@ -35,13 +35,12 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
         Self::with_options(
             instance,
             oracle,
-            DpOptions { grid: GridMode::Full, parallel: false, ..DpOptions::default() },
+            DpOptions { grid: GridMode::Full, ..DpOptions::default() },
         )
     }
 
     /// [`LazyCapacityProvisioning::new`] with explicit prefix-solver
-    /// options — how the online decision engine ([`DpOptions::engine`])
-    /// and the pipeline pricing path are switched on for LCP.
+    /// options (grid, pool retention bound).
     ///
     /// # Panics
     /// Panics if the instance has more than one server type.
@@ -51,18 +50,22 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
         Self { oracle, prefix: PrefixDp::new(instance, options), x: 0 }
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when
-    /// [`DpOptions::engine`] is off).
+    /// The internal prefix solver.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn prefix(&self) -> &PrefixDp {
+        &self.prefix
+    }
+
+    /// Pricing counters of the prefix solver's engine.
+    #[must_use]
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.prefix.engine_stats()
     }
 
     /// Share the prefix solver's priced-slot pool (see
-    /// [`PrefixDp::share_pool`]). Returns `false` when the engine is
-    /// off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    /// [`PrefixDp::share_pool`]).
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 
     /// The corridor `[lower, upper]` of final states of optimal prefix
@@ -159,7 +162,7 @@ mod tests {
             let inst = instance(loads);
             let mut lcp = LazyCapacityProvisioning::new(&inst, oracle);
             let online = run(&inst, &mut lcp, &oracle);
-            let opt = solve(&inst, &oracle, OffOptions { parallel: false, ..Default::default() });
+            let opt = solve(&inst, &oracle, OffOptions { threads: Some(1), ..Default::default() });
             assert!(
                 online.cost() <= 3.0 * opt.cost + 1e-9,
                 "LCP {} vs 3·OPT {}",

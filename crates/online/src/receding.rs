@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::dp::{backtrack_window, betas, dp_step, DpOptions};
+use rsz_offline::dp::{backtrack_window, betas, DpOptions};
 use rsz_offline::engine::{add_priced, PricedSlotPool};
 use rsz_offline::refine::{lift_band, refine_window, FineGrid, RefineOptions};
 use rsz_offline::table::Table;
@@ -33,17 +33,15 @@ pub struct RecedingHorizon<O> {
     oracle: O,
     /// Forecast window length `w ≥ 1` (1 = myopic with switching).
     pub window: usize,
-    /// Options for the window DP (grid, pipeline pricing, threads,
-    /// engine). RHC re-solves overlapping windows every slot, so the
-    /// pipeline's warm-started sweeps and a caching oracle both pay off
-    /// here — and with [`DpOptions::engine`] the priced-slot pool
-    /// carries each slot's dense `g_t` table across windows, so the
-    /// `w − 1` overlapping slots of consecutive windows are re-priced
-    /// by a vectorized add instead of per-cell solves.
+    /// Options for the window DP (grid, corridor refinement, pool
+    /// bound). RHC re-solves overlapping windows every slot; the
+    /// priced-slot pool carries each slot's dense `g_t` table across
+    /// windows, so the `w − 1` overlapping slots of consecutive windows
+    /// are re-priced by a vectorized add instead of per-cell solves.
     pub options: DpOptions,
     prev: Option<Config>,
-    /// Priced-slot pool (engine and refine modes), initialized lazily at
-    /// the first decision so it binds to the instance actually driven.
+    /// Priced-slot pool, initialized lazily at the first decision so it
+    /// binds to the instance actually driven.
     pool: Option<PricedSlotPool>,
     /// Separate pool for the refine mode's coarse `Γ(γ₀)` window solves
     /// (coarse and fine grids share fleet sizes, so one pool would
@@ -66,11 +64,10 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
     #[must_use]
     pub fn new(oracle: O, window: usize) -> Self {
         assert!(window >= 1, "window must be at least one slot");
-        let options = DpOptions { parallel: false, ..DpOptions::default() };
         Self {
             oracle,
             window,
-            options,
+            options: DpOptions::default(),
             prev: None,
             pool: None,
             coarse_pool: None,
@@ -80,7 +77,7 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
     }
 
     /// Pricing counters of the engine's priced-slot pool (`None` before
-    /// the first decision or when the engine is off).
+    /// the first decision).
     #[must_use]
     pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
         self.pool.as_ref().map(PricedSlotPool::stats)
@@ -93,8 +90,8 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         self
     }
 
-    /// Override the window DP options wholesale (pipeline pricing,
-    /// explicit thread counts).
+    /// Override the window DP options wholesale (grid, corridor
+    /// refinement, pool bound).
     #[must_use]
     pub fn with_options(mut self, options: DpOptions) -> Self {
         self.options = options;
@@ -119,7 +116,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         // silently optimize against stale operating costs. The previous
         // run's window plan is stale for the same reason.
         let pool_cap = opts.pool_capacity.unwrap_or(rsz_offline::engine::DEFAULT_POOL_CAP);
-        if (opts.engine || opts.refine.is_some()) && (self.pool.is_none() || t == 0) {
+        if self.pool.is_none() || t == 0 {
             self.pool = Some(PricedSlotPool::with_capacity(instance, pool_cap));
         }
         if opts.refine.is_some() && (self.coarse_pool.is_none() || t == 0) {
@@ -141,23 +138,18 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         if let Some(refine) = opts.refine {
             return self.decide_refined(instance, t, end, &b, &point, refine);
         }
+        // Transform onto each slot's grid and fold in the pooled dense
+        // pricing — overlapping windows hit.
+        let pool = self.pool.as_mut().expect("the pool is bound above");
         let mut tables: Vec<Table> = Vec::with_capacity(end - t);
         for u in t..end {
             let prev = tables.last().unwrap_or(&point);
-            let next = if let Some(pool) = self.pool.as_mut() {
-                // Engine path: transform onto slot u's grid and fold in
-                // the pooled dense pricing — overlapping windows hit.
-                let levels: Vec<Vec<u32>> =
-                    (0..d).map(|j| opts.grid.levels(instance.server_count(u, j))).collect();
-                let priced =
-                    pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
-                let mut cur = arrival_transform(prev, &levels, &b);
-                add_priced(&mut cur, &priced, 1.0);
-                cur
-            } else {
-                dp_step(prev, instance, &self.oracle, u, &b, opts)
-            };
-            tables.push(next);
+            let levels: Vec<Vec<u32>> =
+                (0..d).map(|j| opts.grid.levels(instance.server_count(u, j))).collect();
+            let priced = pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
+            let mut cur = arrival_transform(prev, &levels, &b);
+            add_priced(&mut cur, &priced, 1.0);
+            tables.push(cur);
         }
         let plan = backtrack_window(instance, &tables);
         let choice = plan.schedule.config(0).clone();
@@ -334,7 +326,7 @@ mod tests {
         // from a state on an optimal trajectory stays optimal.
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opt = solve(&inst, &oracle, OffOptions { parallel: false, ..Default::default() });
+        let opt = solve(&inst, &oracle, OffOptions { threads: Some(1), ..Default::default() });
         let mut rhc = RecedingHorizon::new(oracle, inst.horizon());
         let outcome = run(&inst, &mut rhc, &oracle);
         assert!(
@@ -380,12 +372,11 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { engine: true, parallel: false, ..DpOptions::default() };
-        let mut reused = RecedingHorizon::new(oracle, 2).with_options(opts);
+        let mut reused = RecedingHorizon::new(oracle, 2);
         let _ = run(&cheap, &mut reused, &oracle);
         reused.prev = None; // fresh run; the pool must rebind on t = 0 too
         let second = run(&pricey, &mut reused, &oracle);
-        let mut fresh = RecedingHorizon::new(oracle, 2).with_options(opts);
+        let mut fresh = RecedingHorizon::new(oracle, 2);
         let want = run(&pricey, &mut fresh, &oracle);
         assert_eq!(want.schedule, second.schedule, "stale pooled prices leaked across runs");
     }
@@ -399,11 +390,7 @@ mod tests {
         let oracle = Dispatcher::new();
         for w in [1, 2, 4, 8] {
             let plain = run(&inst, &mut RecedingHorizon::new(oracle, w), &oracle);
-            let opts = DpOptions {
-                refine: Some(RefineOptions::exact()),
-                parallel: false,
-                ..DpOptions::default()
-            };
+            let opts = DpOptions { refine: Some(RefineOptions::exact()), ..DpOptions::default() };
             let mut refined = RecedingHorizon::new(oracle, w).with_options(opts);
             let refined_run = run(&inst, &mut refined, &oracle);
             assert_eq!(plain.schedule, refined_run.schedule, "w={w}");
@@ -424,31 +411,11 @@ mod tests {
         // the previous run's plan.
         let inst = instance();
         let oracle = Dispatcher::new();
-        let opts = DpOptions {
-            refine: Some(RefineOptions::exact()),
-            parallel: false,
-            ..DpOptions::default()
-        };
+        let opts = DpOptions { refine: Some(RefineOptions::exact()), ..DpOptions::default() };
         let mut reused = RecedingHorizon::new(oracle, 3).with_options(opts);
         let first = run(&inst, &mut reused, &oracle);
         reused.prev = None;
         let second = run(&inst, &mut reused, &oracle);
         assert_eq!(first.schedule, second.schedule, "rerun must reset plan seeding");
-    }
-
-    #[test]
-    fn cached_oracle_matches_and_reuses_overlapping_windows() {
-        // Consecutive RHC windows overlap in w−1 slots; a shared g_t
-        // cache answers the re-solved slots without re-dispatching.
-        let inst = instance();
-        let oracle = Dispatcher::new();
-        let cached = rsz_dispatch::CachedDispatcher::new(&inst);
-        for w in [2, 4] {
-            let plain_run = run(&inst, &mut RecedingHorizon::new(oracle, w), &oracle);
-            let cached_run = run(&inst, &mut RecedingHorizon::new(cached.clone(), w), &oracle);
-            assert_eq!(plain_run.schedule, cached_run.schedule, "w={w}");
-        }
-        let stats = cached.stats();
-        assert!(stats.hits > stats.misses, "window overlap should dominate: {stats:?}");
     }
 }

@@ -226,33 +226,22 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_runs_algorithms_identically() {
+    fn prefix_revelation_matches_full_run_for_algorithm_a() {
+        // Prefix revelation hands the algorithm truncated clones; the
+        // priced-slot pool is keyed compatibly with them.
         use crate::algo_a::{AOptions, AlgorithmA};
-        use rsz_dispatch::CachedDispatcher;
         let inst = Instance::builder()
             .server_type(ServerType::new("s", 3, 2.0, 1.0, CostModel::linear(0.5, 1.0)))
             .server_type(ServerType::new("f", 2, 5.0, 3.0, CostModel::power(1.0, 0.5, 2.0)))
-            // Recurring loads: the shared-slot cache answers later slots
-            // from earlier ones.
             .loads(vec![2.0, 5.0, 2.0, 0.0, 5.0, 2.0, 5.0, 0.0])
             .build()
             .unwrap();
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-
-        let mut a1 = AlgorithmA::new(&inst, plain, AOptions::default());
-        let want = run(&inst, &mut a1, &plain);
-        let mut a2 = AlgorithmA::new(&inst, cached.clone(), AOptions::default());
-        let got = run(&inst, &mut a2, &cached);
-        assert_eq!(want.schedule, got.schedule);
-        assert_eq!(want.cost().to_bits(), got.cost().to_bits());
-        let stats = cached.stats();
-        assert!(stats.hits > 0, "recurring loads must hit the cache, stats {stats:?}");
-
-        // Prefix revelation hands the algorithm truncated clones — the
-        // cache is keyed compatibly with them.
-        let mut a3 = AlgorithmA::new(&inst, cached.clone(), AOptions::default());
-        let revealed = run_with_prefix_revelation(&inst, &mut a3, &cached);
+        let oracle = Dispatcher::new();
+        let mut a1 = AlgorithmA::new(&inst, oracle, AOptions::default());
+        let want = run(&inst, &mut a1, &oracle);
+        let mut a2 = AlgorithmA::new(&inst, oracle, AOptions::default());
+        let revealed = run_with_prefix_revelation(&inst, &mut a2, &oracle);
         assert_eq!(want.schedule, revealed.schedule);
+        assert!(a2.engine_stats().pool_hits > 0, "recurring loads must hit the pool");
     }
 }

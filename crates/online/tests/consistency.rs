@@ -47,7 +47,7 @@ fn a_and_b_both_within_their_bounds_on_time_independent_costs() {
         let inst = random_time_independent(&mut rng);
         let d = inst.num_types() as f64;
         let opt =
-            solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+            solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let run_a = {
             let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
             run(&inst, &mut a, &oracle)
@@ -145,17 +145,13 @@ fn prefix_backend_gamma_never_undercuts_opt() {
     for _ in 0..6 {
         let inst = random_time_independent(&mut rng);
         let opt =
-            solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+            solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         for grid in [
             rsz_offline::GridMode::Full,
             rsz_offline::GridMode::Gamma(1.5),
             rsz_offline::GridMode::Gamma(3.0),
         ] {
-            let mut a = AlgorithmA::new(
-                &inst,
-                oracle,
-                AOptions { grid, parallel: false, ..AOptions::default() },
-            );
+            let mut a = AlgorithmA::new(&inst, oracle, AOptions { grid, ..AOptions::default() });
             let r = run(&inst, &mut a, &oracle);
             r.schedule.check_feasible(&inst).unwrap();
             assert!(r.cost() + 1e-9 >= opt, "{grid:?} beat OPT");

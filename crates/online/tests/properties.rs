@@ -97,7 +97,7 @@ proptest! {
         let oracle = Dispatcher::new();
         let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
         // Reference prefix solver running in lockstep.
-        let mut reference = PrefixDp::new(&inst, DpOptions { parallel: false, ..Default::default() });
+        let mut reference = PrefixDp::new(&inst, DpOptions::default());
         let mut schedule = Vec::new();
         for t in 0..inst.horizon() {
             let x = algo.decide(&inst, t);
@@ -116,7 +116,7 @@ proptest! {
         let oracle = Dispatcher::new();
         let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
         let outcome = run(&inst, &mut algo, &oracle);
-        let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let bound = (2.0 * spec.d as f64 + 1.0) * opt;
         prop_assert!(outcome.cost() <= bound + 1e-6, "{} > {bound}", outcome.cost());
     }
@@ -145,7 +145,7 @@ proptest! {
         let oracle = Dispatcher::new();
         let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
         let outcome = run(&inst, &mut algo, &oracle);
-        let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let bound = 2.0 * spec.d as f64 * opt;
         prop_assert!(outcome.cost() <= bound + 1e-6, "{} > {bound}", outcome.cost());
     }
@@ -158,7 +158,7 @@ proptest! {
         let mut algo = AlgorithmB::new(&inst, oracle, AOptions::default());
         let outcome = run(&inst, &mut algo, &oracle);
         prop_assert!(outcome.schedule.is_feasible(&inst));
-        let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let bound = (2.0 * spec.d as f64 + 1.0 + c_constant(&inst)) * opt;
         prop_assert!(outcome.cost() <= bound + 1e-6, "{} > {bound}", outcome.cost());
     }
@@ -172,7 +172,7 @@ proptest! {
         let outcome = run(&inst, &mut algo, &oracle);
         prop_assert!(outcome.schedule.is_feasible(&inst));
         prop_assert!(algo.realized_c() <= eps + 1e-9);
-        let opt = solve_cost_only(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+        let opt = solve_cost_only(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
         let bound = (2.0 * spec.d as f64 + 1.0 + eps) * opt;
         prop_assert!(outcome.cost() <= bound + 1e-6, "{} > {bound}", outcome.cost());
     }
@@ -200,7 +200,7 @@ proptest! {
         let mut algo = AlgorithmA::new(
             &inst,
             oracle,
-            AOptions { grid: GridMode::Gamma(1.5), parallel: false, ..AOptions::default() },
+            AOptions { grid: GridMode::Gamma(1.5), ..AOptions::default() },
         );
         let outcome = run(&inst, &mut algo, &oracle);
         prop_assert!(outcome.schedule.is_feasible(&inst));
@@ -214,7 +214,7 @@ proptest! {
         let inst = time_independent(&spec);
         let oracle = Dispatcher::new();
         let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
-        let mut reference = PrefixDp::new(&inst, DpOptions { parallel: false, ..Default::default() });
+        let mut reference = PrefixDp::new(&inst, DpOptions::default());
         let mut hist_max = Config::zeros(inst.num_types());
         for t in 0..inst.horizon() {
             let x = algo.decide(&inst, t);

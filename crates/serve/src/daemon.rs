@@ -610,9 +610,6 @@ impl Daemon {
     /// pure function of `(partition, λ, grid)`: pool contents change
     /// hit rates, never decisions.
     fn install_pool(&self, st: &TenantState, instance: &Instance, degrader: &mut TenantDegrader) {
-        if !st.spec.engine {
-            return;
-        }
         let key = st.spec.pool_key();
         let pool = {
             let mut pools = lock_clean(&self.pools);

@@ -154,6 +154,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 .ok_or_else(|| ParseError { detail: "register needs a `fleet` string".into() })?
                 .to_owned();
             let algo = v.get("algo").and_then(Json::as_str).unwrap_or("b").to_owned();
+            // `engine` and `cache` are retired solver flags: recorded
+            // verbatim in the spec (WAL bytes and fingerprints stay
+            // stable), ignored by `build_controller`.
             let engine = v.get("engine").and_then(Json::as_bool).unwrap_or(true);
             let cache = v.get("cache").and_then(Json::as_bool).unwrap_or(false);
             let grid = match v.get("grid").and_then(Json::as_str) {

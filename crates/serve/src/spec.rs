@@ -1,19 +1,18 @@
 //! Tenant specifications and boxed controllers.
 //!
-//! A tenant registers with a *spec*: fleet preset, algorithm, grid,
-//! engine/cache toggles, an optional per-decision deadline and a
-//! snapshot cadence. The spec is the unit of determinism — the WAL
-//! records it verbatim, recovery rebuilds the controller from it, and
-//! two tenants with byte-equal `(fleet, grid)` halves share one priced
-//! slot pool.
+//! A tenant registers with a *spec*: fleet preset, algorithm, grid, an
+//! optional per-decision deadline and a snapshot cadence. The spec is
+//! the unit of determinism — the WAL records it verbatim, recovery
+//! rebuilds the controller from it, and two tenants with byte-equal
+//! `(fleet, grid)` halves share one priced slot pool.
 //!
 //! [`BoxController`] erases the concrete controller type (five
-//! algorithms × two oracles) behind one object that still implements
+//! algorithms) behind one object that still implements
 //! [`OnlineAlgorithm`] and [`Checkpoint`], so the daemon wraps every
 //! tenant in the same `GracefulDegrader<BoxController, _>` ladder.
 
 use rsz_core::{Config, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
+use rsz_dispatch::Dispatcher;
 use rsz_offline::{Decoder, Encoder, EngineStats, GridMode, SharedSlotPool, SnapshotError};
 use rsz_online::algo_a::AOptions;
 use rsz_online::algo_c::COptions;
@@ -79,9 +78,13 @@ pub struct TenantSpec {
     /// Algorithm spec: `a`, `b`, `c[:EPS]`, `lcp`, `rhc[:WINDOW]` —
     /// plus the fault hook `panic:T` when the daemon allows it.
     pub algo: String,
-    /// Price through the online decision engine (priced-slot pool).
+    /// The client's `engine` key, recorded verbatim. Inert: every tenant
+    /// prices through the priced-slot engine. Kept so WALs, snapshots
+    /// and state fingerprints written before the flag was retired still
+    /// decode and match.
     pub engine: bool,
-    /// Wrap the oracle in a `CachedDispatcher`.
+    /// The client's `cache` key, recorded verbatim. Inert, like
+    /// `engine`.
     pub cache: bool,
     /// Prefix-solver grid.
     pub grid: GridSpec,
@@ -212,7 +215,7 @@ fn algo_param(algo: &str) -> Result<Option<f64>, String> {
 }
 
 /// Object-safe view of a checkpointable controller — what the daemon
-/// needs from all ten concrete controller types.
+/// needs from all five concrete controller types.
 pub trait ServeController: Send {
     fn ctl_name(&self) -> String;
     fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config;
@@ -224,9 +227,9 @@ pub trait ServeController: Send {
         dec: &mut Decoder<'_>,
     ) -> Result<(), SnapshotError>;
     fn ctl_engine_stats(&self) -> Option<EngineStats>;
-    /// Install a shared pricing pool; `false` when the controller does
-    /// not pool (engine off, or a windowed solver with internal pools).
-    fn ctl_share_pool(&mut self, pool: SharedSlotPool) -> bool;
+    /// Install a shared pricing pool (a no-op for the windowed solver,
+    /// which pools internally).
+    fn ctl_share_pool(&mut self, pool: SharedSlotPool);
 }
 
 macro_rules! impl_serve_controller {
@@ -252,23 +255,19 @@ macro_rules! impl_serve_controller {
                 Checkpoint::restore_state(self, instance, dec)
             }
             fn ctl_engine_stats(&self) -> Option<EngineStats> {
-                self.engine_stats()
+                Some(self.engine_stats())
             }
-            fn ctl_share_pool(&mut self, pool: SharedSlotPool) -> bool {
-                self.share_pool(pool)
+            fn ctl_share_pool(&mut self, pool: SharedSlotPool) {
+                self.share_pool(pool);
             }
         }
     };
 }
 
 impl_serve_controller!(AlgorithmA<Dispatcher>);
-impl_serve_controller!(AlgorithmA<CachedDispatcher>);
 impl_serve_controller!(AlgorithmB<Dispatcher>);
-impl_serve_controller!(AlgorithmB<CachedDispatcher>);
 impl_serve_controller!(AlgorithmC<Dispatcher>);
-impl_serve_controller!(AlgorithmC<CachedDispatcher>);
 impl_serve_controller!(LazyCapacityProvisioning<Dispatcher>);
-impl_serve_controller!(LazyCapacityProvisioning<CachedDispatcher>);
 
 // The receding-horizon baseline pools per window internally and does
 // not expose pool injection; everything else forwards.
@@ -297,30 +296,24 @@ macro_rules! impl_serve_controller_rhc {
             fn ctl_engine_stats(&self) -> Option<EngineStats> {
                 self.engine_stats()
             }
-            fn ctl_share_pool(&mut self, _pool: SharedSlotPool) -> bool {
-                false
-            }
+            fn ctl_share_pool(&mut self, _pool: SharedSlotPool) {}
         }
     };
 }
 
 impl_serve_controller_rhc!(RecedingHorizon<Dispatcher>);
-impl_serve_controller_rhc!(RecedingHorizon<CachedDispatcher>);
 
 /// A fault-injection hook: behaves exactly like Algorithm B but panics
 /// on the decision for slot `at`. Only constructible when the daemon
 /// was started with fault hooks enabled — the serve chaos suite uses it
 /// to prove a per-tenant panic is caught at the step boundary and
 /// quarantines that tenant, never the daemon.
-struct PanicAt<O> {
+struct PanicAt {
     at: usize,
-    inner: AlgorithmB<O>,
+    inner: AlgorithmB<Dispatcher>,
 }
 
-impl<O: rsz_core::GtOracle + Sync + Send> ServeController for PanicAt<O>
-where
-    AlgorithmB<O>: ServeController,
-{
+impl ServeController for PanicAt {
     fn ctl_name(&self) -> String {
         format!("panic@{}({})", self.at, self.inner.ctl_name())
     }
@@ -344,8 +337,8 @@ where
     fn ctl_engine_stats(&self) -> Option<EngineStats> {
         self.inner.ctl_engine_stats()
     }
-    fn ctl_share_pool(&mut self, pool: SharedSlotPool) -> bool {
-        self.inner.ctl_share_pool(pool)
+    fn ctl_share_pool(&mut self, pool: SharedSlotPool) {
+        self.inner.ctl_share_pool(pool);
     }
 }
 
@@ -386,8 +379,8 @@ impl BoxController {
     }
 
     /// Install a shared pricing pool on the wrapped controller.
-    pub fn share_pool(&mut self, pool: SharedSlotPool) -> bool {
-        self.0.ctl_share_pool(pool)
+    pub fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.0.ctl_share_pool(pool);
     }
 }
 
@@ -399,56 +392,27 @@ pub fn build_controller(
     instance: &Instance,
     grid: GridMode,
 ) -> Result<BoxController, String> {
-    let aopts = AOptions { grid, engine: spec.engine, ..AOptions::default() };
+    let aopts = AOptions { grid, ..AOptions::default() };
     let param = algo_param(&spec.algo)?;
-    let boxed: Box<dyn ServeController> = match (base_algo(&spec.algo), spec.cache) {
-        ("a", false) => Box::new(AlgorithmA::new(instance, Dispatcher::new(), aopts)),
-        ("a", true) => Box::new(AlgorithmA::new(instance, CachedDispatcher::new(instance), aopts)),
-        ("b", false) => Box::new(AlgorithmB::new(instance, Dispatcher::new(), aopts)),
-        ("b", true) => Box::new(AlgorithmB::new(instance, CachedDispatcher::new(instance), aopts)),
-        ("c", cache) => {
+    let oracle = Dispatcher::new();
+    let boxed: Box<dyn ServeController> = match base_algo(&spec.algo) {
+        "a" => Box::new(AlgorithmA::new(instance, oracle, aopts)),
+        "b" => Box::new(AlgorithmB::new(instance, oracle, aopts)),
+        "c" => {
             let copts =
                 COptions { epsilon: param.unwrap_or(0.5), base: aopts, ..COptions::default() };
-            if cache {
-                Box::new(AlgorithmC::new(instance, CachedDispatcher::new(instance), copts))
-            } else {
-                Box::new(AlgorithmC::new(instance, Dispatcher::new(), copts))
-            }
+            Box::new(AlgorithmC::new(instance, oracle, copts))
         }
-        ("lcp", false) => Box::new(LazyCapacityProvisioning::with_options(
-            instance,
-            Dispatcher::new(),
-            aopts.dp_options(),
-        )),
-        ("lcp", true) => Box::new(LazyCapacityProvisioning::with_options(
-            instance,
-            CachedDispatcher::new(instance),
-            aopts.dp_options(),
-        )),
-        ("rhc", cache) => {
+        "lcp" => {
+            Box::new(LazyCapacityProvisioning::with_options(instance, oracle, aopts.dp_options()))
+        }
+        "rhc" => {
             let window = param.unwrap_or(4.0) as usize;
-            if cache {
-                Box::new(
-                    RecedingHorizon::new(CachedDispatcher::new(instance), window)
-                        .with_options(aopts.dp_options()),
-                )
-            } else {
-                Box::new(
-                    RecedingHorizon::new(Dispatcher::new(), window)
-                        .with_options(aopts.dp_options()),
-                )
-            }
+            Box::new(RecedingHorizon::new(oracle, window).with_options(aopts.dp_options()))
         }
-        ("panic", cache) => {
+        "panic" => {
             let at = param.ok_or("panic:T needs a slot index")? as usize;
-            if cache {
-                Box::new(PanicAt {
-                    at,
-                    inner: AlgorithmB::new(instance, CachedDispatcher::new(instance), aopts),
-                })
-            } else {
-                Box::new(PanicAt { at, inner: AlgorithmB::new(instance, Dispatcher::new(), aopts) })
-            }
+            Box::new(PanicAt { at, inner: AlgorithmB::new(instance, oracle, aopts) })
         }
         _ => return Err(format!("unknown algorithm `{}`", spec.algo)),
     };

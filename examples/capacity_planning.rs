@@ -40,7 +40,7 @@ fn main() {
     let mut costs: Vec<(f64, f64)> = Vec::new();
     for eps in [2.0, 1.0, 0.5, 0.25, 0.1] {
         let start = Instant::now();
-        let apx = offline::approximate(&instance, &Dispatcher::new(), eps, true);
+        let apx = offline::approximate(&instance, &Dispatcher::new(), eps);
         let dt = start.elapsed();
         apx.result.schedule.check_feasible(&instance).expect("feasible");
         println!(

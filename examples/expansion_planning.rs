@@ -30,7 +30,7 @@ fn main() {
     // Exact offline plan (per-slot grids handle m_{t,j} natively).
     let plan = offline::solve(&instance, &oracle, DpOptions::default());
     println!("optimal cost: {:.2}", plan.cost);
-    let apx = offline::approximate(&instance, &oracle, 0.5, true);
+    let apx = offline::approximate(&instance, &oracle, 0.5);
     println!("(1+0.5)-approx cost: {:.2} (guarantee ≤ {:.2})\n", apx.result.cost, 1.5 * plan.cost);
 
     println!("{}", render::schedule_chart(&instance, &plan.schedule));

@@ -30,7 +30,7 @@ fn main() {
     println!("offline optimal cost:     {:.3}\n", opt.cost);
 
     // ---- (1+ε)-approximation (Section 4.2): γ-grid DP.
-    let apx = offline::approximate(&instance, &oracle, 0.5, true);
+    let apx = offline::approximate(&instance, &oracle, 0.5);
     println!(
         "(1+0.5)-approx cost:      {:.3}  (guarantee ≤ {:.3})",
         apx.result.cost,

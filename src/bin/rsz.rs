@@ -19,6 +19,7 @@ use std::process::ExitCode;
 
 use heterogeneous_rightsizing::core::render;
 use heterogeneous_rightsizing::offline::{self, DpOptions};
+use heterogeneous_rightsizing::online::algo_a::AOptions;
 use heterogeneous_rightsizing::online::algo_c::COptions;
 use heterogeneous_rightsizing::online::{
     self, AlgorithmA, AlgorithmB, AlgorithmC, LazyCapacityProvisioning, RecedingHorizon,
@@ -28,30 +29,120 @@ use heterogeneous_rightsizing::workloads::{fleet, io, patterns, stochastic};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("solve") => solve(&args[1..]),
-        Some("simulate") => simulate(&args[1..]),
-        Some("generate") => generate(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("--help") | Some("-h") | Some("help") | None => {
-            eprintln!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            ExitCode::from(2)
+    let (command, flags): (fn(&[String]) -> ExitCode, &Flags) =
+        match args.first().map(String::as_str) {
+            Some("solve") => (solve, &SOLVE_FLAGS),
+            Some("simulate") => (simulate, &SIMULATE_FLAGS),
+            Some("generate") => (generate, &GENERATE_FLAGS),
+            Some("serve") => (serve_cmd, &SERVE_FLAGS),
+            Some("--help") | Some("-h") | Some("help") | None => {
+                eprintln!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            Some(other) => {
+                eprintln!("unknown command `{other}`\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        };
+    if let Err(e) = check_flags(&args[1..], flags) {
+        eprintln!("error: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    command(&args[1..])
+}
+
+/// The flags one subcommand accepts.
+struct Flags {
+    /// Flags followed by a value.
+    valued: &'static [&'static str],
+    /// Flags standing alone.
+    switches: &'static [&'static str],
+}
+
+/// Switches that selected solver paths which are now the only ones;
+/// accepted as no-ops for one release.
+const RETIRED: [&str; 3] = ["--pipeline", "--engine", "--cache"];
+
+const SOLVE_FLAGS: Flags = Flags {
+    valued: &[
+        "--trace",
+        "--fleet",
+        "--algorithm",
+        "--refine-gamma",
+        "--refine-epsilon",
+        "--repair",
+        "--threads",
+        "--out",
+    ],
+    switches: &["--refine", "--chart", RETIRED[0], RETIRED[1], RETIRED[2]],
+};
+
+const SIMULATE_FLAGS: Flags = Flags {
+    valued: &[
+        "--trace",
+        "--fleet",
+        "--algo",
+        "--refine-gamma",
+        "--refine-epsilon",
+        "--repair",
+        "--resume",
+        "--snapshot-every",
+        "--out",
+        "--remote",
+        "--tenant",
+        "--peers",
+        "--deadline-us",
+    ],
+    switches: &["--refine", RETIRED[0], RETIRED[1], RETIRED[2]],
+};
+
+const SERVE_FLAGS: Flags = Flags {
+    valued: &[
+        "--addr",
+        "--state-dir",
+        "--deadline-us",
+        "--queue-bound",
+        "--snapshot-every",
+        "--pool-capacity",
+        "--coarse-gamma",
+        "--segment-bytes",
+        "--fingerprint-every",
+        "--replica-of",
+        "--replica-id",
+        "--sync-interval-ms",
+        "--lease-syncs",
+    ],
+    switches: &["--fsync", "--allow-fault-hooks"],
+};
+
+const GENERATE_FLAGS: Flags =
+    Flags { valued: &["--pattern", "--len", "--peak", "--seed", "--out"], switches: &[] };
+
+/// Reject any argument the subcommand does not know, so a misspelled
+/// flag fails loudly instead of silently running with defaults.
+fn check_flags(args: &[String], flags: &Flags) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if flags.valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("`{arg}` needs a value"));
+            }
+        } else if !flags.switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
         }
     }
+    Ok(())
 }
 
 const USAGE: &str = "usage:
-  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO [--cache] [--pipeline]
+  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO
                [--refine] [--refine-gamma G] [--refine-epsilon E]
                [--repair POLICY] [--threads N] [--out FILE] [--chart]
   rsz simulate --trace FILE --fleet PRESET --algo {a|b|c[:EPS]|lcp|rhc[:W]}
-               [--engine] [--cache] [--pipeline] [--refine] [--repair POLICY]
+               [--refine] [--repair POLICY]
                [--resume FILE] [--snapshot-every K] [--out FILE]
-               [--remote ADDR [--tenant NAME] [--peers A,B,...]]
+               [--remote ADDR [--tenant NAME] [--peers A,B,...]
+                [--deadline-us N]]
   rsz serve    [--addr HOST:PORT] [--state-dir DIR] [--deadline-us N]
                [--queue-bound N] [--snapshot-every K] [--pool-capacity N]
                [--coarse-gamma G] [--fsync] [--segment-bytes N]
@@ -62,7 +153,8 @@ const USAGE: &str = "usage:
 fleets:      homogeneous:M | cpu-gpu:C,G | old-new:O,N | three-tier:L,C,G
 algorithms:  opt | approx:EPS | a | b | c:EPS
 patterns:    diurnal | constant | mmpp | spiky
-exit codes:  2 = usage/input error (including rejected trace lines),
+exit codes:  2 = usage/input error (including unknown flags and
+                 rejected trace lines),
              3 = solver/snapshot failure (malformed λ reaching the
              solver, infeasible instance, corrupted snapshot)
 
@@ -78,16 +170,13 @@ bit-identical to an uninterrupted run. --snapshot-every K (requires
 process loses at most K slots of work. A corrupted, truncated, or
 mismatched snapshot exits with code 3 — it never resumes into garbage.
 
---cache memoizes the per-slot dispatch solves g(λ, x) across the run
-(shared across all slots when costs are time-independent) and reports
-the cache hit rate alongside the cost summary.
-
---pipeline prices g_t through the slot-batched pipeline (barrier-free
-slot-parallel pricing, warm-started KKT row sweeps, per-day slot reuse
-on repeating traces); costs agree with the legacy path to a relative
-1e-9, and epsilon-tolerant tie-breaks keep the recovered schedule
-matching the legacy path's (gated on every bench workload). --threads N
-pins the solver's worker count (default: all cores for large grids).
+Every offline solve prices g_t through the slot-batched pipeline
+(slot-parallel pricing, warm-started KKT row sweeps, per-day slot reuse
+on repeating traces) and every online controller through the
+priced-slot engine. --threads N pins the offline solver's worker count
+(default: all cores for large grids). --pipeline, --engine and --cache
+used to select those paths; they are accepted as no-ops for one release.
+Any other unknown flag is a usage error.
 
 rsz serve hosts many independent tenants (fleet + controller + its own
 telemetry stream) behind a line-delimited JSON protocol with a
@@ -126,14 +215,12 @@ speed: one coarse + one banded pass within (1+E) of optimal
 (Theorem 21). Either sub-flag implies --refine.
 
 simulate drives an online controller slot by slot with a wall clock
-around every decision and reports per-decision latency percentiles.
---engine switches the prefix solvers onto the online decision engine:
-in-place (allocation-free) DP stepping plus a pooled dense pricing
-table per (slot, λ, grid) — recurring loads and Algorithm C's sub-slot
-replays fold a priced slot in with one vectorized add instead of
-per-cell dispatch solves. Decisions are identical with the engine on or
-off (property-tested); lcp needs a homogeneous fleet, rhc:W sets the
-forecast window (default 8). With --refine, rhc's window DP runs the
+around every decision and reports per-decision latency percentiles plus
+the engine's pricing counters: each slot's dense pricing table is
+pooled per (slot, λ, grid), so recurring loads and Algorithm C's
+sub-slot replays fold a priced slot in with one vectorized add instead
+of per-cell dispatch solves. lcp needs a homogeneous fleet, rhc:W sets
+the forecast window (default 8). With --refine, rhc's window DP runs the
 corridor solver: bands warm-start from the previous window's plan and
 overlapping windows answer from the band-keyed pricing pool (identical
 decisions, property-tested; other algorithms step the full grid and
@@ -216,55 +303,15 @@ fn solve(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&e),
     };
-    let dp_opts = DpOptions {
-        pipeline: has_flag(args, "--pipeline"),
-        threads,
-        refine,
-        ..DpOptions::default()
-    };
+    let dp_opts = DpOptions { threads, refine, ..DpOptions::default() };
     // Pre-flight: malformed λ / empty grids surface as a SolveError with
     // exit code 3 instead of a panic deep inside the DP.
     if let Err(e) = offline::validate_for_solve(&instance, dp_opts) {
         return fail_solve(&e.to_string());
     }
-
-    if has_flag(args, "--cache") {
-        let oracle = CachedDispatcher::new(&instance);
-        let code = solve_with(&instance, oracle.clone(), &algo_spec, dp_opts, args);
-        let s = oracle.stats();
-        if s.hits + s.misses > 0 {
-            println!(
-                "g_t cache:       {} hits / {} misses ({:.1}% hit rate, {} entries{})",
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-                s.entries,
-                if oracle.slots_shared() { ", slots shared" } else { ", per-slot" }
-            );
-        }
-        code
-    } else {
-        solve_with(&instance, Dispatcher::new(), &algo_spec, dp_opts, args)
-    }
-}
-
-/// Run the chosen algorithm and print the report; generic so the same
-/// path serves the plain and the memoizing dispatcher (whose clones all
-/// share one cache — the final pricing pass reuses the algorithm's own
-/// solves).
-fn solve_with<O: GtOracle + Sync + Clone>(
-    instance: &Instance,
-    oracle: O,
-    algo_spec: &str,
-    dp_opts: DpOptions,
-    args: &[String],
-) -> ExitCode {
-    // Online algorithms run the same knobs through their prefix solver.
-    let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions {
-        threads: dp_opts.threads,
-        pipeline: dp_opts.pipeline,
-        ..Default::default()
-    };
+    let instance = &instance;
+    let oracle = Dispatcher::new();
+    let online_opts = AOptions::default();
     let (name, schedule): (String, Schedule) = match algo_spec.split_once(':') {
         None if algo_spec == "opt" => {
             if dp_opts.refine.is_some() {
@@ -286,14 +333,14 @@ fn solve_with<O: GtOracle + Sync + Clone>(
             }
         }
         None if algo_spec == "a" => {
-            let mut a = AlgorithmA::new(instance, oracle.clone(), online_opts);
+            let mut a = AlgorithmA::new(instance, oracle, online_opts);
             (
                 "Algorithm A (2d+1)-competitive".into(),
                 online::run(instance, &mut a, &oracle).schedule,
             )
         }
         None if algo_spec == "b" => {
-            let mut b = AlgorithmB::new(instance, oracle.clone(), online_opts);
+            let mut b = AlgorithmB::new(instance, oracle, online_opts);
             ("Algorithm B".into(), online::run(instance, &mut b, &oracle).schedule)
         }
         Some(("approx", eps)) => match eps.parse::<f64>() {
@@ -307,7 +354,7 @@ fn solve_with<O: GtOracle + Sync + Clone>(
             Ok(eps) if eps > 0.0 => {
                 let mut c = AlgorithmC::new(
                     instance,
-                    oracle.clone(),
+                    oracle,
                     COptions { epsilon: eps, base: online_opts, ..Default::default() },
                 );
                 (format!("Algorithm C(ε={eps})"), online::run(instance, &mut c, &oracle).schedule)
@@ -453,11 +500,6 @@ fn simulate(args: &[String]) -> ExitCode {
         Some(a) => a,
         None => return fail("--algo {a|b|c[:EPS]|lcp|rhc[:W]} is required"),
     };
-    let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions {
-        engine: has_flag(args, "--engine"),
-        pipeline: has_flag(args, "--pipeline"),
-        ..Default::default()
-    };
     let refine = match parse_refine(args) {
         Ok(r) => r,
         Err(e) => return fail(&e),
@@ -469,113 +511,78 @@ fn simulate(args: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    if let Err(e) = offline::validate_for_solve(&instance, online_opts.dp_options()) {
+    let online_opts = AOptions::default();
+    let dp_opts = online_opts.dp_options();
+    if let Err(e) = offline::validate_for_solve(&instance, dp_opts) {
         return fail_solve(&e.to_string());
     }
-    if has_flag(args, "--cache") {
-        let oracle = CachedDispatcher::new(&instance);
-        let code =
-            simulate_with(&instance, oracle.clone(), &algo_spec, online_opts, refine, &snap, args);
-        let s = oracle.stats();
-        if s.hits + s.misses > 0 {
-            println!(
-                "g_t cache:       {} hits / {} misses ({:.1}% hit rate)",
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-            );
-        }
-        code
-    } else {
-        simulate_with(&instance, Dispatcher::new(), &algo_spec, online_opts, refine, &snap, args)
-    }
-}
-
-/// Build the requested controller, drive it with the instrumented
-/// runner, and print the latency/cost report. Each arm returns the run,
-/// its latency profile, and the engine's pricing counters (when on).
-fn simulate_with<O: GtOracle + Sync + Clone>(
-    instance: &Instance,
-    oracle: O,
-    algo_spec: &str,
-    online_opts: heterogeneous_rightsizing::online::algo_a::AOptions,
-    refine: Option<heterogeneous_rightsizing::offline::RefineOptions>,
-    snap: &SnapOpts,
-    args: &[String],
-) -> ExitCode {
-    type Stats = heterogeneous_rightsizing::offline::EngineStats;
-    let dp_opts = online_opts.dp_options();
+    let instance = &instance;
+    let oracle = Dispatcher::new();
     let (kind, param) = match algo_spec.split_once(':') {
         Some((k, p)) => (k, Some(p)),
-        None => (algo_spec, None),
+        None => (algo_spec.as_str(), None),
     };
-    let (run, profile, stats): (online::OnlineRun, online::LatencyProfile, Option<Stats>) =
-        match (kind, param) {
-            ("a", None) => {
-                let mut a = AlgorithmA::new(instance, oracle.clone(), online_opts);
-                let (run, profile) = match drive(instance, &mut a, &oracle, snap) {
-                    Ok(rp) => rp,
-                    Err(code) => return code,
-                };
-                (run, profile, a.engine_stats())
+    let (run, profile, stats) = match (kind, param) {
+        ("a", None) => {
+            let mut a = AlgorithmA::new(instance, oracle, online_opts);
+            let (run, profile) = match drive(instance, &mut a, &oracle, &snap) {
+                Ok(rp) => rp,
+                Err(code) => return code,
+            };
+            (run, profile, Some(a.engine_stats()))
+        }
+        ("b", None) => {
+            let mut b = AlgorithmB::new(instance, oracle, online_opts);
+            let (run, profile) = match drive(instance, &mut b, &oracle, &snap) {
+                Ok(rp) => rp,
+                Err(code) => return code,
+            };
+            (run, profile, Some(b.engine_stats()))
+        }
+        ("c", param) => {
+            let eps = match param.map(str::parse::<f64>) {
+                None => 0.5,
+                Some(Ok(eps)) if eps > 0.0 => eps,
+                Some(_) => return fail("c:EPS needs a positive EPS"),
+            };
+            let mut c = AlgorithmC::new(
+                instance,
+                oracle,
+                COptions { epsilon: eps, base: online_opts, ..Default::default() },
+            );
+            let (run, profile) = match drive(instance, &mut c, &oracle, &snap) {
+                Ok(rp) => rp,
+                Err(code) => return code,
+            };
+            (run, profile, Some(c.engine_stats()))
+        }
+        ("lcp", None) => {
+            if instance.num_types() != 1 {
+                return fail("lcp needs a homogeneous fleet (homogeneous:M)");
             }
-            ("b", None) => {
-                let mut b = AlgorithmB::new(instance, oracle.clone(), online_opts);
-                let (run, profile) = match drive(instance, &mut b, &oracle, snap) {
-                    Ok(rp) => rp,
-                    Err(code) => return code,
-                };
-                let stats = b.core().prefix().engine_stats();
-                (run, profile, stats)
-            }
-            ("c", param) => {
-                let eps = match param.map(str::parse::<f64>) {
-                    None => 0.5,
-                    Some(Ok(eps)) if eps > 0.0 => eps,
-                    Some(_) => return fail("c:EPS needs a positive EPS"),
-                };
-                let mut c = AlgorithmC::new(
-                    instance,
-                    oracle.clone(),
-                    COptions { epsilon: eps, base: online_opts, ..Default::default() },
-                );
-                let (run, profile) = match drive(instance, &mut c, &oracle, snap) {
-                    Ok(rp) => rp,
-                    Err(code) => return code,
-                };
-                let stats = c.engine_stats();
-                (run, profile, stats)
-            }
-            ("lcp", None) => {
-                if instance.num_types() != 1 {
-                    return fail("lcp needs a homogeneous fleet (homogeneous:M)");
-                }
-                let mut l =
-                    LazyCapacityProvisioning::with_options(instance, oracle.clone(), dp_opts);
-                let (run, profile) = match drive(instance, &mut l, &oracle, snap) {
-                    Ok(rp) => rp,
-                    Err(code) => return code,
-                };
-                let stats = l.engine_stats();
-                (run, profile, stats)
-            }
-            ("rhc", param) => {
-                let window = match param.map(str::parse::<usize>) {
-                    None => 8,
-                    Some(Ok(w)) if w >= 1 => w,
-                    Some(_) => return fail("rhc:W needs a positive window"),
-                };
-                let dp_opts = heterogeneous_rightsizing::offline::DpOptions { refine, ..dp_opts };
-                let mut rhc = RecedingHorizon::new(oracle.clone(), window).with_options(dp_opts);
-                let (run, profile) = match drive(instance, &mut rhc, &oracle, snap) {
-                    Ok(rp) => rp,
-                    Err(code) => return code,
-                };
-                let stats = rhc.engine_stats();
-                (run, profile, stats)
-            }
-            _ => return fail(&format!("unknown --algo `{algo_spec}`\n{USAGE}")),
-        };
+            let mut l = LazyCapacityProvisioning::with_options(instance, oracle, dp_opts);
+            let (run, profile) = match drive(instance, &mut l, &oracle, &snap) {
+                Ok(rp) => rp,
+                Err(code) => return code,
+            };
+            (run, profile, Some(l.engine_stats()))
+        }
+        ("rhc", param) => {
+            let window = match param.map(str::parse::<usize>) {
+                None => 8,
+                Some(Ok(w)) if w >= 1 => w,
+                Some(_) => return fail("rhc:W needs a positive window"),
+            };
+            let dp_opts = DpOptions { refine, ..dp_opts };
+            let mut rhc = RecedingHorizon::new(oracle, window).with_options(dp_opts);
+            let (run, profile) = match drive(instance, &mut rhc, &oracle, &snap) {
+                Ok(rp) => rp,
+                Err(code) => return code,
+            };
+            (run, profile, rhc.engine_stats())
+        }
+        _ => return fail(&format!("unknown --algo `{algo_spec}`\n{USAGE}")),
+    };
     report_simulation(instance, &run, &profile, stats, args)
 }
 
@@ -745,8 +752,8 @@ fn simulate_remote(addr: &str, args: &[String]) -> ExitCode {
     let spec = TenantSpec {
         fleet: fleet_spec,
         algo,
-        engine: has_flag(args, "--engine"),
-        cache: has_flag(args, "--cache"),
+        engine: true,
+        cache: false,
         grid: GridSpec::Full,
         deadline_us,
         snapshot_every: 0,
@@ -880,6 +887,16 @@ mod tests {
         assert_eq!(flag(&args, "--missing"), None);
         assert!(has_flag(&args, "--chart"));
         assert!(!has_flag(&args, "--out"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert!(check_flags(&s(&["--trace", "t.csv", "--chart"]), &SOLVE_FLAGS).is_ok());
+        assert!(check_flags(&s(&["--cache", "--pipeline", "--engine"]), &SOLVE_FLAGS).is_ok());
+        assert!(check_flags(&s(&["--refine-epsilson", "0.5"]), &SOLVE_FLAGS).is_err());
+        assert!(check_flags(&s(&["--trace"]), &SOLVE_FLAGS).is_err(), "missing value");
+        assert!(check_flags(&s(&["stray"]), &GENERATE_FLAGS).is_err());
+        assert!(check_flags(&s(&["--fsync"]), &SIMULATE_FLAGS).is_err());
     }
 
     #[test]

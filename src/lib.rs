@@ -54,7 +54,7 @@ pub use rsz_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use rsz_core::prelude::*;
-    pub use rsz_dispatch::{CachedDispatcher, Dispatcher};
+    pub use rsz_dispatch::Dispatcher;
     pub use rsz_offline::{self as offline, DpOptions, GridMode};
     pub use rsz_online::{self as online, AlgorithmA, AlgorithmB, AlgorithmC};
     pub use rsz_workloads::{self as workloads, Trace};

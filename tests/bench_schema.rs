@@ -36,7 +36,7 @@ fn committed_speedups_never_drop_below_their_gates() {
     // itself asserts — a lower committed value means someone recorded a
     // gate-failing run). Quick-mode records gate nothing.
     let floors: [(&str, &[(&str, f64)]); 2] = [
-        ("BENCH_dp.json", &[("reference_speedup", 2.0), ("kernel_speedup", 2.0)]),
+        ("BENCH_dp.json", &[("kernel_speedup", 2.0)]),
         ("BENCH_refine.json", &[("d3_speedup", 3.0), ("kernel_speedup", 2.0)]),
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

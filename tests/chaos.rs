@@ -65,11 +65,6 @@ fn homog(loads: Vec<f64>) -> Instance {
         .unwrap()
 }
 
-/// The engine on/off axis of the matrix.
-fn matrix_opts() -> [AOptions; 2] {
-    [AOptions::default(), AOptions::engined()]
-}
-
 /// Run one controller, assert the schedule is feasible and the cost
 /// finite, return the cost.
 fn run_checked(instance: &Instance, algo: &mut dyn OnlineAlgorithm, label: &str) -> f64 {
@@ -82,30 +77,26 @@ fn run_checked(instance: &Instance, algo: &mut dyn OnlineAlgorithm, label: &str)
     r.cost()
 }
 
-/// Drive the full algorithm matrix (A/B/C × engine, RHC × refine on the
-/// heterogeneous instance; LCP × engine on the homogeneous one) and
+/// Drive the full algorithm matrix (A/B/C, RHC × refine on the
+/// heterogeneous instance; LCP on the homogeneous one) and
 /// return every run's cost, keyed by configuration. Algorithm A is
 /// skipped on time-dependent instances (price shocks push the costs out
 /// of its Section 2 model — B/C territory by design, not a fault).
 fn run_matrix(het: &Instance, hom: &Instance, label: &str) -> Vec<(String, f64)> {
     let oracle = Dispatcher::new();
     let mut costs = Vec::new();
-    for (i, opts) in matrix_opts().into_iter().enumerate() {
-        if het.is_time_independent() {
-            let mut a = AlgorithmA::new(het, oracle, opts);
-            costs.push((format!("a[{i}]"), run_checked(het, &mut a, &format!("{label}/a[{i}]"))));
-        }
-        let mut b = AlgorithmB::new(het, oracle, opts);
-        costs.push((format!("b[{i}]"), run_checked(het, &mut b, &format!("{label}/b[{i}]"))));
-        let mut c = AlgorithmC::new(
-            het,
-            oracle,
-            COptions { epsilon: 0.5, base: opts, ..Default::default() },
-        );
-        costs.push((format!("c[{i}]"), run_checked(het, &mut c, &format!("{label}/c[{i}]"))));
-        let mut l = LazyCapacityProvisioning::with_options(hom, oracle, opts.dp_options());
-        costs.push((format!("lcp[{i}]"), run_checked(hom, &mut l, &format!("{label}/lcp[{i}]"))));
+    let opts = AOptions::default();
+    if het.is_time_independent() {
+        let mut a = AlgorithmA::new(het, oracle, opts);
+        costs.push(("a".into(), run_checked(het, &mut a, &format!("{label}/a"))));
     }
+    let mut b = AlgorithmB::new(het, oracle, opts);
+    costs.push(("b".into(), run_checked(het, &mut b, &format!("{label}/b"))));
+    let mut c =
+        AlgorithmC::new(het, oracle, COptions { epsilon: 0.5, base: opts, ..Default::default() });
+    costs.push(("c".into(), run_checked(het, &mut c, &format!("{label}/c"))));
+    let mut l = LazyCapacityProvisioning::with_options(hom, oracle, opts.dp_options());
+    costs.push(("lcp".into(), run_checked(hom, &mut l, &format!("{label}/lcp"))));
     for refine in [None, Some(RefineOptions::exact())] {
         let dp = DpOptions { refine, ..DpOptions::default() };
         let mut rhc = RecedingHorizon::new(oracle, 4).with_options(dp);
@@ -221,28 +212,23 @@ fn restart_resume_parity_across_the_matrix() {
     let het = hetero(base_loads(HORIZON));
     let hom = homog(base_loads(HORIZON));
     let oracle = Dispatcher::new();
-    for (i, opts) in matrix_opts().into_iter().enumerate() {
-        parity(&het, || AlgorithmA::new(&het, oracle, opts), &format!("a[{i}]"));
-        parity(&het, || AlgorithmB::new(&het, oracle, opts), &format!("b[{i}]"));
-        parity(
-            &het,
-            || {
-                AlgorithmC::new(
-                    &het,
-                    oracle,
-                    COptions { epsilon: 0.5, base: opts, ..Default::default() },
-                )
-            },
-            &format!("c[{i}]"),
-        );
-        parity(
-            &hom,
-            || LazyCapacityProvisioning::with_options(&hom, oracle, opts.dp_options()),
-            &format!("lcp[{i}]"),
-        );
-    }
+    let opts = AOptions::default();
+    parity(&het, || AlgorithmA::new(&het, oracle, opts), "a");
+    parity(&het, || AlgorithmB::new(&het, oracle, opts), "b");
+    parity(
+        &het,
+        || {
+            AlgorithmC::new(
+                &het,
+                oracle,
+                COptions { epsilon: 0.5, base: opts, ..Default::default() },
+            )
+        },
+        "c",
+    );
+    parity(&hom, || LazyCapacityProvisioning::with_options(&hom, oracle, opts.dp_options()), "lcp");
     for refine in [None, Some(RefineOptions::exact())] {
-        let dp = DpOptions { refine, engine: true, ..DpOptions::default() };
+        let dp = DpOptions { refine, ..DpOptions::default() };
         parity(
             &het,
             || RecedingHorizon::new(oracle, 4).with_options(dp),
@@ -334,12 +320,8 @@ fn eviction_storm_never_changes_decisions() {
     let oracle = Dispatcher::new();
     for seed in seeds() {
         let plan = faultinject::plan(seed, HORIZON);
-        let storm = AOptions {
-            engine: true,
-            pool_capacity: Some(plan.pool_capacity),
-            ..AOptions::default()
-        };
-        let calm = AOptions::engined();
+        let storm = AOptions { pool_capacity: Some(plan.pool_capacity), ..AOptions::default() };
+        let calm = AOptions::default();
 
         let mut a1 = AlgorithmA::new(&het, oracle, storm);
         let mut a2 = AlgorithmA::new(&het, oracle, calm);

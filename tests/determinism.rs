@@ -7,6 +7,8 @@ use heterogeneous_rightsizing::online::algo_b::AlgorithmB;
 use heterogeneous_rightsizing::online::runner::run;
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::workloads::{scenario, stochastic};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 #[test]
 fn scenarios_reproducible() {
@@ -35,70 +37,146 @@ fn offline_solver_is_deterministic() {
     let r2 = solve(&inst, &oracle, DpOptions::default());
     assert_eq!(r1.schedule, r2.schedule);
     assert_eq!(r1.cost, r2.cost);
-    // Parallel vs sequential must agree too (tie-breaking happens in
+    // One worker vs all cores must agree too (tie-breaking happens in
     // argmin/backtrack which are sequential either way).
-    let r3 = solve(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
+    let r3 = solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
     assert_eq!(r1.schedule, r3.schedule);
+}
+
+/// An external memoizing `g_t` oracle: answers repeated `(t, λ, scale,
+/// x)` queries from a memo and says so through
+/// [`GtOracle::is_memoizing`]. Its values are the plain dispatcher's cold
+/// solves, so they may differ from the dispatcher's warm-started sweeps
+/// by the documented relative `1e-9`.
+struct Memo {
+    inner: Dispatcher,
+    memo: Mutex<HashMap<MemoKey, f64>>,
+}
+
+/// `(t, λ bits, cost-scale bits, x)`.
+type MemoKey = (usize, u64, u64, Vec<u32>);
+
+impl Memo {
+    fn new() -> Self {
+        Self { inner: Dispatcher::new(), memo: Mutex::new(HashMap::new()) }
+    }
+
+    fn entries(&self) -> usize {
+        self.memo.lock().unwrap().len()
+    }
+}
+
+impl GtOracle for Memo {
+    fn g(&self, instance: &Instance, t: usize, x: &[u32]) -> f64 {
+        self.g_scaled(instance, t, x, instance.load(t), 1.0)
+    }
+
+    fn g_scaled(
+        &self,
+        instance: &Instance,
+        t: usize,
+        x: &[u32],
+        lambda: f64,
+        cost_scale: f64,
+    ) -> f64 {
+        let key = (t, lambda.to_bits(), cost_scale.to_bits(), x.to_vec());
+        if let Some(&v) = self.memo.lock().unwrap().get(&key) {
+            return v;
+        }
+        let v = self.inner.g_scaled(instance, t, x, lambda, cost_scale);
+        self.memo.lock().unwrap().insert(key, v);
+        v
+    }
+
+    fn is_memoizing(&self) -> bool {
+        true
+    }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(1.0)
 }
 
 #[test]
 fn schedules_identical_across_parallelism_and_caching() {
     // The recovered *schedule* — not just the cost — must be invariant
-    // under the fill strategy (sequential vs parallel) and under the g_t
-    // memoization layer, on a non-trivial dispatch workload (power costs
-    // force the KKT path). Backtracking breaks value ties with a relative
-    // epsilon precisely so last-bit wobbles cannot flip this.
+    // under the pricing pool's worker count, the recovery policy and an
+    // external memoizing oracle, on a non-trivial dispatch workload
+    // (power costs force the KKT path). Each slot is priced by one
+    // sequential sweep whatever the worker count, and checkpoint replays
+    // are bit-identical to the forward pass, so with the same oracle even
+    // the cost bits agree. The memo's cold solves sit within the sweep
+    // parity bound of the plain dispatcher's warm sweeps.
+    use heterogeneous_rightsizing::offline::RecoveryMode;
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
     let plain = Dispatcher::new();
-    let reference = solve(&inst, &plain, DpOptions { parallel: false, ..Default::default() });
-    for parallel in [false, true] {
-        let opts = DpOptions { parallel, ..Default::default() };
-        let uncached = solve(&inst, &plain, opts);
-        assert_eq!(reference.schedule, uncached.schedule, "parallel={parallel} uncached");
-        assert_eq!(reference.cost.to_bits(), uncached.cost.to_bits());
-        let cache = CachedDispatcher::new(&inst);
-        let cached = solve(&inst, &cache, opts);
-        assert_eq!(reference.schedule, cached.schedule, "parallel={parallel} cached");
-        assert_eq!(reference.cost.to_bits(), cached.cost.to_bits());
-        // A second solve over the now-warm cache stays identical too.
-        let warm = solve(&inst, &cache, opts);
-        assert_eq!(reference.schedule, warm.schedule, "parallel={parallel} warm cache");
+    let reference = solve(&inst, &plain, DpOptions { threads: Some(1), ..Default::default() });
+    let memo_reference =
+        solve(&inst, &Memo::new(), DpOptions { threads: Some(1), ..Default::default() });
+    assert_eq!(reference.schedule, memo_reference.schedule, "memo vs plain");
+    assert!(
+        close(reference.cost, memo_reference.cost),
+        "{} vs {}",
+        reference.cost,
+        memo_reference.cost
+    );
+    for threads in [Some(1), Some(2), None] {
+        for recovery in [RecoveryMode::Auto, RecoveryMode::Materialized, RecoveryMode::Checkpointed]
+        {
+            let opts = DpOptions { threads, recovery, ..Default::default() };
+            let tag = format!("threads={threads:?} {recovery:?}");
+            let uncached = solve(&inst, &plain, opts);
+            assert_eq!(reference.schedule, uncached.schedule, "{tag} uncached");
+            assert_eq!(reference.cost.to_bits(), uncached.cost.to_bits(), "{tag} uncached");
+            let memo = Memo::new();
+            let cold = solve(&inst, &memo, opts);
+            assert!(memo.entries() > 0, "{tag}: the memo was never consulted");
+            assert_eq!(reference.schedule, cold.schedule, "{tag} cold memo");
+            assert_eq!(memo_reference.cost.to_bits(), cold.cost.to_bits(), "{tag} cold memo");
+            // A second solve over the now-warm memo stays identical too.
+            let warm = solve(&inst, &memo, opts);
+            assert_eq!(reference.schedule, warm.schedule, "{tag} warm memo");
+            assert_eq!(cold.cost.to_bits(), warm.cost.to_bits(), "{tag} warm memo");
+        }
     }
 }
 
 #[test]
 fn schedules_identical_across_pipeline_parallelism_and_caching() {
-    // The full mode matrix {pipeline on/off} × {parallel on/off} ×
-    // {cache on/off} must recover the SAME schedule. Costs are
-    // bit-identical within the cold modes and within a relative 1e-9 of
-    // the reference when the pipeline's warm-started KKT sweeps are on
-    // (the documented sweep parity bound).
+    // Every entry point into the slot-batched pipeline — the
+    // `pipelined()` alias and the refined corridor solve — recovers the
+    // SAME schedule across {threads} × {plain, memoizing oracle}, and its
+    // cost matches the §4.1 graph formulation within the sweep parity
+    // bound (relative 1e-9).
+    use heterogeneous_rightsizing::offline::graph;
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
     let plain = Dispatcher::new();
-    let reference = solve(&inst, &plain, DpOptions { parallel: false, ..Default::default() });
-    for pipeline in [false, true] {
-        for parallel in [false, true] {
-            let opts = DpOptions { pipeline, parallel, ..Default::default() };
+    let reference = solve(&inst, &plain, DpOptions { threads: Some(1), ..DpOptions::pipelined() });
+    let shortest_path = graph::solve(&inst, &plain, GridMode::Full);
+    assert!(
+        close(shortest_path.cost, reference.cost),
+        "pipeline {} vs graph {}",
+        reference.cost,
+        shortest_path.cost
+    );
+    for (entry, base) in [("pipelined", DpOptions::pipelined()), ("refined", DpOptions::refined())]
+    {
+        for threads in [Some(1), Some(2), None] {
+            let opts = DpOptions { threads, ..base };
+            let tag = format!("{entry} threads={threads:?}");
             let uncached = solve(&inst, &plain, opts);
-            assert_eq!(
-                reference.schedule, uncached.schedule,
-                "pipeline={pipeline} parallel={parallel} uncached"
-            );
+            assert_eq!(reference.schedule, uncached.schedule, "{tag} uncached");
             assert!(
-                (reference.cost - uncached.cost).abs() <= 1e-9 * reference.cost.abs().max(1.0),
-                "pipeline={pipeline} parallel={parallel}: {} vs {}",
+                close(reference.cost, uncached.cost),
+                "{tag}: {} vs {}",
                 reference.cost,
                 uncached.cost
             );
-            let cache = CachedDispatcher::new(&inst);
-            let cached = solve(&inst, &cache, opts);
-            assert_eq!(
-                reference.schedule, cached.schedule,
-                "pipeline={pipeline} parallel={parallel} cached"
-            );
+            let cached = solve(&inst, &Memo::new(), opts);
+            assert_eq!(reference.schedule, cached.schedule, "{tag} memo");
             assert!(
-                (reference.cost - cached.cost).abs() <= 1e-9 * reference.cost.abs().max(1.0),
-                "pipeline={pipeline} parallel={parallel} cached: {} vs {}",
+                close(reference.cost, cached.cost),
+                "{tag} memo: {} vs {}",
                 reference.cost,
                 cached.cost
             );
@@ -111,87 +189,36 @@ fn scalar_and_simd_kernels_are_bit_identical_across_the_mode_matrix() {
     // The kernel-layer contract: forcing every kernel (and the transform
     // / band-slice layout paths) onto the scalar reference twins must
     // reproduce the lanes solve **bit for bit** — same schedule, same
-    // cost bits — across the full mode matrix {pipeline} × {parallel} ×
-    // {cache} × {refine}. This is what lets the SIMD refactor ship
-    // without a tolerance bump anywhere.
+    // cost bits — across the mode matrix {threads} × {refine}. This is
+    // what lets the SIMD kernels ship without a tolerance bump anywhere.
     use heterogeneous_rightsizing::offline::kernels::force_scalar;
     use heterogeneous_rightsizing::offline::refine::RefineOptions;
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
-    let plain = Dispatcher::new();
-    for pipeline in [false, true] {
-        for parallel in [false, true] {
-            for refine in [false, true] {
-                for cached in [false, true] {
-                    let opts = DpOptions {
-                        pipeline,
-                        parallel,
-                        refine: refine.then(RefineOptions::exact),
-                        ..Default::default()
-                    };
-                    let run_mode = |scalar: bool| {
-                        force_scalar(scalar);
-                        let res = if cached {
-                            let cache = CachedDispatcher::new(&inst);
-                            solve(&inst, &cache, opts)
-                        } else {
-                            solve(&inst, &plain, opts)
-                        };
-                        force_scalar(false);
-                        res
-                    };
-                    let lanes = run_mode(false);
-                    let scalar = run_mode(true);
-                    let tag = format!(
-                        "pipeline={pipeline} parallel={parallel} refine={refine} cached={cached}"
-                    );
-                    assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
-                    assert_eq!(
-                        lanes.cost.to_bits(),
-                        scalar.cost.to_bits(),
-                        "cost bits: {tag} ({} vs {})",
-                        lanes.cost,
-                        scalar.cost
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn online_schedules_identical_across_engine_and_caching() {
-    // The online decision engine matrix: {engine on/off} × {cache
-    // on/off} must commit the SAME schedule for Algorithms A (time-
-    // independent) and B (time-dependent electricity prices). The
-    // engine's pooled sweep pricing carries the documented 1e-9 value
-    // tolerance; the prefix argmin's epsilon tie-break absorbs it.
-    let td = scenario::electricity_market(5, 24, 12, 13);
-    let ti = scenario::diurnal_cpu_gpu(4, 2, 1, 12, 3);
-    let plain = Dispatcher::new();
-    let ref_a = {
-        let mut a = AlgorithmA::new(&ti, plain, AOptions::default());
-        run(&ti, &mut a, &plain)
-    };
-    let ref_b = {
-        let mut b = AlgorithmB::new(&td, plain, AOptions::default());
-        run(&td, &mut b, &plain)
-    };
-    for engine in [false, true] {
-        for cached in [false, true] {
-            let opts = AOptions { engine, ..AOptions::default() };
-            let (got_a, got_b) = if cached {
-                let ca = CachedDispatcher::new(&ti);
-                let cb = CachedDispatcher::new(&td);
-                let mut a = AlgorithmA::new(&ti, ca.clone(), opts);
-                let mut b = AlgorithmB::new(&td, cb.clone(), opts);
-                (run(&ti, &mut a, &ca), run(&td, &mut b, &cb))
-            } else {
-                let mut a = AlgorithmA::new(&ti, plain, opts);
-                let mut b = AlgorithmB::new(&td, plain, opts);
-                (run(&ti, &mut a, &plain), run(&td, &mut b, &plain))
+    let oracle = Dispatcher::new();
+    for threads in [Some(1), Some(2)] {
+        for refine in [false, true] {
+            let opts = DpOptions {
+                threads,
+                refine: refine.then(RefineOptions::exact),
+                ..Default::default()
             };
-            assert_eq!(ref_a.schedule, got_a.schedule, "A engine={engine} cached={cached}");
-            assert_eq!(ref_b.schedule, got_b.schedule, "B engine={engine} cached={cached}");
+            let run_mode = |scalar: bool| {
+                force_scalar(scalar);
+                let res = solve(&inst, &oracle, opts);
+                force_scalar(false);
+                res
+            };
+            let lanes = run_mode(false);
+            let scalar = run_mode(true);
+            let tag = format!("threads={threads:?} refine={refine}");
+            assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
+            assert_eq!(
+                lanes.cost.to_bits(),
+                scalar.cost.to_bits(),
+                "cost bits: {tag} ({} vs {})",
+                lanes.cost,
+                scalar.cost
+            );
         }
     }
 }

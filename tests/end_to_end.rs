@@ -81,7 +81,7 @@ fn expansion_scenario_time_varying_sizes() {
             assert!(cfg.count(j) <= inst.server_count(t, j));
         }
     }
-    let apx = approximate(&inst, &oracle, 0.5, false);
+    let apx = approximate(&inst, &oracle, 0.5);
     apx.result.schedule.check_feasible(&inst).unwrap();
     assert!(apx.result.cost <= 1.5 * exact.cost + 1e-9);
     assert!(apx.result.cost + 1e-9 >= exact.cost);

@@ -162,7 +162,7 @@ fn gamma_grid_on_tiny_fleet_is_total() {
         let apx = solve_cost_only(
             &inst,
             &oracle,
-            DpOptions { grid: GridMode::Gamma(gamma), parallel: false, ..DpOptions::default() },
+            DpOptions { grid: GridMode::Gamma(gamma), threads: Some(1), ..DpOptions::default() },
         );
         assert!((apx - exact).abs() < 1e-12, "gamma={gamma}");
     }

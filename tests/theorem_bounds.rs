@@ -195,7 +195,7 @@ fn approximation_exact_when_grid_covers_everything() {
     let apx = solve_cost_only(
         &inst,
         &oracle,
-        DpOptions { grid: GridMode::Gamma(1.9), parallel: false, ..DpOptions::default() },
+        DpOptions { grid: GridMode::Gamma(1.9), threads: Some(1), ..DpOptions::default() },
     );
     assert!((exact - apx).abs() < 1e-12, "M^γ ⊇ {{0,1,2}} = M here");
 }
