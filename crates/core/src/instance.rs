@@ -12,8 +12,11 @@ use crate::server::ServerType;
 /// for the Section 4.3 extension — an optional time-varying fleet-size
 /// matrix `m_{t,j}`.
 ///
-/// Instances are immutable after construction; build them with
-/// [`InstanceBuilder`], which validates all the paper's model assumptions.
+/// Build instances with [`InstanceBuilder`], which validates all the
+/// paper's model assumptions. After construction an instance only ever
+/// grows at the end: [`Instance::push_load`] reveals one more slot, the
+/// way the online setting reveals `λ_t` (an online run can start from
+/// [`Instance::empty`]). Everything already revealed stays fixed.
 #[derive(Clone, Debug)]
 pub struct Instance {
     types: Vec<ServerType>,
@@ -28,6 +31,60 @@ impl Instance {
     #[must_use]
     pub fn builder() -> InstanceBuilder {
         InstanceBuilder::default()
+    }
+
+    /// An instance over `types` with no slot revealed yet: the start of
+    /// an online run whose loads arrive through [`Instance::push_load`].
+    /// Checks what [`InstanceBuilder::build`] checks of the types alone
+    /// (at least one type, positive capacities, non-negative switching
+    /// costs); the rest is checked slot by slot as loads arrive.
+    /// [`Instance::validate`] rejects the result until the first push.
+    pub fn empty(types: Vec<ServerType>) -> Result<Instance, InstanceError> {
+        let inst = Instance { types, loads: Vec::new(), counts_over_time: None };
+        if inst.types.is_empty() {
+            return Err(InstanceError::NoServerTypes);
+        }
+        inst.check_types(0)?;
+        Ok(inst)
+    }
+
+    /// Reveal one more slot: append `λ_{T+1}` after checking only what
+    /// it adds ([`Instance::check_next_load`]), in O(d) time whatever the
+    /// horizon. On an error the instance is left unchanged.
+    pub fn push_load(&mut self, load: f64) -> Result<(), InstanceError> {
+        self.check_next_load(load)?;
+        self.loads.push(load);
+        Ok(())
+    }
+
+    /// Whether [`Instance::push_load`] would accept `load` as the next
+    /// slot. It accepts and rejects exactly as [`InstanceBuilder::build`]
+    /// does on the extended load sequence, with the same error: these are
+    /// the checks of [`Instance::validate`] that a new last slot can
+    /// fail when everything before it passed, in `validate`'s order.
+    ///
+    /// A time-varying fleet (Sec. 4.3) has no row for the new slot, so
+    /// it fails with [`InstanceError::CountsShapeMismatch`], as building
+    /// it would.
+    pub fn check_next_load(&self, load: f64) -> Result<(), InstanceError> {
+        let t = self.horizon();
+        if !load.is_finite() || load < 0.0 {
+            return Err(InstanceError::BadLoad { t, value: load });
+        }
+        self.check_types(t + 1)?;
+        if let Some(m) = &self.counts_over_time {
+            return Err(InstanceError::CountsShapeMismatch {
+                expected: (t + 1, self.num_types()),
+                found: (m.len(), m.first().map_or(0, Vec::len)),
+            });
+        }
+        let cap = self.max_capacity_at(t);
+        if load > cap {
+            return Err(InstanceError::InfeasibleLoad { t, load, capacity: cap });
+        }
+        // A time-independent cost is sampled at slot 0 only, which the
+        // first slot already passed.
+        self.check_cost_shapes(t + 1, t > 0)
     }
 
     /// Number of time slots `T`.
@@ -195,29 +252,7 @@ impl Instance {
                 return Err(InstanceError::BadLoad { t, value: l });
             }
         }
-        for (j, ty) in self.types.iter().enumerate() {
-            if !(ty.capacity.is_finite() && ty.capacity > 0.0) {
-                return Err(InstanceError::BadServerType {
-                    j,
-                    reason: format!("capacity must be positive, got {}", ty.capacity),
-                });
-            }
-            if !(ty.switching_cost.is_finite() && ty.switching_cost >= 0.0) {
-                return Err(InstanceError::BadServerType {
-                    j,
-                    reason: format!("switching cost must be ≥ 0, got {}", ty.switching_cost),
-                });
-            }
-            if let Some(len) = ty.cost.horizon() {
-                if len < self.horizon() {
-                    return Err(InstanceError::CostHorizonMismatch {
-                        j,
-                        spec_len: len,
-                        horizon: self.horizon(),
-                    });
-                }
-            }
-        }
+        self.check_types(self.horizon())?;
         if let Some(m) = &self.counts_over_time {
             if m.len() != self.horizon() {
                 return Err(InstanceError::CountsShapeMismatch {
@@ -240,20 +275,56 @@ impl Instance {
                 return Err(InstanceError::InfeasibleLoad { t, load: self.load(t), capacity: cap });
             }
         }
-        self.check_cost_shapes()
+        self.check_cost_shapes(self.horizon(), false)
+    }
+
+    /// Positive capacities, non-negative switching costs, and cost
+    /// profiles that cover `horizon` slots.
+    fn check_types(&self, horizon: usize) -> Result<(), InstanceError> {
+        for (j, ty) in self.types.iter().enumerate() {
+            if !(ty.capacity.is_finite() && ty.capacity > 0.0) {
+                return Err(InstanceError::BadServerType {
+                    j,
+                    reason: format!("capacity must be positive, got {}", ty.capacity),
+                });
+            }
+            if !(ty.switching_cost.is_finite() && ty.switching_cost >= 0.0) {
+                return Err(InstanceError::BadServerType {
+                    j,
+                    reason: format!("switching cost must be ≥ 0, got {}", ty.switching_cost),
+                });
+            }
+            if let Some(len) = ty.cost.horizon() {
+                if len < horizon {
+                    return Err(InstanceError::CostHorizonMismatch { j, spec_len: len, horizon });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Sampled convexity + monotonicity check on each cost function over
-    /// `[0, z^max_j]`. Catches mis-specified `Custom` functions early.
-    fn check_cost_shapes(&self) -> Result<(), InstanceError> {
+    /// `[0, z^max_j]`, at slots chosen for a `horizon`-slot instance.
+    /// Catches mis-specified `Custom` functions early.
+    /// `skip_time_independent` leaves out the types sampled at slot 0
+    /// only, whose result no later slot can change.
+    fn check_cost_shapes(
+        &self,
+        horizon: usize,
+        skip_time_independent: bool,
+    ) -> Result<(), InstanceError> {
         const SAMPLES: usize = 8;
         // Time-independent specs need a single check; per-slot specs are
         // sampled at a few representative slots to keep validation cheap.
         for (j, ty) in self.types.iter().enumerate() {
-            let slots: Vec<usize> = if ty.cost.is_time_independent() {
+            let time_independent = ty.cost.is_time_independent();
+            if time_independent && skip_time_independent {
+                continue;
+            }
+            let slots: Vec<usize> = if time_independent {
                 vec![0]
             } else {
-                let t_max = self.horizon() - 1;
+                let t_max = horizon - 1;
                 vec![0, t_max / 2, t_max]
             };
             for &t in &slots {
@@ -481,5 +552,41 @@ mod tests {
             .counts_over_time(vec![vec![1]])
             .build();
         assert!(matches!(err, Err(InstanceError::CountsShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn empty_instance_grows_by_push_load() {
+        assert!(matches!(Instance::empty(Vec::new()), Err(InstanceError::NoServerTypes)));
+        let types = simple().types().to_vec();
+        let mut inst = Instance::empty(types).unwrap();
+        assert_eq!(inst.horizon(), 0);
+        assert!(matches!(inst.validate(), Err(InstanceError::EmptyHorizon)));
+        for load in [1.0, 5.0, 0.5] {
+            inst.push_load(load).unwrap();
+        }
+        assert_eq!(inst.loads(), simple().loads());
+        assert!(inst.validate().is_ok());
+        // Capacity is 3·2 + 2·6 = 18: a rejected load leaves it as it was.
+        assert!(matches!(inst.push_load(18.5), Err(InstanceError::InfeasibleLoad { t: 3, .. })));
+        assert!(matches!(inst.push_load(f64::NAN), Err(InstanceError::BadLoad { t: 3, .. })));
+        assert_eq!(inst.horizon(), 3);
+    }
+
+    #[test]
+    fn push_load_onto_time_varying_counts_fails_like_build() {
+        let mut inst = Instance::builder()
+            .server_type(ServerType::new("a", 3, 1.0, 1.0, CostModel::constant(1.0)))
+            .loads(vec![1.0])
+            .counts_over_time(vec![vec![2]])
+            .build()
+            .unwrap();
+        let built = Instance::builder()
+            .server_type(ServerType::new("a", 3, 1.0, 1.0, CostModel::constant(1.0)))
+            .loads(vec![1.0, 1.0])
+            .counts_over_time(vec![vec![2]])
+            .build()
+            .unwrap_err();
+        assert_eq!(inst.push_load(1.0).unwrap_err(), built);
+        assert_eq!(inst.horizon(), 1);
     }
 }

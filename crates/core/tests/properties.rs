@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use rsz_core::util::{approx_eq, approx_ge, approx_le, stable_sum};
-use rsz_core::{Config, CostModel, Instance, ServerType};
+use std::sync::Arc;
+
+use rsz_core::{Config, CostFunction, CostModel, CostSpec, Instance, ServerType};
 
 fn cost_model_strategy() -> impl Strategy<Value = CostModel> {
     prop_oneof![
@@ -11,6 +13,39 @@ fn cost_model_strategy() -> impl Strategy<Value = CostModel> {
         (0.0..5.0_f64, 0.0..3.0_f64, 1.0..3.0_f64).prop_map(|(i, c, a)| CostModel::power(i, c, a)),
         (0.0..5.0_f64, 0.0..3.0_f64, 0.0..2.0_f64)
             .prop_map(|(i, a, b)| CostModel::quadratic(i, a, b)),
+    ]
+}
+
+/// A concave cost: what a mis-specified `Custom` model looks like.
+#[derive(Debug)]
+struct Concave;
+
+impl CostFunction for Concave {
+    fn eval(&self, z: f64) -> f64 {
+        (1.0 + z).sqrt()
+    }
+}
+
+/// A built-in model, or (one time in six) the concave one.
+fn maybe_concave_strategy() -> impl Strategy<Value = CostModel> {
+    (0u8..6, cost_model_strategy()).prop_map(|(k, m)| {
+        if k == 0 {
+            CostModel::Custom(Arc::new(Concave))
+        } else {
+            m
+        }
+    })
+}
+
+/// Uniform, scaled and per-slot cost specs. The time-dependent ones
+/// cover 0–9 slots, so a longer horizon outruns them, and a uniform or
+/// per-slot spec may hold a concave model.
+fn cost_spec_strategy() -> impl Strategy<Value = CostSpec> {
+    prop_oneof![
+        maybe_concave_strategy().prop_map(CostSpec::Uniform),
+        (cost_model_strategy(), prop::collection::vec(0.0..2.0_f64, 0..10))
+            .prop_map(|(model, factors)| CostSpec::scaled(model, factors)),
+        prop::collection::vec(maybe_concave_strategy(), 0..10).prop_map(CostSpec::per_slot),
     ]
 }
 
@@ -121,6 +156,55 @@ proptest! {
         prop_assert_eq!(inst.horizon(), loads.len());
         for (t, &l) in loads.iter().enumerate() {
             prop_assert!(approx_ge(inst.load(t), l) && approx_le(inst.load(t), l));
+        }
+    }
+
+    /// Revealing loads one at a time through `Instance::push_load`
+    /// accepts and rejects exactly as building the same prefix does —
+    /// same error, same resulting instance — for static fleets with NaN,
+    /// infinite, negative and over-capacity loads mixed in. A rejected
+    /// load leaves the instance as it was, and the next push continues
+    /// from the accepted prefix.
+    #[test]
+    fn push_load_accepts_and_rejects_like_build(
+        fleet in prop::collection::vec(
+            (1u32..5, 0.0..3.0_f64, 0.5..3.0_f64, cost_spec_strategy()),
+            1..4,
+        ),
+        draws in prop::collection::vec((0u8..8, 0.0..1.3_f64), 0..14),
+    ) {
+        let types: Vec<ServerType> = fleet
+            .into_iter()
+            .enumerate()
+            .map(|(j, (m, beta, zmax, spec))| ServerType::with_spec(format!("t{j}"), m, beta, zmax, spec))
+            .collect();
+        let cap: f64 = types.iter().map(ServerType::fleet_capacity).sum();
+        let mut pushed = Instance::empty(types.clone()).expect("valid types");
+        let mut accepted: Vec<f64> = Vec::new();
+        for (kind, frac) in draws {
+            let load = match kind {
+                0 => f64::NAN,
+                1 => -0.1 - frac,
+                2 => f64::INFINITY,
+                _ => frac * cap,
+            };
+            let mut extended = accepted.clone();
+            extended.push(load);
+            let built =
+                Instance::builder().server_types(types.iter().cloned()).loads(extended).build();
+            let checked = pushed.check_next_load(load);
+            let result = pushed.push_load(load);
+            prop_assert_eq!(format!("{checked:?}"), format!("{result:?}"));
+            match built {
+                Ok(inst) => {
+                    prop_assert!(result.is_ok(), "build accepted {load}, push said {result:?}");
+                    accepted.push(load);
+                    prop_assert_eq!(format!("{inst:?}"), format!("{pushed:?}"));
+                }
+                Err(e) => prop_assert_eq!(format!("{:?}", Err::<(), _>(e)), format!("{result:?}")),
+            }
+            let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(pushed.loads()), bits(&accepted));
         }
     }
 }

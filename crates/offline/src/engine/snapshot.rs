@@ -74,15 +74,26 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty for
 /// detecting storage corruption (this is an integrity check, not a
 /// cryptographic seal).
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash from `hash` over `bytes`.
+#[inline]
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -170,6 +181,85 @@ impl Encoder {
         out.extend_from_slice(&self.buf);
         out.extend_from_slice(&sum.to_le_bytes());
         out
+    }
+}
+
+/// `checksum(&enc.into_sealed())` computed as the payload streams past,
+/// without building either the payload or the envelope: one pass, no
+/// allocation. The payload length goes into the envelope header ahead
+/// of the payload, so it is declared up front; the `put_*` calls then
+/// lay out exactly the bytes the same [`Encoder`] calls would.
+///
+/// Two FNV-1a states advance side by side over each payload byte: one
+/// over the whole envelope so far, one over the payload alone (the
+/// envelope's trailing checksum, folded in by [`SealedDigest::finish`]).
+#[derive(Clone, Debug)]
+pub struct SealedDigest {
+    envelope: u64,
+    payload: u64,
+    declared: usize,
+    written: usize,
+}
+
+impl SealedDigest {
+    /// Start a digest of an envelope whose payload is `payload_len`
+    /// bytes long.
+    #[must_use]
+    pub fn new(payload_len: usize) -> Self {
+        let mut envelope = fnv(FNV_OFFSET, &MAGIC);
+        envelope = fnv(envelope, &[FORMAT_VERSION]);
+        envelope = fnv(envelope, &(payload_len as u64).to_le_bytes());
+        Self { envelope, payload: FNV_OFFSET, declared: payload_len, written: 0 }
+    }
+
+    /// Append payload bytes as they are, e.g. an [`Encoder`]'s
+    /// [`Encoder::payload`].
+    #[inline]
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        let (mut envelope, mut payload) = (self.envelope, self.payload);
+        for &b in bytes {
+            envelope = (envelope ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            payload = (payload ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        (self.envelope, self.payload) = (envelope, payload);
+        self.written += bytes.len();
+    }
+
+    /// Append one byte ([`Encoder::put_u8`]).
+    pub fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
+    }
+
+    /// Append a `u32`, little-endian ([`Encoder::put_u32`]).
+    pub fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Append a `u64`, little-endian ([`Encoder::put_u64`]).
+    pub fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Append a `usize` as a `u64` ([`Encoder::put_usize`]).
+    pub fn put_usize(&mut self, v: usize) {
+        self.put_u64(v as u64);
+    }
+
+    /// Append an `f64`'s exact bit pattern ([`Encoder::put_f64`]).
+    pub fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    /// The checksum of the whole envelope.
+    ///
+    /// # Panics
+    ///
+    /// If the bytes put differ in number from the declared payload
+    /// length: the result would then match no envelope.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        assert_eq!(self.written, self.declared, "sealed digest: payload length was declared wrong");
+        fnv(self.envelope, &self.payload.to_le_bytes())
     }
 }
 

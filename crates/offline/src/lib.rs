@@ -70,7 +70,9 @@ pub use dp::{
     solve, solve_cost_only, solve_with_stats, try_solve, validate_for_solve, DpOptions, DpResult,
     RecoveryMode,
 };
-pub use engine::snapshot::{checksum, payload_range, Decoder, Encoder, SnapshotError};
+pub use engine::snapshot::{
+    checksum, payload_range, Decoder, Encoder, SealedDigest, SnapshotError,
+};
 pub use engine::{
     lock_shared, shared_pool, EngineStats, PricedSlot, PricedSlotPool, SharedSlotPool,
     DEFAULT_POOL_CAP,

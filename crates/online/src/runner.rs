@@ -93,14 +93,26 @@ impl LatencyProfile {
     /// empty profile.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+        let [v] = Self::quantiles(&self.samples, [q]);
+        v
+    }
+
+    /// Several nearest-rank quantiles of `samples` (each `0 ≤ q ≤ 1`)
+    /// from one sorted copy: the same values as one
+    /// [`LatencyProfile::quantile`] call per `q`, for one sort. All 0
+    /// for no samples.
+    #[must_use]
+    pub fn quantiles<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
+        if samples.is_empty() {
+            return [0.0; N];
         }
-        let mut sorted = self.samples.clone();
+        let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
-        let rank =
-            ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        qs.map(|q| {
+            let rank =
+                ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        })
     }
 
     /// Mean per-decision latency in seconds (0 for an empty profile).
@@ -123,13 +135,8 @@ impl LatencyProfile {
     /// CLI and the `online_engine` bench print.
     #[must_use]
     pub fn summary_us(&self) -> (f64, f64, f64, f64, f64) {
-        (
-            self.quantile(0.50) * 1e6,
-            self.quantile(0.90) * 1e6,
-            self.quantile(0.99) * 1e6,
-            self.max() * 1e6,
-            self.mean() * 1e6,
-        )
+        let [p50, p90, p99] = Self::quantiles(&self.samples, [0.50, 0.90, 0.99]);
+        (p50 * 1e6, p90 * 1e6, p99 * 1e6, self.max() * 1e6, self.mean() * 1e6)
     }
 }
 
@@ -243,5 +250,41 @@ mod tests {
         let revealed = run_with_prefix_revelation(&inst, &mut a2, &oracle);
         assert_eq!(want.schedule, revealed.schedule);
         assert!(a2.engine_stats().pool_hits > 0, "recurring loads must hit the pool");
+    }
+
+    #[test]
+    fn quantiles_equal_the_per_quantile_calls() {
+        // Scrambled order with ties, the size of the daemon's window.
+        let samples: Vec<f64> = (0..4096u32)
+            .map(|i| f64::from(i.wrapping_mul(2_654_435_761) >> 7 & 1023) * 1e-6)
+            .collect();
+        let profile = LatencyProfile::new(samples.clone());
+        let qs = [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0, -0.5, 1.5];
+        let all = LatencyProfile::quantiles(&samples, qs);
+        for (q, v) in qs.iter().zip(all) {
+            assert_eq!(v.to_bits(), profile.quantile(*q).to_bits(), "q {q}");
+        }
+        let (p50, p90, p99, _, _) = profile.summary_us();
+        assert_eq!((p50, p90, p99), (all[3] * 1e6, all[4] * 1e6, all[5] * 1e6));
+        assert_eq!(LatencyProfile::quantiles(&[], [0.5, 0.99]), [0.0, 0.0]);
+        assert_eq!(LatencyProfile::new(Vec::new()).quantile(0.5), 0.0);
+    }
+
+    #[test]
+    fn quantiles_are_nearest_rank() {
+        // The q-quantile is the smallest sample with at least ⌈q·n⌉
+        // samples at or below it (and at least one).
+        let samples: Vec<f64> = (0..97u32).map(|i| f64::from(i * 31 % 97 / 3)).collect();
+        let qs = [0.0, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0];
+        for (q, v) in qs.iter().zip(LatencyProfile::quantiles(&samples, qs)) {
+            let need = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let at_or_below = |x: f64| samples.iter().filter(|&&y| y <= x).count();
+            let want = samples
+                .iter()
+                .copied()
+                .filter(|&x| at_or_below(x) >= need)
+                .fold(f64::MAX, f64::min);
+            assert_eq!(v, want, "q {q}");
+        }
     }
 }

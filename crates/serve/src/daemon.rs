@@ -39,7 +39,7 @@ use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, wire, ErrorCode, Request};
 use crate::replication::{from_hex, state_fingerprint, to_hex, ApplyReport, Role};
 use crate::spec::{build_controller, TenantSpec};
-use crate::tenant::{Fingerprint, QuarantineReason, TenantCounters, TenantDegrader, TenantState};
+use crate::tenant::{Fingerprint, QuarantineReason, TenantDegrader, TenantState};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
 
 /// Snapshot envelope layout version. Version 2 added the bit-exact
@@ -321,31 +321,20 @@ impl Daemon {
                     "tenant already registered with a different spec".into(),
                 ));
             }
-            return Ok((st.loads.len() as u64, st.quarantine.is_some()));
+            return Ok((st.accepted() as u64, st.quarantine.is_some()));
         }
         // Fresh tenant: open its WAL and log the registration first.
         let types = spec.server_types().map_err(|detail| (ErrorCode::Input, detail))?;
+        let instance = Instance::empty(types)
+            .map_err(|e| (ErrorCode::Input, format!("fleet is not a valid instance: {e}")))?;
         let path = wal::wal_path(&self.options.state_dir, name);
         let mut writer = WalWriter::open(&path, self.options.fsync)
             .map_err(|e| (ErrorCode::Quarantined, format!("WAL open failed: {e}")))?;
         writer
             .append(&WalRecord::Register(spec.clone()))
             .map_err(|e| (ErrorCode::Quarantined, format!("WAL append failed: {e}")))?;
-        let state = TenantState {
-            spec,
-            types,
-            loads: Vec::new(),
-            decisions: Vec::new(),
-            controller: None,
-            wal: Some(writer),
-            fresh_since_snapshot: 0,
-            quarantine: None,
-            counters: TenantCounters::default(),
-            fingerprints: Vec::new(),
-            last_sealed_through: 0,
-            last_snapshot_k: 0,
-            fp_checked: 0,
-        };
+        let mut state = TenantState::new(spec, instance, Vec::new());
+        state.wal = Some(writer);
         lock_clean(&self.tenants).insert(
             name.to_owned(),
             Arc::new(TenantSlot { waiting: AtomicUsize::new(0), state: Mutex::new(state) }),
@@ -424,9 +413,9 @@ impl Daemon {
         // Idempotent sequencing: a duplicate replays its committed
         // decision, a gap is the client's bug (no quarantine — nothing
         // was accepted).
-        let expected = st.loads.len() as u64;
+        let expected = st.accepted() as u64;
         if seq < expected {
-            let config = match st.decisions.get(seq as usize) {
+            let config = match st.decisions.configs().get(seq as usize) {
                 Some(c) => c.clone(),
                 // The decision for this accepted tick is still pending
                 // (its first attempt panicked and we just revived): the
@@ -467,7 +456,12 @@ impl Daemon {
                 return Err((ErrorCode::Quarantined, detail));
             }
         }
-        st.loads.push(load);
+        if let Err(detail) = st.accept_load(load) {
+            // Unreachable: `validate_load` ran the same checks on the
+            // same state just before the append.
+            self.quarantine(st, name, QuarantineReason::Input, detail.clone());
+            return Err((ErrorCode::Input, detail));
+        }
         self.maybe_rotate(st, name);
 
         match self.step(st, name) {
@@ -485,15 +479,15 @@ impl Daemon {
                     self.write_snapshot(st, name);
                 }
                 let fe = self.options.fingerprint_every;
-                if fe > 0 && st.loads.len().is_multiple_of(fe) {
+                if fe > 0 && st.accepted().is_multiple_of(fe) {
                     // With a deadline armed the ladder may descend on
                     // wall-clock overruns, so committed decisions are
                     // not replica-comparable; the fingerprint then
                     // covers the spec + accepted loads only.
                     let full = st.spec.effective_deadline(self.options.deadline).is_none();
-                    let decisions = if full { Some(st.decisions.as_slice()) } else { None };
-                    let fp = state_fingerprint(&st.spec, &st.loads, decisions);
-                    st.push_fingerprint(Fingerprint { k: st.loads.len() as u64, fp, full });
+                    let decisions = if full { Some(st.decisions.configs()) } else { None };
+                    let fp = state_fingerprint(&st.spec, st.instance.loads(), decisions);
+                    st.push_fingerprint(Fingerprint { k: st.accepted() as u64, fp, full });
                 }
                 Ok((config, rung, false))
             }
@@ -515,7 +509,7 @@ impl Daemon {
         if limit == 0 {
             return;
         }
-        let through = st.loads.len() as u64;
+        let through = st.accepted() as u64;
         let Some(w) = st.wal.as_ref() else { return };
         if (w.bytes() as usize) < limit || through <= st.last_sealed_through {
             return;
@@ -529,6 +523,7 @@ impl Daemon {
             st.wal = WalWriter::open(&active, self.options.fsync).ok();
             return;
         }
+        st.segments.push((through, sealed));
         st.last_sealed_through = through;
         self.counters.segments_sealed.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut w) = WalWriter::open(&active, self.options.fsync) {
@@ -551,12 +546,12 @@ impl Daemon {
         if st.controller.is_none() {
             self.build_tenant_controller(st, name)?;
         }
-        let instance = st.prefix_instance().map_err(|e| (QuarantineReason::Solver, e))?;
-        let t = st.loads.len() - 1;
+        let t = st.accepted() - 1;
         let controller = st.controller.as_mut().expect("just built");
+        let instance = &st.instance;
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rsz_online::OnlineAlgorithm::decide(controller, &instance, t)
+            rsz_online::OnlineAlgorithm::decide(controller, instance, t)
         }));
         let elapsed = start.elapsed();
         match outcome {
@@ -585,10 +580,9 @@ impl Daemon {
         st: &mut TenantState,
         _name: &str,
     ) -> Result<(), (QuarantineReason, String)> {
-        let instance = st.prefix_instance().map_err(|e| (QuarantineReason::Solver, e))?;
-        let spec = st.spec.clone();
+        let (spec, instance) = (&st.spec, &st.instance);
         let inner =
-            catch_unwind(AssertUnwindSafe(|| build_controller(&spec, &instance, spec.grid.mode())))
+            catch_unwind(AssertUnwindSafe(|| build_controller(spec, instance, spec.grid.mode())))
                 .map_err(|p| (QuarantineReason::Solver, panic_message(p)))?
                 .map_err(|e| (QuarantineReason::Solver, e))?;
         let factory_spec = st.spec.clone();
@@ -600,7 +594,7 @@ impl Daemon {
             factory,
             st.degrade_options(self.options.deadline, self.options.coarse_gamma),
         );
-        self.install_pool(st, &instance, &mut degrader);
+        self.install_pool(st, &mut degrader);
         st.controller = Some(degrader);
         Ok(())
     }
@@ -609,13 +603,13 @@ impl Daemon {
     /// with the same `(fleet, grid)` key. Sound because pricing is a
     /// pure function of `(partition, λ, grid)`: pool contents change
     /// hit rates, never decisions.
-    fn install_pool(&self, st: &TenantState, instance: &Instance, degrader: &mut TenantDegrader) {
+    fn install_pool(&self, st: &TenantState, degrader: &mut TenantDegrader) {
         let key = st.spec.pool_key();
         let pool = {
             let mut pools = lock_clean(&self.pools);
             pools
                 .entry(key)
-                .or_insert_with(|| shared_pool(instance, self.options.pool_capacity))
+                .or_insert_with(|| shared_pool(&st.instance, self.options.pool_capacity))
                 .clone()
         };
         degrader.inner_mut().share_pool(pool);
@@ -648,7 +642,7 @@ impl Daemon {
         if wal_suffix.is_empty()
             && st.quarantine.as_ref().is_some_and(|q| q.reason == QuarantineReason::Input)
             && st.controller.is_some()
-            && st.decisions.len() == st.loads.len()
+            && st.decisions.len() == st.accepted()
         {
             return Ok(());
         }
@@ -660,7 +654,7 @@ impl Daemon {
             );
         }
         st.controller = None;
-        st.decisions.clear();
+        st.decisions = Schedule::empty();
         self.restore_from_snapshot(st, name);
         // Merge the WAL ticks over whatever prefix the snapshot (or
         // live memory) established: overlap must agree bit-for-bit, the
@@ -668,22 +662,21 @@ impl Daemon {
         // means compaction deleted segments the snapshot was supposed
         // to cover — unrecoverable locally.
         for &(seq, load) in wal_suffix {
-            let len = st.loads.len() as u64;
+            let len = st.accepted() as u64;
             if seq < len {
-                if st.loads[seq as usize].to_bits() != load.to_bits() {
+                if st.instance.load(seq as usize).to_bits() != load.to_bits() {
                     return Err((
                         QuarantineReason::WalCorrupt,
                         format!("WAL tick at seq {seq} disagrees with the snapshot prefix"),
                     ));
                 }
             } else if seq == len {
-                st.validate_load(load).map_err(|e| {
+                st.accept_load(load).map_err(|e| {
                     (
                         QuarantineReason::WalCorrupt,
                         format!("WAL holds an invalid accepted load at seq {seq}: {e}"),
                     )
                 })?;
-                st.loads.push(load);
             } else {
                 return Err((
                     QuarantineReason::WalCorrupt,
@@ -695,14 +688,20 @@ impl Daemon {
             }
         }
         // Replay the undecided suffix through the very same step path a
-        // live tick takes — this is what makes resume bit-identical.
-        while st.decisions.len() < st.loads.len() {
-            let have = st.decisions.len();
-            let full = std::mem::take(&mut st.loads);
-            st.loads = full[..=have].to_vec();
-            let result = self.step(st, name);
-            st.loads = full;
-            result?;
+        // live tick takes — this is what makes resume bit-identical. The
+        // controller sees the decided prefix grow by one push per step,
+        // as it did live; every accepted load stays in memory, decided
+        // or not, whatever the replay's outcome.
+        let decided = st.decisions.len();
+        if decided < st.accepted() {
+            let revealed = st.instance.truncated(decided);
+            let accepted = std::mem::replace(&mut st.instance, revealed);
+            let replayed = (decided..accepted.horizon()).try_for_each(|t| {
+                st.accept_load(accepted.load(t)).map_err(|e| (QuarantineReason::WalCorrupt, e))?;
+                self.step(st, name).map(drop)
+            });
+            st.instance = accepted;
+            replayed?;
         }
         Ok(())
     }
@@ -721,7 +720,7 @@ impl Daemon {
             // Quarantine would be wrong here: the WAL still recovers
             // this tenant fully, just slower. Count the fallback.
             st.controller = None;
-            st.decisions.clear();
+            st.decisions = Schedule::empty();
             st.counters.snapshot_fallbacks += 1;
             self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
@@ -751,58 +750,64 @@ impl Daemon {
         for _ in 0..k {
             snap_loads.push(dec.take_f64().map_err(stringify)?);
         }
-        // The accepted loads already in memory (live revive) or already
-        // replayed from the WAL are ground truth: the snapshot's prefix
-        // must agree with them bit-for-bit. When the snapshot reaches
-        // *past* what the WAL still holds (compaction deleted covered
-        // segments), the snapshot supplies the missing prefix.
-        let overlap = k.min(st.loads.len());
+        // The accepted loads already in memory (live revive) are ground
+        // truth: the snapshot's prefix must agree with them bit-for-bit.
+        // When the snapshot reaches *past* them (recovery, or compaction
+        // deleted covered segments), the snapshot supplies the missing
+        // prefix.
+        let overlap = k.min(st.accepted());
         for (i, snap) in snap_loads.iter().enumerate().take(overlap) {
-            if st.loads[i].to_bits() != snap.to_bits() {
+            if st.instance.load(i).to_bits() != snap.to_bits() {
                 return Err(format!("snapshot load at seq {i} disagrees with the WAL"));
             }
         }
-        let inner = dec.take_bytes().map_err(stringify)?.to_vec();
-        let original = std::mem::take(&mut st.loads);
+        let inner = dec.take_bytes().map_err(stringify)?;
         // Controller rebuild + inner restore see exactly the snapshot's
         // k-slot prefix.
-        st.loads = if k > original.len() { snap_loads } else { original[..k].to_vec() };
-        let built = self.build_tenant_controller(st, name);
-        let result = (|| {
-            built.map_err(|(_, e)| e)?;
-            let instance = st.prefix_instance()?;
+        let prefix = if k > st.accepted() {
+            let mut prefix = Instance::empty(st.instance.types().to_vec())
+                .map_err(|e| format!("fleet is not a valid instance: {e}"))?;
+            for &load in &snap_loads {
+                prefix
+                    .push_load(load)
+                    .map_err(|e| format!("snapshot holds an invalid load: {e}"))?;
+            }
+            prefix
+        } else {
+            st.instance.truncated(k)
+        };
+        let accepted = std::mem::replace(&mut st.instance, prefix);
+        let result = self.build_tenant_controller(st, name).map_err(|(_, e)| e).and_then(|()| {
             let controller = st.controller.as_mut().expect("just built");
-            let committed = restore_run(controller, &instance, &inner)
-                .map_err(|e| describe_snapshot_error(&inner, &e))?;
+            let committed = restore_run(controller, &st.instance, inner)
+                .map_err(|e| describe_snapshot_error(inner, &e))?;
             if committed.len() != k {
                 return Err("snapshot committed length disagrees with its header".into());
             }
-            st.decisions = committed.iter().map(|(_, c)| c.clone()).collect();
+            st.decisions = committed;
             Ok(())
-        })();
+        });
         match &result {
             Ok(()) => {
                 // Keep whichever committed prefix reaches further: the
-                // in-memory/WAL loads past k survive the restore.
-                if original.len() > k {
-                    st.loads = original;
+                // in-memory loads past k survive the restore.
+                if accepted.horizon() > k {
+                    st.instance = accepted;
                 }
                 st.last_snapshot_k = st.last_snapshot_k.max(k);
                 // restore_state rebuilds internal pools as owned, so
                 // the shared handle must be re-installed after restore.
-                if let Ok(instance) = st.prefix_instance() {
-                    if let Some(mut degrader) = st.controller.take() {
-                        self.install_pool(st, &instance, &mut degrader);
-                        st.controller = Some(degrader);
-                    }
+                if let Some(mut degrader) = st.controller.take() {
+                    self.install_pool(st, &mut degrader);
+                    st.controller = Some(degrader);
                 }
             }
             Err(_) => {
-                // A failed restore must leave the loads exactly as the
-                // WAL established them — never the snapshot's.
-                st.loads = original;
+                // A failed restore must leave the loads exactly as
+                // memory held them — never the snapshot's.
+                st.instance = accepted;
                 st.controller = None;
-                st.decisions.clear();
+                st.decisions = Schedule::empty();
             }
         }
         result
@@ -816,25 +821,17 @@ impl Daemon {
     fn write_snapshot(&self, st: &mut TenantState, name: &str) {
         let Some(controller) = st.controller.as_ref() else { return };
         let k = st.decisions.len();
-        if k == 0 || k != st.loads.len() {
+        if k == 0 || k != st.accepted() {
             return;
         }
-        let instance = match st.prefix_instance() {
-            Ok(i) => i,
-            Err(_) => return,
-        };
-        let mut committed = Schedule::empty();
-        for c in &st.decisions {
-            committed.push(c.clone());
-        }
-        let inner = save_run(controller, &instance, &committed);
+        let inner = save_run(controller, &st.instance, &st.decisions);
         let mut enc = Encoder::new();
         enc.put_u8(SNAP_FORMAT);
         enc.put_bytes(name.as_bytes());
         st.spec.encode(&mut enc);
         enc.put_usize(k);
-        for load in &st.loads[..k] {
-            enc.put_f64(*load);
+        for &load in st.instance.loads() {
+            enc.put_f64(load);
         }
         enc.put_bytes(&inner);
         let sealed = enc.into_sealed();
@@ -853,7 +850,7 @@ impl Daemon {
                 st.last_snapshot_k = k;
                 st.counters.snapshots += 1;
                 self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.compact_segments(st, name, k as u64);
+                self.compact_segments(st, k as u64);
             }
             Err(_) => {
                 // Snapshot write failure is not fatal: the WAL still
@@ -865,13 +862,22 @@ impl Daemon {
 
     /// Delete sealed WAL segments the durable snapshot fully covers:
     /// a segment running through `through ≤ k` contributes nothing the
-    /// snapshot's bit-exact load prefix does not already hold.
-    fn compact_segments(&self, _st: &mut TenantState, name: &str, k: u64) {
-        for (through, path) in wal::list_segments(&self.options.state_dir, name) {
-            if through <= k && std::fs::remove_file(&path).is_ok() {
-                self.counters.segments_compacted.fetch_add(1, Ordering::Relaxed);
+    /// snapshot's bit-exact load prefix does not already hold. Only the
+    /// tenant's own segment list is read, never the directory; a
+    /// segment that fails to delete stays listed for the next snapshot.
+    fn compact_segments(&self, st: &mut TenantState, k: u64) {
+        st.segments.retain(|(through, path)| {
+            if *through > k {
+                return true;
             }
-        }
+            match std::fs::remove_file(path) {
+                Ok(()) => {
+                    self.counters.segments_compacted.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
+                Err(e) => e.kind() != std::io::ErrorKind::NotFound,
+            }
+        });
     }
 
     /// Snapshot every live tenant (orderly shutdown).
@@ -899,23 +905,22 @@ impl Daemon {
             Ok(e) => e,
             Err(_) => return,
         };
-        let mut names = std::collections::BTreeSet::new();
+        // This one listing also yields every tenant's sealed segments,
+        // which the tenant then keeps track of itself.
+        let mut found: std::collections::BTreeMap<String, Vec<(u64, PathBuf)>> =
+            std::collections::BTreeMap::new();
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(file) = path.file_name().and_then(|s| s.to_str()) else { continue };
             if let Some(stem) = file.strip_suffix(".wal").or_else(|| file.strip_suffix(".snap")) {
-                names.insert(stem.to_owned());
-            } else if let Some(stem) = file.strip_suffix(".walseg") {
-                // `<tenant>.NNNNNNNNNNNN.walseg`
-                if let Some((tenant, digits)) = stem.rsplit_once('.') {
-                    if digits.len() == 12 && digits.bytes().all(|b| b.is_ascii_digit()) {
-                        names.insert(tenant.to_owned());
-                    }
-                }
+                found.entry(stem.to_owned()).or_default();
+            } else if let Some((tenant, through)) = wal::parse_seg_name(file) {
+                found.entry(tenant.to_owned()).or_default().push((through, path.clone()));
             }
         }
-        for name in names {
-            if let Some(state) = self.recover_tenant(&name) {
+        for (name, mut segments) in found {
+            segments.sort_by_key(|&(through, _)| through);
+            if let Some(state) = self.recover_tenant(&name, segments) {
                 self.counters.recovered.fetch_add(1, Ordering::Relaxed);
                 lock_clean(&self.tenants).insert(
                     name,
@@ -925,15 +930,14 @@ impl Daemon {
         }
     }
 
-    /// Recover one tenant from its sealed WAL segments + active WAL
-    /// (+snapshot). Returns `None` only when nothing usable survives at
-    /// all (no registration in any log and no readable snapshot).
-    fn recover_tenant(&self, name: &str) -> Option<TenantState> {
+    /// Recover one tenant from its sealed WAL `segments` (ascending) +
+    /// active WAL (+snapshot). Returns `None` only when nothing usable
+    /// survives at all (no registration in any log and no readable
+    /// snapshot).
+    fn recover_tenant(&self, name: &str, segments: Vec<(u64, PathBuf)>) -> Option<TenantState> {
         let active = wal::wal_path(&self.options.state_dir, name);
-        let segments = wal::list_segments(&self.options.state_dir, name);
-        let last_sealed_through = segments.last().map_or(0, |(t, _)| *t);
         let mut sources: Vec<(PathBuf, bool)> =
-            segments.into_iter().map(|(_, p)| (p, false)).collect();
+            segments.iter().map(|(_, p)| (p.clone(), false)).collect();
         sources.push((active.clone(), true));
 
         let mut spec: Option<TenantSpec> = None;
@@ -1016,22 +1020,8 @@ impl Daemon {
 
         // No usable registration anywhere: nothing to attach to.
         let spec = spec.or_else(|| self.snapshot_spec(name))?;
-        let types = spec.server_types().ok()?;
-        let mut state = TenantState {
-            spec,
-            types,
-            loads: Vec::new(),
-            decisions: Vec::new(),
-            controller: None,
-            wal: None,
-            fresh_since_snapshot: 0,
-            quarantine: None,
-            counters: TenantCounters::default(),
-            fingerprints: Vec::new(),
-            last_sealed_through,
-            last_snapshot_k: 0,
-            fp_checked: 0,
-        };
+        let instance = Instance::empty(spec.server_types().ok()?).ok()?;
+        let mut state = TenantState::new(spec, instance, segments);
         if let Some(detail) = corrupt_detail {
             self.quarantine(&mut state, name, QuarantineReason::WalCorrupt, detail);
             return Some(state);
@@ -1135,7 +1125,7 @@ impl Daemon {
         let tenants = lock_clean(&self.tenants);
         let mut have: Vec<(String, u64)> = tenants
             .iter()
-            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).loads.len() as u64))
+            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).accepted() as u64))
             .collect();
         have.sort();
         have
@@ -1150,7 +1140,8 @@ impl Daemon {
 
     /// Chaos hook: flip one mantissa bit in a committed load so the
     /// next fingerprint check must trip. Gated on `allow_fault_hooks`;
-    /// returns whether a bit was flipped.
+    /// returns whether a bit was flipped (not when the flipped load
+    /// would be invalid, e.g. past the fleet's capacity).
     pub fn inject_divergence(&self, name: &str) -> bool {
         if !self.options.allow_fault_hooks {
             return false;
@@ -1161,12 +1152,21 @@ impl Daemon {
         };
         let Some(slot) = slot else { return false };
         let mut st = lock_clean(&slot.state);
-        if st.loads.is_empty() {
+        if st.accepted() == 0 {
             return false;
         }
-        let mid = st.loads.len() / 2;
-        st.loads[mid] = f64::from_bits(st.loads[mid].to_bits() ^ (1 << 30));
-        true
+        let mut loads = st.instance.loads().to_vec();
+        let mid = loads.len() / 2;
+        loads[mid] = f64::from_bits(loads[mid].to_bits() ^ (1 << 30));
+        let flipped =
+            Instance::builder().server_types(st.instance.types().iter().cloned()).loads(loads);
+        match flipped.build() {
+            Ok(instance) => {
+                st.instance = instance;
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// The primary's answer to `repl.sync`: per non-quarantined tenant,
@@ -1190,7 +1190,7 @@ impl Daemon {
             if st.quarantine.is_some() {
                 continue;
             }
-            let total = st.loads.len() as u64;
+            let total = st.accepted() as u64;
             let base = have.get(name.as_str()).copied().unwrap_or(0).min(total);
             let mut frames = Vec::new();
             if base == 0 {
@@ -1199,7 +1199,7 @@ impl Daemon {
             for seq in base..total {
                 frames.extend_from_slice(&wal::frame(&WalRecord::Tick {
                     seq,
-                    load: st.loads[seq as usize],
+                    load: st.instance.load(seq as usize),
                 }));
             }
             let fps: Vec<Json> = st
@@ -1309,7 +1309,7 @@ impl Daemon {
         };
         let Some(slot) = slot else { return Ok(()) };
         let mut st = lock_clean(&slot.state);
-        report.lag += primary_ticks.saturating_sub(st.loads.len() as u64);
+        report.lag += primary_ticks.saturating_sub(st.accepted() as u64);
         if st.quarantine.is_some() {
             return Ok(());
         }
@@ -1321,14 +1321,15 @@ impl Daemon {
                 let Some(fp_hex) = fp_obj.get("fp").and_then(Json::as_str) else { continue };
                 let Ok(theirs) = u64::from_str_radix(fp_hex, 16) else { continue };
                 let full = fp_obj.get("full").and_then(Json::as_bool).unwrap_or(false);
-                if k == 0 || k <= st.fp_checked || k > st.loads.len() as u64 {
+                if k == 0 || k <= st.fp_checked || k > st.accepted() as u64 {
                     continue;
                 }
                 if full && st.decisions.len() < k as usize {
                     continue; // undecided suffix; the next sync re-checks
                 }
-                let decisions = if full { Some(&st.decisions[..k as usize]) } else { None };
-                let ours = state_fingerprint(&st.spec, &st.loads[..k as usize], decisions);
+                let k_slots = k as usize;
+                let decisions = if full { Some(&st.decisions.configs()[..k_slots]) } else { None };
+                let ours = state_fingerprint(&st.spec, &st.instance.loads()[..k_slots], decisions);
                 st.fp_checked = k;
                 report.fp_checks += 1;
                 self.counters.fingerprint_checks.fetch_add(1, Ordering::Relaxed);
@@ -1347,8 +1348,8 @@ impl Daemon {
         // own snapshot (which also compacts our sealed segments).
         if let Some(snap_k) = body.get("snap_k").and_then(Json::as_u64) {
             if snap_k > st.last_snapshot_k as u64
-                && st.decisions.len() == st.loads.len()
-                && st.loads.len() as u64 >= snap_k
+                && st.decisions.len() == st.accepted()
+                && st.accepted() as u64 >= snap_k
             {
                 self.write_snapshot(&mut st, name);
             }
@@ -1422,7 +1423,7 @@ impl Daemon {
             for name in names {
                 let slot = &tenants[name];
                 let st = lock_clean(&slot.state);
-                let profile = LatencyProfile::new(st.counters.latencies.clone());
+                let [p50, p99] = LatencyProfile::quantiles(&st.counters.latencies, [0.5, 0.99]);
                 let (exact, coarse, hold, rung) = match st.controller.as_ref() {
                     Some(ctl) => {
                         daemon_degrade.absorb(ctl.stats());
@@ -1441,7 +1442,7 @@ impl Daemon {
                     pool_hits += e.pool_hits;
                 }
                 let mut fields = vec![
-                    ("ticks".to_owned(), json::n(st.loads.len() as f64)),
+                    ("ticks".to_owned(), json::n(st.accepted() as f64)),
                     ("decisions".to_owned(), json::n(st.counters.decisions as f64)),
                     ("replays".to_owned(), json::n(st.counters.replays as f64)),
                     ("rejected".to_owned(), json::n(st.counters.rejected as f64)),
@@ -1452,8 +1453,8 @@ impl Daemon {
                     ("rung_exact".to_owned(), json::n(exact as f64)),
                     ("rung_coarse".to_owned(), json::n(coarse as f64)),
                     ("rung_hold".to_owned(), json::n(hold as f64)),
-                    ("latency_p50_us".to_owned(), json::n(profile.quantile(0.5) * 1e6)),
-                    ("latency_p99_us".to_owned(), json::n(profile.quantile(0.99) * 1e6)),
+                    ("latency_p50_us".to_owned(), json::n(p50 * 1e6)),
+                    ("latency_p99_us".to_owned(), json::n(p99 * 1e6)),
                 ];
                 if let Some(e) = engine {
                     fields.push(("pool_pricings".to_owned(), json::n(e.pricings as f64)));

@@ -12,10 +12,10 @@
 //! coverage (`snap_k`), and a ring of periodic state fingerprints.
 //!
 //! **Divergence detection.** Every `fingerprint_every` accepted ticks
-//! the daemon seals its canonical committed state — spec, bit-exact
-//! loads, and (when the degradation ladder is off) committed decisions
-//! — into an `RSZSNAP` envelope and records the FNV-1a over those
-//! bytes. The replica recomputes the same fingerprint from its own
+//! the daemon records the FNV-1a of its canonical committed state —
+//! spec, bit-exact loads, and (when the degradation ladder is off)
+//! committed decisions — sealed in an `RSZSNAP` envelope, hashing the
+//! envelope as it streams past instead of building it. The replica recomputes the same fingerprint from its own
 //! state and compares; a mismatch — a bit flip, a non-deterministic
 //! code path, version skew — quarantines the tenant on the replica
 //! with [`crate::tenant::QuarantineReason::Divergence`], so a diverged
@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rsz_core::Config;
-use rsz_offline::{checksum, Encoder};
+use rsz_offline::{Encoder, SealedDigest};
 
 use crate::client::{Client, ClientOptions};
 use crate::daemon::Daemon;
@@ -95,30 +95,38 @@ impl Role {
 /// the degradation ladder is off for this tenant (see the module docs
 /// for why); both sides of a sync derive that flag the same way, so
 /// the flavors always line up.
+///
+/// The bytes are hashed as they stream past ([`SealedDigest`]), never
+/// laid out: one pass over the tenant's history, still O(age).
 #[must_use]
 pub fn state_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
-    let mut enc = Encoder::new();
-    enc.put_u8(1); // canonical-state layout version
-    spec.encode(&mut enc);
-    enc.put_usize(loads.len());
+    let mut head = Encoder::new();
+    head.put_u8(1); // canonical-state layout version
+    spec.encode(&mut head);
+    head.put_usize(loads.len());
+    let decisions_len = decisions.map_or(0, |committed| {
+        8 + committed.iter().map(|config| 8 + 4 * config.counts().len()).sum::<usize>()
+    });
+    let mut digest = SealedDigest::new(head.payload().len() + 8 * loads.len() + 1 + decisions_len);
+    digest.put_raw(head.payload());
     for &load in loads {
-        enc.put_f64(load);
+        digest.put_f64(load);
     }
     match decisions {
-        None => enc.put_u8(0),
+        None => digest.put_u8(0),
         Some(committed) => {
-            enc.put_u8(1);
-            enc.put_usize(committed.len());
+            digest.put_u8(1);
+            digest.put_usize(committed.len());
             for config in committed {
                 let counts = config.counts();
-                enc.put_usize(counts.len());
+                digest.put_usize(counts.len());
                 for &c in counts {
-                    enc.put_u32(c);
+                    digest.put_u32(c);
                 }
             }
         }
     }
-    checksum(&enc.into_sealed())
+    digest.finish()
 }
 
 /// Lowercase hex of `bytes` — how WAL frames ride inside a JSON line
@@ -356,6 +364,48 @@ mod tests {
             state_fingerprint(&spec(), &loads, None)
         );
         assert_ne!(a, state_fingerprint(&spec(), &loads, None));
+    }
+
+    /// The canonical-state envelope, laid out in full and checksummed.
+    fn sealed_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        spec.encode(&mut enc);
+        enc.put_usize(loads.len());
+        for &load in loads {
+            enc.put_f64(load);
+        }
+        match decisions {
+            None => enc.put_u8(0),
+            Some(committed) => {
+                enc.put_u8(1);
+                enc.put_usize(committed.len());
+                for config in committed {
+                    enc.put_usize(config.counts().len());
+                    for &c in config.counts() {
+                        enc.put_u32(c);
+                    }
+                }
+            }
+        }
+        rsz_offline::checksum(&enc.into_sealed())
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_the_sealed_envelope_checksum() {
+        let loads: Vec<f64> = (0..40).map(|i| f64::from(i * 7 % 13) * 0.3).collect();
+        let decisions: Vec<Config> =
+            (0..40u32).map(|i| Config::new(vec![i % 4, (i * 3) % 5])).collect();
+        for k in [0, 1, 17, 40] {
+            for committed in [None, Some(&decisions[..k])] {
+                assert_eq!(
+                    state_fingerprint(&spec(), &loads[..k], committed),
+                    sealed_fingerprint(&spec(), &loads[..k], committed),
+                    "k {k}, full {}",
+                    committed.is_some()
+                );
+            }
+        }
     }
 
     #[test]

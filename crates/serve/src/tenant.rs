@@ -7,9 +7,10 @@
 //! every other tenant keep running. Quarantine is per-tenant fault
 //! isolation, not an error path.
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use rsz_core::{Config, Instance, ServerType};
+use rsz_core::{Instance, InstanceError, Schedule};
 use rsz_offline::GridMode;
 use rsz_online::{DegradeOptions, GracefulDegrader};
 
@@ -127,20 +128,26 @@ pub struct TenantCounters {
     /// Recoveries that had to ignore a bad snapshot and fall back to
     /// full WAL replay.
     pub snapshot_fallbacks: u64,
-    /// Decision latencies (seconds, `LatencyProfile` convention) of
-    /// fresh decisions, most recent last, bounded.
+    /// Decision latencies (seconds, `LatencyProfile` convention) of the
+    /// most recent fresh decisions, bounded. Once full it is a ring —
+    /// each sample overwrites the oldest — so it holds the latest
+    /// samples in no particular order, which is all quantiles need.
     pub latencies: Vec<f64>,
+    /// The slot the next sample overwrites once the window is full.
+    oldest: usize,
 }
 
 impl TenantCounters {
     /// Record one fresh-decision latency (seconds), keeping a bounded
-    /// window.
+    /// window, in O(1).
     pub fn push_latency(&mut self, seconds: f64) {
         const WINDOW: usize = 4096;
-        if self.latencies.len() == WINDOW {
-            self.latencies.remove(0);
+        if self.latencies.len() < WINDOW {
+            self.latencies.push(seconds);
+        } else {
+            self.latencies[self.oldest] = seconds;
+            self.oldest = (self.oldest + 1) % WINDOW;
         }
-        self.latencies.push(seconds);
     }
 }
 
@@ -164,12 +171,17 @@ pub struct Fingerprint {
 pub struct TenantState {
     /// The registration spec (also the WAL's first record).
     pub spec: TenantSpec,
-    /// The fleet the spec names, parsed once.
-    pub types: Vec<ServerType>,
-    /// Accepted loads, in seq order — the committed prefix.
-    pub loads: Vec<f64>,
-    /// Committed decisions, one per accepted load.
-    pub decisions: Vec<Config>,
+    /// The accepted loads over the tenant's fleet, in seq order — the
+    /// committed prefix. Each accepted tick extends it by one slot
+    /// ([`Instance::push_load`] checks only that slot), and the
+    /// controller decides over it. It only ever receives accepted
+    /// loads, so the controller can only see what has actually arrived:
+    /// prefix revelation holds by construction, with no per-tick
+    /// rebuild. Recovery replay reveals the undecided suffix the same
+    /// way, one push per step.
+    pub instance: Instance,
+    /// Committed decisions, one per decided slot.
+    pub decisions: Schedule,
     /// The live controller; `None` after a panic dropped it (rebuilt
     /// from WAL + snapshot on the next recovery attempt).
     pub controller: Option<TenantDegrader>,
@@ -184,6 +196,11 @@ pub struct TenantState {
     /// Recent periodic state fingerprints, oldest first, bounded —
     /// what a primary ships to replicas for divergence checks.
     pub fingerprints: Vec<Fingerprint>,
+    /// Sealed WAL segments still on disk, as `(through, path)` in
+    /// ascending `through` order: rotation appends, compaction prunes,
+    /// and the daemon's one directory listing at startup seeds them —
+    /// so no tick or snapshot lists the state directory.
+    pub segments: Vec<(u64, PathBuf)>,
     /// Accepted ticks the newest sealed WAL segment runs through (0
     /// when the log has never rotated). Guards against sealing two
     /// segments at the same boundary.
@@ -197,6 +214,33 @@ pub struct TenantState {
 }
 
 impl TenantState {
+    /// A tenant with nothing accepted yet: `instance` is the spec's
+    /// fleet with no slots, `segments` its sealed WAL segments on disk.
+    #[must_use]
+    pub fn new(spec: TenantSpec, instance: Instance, segments: Vec<(u64, PathBuf)>) -> Self {
+        Self {
+            spec,
+            instance,
+            decisions: Schedule::empty(),
+            controller: None,
+            wal: None,
+            fresh_since_snapshot: 0,
+            quarantine: None,
+            counters: TenantCounters::default(),
+            fingerprints: Vec::new(),
+            last_sealed_through: segments.last().map_or(0, |&(through, _)| through),
+            segments,
+            last_snapshot_k: 0,
+            fp_checked: 0,
+        }
+    }
+
+    /// Accepted ticks so far.
+    #[must_use]
+    pub fn accepted(&self) -> usize {
+        self.instance.horizon()
+    }
+
     /// Record a periodic fingerprint, keeping a bounded ring.
     pub fn push_fingerprint(&mut self, fp: Fingerprint) {
         const RING: usize = 16;
@@ -205,37 +249,18 @@ impl TenantState {
         }
         self.fingerprints.push(fp);
     }
-}
 
-impl TenantState {
-    /// Validate one load against this tenant's fleet: finite,
-    /// non-negative, and within the fleet's maximum capacity. This runs
-    /// *before* the WAL append — the log only ever holds accepted
-    /// ticks.
+    /// Validate one load as the next slot: finite, non-negative, and
+    /// within the fleet's maximum capacity — exactly what accepting it
+    /// ([`TenantState::accept_load`]) will check. This runs *before*
+    /// the WAL append — the log only ever holds accepted ticks.
     pub fn validate_load(&self, load: f64) -> Result<(), String> {
-        if !load.is_finite() {
-            return Err("load must be a finite number".into());
-        }
-        if load < 0.0 {
-            return Err(format!("load {load} is negative"));
-        }
-        let capacity: f64 = self.types.iter().map(|ty| f64::from(ty.count) * ty.capacity).sum();
-        if load > capacity {
-            return Err(format!("load {load} exceeds fleet capacity {capacity}"));
-        }
-        Ok(())
+        self.instance.check_next_load(load).map_err(|e| load_error(load, &e))
     }
 
-    /// The prefix instance for deciding slot `self.loads.len() - 1`:
-    /// the committed loads over this tenant's fleet. Rebuilding per
-    /// tick is the prefix-revelation discipline — the controller can
-    /// only ever see what has actually arrived.
-    pub fn prefix_instance(&self) -> Result<Instance, String> {
-        Instance::builder()
-            .server_types(self.types.iter().cloned())
-            .loads(self.loads.clone())
-            .build()
-            .map_err(|e| format!("prefix instance invalid: {e}"))
+    /// Accept one validated load: reveal it as the next slot.
+    pub fn accept_load(&mut self, load: f64) -> Result<(), String> {
+        self.instance.push_load(load).map_err(|e| load_error(load, &e))
     }
 
     /// The degrade options this tenant's spec selects, given the daemon
@@ -267,6 +292,18 @@ impl TenantState {
     }
 }
 
+/// The wire detail for a rejected load.
+fn load_error(load: f64, e: &InstanceError) -> String {
+    match e {
+        InstanceError::BadLoad { .. } if !load.is_finite() => "load must be a finite number".into(),
+        InstanceError::BadLoad { .. } => format!("load {load} is negative"),
+        InstanceError::InfeasibleLoad { capacity, .. } => {
+            format!("load {load} exceeds fleet capacity {capacity}")
+        }
+        other => format!("load {load} rejected: {other}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,10 +326,13 @@ mod tests {
     #[test]
     fn latency_window_is_bounded() {
         let mut c = TenantCounters::default();
-        for i in 0..5000 {
+        for i in 0..10_000 {
             c.push_latency(f64::from(i));
         }
-        assert_eq!(c.latencies.len(), 4096);
-        assert_eq!(c.latencies[0], 5000.0 - 4096.0);
+        // Exactly the latest 4096 samples, in whatever order.
+        let mut window = c.latencies.clone();
+        window.sort_by(f64::total_cmp);
+        let latest: Vec<f64> = (10_000 - 4096..10_000).map(f64::from).collect();
+        assert_eq!(window, latest);
     }
 }

@@ -266,24 +266,33 @@ pub fn seg_path(dir: &Path, tenant: &str, through: u64) -> PathBuf {
     dir.join(format!("{tenant}.{through:012}.walseg"))
 }
 
+/// Parse a sealed segment's file name, `<tenant>.NNNNNNNNNNNN.walseg`,
+/// into `(tenant, through)`; `None` for any other name.
+#[must_use]
+pub(crate) fn parse_seg_name(file: &str) -> Option<(&str, u64)> {
+    let (tenant, digits) = file.strip_suffix(".walseg")?.rsplit_once('.')?;
+    if digits.len() != 12 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some((tenant, digits.parse().ok()?))
+}
+
 /// The sealed segments of `tenant` under `dir`, as `(through, path)`
 /// pairs in ascending `through` order. A missing directory is an empty
 /// list; files whose names don't parse are ignored (they are not ours).
+/// It reads the whole directory, so the daemon does not call it: it
+/// reads the directory once at startup and tracks each tenant's
+/// segments itself from then on.
 #[must_use]
 pub fn list_segments(dir: &Path, tenant: &str) -> Vec<(u64, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
-    let prefix = format!("{tenant}.");
     let mut out = Vec::new();
     for entry in entries.flatten() {
         let path = entry.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else { continue };
-        let Some(digits) = rest.strip_suffix(".walseg") else { continue };
-        if digits.len() != 12 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            continue;
-        }
-        if let Ok(through) = digits.parse::<u64>() {
-            out.push((through, path));
+        match parse_seg_name(name) {
+            Some((owner, through)) if owner == tenant => out.push((through, path)),
+            _ => {}
         }
     }
     out.sort_by_key(|&(through, _)| through);

@@ -17,6 +17,11 @@
 //!    `deadline: None` tenant is bit-transparent through the whole
 //!    serve path.
 //!
+//! Kill–restart parity and snapshot fallback also run over a realistic
+//! horizon: a 4100-tick trace at the default cadences, past the
+//! 4096-entry latency window and through hundreds of snapshot and
+//! fingerprint cycles.
+//!
 //! Fault plans are seeded via `rsz_workloads::faultinject::daemon_plan`.
 //! Set `CHAOS_QUICK=1` for the CI smoke subset.
 
@@ -52,6 +57,17 @@ fn quick() -> bool {
 fn loads() -> Vec<f64> {
     vec![1.0, 2.5, 0.5, 3.0, 1.5, 0.0, 2.0, 2.75, 1.25, 0.75]
 }
+
+/// A 4100-tick trace in `[0, 3)` that never repeats a value (a Weyl
+/// sequence). At the default cadences it crosses 256 snapshots and 512
+/// fingerprints, and it outruns the 4096-entry latency window.
+fn long_loads() -> Vec<f64> {
+    (0..4100u32).map(|i| 3.0 * (f64::from(i) * 0.618_033_988_749_895).fract()).collect()
+}
+
+/// `snapshot_every` for registrations that keep the daemon's default
+/// cadence (16).
+const DEFAULT_CADENCE: usize = 0;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rsz-serve-chaos-{}-{tag}", std::process::id()));
@@ -135,7 +151,9 @@ fn baseline(c: &Combo, snapshot_every: usize) -> Vec<Vec<u64>> {
 /// The tentpole property: for every combo and every kill offset `k`,
 /// feeding `k` ticks, dying without ceremony, restarting, and feeding
 /// the rest produces decisions bit-identical to the uninterrupted run —
-/// replayed prefix included.
+/// replayed prefix included. Over the long trace the offsets are
+/// sampled: right after a snapshot, mid-cadence, and in the last 16
+/// ticks.
 #[test]
 fn kill_restart_is_bit_identical_at_every_offset() {
     let loads = loads();
@@ -149,33 +167,92 @@ fn kill_restart_is_bit_identical_at_every_offset() {
                 assert_eq!(decided(&daemon.handle(&tick_line("t", i, l))), expect[i]);
             }
             drop(daemon); // kill -9: no shutdown, no final snapshot
-
-            let daemon = Daemon::new(options(&dir)).unwrap();
-            if kill_at > 0 {
-                assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1, "{}", c.tag);
-            }
-            // Idempotent re-register reports where to resume.
-            let v = json::parse(&daemon.handle(&register_line("t", &c, 3))).unwrap();
-            assert_eq!(
-                v.get("resumed_ticks").and_then(Json::as_u64),
-                Some(kill_at as u64),
-                "{} kill_at {kill_at}",
-                c.tag
-            );
-            // Replay the whole stream: committed prefix answers from
-            // history, the rest decides fresh — all bit-identical.
-            for (i, &l) in loads.iter().enumerate() {
-                let reply = daemon.handle(&tick_line("t", i, l));
-                assert_eq!(
-                    decided(&reply),
-                    expect[i],
-                    "{} kill_at {kill_at} seq {i}: {reply}",
-                    c.tag
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+            resume_and_check(&dir, &c, &loads, 3, kill_at, &expect);
         }
     }
+    let long = long_loads();
+    let offsets = [2048, 2056, long.len() - 7];
+    for c in combos() {
+        let expect = long_reference_run("kill", &c, &long, &offsets);
+        for kill_at in offsets {
+            let image = kill_image("kill", &c, kill_at);
+            resume_and_check(&image, &c, &long, DEFAULT_CADENCE, kill_at, &expect);
+        }
+    }
+}
+
+/// One uninterrupted run of `c` over `loads` at the default cadences:
+/// the reference decisions of a long-trace test. Right before tick `k`
+/// for each `k` in `kill_at` (after the last tick for `loads.len()`),
+/// the run's state directory is copied to [`kill_image`] — exactly what
+/// a kill -9 there leaves behind, since WAL appends and snapshot
+/// renames reach the OS before `handle` returns.
+fn long_reference_run(test: &str, c: &Combo, loads: &[f64], kill_at: &[usize]) -> Vec<Vec<u64>> {
+    let dir = tmp_dir(&format!("{test}-long-{}", c.tag));
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    assert_ok(&daemon.handle(&register_line("t", c, DEFAULT_CADENCE)));
+    let mut expect = Vec::with_capacity(loads.len());
+    for (i, &l) in loads.iter().enumerate() {
+        if kill_at.contains(&i) {
+            copy_dir(&dir, &kill_image(test, c, i));
+        }
+        expect.push(decided(&daemon.handle(&tick_line("t", i, l))));
+    }
+    if kill_at.contains(&loads.len()) {
+        copy_dir(&dir, &kill_image(test, c, loads.len()));
+    }
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+    expect
+}
+
+/// Where [`long_reference_run`] leaves its state after `kill_at` ticks.
+fn kill_image(test: &str, c: &Combo, kill_at: usize) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "rsz-serve-chaos-{}-{test}-image-{}-{kill_at}",
+        std::process::id(),
+        c.tag
+    ))
+}
+
+/// Copy the flat state directory `from` to a fresh `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Restart over a state directory a kill after `kill_at` ticks left
+/// behind, then send the whole stream: the committed prefix answers
+/// from history, the rest decides fresh — all equal to `expect`.
+fn resume_and_check(
+    dir: &Path,
+    c: &Combo,
+    loads: &[f64],
+    snapshot_every: usize,
+    kill_at: usize,
+    expect: &[Vec<u64>],
+) {
+    let daemon = Daemon::new(options(dir)).unwrap();
+    if kill_at > 0 {
+        assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1, "{}", c.tag);
+    }
+    // Idempotent re-register reports where to resume.
+    let v = json::parse(&daemon.handle(&register_line("t", c, snapshot_every))).unwrap();
+    assert_eq!(
+        v.get("resumed_ticks").and_then(Json::as_u64),
+        Some(kill_at as u64),
+        "{} kill_at {kill_at}",
+        c.tag
+    );
+    for (i, &l) in loads.iter().enumerate() {
+        let reply = daemon.handle(&tick_line("t", i, l));
+        assert_eq!(decided(&reply), expect[i], "{} kill_at {kill_at} seq {i}: {reply}", c.tag);
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -303,13 +380,13 @@ fn wal_bit_flip_quarantines_or_resumes_a_prefix() {
 /// Snapshot missing, WAL present: recovery replays the full WAL and the
 /// result is bit-identical. Snapshot corrupted: recovery notices, falls
 /// back to the WAL (`snapshot_fallbacks`), and does *not* quarantine.
+/// The long trace replays 4100 ticks from the WAL alone.
 #[test]
 fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
     let c = &combos()[0];
     let expect = baseline(c, 3);
     let loads = loads();
     for seed in seeds() {
-        let plan = daemon_plan(seed);
         for mode in ["missing", "corrupt"] {
             let dir = tmp_dir(&format!("snap-{mode}-{seed}"));
             let daemon = Daemon::new(options(&dir)).unwrap();
@@ -318,28 +395,52 @@ fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
                 daemon.handle(&tick_line("t", i, l));
             }
             drop(daemon);
-
-            let snap = wal::snap_path(&dir, "t");
-            assert!(snap.exists(), "cadence 3 over {} ticks must snapshot", loads.len());
-            if mode == "missing" || plan.drop_snapshot {
-                std::fs::remove_file(&snap).unwrap();
-            } else {
-                let mut bytes = std::fs::read(&snap).unwrap();
-                plan.flip_wal(&mut bytes); // reuse the seeded flip position
-                std::fs::write(&snap, &bytes).unwrap();
-            }
-
-            let daemon = Daemon::new(options(&dir)).unwrap();
-            assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1);
-            let health = daemon.handle("GET /health");
-            assert!(health.contains("\"quarantined\":0"), "{mode}/{seed}: {health}");
-            for (i, &l) in loads.iter().enumerate() {
-                let reply = daemon.handle(&tick_line("t", i, l));
-                assert_eq!(decided(&reply), expect[i], "{mode}/{seed} seq {i}: {reply}");
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+            damage_snapshot_and_check(&dir, &loads, 3, &expect, seed, mode);
         }
     }
+    let long = long_loads();
+    let expect = long_reference_run("snap", c, &long, &[long.len()]);
+    let image = kill_image("snap", c, long.len());
+    for mode in ["missing", "corrupt"] {
+        let dir = tmp_dir(&format!("snap-{mode}-long"));
+        copy_dir(&image, &dir);
+        damage_snapshot_and_check(&dir, &long, DEFAULT_CADENCE, &expect, seeds()[0], mode);
+    }
+    let _ = std::fs::remove_dir_all(&image);
+}
+
+/// Lose or corrupt the snapshot in the state directory `dir` of a
+/// dropped daemon that took all of `loads`, as `mode` and the seeded
+/// plan say, restart, and check every replayed decision against
+/// `expect`.
+fn damage_snapshot_and_check(
+    dir: &Path,
+    loads: &[f64],
+    snapshot_every: usize,
+    expect: &[Vec<u64>],
+    seed: u64,
+    mode: &str,
+) {
+    let plan = daemon_plan(seed);
+    let snap = wal::snap_path(dir, "t");
+    assert!(snap.exists(), "cadence {snapshot_every} over {} ticks must snapshot", loads.len());
+    if mode == "missing" || plan.drop_snapshot {
+        std::fs::remove_file(&snap).unwrap();
+    } else {
+        let mut bytes = std::fs::read(&snap).unwrap();
+        plan.flip_wal(&mut bytes); // reuse the seeded flip position
+        std::fs::write(&snap, &bytes).unwrap();
+    }
+
+    let daemon = Daemon::new(options(dir)).unwrap();
+    assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1);
+    let health = daemon.handle("GET /health");
+    assert!(health.contains("\"quarantined\":0"), "{mode}/{seed}: {health}");
+    for (i, &l) in loads.iter().enumerate() {
+        let reply = daemon.handle(&tick_line("t", i, l));
+        assert_eq!(decided(&reply), expect[i], "{mode}/{seed} seq {i}: {reply}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---------------------------------------------------------------------
