@@ -23,6 +23,13 @@
 //! * **divergence** — flip one committed bit in each of M replica
 //!   tenants and sync: every flip must trip a fingerprint cross-check.
 //!   Reports detection counters; gated on M-for-M detection.
+//! * **age** — tenants of Algorithms A, B, C and LCP at the default
+//!   snapshot and fingerprint cadences, on never-repeating loads: mean
+//!   tick, p99 tick and bytes written per snapshot (`.snap` + `.hist`
+//!   growth) in 512-slot windows ending at 1k, 4k and 16k slots, the
+//!   three ages measured side by side. Per-tick cost must not depend on
+//!   a tenant's age: each 16k/1k ratio is gated at ≤ 1.2 in full mode,
+//!   and the bytes ratio — deterministic — in `--quick` mode too.
 //!
 //! Results land in `results/serve.json` and, as the trajectory record
 //! the CI uploads, `BENCH_serve.json`.
@@ -34,7 +41,7 @@ use std::time::Instant;
 
 use rsz_online::LatencyProfile;
 use rsz_serve::json::{self, Json};
-use rsz_serve::{Daemon, ReplicaOptions, Replicator, Role, ServeOptions};
+use rsz_serve::{wal, Daemon, ReplicaOptions, Replicator, Role, ServeOptions};
 
 /// Pool keys the tenant population collides on: four fleets, one grid.
 const FLEETS: [&str; 4] = ["cpu-gpu:2,1", "cpu-gpu:4,2", "old-new:2,2", "homogeneous:4"];
@@ -66,6 +73,135 @@ fn decided(reply: &str) -> Vec<u64> {
 struct Row {
     name: String,
     fields: Vec<(String, String)>,
+}
+
+/// The age scenario's tenants: one per online algorithm the daemon
+/// serves with a shared engine, each on a fleet whose capacity covers
+/// the `[0, 3)` loads.
+const AGE_TENANTS: [(&str, &str, &str); 4] = [
+    ("a", "old-new:2,2", "a"),
+    ("b", "cpu-gpu:4,2", "b"),
+    ("c", "cpu-gpu:4,2", "c:0.5"),
+    ("lcp", "homogeneous:4", "lcp"),
+];
+
+/// What one age window measured over all [`AGE_TENANTS`].
+struct AgeWindow {
+    tick_mean_us: f64,
+    tick_p99_us: f64,
+    snapshot_bytes: f64,
+}
+
+/// Bytes the tenant `name` has on disk in its history log, and the
+/// snapshots it has sealed.
+fn history_footprint(daemon: &Daemon, dir: &std::path::Path, name: &str) -> (u64, u64) {
+    let metrics = json::parse(&daemon.handle("GET /metrics")).expect("metrics parse");
+    let snapshots = metrics
+        .get("tenants")
+        .and_then(|t| t.get(name))
+        .and_then(|t| t.get("snapshots"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    (std::fs::metadata(wal::hist_path(dir, name)).map_or(0, |m| m.len()), snapshots)
+}
+
+/// Ages of 1k, 4k and 16k slots side by side: three copies of
+/// [`AGE_TENANTS`] are ticked (untimed) to 512, 3,584 and 15,872 slots,
+/// then all twelve tenants take their next 512 slots round-robin, timed
+/// — windows ending at 1k, 4k and 16k, measured over the same wall-clock
+/// period, so that what the state directory's file system does over
+/// time falls on every age alike. Bytes per snapshot: the `.snap` a
+/// snapshot rewrites plus the history log's growth per snapshot.
+fn age_row(quick: bool) -> Row {
+    const WINDOW: usize = 512;
+    const AGES: [(usize, &str); 3] = [(1024, "1k"), (4096, "4k"), (16_384, "16k")];
+    let dir = std::env::temp_dir().join(format!("rsz-serve-bench-age-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon =
+        Daemon::new(ServeOptions { state_dir: dir.clone(), ..ServeOptions::default() }).unwrap();
+    // A Weyl sequence in [0, 3): no load ever repeats.
+    let load = |seq: usize| 3.0 * (seq as f64 * 0.618_033_988_749_895).fract();
+    // Equal-length names, so every age's snapshot is the same size.
+    let name = |tag: &str, algo: &str| format!("age{tag:0>3}-{algo}");
+    let tick = |tenant: &str, seq: usize| {
+        let line = tick_line(tenant, seq, load(seq));
+        let clock = Instant::now();
+        let reply = daemon.handle(&line);
+        let elapsed = clock.elapsed().as_secs_f64();
+        debug_assert!(reply.contains("\"ok\":true"), "{reply}");
+        elapsed
+    };
+    for &(end, tag) in &AGES {
+        for (algo, fleet, spec) in AGE_TENANTS {
+            let tenant = name(tag, algo);
+            let reply = daemon.handle(&format!(
+                r#"{{"op":"register","tenant":"{tenant}","fleet":"{fleet}","algo":"{spec}"}}"#
+            ));
+            assert!(reply.contains("\"ok\":true"), "register {tenant}: {reply}");
+            for seq in 0..end - WINDOW {
+                tick(&tenant, seq);
+            }
+        }
+    }
+    let footprints = |tag: &str| -> Vec<(u64, u64)> {
+        AGE_TENANTS.iter().map(|t| history_footprint(&daemon, &dir, &name(tag, t.0))).collect()
+    };
+    let before: Vec<Vec<(u64, u64)>> = AGES.iter().map(|&(_, tag)| footprints(tag)).collect();
+    let mut samples = vec![Vec::with_capacity(WINDOW * AGE_TENANTS.len()); AGES.len()];
+    for step in 0..WINDOW {
+        for (i, &(end, tag)) in AGES.iter().enumerate() {
+            for (algo, _, _) in AGE_TENANTS {
+                samples[i].push(tick(&name(tag, algo), end - WINDOW + step));
+            }
+        }
+    }
+    let windows: Vec<AgeWindow> = AGES
+        .iter()
+        .zip(&before)
+        .zip(samples)
+        .map(|((&(_, tag), before), samples)| {
+            let per_snapshot = AGE_TENANTS
+                .iter()
+                .zip(before)
+                .map(|(t, &(hist0, snaps0))| {
+                    let tenant = name(tag, t.0);
+                    let (hist, snaps) = history_footprint(&daemon, &dir, &tenant);
+                    assert!(snaps > snaps0, "{tenant}: no snapshot in the window");
+                    let snap = std::fs::metadata(wal::snap_path(&dir, &tenant)).unwrap().len();
+                    snap as f64 + (hist - hist0) as f64 / (snaps - snaps0) as f64
+                })
+                .sum::<f64>()
+                / AGE_TENANTS.len() as f64;
+            let profile = LatencyProfile::new(samples);
+            AgeWindow {
+                tick_mean_us: profile.mean() * 1e6,
+                tick_p99_us: profile.quantile(0.99) * 1e6,
+                snapshot_bytes: per_snapshot,
+            }
+        })
+        .collect();
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (young, old) = (&windows[0], &windows[windows.len() - 1]);
+    let ratios = [
+        ("tick_mean_ratio", old.tick_mean_us / young.tick_mean_us),
+        ("tick_p99_ratio", old.tick_p99_us / young.tick_p99_us),
+        ("snapshot_bytes_ratio", old.snapshot_bytes / young.snapshot_bytes),
+    ];
+    for (key, ratio) in ratios {
+        if key == "snapshot_bytes_ratio" || !quick {
+            assert!(ratio <= 1.2, "age: {key} {ratio:.3} > 1.2 (16k vs 1k slots)");
+        }
+    }
+    let mut fields = vec![("horizon".to_owned(), AGES[AGES.len() - 1].0.to_string())];
+    for ((_, tag), w) in AGES.iter().zip(&windows) {
+        fields.push((format!("tick_mean_us_{tag}"), num(w.tick_mean_us)));
+        fields.push((format!("tick_p99_us_{tag}"), num(w.tick_p99_us)));
+        fields.push((format!("snapshot_bytes_{tag}"), num(w.snapshot_bytes)));
+    }
+    fields.extend(ratios.iter().map(|&(key, ratio)| (key.to_owned(), num(ratio))));
+    Row { name: "age".into(), fields }
 }
 
 fn num(v: f64) -> String {
@@ -301,6 +437,8 @@ fn main() {
     drop(primary);
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
+
+    rows.push(age_row(quick));
 
     // Console summary.
     for r in &rows {

@@ -50,8 +50,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 let online = run_online(&inst, &mut algo, &oracle);
                 online.schedule.check_feasible(&inst).expect("feasible");
                 realized_c_max = realized_c_max.max(algo.realized_c());
-                subslots_max =
-                    subslots_max.max(algo.subslot_log().iter().copied().max().unwrap_or(1));
+                subslots_max = subslots_max.max(algo.subslots_max());
                 let opt =
                     dp_solve(&inst, &oracle, DpOptions { threads: Some(1), ..Default::default() });
                 let ratio = online.ratio_vs(opt.cost);

@@ -34,8 +34,15 @@ use crate::table::Table;
 /// Envelope magic: 7 identifying bytes plus one version byte.
 const MAGIC: [u8; 7] = *b"RSZSNAP";
 
-/// Snapshot format version this build writes and accepts.
-pub const FORMAT_VERSION: u8 = 1;
+/// Snapshot format version this build writes. Version 2 changed what
+/// `rsz_online`'s controllers put in the payload (Algorithm B no longer
+/// logs its power-ups, Algorithm C keeps the largest sub-slot count in
+/// place of a per-slot log); the envelope itself is unchanged.
+/// [`Decoder::version`] tells a reader which layout it is decoding.
+pub const FORMAT_VERSION: u8 = 2;
+
+/// The oldest version [`Decoder::from_sealed`] still opens.
+const OLDEST_VERSION: u8 = 1;
 
 /// Why a snapshot could not be restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,7 +69,11 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
             SnapshotError::BadMagic => write!(f, "not a snapshot (bad magic)"),
             SnapshotError::BadVersion(v) => {
-                write!(f, "snapshot format version {v} is not supported (this build speaks {FORMAT_VERSION})")
+                write!(
+                    f,
+                    "snapshot format version {v} is not supported \
+                     (this build speaks {OLDEST_VERSION} to {FORMAT_VERSION})"
+                )
             }
             SnapshotError::ChecksumMismatch => {
                 write!(f, "snapshot checksum mismatch (corrupted payload)")
@@ -88,7 +99,15 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fnv(FNV_OFFSET, bytes)
 }
 
-/// Continue an FNV-1a 64-bit hash from `hash` over `bytes`.
+/// Continue an FNV-1a 64-bit hash from `hash` over `bytes`:
+/// `checksum_continue(checksum(a), b) == checksum(a ++ b)`. Starting from
+/// `checksum(&[])`, it folds a stream one piece at a time.
+#[inline]
+#[must_use]
+pub fn checksum_continue(hash: u64, bytes: &[u8]) -> u64 {
+    fnv(hash, bytes)
+}
+
 #[inline]
 fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -184,94 +203,19 @@ impl Encoder {
     }
 }
 
-/// `checksum(&enc.into_sealed())` computed as the payload streams past,
-/// without building either the payload or the envelope: one pass, no
-/// allocation. The payload length goes into the envelope header ahead
-/// of the payload, so it is declared up front; the `put_*` calls then
-/// lay out exactly the bytes the same [`Encoder`] calls would.
-///
-/// Two FNV-1a states advance side by side over each payload byte: one
-/// over the whole envelope so far, one over the payload alone (the
-/// envelope's trailing checksum, folded in by [`SealedDigest::finish`]).
-#[derive(Clone, Debug)]
-pub struct SealedDigest {
-    envelope: u64,
-    payload: u64,
-    declared: usize,
-    written: usize,
-}
-
-impl SealedDigest {
-    /// Start a digest of an envelope whose payload is `payload_len`
-    /// bytes long.
-    #[must_use]
-    pub fn new(payload_len: usize) -> Self {
-        let mut envelope = fnv(FNV_OFFSET, &MAGIC);
-        envelope = fnv(envelope, &[FORMAT_VERSION]);
-        envelope = fnv(envelope, &(payload_len as u64).to_le_bytes());
-        Self { envelope, payload: FNV_OFFSET, declared: payload_len, written: 0 }
-    }
-
-    /// Append payload bytes as they are, e.g. an [`Encoder`]'s
-    /// [`Encoder::payload`].
-    #[inline]
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        let (mut envelope, mut payload) = (self.envelope, self.payload);
-        for &b in bytes {
-            envelope = (envelope ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            payload = (payload ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        (self.envelope, self.payload) = (envelope, payload);
-        self.written += bytes.len();
-    }
-
-    /// Append one byte ([`Encoder::put_u8`]).
-    pub fn put_u8(&mut self, v: u8) {
-        self.put_raw(&[v]);
-    }
-
-    /// Append a `u32`, little-endian ([`Encoder::put_u32`]).
-    pub fn put_u32(&mut self, v: u32) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian ([`Encoder::put_u64`]).
-    pub fn put_u64(&mut self, v: u64) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
-    /// Append a `usize` as a `u64` ([`Encoder::put_usize`]).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Append an `f64`'s exact bit pattern ([`Encoder::put_f64`]).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// The checksum of the whole envelope.
-    ///
-    /// # Panics
-    ///
-    /// If the bytes put differ in number from the declared payload
-    /// length: the result would then match no envelope.
-    #[must_use]
-    pub fn finish(self) -> u64 {
-        assert_eq!(self.written, self.declared, "sealed digest: payload length was declared wrong");
-        fnv(self.envelope, &self.payload.to_le_bytes())
-    }
-}
-
 /// Little-endian byte source over a verified payload.
 #[derive(Clone, Debug)]
 pub struct Decoder<'a> {
     rest: &'a [u8],
+    version: u8,
 }
 
 impl<'a> Decoder<'a> {
     /// Open a sealed envelope: verify magic, version, declared length,
-    /// and checksum, then expose the payload for field decoding.
+    /// and checksum, then expose the payload for field decoding. Every
+    /// version from 1 to [`FORMAT_VERSION`] opens; the version byte is
+    /// outside the checksum, so a layout that depends on it must fail
+    /// structurally when it is read under the wrong one.
     pub fn from_sealed(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < MAGIC.len() + 1 {
             return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(MAGIC.len())]) {
@@ -284,7 +228,7 @@ impl<'a> Decoder<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = bytes[MAGIC.len()];
-        if version != FORMAT_VERSION {
+        if !(OLDEST_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(SnapshotError::BadVersion(version));
         }
         let rest = &bytes[MAGIC.len() + 1..];
@@ -302,14 +246,21 @@ impl<'a> Decoder<'a> {
         if checksum(payload) != stored {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        Ok(Self { rest: payload })
+        Ok(Self { rest: payload, version })
     }
 
     /// A decoder straight over `payload` (no envelope) — used when a
     /// snapshot embeds a sub-record it wants to decode independently.
+    /// It reads the current [`FORMAT_VERSION`] layout.
     #[must_use]
     pub fn over(payload: &'a [u8]) -> Self {
-        Self { rest: payload }
+        Self { rest: payload, version: FORMAT_VERSION }
+    }
+
+    /// The envelope version the payload was sealed under.
+    #[must_use]
+    pub fn version(&self) -> u8 {
+        self.version
     }
 
     /// Bytes not yet consumed.
@@ -475,6 +426,14 @@ mod tests {
             Decoder::from_sealed(&wrong_version).unwrap_err(),
             SnapshotError::BadVersion(99)
         );
+        wrong_version[MAGIC.len()] = 0;
+        assert_eq!(Decoder::from_sealed(&wrong_version).unwrap_err(), SnapshotError::BadVersion(0));
+
+        // Version 1 envelopes still open, and say so.
+        assert_eq!(Decoder::from_sealed(&sealed).unwrap().version(), FORMAT_VERSION);
+        let mut old = sealed.clone();
+        old[MAGIC.len()] = 1;
+        assert_eq!(Decoder::from_sealed(&old).unwrap().version(), 1);
 
         // Flip one payload bit: the checksum must catch it.
         let mut flipped = sealed.clone();

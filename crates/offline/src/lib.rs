@@ -71,7 +71,7 @@ pub use dp::{
     RecoveryMode,
 };
 pub use engine::snapshot::{
-    checksum, payload_range, Decoder, Encoder, SealedDigest, SnapshotError,
+    checksum, checksum_continue, payload_range, Decoder, Encoder, SnapshotError,
 };
 pub use engine::{
     lock_shared, shared_pool, EngineStats, PricedSlot, PricedSlotPool, SharedSlotPool,

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rsz_core::{CostModel, GtOracle, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::incremental::PrefixDp;
-use rsz_offline::{checksum, Decoder, DpOptions, Encoder, GridMode, SealedDigest, SnapshotError};
+use rsz_offline::{Decoder, DpOptions, Encoder, GridMode, SnapshotError};
 
 #[derive(Clone, Debug)]
 struct Spec {
@@ -127,82 +127,6 @@ proptest! {
             round_trip(&instance, &Dispatcher::new(), options, spec.cut_frac);
         }
     }
-}
-
-/// One `put_*` call, applied alike to an [`Encoder`] and a
-/// [`SealedDigest`].
-fn put(op: &(u8, u64, Vec<u8>), enc: &mut Encoder, digest: &mut SealedDigest) {
-    let &(kind, v, ref bytes) = op;
-    match kind {
-        0 => {
-            enc.put_u8(v as u8);
-            digest.put_u8(v as u8);
-        }
-        1 => {
-            enc.put_u32(v as u32);
-            digest.put_u32(v as u32);
-        }
-        2 => {
-            enc.put_u64(v);
-            digest.put_u64(v);
-        }
-        3 => {
-            enc.put_usize(v as usize);
-            digest.put_usize(v as usize);
-        }
-        4 => {
-            enc.put_f64(f64::from_bits(v));
-            digest.put_f64(f64::from_bits(v));
-        }
-        _ => {
-            enc.put_bytes(bytes);
-            digest.put_usize(bytes.len());
-            digest.put_raw(bytes);
-        }
-    }
-}
-
-proptest! {
-    /// The streaming digest equals the checksum of the sealed envelope
-    /// the same calls build, for any payload — the empty one included —
-    /// and whether the payload arrives field by field or as raw bytes.
-    #[test]
-    fn sealed_digest_matches_the_sealed_checksum(
-        ops in prop::collection::vec(
-            (0u8..6, 0u64..u64::MAX, prop::collection::vec(0u8..=255, 0..20)),
-            0..24,
-        ),
-    ) {
-        // Lay the payload out first (the digest half of this pass is
-        // thrown away), so its length can be declared up front below.
-        let mut enc = Encoder::new();
-        for op in &ops {
-            put(op, &mut enc, &mut SealedDigest::new(0));
-        }
-        let len = enc.payload().len();
-        let mut raw = SealedDigest::new(len);
-        raw.put_raw(enc.payload());
-        let mut fields = SealedDigest::new(len);
-        for op in &ops {
-            put(op, &mut Encoder::new(), &mut fields);
-        }
-        let want = checksum(&enc.into_sealed());
-        prop_assert_eq!(raw.finish(), want);
-        prop_assert_eq!(fields.finish(), want);
-    }
-}
-
-#[test]
-fn sealed_digest_of_the_empty_payload() {
-    assert_eq!(SealedDigest::new(0).finish(), checksum(&Encoder::new().into_sealed()));
-}
-
-#[test]
-#[should_panic(expected = "declared wrong")]
-fn sealed_digest_rejects_a_wrong_declared_length() {
-    let mut digest = SealedDigest::new(9);
-    digest.put_u64(1);
-    let _ = digest.finish();
 }
 
 #[test]

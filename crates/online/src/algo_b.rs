@@ -43,8 +43,7 @@ pub struct BCore {
     /// Scratch copy of the latest prefix target (borrow separation from
     /// the prefix solver's internal buffer).
     target: Vec<u32>,
-    /// Power-up events as (step_index, type, count), for analysis.
-    power_ups: Vec<(usize, usize, u32)>,
+    /// (Sub-)slots processed.
     steps: usize,
 }
 
@@ -58,7 +57,6 @@ impl BCore {
             x: vec![0; d],
             batches: vec![Vec::new(); d],
             target: Vec::with_capacity(d),
-            power_ups: Vec::new(),
             steps: 0,
         }
     }
@@ -77,10 +75,11 @@ impl BCore {
         &self.prefix
     }
 
-    /// Power-up events seen so far (`(step, type, count)`).
+    /// (Sub-)slots processed so far: one per [`BCore::step`] or
+    /// [`BCore::step_with_target`] call.
     #[must_use]
-    pub fn power_ups(&self) -> &[(usize, usize, u32)] {
-        &self.power_ups
+    pub fn steps(&self) -> usize {
+        self.steps
     }
 
     /// Share the prefix solver's priced-slot pool (see
@@ -159,7 +158,8 @@ impl BCore {
 
     /// Serialize the resumable core: prefix solver, active counts, the
     /// live batches with their accumulated idle costs (exact `f64` bit
-    /// patterns), the power-up log, and the (sub-)slot counter.
+    /// patterns), and the (sub-)slot counter. Its size does not grow
+    /// with the horizon: a type holds at most `m_j` live batches.
     pub fn save_state(&self, enc: &mut Encoder) {
         self.prefix.save_state(enc);
         enc.put_usize(self.steps);
@@ -172,16 +172,12 @@ impl BCore {
                 enc.put_u32(b.count);
             }
         }
-        enc.put_usize(self.power_ups.len());
-        for &(step, j, count) in &self.power_ups {
-            enc.put_usize(step);
-            enc.put_usize(j);
-            enc.put_u32(count);
-        }
     }
 
     /// Restore state written by [`BCore::save_state`] into a core built
-    /// against the same `instance` with the same options.
+    /// against the same `instance` with the same options. A version-1
+    /// snapshot also carries the power-up log older builds kept; it is
+    /// checked and dropped.
     pub fn restore_state(
         &mut self,
         instance: &Instance,
@@ -213,20 +209,18 @@ impl BCore {
             }
             batches.push(per_type);
         }
-        let n = dec.take_usize()?;
-        let mut power_ups = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let step = dec.take_usize()?;
-            let j = dec.take_usize()?;
-            let count = dec.take_u32()?;
-            if j >= d || step > steps {
-                return Err(SnapshotError::Corrupt("power-up event out of range"));
+        if dec.version() < 2 {
+            for _ in 0..dec.take_usize()? {
+                let step = dec.take_usize()?;
+                let j = dec.take_usize()?;
+                dec.take_u32()?;
+                if j >= d || step > steps {
+                    return Err(SnapshotError::Corrupt("power-up event out of range"));
+                }
             }
-            power_ups.push((step, j, count));
         }
         self.x = x;
         self.batches = batches;
-        self.power_ups = power_ups;
         self.steps = steps;
         Ok(())
     }
@@ -239,7 +233,6 @@ impl BCore {
                 let up = want - self.x[j];
                 if up > 0 {
                     self.batches[j].push(Batch { acc: 0.0, count: up });
-                    self.power_ups.push((self.steps, j, up));
                     self.x[j] = want;
                 }
             }

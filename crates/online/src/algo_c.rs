@@ -55,8 +55,9 @@ pub struct AlgorithmC<O> {
     /// Per-type max of `l̃_{u,j}/β_j` over all processed sub-slots — the
     /// realized `c(Ĩ)` summands.
     realized_c: Vec<f64>,
-    /// ñ_t chosen for each processed slot (for reporting).
-    subslot_log: Vec<usize>,
+    /// The largest ñ_t chosen so far (for reporting; their sum is the
+    /// core's step count).
+    subslots_max: usize,
 }
 
 impl<O: GtOracle + Sync> AlgorithmC<O> {
@@ -72,7 +73,7 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
             core: BCore::new(instance, options.base),
             options,
             realized_c: vec![0.0; instance.num_types()],
-            subslot_log: Vec::new(),
+            subslots_max: 0,
         }
     }
 
@@ -90,10 +91,17 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
         2.0 * self.realized_c.len() as f64 + 1.0 + self.realized_c()
     }
 
-    /// Sub-slot counts `ñ_t` chosen per processed slot.
+    /// `Σ_t ñ_t` over the slots processed so far: every sub-slot is
+    /// one step of the B core.
     #[must_use]
-    pub fn subslot_log(&self) -> &[usize] {
-        &self.subslot_log
+    pub fn subslots_total(&self) -> usize {
+        self.core.steps()
+    }
+
+    /// `max_t ñ_t` over the slots processed so far (0 before the first).
+    #[must_use]
+    pub fn subslots_max(&self) -> usize {
+        self.subslots_max
     }
 
     /// Pricing counters of the prefix solver's engine. Every original
@@ -157,7 +165,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmC<O> {
 
     fn decide(&mut self, instance: &Instance, t: usize) -> Config {
         let n = self.subslots_for(instance, t);
-        self.subslot_log.push(n);
+        self.subslots_max = self.subslots_max.max(n);
         let scale = 1.0 / n as f64;
         let lambda = instance.load(t);
         for j in 0..instance.num_types() {
@@ -209,10 +217,7 @@ impl<O: GtOracle + Sync> Checkpoint for AlgorithmC<O> {
         for &c in &self.realized_c {
             enc.put_f64(c);
         }
-        enc.put_usize(self.subslot_log.len());
-        for &n in &self.subslot_log {
-            enc.put_usize(n);
-        }
+        enc.put_usize(self.subslots_max);
     }
 
     fn restore_state(
@@ -229,20 +234,35 @@ impl<O: GtOracle + Sync> Checkpoint for AlgorithmC<O> {
         for _ in 0..d {
             realized_c.push(dec.take_f64()?);
         }
-        let n = dec.take_usize()?;
-        if n > instance.horizon() {
-            return Err(SnapshotError::Corrupt("sub-slot log exceeds the horizon"));
-        }
-        let mut subslot_log = Vec::with_capacity(n);
-        for _ in 0..n {
-            let c = dec.take_usize()?;
-            if c == 0 || c > self.options.max_subslots {
-                return Err(SnapshotError::Corrupt("sub-slot count out of range"));
+        let steps = self.core.steps();
+        let subslots_max = if dec.version() < 2 {
+            // Version 1 kept every ñ_t; only their maximum is still
+            // needed, and their sum must be the core's step count.
+            let n = dec.take_usize()?;
+            if n > instance.horizon() {
+                return Err(SnapshotError::Corrupt("sub-slot log exceeds the horizon"));
             }
-            subslot_log.push(c);
+            let (mut max, mut total) = (0, 0usize);
+            for _ in 0..n {
+                let c = dec.take_usize()?;
+                if c == 0 || c > self.options.max_subslots {
+                    return Err(SnapshotError::Corrupt("sub-slot count out of range"));
+                }
+                max = max.max(c);
+                total += c;
+            }
+            if total != steps {
+                return Err(SnapshotError::Corrupt("sub-slot log disagrees with the step count"));
+            }
+            max
+        } else {
+            dec.take_usize()?
+        };
+        if subslots_max > self.options.max_subslots || (subslots_max == 0) != (steps == 0) {
+            return Err(SnapshotError::Corrupt("sub-slot maximum out of range"));
         }
         self.realized_c = realized_c;
-        self.subslot_log = subslot_log;
+        self.subslots_max = subslots_max;
         Ok(())
     }
 }
@@ -344,7 +364,7 @@ mod tests {
             AlgorithmC::new(&inst, oracle, COptions { epsilon: 0.05, ..Default::default() });
         let outcome = run(&inst, &mut c, &oracle);
         outcome.schedule.check_feasible(&inst).unwrap();
-        let total_subslots: usize = c.subslot_log().iter().sum();
+        let total_subslots = c.subslots_total();
         assert!(total_subslots > inst.horizon(), "refinement must actually refine");
         let stats = c.engine_stats();
         assert_eq!(

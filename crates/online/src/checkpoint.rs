@@ -6,7 +6,10 @@
 //! shipping controller implements (A, B, C, LCP, RHC) plus the sealed
 //! **run snapshot**: algorithm tag, an instance fingerprint, the
 //! schedule committed so far, and the controller's serialized state —
-//! all inside `rsz_offline`'s versioned, checksummed envelope.
+//! all inside `rsz_offline`'s versioned, checksummed envelope. The serve
+//! daemon's snapshots carry only the tag and the state
+//! ([`save_controller`] / [`restore_controller`]); the daemon keeps the
+//! committed history in a log of its own.
 //!
 //! The contract, property-tested in `tests/chaos.rs` and
 //! `crates/offline/tests/snapshot_props.rs`: build a controller with
@@ -66,6 +69,32 @@ fn instance_fingerprint(instance: &Instance) -> u64 {
     snapshot::checksum(enc.payload())
 }
 
+/// Write the controller's algorithm tag and its resumable state.
+pub fn save_controller(algo: &impl Checkpoint, enc: &mut Encoder) {
+    enc.put_bytes(algo.algo_tag().as_bytes());
+    algo.save_state(enc);
+}
+
+/// Restore `algo` from the bytes [`save_controller`] wrote. `algo` must
+/// have been built against `instance` with the options of the saved
+/// controller.
+pub fn restore_controller(
+    algo: &mut impl Checkpoint,
+    instance: &Instance,
+    dec: &mut Decoder<'_>,
+) -> Result<(), SnapshotError> {
+    check_tag(algo, dec.take_bytes()?)?;
+    algo.restore_state(instance, dec)
+}
+
+fn check_tag(algo: &impl Checkpoint, tag: &[u8]) -> Result<(), SnapshotError> {
+    if tag == algo.algo_tag().as_bytes() {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt("snapshot was taken by a different algorithm"))
+    }
+}
+
 /// Seal a full run snapshot: the controller's tag and state plus the
 /// schedule committed so far (`committed.len()` is the slot the resumed
 /// run continues from).
@@ -88,17 +117,15 @@ pub fn save_run(algo: &impl Checkpoint, instance: &Instance, committed: &Schedul
 /// Open a run snapshot and restore `algo` from it, returning the
 /// schedule committed before the interruption. The controller must be
 /// freshly built for `instance` with the options the snapshotted run
-/// used; continue deciding at `t = returned.len()`.
+/// used; continue deciding at `t = returned.len()`. Version-1 snapshots
+/// (older controller layouts) restore too.
 pub fn restore_run(
     algo: &mut impl Checkpoint,
     instance: &Instance,
     bytes: &[u8],
 ) -> Result<Schedule, SnapshotError> {
     let mut dec = Decoder::from_sealed(bytes)?;
-    let tag = dec.take_bytes()?;
-    if tag != algo.algo_tag().as_bytes() {
-        return Err(SnapshotError::Corrupt("snapshot was taken by a different algorithm"));
-    }
+    check_tag(algo, dec.take_bytes()?)?;
     if dec.take_u64()? != instance_fingerprint(instance) {
         return Err(SnapshotError::Corrupt("snapshot was taken against a different instance"));
     }
@@ -119,6 +146,9 @@ pub fn restore_run(
         committed.push(Config::new(counts));
     }
     algo.restore_state(instance, &mut dec)?;
+    if !dec.is_empty() {
+        return Err(SnapshotError::Corrupt("trailing bytes after the controller state"));
+    }
     Ok(committed)
 }
 
@@ -285,6 +315,42 @@ mod tests {
         assert_eq!(rerun.schedule, want.schedule);
         assert_eq!(rerun.cost().to_bits(), want.cost().to_bits());
         assert_eq!(reprofile.samples().len(), 2, "6 of 8 slots were restored");
+    }
+
+    /// Algorithm B's and C's checkpoints hold no per-slot log: on a
+    /// periodic trace their state is exactly as large at t = 16k as at
+    /// t = 1k.
+    #[test]
+    fn b_and_c_checkpoints_do_not_grow_with_age() {
+        let loads: Vec<f64> = (0..16_384).map(|t| [1.0, 4.0, 0.0, 2.0][t % 4]).collect();
+        let inst = Instance::builder()
+            .server_type(ServerType::new("a", 3, 2.0, 1.0, CostModel::linear(0.5, 1.0)))
+            .server_type(ServerType::new("b", 2, 4.0, 2.0, CostModel::constant(1.2)))
+            .loads(loads)
+            .build()
+            .unwrap();
+        let oracle = Dispatcher::new();
+        let size = |algo: &dyn Fn(&mut Encoder)| {
+            let mut enc = Encoder::new();
+            algo(&mut enc);
+            enc.payload().len()
+        };
+        let mut b = crate::algo_b::AlgorithmB::new(&inst, oracle, AOptions::default());
+        let mut c = crate::algo_c::AlgorithmC::new(
+            &inst,
+            oracle,
+            crate::algo_c::COptions { epsilon: 0.1, ..Default::default() },
+        );
+        let mut sizes = Vec::new();
+        for t in 0..inst.horizon() {
+            b.decide(&inst, t);
+            c.decide(&inst, t);
+            if t + 1 == 1024 || t + 1 == 16_384 {
+                sizes.push((size(&|e| b.save_state(e)), size(&|e| c.save_state(e))));
+            }
+        }
+        assert!(c.subslots_max() > 1, "the trace must make C refine");
+        assert_eq!(sizes[0], sizes[1], "checkpoint bytes (B, C) at t = 1k vs 16k");
     }
 
     #[test]

@@ -52,7 +52,9 @@ pub mod runner;
 pub use algo_a::AlgorithmA;
 pub use algo_b::AlgorithmB;
 pub use algo_c::AlgorithmC;
-pub use checkpoint::{restore_run, run_checkpointed, save_run, Checkpoint};
+pub use checkpoint::{
+    restore_controller, restore_run, run_checkpointed, save_controller, save_run, Checkpoint,
+};
 pub use degrade::{DegradeOptions, DegradeStats, GracefulDegrader, Rung};
 pub use lcp::LazyCapacityProvisioning;
 pub use receding::RecedingHorizon;

@@ -4,10 +4,11 @@
 //! optimum equals [`graph::solve`] on the revealed prefix (static
 //! fleets, Full and Γ(1.5) grids, relative `1e-9`). Also: corridor-
 //! banded RHC windows commit the plain window DP's schedule, and
-//! Algorithm C prices each original slot exactly once.
+//! Algorithm C prices each original slot exactly once and keeps the
+//! right running sub-slot total and maximum.
 
 use proptest::prelude::*;
-use rsz_core::{CostModel, CostSpec, Instance, ServerType};
+use rsz_core::{CostModel, CostSpec, Instance, Schedule, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::DpOptions;
 use rsz_offline::{graph, GridMode};
@@ -15,7 +16,7 @@ use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_b::AlgorithmB;
 use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::runner::{run, OnlineAlgorithm};
-use rsz_online::{LazyCapacityProvisioning, RecedingHorizon};
+use rsz_online::{restore_run, save_run, LazyCapacityProvisioning, RecedingHorizon};
 
 #[derive(Clone, Debug)]
 struct Spec {
@@ -173,6 +174,35 @@ proptest! {
         }
     }
 
+    /// Algorithm C keeps only the running total and maximum of ñ_t:
+    /// they equal the sum and the maximum of the per-slot counts older
+    /// builds logged, also across a checkpoint restore mid-run.
+    #[test]
+    fn algorithm_c_subslot_total_and_max_match_the_per_slot_counts(
+        spec in spec_strategy(2, 7),
+        eps in 0.05..1.0_f64,
+    ) {
+        let inst = time_dependent(&spec);
+        let oracle = Dispatcher::new();
+        let options = COptions { epsilon: eps, ..Default::default() };
+        let mut first = AlgorithmC::new(&inst, oracle, options);
+        let cut = inst.horizon() / 2;
+        let mut log = Vec::new();
+        let mut committed = Schedule::empty();
+        for t in 0..cut {
+            log.push(first.subslots_for(&inst, t));
+            committed.push(first.decide(&inst, t));
+        }
+        let mut c = AlgorithmC::new(&inst, oracle, options);
+        restore_run(&mut c, &inst, &save_run(&first, &inst, &committed)).unwrap();
+        for t in cut..inst.horizon() {
+            log.push(c.subslots_for(&inst, t));
+            c.decide(&inst, t);
+        }
+        prop_assert_eq!(c.subslots_total(), log.iter().sum::<usize>());
+        prop_assert_eq!(c.subslots_max(), log.iter().copied().max().unwrap_or(0));
+    }
+
     /// Algorithm C prices each original slot exactly once, whatever ñ_t
     /// the refinement picks.
     #[test]
@@ -182,7 +212,7 @@ proptest! {
         let mut c =
             AlgorithmC::new(&inst, oracle, COptions { epsilon: eps, ..Default::default() });
         let _ = run(&inst, &mut c, &oracle);
-        let subslots: usize = c.subslot_log().iter().sum();
+        let subslots = c.subslots_total();
         let stats = c.engine_stats();
         prop_assert_eq!(
             stats.pricings,

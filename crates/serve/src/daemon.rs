@@ -32,21 +32,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance, Schedule};
-use rsz_offline::{payload_range, shared_pool, Decoder, Encoder, SharedSlotPool, SnapshotError};
-use rsz_online::{restore_run, save_run, DegradeStats, GracefulDegrader, LatencyProfile};
+use rsz_offline::{shared_pool, SharedSlotPool};
+use rsz_online::{restore_controller, restore_run, DegradeStats, GracefulDegrader, LatencyProfile};
 
 use crate::json::{self, Json};
-use crate::protocol::{self, decision_line, error_line, parse_request, wire, ErrorCode, Request};
-use crate::replication::{from_hex, state_fingerprint, to_hex, ApplyReport, Role};
+use crate::protocol::{self, decision_line, error_line, parse_request, ErrorCode, Request};
+use crate::replication::Role;
 use crate::spec::{build_controller, TenantSpec};
+use crate::state::{self, describe_snapshot_error, SnapBody, StateDigest};
 use crate::tenant::{Fingerprint, QuarantineReason, TenantDegrader, TenantState};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
-
-/// Snapshot envelope layout version. Version 2 added the bit-exact
-/// accepted-load prefix, which is what makes WAL compaction safe: a
-/// tenant whose early segments were deleted recovers its loads from
-/// the snapshot and only the suffix from the surviving log.
-const SNAP_FORMAT: u8 = 2;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -155,7 +150,7 @@ pub struct DaemonCounters {
 /// One tenant's concurrency gate plus its state.
 pub struct TenantSlot {
     waiting: AtomicUsize,
-    state: Mutex<TenantState>,
+    pub(crate) state: Mutex<TenantState>,
 }
 
 /// Decrements the waiting counter even when the handler bails early.
@@ -169,7 +164,7 @@ impl Drop for QueueGuard<'_> {
 
 /// Lock a mutex, shrugging off poisoning: a panicked handler thread
 /// must never take the tenant (or the daemon) down with it.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -178,7 +173,7 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Daemon {
     options: ServeOptions,
     started: Instant,
-    tenants: Mutex<HashMap<String, Arc<TenantSlot>>>,
+    pub(crate) tenants: Mutex<HashMap<String, Arc<TenantSlot>>>,
     pools: Mutex<HashMap<String, SharedSlotPool>>,
     /// Counters, public for the bench harness.
     pub counters: DaemonCounters,
@@ -186,7 +181,7 @@ pub struct Daemon {
     role: std::sync::atomic::AtomicU8,
     /// Accepted-tick lag behind the primary after the latest applied
     /// sync (a gauge; meaningful on replicas).
-    repl_lag: AtomicU64,
+    pub(crate) repl_lag: AtomicU64,
 }
 
 impl Daemon {
@@ -299,7 +294,7 @@ impl Daemon {
     /// the protocol path and replication apply (a replica registers
     /// tenants from the primary's shipped `Register` frames). Returns
     /// `(resumed ticks, quarantined)`.
-    fn do_register(
+    pub(crate) fn do_register(
         &self,
         name: &str,
         spec: TenantSpec,
@@ -377,7 +372,7 @@ impl Daemon {
     /// sequencing → validation → WAL append (+rotation) → step →
     /// snapshot and fingerprint cadences. The returned `bool` is true
     /// when the decision was replayed from committed history.
-    fn tick_core(
+    pub(crate) fn tick_core(
         &self,
         st: &mut TenantState,
         name: &str,
@@ -485,8 +480,7 @@ impl Daemon {
                     // not replica-comparable; the fingerprint then
                     // covers the spec + accepted loads only.
                     let full = st.spec.effective_deadline(self.options.deadline).is_none();
-                    let decisions = if full { Some(st.decisions.configs()) } else { None };
-                    let fp = state_fingerprint(&st.spec, st.instance.loads(), decisions);
+                    let fp = st.digest.fingerprint(&st.spec, st.accepted(), full);
                     st.push_fingerprint(Fingerprint { k: st.accepted() as u64, fp, full });
                 }
                 Ok((config, rung, false))
@@ -557,7 +551,7 @@ impl Daemon {
         match outcome {
             Ok(config) => {
                 let rung = controller.rung();
-                st.decisions.push(config.clone());
+                st.commit(config.clone());
                 Ok((config, rung, elapsed))
             }
             Err(payload) => {
@@ -625,7 +619,7 @@ impl Daemon {
     /// own WAL would faithfully replay the same divergent state — so
     /// `Divergence` stays quarantined until a fresh resync replaces the
     /// state wholesale.
-    fn revive(
+    pub(crate) fn revive(
         &self,
         st: &mut TenantState,
         name: &str,
@@ -654,8 +648,21 @@ impl Daemon {
             );
         }
         st.controller = None;
-        st.decisions = Schedule::empty();
-        self.restore_from_snapshot(st, name);
+        st.reset_decisions();
+        let unusable = self.restore_from_snapshot(st, name);
+        // A snapshot or history log means ticks were accepted; once
+        // compaction deleted the segments a snapshot covered, one we
+        // cannot use leaves a WAL that no longer starts at seq 0 —
+        // possibly with no tick at all — and nothing to rebuild the
+        // prefix from.
+        if unusable && st.accepted() == 0 && wal_suffix.first().is_none_or(|&(seq, _)| seq != 0) {
+            return Err((
+                QuarantineReason::WalCorrupt,
+                "the snapshot is unusable and the WAL no longer starts at seq 0 \
+                 (compacted log without its snapshot)"
+                    .into(),
+            ));
+        }
         // Merge the WAL ticks over whatever prefix the snapshot (or
         // live memory) established: overlap must agree bit-for-bit, the
         // contiguous extension is validated and accepted, and a gap
@@ -690,14 +697,15 @@ impl Daemon {
         // Replay the undecided suffix through the very same step path a
         // live tick takes — this is what makes resume bit-identical. The
         // controller sees the decided prefix grow by one push per step,
-        // as it did live; every accepted load stays in memory, decided
-        // or not, whatever the replay's outcome.
+        // as it did live; every accepted load stays in memory (and in
+        // the load digest), decided or not, whatever the replay's
+        // outcome.
         let decided = st.decisions.len();
         if decided < st.accepted() {
             let revealed = st.instance.truncated(decided);
             let accepted = std::mem::replace(&mut st.instance, revealed);
             let replayed = (decided..accepted.horizon()).try_for_each(|t| {
-                st.accept_load(accepted.load(t)).map_err(|e| (QuarantineReason::WalCorrupt, e))?;
+                st.reveal_load(accepted.load(t)).map_err(|e| (QuarantineReason::WalCorrupt, e))?;
                 self.step(st, name).map(drop)
             });
             st.instance = accepted;
@@ -707,70 +715,67 @@ impl Daemon {
     }
 
     /// Try to restore controller + committed decisions from the
-    /// snapshot file. Any failure falls back to a fresh controller
-    /// (full WAL replay) — a bad snapshot degrades recovery time, not
-    /// correctness, and is counted + detailed.
-    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) {
-        let path = wal::snap_path(&self.options.state_dir, name);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return, // no snapshot: full replay
+    /// snapshot file and the history log. Any failure falls back to a
+    /// fresh controller (full WAL replay) — a bad snapshot or history
+    /// degrades recovery time, not correctness, and is counted +
+    /// detailed. Returns whether committed history was on disk but
+    /// could not be restored: a snapshot that failed, or a history log
+    /// without its snapshot.
+    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) -> bool {
+        let dir = &self.options.state_dir;
+        let Ok(bytes) = std::fs::read(wal::snap_path(dir, name)) else {
+            // No snapshot: full replay.
+            return wal::hist_path(dir, name).exists();
         };
-        if self.try_restore(st, name, &bytes).is_err() {
-            // Quarantine would be wrong here: the WAL still recovers
-            // this tenant fully, just slower. Count the fallback.
+        let failed = self.try_restore(st, name, &bytes).is_err();
+        if failed {
+            // Quarantine would be wrong here while the WAL still
+            // recovers this tenant fully, just slower. Count the
+            // fallback.
             st.controller = None;
-            st.decisions = Schedule::empty();
+            st.reset_decisions();
             st.counters.snapshot_fallbacks += 1;
             self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+        failed
     }
 
     fn try_restore(&self, st: &mut TenantState, name: &str, bytes: &[u8]) -> Result<(), String> {
-        let mut dec =
-            Decoder::from_sealed(bytes).map_err(|e| describe_snapshot_error(bytes, &e))?;
-        let version = dec.take_u8().map_err(stringify)?;
-        if version != SNAP_FORMAT {
-            return Err(format!("snapshot format {version} (this daemon writes {SNAP_FORMAT})"));
-        }
-        let snap_name =
-            wire::take_str(&mut dec, "snapshot tenant name is not UTF-8").map_err(stringify)?;
-        if snap_name != name {
-            return Err(format!("snapshot belongs to tenant `{snap_name}`"));
-        }
-        let snap_spec = TenantSpec::decode(&mut dec).map_err(stringify)?;
-        if snap_spec != st.spec {
+        let snap = state::decode_snapshot(bytes, name)?;
+        if snap.spec != st.spec {
             return Err("snapshot was taken under a different spec".into());
         }
-        let k = dec.take_usize().map_err(stringify)?;
-        if k == 0 {
-            return Err("snapshot covers zero slots".into());
-        }
-        let mut snap_loads = Vec::with_capacity(k);
-        for _ in 0..k {
-            snap_loads.push(dec.take_f64().map_err(stringify)?);
-        }
+        let k = snap.k;
+        // The committed history 0..k: from the history log, checked
+        // against the snapshot's digests (format 3), or from the
+        // snapshot itself (format 2, loads only until restore_run).
+        let (loads, mut history) = match &snap.body {
+            SnapBody::Current { digest, .. } => {
+                let path = wal::hist_path(&self.options.state_dir, name);
+                let h = state::read_history(&path, k, st.instance.num_types(), digest)?;
+                (h.loads, Some((h.decisions, h.bytes, *digest)))
+            }
+            SnapBody::Legacy { loads, .. } => (loads.clone(), None),
+        };
         // The accepted loads already in memory (live revive) are ground
-        // truth: the snapshot's prefix must agree with them bit-for-bit.
-        // When the snapshot reaches *past* them (recovery, or compaction
-        // deleted covered segments), the snapshot supplies the missing
-        // prefix.
+        // truth: the history must agree with them bit-for-bit. When it
+        // reaches *past* them (recovery, or compaction deleted covered
+        // segments), it supplies the missing prefix.
         let overlap = k.min(st.accepted());
-        for (i, snap) in snap_loads.iter().enumerate().take(overlap) {
-            if st.instance.load(i).to_bits() != snap.to_bits() {
-                return Err(format!("snapshot load at seq {i} disagrees with the WAL"));
+        for (i, load) in loads.iter().enumerate().take(overlap) {
+            if st.instance.load(i).to_bits() != load.to_bits() {
+                return Err(format!("history load at seq {i} disagrees with the WAL"));
             }
         }
-        let inner = dec.take_bytes().map_err(stringify)?;
-        // Controller rebuild + inner restore see exactly the snapshot's
-        // k-slot prefix.
-        let prefix = if k > st.accepted() {
+        // Controller rebuild + restore see exactly the k-slot prefix.
+        let extends = k > st.accepted();
+        let prefix = if extends {
             let mut prefix = Instance::empty(st.instance.types().to_vec())
                 .map_err(|e| format!("fleet is not a valid instance: {e}"))?;
-            for &load in &snap_loads {
+            for &load in &loads {
                 prefix
                     .push_load(load)
-                    .map_err(|e| format!("snapshot holds an invalid load: {e}"))?;
+                    .map_err(|e| format!("history holds an invalid load: {e}"))?;
             }
             prefix
         } else {
@@ -779,21 +784,42 @@ impl Daemon {
         let accepted = std::mem::replace(&mut st.instance, prefix);
         let result = self.build_tenant_controller(st, name).map_err(|(_, e)| e).and_then(|()| {
             let controller = st.controller.as_mut().expect("just built");
-            let committed = restore_run(controller, &st.instance, inner)
-                .map_err(|e| describe_snapshot_error(inner, &e))?;
-            if committed.len() != k {
-                return Err("snapshot committed length disagrees with its header".into());
+            match snap.body {
+                SnapBody::Current { controller: mut dec, .. } => {
+                    restore_controller(controller, &st.instance, &mut dec)
+                        .map_err(|e| format!("{e}"))?;
+                    if !dec.is_empty() {
+                        return Err("trailing bytes after the controller state".into());
+                    }
+                    Ok(history.take().expect("read with the snapshot"))
+                }
+                SnapBody::Legacy { run, .. } => {
+                    let committed = restore_run(controller, &st.instance, run)
+                        .map_err(|e| describe_snapshot_error(run, &e))?;
+                    if committed.len() != k {
+                        return Err("snapshot committed length disagrees with its header".into());
+                    }
+                    let decisions = committed.configs().to_vec();
+                    let digest = StateDigest::of(&loads, &decisions);
+                    // No history log yet: the next snapshot writes it.
+                    Ok((decisions, 0, digest))
+                }
             }
-            st.decisions = committed;
-            Ok(())
         });
-        match &result {
-            Ok(()) => {
+        match result {
+            Ok((decisions, hist_bytes, digest)) => {
                 // Keep whichever committed prefix reaches further: the
-                // in-memory loads past k survive the restore.
-                if accepted.horizon() > k {
+                // in-memory loads past k survive the restore, and with
+                // them the load digest that covers them.
+                if extends {
+                    st.digest.loads = digest.loads;
+                } else {
                     st.instance = accepted;
                 }
+                st.decisions = Schedule::new(decisions);
+                st.digest.decisions = digest.decisions;
+                (st.hist_len, st.hist_bytes) =
+                    if hist_bytes > 0 { (k, hist_bytes) } else { (0, 0) };
                 st.last_snapshot_k = st.last_snapshot_k.max(k);
                 // restore_state rebuilds internal pools as owned, so
                 // the shared handle must be re-installed after restore.
@@ -801,68 +827,63 @@ impl Daemon {
                     self.install_pool(st, &mut degrader);
                     st.controller = Some(degrader);
                 }
+                Ok(())
             }
-            Err(_) => {
+            Err(e) => {
                 // A failed restore must leave the loads exactly as
                 // memory held them — never the snapshot's.
                 st.instance = accepted;
                 st.controller = None;
-                st.decisions = Schedule::empty();
+                st.reset_decisions();
+                Err(e)
             }
         }
-        result
     }
 
-    /// Seal the tenant's state: `(format, name, spec, k, loads[..k],
-    /// save_run bytes)` in a checksummed envelope, written via tmp +
-    /// rename so a crash leaves either the old snapshot or the new one,
-    /// never a hybrid. A durable snapshot then compacts the WAL: every
-    /// sealed segment it fully covers is deleted.
-    fn write_snapshot(&self, st: &mut TenantState, name: &str) {
+    /// Seal the tenant's state: first append the slots committed since
+    /// the last snapshot to the history log, then write the snapshot
+    /// (`k`, digests, controller) via tmp + rename, so a crash leaves
+    /// either the old snapshot or the new one, never a hybrid, and the
+    /// history always reaches the snapshot. A durable snapshot then
+    /// compacts the WAL: every sealed segment it fully covers is
+    /// deleted.
+    pub(crate) fn write_snapshot(&self, st: &mut TenantState, name: &str) {
         let Some(controller) = st.controller.as_ref() else { return };
         let k = st.decisions.len();
         if k == 0 || k != st.accepted() {
             return;
         }
-        let inner = save_run(controller, &st.instance, &st.decisions);
-        let mut enc = Encoder::new();
-        enc.put_u8(SNAP_FORMAT);
-        enc.put_bytes(name.as_bytes());
-        st.spec.encode(&mut enc);
-        enc.put_usize(k);
-        for &load in st.instance.loads() {
-            enc.put_f64(load);
-        }
-        enc.put_bytes(&inner);
-        let sealed = enc.into_sealed();
-        let path = wal::snap_path(&self.options.state_dir, name);
-        let tmp = path.with_extension("snap.tmp");
-        let io = std::fs::write(&tmp, &sealed).and_then(|()| {
-            if self.options.fsync {
-                let f = std::fs::File::open(&tmp)?;
-                f.sync_data()?;
-            }
-            std::fs::rename(&tmp, &path)
+        let dir = &self.options.state_dir;
+        let from = st.hist_len;
+        let written = state::append_history(
+            &wal::hist_path(dir, name),
+            st.hist_bytes,
+            from,
+            &st.instance.loads()[from..k],
+            &st.decisions.configs()[from..k],
+            self.options.fsync,
+        )
+        .and_then(|hist_bytes| {
+            let sealed = state::encode_snapshot(name, &st.spec, k, &st.digest, controller);
+            state::write_replacing(&wal::snap_path(dir, name), &sealed, self.options.fsync)
+                .map(|()| hist_bytes)
         });
-        match io {
-            Ok(()) => {
-                st.fresh_since_snapshot = 0;
-                st.last_snapshot_k = k;
-                st.counters.snapshots += 1;
-                self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.compact_segments(st, k as u64);
-            }
-            Err(_) => {
-                // Snapshot write failure is not fatal: the WAL still
-                // recovers everything, just slower.
-                let _ = std::fs::remove_file(&tmp);
-            }
+        // A failure is not fatal: the WAL still recovers everything,
+        // just slower, and the next attempt cuts the history log back
+        // to what it is known to hold.
+        if let Ok(hist_bytes) = written {
+            (st.hist_len, st.hist_bytes) = (k, hist_bytes);
+            st.fresh_since_snapshot = 0;
+            st.last_snapshot_k = k;
+            st.counters.snapshots += 1;
+            self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+            self.compact_segments(st, k as u64);
         }
     }
 
     /// Delete sealed WAL segments the durable snapshot fully covers:
     /// a segment running through `through ≤ k` contributes nothing the
-    /// snapshot's bit-exact load prefix does not already hold. Only the
+    /// history log's bit-exact loads up to `k` do not already hold. Only the
     /// tenant's own segment list is read, never the directory; a
     /// segment that fails to delete stays listed for the next snapshot.
     fn compact_segments(&self, st: &mut TenantState, k: u64) {
@@ -1056,18 +1077,10 @@ impl Daemon {
     /// holding a `Register` record.
     fn snapshot_spec(&self, name: &str) -> Option<TenantSpec> {
         let bytes = std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok()?;
-        let mut dec = Decoder::from_sealed(&bytes).ok()?;
-        if dec.take_u8().ok()? != SNAP_FORMAT {
-            return None;
-        }
-        let snap_name = wire::take_str(&mut dec, "snapshot tenant name is not UTF-8").ok()?;
-        if snap_name != name {
-            return None;
-        }
-        TenantSpec::decode(&mut dec).ok()
+        state::decode_snapshot(&bytes, name).ok().map(|snap| snap.spec)
     }
 
-    fn quarantine(
+    pub(crate) fn quarantine(
         &self,
         st: &mut TenantState,
         name: &str,
@@ -1104,257 +1117,6 @@ impl Daemon {
                 self.write_snapshot(&mut st, &name);
             }
         }
-    }
-
-    /// Replica → Primary failover: seal what we have, flip the role,
-    /// start accepting writes. The committed prefix was applied through
-    /// the identical step path, so every tenant resumes bit-identically
-    /// with zero accepted-tick loss.
-    pub fn promote(&self) {
-        self.set_role(Role::Promoting);
-        self.snapshot_all();
-        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-        self.repl_lag.store(0, Ordering::Relaxed);
-        self.set_role(Role::Primary);
-    }
-
-    /// Accepted-tick counts per tenant, sorted by name — what a replica
-    /// reports as `have` in `repl.sync`.
-    #[must_use]
-    pub fn replication_have(&self) -> Vec<(String, u64)> {
-        let tenants = lock_clean(&self.tenants);
-        let mut have: Vec<(String, u64)> = tenants
-            .iter()
-            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).accepted() as u64))
-            .collect();
-        have.sort();
-        have
-    }
-
-    /// Replication lag gauge (accepted ticks behind the primary after
-    /// the latest applied sync).
-    #[must_use]
-    pub fn repl_lag_ticks(&self) -> u64 {
-        self.repl_lag.load(Ordering::Relaxed)
-    }
-
-    /// Chaos hook: flip one mantissa bit in a committed load so the
-    /// next fingerprint check must trip. Gated on `allow_fault_hooks`;
-    /// returns whether a bit was flipped (not when the flipped load
-    /// would be invalid, e.g. past the fleet's capacity).
-    pub fn inject_divergence(&self, name: &str) -> bool {
-        if !self.options.allow_fault_hooks {
-            return false;
-        }
-        let slot = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.get(name).cloned()
-        };
-        let Some(slot) = slot else { return false };
-        let mut st = lock_clean(&slot.state);
-        if st.accepted() == 0 {
-            return false;
-        }
-        let mut loads = st.instance.loads().to_vec();
-        let mid = loads.len() / 2;
-        loads[mid] = f64::from_bits(loads[mid].to_bits() ^ (1 << 30));
-        let flipped =
-            Instance::builder().server_types(st.instance.types().iter().cloned()).loads(loads);
-        match flipped.build() {
-            Ok(instance) => {
-                st.instance = instance;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// The primary's answer to `repl.sync`: per non-quarantined tenant,
-    /// the WAL frames the replica is missing (hex, FNV-1a framing
-    /// intact end-to-end), the durable-snapshot horizon, and the recent
-    /// fingerprint ring.
-    fn sync_reply(&self, replica: &str, have: &[(String, u64)]) -> String {
-        self.counters.repl_syncs.fetch_add(1, Ordering::Relaxed);
-        let have: HashMap<&str, u64> = have.iter().map(|(t, n)| (t.as_str(), *n)).collect();
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            let mut v: Vec<_> = tenants.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        let mut tenant_objs: Vec<(String, Json)> = Vec::new();
-        for (name, slot) in slots {
-            let st = lock_clean(&slot.state);
-            // Quarantined state never replicates: the replica keeps its
-            // own (healthy or older) view instead of inheriting faults.
-            if st.quarantine.is_some() {
-                continue;
-            }
-            let total = st.accepted() as u64;
-            let base = have.get(name.as_str()).copied().unwrap_or(0).min(total);
-            let mut frames = Vec::new();
-            if base == 0 {
-                frames.extend_from_slice(&wal::frame(&WalRecord::Register(st.spec.clone())));
-            }
-            for seq in base..total {
-                frames.extend_from_slice(&wal::frame(&WalRecord::Tick {
-                    seq,
-                    load: st.instance.load(seq as usize),
-                }));
-            }
-            let fps: Vec<Json> = st
-                .fingerprints
-                .iter()
-                .map(|f| {
-                    Json::Obj(vec![
-                        ("k".to_owned(), json::n(f.k as f64)),
-                        ("fp".to_owned(), json::s(format!("{:016x}", f.fp))),
-                        ("full".to_owned(), Json::Bool(f.full)),
-                    ])
-                })
-                .collect();
-            tenant_objs.push((
-                name,
-                Json::Obj(vec![
-                    ("ticks".to_owned(), json::n(total as f64)),
-                    ("snap_k".to_owned(), json::n(st.last_snapshot_k as f64)),
-                    ("frames".to_owned(), json::s(to_hex(&frames))),
-                    ("fps".to_owned(), Json::Arr(fps)),
-                ]),
-            ));
-        }
-        json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("role", json::s(self.role().as_str())),
-            ("replica", json::s(replica)),
-            ("tenants", Json::Obj(tenant_objs)),
-        ])
-        .to_line()
-    }
-
-    /// Apply one primary sync reply on this (replica) daemon. Frames
-    /// ride through [`wal::scan`] so transit corruption is rejected by
-    /// the same FNV-1a framing that guards the on-disk log, ticks apply
-    /// through `Daemon::tick_core` — the identical path a live tick
-    /// takes — and every unchecked fingerprint at or below our tick
-    /// count is recomputed and compared. Per-tenant failures land in
-    /// the report; only an unusable reply errors out.
-    pub fn apply_sync(&self, reply: &str) -> Result<ApplyReport, String> {
-        let value = json::parse(reply).map_err(|e| format!("sync reply is not JSON: {e}"))?;
-        if value.get("ok").and_then(Json::as_bool) != Some(true) {
-            let code = value.get("error").and_then(Json::as_str).unwrap_or("unknown");
-            return Err(format!("primary refused sync: {code}"));
-        }
-        let tenants = match value.get("tenants") {
-            Some(Json::Obj(members)) => members.clone(),
-            _ => return Err("sync reply lacks a tenants object".into()),
-        };
-        let mut report = ApplyReport::default();
-        for (name, body) in &tenants {
-            report.tenants += 1;
-            if let Err(e) = self.apply_tenant_sync(name, body, &mut report) {
-                report.errors.push(format!("{name}: {e}"));
-            }
-        }
-        self.repl_lag.store(report.lag, Ordering::Relaxed);
-        Ok(report)
-    }
-
-    fn apply_tenant_sync(
-        &self,
-        name: &str,
-        body: &Json,
-        report: &mut ApplyReport,
-    ) -> Result<(), String> {
-        let primary_ticks =
-            body.get("ticks").and_then(Json::as_u64).ok_or("tenant body lacks ticks")?;
-        let frames_hex = body.get("frames").and_then(Json::as_str).unwrap_or("");
-        let bytes = from_hex(frames_hex).ok_or("frames are not valid hex")?;
-        let WalScan { records, tail, .. } = wal::scan(&bytes);
-        if !matches!(tail, WalTail::Clean) {
-            // A bit flipped in transit: reject the whole batch before
-            // anything reaches the step path; the next sync re-ships.
-            self.counters.repl_frame_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err("frame batch failed its FNV-1a integrity check".into());
-        }
-        for record in records {
-            match record {
-                WalRecord::Register(spec) => {
-                    self.do_register(name, spec).map_err(|(_, detail)| detail)?;
-                }
-                WalRecord::Tick { seq, load } => {
-                    let slot = {
-                        let tenants = lock_clean(&self.tenants);
-                        tenants.get(name).cloned()
-                    };
-                    let Some(slot) = slot else {
-                        return Err(format!("tick {seq} for an unregistered tenant"));
-                    };
-                    let mut st = lock_clean(&slot.state);
-                    match self.tick_core(&mut st, name, seq, load) {
-                        Ok((_, _, replayed)) => {
-                            if !replayed {
-                                report.applied += 1;
-                                self.counters.repl_applied.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err((_, detail)) => return Err(detail),
-                    }
-                }
-            }
-        }
-        let slot = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.get(name).cloned()
-        };
-        let Some(slot) = slot else { return Ok(()) };
-        let mut st = lock_clean(&slot.state);
-        report.lag += primary_ticks.saturating_sub(st.accepted() as u64);
-        if st.quarantine.is_some() {
-            return Ok(());
-        }
-        // Cross-check the primary's fingerprints against our own state
-        // — every k we have reached and not yet checked.
-        if let Some(Json::Arr(fps)) = body.get("fps") {
-            for fp_obj in fps {
-                let Some(k) = fp_obj.get("k").and_then(Json::as_u64) else { continue };
-                let Some(fp_hex) = fp_obj.get("fp").and_then(Json::as_str) else { continue };
-                let Ok(theirs) = u64::from_str_radix(fp_hex, 16) else { continue };
-                let full = fp_obj.get("full").and_then(Json::as_bool).unwrap_or(false);
-                if k == 0 || k <= st.fp_checked || k > st.accepted() as u64 {
-                    continue;
-                }
-                if full && st.decisions.len() < k as usize {
-                    continue; // undecided suffix; the next sync re-checks
-                }
-                let k_slots = k as usize;
-                let decisions = if full { Some(&st.decisions.configs()[..k_slots]) } else { None };
-                let ours = state_fingerprint(&st.spec, &st.instance.loads()[..k_slots], decisions);
-                st.fp_checked = k;
-                report.fp_checks += 1;
-                self.counters.fingerprint_checks.fetch_add(1, Ordering::Relaxed);
-                if ours != theirs {
-                    report.fp_mismatches += 1;
-                    self.counters.fingerprint_mismatches.fetch_add(1, Ordering::Relaxed);
-                    let detail = format!(
-                        "state fingerprint at k={k} is {ours:016x}, primary says {theirs:016x}"
-                    );
-                    self.quarantine(&mut st, name, QuarantineReason::Divergence, detail.clone());
-                    return Err(detail);
-                }
-            }
-        }
-        // The primary's durable horizon advanced past ours: seal our
-        // own snapshot (which also compacts our sealed segments).
-        if let Some(snap_k) = body.get("snap_k").and_then(Json::as_u64) {
-            if snap_k > st.last_snapshot_k as u64
-                && st.decisions.len() == st.accepted()
-                && st.accepted() as u64 >= snap_k
-            {
-                self.write_snapshot(&mut st, name);
-            }
-        }
-        Ok(())
     }
 
     fn livez_line(&self) -> String {
@@ -1507,19 +1269,23 @@ impl Daemon {
     }
 }
 
-fn stringify(e: SnapshotError) -> String {
-    format!("{e}")
-}
-
-/// Human-readable snapshot failure, including the byte range that
-/// failed the FNV-1a check when that is what happened.
-pub fn describe_snapshot_error(bytes: &[u8], e: &SnapshotError) -> String {
-    if matches!(e, SnapshotError::ChecksumMismatch) {
-        if let Some(range) = payload_range(bytes) {
-            return format!("{e} (bytes {}..{} failed the FNV-1a check)", range.start, range.end);
-        }
+#[cfg(test)]
+impl Daemon {
+    /// Every tenant's loads (bit patterns), decisions and rolling
+    /// digest, sorted by name.
+    pub(crate) fn tenant_states(&self) -> Vec<(String, Vec<u64>, Vec<Config>, StateDigest)> {
+        let tenants = lock_clean(&self.tenants);
+        let mut out: Vec<_> = tenants
+            .iter()
+            .map(|(name, slot)| {
+                let st = lock_clean(&slot.state);
+                let loads = st.instance.loads().iter().map(|l| l.to_bits()).collect();
+                (name.clone(), loads, st.decisions.configs().to_vec(), st.digest)
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
-    format!("{e}")
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

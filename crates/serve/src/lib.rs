@@ -10,8 +10,9 @@
 //!
 //! 1. **Crash safety** — accepted ticks go to a checksummed write-ahead
 //!    log *before* the controller decides, and controller state is
-//!    periodically sealed into `RSZSNAP` snapshots. `kill -9` at any
-//!    byte offset recovers to a state whose subsequent decisions are
+//!    periodically sealed into `RSZSNAP` snapshots beside an
+//!    append-only history log (`<tenant>.hist`). `kill -9` at any byte
+//!    offset recovers to a state whose subsequent decisions are
 //!    bit-identical to the uninterrupted run.
 //! 2. **Fault isolation** — a poisoned trace, solver failure, storage
 //!    corruption, or outright controller panic quarantines *that*
@@ -46,15 +47,17 @@ pub mod protocol;
 pub mod replication;
 pub mod server;
 pub mod spec;
+pub(crate) mod state;
 pub mod tenant;
 pub mod wal;
 
 pub use client::{Client, ClientError, ClientOptions, Decision};
-pub use daemon::{describe_snapshot_error, Daemon, ServeOptions};
+pub use daemon::{Daemon, ServeOptions};
 pub use protocol::{ErrorCode, Request};
 pub use replication::{
-    from_hex, run_replica, state_fingerprint, to_hex, ApplyReport, ReplicaOptions, Replicator, Role,
+    from_hex, run_replica, to_hex, ApplyReport, ReplicaOptions, Replicator, Role,
 };
 pub use server::{install_sigterm_handler, Server};
 pub use spec::{build_controller, BoxController, GridSpec, ServeController, TenantSpec};
+pub use state::{describe_snapshot_error, state_fingerprint};
 pub use tenant::{Fingerprint, QuarantineReason, TenantState};

@@ -12,20 +12,43 @@
 //! coverage (`snap_k`), and a ring of periodic state fingerprints.
 //!
 //! **Divergence detection.** Every `fingerprint_every` accepted ticks
-//! the daemon records the FNV-1a of its canonical committed state —
-//! spec, bit-exact loads, and (when the degradation ladder is off)
-//! committed decisions — sealed in an `RSZSNAP` envelope, hashing the
-//! envelope as it streams past instead of building it. The replica recomputes the same fingerprint from its own
-//! state and compares; a mismatch — a bit flip, a non-deterministic
-//! code path, version skew — quarantines the tenant on the replica
-//! with [`crate::tenant::QuarantineReason::Divergence`], so a diverged
+//! the daemon records a fingerprint of its committed state: spec, `k`,
+//! and the rolling digests of the accepted loads and (when the
+//! degradation ladder is off) the committed decisions — O(1) at any age
+//! (layout 2, `crate::state`). The digests cover the load and
+//! decision streams as they were folded, tick by tick; a later
+//! in-memory flip of an old load is not seen by the next fingerprint,
+//! but by whoever reads the history again (recovery's digest check, or
+//! a fresh replica). The replica records its own fingerprints at its own
+//! cadence and compares the primary's entry at `k` with its own entry
+//! at `k` (computing one from scratch for a `k` it did not record).
+//! Layout-2 entries travel under the reply key `fps2`; older builds
+//! sent layout 1 under `fps`. Each build reads only its own key, so in
+//! a mixed-version pair, whichever side is upgraded first, frames keep
+//! replicating and no fingerprint is checked until both sides run the
+//! same layout. A mismatch — a bit flip, a non-deterministic code path —
+//! quarantines the tenant on the replica with
+//! [`crate::tenant::QuarantineReason::Divergence`], so a diverged
 //! replica can be promoted but will never serve the divergent plan.
 //! Two things are deliberately *outside* the fingerprint: shared-pool
 //! counters (aggregated across co-tenants, so they depend on
 //! cross-tenant interleaving, not on this tenant's state) and — when
 //! the ladder is armed — committed decisions (rung descent follows
 //! wall-clock overruns, so a faithful replica may legitimately
-//! differ; the load prefix is still covered bit-exactly).
+//! differ; the load stream is still covered bit-exactly).
+//!
+//! **Bounded replies.** One reply ships at most [`SYNC_FRAME_CAP`]
+//! bytes of frames, so a fresh replica of a large, old primary catches
+//! up over several syncs. The cap is shared max-min fairly among the
+//! tenants that lag: none gets more than it is missing, and what small
+//! backlogs leave over is split among the larger ones. A tenant far
+//! behind, or one the replica can never apply (a diverged one), takes
+//! at most its share and never starves the others. Every lagging tenant
+//! ships at least one tick, so catch-up always progresses; a reply
+//! passes the cap only when more tenants lag than one tick each fits
+//! under it. Every reply still reports each tenant's full tick count,
+//! so the lag in `/readyz` stays right, and the replica loop syncs
+//! again at once while a tenant that applied cleanly still lags.
 //!
 //! **Failover.** The replica counts consecutive failed syncs; once the
 //! count crosses the lease threshold the primary is presumed dead and
@@ -35,16 +58,87 @@
 //! the primary at every tick offset and reproduce the exact failover
 //! from the seed alone.
 
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rsz_core::Config;
-use rsz_offline::{Encoder, SealedDigest};
-
 use crate::client::{Client, ClientOptions};
-use crate::daemon::Daemon;
-use crate::json;
-use crate::spec::TenantSpec;
+use crate::daemon::{lock_clean, Daemon, TenantSlot};
+use crate::json::{self, Json};
+use crate::state::state_fingerprint;
+use crate::tenant::{Fingerprint, QuarantineReason, TenantState};
+use crate::wal::{self, WalRecord, WalScan, WalTail};
+
+/// Frame bytes one sync reply ships at most, shared among the tenants
+/// that lag.
+pub const SYNC_FRAME_CAP: usize = 1 << 20;
+
+/// Bytes of one framed tick: length, tag + seq + load, checksum.
+const TICK_FRAME_LEN: usize = 4 + 17 + 8;
+
+/// Split `cap` bytes among backlogs of `needs[i]` bytes max-min fairly:
+/// no backlog gets more than it needs, and what the small ones leave
+/// over is split evenly among the larger ones.
+pub(crate) fn fair_shares(needs: &[usize], cap: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..needs.len()).collect();
+    order.sort_by_key(|&i| needs[i]);
+    let mut shares = vec![0; needs.len()];
+    let mut left = cap;
+    for (served, &i) in order.iter().enumerate() {
+        shares[i] = needs[i].min(left / (needs.len() - served));
+        left -= shares[i];
+    }
+    shares
+}
+
+fn register_frame(st: &TenantState) -> Vec<u8> {
+    wal::frame(&WalRecord::Register(st.spec.clone()))
+}
+
+/// Bytes of the frames a replica holding `base` of `st`'s ticks is
+/// missing.
+fn backlog_bytes(st: &TenantState, base: u64) -> usize {
+    let ticks = (st.accepted() as u64 - base) as usize * TICK_FRAME_LEN;
+    if base == 0 {
+        ticks + register_frame(st).len()
+    } else {
+        ticks
+    }
+}
+
+/// The WAL frames of `st` a replica holding `base` ticks is missing,
+/// within `share` bytes — except the first missing tick, which always
+/// ships (with the registration, to a replica that has nothing).
+pub(crate) fn missing_frames(st: &TenantState, base: u64, share: usize) -> Vec<u8> {
+    let mut frames = if base == 0 { register_frame(st) } else { Vec::new() };
+    for seq in base..st.accepted() as u64 {
+        if seq > base && frames.len() + TICK_FRAME_LEN > share {
+            break;
+        }
+        frames.extend(wal::frame(&WalRecord::Tick { seq, load: st.instance.load(seq as usize) }));
+    }
+    frames
+}
+
+/// A fingerprint ring entry as a sync reply carries it (under `fps2`).
+pub(crate) fn fingerprint_json(f: &Fingerprint) -> Json {
+    Json::Obj(vec![
+        ("k".to_owned(), json::n(f.k as f64)),
+        ("fp".to_owned(), json::s(format!("{:016x}", f.fp))),
+        ("full".to_owned(), Json::Bool(f.full)),
+    ])
+}
+
+/// A sync reply's fingerprint entry; `None` for a malformed one, which
+/// a replica skips.
+pub(crate) fn parse_fingerprint(v: &Json) -> Option<Fingerprint> {
+    Some(Fingerprint {
+        k: v.get("k").and_then(Json::as_u64)?,
+        fp: u64::from_str_radix(v.get("fp").and_then(Json::as_str)?, 16).ok()?,
+        full: v.get("full").and_then(Json::as_bool).unwrap_or(false),
+    })
+}
 
 /// The daemon's replication role.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,43 +184,267 @@ impl Role {
     }
 }
 
-/// FNV-1a over the sealed `RSZSNAP` canonical-state bytes of one
-/// tenant at `loads.len()` accepted ticks. Pass `decisions` only when
-/// the degradation ladder is off for this tenant (see the module docs
-/// for why); both sides of a sync derive that flag the same way, so
-/// the flavors always line up.
-///
-/// The bytes are hashed as they stream past ([`SealedDigest`]), never
-/// laid out: one pass over the tenant's history, still O(age).
-#[must_use]
-pub fn state_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
-    let mut head = Encoder::new();
-    head.put_u8(1); // canonical-state layout version
-    spec.encode(&mut head);
-    head.put_usize(loads.len());
-    let decisions_len = decisions.map_or(0, |committed| {
-        8 + committed.iter().map(|config| 8 + 4 * config.counts().len()).sum::<usize>()
-    });
-    let mut digest = SealedDigest::new(head.payload().len() + 8 * loads.len() + 1 + decisions_len);
-    digest.put_raw(head.payload());
-    for &load in loads {
-        digest.put_f64(load);
+/// The daemon's replication surface: failover, the primary's
+/// `repl.sync` answer, and the replica's apply path.
+impl Daemon {
+    /// Replica → Primary failover: seal what we have, flip the role,
+    /// start accepting writes. The committed prefix was applied through
+    /// the identical step path, so every tenant resumes bit-identically
+    /// with zero accepted-tick loss.
+    pub fn promote(&self) {
+        self.set_role(Role::Promoting);
+        self.snapshot_all();
+        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+        self.repl_lag.store(0, Ordering::Relaxed);
+        self.set_role(Role::Primary);
     }
-    match decisions {
-        None => digest.put_u8(0),
-        Some(committed) => {
-            digest.put_u8(1);
-            digest.put_usize(committed.len());
-            for config in committed {
-                let counts = config.counts();
-                digest.put_usize(counts.len());
-                for &c in counts {
-                    digest.put_u32(c);
+
+    /// Accepted-tick counts per tenant, sorted by name — what a replica
+    /// reports as `have` in `repl.sync`.
+    #[must_use]
+    pub fn replication_have(&self) -> Vec<(String, u64)> {
+        let tenants = lock_clean(&self.tenants);
+        let mut have: Vec<(String, u64)> = tenants
+            .iter()
+            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).accepted() as u64))
+            .collect();
+        have.sort();
+        have
+    }
+
+    /// Replication lag gauge (accepted ticks behind the primary after
+    /// the latest applied sync).
+    #[must_use]
+    pub fn repl_lag_ticks(&self) -> u64 {
+        self.repl_lag.load(Ordering::Relaxed)
+    }
+
+    /// Chaos hook: flip one bit of the tenant's rolling load digest —
+    /// state every later fingerprint covers — so the next fingerprint
+    /// check must trip. Gated on `allow_fault_hooks`; returns whether a
+    /// bit was flipped (not before the tenant's first accepted tick).
+    pub fn inject_divergence(&self, name: &str) -> bool {
+        if !self.options().allow_fault_hooks {
+            return false;
+        }
+        let slot = {
+            let tenants = lock_clean(&self.tenants);
+            tenants.get(name).cloned()
+        };
+        let Some(slot) = slot else { return false };
+        let mut st = lock_clean(&slot.state);
+        if st.accepted() == 0 {
+            return false;
+        }
+        st.digest.loads ^= 1 << 30;
+        true
+    }
+
+    /// The primary's answer to `repl.sync`: per non-quarantined tenant,
+    /// the WAL frames the replica is missing (hex, FNV-1a framing
+    /// intact end-to-end) within its share of [`SYNC_FRAME_CAP`]
+    /// bytes, the tenant's tick count, the durable-snapshot horizon,
+    /// and the recent fingerprint ring.
+    pub(crate) fn sync_reply(&self, replica: &str, have: &[(String, u64)]) -> String {
+        self.sync_reply_capped(replica, have, SYNC_FRAME_CAP)
+    }
+
+    /// [`Daemon::sync_reply`] with `cap` bytes of frames shared among
+    /// the lagging tenants (see [`fair_shares`], [`missing_frames`]).
+    pub(crate) fn sync_reply_capped(
+        &self,
+        replica: &str,
+        have: &[(String, u64)],
+        cap: usize,
+    ) -> String {
+        self.counters.repl_syncs.fetch_add(1, Ordering::Relaxed);
+        let have: HashMap<&str, u64> = have.iter().map(|(t, n)| (t.as_str(), *n)).collect();
+        let slots: Vec<(String, Arc<TenantSlot>)> = {
+            let tenants = lock_clean(&self.tenants);
+            let mut v: Vec<_> = tenants.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        };
+        let base = |name: &str, st: &TenantState| {
+            have.get(name).copied().unwrap_or(0).min(st.accepted() as u64)
+        };
+        // Size every backlog first, so the cap is shared fairly.
+        let needs: Vec<usize> = slots
+            .iter()
+            .map(|(name, slot)| {
+                let st = lock_clean(&slot.state);
+                if st.quarantine.is_some() {
+                    0
+                } else {
+                    backlog_bytes(&st, base(name, &st))
+                }
+            })
+            .collect();
+        let shares = fair_shares(&needs, cap);
+        let mut tenant_objs: Vec<(String, Json)> = Vec::new();
+        for ((name, slot), share) in slots.into_iter().zip(shares) {
+            let st = lock_clean(&slot.state);
+            // Quarantined state never replicates: the replica keeps its
+            // own (healthy or older) view instead of inheriting faults.
+            if st.quarantine.is_some() {
+                continue;
+            }
+            let total = st.accepted() as u64;
+            let frames = missing_frames(&st, base(&name, &st), share);
+            let fps = st.fingerprints.iter().map(fingerprint_json).collect();
+            tenant_objs.push((
+                name,
+                Json::Obj(vec![
+                    ("ticks".to_owned(), json::n(total as f64)),
+                    ("snap_k".to_owned(), json::n(st.last_snapshot_k as f64)),
+                    ("frames".to_owned(), json::s(to_hex(&frames))),
+                    ("fps2".to_owned(), Json::Arr(fps)),
+                ]),
+            ));
+        }
+        json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("role", json::s(self.role().as_str())),
+            ("replica", json::s(replica)),
+            ("tenants", Json::Obj(tenant_objs)),
+        ])
+        .to_line()
+    }
+
+    /// Apply one primary sync reply on this (replica) daemon. Frames
+    /// ride through [`wal::scan`] so transit corruption is rejected by
+    /// the same FNV-1a framing that guards the on-disk log, ticks apply
+    /// through `Daemon::tick_core` — the identical path a live tick
+    /// takes — and every unchecked fingerprint at or below our tick
+    /// count is recomputed and compared. Per-tenant failures land in
+    /// the report; only an unusable reply errors out.
+    pub fn apply_sync(&self, reply: &str) -> Result<ApplyReport, String> {
+        let value = json::parse(reply).map_err(|e| format!("sync reply is not JSON: {e}"))?;
+        if value.get("ok").and_then(Json::as_bool) != Some(true) {
+            let code = value.get("error").and_then(Json::as_str).unwrap_or("unknown");
+            return Err(format!("primary refused sync: {code}"));
+        }
+        let tenants = match value.get("tenants") {
+            Some(Json::Obj(members)) => members.clone(),
+            _ => return Err("sync reply lacks a tenants object".into()),
+        };
+        let mut report = ApplyReport::default();
+        for (name, body) in &tenants {
+            report.tenants += 1;
+            if let Err(e) = self.apply_tenant_sync(name, body, &mut report) {
+                report.errors.push(format!("{name}: {e}"));
+            }
+        }
+        self.repl_lag.store(report.lag, Ordering::Relaxed);
+        Ok(report)
+    }
+
+    fn apply_tenant_sync(
+        &self,
+        name: &str,
+        body: &Json,
+        report: &mut ApplyReport,
+    ) -> Result<(), String> {
+        let primary_ticks =
+            body.get("ticks").and_then(Json::as_u64).ok_or("tenant body lacks ticks")?;
+        let frames_hex = body.get("frames").and_then(Json::as_str).unwrap_or("");
+        let bytes = from_hex(frames_hex).ok_or("frames are not valid hex")?;
+        let WalScan { records, tail, .. } = wal::scan(&bytes);
+        if !matches!(tail, WalTail::Clean) {
+            // A bit flipped in transit: reject the whole batch before
+            // anything reaches the step path; the next sync re-ships.
+            self.counters.repl_frame_rejects.fetch_add(1, Ordering::Relaxed);
+            return Err("frame batch failed its FNV-1a integrity check".into());
+        }
+        for record in records {
+            match record {
+                WalRecord::Register(spec) => {
+                    self.do_register(name, spec).map_err(|(_, detail)| detail)?;
+                }
+                WalRecord::Tick { seq, load } => {
+                    let slot = {
+                        let tenants = lock_clean(&self.tenants);
+                        tenants.get(name).cloned()
+                    };
+                    let Some(slot) = slot else {
+                        return Err(format!("tick {seq} for an unregistered tenant"));
+                    };
+                    let mut st = lock_clean(&slot.state);
+                    match self.tick_core(&mut st, name, seq, load) {
+                        Ok((_, _, replayed)) => {
+                            if !replayed {
+                                report.applied += 1;
+                                self.counters.repl_applied.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Err((_, detail)) => return Err(detail),
+                    }
                 }
             }
         }
+        let slot = {
+            let tenants = lock_clean(&self.tenants);
+            tenants.get(name).cloned()
+        };
+        let Some(slot) = slot else {
+            // Not registered here (the reply carried no registration
+            // for it): all of it is lag.
+            report.lag += primary_ticks;
+            return Ok(());
+        };
+        let mut st = lock_clean(&slot.state);
+        report.lag += primary_ticks.saturating_sub(st.accepted() as u64);
+        if st.quarantine.is_some() {
+            return Ok(());
+        }
+        // Cross-check the primary's fingerprints against our own state
+        // — every k we have reached and not yet checked. Only `fps2`
+        // holds this layout; an older primary's `fps` ring is not read.
+        if let Some(Json::Arr(fps)) = body.get("fps2") {
+            for Fingerprint { k, fp: theirs, full } in fps.iter().filter_map(parse_fingerprint) {
+                if k == 0 || k <= st.fp_checked || k > st.accepted() as u64 {
+                    continue;
+                }
+                if full && st.decisions.len() < k as usize {
+                    continue; // undecided suffix; the next sync re-checks
+                }
+                // Our own entry at k, if we recorded one; from scratch
+                // over the in-memory prefix otherwise.
+                let recorded = st.fingerprints.iter().find(|f| f.k == k && f.full == full);
+                let ours = recorded.map_or_else(
+                    || {
+                        let k = k as usize;
+                        let decisions = full.then(|| &st.decisions.configs()[..k]);
+                        state_fingerprint(&st.spec, &st.instance.loads()[..k], decisions)
+                    },
+                    |f| f.fp,
+                );
+                st.fp_checked = k;
+                report.fp_checks += 1;
+                self.counters.fingerprint_checks.fetch_add(1, Ordering::Relaxed);
+                if ours != theirs {
+                    report.fp_mismatches += 1;
+                    self.counters.fingerprint_mismatches.fetch_add(1, Ordering::Relaxed);
+                    let detail = format!(
+                        "state fingerprint at k={k} is {ours:016x}, primary says {theirs:016x}"
+                    );
+                    self.quarantine(&mut st, name, QuarantineReason::Divergence, detail.clone());
+                    return Err(detail);
+                }
+            }
+        }
+        // The primary's durable horizon advanced past ours: seal our
+        // own snapshot (which also compacts our sealed segments).
+        if let Some(snap_k) = body.get("snap_k").and_then(Json::as_u64) {
+            if snap_k > st.last_snapshot_k as u64
+                && st.decisions.len() == st.accepted()
+                && st.accepted() as u64 >= snap_k
+            {
+                self.write_snapshot(&mut st, name);
+            }
+        }
+        Ok(())
     }
-    digest.finish()
 }
 
 /// Lowercase hex of `bytes` — how WAL frames ride inside a JSON line
@@ -308,11 +626,15 @@ pub fn run_replica(
     while !daemon.shutdown_requested() && daemon.role() == Role::Replica {
         let mut transport =
             |line: &str| client.round_trip(line).map(|v| v.to_line()).map_err(|e| e.to_string());
-        let _ = replicator.sync_once(&mut transport);
+        let report = replicator.sync_once(&mut transport);
         if replicator.maybe_promote() {
             return true;
         }
-        std::thread::sleep(interval);
+        // A capped reply left a tenant that applies cleanly behind (one
+        // whose apply fails adds no lag): catch up at once.
+        if !report.is_ok_and(|r| r.lag > 0 && r.applied > 0) {
+            std::thread::sleep(interval);
+        }
     }
     daemon.role() != Role::Replica
 }
@@ -320,17 +642,83 @@ pub fn run_replica(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::GridSpec;
+    use crate::daemon::ServeOptions;
 
-    fn spec() -> TenantSpec {
-        TenantSpec {
-            fleet: "homogeneous:4".into(),
-            algo: "b".into(),
-            engine: true,
-            cache: false,
-            grid: GridSpec::Full,
-            deadline_us: None,
-            snapshot_every: 0,
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rsz-repl-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn options(dir: &std::path::Path) -> ServeOptions {
+        ServeOptions { state_dir: dir.to_path_buf(), ..ServeOptions::default() }
+    }
+
+    /// Tick every tenant of `daemon` through `loads`.
+    fn feed(daemon: &Daemon, tenants: &[&str], loads: impl Iterator<Item = f64> + Clone) {
+        for name in tenants {
+            let reg = format!(
+                r#"{{"op":"register","tenant":"{name}","fleet":"cpu-gpu:2,1","algo":"b"}}"#
+            );
+            assert!(daemon.handle(&reg).contains("\"ok\":true"));
+            for (seq, load) in loads.clone().enumerate() {
+                let line =
+                    format!(r#"{{"op":"tick","tenant":"{name}","seq":{seq},"load":{load}}}"#);
+                assert!(daemon.handle(&line).contains("\"ok\":true"));
+            }
+        }
+    }
+
+    /// Bytes of frames a sync reply ships, over all its tenants.
+    fn frame_bytes(reply: &str) -> usize {
+        let v = json::parse(reply).unwrap();
+        let Some(Json::Obj(tenants)) = v.get("tenants") else { panic!("{reply}") };
+        tenants.iter().map(|(_, t)| t.get("frames").and_then(Json::as_str).unwrap().len() / 2).sum()
+    }
+
+    #[test]
+    fn capped_sync_replies_catch_a_fresh_replica_up_bit_identically() {
+        let (pdir, rdir) = (tmp_dir("cap-p"), tmp_dir("cap-r"));
+        let primary = Daemon::new(options(&pdir)).unwrap();
+        feed(&primary, &["x", "y", "z"], (0..120).map(|t| f64::from(t % 7) * 0.4));
+        let replica = Daemon::new(options(&rdir)).unwrap();
+        replica.set_role(Role::Replica);
+        let cap = 1000;
+        let mut syncs = 0;
+        let mut checks = 0;
+        loop {
+            let reply = primary.sync_reply_capped("r", &replica.replication_have(), cap);
+            let shipped = frame_bytes(&reply);
+            assert!(shipped <= cap, "sync {syncs} shipped {shipped} bytes of frames");
+            let v = json::parse(&reply).unwrap();
+            let Some(Json::Obj(tenants)) = v.get("tenants") else { panic!("{reply}") };
+            for (_, t) in tenants {
+                assert_eq!(t.get("ticks").and_then(Json::as_u64), Some(120), "the primary's total");
+            }
+            let report = replica.apply_sync(&reply).unwrap();
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            assert_eq!(report.fp_mismatches, 0);
+            checks += report.fp_checks;
+            syncs += 1;
+            let ready = json::parse(&replica.handle("GET /readyz")).unwrap();
+            assert_eq!(ready.get("repl_lag_ticks").and_then(Json::as_u64), Some(report.lag));
+            if report.lag == 0 {
+                break;
+            }
+            assert!(syncs < 100, "catch-up makes progress");
+        }
+        assert!(syncs > 3, "3 × 120 ticks cannot fit one capped reply ({syncs} syncs)");
+        assert!(checks > 0, "fingerprints were cross-checked on the way");
+        assert_eq!(replica.tenant_states(), primary.tenant_states());
+        // A cap below one tick still ships one per tenant, so catch-up
+        // progresses.
+        let third = Daemon::new(options(&tmp_dir("cap-t"))).unwrap();
+        third.set_role(Role::Replica);
+        let report = third.apply_sync(&primary.sync_reply_capped("t", &[], 1)).unwrap();
+        assert_eq!(report.applied, 3);
+        for dir in [pdir, rdir, tmp_dir("cap-t")] {
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -344,68 +732,74 @@ mod tests {
         assert_eq!(from_hex("ABCD"), from_hex("abcd"), "case-insensitive");
     }
 
+    /// A tenant the replica can never apply — quarantined as diverged —
+    /// takes at most its share of each capped reply: the tenants sorted
+    /// after it still catch up, and then the replica reports no lag.
     #[test]
-    fn fingerprints_are_deterministic_and_bit_sensitive() {
-        let loads = [1.0, 2.5, 0.25];
-        let decisions = vec![Config::new(vec![1]), Config::new(vec![2]), Config::new(vec![1])];
-        let a = state_fingerprint(&spec(), &loads, Some(&decisions));
-        assert_eq!(a, state_fingerprint(&spec(), &loads, Some(&decisions)));
-        // One mantissa bit in one load must change the fingerprint.
-        let mut flipped = loads;
-        flipped[1] = f64::from_bits(flipped[1].to_bits() ^ (1 << 30));
-        assert_ne!(a, state_fingerprint(&spec(), &flipped, Some(&decisions)));
-        // A different decision must change the full flavor…
-        let mut other = decisions.clone();
-        other[2] = Config::new(vec![3]);
-        assert_ne!(a, state_fingerprint(&spec(), &loads, Some(&other)));
-        // …and the loads-only flavor must ignore decisions entirely.
-        assert_eq!(
-            state_fingerprint(&spec(), &loads, None),
-            state_fingerprint(&spec(), &loads, None)
-        );
-        assert_ne!(a, state_fingerprint(&spec(), &loads, None));
+    fn a_tenant_that_never_applies_does_not_starve_the_others() {
+        let (pdir, rdir) = (tmp_dir("stuck-p"), tmp_dir("stuck-r"));
+        let primary = Daemon::new(options(&pdir)).unwrap();
+        feed(&primary, &["a", "b", "c"], (0..8).map(|t| f64::from(t % 5) * 0.5));
+        let replica = Daemon::new(options(&rdir)).unwrap();
+        replica.set_role(Role::Replica);
+        assert_eq!(replica.apply_sync(&primary.sync_reply("r", &[])).unwrap().lag, 0);
+        {
+            let slot = lock_clean(&replica.tenants).get("a").cloned().unwrap();
+            let mut st = lock_clean(&slot.state);
+            replica.quarantine(&mut st, "a", QuarantineReason::Divergence, "diverged".into());
+        }
+        // `a`'s backlog alone is several caps; `b` and `c` lag too.
+        let cap = 1000;
+        let tick = |name: &str, seqs: std::ops::Range<u32>| {
+            for seq in seqs {
+                let load = f64::from(seq % 5) * 0.5;
+                let line =
+                    format!(r#"{{"op":"tick","tenant":"{name}","seq":{seq},"load":{load}}}"#);
+                assert!(primary.handle(&line).contains("\"ok\":true"));
+            }
+        };
+        tick("a", 8..400);
+        tick("b", 8..60);
+        tick("c", 8..60);
+        let mut syncs = 0;
+        loop {
+            let reply = primary.sync_reply_capped("r", &replica.replication_have(), cap);
+            let shipped = frame_bytes(&reply);
+            assert!(shipped <= cap, "sync {syncs} shipped {shipped} bytes of frames");
+            let report = replica.apply_sync(&reply).unwrap();
+            assert_eq!(report.errors.len(), 1, "only `a` fails: {:?}", report.errors);
+            syncs += 1;
+            if report.lag == 0 {
+                break;
+            }
+            assert!(syncs < 20, "`b` and `c` must not be starved by `a`");
+        }
+        let states =
+            |d: &Daemon| d.tenant_states().into_iter().filter(|s| s.0 != "a").collect::<Vec<_>>();
+        assert_eq!(states(&replica), states(&primary));
+        let ready = replica.handle("GET /readyz");
+        assert!(ready.contains("\"quarantined\":1"), "{ready}");
+        for dir in [pdir, rdir] {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
-    /// The canonical-state envelope, laid out in full and checksummed.
-    fn sealed_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
-        let mut enc = Encoder::new();
-        enc.put_u8(1);
-        spec.encode(&mut enc);
-        enc.put_usize(loads.len());
-        for &load in loads {
-            enc.put_f64(load);
-        }
-        match decisions {
-            None => enc.put_u8(0),
-            Some(committed) => {
-                enc.put_u8(1);
-                enc.put_usize(committed.len());
-                for config in committed {
-                    enc.put_usize(config.counts().len());
-                    for &c in config.counts() {
-                        enc.put_u32(c);
-                    }
-                }
-            }
-        }
-        rsz_offline::checksum(&enc.into_sealed())
+    #[test]
+    fn fingerprint_entries_round_trip() {
+        let f = Fingerprint { k: 16, fp: 0x6f5b_41b2_0aba_6a87, full: true };
+        assert_eq!(parse_fingerprint(&fingerprint_json(&f)), Some(f));
+        let malformed = json::parse(r#"{"k":16,"fp":"not hex","full":true}"#).unwrap();
+        assert_eq!(parse_fingerprint(&malformed), None);
     }
 
     #[test]
-    fn streamed_fingerprint_equals_the_sealed_envelope_checksum() {
-        let loads: Vec<f64> = (0..40).map(|i| f64::from(i * 7 % 13) * 0.3).collect();
-        let decisions: Vec<Config> =
-            (0..40u32).map(|i| Config::new(vec![i % 4, (i * 3) % 5])).collect();
-        for k in [0, 1, 17, 40] {
-            for committed in [None, Some(&decisions[..k])] {
-                assert_eq!(
-                    state_fingerprint(&spec(), &loads[..k], committed),
-                    sealed_fingerprint(&spec(), &loads[..k], committed),
-                    "k {k}, full {}",
-                    committed.is_some()
-                );
-            }
-        }
+    fn fair_shares_never_exceed_a_need_and_split_the_rest() {
+        assert_eq!(fair_shares(&[100, 10, 1000, 0], 400), vec![100, 10, 290, 0]);
+        assert_eq!(fair_shares(&[500, 500, 500], 400), vec![133, 133, 134]);
+        assert_eq!(fair_shares(&[50, 60], 400), vec![50, 60]);
+        assert!(fair_shares(&[], 400).is_empty());
+        let tick = wal::frame(&WalRecord::Tick { seq: u64::MAX, load: -0.0 });
+        assert_eq!(tick.len(), TICK_FRAME_LEN);
     }
 
     #[test]

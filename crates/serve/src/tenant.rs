@@ -10,12 +10,13 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use rsz_core::{Instance, InstanceError, Schedule};
+use rsz_core::{Config, Instance, InstanceError, Schedule};
 use rsz_offline::GridMode;
 use rsz_online::{DegradeOptions, GracefulDegrader};
 
 use crate::protocol::ErrorCode;
 use crate::spec::{BoxController, TenantSpec};
+use crate::state::StateDigest;
 use crate::wal::WalWriter;
 
 /// The coarse-twin factory the degrader rebuilds controllers with.
@@ -151,17 +152,16 @@ impl TenantCounters {
     }
 }
 
-/// One periodic state fingerprint: FNV-1a over the tenant's sealed
-/// `RSZSNAP` canonical-state snapshot at `k` accepted ticks. `full`
-/// records whether committed decisions were folded in (they are iff the
-/// degradation ladder was off when the fingerprint was taken — with the
-/// ladder armed, decisions depend on wall-clock timings and a faithful
-/// replica may legitimately differ).
+/// One periodic state fingerprint (layout 2, see `crate::state`) at
+/// `k` accepted ticks. `full` records whether committed decisions were
+/// folded in (they are iff the degradation ladder was off when the
+/// fingerprint was taken — with the ladder armed, decisions depend on
+/// wall-clock timings and a faithful replica may legitimately differ).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Accepted-tick count the fingerprint covers.
     pub k: u64,
-    /// FNV-1a over the sealed canonical-state bytes.
+    /// The fingerprint.
     pub fp: u64,
     /// Whether committed decisions are part of the covered state.
     pub full: bool,
@@ -182,6 +182,15 @@ pub struct TenantState {
     pub instance: Instance,
     /// Committed decisions, one per decided slot.
     pub decisions: Schedule,
+    /// Rolling digests of the accepted loads and the committed
+    /// decisions, folded as they arrive: what fingerprints and
+    /// snapshots record.
+    pub(crate) digest: StateDigest,
+    /// Committed slots the history log on disk holds, checked or
+    /// written by this process (0 when its contents are unknown).
+    pub(crate) hist_len: usize,
+    /// Bytes those `hist_len` records take in the log.
+    pub(crate) hist_bytes: u64,
     /// The live controller; `None` after a panic dropped it (rebuilt
     /// from WAL + snapshot on the next recovery attempt).
     pub controller: Option<TenantDegrader>,
@@ -222,6 +231,9 @@ impl TenantState {
             spec,
             instance,
             decisions: Schedule::empty(),
+            digest: StateDigest::default(),
+            hist_len: 0,
+            hist_bytes: 0,
             controller: None,
             wal: None,
             fresh_since_snapshot: 0,
@@ -258,9 +270,33 @@ impl TenantState {
         self.instance.check_next_load(load).map_err(|e| load_error(load, &e))
     }
 
-    /// Accept one validated load: reveal it as the next slot.
+    /// Accept one validated load: reveal it as the next slot and fold
+    /// it into the load digest.
     pub fn accept_load(&mut self, load: f64) -> Result<(), String> {
+        self.instance.push_load(load).map_err(|e| load_error(load, &e))?;
+        self.digest.fold_load(load);
+        Ok(())
+    }
+
+    /// Reveal an already accepted (and digested) load again as the
+    /// next slot — recovery replay re-reveals the undecided suffix.
+    pub fn reveal_load(&mut self, load: f64) -> Result<(), String> {
         self.instance.push_load(load).map_err(|e| load_error(load, &e))
+    }
+
+    /// Commit the decision for the next slot.
+    pub fn commit(&mut self, config: Config) {
+        self.digest.fold_decision(&config);
+        self.decisions.push(config);
+    }
+
+    /// Forget every committed decision (recovery rebuilds them), and
+    /// with them what is known of the history log.
+    pub fn reset_decisions(&mut self) {
+        self.decisions = Schedule::empty();
+        self.digest.decisions = StateDigest::default().decisions;
+        self.hist_len = 0;
+        self.hist_bytes = 0;
     }
 
     /// The degrade options this tenant's spec selects, given the daemon

@@ -29,7 +29,11 @@
 //! happens only at record boundaries, so a torn tail is legal **only**
 //! in the active segment — a short sealed segment is corruption.
 //! Sealed segments fully covered by a durable snapshot are deleted
-//! (compaction), which is what bounds the log's size.
+//! (compaction), which is what bounds the log's size: the snapshot's
+//! history log (`<tenant>.hist`, `crate::state`) holds every load up
+//! to the snapshot, written with this module's framing before the
+//! snapshot's rename. Once compaction has run, recovery needs that history: the log alone
+//! no longer starts at seq 0.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -116,12 +120,49 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
 /// Frame one record: length, payload, checksum.
 #[must_use]
 pub fn frame(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
+    frame_payload(&encode_payload(record))
+}
+
+/// Frame any payload the way the WAL frames its records. The history
+/// log (`crate::state`) shares this framing.
+#[must_use]
+pub(crate) fn frame_payload(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&u32::try_from(payload.len()).expect("record fits u32").to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out
+}
+
+/// The frame starting at byte `at` of `bytes`: its payload and the
+/// offset just past it, `None` at a clean end, or the tail that ends
+/// the intact prefix at `at` (torn, or failing its integrity check).
+pub(crate) fn next_frame(bytes: &[u8], at: usize) -> Result<Option<(&[u8], usize)>, WalTail> {
+    let rest = &bytes[at..];
+    if rest.is_empty() {
+        return Ok(None);
+    }
+    if rest.len() < 4 {
+        return Err(WalTail::Torn { at });
+    }
+    let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+    if len > MAX_RECORD {
+        return Err(WalTail::Corrupt { start: at, end: at + 4, what: "impossible record length" });
+    }
+    let framed = 4 + len + 8;
+    if rest.len() < framed {
+        return Err(WalTail::Torn { at });
+    }
+    let payload = &rest[4..4 + len];
+    let stored = u64::from_le_bytes(rest[4 + len..framed].try_into().expect("8 bytes"));
+    if checksum(payload) != stored {
+        return Err(WalTail::Corrupt {
+            start: at + 4,
+            end: at + 4 + len,
+            what: "record failed its FNV-1a check",
+        });
+    }
+    Ok(Some((payload, at + framed)))
 }
 
 /// Scan a WAL image into records plus a tail classification. Never
@@ -132,53 +173,23 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut at = 0usize;
     loop {
-        if at == bytes.len() {
-            return WalScan { records, intact_len: at, tail: WalTail::Clean };
-        }
-        let rest = &bytes[at..];
-        if rest.len() < 4 {
-            return WalScan { records, intact_len: at, tail: WalTail::Torn { at } };
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_RECORD {
-            return WalScan {
-                records,
-                intact_len: at,
-                tail: WalTail::Corrupt { start: at, end: at + 4, what: "impossible record length" },
-            };
-        }
-        let framed = 4 + len + 8;
-        if rest.len() < framed {
-            return WalScan { records, intact_len: at, tail: WalTail::Torn { at } };
-        }
-        let payload = &rest[4..4 + len];
-        let stored = u64::from_le_bytes(rest[4 + len..framed].try_into().expect("8 bytes"));
-        if checksum(payload) != stored {
-            return WalScan {
-                records,
-                intact_len: at,
-                tail: WalTail::Corrupt {
-                    start: at + 4,
-                    end: at + 4 + len,
-                    what: "record failed its FNV-1a check",
-                },
-            };
-        }
-        match decode_payload(payload) {
-            Ok(record) => records.push(record),
-            Err(_) => {
-                return WalScan {
-                    records,
-                    intact_len: at,
-                    tail: WalTail::Corrupt {
-                        start: at + 4,
-                        end: at + 4 + len,
-                        what: "record checksum ok but contents undecodable",
-                    },
+        let tail = match next_frame(bytes, at) {
+            Ok(None) => WalTail::Clean,
+            Ok(Some((payload, end))) => match decode_payload(payload) {
+                Ok(record) => {
+                    records.push(record);
+                    at = end;
+                    continue;
                 }
-            }
-        }
-        at += framed;
+                Err(_) => WalTail::Corrupt {
+                    start: at + 4,
+                    end: end - 8,
+                    what: "record checksum ok but contents undecodable",
+                },
+            },
+            Err(tail) => tail,
+        };
+        return WalScan { records, intact_len: at, tail };
     }
 }
 
@@ -256,6 +267,12 @@ pub fn wal_path(dir: &Path, tenant: &str) -> PathBuf {
 #[must_use]
 pub fn snap_path(dir: &Path, tenant: &str) -> PathBuf {
     dir.join(format!("{tenant}.snap"))
+}
+
+/// `<dir>/<tenant>.hist` — the tenant's history log (`crate::state`).
+#[must_use]
+pub fn hist_path(dir: &Path, tenant: &str) -> PathBuf {
+    dir.join(format!("{tenant}.hist"))
 }
 
 /// `<dir>/<tenant>.NNNNNNNNNNNN.walseg` — a sealed segment running

@@ -11,7 +11,8 @@
 //! 2. **`apply_sync` is total** — a replica fed arbitrary reply lines,
 //!    bit-flipped frame batches, or reordered frames rejects them with
 //!    structured errors (`repl_frame_rejects`, per-tenant report
-//!    errors) and stays fully serviceable.
+//!    errors) and stays fully serviceable; an older primary's layout-1
+//!    fingerprint ring is never read, never quarantining.
 //! 3. **Failover idempotency** — under an arbitrary retransmit mask
 //!    (every seq sent once, then any subset re-sent in any order, as a
 //!    failing-over client would) the committed prefix is never
@@ -224,6 +225,46 @@ proptest! {
         let report = replica.apply_sync(&reply).unwrap();
         prop_assert_eq!(report.applied, loads.len() as u64);
         prop_assert!(report.errors.is_empty(), "{:?}", report.errors);
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// An older primary's fingerprint ring — layout 1, under the `fps`
+    /// key — is skipped whatever values it carries: never checked,
+    /// never quarantining the tenant.
+    #[test]
+    fn layout_one_fingerprints_are_skipped_not_quarantined(
+        loads in prop::collection::vec(0.0..3.0_f64, 1..12),
+        entries in prop::collection::vec((1u64..12, 0u64..u64::MAX), 1..8),
+    ) {
+        let primary_dir = tmp_dir("layout-primary");
+        let primary = Daemon::new(options(&primary_dir)).unwrap();
+        assert!(primary.handle(&register_line("t")).contains("\"ok\":true"));
+        for (i, &l) in loads.iter().enumerate() {
+            primary.handle(&tick_line("t", i as u64, l));
+        }
+        let reply = primary.handle(r#"{"op":"repl.sync","replica":"r1","have":{}}"#);
+        let fps: Vec<String> = entries
+            .iter()
+            .map(|&(k, fp)| format!(r#"{{"k":{k},"fp":"{fp:016x}","full":true}}"#))
+            .collect();
+        let v = json::parse(&reply).unwrap();
+        let ring = v.get("tenants").and_then(|t| t.get("t")).and_then(|t| t.get("fps2")).unwrap();
+        let foreign = reply.replacen(
+            &format!("\"fps2\":{}", ring.to_line()),
+            &format!("\"fps\":[{}]", fps.join(",")),
+            1,
+        );
+        prop_assert!(foreign != reply, "the ring was replaced");
+
+        let replica_dir = tmp_dir("layout-replica");
+        let replica = Daemon::new(options(&replica_dir)).unwrap();
+        replica.set_role(Role::Replica);
+        let report = replica.apply_sync(&foreign).unwrap();
+        prop_assert_eq!(report.applied, loads.len() as u64);
+        prop_assert_eq!((report.fp_checks, report.fp_mismatches), (0, 0));
+        prop_assert!(report.errors.is_empty(), "{:?}", report.errors);
+        prop_assert!(replica.handle("GET /readyz").contains("\"quarantined\":0"));
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }

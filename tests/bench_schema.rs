@@ -80,6 +80,34 @@ fn serve_trajectory_carries_failover_and_divergence_fields() {
 }
 
 #[test]
+fn serve_trajectory_carries_the_age_row() {
+    // The age row records what a serve tick costs as a tenant ages:
+    // mean and p99 tick and bytes per snapshot at 1k, 4k and 16k slots,
+    // and the 16k/1k ratios the bench gates (at ≤ 1.2; the bytes ratio
+    // in every mode, the timing ratios in full mode).
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let body = fs::read_to_string(root.join("BENCH_serve.json"))
+        .unwrap_or_else(|e| panic!("BENCH_serve.json unreadable: {e}"));
+    assert!(body.contains("\"scenario\": \"age\""), "BENCH_serve.json lacks the age row");
+    for age in ["1k", "4k", "16k"] {
+        for metric in ["tick_mean_us", "tick_p99_us", "snapshot_bytes"] {
+            let key = format!("{metric}_{age}");
+            let got = number_of(&body, &key)
+                .unwrap_or_else(|| panic!("BENCH_serve.json is missing a numeric `{key}`"));
+            assert!(got > 0.0, "BENCH_serve.json: `{key}` is {got}");
+        }
+    }
+    let full = body.contains("\"quick\": false");
+    for key in ["tick_mean_ratio", "tick_p99_ratio", "snapshot_bytes_ratio"] {
+        let got = number_of(&body, key)
+            .unwrap_or_else(|| panic!("BENCH_serve.json is missing a numeric `{key}`"));
+        if full || key == "snapshot_bytes_ratio" {
+            assert!(got <= 1.2, "BENCH_serve.json: `{key}` {got} is above the 1.2 gate");
+        }
+    }
+}
+
+#[test]
 fn all_bench_trajectories_carry_the_required_keys() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut checked = 0usize;

@@ -198,3 +198,33 @@ fn simulate_reports_latency_and_engine_parity() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `rsz simulate --resume` files written before the controller state
+/// layouts changed (Algorithm B's power-up log, C's per-slot sub-slot
+/// log; snapshot envelope version 1) still resume, and the completed
+/// schedule equals the uninterrupted run the same build recorded.
+#[test]
+fn version_one_resume_files_still_resume_bit_identically() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/simulate_v1");
+    let dir = std::env::temp_dir().join(format!("rsz-cli-resume-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (algo, name) in [("b", "b"), ("c:0.5", "c")] {
+        let snap = dir.join(format!("{name}.snap"));
+        std::fs::copy(fixtures.join(format!("{name}.snap")), &snap).unwrap();
+        let out_csv = dir.join(format!("{name}.csv"));
+        let out = rsz()
+            .args(["simulate", "--fleet", "cpu-gpu:4,2", "--algo", algo, "--trace"])
+            .arg(fixtures.join("trace.csv"))
+            .arg("--resume")
+            .arg(&snap)
+            .arg("--out")
+            .arg(&out_csv)
+            .output()
+            .expect("spawn rsz");
+        assert!(out.status.success(), "{algo}: {}", String::from_utf8_lossy(&out.stderr));
+        let want = std::fs::read_to_string(fixtures.join(format!("{name}.schedule.csv"))).unwrap();
+        assert_eq!(std::fs::read_to_string(&out_csv).unwrap(), want, "{algo}: schedule differs");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

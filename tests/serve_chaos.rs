@@ -8,8 +8,11 @@
 //! 2. **Storage faults** — WAL truncation recovers the intact prefix;
 //!    WAL bit flips quarantine (with the failing byte range) or resume
 //!    a valid prefix, never panic; a vanished snapshot means a full WAL
-//!    replay; a corrupted snapshot falls back to the WAL without
-//!    quarantining.
+//!    replay; a corrupted snapshot, or a history log that is missing,
+//!    torn or bit-flipped, falls back to the WAL without quarantining —
+//!    or, once compaction deleted the WAL's start, quarantines with a
+//!    structured reason; a history log ahead of its snapshot (a crash
+//!    between the append and the rename) is cut back and used.
 //! 3. **Transport faults** — connections dropped mid-line and partial
 //!    JSON writes against a real TCP server never take the daemon down.
 //! 4. **Isolation** — a quarantined tenant (poisoned λ, mid eviction
@@ -377,42 +380,94 @@ fn wal_bit_flip_quarantines_or_resumes_a_prefix() {
     }
 }
 
+/// The snapshot and history-log faults every recovery test runs.
+const STATE_FAULTS: [&str; 6] =
+    ["missing", "corrupt", "hist-missing", "hist-torn", "hist-flip", "hist-ahead"];
+
 /// Snapshot missing, WAL present: recovery replays the full WAL and the
-/// result is bit-identical. Snapshot corrupted: recovery notices, falls
+/// result is bit-identical. Snapshot corrupted, or its history log
+/// missing, torn mid-record or bit-flipped: recovery notices, falls
 /// back to the WAL (`snapshot_fallbacks`), and does *not* quarantine.
-/// The long trace replays 4100 ticks from the WAL alone.
+/// History log ahead of the snapshot (the previous snapshot put back,
+/// as a crash between the append and the rename leaves it): the log is
+/// cut back to the snapshot and used. The long trace replays 4100 ticks
+/// from the WAL alone.
 #[test]
 fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
     let c = &combos()[0];
     let expect = baseline(c, 3);
     let loads = loads();
     for seed in seeds() {
-        for mode in ["missing", "corrupt"] {
+        for mode in STATE_FAULTS {
             let dir = tmp_dir(&format!("snap-{mode}-{seed}"));
             let daemon = Daemon::new(options(&dir)).unwrap();
             assert_ok(&daemon.handle(&register_line("t", c, 3)));
+            let previous = dir.with_extension("previous-snap");
             for (i, &l) in loads.iter().enumerate() {
                 daemon.handle(&tick_line("t", i, l));
+                if i + 1 == 6 {
+                    // The snapshot at k = 6; the last one is at k = 9.
+                    std::fs::copy(wal::snap_path(&dir, "t"), &previous).unwrap();
+                }
             }
             drop(daemon);
-            damage_snapshot_and_check(&dir, &loads, 3, &expect, seed, mode);
+            damage_snapshot_and_check(&dir, &loads, 3, &expect, seed, mode, &previous);
+            let _ = std::fs::remove_file(&previous);
         }
     }
     let long = long_loads();
-    let expect = long_reference_run("snap", c, &long, &[long.len()]);
+    let before = long.len() - 10; // the previous snapshot, at k = 4080
+    let expect = long_reference_run("snap", c, &long, &[before, long.len()]);
     let image = kill_image("snap", c, long.len());
-    for mode in ["missing", "corrupt"] {
+    let previous = wal::snap_path(&kill_image("snap", c, before), "t");
+    for mode in STATE_FAULTS {
         let dir = tmp_dir(&format!("snap-{mode}-long"));
         copy_dir(&image, &dir);
-        damage_snapshot_and_check(&dir, &long, DEFAULT_CADENCE, &expect, seeds()[0], mode);
+        let seed = seeds()[0];
+        damage_snapshot_and_check(&dir, &long, DEFAULT_CADENCE, &expect, seed, mode, &previous);
     }
     let _ = std::fs::remove_dir_all(&image);
+    let _ = std::fs::remove_dir_all(kill_image("snap", c, before));
 }
 
-/// Lose or corrupt the snapshot in the state directory `dir` of a
-/// dropped daemon that took all of `loads`, as `mode` and the seeded
-/// plan say, restart, and check every replayed decision against
-/// `expect`.
+/// Damage the snapshot or history log in `dir` as `mode` and the seeded
+/// plan say: lose or flip the snapshot, lose the history log, tear it
+/// mid-record, flip one of its bits, or put the `previous` snapshot
+/// back so the log runs ahead of it. Returns whether recovery must
+/// still restore from the snapshot (no WAL-replay fallback).
+fn damage_state(dir: &Path, seed: u64, mode: &str, previous: &Path) -> bool {
+    let plan = daemon_plan(seed);
+    let snap = wal::snap_path(dir, "t");
+    let hist = wal::hist_path(dir, "t");
+    assert!(snap.exists() && hist.exists(), "{mode}: nothing to damage");
+    let flip = |path: &Path| {
+        let mut bytes = std::fs::read(path).unwrap();
+        plan.flip_wal(&mut bytes); // reuse the seeded flip position
+        std::fs::write(path, &bytes).unwrap();
+    };
+    match mode {
+        "missing" => std::fs::remove_file(&snap).unwrap(),
+        "corrupt" if plan.drop_snapshot => std::fs::remove_file(&snap).unwrap(),
+        "corrupt" => flip(&snap),
+        "hist-missing" => std::fs::remove_file(&hist).unwrap(),
+        "hist-torn" => {
+            // Inside the last record (each is longer than 17 bytes).
+            let len = std::fs::metadata(&hist).unwrap().len();
+            wal::truncate_file(&hist, (len - 1 - seed % 17) as usize).unwrap();
+        }
+        "hist-flip" => flip(&hist),
+        "hist-ahead" => {
+            std::fs::copy(previous, &snap).unwrap();
+            return true;
+        }
+        other => panic!("unknown fault {other}"),
+    }
+    false
+}
+
+/// Damage the state of a dropped daemon in `dir` that took all of
+/// `loads` ([`damage_state`]), restart, and check every replayed
+/// decision against `expect`.
 fn damage_snapshot_and_check(
     dir: &Path,
     loads: &[f64],
@@ -420,22 +475,26 @@ fn damage_snapshot_and_check(
     expect: &[Vec<u64>],
     seed: u64,
     mode: &str,
+    previous: &Path,
 ) {
-    let plan = daemon_plan(seed);
-    let snap = wal::snap_path(dir, "t");
-    assert!(snap.exists(), "cadence {snapshot_every} over {} ticks must snapshot", loads.len());
-    if mode == "missing" || plan.drop_snapshot {
-        std::fs::remove_file(&snap).unwrap();
-    } else {
-        let mut bytes = std::fs::read(&snap).unwrap();
-        plan.flip_wal(&mut bytes); // reuse the seeded flip position
-        std::fs::write(&snap, &bytes).unwrap();
-    }
+    assert!(
+        wal::snap_path(dir, "t").exists(),
+        "cadence {snapshot_every} over {} ticks must snapshot",
+        loads.len()
+    );
+    let hist_len = std::fs::metadata(wal::hist_path(dir, "t")).unwrap().len();
+    let restores = damage_state(dir, seed, mode, previous);
 
     let daemon = Daemon::new(options(dir)).unwrap();
     assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1);
     let health = daemon.handle("GET /health");
     assert!(health.contains("\"quarantined\":0"), "{mode}/{seed}: {health}");
+    if restores {
+        let fallbacks = daemon.counters.snapshot_fallbacks.load(Ordering::Relaxed);
+        assert_eq!(fallbacks, 0, "{mode}/{seed}: the older snapshot must restore");
+        let cut = std::fs::metadata(wal::hist_path(dir, "t")).unwrap().len();
+        assert!(cut < hist_len, "{mode}/{seed}: records past the snapshot must be cut off");
+    }
     for (i, &l) in loads.iter().enumerate() {
         let reply = daemon.handle(&tick_line("t", i, l));
         assert_eq!(decided(&reply), expect[i], "{mode}/{seed} seq {i}: {reply}");
@@ -607,7 +666,7 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
     let expect = baseline(c, 3);
     let loads = loads();
     let offsets: Vec<usize> =
-        if quick() { vec![1, 4, loads.len()] } else { (1..=loads.len()).collect() };
+        if quick() { vec![1, 3, 4, loads.len()] } else { (1..=loads.len()).collect() };
     for kill_at in offsets {
         let dir = tmp_dir(&format!("rot-{kill_at}"));
         let opts = ServeOptions { segment_bytes: 1, ..options(&dir) };
@@ -628,6 +687,9 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
         assert_eq!(m.get("segments_sealed").and_then(Json::as_u64), Some(sealed));
         assert_eq!(m.get("segments_compacted").and_then(Json::as_u64), Some(compacted));
         drop(daemon); // kill -9: no shutdown, no final snapshot
+        if kill_at >= 3 {
+            history_faults_after_compaction_quarantine(&dir, &opts, &expect, kill_at);
+        }
 
         let daemon = Daemon::new(opts).unwrap();
         let v = json::parse(&daemon.handle(&register_line("t", c, 3))).unwrap();
@@ -641,6 +703,42 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
             assert_eq!(decided(&reply), expect[i], "kill_at {kill_at} seq {i}: {reply}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The WAL of `dir` no longer starts at seq 0 (compaction deleted the
+/// segments the snapshot covers — at some offsets every tick it held),
+/// so a missing snapshot, or a history log that is missing, torn or
+/// bit-flipped, leaves nothing to replay: the tenant must quarantine
+/// with a structured reason, and no tick may ever be answered with a
+/// wrong decision.
+fn history_faults_after_compaction_quarantine(
+    dir: &Path,
+    opts: &ServeOptions,
+    expect: &[Vec<u64>],
+    kill_at: usize,
+) {
+    for mode in ["missing", "hist-missing", "hist-torn", "hist-flip"] {
+        let copy = tmp_dir(&format!("rot-{kill_at}-{mode}"));
+        copy_dir(dir, &copy);
+        damage_state(&copy, 7, mode, Path::new("unused"));
+        let daemon = Daemon::new(ServeOptions { state_dir: copy.clone(), ..opts.clone() }).unwrap();
+        let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
+        let reason = m
+            .get("tenants")
+            .and_then(|t| t.get("t"))
+            .and_then(|t| t.get("quarantined"))
+            .and_then(Json::as_str);
+        assert_eq!(reason, Some("wal_corrupt"), "kill_at {kill_at} {mode}");
+        for (i, &l) in loads().iter().enumerate() {
+            let reply = daemon.handle(&tick_line("t", i, l));
+            if reply.contains("\"ok\":true") {
+                assert_eq!(decided(&reply), expect[i], "kill_at {kill_at} {mode} seq {i}");
+            } else {
+                assert!(reply.contains("compacted"), "unstructured: {reply}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&copy);
     }
 }
 

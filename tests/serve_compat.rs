@@ -1,16 +1,33 @@
-//! Compatibility of tenant specs across the retirement of the
-//! `engine`/`cache` solver flags: both keys stay on the wire and in the
-//! encoded spec as inert records of what the client sent, so WALs,
-//! snapshots and replica fingerprints written before the retirement
-//! still decode and match. The pinned spec bytes, fingerprint and
-//! `.snap` bytes also hold the daemon's on-disk and replica formats
-//! fixed across internal rewrites of the tick path.
+//! Compatibility of the daemon's on-disk and replica formats.
+//!
+//! * Tenant specs: the retired `engine`/`cache` solver flags stay on the
+//!   wire and in the encoded spec as inert records of what the client
+//!   sent, so WALs, snapshots and fingerprints written before the
+//!   retirement still decode and match. The spec bytes are pinned.
+//! * Current formats: the layout-2 fingerprint, the format-3 `.snap` and
+//!   the `.hist` history log of a fixed 16-tick run are pinned, which
+//!   holds them fixed across internal rewrites of the tick path.
+//! * Read side: state directories written in format 2 (`.snap` with the
+//!   full load prefix and a `save_run` image inside) are committed under
+//!   `tests/fixtures/`. The current daemon recovers them, answers every
+//!   duplicate seq with the recorded decision, and continues exactly
+//!   like a direct run of the same controller. The format-2 and
+//!   layout-1 constants stay as the values those fixtures were pinned
+//!   by; a replica does not read an older primary's layout-1 ring.
 
-use heterogeneous_rightsizing::offline::{checksum, Encoder};
+use std::path::{Path, PathBuf};
+
+use heterogeneous_rightsizing::offline::{checksum, Decoder, Encoder};
+use heterogeneous_rightsizing::online::{
+    restore_run, DegradeOptions, GracefulDegrader, OnlineAlgorithm,
+};
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::serve::json::{self, Json};
 use heterogeneous_rightsizing::serve::protocol::parse_request;
-use heterogeneous_rightsizing::serve::{state_fingerprint, wal, Daemon, Request, ServeOptions};
+use heterogeneous_rightsizing::serve::{
+    build_controller, state_fingerprint, to_hex, wal, Daemon, Request, Role, ServeOptions,
+    TenantSpec,
+};
 
 const DEFAULT: &str = r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:4,2","algo":"b"}"#;
 const RETIRED: &str = r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:4,2","algo":"b","engine":false,"cache":true}"#;
@@ -18,18 +35,65 @@ const RETIRED: &str = r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:4,2","al
 /// `TenantSpec::encode` of [`DEFAULT`], recorded before the retirement.
 const DEFAULT_SPEC_HEX: &str = "0b000000000000006370752d6770753a342c32010000000000000062010000ffffffffffffffff0000000000000000";
 
-/// `state_fingerprint` of [`DEFAULT`] after the 16 ticks of [`loads`]
-/// (full flavor), recorded before the retirement.
+/// Layout-1 fingerprint of [`DEFAULT`] after the 16 ticks of [`loads`]
+/// (full flavor): FNV-1a over the whole canonical state in a version-1
+/// `RSZSNAP` envelope. Read side only: [`layout_one_fingerprint`].
 const DEFAULT_FINGERPRINT: u64 = 0x6f5b_41b2_0aba_6a87;
 
-/// Length and `checksum` of [`DEFAULT`]'s `.snap` file after the 16
-/// ticks of [`loads`] (one snapshot at the default cadence of 16),
-/// recorded before tenants kept their prefix instance across ticks.
+/// Length and `checksum` of [`DEFAULT`]'s format-2 `.snap` after the 16
+/// ticks of [`loads`] — the committed `format2_default` fixture.
 const DEFAULT_SNAP_LEN: usize = 1026;
 const DEFAULT_SNAP_CHECKSUM: u64 = 0xf17a_8a4b_8476_7426;
 
+/// Layout-2 fingerprint of the same state.
+const DEFAULT_FINGERPRINT_V2: u64 = 0x509c_14db_bd97_4487;
+
+/// Length and `checksum` of the format-3 `.snap` and of the `.hist` log
+/// the same run writes now.
+const DEFAULT_SNAP3_LEN: usize = 482;
+const DEFAULT_SNAP3_CHECKSUM: u64 = 0x90e1_ebd8_0c03_1643;
+const DEFAULT_HIST_LEN: usize = 704;
+const DEFAULT_HIST_CHECKSUM: u64 = 0xcfda_9221_80d1_4ede;
+
 fn loads() -> Vec<f64> {
-    (0..16).map(|i| f64::from((i * 7 % 11) as u32) * 0.9).collect()
+    default_loads(16)
+}
+
+/// The `format2_default` trace, extended past the fixture's 16 ticks.
+fn default_loads(n: u32) -> Vec<f64> {
+    (0..n).map(|i| f64::from(i * 7 % 11) * 0.9).collect()
+}
+
+/// The `format2_compacted` trace (52 ticks in the fixture), extended.
+fn compacted_loads(n: u32) -> Vec<f64> {
+    (0..n).map(|i| 8.0 * (f64::from(i) * 0.618_033_988_749_895).fract()).collect()
+}
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rsz-serve-compat-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn options(dir: &Path) -> ServeOptions {
+    ServeOptions { state_dir: dir.to_path_buf(), ..ServeOptions::default() }
+}
+
+fn tick_line(tenant: &str, seq: usize, load: f64) -> String {
+    format!(r#"{{"op":"tick","tenant":"{tenant}","seq":{seq},"load":{load}}}"#)
+}
+
+/// A decision reply's config and `replayed` flag.
+fn decided(reply: &str) -> (Config, bool) {
+    let v = json::parse(reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
+    let config = match v.get("config") {
+        Some(Json::Arr(items)) => {
+            Config::new(items.iter().map(|c| c.as_u64().unwrap() as u32).collect())
+        }
+        other => panic!("no decision ({other:?}) in {reply}"),
+    };
+    (config, v.get("replayed").and_then(Json::as_bool) == Some(true))
 }
 
 /// Register `line` on a fresh daemon and return its 16 decisions.
@@ -38,60 +102,269 @@ fn decisions(line: &str, tag: &str) -> Vec<Config> {
 }
 
 /// Register `line` on a fresh daemon, feed it the 16 ticks of
-/// [`loads`], and return its decisions plus the bytes of its `.snap`.
-fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>) {
-    let dir = std::env::temp_dir().join(format!("rsz-serve-compat-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let daemon =
-        Daemon::new(ServeOptions { state_dir: dir.clone(), ..ServeOptions::default() }).unwrap();
+/// [`loads`], and return its decisions plus the bytes of its `.snap` and
+/// `.hist`.
+fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>, Vec<u8>) {
+    let dir = tmp_dir(tag);
+    let daemon = Daemon::new(options(&dir)).unwrap();
     let reply = json::parse(&daemon.handle(line)).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{line}");
     let out = loads()
         .iter()
         .enumerate()
-        .map(|(seq, load)| {
-            let line = format!(r#"{{"op":"tick","tenant":"t","seq":{seq},"load":{load}}}"#);
-            let reply = daemon.handle(&line);
-            match json::parse(&reply).unwrap().get("config") {
-                Some(Json::Arr(items)) => {
-                    Config::new(items.iter().map(|c| c.as_u64().unwrap() as u32).collect())
-                }
-                other => panic!("no decision ({other:?}) in {reply}"),
-            }
-        })
+        .map(|(seq, &load)| decided(&daemon.handle(&tick_line("t", seq, load))).0)
         .collect();
     let snap = std::fs::read(wal::snap_path(&dir, "t")).expect("a snapshot at 16 ticks");
+    let hist = std::fs::read(wal::hist_path(&dir, "t")).expect("a history log at 16 ticks");
     std::fs::remove_dir_all(&dir).ok();
-    (out, snap)
+    (out, snap, hist)
+}
+
+/// The fixture under `tests/fixtures/NAME`: its state directory and
+/// the decisions the format-2 daemon answered, in seq order.
+fn fixture(name: &str) -> (PathBuf, Vec<Config>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let text = std::fs::read_to_string(root.join("decisions.txt")).unwrap();
+    let recorded = text
+        .lines()
+        .enumerate()
+        .map(|(seq, line)| {
+            let mut fields = line.split_whitespace().map(|f| f.parse::<u32>().unwrap());
+            assert_eq!(fields.next(), Some(seq as u32), "decisions.txt is in seq order");
+            Config::new(fields.collect())
+        })
+        .collect();
+    (root.join("state"), recorded)
+}
+
+/// The spec a register line names.
+fn spec_of(line: &str) -> TenantSpec {
+    let Ok(Request::Register { spec, .. }) = parse_request(line) else { panic!("parses") };
+    spec
+}
+
+/// A direct run of `spec`'s controller over `loads`, slot by slot over
+/// the revealed prefix — what the daemon must reproduce.
+fn direct_run(spec: &TenantSpec, loads: &[f64]) -> Vec<Config> {
+    let prefix = |n: usize| {
+        Instance::builder()
+            .server_types(spec.server_types().unwrap())
+            .loads(loads[..n].to_vec())
+            .build()
+            .unwrap()
+    };
+    let mut controller = build_controller(spec, &prefix(1), spec.grid.mode()).unwrap();
+    (0..loads.len()).map(|t| controller.decide(&prefix(t + 1), t)).collect()
+}
+
+/// The layout-1 fingerprint, computed the way older builds did: FNV-1a
+/// of the canonical state sealed in a version-1 `RSZSNAP` envelope.
+fn layout_one_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: &[Config]) -> u64 {
+    let mut enc = Encoder::new();
+    enc.put_u8(1);
+    spec.encode(&mut enc);
+    enc.put_usize(loads.len());
+    for &load in loads {
+        enc.put_f64(load);
+    }
+    enc.put_u8(1);
+    enc.put_usize(decisions.len());
+    for config in decisions {
+        enc.put_usize(config.counts().len());
+        for &c in config.counts() {
+            enc.put_u32(c);
+        }
+    }
+    let payload = enc.payload();
+    let mut sealed = b"RSZSNAP\x01".to_vec();
+    sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    sealed.extend_from_slice(payload);
+    sealed.extend_from_slice(&checksum(payload).to_le_bytes());
+    checksum(&sealed)
 }
 
 #[test]
 fn retired_engine_and_cache_keys_decide_like_a_default_register() {
-    let Ok(Request::Register { spec, .. }) = parse_request(RETIRED) else { panic!("parses") };
+    let spec = spec_of(RETIRED);
     assert!(!spec.engine && spec.cache, "the keys are recorded verbatim");
     assert_eq!(decisions(RETIRED, "retired"), decisions(DEFAULT, "default"));
 }
 
 #[test]
 fn default_tenant_spec_bytes_and_fingerprint_are_pinned() {
-    let Ok(Request::Register { spec, .. }) = parse_request(DEFAULT) else { panic!("parses") };
+    let spec = spec_of(DEFAULT);
     let mut enc = Encoder::new();
     spec.encode(&mut enc);
     let hex: String = enc.payload().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, DEFAULT_SPEC_HEX, "encoded TenantSpec bytes changed");
-    let fingerprint = state_fingerprint(&spec, &loads(), Some(&decisions(DEFAULT, "pinned")));
-    assert_eq!(fingerprint, DEFAULT_FINGERPRINT, "state fingerprint changed: {fingerprint:#018x}");
+    let decided = decisions(DEFAULT, "pinned");
+    let fingerprint = state_fingerprint(&spec, &loads(), Some(&decided));
+    assert_eq!(
+        fingerprint, DEFAULT_FINGERPRINT_V2,
+        "state fingerprint changed: {fingerprint:#018x}"
+    );
+    // The layout-1 pin still describes the same state, and the format-2
+    // fixture recorded exactly these decisions.
+    assert_eq!(layout_one_fingerprint(&spec, &loads(), &decided), DEFAULT_FINGERPRINT);
+    assert_eq!(fixture("format2_default").1, decided);
 }
 
 #[test]
 fn default_tenant_snapshot_bytes_are_pinned() {
-    let (_, snap) = run(DEFAULT, "snap");
-    let sum = checksum(&snap);
+    let (_, snap, hist) = run(DEFAULT, "snap");
+    let (snap_sum, hist_sum) = (checksum(&snap), checksum(&hist));
     assert_eq!(
-        (snap.len(), sum),
-        (DEFAULT_SNAP_LEN, DEFAULT_SNAP_CHECKSUM),
-        "snapshot bytes changed: len {}, checksum {sum:#018x}",
+        (snap.len(), snap_sum),
+        (DEFAULT_SNAP3_LEN, DEFAULT_SNAP3_CHECKSUM),
+        "snapshot bytes changed: len {}, checksum {snap_sum:#018x}",
         snap.len()
     );
+    assert_eq!(
+        (hist.len(), hist_sum),
+        (DEFAULT_HIST_LEN, DEFAULT_HIST_CHECKSUM),
+        "history bytes changed: len {}, checksum {hist_sum:#018x}",
+        hist.len()
+    );
+    // The committed format-2 fixture is the file the old pin describes.
+    let old = std::fs::read(fixture("format2_default").0.join("t.snap")).unwrap();
+    assert_eq!((old.len(), checksum(&old)), (DEFAULT_SNAP_LEN, DEFAULT_SNAP_CHECKSUM));
+}
+
+/// Copy the fixture state directory `from` to a fresh `to`.
+fn copy_state(from: &Path, tag: &str) -> PathBuf {
+    let to = tmp_dir(tag);
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+    to
+}
+
+/// Recover the format-2 fixture `name` (tenant `tenant`, registered by
+/// `register`, fed `loads[..recorded.len()]`), answer every duplicate
+/// from history, continue through all of `loads`, and check the result
+/// against the recorded decisions and a direct run — then kill the
+/// daemon and do it again from the format-3 state it wrote meanwhile.
+fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
+    let (state_dir, recorded) = fixture(name);
+    let want = direct_run(&spec_of(register), loads);
+    assert_eq!(&want[..recorded.len()], &recorded[..], "{name}: the fixture is a direct run");
+    let dir = copy_state(&state_dir, name);
+    for round in 0..2 {
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
+        assert_eq!(m.get("recovered").and_then(Json::as_u64), Some(1), "{name} round {round}");
+        assert_eq!(m.get("snapshot_fallbacks").and_then(Json::as_u64), Some(0), "{name}");
+        let reply = json::parse(&daemon.handle(register)).unwrap();
+        let resumed = reply.get("resumed_ticks").and_then(Json::as_u64).unwrap() as usize;
+        assert_eq!(resumed, if round == 0 { recorded.len() } else { loads.len() }, "{name}");
+        for (seq, &load) in loads.iter().enumerate() {
+            let (config, replayed) = decided(&daemon.handle(&tick_line(tenant, seq, load)));
+            assert_eq!(replayed, seq < resumed, "{name} round {round} seq {seq}");
+            assert_eq!(config, want[seq], "{name} round {round} seq {seq}");
+        }
+        assert!(wal::hist_path(&dir, tenant).exists(), "{name}: format 3 writes a history log");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn format_two_state_directories_recover_bit_identically() {
+    recover_fixture("format2_default", DEFAULT, "t", &default_loads(40));
+    // Compaction deleted the early WAL segments of this one: its first
+    // loads exist only in the format-2 snapshot.
+    let (state_dir, _) = fixture("format2_compacted");
+    let wal_bytes = wal::read_file(&wal::wal_path(&state_dir, "c")).unwrap();
+    assert!(
+        !wal::scan(&wal_bytes)
+            .records
+            .iter()
+            .any(|r| matches!(r, wal::WalRecord::Tick { seq: 0, .. })),
+        "the compacted fixture's WAL must not hold seq 0"
+    );
+    let register = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
+    recover_fixture("format2_compacted", register, "c", &compacted_loads(80));
+}
+
+/// The `save_run` image inside a format-2 snapshot is a version-1 run
+/// snapshot of the daemon's degradation ladder around the tenant's
+/// controller: it restores through `restore_run`, B's power-up log and
+/// C's sub-slot log included, and the run continues exactly.
+#[test]
+fn version_one_run_images_inside_format_two_snapshots_restore() {
+    let compacted = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
+    for (name, tenant, register, loads) in [
+        ("format2_default", "t", DEFAULT, default_loads(40)),
+        ("format2_compacted", "c", compacted, compacted_loads(80)),
+    ] {
+        let (state_dir, recorded) = fixture(name);
+        // Format 2: format byte, name, spec, k, the loads 0..k, and the
+        // sealed `save_run` image, in a version-1 envelope.
+        let bytes = std::fs::read(wal::snap_path(&state_dir, tenant)).unwrap();
+        let mut dec = Decoder::from_sealed(&bytes).unwrap();
+        assert_eq!((dec.version(), dec.take_u8().unwrap()), (1, 2), "{name} is format 2");
+        assert_eq!(dec.take_bytes().unwrap(), tenant.as_bytes());
+        let spec = spec_of(register);
+        assert_eq!(TenantSpec::decode(&mut dec).unwrap(), spec);
+        let k = dec.take_usize().unwrap();
+        for (seq, load) in loads[..k].iter().enumerate() {
+            assert_eq!(dec.take_f64().unwrap().to_bits(), load.to_bits(), "{name} seq {seq}");
+        }
+        let run = dec.take_bytes().unwrap();
+        let instance = Instance::builder()
+            .server_types(spec.server_types().unwrap())
+            .loads(loads[..k].to_vec())
+            .build()
+            .unwrap();
+        let inner = build_controller(&spec, &instance, spec.grid.mode()).unwrap();
+        let factory = |inst: &Instance, grid| build_controller(&spec, inst, grid).unwrap();
+        let ladder = DegradeOptions { deadline: None, coarse_gamma: 2.0 };
+        let mut controller = GracefulDegrader::new(inner, factory, ladder);
+        let committed = restore_run(&mut controller, &instance, run).unwrap();
+        assert_eq!(committed.configs(), &recorded[..k], "{name}");
+        let want = direct_run(&spec, &loads);
+        for t in k..loads.len() {
+            let prefix = Instance::builder()
+                .server_types(spec.server_types().unwrap())
+                .loads(loads[..=t].to_vec())
+                .build()
+                .unwrap();
+            assert_eq!(controller.decide(&prefix, t), want[t], "{name} slot {t}");
+        }
+    }
+}
+
+/// A sync reply from an older primary carries layout-1 fingerprints
+/// under `fps`. A current replica does not read them: even a value that
+/// matches nothing it would compute never quarantines the tenant.
+#[test]
+fn layout_one_fingerprint_entries_are_skipped_not_quarantined() {
+    let spec = spec_of(DEFAULT);
+    let mut frames = wal::frame(&wal::WalRecord::Register(spec.clone()));
+    for (seq, &load) in loads().iter().enumerate() {
+        frames.extend(wal::frame(&wal::WalRecord::Tick { seq: seq as u64, load }));
+    }
+    let reply = |key: &str, fps: &str| {
+        format!(
+            r#"{{"ok":true,"role":"primary","replica":"r","tenants":{{"t":{{"ticks":16,"snap_k":0,"frames":"{}","{key}":[{fps}]}}}}}}"#,
+            to_hex(&frames)
+        )
+    };
+    let dir = tmp_dir("layout-one");
+    let replica = Daemon::new(options(&dir)).unwrap();
+    replica.set_role(Role::Replica);
+    let old = format!(
+        r#"{{"k":16,"fp":"{DEFAULT_FINGERPRINT:016x}","full":true}},{{"k":8,"fp":"0123456789abcdef","full":true}}"#
+    );
+    let report = replica.apply_sync(&reply("fps", &old)).unwrap();
+    assert_eq!((report.applied, report.fp_checks, report.fp_mismatches), (16, 0, 0));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    // The same state's layout-2 entry, under `fps2`, is checked and
+    // matches.
+    let new = format!(r#"{{"k":16,"fp":"{DEFAULT_FINGERPRINT_V2:016x}","full":true}}"#);
+    let report = replica.apply_sync(&reply("fps2", &new)).unwrap();
+    assert_eq!((report.fp_checks, report.fp_mismatches), (1, 0), "{:?}", report.errors);
+    let ready = replica.handle("GET /readyz");
+    assert!(ready.contains("\"quarantined\":0"), "{ready}");
+    std::fs::remove_dir_all(&dir).ok();
 }
