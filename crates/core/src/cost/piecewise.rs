@@ -145,7 +145,7 @@ impl CostFunction for PiecewiseLinearCost {
 
     fn deriv(&self, z: f64) -> f64 {
         // Right derivative at breakpoints, consistent with the dispatch
-        // solver's sup-based bisection.
+        // solver's sup-based willing volume `y(ν) = sup { y : Φ'(y) ≤ ν }`.
         self.slopes[self.segment(z)]
     }
 

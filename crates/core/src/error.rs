@@ -136,13 +136,13 @@ pub enum SolveError {
         /// Offending dimension (server type index).
         j: usize,
     },
-    /// The KKT price-bracket search exhausted its doublings *and* the
-    /// saturation fallback could not place the volume: no allocation
-    /// within capacity serves `λ`.
+    /// No price of the KKT water-fill reaches `λ` *and* the saturation
+    /// fallback could not place the volume: no allocation within capacity
+    /// serves `λ`.
     BracketExhausted {
         /// The volume that could not be placed.
         lambda: f64,
-        /// Bracket doublings spent before giving up.
+        /// Distinct finite breakpoint prices searched before giving up.
         iterations: usize,
     },
     /// The underlying instance failed validation.
@@ -163,8 +163,8 @@ impl fmt::Display for SolveError {
             }
             SolveError::BracketExhausted { lambda, iterations } => write!(
                 f,
-                "price bracket exhausted after {iterations} doublings and \
-                 saturation cannot place volume {lambda}"
+                "no price among {iterations} breakpoints reaches volume {lambda} \
+                 and saturation cannot place it"
             ),
             SolveError::Infeasible(e) => write!(f, "instance infeasible: {e}"),
         }

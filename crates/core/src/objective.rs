@@ -69,12 +69,14 @@ pub trait GtOracle {
     /// Like [`GtOracle::slot_eval`], but the caller promises to price the
     /// slot's configurations as a **sweep**: consecutive [`SlotEval::eval`]
     /// calls walk the grid in layout order, each configuration a close
-    /// neighbour of the previous one. Implementations may exploit that
-    /// locality — e.g. warm-starting an iterative solver from the
-    /// previous cell's state — at the cost of a relaxed contract: values
-    /// may differ from [`GtOracle::g_scaled`] by up to a relative `1e-9`
-    /// (instead of bit-for-bit). The default ignores the promise and
-    /// forwards to [`GtOracle::slot_eval`].
+    /// neighbour of the previous one. The default ignores the promise and
+    /// forwards to [`GtOracle::slot_eval`], so its values equal
+    /// [`GtOracle::g_scaled`] bit for bit; every in-tree oracle keeps it
+    /// (`rsz_dispatch::Dispatcher` solves each cell from scratch). A
+    /// third-party oracle may override it to exploit the locality — e.g.
+    /// warm-starting an iterative solver from the previous cell's state —
+    /// under a relaxed contract: values may differ from
+    /// [`GtOracle::g_scaled`] by up to a relative `1e-9`.
     fn slot_sweep<'a>(
         &'a self,
         instance: &'a Instance,

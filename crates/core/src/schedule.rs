@@ -5,7 +5,7 @@ use std::fmt;
 use crate::config::Config;
 use crate::error::InstanceError;
 use crate::instance::Instance;
-use crate::util::pos_diff;
+use crate::util::{exceeds_capacity, pos_diff};
 
 /// An integral schedule: one server [`Config`] per time slot.
 ///
@@ -133,12 +133,11 @@ impl Schedule {
                     });
                 }
             }
-            // Same feasibility tolerance as the dispatch oracle (which
-            // prices a config finite iff load ≤ cap·(1+1e-12)+1e-12):
-            // loads carrying float noise from trace arithmetic must not
-            // pass the solver and then fail validation here.
+            // The dispatch oracle's own feasibility test: loads carrying
+            // float noise from trace arithmetic must not pass the solver
+            // and then fail validation here.
             let cap = x.capacity(instance.types());
-            if cap * (1.0 + 1e-12) + 1e-12 < instance.load(t) {
+            if exceeds_capacity(instance.load(t), cap) {
                 return Err(InstanceError::InfeasibleSchedule {
                     t,
                     reason: format!("capacity {cap} < load {}", instance.load(t)),

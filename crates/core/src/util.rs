@@ -10,6 +10,22 @@ pub const REL_TOL: f64 = 1e-9;
 /// Default absolute tolerance for cost comparisons.
 pub const ABS_TOL: f64 = 1e-9;
 
+/// Feasibility slack: capacity `cap` serves a load up to
+/// `cap·(1 + FEASIBILITY_SLACK) + FEASIBILITY_SLACK`, so loads carrying
+/// float noise from trace arithmetic are not rejected by one layer after
+/// another accepted them.
+pub const FEASIBILITY_SLACK: f64 = 1e-12;
+
+/// `true` if `load` exceeds `capacity` by more than the
+/// [`FEASIBILITY_SLACK`] — the one feasibility test shared by the
+/// dispatch oracle (which prices such a configuration `f64::INFINITY`)
+/// and `Schedule::check_feasible`.
+#[inline]
+#[must_use]
+pub fn exceeds_capacity(load: f64, capacity: f64) -> bool {
+    load > capacity * (1.0 + FEASIBILITY_SLACK) + FEASIBILITY_SLACK
+}
+
 /// `true` if `a` and `b` are equal up to the default tolerances.
 ///
 /// Infinities compare equal to themselves, which matters when comparing

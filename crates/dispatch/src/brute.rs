@@ -15,7 +15,7 @@ use crate::solution::DispatchSolution;
 #[must_use]
 pub fn solve(arms: &[Arm<'_>], lambda: f64, steps: usize) -> DispatchSolution {
     let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-    if lambda > total_cap * (1.0 + 1e-12) + 1e-12 {
+    if rsz_core::util::exceeds_capacity(lambda, total_cap) {
         return DispatchSolution::infeasible(arms.len());
     }
     let lambda = lambda.min(total_cap);
@@ -35,7 +35,7 @@ fn recurse(
 ) {
     if i == arms.len() - 1 {
         // Last arm takes the remainder if it fits.
-        if remaining <= arms[i].cap() * (1.0 + 1e-12) + 1e-12 {
+        if !rsz_core::util::exceeds_capacity(remaining, arms[i].cap()) {
             current[i] = remaining.min(arms[i].cap());
             let cost: f64 = current.iter().zip(arms).map(|(&y, a)| a.phi(y)).sum();
             if cost < best.cost {

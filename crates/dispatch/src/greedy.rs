@@ -7,36 +7,45 @@
 //! regardless of the allocation and added at the end.
 
 use crate::arms::Arm;
-use crate::solution::DispatchSolution;
+use crate::solution::{DispatchSolution, Workspace};
 
 /// Solve the dispatch problem assuming [`Arm::is_affine`] for every arm
 /// and `0 < lambda ≤ Σ cap_j`.
 #[must_use]
 pub fn solve(arms: &[Arm<'_>], lambda: f64) -> DispatchSolution {
+    let mut ws = Workspace::default();
+    let cost = solve_in(arms, lambda, &mut ws);
+    ws.into_solution(cost)
+}
+
+/// [`solve`] into `ws.volumes`, returning the cost.
+pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
     debug_assert!(arms.iter().all(Arm::is_affine));
+    ws.reset(arms.len());
     // Order arm indices by marginal rate (cheapest first).
-    let mut order: Vec<usize> = (0..arms.len()).collect();
+    let order = &mut ws.order;
+    order.clear();
+    order.extend(0..arms.len());
     order.sort_by(|&a, &b| {
         arms[a].affine_rate().partial_cmp(&arms[b].affine_rate()).expect("rates are finite")
     });
 
-    let mut volumes = vec![0.0; arms.len()];
     let mut remaining = lambda;
     let mut cost: f64 = arms.iter().map(Arm::idle_total).sum();
-    for &i in &order {
+    for &i in order.iter() {
         if remaining <= 0.0 {
             break;
         }
         let take = remaining.min(arms[i].cap());
-        volumes[i] = take;
+        ws.volumes[i] = take;
         cost += take * arms[i].affine_rate();
         remaining -= take;
     }
     if remaining > 1e-9 * lambda.max(1.0) {
         // Caller guarantees feasibility; guard anyway.
-        return DispatchSolution::infeasible(arms.len());
+        return f64::INFINITY;
     }
-    DispatchSolution::new(cost, volumes)
+    cost
 }
 
 #[cfg(test)]

@@ -8,54 +8,46 @@
 //! * `Φ_j'(cap_j) ≤ ν` wherever `y_j = cap_j`.
 //!
 //! Define `y_j(ν) = sup { y ≤ cap_j : Φ_j'(y) ≤ ν }` (computed by
-//! [`crate::Arm::volume_at_price`]). The total `Y(ν) = Σ_j y_j(ν)` is
-//! non-decreasing, so we bisect `ν` until `Y(ν) = λ`.
+//! [`crate::Arm::volume_at_price`]): `0` below arm `j`'s marginal interval
+//! `[Φ_j'(0), Φ_j'(cap_j)]`, `cap_j` above it. The total
+//! `Y(ν) = Σ_j y_j(ν)` thus changes regime only at the at most `2d`
+//! interval ends, the **breakpoints**, and the solver is an exact
+//! breakpoint water-fill:
 //!
-//! `Y` can jump at prices where some `Φ_j'` is flat (piecewise-linear
-//! costs): after the bisection we blend the allocations just below and at
-//! the final price so the volume constraint holds exactly. All arms
-//! touched by the blend have the same marginal cost, so the blend does not
-//! change optimality.
+//! 1. Binary-search the sorted breakpoints for the first one, `b`, with
+//!    `Y(b) ≥ λ` (`b = ∞` past the highest: some marginal is not finite);
+//!    `a` is the one before it. Strictly between them every arm is
+//!    saturated, idle, or *interior* (its interval spans the segment).
+//! 2. Saturated arms run at capacity. A single interior arm takes the rest
+//!    up to its volume at `b` in closed form; several interior arms share
+//!    it at the price a bracketed secant (regula falsi with the Illinois
+//!    rule) finds inside `[a, b]`, after doubling the price from `a` when
+//!    `b = ∞`. Only if that overflows does the saturation fallback place
+//!    `λ` by ascending marginal cost.
+//! 3. What is left goes to the arms whose interval starts at `b`, in
+//!    proportion to their volume there. They all run at marginal cost `b`,
+//!    so the split does not change the cost.
+//!
+//! Every call solves from scratch: the value of a configuration never
+//! depends on what was priced before it.
 
 use crate::arms::Arm;
-use crate::solution::DispatchSolution;
-
-/// Doublings of the upper price before the bracket search gives up
-/// (`2^128 ≈ 3.4e38` exceeds any physically meaningful marginal cost).
-const MAX_BRACKET_DOUBLINGS: usize = 128;
-
-/// Geometric expansions [`solve_warm`] grants a stale hint before giving
-/// up and re-bracketing from scratch.
-const MAX_WARM_EXPANSIONS: usize = 4;
-
-/// A price bracket `[nu_lo, nu_hi]` around the optimal dispatch price,
-/// as left behind by a finished bisection. Carrying it to the *next*
-/// configuration of a row sweep lets [`solve_warm`] skip the cold
-/// 128-doubling bracket search and most bisection iterations: along a
-/// grid row the optimal price moves monotonically and only slightly, so
-/// the previous cell's bracket (slightly widened) almost always still
-/// contains the new root.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Bracket {
-    /// Lower end: total willing volume at this price is below `λ`.
-    pub nu_lo: f64,
-    /// Upper end: total willing volume at this price covers `λ`.
-    pub nu_hi: f64,
-}
+use crate::solution::{DispatchSolution, Workspace};
+use rsz_core::util::exceeds_capacity;
 
 /// Solve the dispatch problem for arbitrary convex arms with
-/// `0 < lambda ≤ Σ cap_j`.
+/// `0 < lambda ≤ Σ cap_j` (a larger `lambda` comes back infeasible).
 #[must_use]
 pub fn solve(arms: &[Arm<'_>], lambda: f64, tol: f64, max_iter: usize) -> DispatchSolution {
-    solve_warm(arms, lambda, tol, max_iter, None).0
+    let mut ws = Workspace::default();
+    let cost = solve_in(arms, lambda, tol, max_iter, &mut ws);
+    ws.into_solution(cost)
 }
 
-/// Fallible [`solve`]: a malformed volume (NaN, infinite, or negative)
-/// is rejected up front as [`rsz_core::SolveError::MalformedLambda`]
-/// instead of spinning the bracket search on it, and an exhausted
-/// bracket whose saturation fallback cannot place the volume surfaces as
-/// [`rsz_core::SolveError::BracketExhausted`] instead of an infinite
-/// cost the caller has to know to check for.
+/// Fallible [`solve`]: a malformed volume (NaN, infinite, or negative) is
+/// [`rsz_core::SolveError::MalformedLambda`], and a volume not even the
+/// saturation fallback can place is [`rsz_core::SolveError::BracketExhausted`]
+/// instead of an infinite cost the caller has to know to check for.
 pub fn try_solve(
     arms: &[Arm<'_>],
     lambda: f64,
@@ -65,176 +57,198 @@ pub fn try_solve(
     if !lambda.is_finite() || lambda < 0.0 {
         return Err(rsz_core::SolveError::MalformedLambda { t: None, value: lambda });
     }
-    let solution = solve(arms, lambda, tol, max_iter);
-    if !solution.is_feasible() {
-        return Err(rsz_core::SolveError::BracketExhausted {
-            lambda,
-            iterations: MAX_BRACKET_DOUBLINGS,
-        });
+    let mut ws = Workspace::default();
+    let cost = solve_in(arms, lambda, tol, max_iter, &mut ws);
+    if !cost.is_finite() {
+        return Err(rsz_core::SolveError::BracketExhausted { lambda, iterations: ws.prices.len() });
     }
-    Ok(solution)
+    Ok(ws.into_solution(cost))
 }
 
-/// [`solve`] with an optional warm-start bracket from a neighbouring
-/// solve (see [`Bracket`]). Returns the solution together with the final
-/// bracket to seed the next cell of the sweep (`None` when the run fell
-/// back to the saturation path, which leaves no meaningful bracket).
-///
-/// With `hint: None` this is *exactly* [`solve`] — bit-identical. With a
-/// hint, the bisection starts from a different (much tighter) bracket,
-/// so the returned cost may differ from the cold solve in the last bits;
-/// both land within the bisection tolerance of the true optimum and
-/// agree to a relative `1e-9` for the default [`crate::Dispatcher`]
-/// tolerances — the parity bound the DP pipeline's tests enforce.
-#[must_use]
-pub fn solve_warm(
+/// One dispatch problem and the controls of its iterative steps.
+#[derive(Clone, Copy)]
+struct Problem<'p> {
+    arms: &'p [Arm<'p>],
+    lambda: f64,
+    tol: f64,
+    max_iter: usize,
+}
+
+impl Problem<'_> {
+    /// `y_j(ν)` of arm `j`, whose marginal interval is `[lo, hi]`;
+    /// prices outside the interval cost no [`Arm::volume_at_price`] call.
+    fn volume_at(&self, j: usize, lo: f64, hi: f64, nu: f64) -> f64 {
+        if nu < lo {
+            0.0
+        } else if nu >= hi {
+            self.arms[j].cap()
+        } else {
+            self.arms[j].volume_at_price(nu, self.tol, self.max_iter)
+        }
+    }
+
+    /// The willing volume `Y(ν) = Σ_j y_j(ν)`.
+    fn willing(&self, lo: &[f64], hi: &[f64], nu: f64) -> f64 {
+        (0..self.arms.len()).map(|j| self.volume_at(j, lo[j], hi[j], nu)).sum()
+    }
+}
+
+/// [`solve`] into `ws.volumes`, returning the cost (`f64::INFINITY` when
+/// no allocation within capacity serves `lambda`).
+pub(crate) fn solve_in(
     arms: &[Arm<'_>],
     lambda: f64,
     tol: f64,
     max_iter: usize,
-    hint: Option<Bracket>,
-) -> (DispatchSolution, Option<Bracket>) {
-    let bracket = hint.and_then(|h| rebracket_from_hint(arms, lambda, h, tol, max_iter));
-    let (mut nu_lo, mut nu_hi) = match bracket {
-        Some(b) => b,
-        None => {
-            // Cold path. Price bracket: at nu_lo no volume is placed, at
-            // nu_hi everything is. Grow nu_hi until all of λ is willing
-            // to run. Pathologically steep costs (marginals overflowing
-            // past ~3.4e38) can exhaust the doublings; bisecting that
-            // *invalid* bracket would converge onto an under-allocated
-            // solution, so saturate by marginal cost instead of
-            // pretending the bracket holds.
-            let nu_lo = -1.0_f64;
-            let mut nu_hi = 1.0_f64;
-            let mut guard = 0;
-            while total_volume(arms, nu_hi, tol, max_iter) < lambda {
-                if guard >= MAX_BRACKET_DOUBLINGS {
-                    return (saturation_fallback(arms, lambda, nu_hi, tol, max_iter), None);
-                }
-                nu_hi *= 2.0;
-                guard += 1;
-            }
-            (nu_lo, nu_hi)
-        }
-    };
-
-    for _ in 0..max_iter {
-        let mid = 0.5 * (nu_lo + nu_hi);
-        if total_volume(arms, mid, tol, max_iter) >= lambda {
-            nu_hi = mid;
+    ws: &mut Workspace,
+) -> f64 {
+    let p = Problem { arms, lambda, tol, max_iter };
+    ws.reset(arms.len());
+    ws.prices.clear();
+    for (j, arm) in arms.iter().enumerate() {
+        (ws.lo[j], ws.hi[j]) = (arm.phi_deriv(0.0), arm.phi_deriv(arm.cap()));
+        ws.prices.extend([ws.lo[j], ws.hi[j]].into_iter().filter(|p| p.is_finite()));
+    }
+    ws.prices.sort_unstable_by(f64::total_cmp);
+    ws.prices.dedup();
+    // Binary search for the first breakpoint `b` with `Y(b) ≥ λ`, keeping
+    // `Y` at the breakpoint `a` before it.
+    let (mut k, mut end, mut y_a) = (0, ws.prices.len(), 0.0);
+    while k < end {
+        let mid = (k + end) / 2;
+        let y = p.willing(&ws.lo, &ws.hi, ws.prices[mid]);
+        if y < lambda {
+            (k, y_a) = (mid + 1, y);
         } else {
-            nu_lo = mid;
+            end = mid;
         }
-        if nu_hi - nu_lo <= tol * nu_hi.abs().max(1.0) {
+    }
+    let b = ws.prices.get(k).copied().unwrap_or(f64::INFINITY);
+    let a = if k == 0 { f64::NEG_INFINITY } else { ws.prices[k - 1] };
+    // Saturated arms run at capacity, the others take their volume at `b`:
+    // `reach` on the interior arms, `top` on those whose interval starts at `b`.
+    let (mut rest, mut reach, mut top, mut interior) = (lambda, 0.0, 0.0, (0, 0));
+    for (j, arm) in arms.iter().enumerate() {
+        if ws.hi[j] <= a {
+            ws.volumes[j] = arm.cap();
+            rest -= arm.cap();
+        } else {
+            ws.volumes[j] = p.volume_at(j, ws.lo[j], ws.hi[j], b);
+            if ws.lo[j] >= b {
+                top += ws.volumes[j];
+            } else {
+                reach += ws.volumes[j];
+                interior = (interior.0 + 1, j);
+            }
+        }
+    }
+    // If λ is met inside the segment, a single interior arm takes the rest
+    // in closed form; several share it at the price the secant finds.
+    match interior {
+        (1, i) if reach > rest => ws.volumes[i] = rest,
+        (2.., _) if reach - rest > p.tol * lambda => {
+            return illinois(p, (a, y_a - lambda), (b, reach - rest), ws);
+        }
+        _ => {}
+    }
+    // The arms flat at `b` share what is left (past capacity, nothing can).
+    rest -= reach.min(rest);
+    if exceeds_capacity(lambda, lambda - rest + top) {
+        return f64::INFINITY;
+    }
+    let theta = if top > 0.0 { (rest / top).clamp(0.0, 1.0) } else { 0.0 };
+    for j in (0..arms.len()).filter(|&j| ws.hi[j] > a && ws.lo[j] >= b) {
+        ws.volumes[j] *= theta;
+    }
+    settle(p, ws)
+}
+
+/// Several arms interior to the segment between the prices of `lo` and
+/// `hi`, each paired with its excess `Y(ν) − λ` (at `hi` the limit from
+/// below, without the arms flat there): regula falsi on `Y(ν) = λ`,
+/// halving the stale end's excess whenever the same end survives twice
+/// (the Illinois rule), until the excess or the bracket is within `tol`.
+/// An infinite `hi` is first brought down by doubling the price.
+fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Workspace) -> f64 {
+    while hi.0 == f64::INFINITY {
+        let nu = 2.0 * lo.0.max(0.5);
+        if !nu.is_finite() {
+            return saturation_fallback(p, lo.0, ws);
+        }
+        let f = p.willing(&ws.lo, &ws.hi, nu) - p.lambda;
+        *(if f >= 0.0 { &mut hi } else { &mut lo }) = (nu, f);
+    }
+    let ((mut nu_lo, mut f_lo), (mut nu_hi, mut f_hi)) = (lo, hi);
+    let mut side = 0;
+    for _ in 0..p.max_iter {
+        if nu_hi - nu_lo <= p.tol * nu_hi.abs().max(1.0) {
+            break;
+        }
+        let secant = nu_lo - f_lo * (nu_hi - nu_lo) / (f_hi - f_lo);
+        let nu = if nu_lo < secant && secant < nu_hi { secant } else { 0.5 * (nu_lo + nu_hi) };
+        let f = p.willing(&ws.lo, &ws.hi, nu) - p.lambda;
+        if f >= 0.0 {
+            (nu_hi, f_hi) = (nu, f);
+            f_lo *= if side < 0 { 0.5 } else { 1.0 };
+            side = -1;
+        } else {
+            (nu_lo, f_lo) = (nu, f);
+            f_hi *= if side > 0 { 0.5 } else { 1.0 };
+            side = 1;
+        }
+        if f.abs() <= p.tol * p.lambda {
             break;
         }
     }
-    (finish(arms, lambda, nu_lo, nu_hi, tol, max_iter), Some(Bracket { nu_lo, nu_hi }))
+    finish(p, nu_lo, nu_hi, ws)
 }
 
-/// Validate a hinted bracket against the current arm set, padding it and
-/// expanding geometrically a few times if the root drifted just outside.
-/// Returns `None` when the hint is a genuine miss (row discontinuity,
-/// wildly different arms) — the caller then re-brackets cold.
-fn rebracket_from_hint(
-    arms: &[Arm<'_>],
-    lambda: f64,
-    hint: Bracket,
-    tol: f64,
-    max_iter: usize,
-) -> Option<(f64, f64)> {
-    let pad = (hint.nu_hi - hint.nu_lo).abs().max(tol * hint.nu_hi.abs().max(1.0));
-    let mut lo = hint.nu_lo - pad;
-    let mut hi = hint.nu_hi + pad;
-    if !(lo.is_finite() && hi.is_finite()) {
-        return None;
+/// Blend the allocations at the bracket ends `nu_lo < nu_hi`, where
+/// `Y(nu_lo) < λ ≤ Y(nu_hi)`, so the volume constraint holds: an arm
+/// whose volume is the same at both ends (saturated, idle, or on a kink
+/// of a piecewise-linear cost) keeps it exactly. At `nu_hi` an arm whose
+/// interval starts there counts with none, as the bracket's excess does.
+fn finish(p: Problem<'_>, nu_lo: f64, nu_hi: f64, ws: &mut Workspace) -> f64 {
+    let Workspace { volumes, lo, hi, y_lo, .. } = ws;
+    for j in 0..p.arms.len() {
+        volumes[j] = if lo[j] >= nu_hi { 0.0 } else { p.volume_at(j, lo[j], hi[j], nu_hi) };
+        y_lo[j] = p.volume_at(j, lo[j], hi[j], nu_lo);
     }
-    let mut expansions = 0;
-    // Establish volume(hi) ≥ λ > volume(lo); each failed check slides
-    // the bracket one doubled width in the offending direction.
-    while total_volume(arms, hi, tol, max_iter) < lambda {
-        expansions += 1;
-        if expansions > MAX_WARM_EXPANSIONS {
-            return None;
-        }
-        let width = hi - lo;
-        lo = hi;
-        hi += 2.0 * width;
-    }
-    while total_volume(arms, lo, tol, max_iter) >= lambda {
-        expansions += 1;
-        if expansions > MAX_WARM_EXPANSIONS {
-            return None;
-        }
-        let width = hi - lo;
-        hi = lo;
-        lo -= 2.0 * width;
-    }
-    Some((lo, hi))
-}
-
-/// Turn a converged price bracket into the final allocation and cost.
-fn finish(
-    arms: &[Arm<'_>],
-    lambda: f64,
-    nu_lo: f64,
-    nu_hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> DispatchSolution {
-    // Allocations just below the critical price and at it.
-    let y_hi: Vec<f64> = arms.iter().map(|a| a.volume_at_price(nu_hi, tol, max_iter)).collect();
-    let y_lo: Vec<f64> = arms.iter().map(|a| a.volume_at_price(nu_lo, tol, max_iter)).collect();
-    let sum_hi: f64 = y_hi.iter().sum();
+    let sum_hi: f64 = volumes.iter().sum();
     let sum_lo: f64 = y_lo.iter().sum();
+    if sum_hi > sum_lo {
+        let theta = ((p.lambda - sum_lo) / (sum_hi - sum_lo)).clamp(0.0, 1.0);
+        for (v, &lo) in volumes.iter_mut().zip(y_lo.iter()) {
+            *v = lo + theta * (*v - lo);
+        }
+    }
+    settle(p, ws)
+}
 
-    let volumes: Vec<f64> = if sum_hi - sum_lo > 1e-15 {
-        let theta = ((lambda - sum_lo) / (sum_hi - sum_lo)).clamp(0.0, 1.0);
-        y_lo.iter().zip(&y_hi).map(|(&lo, &hi)| lo + theta * (hi - lo)).collect()
-    } else if sum_hi > 0.0 {
-        // Continuous case: rescale the tiny residual mismatch away.
-        let scale = lambda / sum_hi;
-        y_hi.iter().map(|&y| y * scale).collect()
-    } else {
-        y_hi
-    };
-
-    // Clamp and compute the final cost from the allocation itself.
-    let mut vols = volumes;
-    for (v, a) in vols.iter_mut().zip(arms) {
+/// Clamp the volumes into capacity, push any residual onto arms with
+/// spare capacity and price the allocation.
+fn settle(p: Problem<'_>, ws: &mut Workspace) -> f64 {
+    for (v, a) in ws.volumes.iter_mut().zip(p.arms) {
         *v = v.clamp(0.0, a.cap());
     }
-    distribute_residual(&mut vols, arms, lambda);
-    let cost = vols.iter().zip(arms).map(|(&y, a)| a.phi(y)).sum();
-    DispatchSolution::new(cost, vols)
+    distribute_residual(&mut ws.volumes, p.arms, p.lambda, &mut ws.parked);
+    ws.volumes.iter().zip(p.arms).map(|(&y, a)| a.phi(y)).sum()
 }
 
-fn total_volume(arms: &[Arm<'_>], nu: f64, tol: f64, max_iter: usize) -> f64 {
-    arms.iter().map(|a| a.volume_at_price(nu, tol, max_iter)).sum()
-}
-
-/// No finite price brackets λ: some arm's marginal cost exceeds every
-/// representable price below its capacity. Keep each arm's best-effort
-/// volume at the highest price reached, then place the deficit by
-/// ascending marginal cost; if even full saturation falls short, report
-/// infeasibility instead of an under-allocated "solution".
-fn saturation_fallback(
-    arms: &[Arm<'_>],
-    lambda: f64,
-    nu_max: f64,
-    tol: f64,
-    max_iter: usize,
-) -> DispatchSolution {
-    let mut vols: Vec<f64> =
-        arms.iter().map(|a| a.volume_at_price(nu_max, tol, max_iter).clamp(0.0, a.cap())).collect();
-    distribute_residual(&mut vols, arms, lambda);
-    let placed: f64 = vols.iter().sum();
-    if placed < lambda - 1e-9 * lambda.max(1.0) {
-        return DispatchSolution::infeasible(arms.len());
+/// No finite price places λ: doubling the price overflowed first. Keep
+/// each arm's volume at `nu_max`, the highest price reached, then place
+/// the deficit by ascending marginal cost; if even full saturation falls
+/// short, report infeasibility instead of an under-allocated "solution".
+fn saturation_fallback(p: Problem<'_>, nu_max: f64, ws: &mut Workspace) -> f64 {
+    for (v, a) in ws.volumes.iter_mut().zip(p.arms) {
+        *v = a.volume_at_price(nu_max, p.tol, p.max_iter);
     }
-    let cost = vols.iter().zip(arms).map(|(&y, a)| a.phi(y)).sum();
-    DispatchSolution::new(cost, vols)
+    let cost = settle(p, ws);
+    let placed: f64 = ws.volumes.iter().sum();
+    if placed < p.lambda - 1e-9 * p.lambda.max(1.0) {
+        return f64::INFINITY;
+    }
+    cost
 }
 
 /// Chunks the residual distribution moves per marginal-cost re-check; a
@@ -243,24 +257,19 @@ fn saturation_fallback(
 const RESIDUAL_CHUNKS: f64 = 32.0;
 
 /// Push any residual `lambda − Σ y` (numerical leftovers, or the whole
-/// volume in the exhausted-bracket fallback) onto arms with spare
-/// capacity so the volume constraint holds to machine precision.
-///
-/// Volume moves in **marginal-cost order** — the cheapest `Φ'` absorbs
-/// first when adding, the most expensive gives back first when removing
-/// — so the correction lands where the KKT conditions say the next unit
-/// belongs, not on whichever arm happens to be declared first. Marginals
-/// are re-evaluated every [`RESIDUAL_CHUNKS`]-th of the residual, so
-/// strictly convex arms with (near-)tied marginals split large residuals
-/// instead of the first arm saturating at an arbitrarily worse price.
-fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64) {
+/// deficit in the saturation fallback) onto arms with spare capacity so
+/// the volume constraint holds to machine precision. Volume moves in
+/// **marginal-cost order** — the cheapest `Φ'` absorbs first, the most
+/// expensive gives back first — re-evaluated every [`RESIDUAL_CHUNKS`]-th
+/// of the residual, so arms with (near-)tied marginals split large
+/// residuals. `parked` is scratch space.
+fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64, parked: &mut Vec<bool>) {
     let total = lambda - vols.iter().sum::<f64>();
     if total.abs() <= 1e-12 * lambda.max(1.0) {
         return;
     }
-    // Tiny numerical residuals (the KKT hot path) move in one piece —
-    // marginals barely change over them; only macroscopic residuals
-    // (the bracket-exhaustion fallback) pay for the chunked water-fill.
+    // Tiny numerical residuals move in one piece; only macroscopic ones
+    // (the saturation fallback) pay for the chunked water-fill.
     let chunk = if total.abs() > 1e-6 * lambda.max(1.0) {
         total.abs() / RESIDUAL_CHUNKS
     } else {
@@ -268,7 +277,8 @@ fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64) {
     };
     // Arms whose remaining headroom is too small to advance `residual`
     // at f64 precision are parked so the loop always terminates.
-    let mut parked = vec![false; arms.len()];
+    parked.clear();
+    parked.resize(arms.len(), false);
     let mut residual = total;
     if residual > 0.0 {
         while residual > 0.0 {
@@ -515,6 +525,107 @@ mod tests {
     }
 
     #[test]
+    fn several_interior_arms_share_a_segment_topped_by_a_flat_arm() {
+        // Φ' is y on `pow`, 0.5 + y/2 on `quad`, and 1 on `lin`: the
+        // breakpoints 0, 0.5, 1, 2.5, 4 put λ = 1.2 in the segment
+        // (0.5, 1], with `pow` and `quad` interior and `lin` flat at its
+        // top. The secant meets λ at ν = 2.2/3 inside it; `lin` stays
+        // idle. At λ = 3 both interior arms reach ν = 1 and `lin` takes
+        // the rest.
+        let inst = Instance::builder()
+            .server_type(ServerType::new("pow", 1, 1.0, 4.0, CostModel::power(0.0, 0.5, 2.0)))
+            .server_type(ServerType::new("quad", 1, 1.0, 4.0, CostModel::quadratic(0.0, 0.5, 0.25)))
+            .server_type(ServerType::new("lin", 1, 1.0, 2.0, CostModel::linear(0.0, 1.0)))
+            .loads(vec![1.2])
+            .build()
+            .unwrap();
+        let arms = collect(&inst, 0, &[1, 1, 1]);
+        let nu = 2.2 / 3.0;
+        let sol = solve(&arms, 1.2, 1e-10, 200);
+        for (got, want) in sol.volumes.iter().zip([nu, 2.0 * (nu - 0.5), 0.0]) {
+            assert!((got - want).abs() < 1e-9, "{:?}", sol.volumes);
+        }
+        let sol = solve(&arms, 3.0, 1e-10, 200);
+        for (got, want) in sol.volumes.iter().zip([1.0, 1.0, 1.0]) {
+            assert!((got - want).abs() < 1e-9, "{:?}", sol.volumes);
+        }
+    }
+
+    /// `f(z) = s·(1 − √(1 − z))` on `[0, 1]`: finite, convex and
+    /// increasing, with an infinite marginal cost at capacity. No
+    /// `deriv_inv`.
+    #[derive(Debug)]
+    struct Wall(f64);
+    impl rsz_core::CostFunction for Wall {
+        fn eval(&self, z: f64) -> f64 {
+            self.0 * (1.0 - (1.0 - z.min(1.0)).sqrt())
+        }
+        fn deriv(&self, z: f64) -> f64 {
+            0.5 * self.0 / (1.0 - z.min(1.0)).sqrt()
+        }
+    }
+
+    fn wall(name: &str, s: f64) -> ServerType {
+        ServerType::new(name, 1, 1.0, 1.0, CostModel::Custom(std::sync::Arc::new(Wall(s))))
+    }
+
+    #[test]
+    fn one_infinite_marginal_arm_takes_the_rest_in_closed_form() {
+        // The wall's Φ'(cap) is infinite, so the last finite breakpoint
+        // (the linear rate 1) only reaches Y(1) = 2 + 0.75 < λ = 2.9. Above
+        // it the wall is the only arm with spare capacity: it takes the
+        // rest, the linear arms stay saturated.
+        let inst = Instance::builder()
+            .server_type(wall("wall", 1.0))
+            .server_type(ServerType::new("lin", 2, 1.0, 1.0, CostModel::linear(0.5, 1.0)))
+            .loads(vec![2.9])
+            .build()
+            .unwrap();
+        let arms = collect(&inst, 0, &[1, 2]);
+        let sol = solve(&arms, 2.9, 1e-10, 200);
+        assert!(sol.is_feasible());
+        assert!((sol.volumes[0] - 0.9).abs() < 1e-9, "{:?}", sol.volumes);
+        assert_eq!(sol.volumes[1], 2.0);
+        let oracle = crate::brute::solve(&arms, 2.9, 2000);
+        assert!(sol.cost <= oracle.cost * (1.0 + 1e-9), "{} vs brute {}", sol.cost, oracle.cost);
+        // Past capacity nothing places the volume: infeasible, and
+        // `try_solve` names the two breakpoints (0.5 and 1) it searched.
+        assert!(!solve(&arms, 3.5, 1e-10, 200).is_feasible());
+        assert_eq!(
+            try_solve(&arms, 3.5, 1e-10, 200),
+            Err(rsz_core::SolveError::BracketExhausted { lambda: 3.5, iterations: 2 })
+        );
+    }
+
+    #[test]
+    fn several_infinite_marginal_arms_share_the_last_segment() {
+        // Walls with Φ'(y) = 0.5/√(1−y) and 1.5/√(1−y) (breakpoints 0.5
+        // and 1.5, no finite Φ'(cap)), with and without a saturated linear
+        // arm at rate 1 beside them. The walls take 1.6 at the common
+        // price ν = 2.5 (2 − 2.5/ν² = 1.6): 0.96 and 0.64, far above the
+        // last finite breakpoint.
+        let inst = Instance::builder()
+            .server_type(wall("w1", 1.0))
+            .server_type(wall("w3", 3.0))
+            .server_type(ServerType::new("lin", 1, 1.0, 1.0, CostModel::linear(0.0, 1.0)))
+            .loads(vec![1.6])
+            .build()
+            .unwrap();
+        for lin in [0, 1] {
+            let arms = collect(&inst, 0, &[1, 1, lin]);
+            let lambda = 1.6 + f64::from(lin);
+            let sol = solve(&arms, lambda, 1e-10, 200);
+            for (got, want) in sol.volumes.iter().zip([0.96, 0.64, 1.0]) {
+                assert!((got - want).abs() < 1e-9, "lin {lin}: {:?}", sol.volumes);
+            }
+            let m = [arms[0].phi_deriv(sol.volumes[0]), arms[1].phi_deriv(sol.volumes[1])];
+            assert!((m[0] - 2.5).abs() < 1e-6 && (m[1] - 2.5).abs() < 1e-6, "marginals {m:?}");
+            let oracle = crate::brute::solve(&arms, lambda, 2000);
+            assert!(sol.cost <= oracle.cost * (1.0 + 1e-9), "{} vs {}", sol.cost, oracle.cost);
+        }
+    }
+
+    #[test]
     fn residual_distribution_follows_marginal_cost_order() {
         // Direct regression on the residual pass: the pricier arm is
         // declared first, so declaration order would mis-place volume.
@@ -528,13 +639,13 @@ mod tests {
         // Positive residual: both arms idle at equal volume, cheap arm
         // has the lower marginal there → it takes the whole top-up.
         let mut vols = vec![0.5, 0.5];
-        distribute_residual(&mut vols, &arms, 2.0);
+        distribute_residual(&mut vols, &arms, 2.0, &mut Vec::new());
         assert!((vols[0] - 0.5).abs() < 1e-12, "{vols:?}");
         assert!((vols[1] - 1.5).abs() < 1e-12, "{vols:?}");
         // Negative residual: volume is given back by the *most*
         // expensive marginal first.
         let mut vols = vec![1.0, 1.0];
-        distribute_residual(&mut vols, &arms, 1.2);
+        distribute_residual(&mut vols, &arms, 1.2, &mut Vec::new());
         assert!((vols[0] - 0.2).abs() < 1e-12, "{vols:?}");
         assert!((vols[1] - 1.0).abs() < 1e-12, "{vols:?}");
         // Cross-check the positive case against the dense oracle: with

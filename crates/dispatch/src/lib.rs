@@ -23,17 +23,19 @@
 //! * [`greedy`] — exact closed form when every cost is constant or affine
 //!   (fill the cheapest marginal rate first). This covers the
 //!   load-independent special case of the paper and the classic
-//!   energy-proportional model, and is the hot path inside the DP.
-//! * [`kkt`] — marginal-cost equalization (dual bisection on the KKT
-//!   multiplier) for arbitrary convex costs, with closed-form inner steps
-//!   whenever the model provides [`rsz_core::CostFunction::deriv_inv`].
+//!   energy-proportional model.
+//! * [`kkt`] — marginal-cost equalization for arbitrary convex costs: an
+//!   exact water-fill over the arms' marginal-price breakpoints, closed
+//!   form when one arm is interior to the segment that reaches `λ` and a
+//!   bracketed secant when several are.
 //! * [`brute`] — a dense grid-search oracle, used by the test suite to
 //!   cross-check the other two.
 //!
 //! [`Dispatcher`] picks the right solver per call and implements
 //! [`rsz_core::GtOracle`], which is how the offline DP and the online
 //! algorithms price configurations; [`SlotDispatcher`] is the
-//! buffer-reusing per-slot context DP workers solve through. Repeated
+//! allocation-free per-slot context DP workers solve through. Every
+//! pricing path returns exactly [`Dispatcher::g_value`]'s bits. Repeated
 //! `g_t` work is shared one level up, by the offline pipeline's pricing
 //! pool and the online engine's priced-slot pool.
 
@@ -48,7 +50,9 @@ pub mod solution;
 pub use arms::{Arm, SlotArms};
 pub use solution::DispatchSolution;
 
+use rsz_core::util::exceeds_capacity;
 use rsz_core::{GtOracle, Instance, SlotEval};
+use solution::Workspace;
 
 /// Facade solver for `g_t(x)`: validates feasibility, picks the fastest
 /// applicable algorithm and returns costs/allocations.
@@ -56,10 +60,11 @@ use rsz_core::{GtOracle, Instance, SlotEval};
 /// Cheap to construct and `Copy`; share freely across threads.
 #[derive(Clone, Copy, Debug)]
 pub struct Dispatcher {
-    /// Relative tolerance of the dual bisection (on the multiplier and on
-    /// volumes). The returned cost is accurate to roughly this order.
+    /// Relative tolerance of the iterative steps: the in-segment secant
+    /// of [`kkt`] and the price inversion of costs without a closed-form
+    /// `deriv_inv`. The returned cost is accurate to roughly this order.
     pub tol: f64,
-    /// Iteration cap for each bisection loop.
+    /// Iteration cap for each of those loops.
     pub max_iter: usize,
 }
 
@@ -87,39 +92,30 @@ impl Dispatcher {
     /// Solve with explicit arms and volume — the low-level entry point.
     #[must_use]
     pub fn solve_arms(&self, arms: &[Arm<'_>], lambda: f64) -> DispatchSolution {
-        self.solve_arms_hinted(arms, lambda, &mut None)
+        let mut ws = Workspace::default();
+        let cost = self.solve_in(arms, lambda, &mut ws);
+        ws.into_solution(cost)
     }
 
-    /// [`Dispatcher::solve_arms`] threading an optional KKT warm-start
-    /// bracket (see [`kkt::solve_warm`]): the single preamble shared by
-    /// every dispatch entry point — feasibility slack, λ clamp,
-    /// idle-only and affine fast paths — so cold and warm callers cannot
-    /// drift apart. With `*hint == None` the computation is
-    /// bit-identical to the cold path; the hint is updated in place so
-    /// row sweeps can chain it cell to cell.
-    fn solve_arms_hinted(
-        &self,
-        arms: &[Arm<'_>],
-        lambda: f64,
-        hint: &mut Option<kkt::Bracket>,
-    ) -> DispatchSolution {
+    /// The preamble every dispatch entry point shares (feasibility slack,
+    /// λ clamp, idle-only and affine paths), solving into `ws`.
+    fn solve_in(&self, arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
         debug_assert!(lambda >= 0.0);
         let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-        if lambda > total_cap * (1.0 + 1e-12) + 1e-12 {
-            return DispatchSolution::infeasible(arms.len());
+        if exceeds_capacity(lambda, total_cap) {
+            ws.reset(arms.len());
+            return f64::INFINITY;
         }
         let lambda = lambda.min(total_cap);
         if lambda == 0.0 {
             // Idle-only: every active server still pays f(0).
-            let cost = arms.iter().map(Arm::idle_total).sum();
-            return DispatchSolution::new(cost, vec![0.0; arms.len()]);
+            ws.reset(arms.len());
+            return arms.iter().map(Arm::idle_total).sum();
         }
         if arms.iter().all(Arm::is_affine) {
-            greedy::solve(arms, lambda)
+            greedy::solve_in(arms, lambda, ws)
         } else {
-            let (sol, bracket) = kkt::solve_warm(arms, lambda, self.tol, self.max_iter, *hint);
-            *hint = bracket;
-            sol
+            kkt::solve_in(arms, lambda, self.tol, self.max_iter, ws)
         }
     }
 
@@ -134,39 +130,27 @@ impl Dispatcher {
         scale: f64,
     ) -> f64 {
         let arms = arms::collect(instance, t, x);
-        Self::value_of(self, &arms, lambda, scale)
+        self.value_in(&arms, lambda, scale, &mut Workspace::default())
     }
 
     /// Cost of a pre-assembled arm list — shared by [`Dispatcher::g_value`]
     /// and the buffer-reusing [`SlotDispatcher`] so both produce
     /// bit-identical results.
-    fn value_of(&self, arms: &[Arm<'_>], lambda: f64, scale: f64) -> f64 {
-        self.value_of_warm(arms, lambda, scale, &mut None)
-    }
-
-    /// [`Dispatcher::value_of`] threading a warm-start bracket through
-    /// the KKT path via [`Dispatcher::solve_arms_hinted`].
-    fn value_of_warm(
-        &self,
-        arms: &[Arm<'_>],
-        lambda: f64,
-        scale: f64,
-        hint: &mut Option<kkt::Bracket>,
-    ) -> f64 {
+    fn value_in(&self, arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace) -> f64 {
         if scale == 0.0 {
             // Zero-scaled slots cost nothing but must still be feasible.
             let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-            return if lambda > total_cap * (1.0 + 1e-12) + 1e-12 { f64::INFINITY } else { 0.0 };
+            return if exceeds_capacity(lambda, total_cap) { f64::INFINITY } else { 0.0 };
         }
         // A uniform positive scale does not change the argmin, so solve the
         // unscaled problem and scale the optimum.
-        scale * self.solve_arms_hinted(arms, lambda, hint).cost
+        scale * self.solve_in(arms, lambda, ws)
     }
 
     /// Open a buffer-reusing evaluator for slot `t` of `instance`: the
     /// slot's arm templates are captured once and every
-    /// [`SlotDispatcher::eval_config`] assembles its arm list into the
-    /// same scratch buffer (no per-configuration allocation).
+    /// [`SlotDispatcher::eval_config`] assembles its arm list and solves
+    /// into the same scratch buffers (no per-configuration allocation).
     #[must_use]
     pub fn slot_dispatcher<'a>(
         &self,
@@ -183,27 +167,8 @@ impl Dispatcher {
             lambda,
             cost_scale,
             scratch,
-            warm: false,
-            hint: None,
+            ws: Workspace::default(),
         }
-    }
-
-    /// A [`Dispatcher::slot_dispatcher`] in **sweep** mode: evaluations
-    /// are expected to walk the grid in layout order, and the KKT
-    /// bisection warm-starts each cell from the previous cell's final
-    /// price bracket (cold fallback on hint miss). Values agree with the
-    /// cold path to a relative `1e-9` (see [`kkt::solve_warm`]).
-    #[must_use]
-    pub fn sweep_dispatcher<'a>(
-        &self,
-        instance: &'a Instance,
-        t: usize,
-        lambda: f64,
-        cost_scale: f64,
-    ) -> SlotDispatcher<'a> {
-        let mut slot = self.slot_dispatcher(instance, t, lambda, cost_scale);
-        slot.warm = true;
-        slot
     }
 }
 
@@ -218,28 +183,16 @@ pub struct SlotDispatcher<'a> {
     lambda: f64,
     cost_scale: f64,
     scratch: Vec<Arm<'a>>,
-    /// Sweep mode: carry the previous cell's KKT bracket as a warm start.
-    warm: bool,
-    hint: Option<kkt::Bracket>,
+    ws: Workspace,
 }
 
 impl SlotDispatcher<'_> {
     /// `g` of configuration `x` at this slot — bit-identical to
-    /// [`Dispatcher::g_value`] on the same inputs when constructed via
-    /// [`Dispatcher::slot_dispatcher`]; within a relative `1e-9` of it in
-    /// sweep mode ([`Dispatcher::sweep_dispatcher`]).
+    /// [`Dispatcher::g_value`] on the same inputs, whatever was priced
+    /// before it.
     pub fn eval_config(&mut self, x: &[u32]) -> f64 {
         self.arms.fill_into(x, &mut self.scratch);
-        if self.warm {
-            self.dispatcher.value_of_warm(
-                &self.scratch,
-                self.lambda,
-                self.cost_scale,
-                &mut self.hint,
-            )
-        } else {
-            self.dispatcher.value_of(&self.scratch, self.lambda, self.cost_scale)
-        }
+        self.dispatcher.value_in(&self.scratch, self.lambda, self.cost_scale, &mut self.ws)
     }
 }
 
@@ -273,16 +226,6 @@ impl GtOracle for Dispatcher {
         cost_scale: f64,
     ) -> Box<dyn SlotEval + 'a> {
         Box::new(self.slot_dispatcher(instance, t, lambda, cost_scale))
-    }
-
-    fn slot_sweep<'a>(
-        &'a self,
-        instance: &'a Instance,
-        t: usize,
-        lambda: f64,
-        cost_scale: f64,
-    ) -> Box<dyn SlotEval + 'a> {
-        Box::new(self.sweep_dispatcher(instance, t, lambda, cost_scale))
     }
 }
 

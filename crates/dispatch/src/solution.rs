@@ -41,6 +41,44 @@ impl DispatchSolution {
     }
 }
 
+/// Reusable buffers of a dispatch solve: a slot context keeps one, so it
+/// stops allocating once they have grown to the slot's arm count.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Workspace {
+    /// The solve's output: volume per arm.
+    pub(crate) volumes: Vec<f64>,
+    /// Per-arm marginal interval `[Φ'(0), Φ'(cap)]`.
+    pub(crate) lo: Vec<f64>,
+    pub(crate) hi: Vec<f64>,
+    /// Per-arm volume at the lower end of a price bracket.
+    pub(crate) y_lo: Vec<f64>,
+    /// Sorted breakpoint prices.
+    pub(crate) prices: Vec<f64>,
+    /// Arms the residual pass gave up on.
+    pub(crate) parked: Vec<bool>,
+    /// Greedy fill order.
+    pub(crate) order: Vec<usize>,
+}
+
+impl Workspace {
+    /// Zero the volumes and size the other per-arm buffers for `n` arms.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.volumes.clear();
+        for buf in [&mut self.volumes, &mut self.lo, &mut self.hi, &mut self.y_lo] {
+            buf.resize(n, 0.0);
+        }
+    }
+
+    /// The solution of a solve that returned `cost`.
+    pub(crate) fn into_solution(self, cost: f64) -> DispatchSolution {
+        if cost.is_finite() {
+            DispatchSolution::new(cost, self.volumes)
+        } else {
+            DispatchSolution::infeasible(self.volumes.len())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,40 +1,201 @@
 //! Property-based tests for the dispatch solvers: the KKT and greedy
 //! paths are validated against the dense grid-search oracle and against
 //! each other, plus structural optimality conditions.
+//!
+//! The arm sets mix every cost shape the breakpoint water-fill must
+//! handle: closed-form `deriv_inv`, piecewise linear (with flat-marginal
+//! and zero-slope segments), a custom cost that has no `deriv_inv`, and
+//! zero-scaled cost views. A second case family forces breakpoint ties:
+//! equal affine rates, one arm's `Φ'(0)` equal to another's `Φ'(cap)`,
+//! `λ` exactly at a breakpoint's cumulative volume, and `λ` at capacity.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use rsz_core::{CostModel, Instance, ServerType};
-use rsz_dispatch::{arms, brute, Dispatcher};
+use rsz_core::cost::PiecewiseLinearCost;
+use rsz_core::{CostFunction, CostModel, CostSpec, GtOracle, Instance, ServerType};
+use rsz_dispatch::{arms, brute, Arm, Dispatcher};
 
 #[derive(Clone, Debug)]
 struct ArmSpec {
     count: u32,
     zmax: f64,
     model: CostModel,
+    /// Scale of the slot's cost view; `0.0` makes the arm free.
+    scale: f64,
 }
 
-fn arm_strategy() -> impl Strategy<Value = ArmSpec> {
-    let model = prop_oneof![
+fn spec(count: u32, zmax: f64, model: CostModel) -> ArmSpec {
+    ArmSpec { count, zmax, model, scale: 1.0 }
+}
+
+/// A convex custom cost with an exact derivative but no `deriv_inv`, so
+/// pricing it bisects: `f(z) = idle + coef·(e^z − 1)`.
+#[derive(Debug)]
+struct ExpCost {
+    idle: f64,
+    coef: f64,
+}
+
+impl CostFunction for ExpCost {
+    fn eval(&self, z: f64) -> f64 {
+        self.idle + self.coef * z.exp_m1()
+    }
+
+    fn deriv(&self, z: f64) -> f64 {
+        self.coef * z.exp()
+    }
+}
+
+/// Two-segment piecewise-linear cost. `first` picks the first slope:
+/// `0` gives a zero-slope (flat cost) segment.
+fn piecewise(idle: f64, first: u32, z1: f64, rise: f64, z2: f64) -> CostModel {
+    let s0 = [0.0, 0.5, 1.5][first as usize % 3];
+    let c1 = idle + s0 * z1;
+    CostModel::PiecewiseLinear(PiecewiseLinearCost::new(&[
+        (0.0, idle),
+        (z1, c1),
+        (z1 + z2, c1 + (s0 + rise) * z2),
+    ]))
+}
+
+fn model_strategy() -> impl Strategy<Value = CostModel> {
+    prop_oneof![
         (0.1..3.0_f64).prop_map(CostModel::constant),
         (0.0..2.0_f64, 0.0..4.0_f64).prop_map(|(i, r)| CostModel::linear(i, r)),
         (0.0..2.0_f64, 0.1..2.0_f64, 1.2..3.0_f64).prop_map(|(i, c, a)| CostModel::power(i, c, a)),
         (0.0..2.0_f64, 0.0..2.0_f64, 0.1..1.5_f64)
             .prop_map(|(i, a, b)| CostModel::quadratic(i, a, b)),
-    ];
-    (1u32..4, 0.5..4.0_f64, model).prop_map(|(count, zmax, model)| ArmSpec { count, zmax, model })
+        (0.0..2.0_f64, 0u32..3, 0.2..2.0_f64, 0.1..3.0_f64, 0.2..3.0_f64)
+            .prop_map(|(i, first, z1, rise, z2)| piecewise(i, first, z1, rise, z2)),
+        (0.0..2.0_f64, 0.1..2.0_f64)
+            .prop_map(|(idle, coef)| CostModel::Custom(Arc::new(ExpCost { idle, coef }))),
+    ]
+}
+
+fn arm_strategy() -> impl Strategy<Value = ArmSpec> {
+    // One arm in six is priced through a zero-scaled cost view.
+    (1u32..4, 0.5..4.0_f64, model_strategy(), 0u32..6).prop_map(|(count, zmax, model, k)| ArmSpec {
+        count,
+        zmax,
+        model,
+        scale: if k == 0 { 0.0 } else { 1.0 },
+    })
+}
+
+/// Arm sets whose marginal-price breakpoints tie.
+fn tied_arms() -> impl Strategy<Value = Vec<ArmSpec>> {
+    prop_oneof![
+        // Equal affine rates beside a strictly convex arm (so the set
+        // goes through the KKT solver, not the greedy fill).
+        (0.0..2.0_f64, 0.0..2.0_f64, 0.0..4.0_f64, 1u32..4, 1u32..4, 0.1..2.0_f64).prop_map(
+            |(i1, i2, rate, c1, c2, coef)| {
+                vec![
+                    spec(c1, 1.0, CostModel::linear(i1, rate)),
+                    spec(1, 1.5, CostModel::power(0.5, coef, 2.0)),
+                    spec(c2, 2.0, CostModel::linear(i2, rate)),
+                ]
+            }
+        ),
+        // Φ'(cap) of a quadratic arm equals Φ'(0) of the next one. The
+        // capacity is dyadic, so `cap / count` is exact and the two
+        // marginals tie bit for bit.
+        (0.0..2.0_f64, 0.1..1.5_f64, 1u32..4, 1u32..9, 0.0..1.5_f64, 0u32..2).prop_map(
+            |(a, b, count, quarters, b2, affine)| {
+                let zmax = 0.25 * f64::from(quarters);
+                let top = a + 2.0 * b * zmax;
+                let next = if affine == 1 {
+                    CostModel::linear(0.3, top)
+                } else {
+                    CostModel::quadratic(0.3, top, b2)
+                };
+                vec![
+                    spec(count, zmax, CostModel::quadratic(0.5, a, b)),
+                    spec(2, 1.0, next),
+                    spec(1, 2.0, CostModel::linear(0.2, top)),
+                ]
+            }
+        ),
+    ]
+}
+
+/// How a case picks its volume `λ`.
+#[derive(Clone, Debug)]
+enum Volume {
+    /// A fraction of the total capacity.
+    Frac(f64),
+    /// `Y(p)`, the cumulative volume willing to run at one of the arms'
+    /// breakpoint prices `Φ'(0)`, `Φ'(cap)` (picked by index).
+    Breakpoint(usize),
+    /// The total capacity.
+    Capacity,
+}
+
+#[derive(Clone, Debug)]
+struct Case {
+    specs: Vec<ArmSpec>,
+    volume: Volume,
+}
+
+fn volume_strategy() -> impl Strategy<Value = Volume> {
+    prop_oneof![
+        (0.0..1.0_f64).prop_map(Volume::Frac),
+        (0usize..6).prop_map(Volume::Breakpoint),
+        Just(Volume::Capacity),
+    ]
+}
+
+/// Random arm sets at a fraction of capacity, plus the tie family: tied
+/// arm sets at any volume, and random arm sets at breakpoint volumes or
+/// at capacity.
+fn case_strategy(arms: Range<usize>, frac: Range<f64>) -> impl Strategy<Value = Case> {
+    prop_oneof![
+        (prop::collection::vec(arm_strategy(), arms.clone()), frac)
+            .prop_map(|(specs, f)| Case { specs, volume: Volume::Frac(f) }),
+        (tied_arms(), volume_strategy()).prop_map(|(specs, volume)| Case { specs, volume }),
+        (prop::collection::vec(arm_strategy(), arms), (0usize..6).prop_map(Volume::Breakpoint))
+            .prop_map(|(specs, volume)| Case { specs, volume }),
+        (prop::collection::vec(arm_strategy(), 1..4), Just(Volume::Capacity))
+            .prop_map(|(specs, volume)| Case { specs, volume }),
+    ]
 }
 
 fn build_instance(specs: &[ArmSpec]) -> Instance {
     let types: Vec<ServerType> = specs
         .iter()
         .enumerate()
-        .map(|(j, s)| ServerType::new(format!("t{j}"), s.count, 1.0, s.zmax, s.model.clone()))
+        .map(|(j, s)| {
+            let cost = CostSpec::scaled(s.model.clone(), vec![s.scale]);
+            ServerType::with_spec(format!("t{j}"), s.count, 1.0, s.zmax, cost)
+        })
         .collect();
     Instance::builder()
         .server_types(types)
         .loads(vec![0.0]) // loads are passed explicitly to the solver
         .build()
         .expect("valid dispatch test instance")
+}
+
+fn capacity(arm_list: &[Arm<'_>]) -> f64 {
+    arm_list.iter().map(Arm::cap).sum()
+}
+
+fn lambda_of(arm_list: &[Arm<'_>], volume: &Volume) -> f64 {
+    match *volume {
+        Volume::Frac(f) => f * capacity(arm_list),
+        Volume::Capacity => capacity(arm_list),
+        Volume::Breakpoint(i) => {
+            let prices: Vec<f64> =
+                arm_list.iter().flat_map(|a| [a.phi_deriv(0.0), a.phi_deriv(a.cap())]).collect();
+            let p = prices[i % prices.len()];
+            arm_list
+                .iter()
+                .map(|a| a.volume_at_price(p, 1e-10, 200))
+                .sum::<f64>()
+                .min(capacity(arm_list))
+        }
+    }
 }
 
 proptest! {
@@ -44,12 +205,11 @@ proptest! {
     /// over-estimates the optimum by its grid resolution) and is never
     /// more than the grid resolution below it.
     #[test]
-    fn solver_matches_brute_oracle(specs in prop::collection::vec(arm_strategy(), 1..3), frac in 0.05..0.99_f64) {
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+    fn solver_matches_brute_oracle(case in case_strategy(1..3, 0.05..0.99)) {
+        let inst = build_instance(&case.specs);
+        let counts: Vec<u32> = case.specs.iter().map(|s| s.count).collect();
         let arm_list = arms::collect(&inst, 0, &counts);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let lambda = frac * cap;
+        let lambda = lambda_of(&arm_list, &case.volume);
         let solver = Dispatcher::new().solve_arms(&arm_list, lambda);
         let oracle = brute::solve(&arm_list, lambda, 600);
         prop_assert!(solver.is_feasible());
@@ -66,12 +226,11 @@ proptest! {
     /// The returned allocation is primal feasible: volumes within
     /// capacity and summing to λ.
     #[test]
-    fn allocation_is_primal_feasible(specs in prop::collection::vec(arm_strategy(), 1..4), frac in 0.0..1.0_f64) {
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+    fn allocation_is_primal_feasible(case in case_strategy(1..4, 0.0..1.0)) {
+        let inst = build_instance(&case.specs);
+        let counts: Vec<u32> = case.specs.iter().map(|s| s.count).collect();
         let arm_list = arms::collect(&inst, 0, &counts);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let lambda = frac * cap;
+        let lambda = lambda_of(&arm_list, &case.volume);
         let sol = Dispatcher::new().solve_arms(&arm_list, lambda);
         prop_assert!(sol.is_feasible());
         let total: f64 = sol.volumes.iter().sum();
@@ -84,12 +243,11 @@ proptest! {
     /// KKT stationarity: marginal costs of interior arms agree, and
     /// boundary arms satisfy the complementary inequalities.
     #[test]
-    fn kkt_conditions_hold(specs in prop::collection::vec(arm_strategy(), 2..4), frac in 0.1..0.9_f64) {
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+    fn kkt_conditions_hold(case in case_strategy(2..4, 0.1..0.9)) {
+        let inst = build_instance(&case.specs);
+        let counts: Vec<u32> = case.specs.iter().map(|s| s.count).collect();
         let arm_list = arms::collect(&inst, 0, &counts);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let lambda = frac * cap;
+        let lambda = lambda_of(&arm_list, &case.volume);
         let sol = Dispatcher::new().solve_arms(&arm_list, lambda);
         // Price = max marginal among arms carrying volume.
         let mut nu: f64 = 0.0;
@@ -101,11 +259,16 @@ proptest! {
         for (y, a) in sol.volumes.iter().zip(&arm_list) {
             if *y < a.cap() - 1e-9 {
                 // not saturated ⇒ marginal at y must be ≥ ν − tol (else
-                // moving volume here would reduce cost).
+                // moving volume here would reduce cost). A piecewise-linear
+                // arm resting on a kink holds `x·z`, which maps back to
+                // the kink `z` only to within rounding, so its marginal is
+                // read just above y, as ν is read just below.
+                let kinked =
+                    matches!(case.specs[a.type_index].model, CostModel::PiecewiseLinear(_));
+                let marginal = a.phi_deriv(if kinked { *y * (1.0 + 1e-9) } else { *y });
                 prop_assert!(
-                    a.phi_deriv(*y) >= nu - 1e-4 * nu.abs().max(1.0),
-                    "arm could absorb cheaper volume: φ'({y}) = {} < ν = {nu}",
-                    a.phi_deriv(*y)
+                    marginal >= nu - 1e-4 * nu.abs().max(1.0),
+                    "arm could absorb cheaper volume: φ'({y}) = {marginal} < ν = {nu}"
                 );
             }
         }
@@ -115,20 +278,18 @@ proptest! {
     /// (first-order optimality via random feasible exchange moves).
     #[test]
     fn exchange_moves_never_improve(
-        specs in prop::collection::vec(arm_strategy(), 2..4),
-        frac in 0.1..0.9_f64,
+        case in case_strategy(2..4, 0.1..0.9),
         from in 0usize..4,
         to in 0usize..4,
         delta_frac in 0.01..0.5_f64,
     ) {
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+        let inst = build_instance(&case.specs);
+        let counts: Vec<u32> = case.specs.iter().map(|s| s.count).collect();
         let arm_list = arms::collect(&inst, 0, &counts);
         let n = arm_list.len();
         let (from, to) = (from % n, to % n);
         prop_assume!(from != to);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let lambda = frac * cap;
+        let lambda = lambda_of(&arm_list, &case.volume);
         let sol = Dispatcher::new().solve_arms(&arm_list, lambda);
         let mut vols = sol.volumes.clone();
         let room = (arm_list[to].cap() - vols[to]).min(vols[from]);
@@ -145,15 +306,14 @@ proptest! {
 
     /// Cost is monotone in λ: more volume never costs less.
     #[test]
-    fn cost_monotone_in_volume(specs in prop::collection::vec(arm_strategy(), 1..3), f1 in 0.0..1.0_f64, f2 in 0.0..1.0_f64) {
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+    fn cost_monotone_in_volume(case in case_strategy(1..3, 0.0..1.0), shrink in 0.0..1.0_f64) {
+        let inst = build_instance(&case.specs);
+        let counts: Vec<u32> = case.specs.iter().map(|s| s.count).collect();
         let arm_list = arms::collect(&inst, 0, &counts);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
+        let hi = lambda_of(&arm_list, &case.volume);
         let d = Dispatcher::new();
-        let c_lo = d.solve_arms(&arm_list, lo * cap).cost;
-        let c_hi = d.solve_arms(&arm_list, hi * cap).cost;
+        let c_lo = d.solve_arms(&arm_list, shrink * hi).cost;
+        let c_hi = d.solve_arms(&arm_list, hi).cost;
         prop_assert!(c_lo <= c_hi + 1e-6 * c_hi.abs().max(1.0), "{c_lo} > {c_hi}");
     }
 }
@@ -180,48 +340,17 @@ fn layout_order_configs(counts: &[u32]) -> Vec<Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Warm-started KKT solves match the cold bisection within the
-    /// documented relative 1e-9 parity bound while carrying the bracket
-    /// across an ascending λ sweep (the row-sweep access pattern), on
-    /// random arm sets in random declaration order.
+    /// A layout-order sweep (the pricing pipeline's access pattern)
+    /// returns exactly `g_scaled`'s bits on every grid cell — including
+    /// time-dependent per-slot cost scaling and Algorithm C's scaled
+    /// sub-slots — because every cell is solved from scratch.
     #[test]
-    fn warm_bracket_chain_matches_cold_on_lambda_sweeps(
-        specs in prop::collection::vec(arm_strategy(), 1..4),
-        steps in 4usize..12,
-    ) {
-        use rsz_dispatch::kkt;
-        let inst = build_instance(&specs);
-        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
-        let arm_list = arms::collect(&inst, 0, &counts);
-        let cap: f64 = arm_list.iter().map(|a| a.cap()).sum();
-        let mut hint = None;
-        for s in 1..=steps {
-            let lambda = cap * s as f64 / (steps + 1) as f64;
-            let cold = kkt::solve(&arm_list, lambda, 1e-10, 200);
-            let (warm, bracket) = kkt::solve_warm(&arm_list, lambda, 1e-10, 200, hint);
-            hint = bracket;
-            prop_assert_eq!(cold.is_feasible(), warm.is_feasible());
-            prop_assert!(
-                (cold.cost - warm.cost).abs() <= 1e-9 * cold.cost.abs().max(1.0),
-                "λ={}: cold {} vs warm {}", lambda, cold.cost, warm.cost
-            );
-            let total: f64 = warm.volumes.iter().sum();
-            prop_assert!((total - lambda).abs() <= 1e-6 * lambda.max(1.0));
-        }
-    }
-
-    /// The sweep dispatcher (warm row sweeps, as used by the pricing
-    /// pipeline) agrees with the cold slot dispatcher on every grid cell
-    /// in layout order — including time-dependent per-slot cost scaling
-    /// and Algorithm C's scaled sub-slots.
-    #[test]
-    fn sweep_dispatcher_matches_cold_slot_dispatcher(
+    fn slot_sweep_equals_g_scaled_bit_for_bit(
         specs in prop::collection::vec(arm_strategy(), 1..3),
         frac in 0.05..0.95_f64,
         price in 0.25..3.0_f64,
         scale_pick in 0usize..3,
     ) {
-        use rsz_core::CostSpec;
         // Two slots sharing the shape, slot 1 re-priced: time-dependent.
         let types: Vec<ServerType> = specs
             .iter()
@@ -232,7 +361,7 @@ proptest! {
                     s.count,
                     1.0,
                     s.zmax,
-                    CostSpec::scaled(s.model.clone(), vec![1.0, price]),
+                    CostSpec::scaled(s.model.clone(), vec![s.scale, s.scale * price]),
                 )
             })
             .collect();
@@ -249,18 +378,14 @@ proptest! {
         let cost_scale = [1.0, 0.5, 1.0 / 3.0][scale_pick];
         let d = Dispatcher::new();
         for t in 0..2 {
-            let mut sweep = d.sweep_dispatcher(&inst, t, lambda, cost_scale);
-            let mut cold = d.slot_dispatcher(&inst, t, lambda, cost_scale);
+            let mut sweep = d.slot_sweep(&inst, t, lambda, cost_scale);
             for cfg in layout_order_configs(&counts) {
-                let w = sweep.eval_config(&cfg);
-                let c = cold.eval_config(&cfg);
-                prop_assert_eq!(w.is_finite(), c.is_finite(), "t={} x={:?}", t, &cfg);
-                if c.is_finite() {
-                    prop_assert!(
-                        (w - c).abs() <= 1e-9 * c.abs().max(1.0),
-                        "t={} x={:?}: sweep {} vs cold {}", t, &cfg, w, c
-                    );
-                }
+                let swept = sweep.eval(&cfg);
+                let direct = d.g_scaled(&inst, t, &cfg, lambda, cost_scale);
+                prop_assert_eq!(
+                    swept.to_bits(), direct.to_bits(),
+                    "t={} x={:?}: sweep {} vs g_scaled {}", t, &cfg, swept, direct
+                );
             }
         }
     }

@@ -3,11 +3,11 @@
 //!
 //! A [`PricedSlot`] is the whole grid's **unscaled** operating costs
 //! `g_t(·)` laid out exactly like a DP [`Table`], produced by one
-//! layout-order sweep through [`GtOracle::slot_sweep`] (so warm-started
-//! KKT solvers chain price brackets cell to cell, the same path the
-//! offline pipeline prices with). Once a slot is priced, folding it into
-//! a DP table is a single vectorized `v += scale · g` pass — no per-cell
-//! oracle calls, no hash probes.
+//! layout-order sweep through [`GtOracle::slot_sweep`], the same path the
+//! offline pipeline prices with (with `rsz_dispatch::Dispatcher` every
+//! value equals `g_scaled` bit for bit). Once a slot is priced, folding it
+//! into a DP table is a single vectorized `v += scale · g` pass — no
+//! per-cell oracle calls, no hash probes.
 //!
 //! The [`PricedSlotPool`] retains priced slots keyed by
 //! `(slot partition, λ bits, grid)`:
@@ -306,7 +306,7 @@ impl PricedSlotPool {
     /// 2. a retained **full-grid** entry for the same `(t, λ, grid)`,
     ///    answered as a sliced view ([`Table::band_slice`], no oracle
     ///    call) and retained under the band key for next time;
-    /// 3. one warm sweep over just the band cells, retained under the
+    /// 3. one sweep over just the band cells, retained under the
     ///    band key.
     ///
     /// Full-range bands collapse to [`PricedSlotPool::get_or_price`], so
@@ -372,9 +372,8 @@ impl PricedSlotPool {
 
 /// Price one slot's **unscaled** `g_t` over `levels` as a single
 /// layout-order sweep through [`GtOracle::slot_sweep`] — identical to
-/// the offline pipeline's per-table pricing, so warm-started solvers
-/// chain brackets cell to cell and replayed values match to the
-/// documented relative `1e-9`.
+/// the offline pipeline's per-table pricing, so a replayed slot repeats
+/// its values bit for bit.
 #[must_use]
 pub fn price_slot(
     instance: &Instance,
@@ -450,10 +449,7 @@ mod tests {
         for (i, cfg) in priced.iter_configs() {
             let want = oracle.g(&inst, 0, cfg.counts());
             let got = priced.values()[i];
-            assert!(
-                (got == want) || (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                "cell {i}: {got} vs {want}"
-            );
+            assert_eq!(got.to_bits(), want.to_bits(), "cell {i}: {got} vs {want}");
         }
     }
 

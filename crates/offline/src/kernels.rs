@@ -44,9 +44,10 @@
 //! # The tie-break rule (the one place it is documented)
 //!
 //! Cell values are sums of dispatch solves whose last bits can wobble
-//! between otherwise identical runs (parallel fills, warm-started KKT
-//! sweeps), and the selected cell seeds schedule recovery — exact float
-//! comparison would let a one-ulp difference flip a recovered schedule.
+//! between otherwise identical runs (parallel fills, a third-party
+//! oracle's warm-started sweeps), and the selected cell seeds schedule
+//! recovery — exact float comparison would let a one-ulp difference flip
+//! a recovered schedule.
 //! Everything that picks a winning cell therefore uses one policy,
 //! anchored on a *relative* epsilon window around the true minimum:
 //!

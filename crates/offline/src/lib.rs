@@ -19,7 +19,7 @@
 //!   Theorem 16 (Equation 18), used by experiments to exhibit the
 //!   constructive argument.
 //! * [`pipeline`] — the slot-batched pricing pipeline (barrier-free
-//!   `g_t` pricing with warm-started row sweeps and time-independent
+//!   `g_t` pricing in layout-order row sweeps with time-independent
 //!   slot de-duplication) plus `√T`-checkpointed schedule recovery; the
 //!   one path behind [`dp::solve`].
 //! * [`incremental`] — a rolling prefix-optimal solver, the substrate
@@ -27,7 +27,7 @@
 //!   steps in place (double-buffered tables, persistent scratch) and
 //!   prices through [`engine`]'s dense priced-slot pool.
 //! * [`engine`] — the online decision engine's pricing layer: whole-grid
-//!   `g_t` tables priced once via the warm-started sweep path and
+//!   `g_t` tables priced once via the pipeline's sweep path and
 //!   retained in a bounded `(slot partition, λ, grid)` pool; its
 //!   [`engine::snapshot`] submodule serializes resumable engine state
 //!   into versioned, checksummed snapshots so interrupted online runs

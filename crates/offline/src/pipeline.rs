@@ -7,11 +7,11 @@
 //! 1. **Pricing pass** — `g_t` is evaluated for whole slots at a time by
 //!    a single work-claiming thread pool (no per-slot barrier). Each
 //!    slot's table is priced as one layout-order sweep through
-//!    [`GtOracle::slot_sweep`], so warm-started KKT solvers chain price
-//!    brackets cell to cell. For **time-independent** instances, slots
-//!    with identical `(λ, grid)` share one pricing table (tiled diurnal
-//!    traces price one day, not the horizon), retained in a bounded
-//!    pool.
+//!    [`GtOracle::slot_sweep`] (with `rsz_dispatch::Dispatcher`, every
+//!    value equals `g_scaled` bit for bit). For **time-independent**
+//!    instances, slots with identical `(λ, grid)` share one pricing table
+//!    (tiled diurnal traces price one day, not the horizon), retained in
+//!    a bounded pool.
 //! 2. **Recurrence** — `OPT_t = arrival_transform(OPT_{t−1}) + G_t` is a
 //!    cheap, transform-only sequential pass.
 //! 3. **Checkpointed recovery** — instead of materializing all `T`
@@ -136,11 +136,11 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     }
 
     /// Price one slot's `g_t` table over `levels` as a single
-    /// layout-order sweep (warm-started oracles chain brackets through
-    /// it). Always one sequential sweep per table: a slot's priced
-    /// values must never depend on batch composition or worker count,
-    /// or replayed recovery segments would stop being bit-identical to
-    /// the forward pass. Parallelism lives *across* slots.
+    /// layout-order sweep. Always one sequential sweep per table: a
+    /// slot's priced values must never depend on batch composition or
+    /// worker count, or replayed recovery segments would stop being
+    /// bit-identical to the forward pass. Parallelism lives *across*
+    /// slots.
     fn price_table(&self, t: usize, levels: Vec<Vec<u32>>) -> Table {
         let lambda = self.instance.load(t);
         let mut table = Table::new(levels, f64::INFINITY);

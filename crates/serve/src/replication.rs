@@ -331,12 +331,33 @@ impl Daemon {
         let mut report = ApplyReport::default();
         for (name, body) in &tenants {
             report.tenants += 1;
-            if let Err(e) = self.apply_tenant_sync(name, body, &mut report) {
+            let applied = self.apply_tenant_sync(name, body, &mut report);
+            // Every tenant's backlog counts, also that of a tenant whose
+            // apply failed or that is quarantined; that part is stuck.
+            if let Some(primary_ticks) = body.get("ticks").and_then(Json::as_u64) {
+                let (accepted, quarantined) = self.progress(name);
+                let behind = primary_ticks.saturating_sub(accepted);
+                report.lag += behind;
+                if applied.is_err() || quarantined {
+                    report.stuck_lag += behind;
+                }
+            }
+            if let Err(e) = applied {
                 report.errors.push(format!("{name}: {e}"));
             }
         }
         self.repl_lag.store(report.lag, Ordering::Relaxed);
         Ok(report)
+    }
+
+    /// Ticks tenant `name` has accepted here and whether it is
+    /// quarantined (0 and `false` when it is not registered).
+    fn progress(&self, name: &str) -> (u64, bool) {
+        let slot = lock_clean(&self.tenants).get(name).cloned();
+        slot.map_or((0, false), |slot| {
+            let st = lock_clean(&slot.state);
+            (st.accepted() as u64, st.quarantine.is_some())
+        })
     }
 
     fn apply_tenant_sync(
@@ -345,8 +366,7 @@ impl Daemon {
         body: &Json,
         report: &mut ApplyReport,
     ) -> Result<(), String> {
-        let primary_ticks =
-            body.get("ticks").and_then(Json::as_u64).ok_or("tenant body lacks ticks")?;
+        body.get("ticks").and_then(Json::as_u64).ok_or("tenant body lacks ticks")?;
         let frames_hex = body.get("frames").and_then(Json::as_str).unwrap_or("");
         let bytes = from_hex(frames_hex).ok_or("frames are not valid hex")?;
         let WalScan { records, tail, .. } = wal::scan(&bytes);
@@ -386,14 +406,10 @@ impl Daemon {
             let tenants = lock_clean(&self.tenants);
             tenants.get(name).cloned()
         };
-        let Some(slot) = slot else {
-            // Not registered here (the reply carried no registration
-            // for it): all of it is lag.
-            report.lag += primary_ticks;
-            return Ok(());
-        };
+        // Not registered here (the reply carried no registration for
+        // it): nothing to cross-check, all of it is lag.
+        let Some(slot) = slot else { return Ok(()) };
         let mut st = lock_clean(&slot.state);
-        report.lag += primary_ticks.saturating_sub(st.accepted() as u64);
         if st.quarantine.is_some() {
             return Ok(());
         }
@@ -495,11 +511,25 @@ pub struct ApplyReport {
     /// Fingerprint mismatches (each quarantines its tenant).
     pub fp_mismatches: u64,
     /// Accepted-tick lag vs the primary after this apply (0 when fully
-    /// caught up).
+    /// caught up), over every tenant the reply carried.
     pub lag: u64,
+    /// The part of `lag` held by tenants this apply could not advance:
+    /// their apply failed or they are quarantined.
+    pub stuck_lag: u64,
     /// Per-tenant structured failures (frame integrity, apply errors);
     /// the rest of the reply is still applied.
     pub errors: Vec<String>,
+}
+
+impl ApplyReport {
+    /// Whether the replica should sync again at once instead of waiting
+    /// for its interval: this sync made progress and a tenant that
+    /// applies cleanly still lags (a capped reply left it behind). A
+    /// backlog held only by stuck tenants waits.
+    #[must_use]
+    pub fn catch_up_now(&self) -> bool {
+        self.applied > 0 && self.lag > self.stuck_lag
+    }
 }
 
 /// Options for a [`Replicator`].
@@ -630,9 +660,7 @@ pub fn run_replica(
         if replicator.maybe_promote() {
             return true;
         }
-        // A capped reply left a tenant that applies cleanly behind (one
-        // whose apply fails adds no lag): catch up at once.
-        if !report.is_ok_and(|r| r.lag > 0 && r.applied > 0) {
+        if !report.is_ok_and(|r| r.catch_up_now()) {
             std::thread::sleep(interval);
         }
     }
@@ -734,7 +762,8 @@ mod tests {
 
     /// A tenant the replica can never apply — quarantined as diverged —
     /// takes at most its share of each capped reply: the tenants sorted
-    /// after it still catch up, and then the replica reports no lag.
+    /// after it still catch up. Its backlog is reported as lag, but it
+    /// never makes the replica loop re-sync without waiting.
     #[test]
     fn a_tenant_that_never_applies_does_not_starve_the_others() {
         let (pdir, rdir) = (tmp_dir("stuck-p"), tmp_dir("stuck-r"));
@@ -761,15 +790,24 @@ mod tests {
         tick("a", 8..400);
         tick("b", 8..60);
         tick("c", 8..60);
+        // `a` stays 392 ticks behind for good, and every report counts it.
+        let stuck = 400 - 8;
         let mut syncs = 0;
-        loop {
+        let sync = || {
             let reply = primary.sync_reply_capped("r", &replica.replication_have(), cap);
             let shipped = frame_bytes(&reply);
-            assert!(shipped <= cap, "sync {syncs} shipped {shipped} bytes of frames");
+            assert!(shipped <= cap, "a sync shipped {shipped} bytes of frames");
             let report = replica.apply_sync(&reply).unwrap();
             assert_eq!(report.errors.len(), 1, "only `a` fails: {:?}", report.errors);
+            report
+        };
+        loop {
+            let report = sync();
+            assert_eq!(report.stuck_lag, stuck, "`a`'s backlog is missing from {report:?}");
             syncs += 1;
-            if report.lag == 0 {
+            // Re-sync at once exactly while `b` or `c` still lag.
+            assert_eq!(report.catch_up_now(), report.lag > stuck, "{report:?}");
+            if report.lag == stuck {
                 break;
             }
             assert!(syncs < 20, "`b` and `c` must not be starved by `a`");
@@ -777,8 +815,20 @@ mod tests {
         let states =
             |d: &Daemon| d.tenant_states().into_iter().filter(|s| s.0 != "a").collect::<Vec<_>>();
         assert_eq!(states(&replica), states(&primary));
-        let ready = replica.handle("GET /readyz");
-        assert!(ready.contains("\"quarantined\":1"), "{ready}");
+        // Live traffic on `b` between syncs: the next sync applies it and
+        // leaves only `a` behind, so the replica loop waits for its
+        // interval instead of pulling again at once.
+        tick("b", 60..70);
+        let report = sync();
+        assert_eq!((report.applied, report.lag, report.stuck_lag), (10, stuck, stuck));
+        assert!(!report.catch_up_now(), "{report:?}");
+        // A sync that applies nothing waits too, and still reports `a`.
+        let report = sync();
+        assert_eq!((report.applied, report.lag), (0, stuck));
+        assert!(!report.catch_up_now(), "{report:?}");
+        let ready = json::parse(&replica.handle("GET /readyz")).unwrap();
+        assert_eq!(ready.get("repl_lag_ticks").and_then(Json::as_u64), Some(stuck));
+        assert_eq!(ready.get("quarantined").and_then(Json::as_u64), Some(1), "{ready:?}");
         for dir in [pdir, rdir] {
             std::fs::remove_dir_all(&dir).unwrap();
         }
