@@ -113,8 +113,8 @@ impl fmt::Display for InstanceError {
 
 impl std::error::Error for InstanceError {}
 
-/// Why a solver entry point (`dp::try_solve`, `kkt::try_solve`) could not
-/// produce a solution. Unlike [`InstanceError`] — which describes a
+/// Why the solver entry point `dp::try_solve` could not produce a
+/// solution. Unlike [`InstanceError`] — which describes a
 /// malformed *problem* — a `SolveError` describes an input or numerical
 /// condition that would previously have panicked (or silently produced
 /// garbage) inside the solver itself.
@@ -122,9 +122,8 @@ impl std::error::Error for InstanceError {}
 pub enum SolveError {
     /// A job volume handed to the solver is NaN, infinite, or negative.
     MalformedLambda {
-        /// Offending slot (0-based), when the λ came from an instance;
-        /// `None` when it was passed directly (e.g. a single dispatch).
-        t: Option<usize>,
+        /// Offending slot (0-based).
+        t: usize,
         /// The bad value.
         value: f64,
     },
@@ -136,15 +135,6 @@ pub enum SolveError {
         /// Offending dimension (server type index).
         j: usize,
     },
-    /// No price of the KKT water-fill reaches `λ` *and* the saturation
-    /// fallback could not place the volume: no allocation within capacity
-    /// serves `λ`.
-    BracketExhausted {
-        /// The volume that could not be placed.
-        lambda: f64,
-        /// Distinct finite breakpoint prices searched before giving up.
-        iterations: usize,
-    },
     /// The underlying instance failed validation.
     Infeasible(InstanceError),
 }
@@ -152,20 +142,12 @@ pub enum SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::MalformedLambda { t: Some(t), value } => {
+            SolveError::MalformedLambda { t, value } => {
                 write!(f, "malformed job volume at slot {t}: {value}")
-            }
-            SolveError::MalformedLambda { t: None, value } => {
-                write!(f, "malformed job volume: {value}")
             }
             SolveError::EmptyGrid { t, j } => {
                 write!(f, "configuration grid is empty at slot {t}, dimension {j}")
             }
-            SolveError::BracketExhausted { lambda, iterations } => write!(
-                f,
-                "no price among {iterations} breakpoints reaches volume {lambda} \
-                 and saturation cannot place it"
-            ),
             SolveError::Infeasible(e) => write!(f, "instance infeasible: {e}"),
         }
     }

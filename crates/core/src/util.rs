@@ -16,6 +16,27 @@ pub const ABS_TOL: f64 = 1e-9;
 /// another accepted them.
 pub const FEASIBILITY_SLACK: f64 = 1e-12;
 
+/// Dispatch/KKT convergence: relative tolerance of the dispatch solver's
+/// iterative steps — the in-segment secant of the breakpoint water-fill
+/// and the price inversion of costs without a closed-form `deriv_inv`.
+/// A dispatch cost is accurate to roughly this order.
+pub const DISPATCH_TOL: f64 = 1e-10;
+/// Iteration cap of each of the [`DISPATCH_TOL`] loops.
+pub const DISPATCH_MAX_ITER: usize = 200;
+/// Dispatch volume noise: a residual `|λ − Σy|` within this share of
+/// `max(λ, 1)` is left in place, and the brute-force oracle's grid may
+/// overshoot an arm's capacity by this much.
+pub const DISPATCH_NOISE: f64 = 1e-12;
+/// A residual above this share of `max(λ, 1)` is macroscopic (the
+/// saturation fallback's deficit) and moves in chunks, not in one piece.
+pub const DISPATCH_MACRO_RESIDUAL: f64 = 1e-6;
+/// A residual move below this share of the residual no longer advances
+/// it at `f64` precision, so the arm it was offered to is parked.
+pub const DISPATCH_STALL: f64 = 1e-15;
+/// The saturation fallback serves `λ` only if it placed all of it but
+/// this share of `max(λ, 1)`.
+pub const DISPATCH_SHORTFALL: f64 = 1e-9;
+
 /// `true` if `load` exceeds `capacity` by more than the
 /// [`FEASIBILITY_SLACK`] — the one feasibility test shared by the
 /// dispatch oracle (which prices such a configuration `f64::INFINITY`)

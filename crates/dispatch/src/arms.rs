@@ -1,6 +1,7 @@
 //! Dispatch "arms": one per server type with active servers.
 
-use rsz_core::{CostModel, CostRef, Instance};
+use rsz_core::util::{DISPATCH_MAX_ITER, DISPATCH_TOL};
+use rsz_core::{CostRef, Instance};
 
 /// One server type as seen by the dispatch solvers: `count` active servers
 /// sharing load evenly, a volume capacity, and the slot's cost view.
@@ -47,40 +48,25 @@ impl<'a> Arm<'a> {
         self.cost.deriv(y / f64::from(self.count))
     }
 
-    /// `true` if the underlying cost model is constant or affine, so the
-    /// marginal cost does not depend on the allocated volume.
-    #[must_use]
-    pub fn is_affine(&self) -> bool {
-        matches!(self.cost.model(), CostModel::Constant(_) | CostModel::Linear(_))
-            || self.cost.scale() == 0.0
-    }
-
-    /// Constant marginal rate for affine arms (`0` for constant costs).
-    #[must_use]
-    pub fn affine_rate(&self) -> f64 {
-        debug_assert!(self.is_affine());
-        if self.cost.scale() == 0.0 {
-            return 0.0;
-        }
-        match self.cost.model() {
-            CostModel::Constant(_) => 0.0,
-            CostModel::Linear(l) => self.cost.scale() * l.rate(),
-            _ => unreachable!("affine_rate on non-affine arm"),
-        }
-    }
-
     /// Largest per-arm volume `y` with marginal cost ≤ `nu`, clamped to
     /// the capacity. Uses the model's closed-form inverse derivative when
-    /// available, otherwise bisects.
+    /// available, otherwise bisects to [`DISPATCH_TOL`].
+    ///
+    /// The closed form gives a per-server load `z`; `x_j·z` moves up one
+    /// float when dividing it back by `x_j` would round below `z`, so
+    /// [`Arm::phi_deriv`] reads the slope at `z` itself: on a
+    /// piecewise-linear kink, the upper one.
     #[must_use]
-    pub fn volume_at_price(&self, nu: f64, tol: f64, max_iter: usize) -> f64 {
+    pub fn volume_at_price(&self, nu: f64) -> f64 {
         let cap = self.cap();
         if cap == 0.0 {
             return 0.0;
         }
         let x = f64::from(self.count);
         if let Some(z) = self.cost.deriv_inv(nu) {
-            return (z * x).clamp(0.0, cap);
+            let y = z * x;
+            let y = if y / x < z { y.next_up() } else { y };
+            return y.clamp(0.0, cap);
         }
         // Bisection for sup { y : Φ'(y) ≤ nu } on [0, cap].
         if self.phi_deriv(0.0) > nu {
@@ -90,14 +76,14 @@ impl<'a> Arm<'a> {
             return cap;
         }
         let (mut lo, mut hi) = (0.0_f64, cap);
-        for _ in 0..max_iter {
+        for _ in 0..DISPATCH_MAX_ITER {
             let mid = 0.5 * (lo + hi);
             if self.phi_deriv(mid) <= nu {
                 lo = mid;
             } else {
                 hi = mid;
             }
-            if hi - lo <= tol * cap.max(1.0) {
+            if hi - lo <= DISPATCH_TOL * cap.max(1.0) {
                 break;
             }
         }
@@ -196,8 +182,6 @@ mod tests {
         assert!((a.phi(0.0) - 2.0).abs() < 1e-12);
         assert!((a.phi(2.0) - 8.0).abs() < 1e-12);
         assert!((a.phi_deriv(1.0) - 3.0).abs() < 1e-12);
-        assert!(a.is_affine());
-        assert!((a.affine_rate() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -205,15 +189,33 @@ mod tests {
         let inst = instance();
         let arms = collect(&inst, 0, &[0, 2]);
         let a = &arms[0];
-        assert!(!a.is_affine());
         // f(z) = 2 + z², f'(z) = 2z, so f'(z) ≤ nu ⇔ z ≤ nu/2; with 2
         // servers y = 2z = nu.
-        let y = a.volume_at_price(3.0, 1e-12, 100);
+        let y = a.volume_at_price(3.0);
         assert!((y - 3.0).abs() < 1e-9, "{y}");
         // capped at 8
-        assert_eq!(a.volume_at_price(100.0, 1e-12, 100), 8.0);
+        assert_eq!(a.volume_at_price(100.0), 8.0);
         // zero below f'(0)=0 → exactly 0 at negative price
-        assert_eq!(a.volume_at_price(-1.0, 1e-12, 100), 0.0);
+        assert_eq!(a.volume_at_price(-1.0), 0.0);
+    }
+
+    #[test]
+    fn volume_at_price_on_a_kink_reads_the_upper_slope() {
+        // `3·z / 3` rounds below this kink `z`: the volume must be the
+        // next float up, so the marginal there is the slope above it.
+        use rsz_core::cost::PiecewiseLinearCost;
+        let z = 0.982_020_966_044_343_3_f64;
+        assert!((3.0 * z) / 3.0 < z);
+        let pwl = PiecewiseLinearCost::new(&[(0.0, 1.0), (z, 1.0 + 0.5 * z), (2.0, 3.0)]);
+        let inst = Instance::builder()
+            .server_type(ServerType::new("pwl", 3, 1.0, 2.0, CostModel::PiecewiseLinear(pwl)))
+            .loads(vec![1.0])
+            .build()
+            .unwrap();
+        let arm = collect(&inst, 0, &[3])[0];
+        let y = arm.volume_at_price(0.644);
+        assert_eq!(y, (3.0 * z).next_up());
+        assert!(y / 3.0 >= z && arm.phi_deriv(y) > 0.644, "φ'({y}) = {}", arm.phi_deriv(y));
     }
 
     #[test]
@@ -261,7 +263,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[2]);
-        let y = arms[0].volume_at_price(3.0, 1e-12, 200);
+        let y = arms[0].volume_at_price(3.0);
         assert!((y - 3.0).abs() < 1e-6, "{y}");
     }
 }

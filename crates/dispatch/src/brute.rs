@@ -2,11 +2,12 @@
 //!
 //! Enumerates allocations on a regular grid over the capped simplex and
 //! returns the best one found. Exponential in the number of arms; meant
-//! for cross-checking [`crate::greedy`] and [`crate::kkt`] on tiny
-//! problems, not for production use.
+//! for cross-checking the [`crate::kkt`] water-fill on tiny problems, not
+//! for production use.
 
 use crate::arms::Arm;
 use crate::solution::DispatchSolution;
+use rsz_core::util::{exceeds_capacity, DISPATCH_NOISE};
 
 /// Grid-search the dispatch problem with `steps` grid points per arm.
 ///
@@ -15,7 +16,7 @@ use crate::solution::DispatchSolution;
 #[must_use]
 pub fn solve(arms: &[Arm<'_>], lambda: f64, steps: usize) -> DispatchSolution {
     let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-    if rsz_core::util::exceeds_capacity(lambda, total_cap) {
+    if exceeds_capacity(lambda, total_cap) {
         return DispatchSolution::infeasible(arms.len());
     }
     let lambda = lambda.min(total_cap);
@@ -35,7 +36,7 @@ fn recurse(
 ) {
     if i == arms.len() - 1 {
         // Last arm takes the remainder if it fits.
-        if !rsz_core::util::exceeds_capacity(remaining, arms[i].cap()) {
+        if !exceeds_capacity(remaining, arms[i].cap()) {
             current[i] = remaining.min(arms[i].cap());
             let cost: f64 = current.iter().zip(arms).map(|(&y, a)| a.phi(y)).sum();
             if cost < best.cost {
@@ -50,7 +51,7 @@ fn recurse(
     let min_take = (remaining - downstream).max(0.0);
     for s in 0..=steps {
         let y = min_take + (cap - min_take) * s as f64 / steps as f64;
-        if y > cap + 1e-12 {
+        if y > cap + DISPATCH_NOISE {
             break;
         }
         current[i] = y;
@@ -74,7 +75,7 @@ mod tests {
             .unwrap();
         let arms = collect(&inst, 0, &[2, 1]);
         let brute = solve(&arms, 4.0, 4000);
-        let kkt = crate::kkt::solve(&arms, 4.0, 1e-12, 200);
+        let kkt = crate::Dispatcher::new().solve_arms(&arms, 4.0);
         assert!((brute.cost - kkt.cost).abs() < 1e-3, "brute {} vs kkt {}", brute.cost, kkt.cost);
         assert!(kkt.cost <= brute.cost + 1e-9, "kkt must not exceed the grid optimum");
     }

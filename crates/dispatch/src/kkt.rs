@@ -28,50 +28,26 @@
 //!    proportion to their volume there. They all run at marginal cost `b`,
 //!    so the split does not change the cost.
 //!
+//! A constant or affine arm's interval is the single point `Φ'(0) =
+//! Φ'(cap)`, so it is never interior. A cell of such arms (the paper's
+//! load-independent case, Corollary 9) always ends in step 3: the arms
+//! cheaper than `b` saturate and those at `b` split the rest.
+//!
 //! Every call solves from scratch: the value of a configuration never
 //! depends on what was priced before it.
 
 use crate::arms::Arm;
-use crate::solution::{DispatchSolution, Workspace};
-use rsz_core::util::exceeds_capacity;
+use crate::solution::Workspace;
+use rsz_core::util::{
+    exceeds_capacity, DISPATCH_MACRO_RESIDUAL, DISPATCH_MAX_ITER, DISPATCH_NOISE,
+    DISPATCH_SHORTFALL, DISPATCH_STALL, DISPATCH_TOL,
+};
 
-/// Solve the dispatch problem for arbitrary convex arms with
-/// `0 < lambda ≤ Σ cap_j` (a larger `lambda` comes back infeasible).
-#[must_use]
-pub fn solve(arms: &[Arm<'_>], lambda: f64, tol: f64, max_iter: usize) -> DispatchSolution {
-    let mut ws = Workspace::default();
-    let cost = solve_in(arms, lambda, tol, max_iter, &mut ws);
-    ws.into_solution(cost)
-}
-
-/// Fallible [`solve`]: a malformed volume (NaN, infinite, or negative) is
-/// [`rsz_core::SolveError::MalformedLambda`], and a volume not even the
-/// saturation fallback can place is [`rsz_core::SolveError::BracketExhausted`]
-/// instead of an infinite cost the caller has to know to check for.
-pub fn try_solve(
-    arms: &[Arm<'_>],
-    lambda: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<DispatchSolution, rsz_core::SolveError> {
-    if !lambda.is_finite() || lambda < 0.0 {
-        return Err(rsz_core::SolveError::MalformedLambda { t: None, value: lambda });
-    }
-    let mut ws = Workspace::default();
-    let cost = solve_in(arms, lambda, tol, max_iter, &mut ws);
-    if !cost.is_finite() {
-        return Err(rsz_core::SolveError::BracketExhausted { lambda, iterations: ws.prices.len() });
-    }
-    Ok(ws.into_solution(cost))
-}
-
-/// One dispatch problem and the controls of its iterative steps.
+/// One dispatch problem.
 #[derive(Clone, Copy)]
 struct Problem<'p> {
     arms: &'p [Arm<'p>],
     lambda: f64,
-    tol: f64,
-    max_iter: usize,
 }
 
 impl Problem<'_> {
@@ -83,7 +59,7 @@ impl Problem<'_> {
         } else if nu >= hi {
             self.arms[j].cap()
         } else {
-            self.arms[j].volume_at_price(nu, self.tol, self.max_iter)
+            self.arms[j].volume_at_price(nu)
         }
     }
 
@@ -93,16 +69,11 @@ impl Problem<'_> {
     }
 }
 
-/// [`solve`] into `ws.volumes`, returning the cost (`f64::INFINITY` when
-/// no allocation within capacity serves `lambda`).
-pub(crate) fn solve_in(
-    arms: &[Arm<'_>],
-    lambda: f64,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> f64 {
-    let p = Problem { arms, lambda, tol, max_iter };
+/// Solve the dispatch problem with `0 < lambda ≤ Σ cap_j` into
+/// `ws.volumes`, returning the cost (`f64::INFINITY` when no allocation
+/// within capacity serves `lambda`).
+pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
+    let p = Problem { arms, lambda };
     ws.reset(arms.len());
     ws.prices.clear();
     for (j, arm) in arms.iter().enumerate() {
@@ -146,7 +117,7 @@ pub(crate) fn solve_in(
     // in closed form; several share it at the price the secant finds.
     match interior {
         (1, i) if reach > rest => ws.volumes[i] = rest,
-        (2.., _) if reach - rest > p.tol * lambda => {
+        (2.., _) if reach - rest > DISPATCH_TOL * lambda => {
             return illinois(p, (a, y_a - lambda), (b, reach - rest), ws);
         }
         _ => {}
@@ -167,7 +138,8 @@ pub(crate) fn solve_in(
 /// `hi`, each paired with its excess `Y(ν) − λ` (at `hi` the limit from
 /// below, without the arms flat there): regula falsi on `Y(ν) = λ`,
 /// halving the stale end's excess whenever the same end survives twice
-/// (the Illinois rule), until the excess or the bracket is within `tol`.
+/// (the Illinois rule), until the excess or the bracket is within
+/// [`DISPATCH_TOL`].
 /// An infinite `hi` is first brought down by doubling the price.
 fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Workspace) -> f64 {
     while hi.0 == f64::INFINITY {
@@ -180,8 +152,8 @@ fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Wor
     }
     let ((mut nu_lo, mut f_lo), (mut nu_hi, mut f_hi)) = (lo, hi);
     let mut side = 0;
-    for _ in 0..p.max_iter {
-        if nu_hi - nu_lo <= p.tol * nu_hi.abs().max(1.0) {
+    for _ in 0..DISPATCH_MAX_ITER {
+        if nu_hi - nu_lo <= DISPATCH_TOL * nu_hi.abs().max(1.0) {
             break;
         }
         let secant = nu_lo - f_lo * (nu_hi - nu_lo) / (f_hi - f_lo);
@@ -196,7 +168,7 @@ fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Wor
             f_hi *= if side > 0 { 0.5 } else { 1.0 };
             side = 1;
         }
-        if f.abs() <= p.tol * p.lambda {
+        if f.abs() <= DISPATCH_TOL * p.lambda {
             break;
         }
     }
@@ -241,11 +213,11 @@ fn settle(p: Problem<'_>, ws: &mut Workspace) -> f64 {
 /// short, report infeasibility instead of an under-allocated "solution".
 fn saturation_fallback(p: Problem<'_>, nu_max: f64, ws: &mut Workspace) -> f64 {
     for (v, a) in ws.volumes.iter_mut().zip(p.arms) {
-        *v = a.volume_at_price(nu_max, p.tol, p.max_iter);
+        *v = a.volume_at_price(nu_max);
     }
     let cost = settle(p, ws);
     let placed: f64 = ws.volumes.iter().sum();
-    if placed < p.lambda - 1e-9 * p.lambda.max(1.0) {
+    if placed < p.lambda - DISPATCH_SHORTFALL * p.lambda.max(1.0) {
         return f64::INFINITY;
     }
     cost
@@ -265,12 +237,12 @@ const RESIDUAL_CHUNKS: f64 = 32.0;
 /// residuals. `parked` is scratch space.
 fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64, parked: &mut Vec<bool>) {
     let total = lambda - vols.iter().sum::<f64>();
-    if total.abs() <= 1e-12 * lambda.max(1.0) {
+    if total.abs() <= DISPATCH_NOISE * lambda.max(1.0) {
         return;
     }
     // Tiny numerical residuals move in one piece; only macroscopic ones
     // (the saturation fallback) pay for the chunked water-fill.
-    let chunk = if total.abs() > 1e-6 * lambda.max(1.0) {
+    let chunk = if total.abs() > DISPATCH_MACRO_RESIDUAL * lambda.max(1.0) {
         total.abs() / RESIDUAL_CHUNKS
     } else {
         total.abs()
@@ -288,7 +260,7 @@ fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64, parked: 
             let Some(i) = next else { break };
             let spare = arms[i].cap() - vols[i];
             let take = residual.min(spare).min(chunk);
-            if take <= residual * 1e-15 {
+            if take <= residual * DISPATCH_STALL {
                 parked[i] = true;
                 continue;
             }
@@ -302,7 +274,7 @@ fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64, parked: 
                 .max_by(|&a, &b| arms[a].phi_deriv(vols[a]).total_cmp(&arms[b].phi_deriv(vols[b])));
             let Some(i) = next else { break };
             let give = (-residual).min(vols[i]).min(chunk);
-            if give <= -residual * 1e-15 {
+            if give <= -residual * DISPATCH_STALL {
                 parked[i] = true;
                 continue;
             }
@@ -316,7 +288,13 @@ fn distribute_residual(vols: &mut [f64], arms: &[Arm<'_>], lambda: f64, parked: 
 mod tests {
     use super::*;
     use crate::arms::collect;
+    use crate::{DispatchSolution, Dispatcher};
     use rsz_core::{CostModel, Instance, ServerType};
+
+    /// Every case runs through the dispatcher's one entry point.
+    fn solve(arms: &[Arm<'_>], lambda: f64) -> DispatchSolution {
+        Dispatcher::new().solve_arms(arms, lambda)
+    }
 
     #[test]
     fn equalizes_marginal_costs_on_smooth_arms() {
@@ -328,7 +306,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[2, 1]);
-        let sol = solve(&arms, 3.0, 1e-12, 200);
+        let sol = solve(&arms, 3.0);
         let m0 = arms[0].phi_deriv(sol.volumes[0]);
         let m1 = arms[1].phi_deriv(sol.volumes[1]);
         assert!((m0 - m1).abs() < 1e-6, "marginals {m0} vs {m1}");
@@ -346,7 +324,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1, 1]);
-        let sol = solve(&arms, 5.0, 1e-12, 200);
+        let sol = solve(&arms, 5.0);
         let total: f64 = sol.volumes.iter().sum();
         assert!((total - 5.0).abs() < 1e-9);
         assert!(sol.volumes[0] <= 1.0 + 1e-9);
@@ -371,7 +349,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1, 1]);
-        let sol = solve(&arms, 5.0, 1e-12, 200);
+        let sol = solve(&arms, 5.0);
         let total: f64 = sol.volumes.iter().sum();
         assert!((total - 5.0).abs() < 1e-9, "{:?}", sol.volumes);
         // cost = idle 2 + slope-1 volume (5) = 7 exactly (both slopes 1)
@@ -428,7 +406,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1]);
-        let sol = solve(&arms, 0.9, 1e-10, 200);
+        let sol = solve(&arms, 0.9);
         assert!(sol.is_feasible());
         let total: f64 = sol.volumes.iter().sum();
         assert!((total - 0.9).abs() < 1e-9, "under-allocated: {:?}", sol.volumes);
@@ -438,9 +416,10 @@ mod tests {
             "cost {} vs forced-allocation cost {expected}",
             sol.cost
         );
-        // Demanding more than the capacity must come back infeasible,
-        // not as a quietly short allocation.
-        assert!(!solve(&arms, 1.5, 1e-10, 200).is_feasible());
+        // Demanding more than the capacity must come back at infinite
+        // cost, not as a quietly short allocation.
+        let past = solve(&arms, 1.5);
+        assert!(!past.is_feasible() && past.cost == f64::INFINITY, "{past:?}");
     }
 
     #[test]
@@ -469,7 +448,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1, 1]);
-        let sol = solve(&arms, 1.5, 1e-10, 200);
+        let sol = solve(&arms, 1.5);
         assert!(sol.is_feasible());
         let total: f64 = sol.volumes.iter().sum();
         assert!((total - 1.5).abs() < 1e-9, "{:?}", sol.volumes);
@@ -508,7 +487,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1, 1]);
-        let sol = solve(&arms, 1.0, 1e-10, 200);
+        let sol = solve(&arms, 1.0);
         assert!(sol.is_feasible());
         let total: f64 = sol.volumes.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "{:?}", sol.volumes);
@@ -541,11 +520,11 @@ mod tests {
             .unwrap();
         let arms = collect(&inst, 0, &[1, 1, 1]);
         let nu = 2.2 / 3.0;
-        let sol = solve(&arms, 1.2, 1e-10, 200);
+        let sol = solve(&arms, 1.2);
         for (got, want) in sol.volumes.iter().zip([nu, 2.0 * (nu - 0.5), 0.0]) {
             assert!((got - want).abs() < 1e-9, "{:?}", sol.volumes);
         }
-        let sol = solve(&arms, 3.0, 1e-10, 200);
+        let sol = solve(&arms, 3.0);
         for (got, want) in sol.volumes.iter().zip([1.0, 1.0, 1.0]) {
             assert!((got - want).abs() < 1e-9, "{:?}", sol.volumes);
         }
@@ -582,19 +561,15 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[1, 2]);
-        let sol = solve(&arms, 2.9, 1e-10, 200);
+        let sol = solve(&arms, 2.9);
         assert!(sol.is_feasible());
         assert!((sol.volumes[0] - 0.9).abs() < 1e-9, "{:?}", sol.volumes);
         assert_eq!(sol.volumes[1], 2.0);
         let oracle = crate::brute::solve(&arms, 2.9, 2000);
         assert!(sol.cost <= oracle.cost * (1.0 + 1e-9), "{} vs brute {}", sol.cost, oracle.cost);
-        // Past capacity nothing places the volume: infeasible, and
-        // `try_solve` names the two breakpoints (0.5 and 1) it searched.
-        assert!(!solve(&arms, 3.5, 1e-10, 200).is_feasible());
-        assert_eq!(
-            try_solve(&arms, 3.5, 1e-10, 200),
-            Err(rsz_core::SolveError::BracketExhausted { lambda: 3.5, iterations: 2 })
-        );
+        // Past capacity nothing places the volume: the cost is infinite.
+        let past = solve(&arms, 3.5);
+        assert!(!past.is_feasible() && past.cost == f64::INFINITY, "{past:?}");
     }
 
     #[test]
@@ -614,7 +589,7 @@ mod tests {
         for lin in [0, 1] {
             let arms = collect(&inst, 0, &[1, 1, lin]);
             let lambda = 1.6 + f64::from(lin);
-            let sol = solve(&arms, lambda, 1e-10, 200);
+            let sol = solve(&arms, lambda);
             for (got, want) in sol.volumes.iter().zip([0.96, 0.64, 1.0]) {
                 assert!((got - want).abs() < 1e-9, "lin {lin}: {:?}", sol.volumes);
             }
@@ -666,7 +641,7 @@ mod tests {
             .build()
             .unwrap();
         let arms = collect(&inst, 0, &[3]);
-        let sol = solve(&arms, 4.5, 1e-12, 200);
+        let sol = solve(&arms, 4.5);
         assert!((sol.volumes[0] - 4.5).abs() < 1e-9);
         // cost = 3·(1 + 2·(1.5)³)
         let expected = 3.0 * (1.0 + 2.0 * 1.5_f64.powi(3));

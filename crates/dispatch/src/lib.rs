@@ -18,32 +18,29 @@
 //! Φ_j(y) = x_j · f_{t,j}(y / x_j)
 //! ```
 //!
-//! Three solvers are provided:
+//! One solver prices every cell:
 //!
-//! * [`greedy`] — exact closed form when every cost is constant or affine
-//!   (fill the cheapest marginal rate first). This covers the
-//!   load-independent special case of the paper and the classic
-//!   energy-proportional model.
-//! * [`kkt`] — marginal-cost equalization for arbitrary convex costs: an
-//!   exact water-fill over the arms' marginal-price breakpoints, closed
-//!   form when one arm is interior to the segment that reaches `λ` and a
-//!   bracketed secant when several are.
+//! * [`kkt`] — marginal-cost equalization: an exact water-fill over the
+//!   arms' marginal-price breakpoints, closed form when one arm is
+//!   interior to the segment that reaches `λ` and a bracketed secant when
+//!   several are. Constant and affine costs (the paper's load-independent
+//!   case and the energy-proportional model) never have an interior arm,
+//!   so their cells end in the closed-form share at one breakpoint.
 //! * [`brute`] — a dense grid-search oracle, used by the test suite to
-//!   cross-check the other two.
+//!   cross-check it.
 //!
-//! [`Dispatcher`] picks the right solver per call and implements
-//! [`rsz_core::GtOracle`], which is how the offline DP and the online
-//! algorithms price configurations; [`SlotDispatcher`] is the
-//! allocation-free per-slot context DP workers solve through. Every
-//! pricing path returns exactly [`Dispatcher::g_value`]'s bits. Repeated
-//! `g_t` work is shared one level up, by the offline pipeline's pricing
-//! pool and the online engine's priced-slot pool.
+//! [`Dispatcher`] implements [`rsz_core::GtOracle`], which is how the
+//! offline DP and the online algorithms price configurations;
+//! [`SlotDispatcher`] is the allocation-free per-slot context DP workers
+//! solve through. Every pricing path returns exactly
+//! [`Dispatcher::g_value`]'s bits. Repeated `g_t` work is shared one
+//! level up, by the offline pipeline's pricing pool and the online
+//! engine's priced-slot pool.
 
 #![warn(missing_docs)]
 
 pub mod arms;
 pub mod brute;
-pub mod greedy;
 pub mod kkt;
 pub mod solution;
 
@@ -54,31 +51,19 @@ use rsz_core::util::exceeds_capacity;
 use rsz_core::{GtOracle, Instance, SlotEval};
 use solution::Workspace;
 
-/// Facade solver for `g_t(x)`: validates feasibility, picks the fastest
-/// applicable algorithm and returns costs/allocations.
+/// Facade solver for `g_t(x)`: checks feasibility, solves the breakpoint
+/// water-fill and returns costs/allocations. Its tolerances are the
+/// dispatch constants of `rsz_core::util`.
 ///
-/// Cheap to construct and `Copy`; share freely across threads.
-#[derive(Clone, Copy, Debug)]
-pub struct Dispatcher {
-    /// Relative tolerance of the iterative steps: the in-segment secant
-    /// of [`kkt`] and the price inversion of costs without a closed-form
-    /// `deriv_inv`. The returned cost is accurate to roughly this order.
-    pub tol: f64,
-    /// Iteration cap for each of those loops.
-    pub max_iter: usize,
-}
-
-impl Default for Dispatcher {
-    fn default() -> Self {
-        Self { tol: 1e-10, max_iter: 200 }
-    }
-}
+/// Stateless and `Copy`; share freely across threads.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Dispatcher;
 
 impl Dispatcher {
-    /// A dispatcher with default tolerances.
+    /// A dispatcher.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Solve the dispatch problem for configuration `x` at slot `t`,
@@ -93,30 +78,8 @@ impl Dispatcher {
     #[must_use]
     pub fn solve_arms(&self, arms: &[Arm<'_>], lambda: f64) -> DispatchSolution {
         let mut ws = Workspace::default();
-        let cost = self.solve_in(arms, lambda, &mut ws);
+        let cost = solve_in(arms, lambda, &mut ws);
         ws.into_solution(cost)
-    }
-
-    /// The preamble every dispatch entry point shares (feasibility slack,
-    /// λ clamp, idle-only and affine paths), solving into `ws`.
-    fn solve_in(&self, arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
-        debug_assert!(lambda >= 0.0);
-        let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-        if exceeds_capacity(lambda, total_cap) {
-            ws.reset(arms.len());
-            return f64::INFINITY;
-        }
-        let lambda = lambda.min(total_cap);
-        if lambda == 0.0 {
-            // Idle-only: every active server still pays f(0).
-            ws.reset(arms.len());
-            return arms.iter().map(Arm::idle_total).sum();
-        }
-        if arms.iter().all(Arm::is_affine) {
-            greedy::solve_in(arms, lambda, ws)
-        } else {
-            kkt::solve_in(arms, lambda, self.tol, self.max_iter, ws)
-        }
     }
 
     /// The optimal cost only (no allocation vector) — what the DP needs.
@@ -130,21 +93,7 @@ impl Dispatcher {
         scale: f64,
     ) -> f64 {
         let arms = arms::collect(instance, t, x);
-        self.value_in(&arms, lambda, scale, &mut Workspace::default())
-    }
-
-    /// Cost of a pre-assembled arm list — shared by [`Dispatcher::g_value`]
-    /// and the buffer-reusing [`SlotDispatcher`] so both produce
-    /// bit-identical results.
-    fn value_in(&self, arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace) -> f64 {
-        if scale == 0.0 {
-            // Zero-scaled slots cost nothing but must still be feasible.
-            let total_cap: f64 = arms.iter().map(Arm::cap).sum();
-            return if exceeds_capacity(lambda, total_cap) { f64::INFINITY } else { 0.0 };
-        }
-        // A uniform positive scale does not change the argmin, so solve the
-        // unscaled problem and scale the optimum.
-        scale * self.solve_in(arms, lambda, ws)
+        value_in(&arms, lambda, scale, &mut Workspace::default())
     }
 
     /// Open a buffer-reusing evaluator for slot `t` of `instance`: the
@@ -161,15 +110,40 @@ impl Dispatcher {
     ) -> SlotDispatcher<'a> {
         let arms = SlotArms::new(instance, t);
         let scratch = Vec::with_capacity(arms.num_types());
-        SlotDispatcher {
-            dispatcher: *self,
-            arms,
-            lambda,
-            cost_scale,
-            scratch,
-            ws: Workspace::default(),
-        }
+        SlotDispatcher { arms, lambda, cost_scale, scratch, ws: Workspace::default() }
     }
+}
+
+/// The preamble every dispatch entry point shares (feasibility slack,
+/// λ clamp, idle-only cells), solving into `ws`.
+fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
+    debug_assert!(lambda >= 0.0);
+    let total_cap: f64 = arms.iter().map(Arm::cap).sum();
+    if exceeds_capacity(lambda, total_cap) {
+        ws.reset(arms.len());
+        return f64::INFINITY;
+    }
+    let lambda = lambda.min(total_cap);
+    if lambda == 0.0 {
+        // Idle-only: every active server still pays f(0).
+        ws.reset(arms.len());
+        return arms.iter().map(Arm::idle_total).sum();
+    }
+    kkt::solve_in(arms, lambda, ws)
+}
+
+/// Cost of a pre-assembled arm list — shared by [`Dispatcher::g_value`]
+/// and the buffer-reusing [`SlotDispatcher`] so both produce
+/// bit-identical results.
+fn value_in(arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace) -> f64 {
+    if scale == 0.0 {
+        // Zero-scaled slots cost nothing but must still be feasible.
+        let total_cap: f64 = arms.iter().map(Arm::cap).sum();
+        return if exceeds_capacity(lambda, total_cap) { f64::INFINITY } else { 0.0 };
+    }
+    // A uniform positive scale does not change the argmin, so solve the
+    // unscaled problem and scale the optimum.
+    scale * solve_in(arms, lambda, ws)
 }
 
 /// A [`Dispatcher`] scoped to one `(slot, λ, cost_scale)` triple: prices
@@ -178,7 +152,6 @@ impl Dispatcher {
 /// hold per thread (it is deliberately not `Sync`).
 #[derive(Clone, Debug)]
 pub struct SlotDispatcher<'a> {
-    dispatcher: Dispatcher,
     arms: SlotArms<'a>,
     lambda: f64,
     cost_scale: f64,
@@ -192,7 +165,7 @@ impl SlotDispatcher<'_> {
     /// before it.
     pub fn eval_config(&mut self, x: &[u32]) -> f64 {
         self.arms.fill_into(x, &mut self.scratch);
-        self.dispatcher.value_in(&self.scratch, self.lambda, self.cost_scale, &mut self.ws)
+        value_in(&self.scratch, self.lambda, self.cost_scale, &mut self.ws)
     }
 }
 
@@ -290,6 +263,50 @@ mod tests {
                 assert_eq!(fast.to_bits(), slow.to_bits(), "t={t} λ={lambda} s={scale} x={x:?}");
             }
         }
+    }
+
+    /// Affine rates 1 (`cheap`) and 4 (`pricey`) beside a constant
+    /// (rate 0) type.
+    fn affine_instance() -> Instance {
+        Instance::builder()
+            .server_type(ServerType::new("cheap", 2, 1.0, 2.0, CostModel::linear(1.0, 1.0)))
+            .server_type(ServerType::new("pricey", 2, 1.0, 2.0, CostModel::linear(0.5, 4.0)))
+            .server_type(ServerType::new("free", 1, 1.0, 1.0, CostModel::constant(2.0)))
+            .loads(vec![5.0])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn affine_cell_fills_cheapest_rate_first() {
+        let inst = affine_instance();
+        let arms = arms::collect(&inst, 0, &[2, 2, 1]);
+        let sol = Dispatcher::new().solve_arms(&arms, 5.0);
+        // Rates 0 (free), 1 (cheap), 4 (pricey): free and cheap fill to
+        // capacity, 5 − 1 − 4 = 0 is left for pricey.
+        assert_eq!(sol.volumes, vec![4.0, 0.0, 1.0]);
+        // idle: 2·1 + 2·0.5 + 1·2 = 5 ; load: 4·1 + 0 + 1·0 = 4
+        assert!((sol.cost - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn affine_cell_spills_to_expensive_arm_when_needed() {
+        let inst = affine_instance();
+        let arms = arms::collect(&inst, 0, &[2, 2, 0]);
+        let sol = Dispatcher::new().solve_arms(&arms, 5.0);
+        assert_eq!(sol.volumes, vec![4.0, 1.0]);
+        // idle 2+1=3, load 4·1 + 1·4 = 8
+        assert!((sol.cost - 11.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn affine_cell_at_exact_capacity() {
+        let inst = affine_instance();
+        let arms = arms::collect(&inst, 0, &[2, 2, 1]);
+        let sol = Dispatcher::new().solve_arms(&arms, 9.0); // = total capacity
+        assert!(sol.is_feasible());
+        let total: f64 = sol.volumes.iter().sum();
+        assert!((total - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Dispatch solver output.
 
 /// Result of a dispatch solve: the optimal operating cost and the volume
-/// routed to each *arm* (types with zero active servers are not arms; use
-/// [`DispatchSolution::volumes_by_type`] to expand back to `d` entries).
+/// routed to each *arm* (types with zero active servers are not arms;
+/// [`crate::Arm::type_index`] maps an arm back to its type).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DispatchSolution {
     /// Optimal operating cost `g_t(x)`; `f64::INFINITY` when infeasible.
@@ -29,16 +29,6 @@ impl DispatchSolution {
     pub fn is_feasible(&self) -> bool {
         self.cost.is_finite()
     }
-
-    /// Expand arm volumes back to a `d`-length per-type vector.
-    #[must_use]
-    pub fn volumes_by_type(&self, arms: &[crate::Arm<'_>], d: usize) -> Vec<f64> {
-        let mut out = vec![0.0; d];
-        for (arm, &y) in arms.iter().zip(&self.volumes) {
-            out[arm.type_index] = y;
-        }
-        out
-    }
 }
 
 /// Reusable buffers of a dispatch solve: a slot context keeps one, so it
@@ -56,8 +46,6 @@ pub(crate) struct Workspace {
     pub(crate) prices: Vec<f64>,
     /// Arms the residual pass gave up on.
     pub(crate) parked: Vec<bool>,
-    /// Greedy fill order.
-    pub(crate) order: Vec<usize>,
 }
 
 impl Workspace {

@@ -1,13 +1,16 @@
-//! Property-based tests for the dispatch solvers: the KKT and greedy
-//! paths are validated against the dense grid-search oracle and against
-//! each other, plus structural optimality conditions.
+//! Property-based tests for the dispatch solver: the breakpoint
+//! water-fill is validated against the dense grid-search oracle, against
+//! the rate-ordered fill on all-affine cells, and by structural
+//! optimality conditions.
 //!
 //! The arm sets mix every cost shape the breakpoint water-fill must
-//! handle: closed-form `deriv_inv`, piecewise linear (with flat-marginal
-//! and zero-slope segments), a custom cost that has no `deriv_inv`, and
-//! zero-scaled cost views. A second case family forces breakpoint ties:
-//! equal affine rates, one arm's `Φ'(0)` equal to another's `Φ'(cap)`,
-//! `λ` exactly at a breakpoint's cumulative volume, and `λ` at capacity.
+//! handle: constant and affine, closed-form `deriv_inv`, piecewise linear
+//! (with flat-marginal and zero-slope segments), a custom cost that has
+//! no `deriv_inv`, and zero-scaled cost views. A second case family
+//! forces breakpoint ties: equal affine rates, all-affine cells (equal
+//! rates, constant and zero-scaled arms), one arm's `Φ'(0)` equal to
+//! another's `Φ'(cap)`, `λ` exactly at a breakpoint's cumulative volume,
+//! and `λ` at capacity.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -84,11 +87,30 @@ fn arm_strategy() -> impl Strategy<Value = ArmSpec> {
     })
 }
 
+/// All-affine arm sets (every marginal interval is one point), with
+/// ties: two arms at one rate beside a constant or a zero-scaled arm, or
+/// a constant arm tied at rate 0 with a zero-scaled one.
+fn all_affine_arms() -> impl Strategy<Value = Vec<ArmSpec>> {
+    (0.0..2.0_f64, 0.0..2.0_f64, 0.0..4.0_f64, 1u32..4, 1u32..4, 0u32..3).prop_map(
+        |(i1, i2, rate, c1, c2, shape)| {
+            let constant = spec(c2, 1.5, CostModel::constant(i2 + 0.1));
+            let free = ArmSpec { scale: 0.0, ..spec(2, 0.5, CostModel::linear(i1, rate + 1.0)) };
+            let tied = spec(c2, 2.0, CostModel::linear(i2, rate));
+            let lin = spec(c1, 1.0, CostModel::linear(i1, rate));
+            match shape {
+                0 => vec![lin, tied, constant],
+                1 => vec![lin, tied, free],
+                _ => vec![lin, constant, free],
+            }
+        },
+    )
+}
+
 /// Arm sets whose marginal-price breakpoints tie.
 fn tied_arms() -> impl Strategy<Value = Vec<ArmSpec>> {
     prop_oneof![
-        // Equal affine rates beside a strictly convex arm (so the set
-        // goes through the KKT solver, not the greedy fill).
+        all_affine_arms(),
+        // Equal affine rates beside a strictly convex arm.
         (0.0..2.0_f64, 0.0..2.0_f64, 0.0..4.0_f64, 1u32..4, 1u32..4, 0.1..2.0_f64).prop_map(
             |(i1, i2, rate, c1, c2, coef)| {
                 vec![
@@ -189,11 +211,7 @@ fn lambda_of(arm_list: &[Arm<'_>], volume: &Volume) -> f64 {
             let prices: Vec<f64> =
                 arm_list.iter().flat_map(|a| [a.phi_deriv(0.0), a.phi_deriv(a.cap())]).collect();
             let p = prices[i % prices.len()];
-            arm_list
-                .iter()
-                .map(|a| a.volume_at_price(p, 1e-10, 200))
-                .sum::<f64>()
-                .min(capacity(arm_list))
+            arm_list.iter().map(|a| a.volume_at_price(p)).sum::<f64>().min(capacity(arm_list))
         }
     }
 }
@@ -259,13 +277,8 @@ proptest! {
         for (y, a) in sol.volumes.iter().zip(&arm_list) {
             if *y < a.cap() - 1e-9 {
                 // not saturated ⇒ marginal at y must be ≥ ν − tol (else
-                // moving volume here would reduce cost). A piecewise-linear
-                // arm resting on a kink holds `x·z`, which maps back to
-                // the kink `z` only to within rounding, so its marginal is
-                // read just above y, as ν is read just below.
-                let kinked =
-                    matches!(case.specs[a.type_index].model, CostModel::PiecewiseLinear(_));
-                let marginal = a.phi_deriv(if kinked { *y * (1.0 + 1e-9) } else { *y });
+                // moving volume here would reduce cost).
+                let marginal = a.phi_deriv(*y);
                 prop_assert!(
                     marginal >= nu - 1e-4 * nu.abs().max(1.0),
                     "arm could absorb cheaper volume: φ'({y}) = {marginal} < ν = {nu}"
@@ -302,6 +315,44 @@ proptest! {
             new_cost >= sol.cost - 1e-6 * sol.cost.abs().max(1.0),
             "exchange improved cost: {new_cost} < {}", sol.cost
         );
+    }
+
+    /// An all-affine cell costs what the rate-ordered fill costs (every
+    /// arm filled to capacity, cheapest marginal rate first, plus the
+    /// idle costs) at each cumulative capacity of that order and halfway
+    /// to it.
+    #[test]
+    fn all_affine_cells_cost_the_rate_ordered_fill(specs in all_affine_arms()) {
+        let inst = build_instance(&specs);
+        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+        let arm_list = arms::collect(&inst, 0, &counts);
+        let mut order: Vec<&Arm<'_>> = arm_list.iter().collect();
+        order.sort_by(|a, b| a.phi_deriv(0.0).total_cmp(&b.phi_deriv(0.0)));
+        let fill = |lambda: f64| {
+            let mut rest = lambda;
+            let mut cost: f64 = arm_list.iter().map(Arm::idle_total).sum();
+            for a in &order {
+                let take = rest.min(a.cap());
+                cost += take * a.phi_deriv(0.0);
+                rest -= take;
+            }
+            cost
+        };
+        let d = Dispatcher::new();
+        let mut reached = 0.0;
+        for a in &order {
+            for lambda in [reached + 0.5 * a.cap(), reached + a.cap()] {
+                let sol = d.solve_arms(&arm_list, lambda);
+                let want = fill(lambda);
+                prop_assert!(
+                    (sol.cost - want).abs() <= 1e-12 * want.abs().max(1.0),
+                    "λ = {lambda}: {} vs the fill's {want}", sol.cost
+                );
+                let total: f64 = sol.volumes.iter().sum();
+                prop_assert!((total - lambda).abs() <= 1e-12 * lambda.max(1.0), "Σy = {total}");
+            }
+            reached += a.cap();
+        }
     }
 
     /// Cost is monotone in λ: more volume never costs less.

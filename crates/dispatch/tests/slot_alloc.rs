@@ -5,10 +5,10 @@
 //! `#[global_allocator]` (the test binary is its own process, so the hook
 //! is safe) and asserts that, once every configuration has been priced
 //! once, pricing the whole grid again touches the allocator **zero**
-//! times — on every solver branch: the affine greedy fill, the
-//! closed-form and bracketed-secant breakpoint water-fill (also above the
-//! last finite breakpoint), the saturation fallback, idle-only and
-//! infeasible cells.
+//! times — on every solver branch: the breakpoint water-fill's share at
+//! one breakpoint (all-affine cells included), its closed form and its
+//! bracketed secant (also above the last finite breakpoint), the
+//! saturation fallback, idle-only and infeasible cells.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +120,7 @@ fn slot_context_prices_allocation_free_after_its_first_call() {
     let inst = instance();
     let oracle = Dispatcher::new();
     let grid = configs(&[3, 2, 2, 2, 1]);
-    // Idle-only, the greedy fill, both breakpoint branches below and
+    // Idle-only, all-affine cells, both breakpoint branches below and
     // above the last finite breakpoint, the fallback (λ = 13.9 needs the
     // steep arm past 0.81 beside a full fleet) and infeasible cells all
     // occur across these volumes.

@@ -189,7 +189,7 @@ pub fn validate_for_solve(
     instance.validate()?;
     for (t, &lambda) in instance.loads().iter().enumerate() {
         if !lambda.is_finite() || lambda < 0.0 {
-            return Err(rsz_core::SolveError::MalformedLambda { t: Some(t), value: lambda });
+            return Err(rsz_core::SolveError::MalformedLambda { t, value: lambda });
         }
     }
     let fine = options.refine.map_or(options.grid, |r| r.target);

@@ -90,17 +90,6 @@ impl DegradeStats {
     pub fn decisions(&self) -> u64 {
         self.exact + self.coarse + self.hold
     }
-
-    /// Fold another controller's counters into this one — the rollup
-    /// behind the `rsz serve` daemon's per-daemon `/metrics` view,
-    /// where each tenant's degrader keeps its own counters and the
-    /// daemon reports both the per-tenant and the summed ladder.
-    pub fn absorb(&mut self, other: &DegradeStats) {
-        self.exact += other.exact;
-        self.coarse += other.coarse;
-        self.hold += other.hold;
-        self.saturated.extend_from_slice(&other.saturated);
-    }
 }
 
 /// Deadline-driven degradation wrapper. `factory` rebuilds the wrapped

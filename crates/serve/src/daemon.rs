@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance, Schedule};
 use rsz_offline::{shared_pool, SharedSlotPool};
-use rsz_online::{restore_controller, restore_run, DegradeStats, GracefulDegrader, LatencyProfile};
+use rsz_online::{restore_controller, restore_run, GracefulDegrader, LatencyProfile};
 
 use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, ErrorCode, Request};
@@ -1174,7 +1174,7 @@ impl Daemon {
 
     fn metrics_line(&self) -> String {
         let c = &self.counters;
-        let mut daemon_degrade = DegradeStats::default();
+        let (mut all_exact, mut all_coarse, mut all_hold) = (0u64, 0u64, 0u64);
         let mut tenant_objs: Vec<(String, Json)> = Vec::new();
         let mut pool_pricings = 0u64;
         let mut pool_hits = 0u64;
@@ -1188,16 +1188,14 @@ impl Daemon {
                 let [p50, p99] = LatencyProfile::quantiles(&st.counters.latencies, [0.5, 0.99]);
                 let (exact, coarse, hold, rung) = match st.controller.as_ref() {
                     Some(ctl) => {
-                        daemon_degrade.absorb(ctl.stats());
-                        (
-                            ctl.stats().exact,
-                            ctl.stats().coarse,
-                            ctl.stats().hold,
-                            protocol::rung_str(ctl.rung()),
-                        )
+                        let s = ctl.stats();
+                        (s.exact, s.coarse, s.hold, protocol::rung_str(ctl.rung()))
                     }
                     None => (0, 0, 0, "none"),
                 };
+                all_exact += exact;
+                all_coarse += coarse;
+                all_hold += hold;
                 let engine = st.controller.as_ref().and_then(|ctl| ctl.inner().engine_stats());
                 if let Some(e) = &engine {
                     pool_pricings += e.pricings;
@@ -1260,9 +1258,9 @@ impl Daemon {
             ),
             ("failovers", json::n(c.failovers.load(Ordering::Relaxed) as f64)),
             ("pool_hit_rate", json::n(hit_rate)),
-            ("rung_exact", json::n(daemon_degrade.exact as f64)),
-            ("rung_coarse", json::n(daemon_degrade.coarse as f64)),
-            ("rung_hold", json::n(daemon_degrade.hold as f64)),
+            ("rung_exact", json::n(all_exact as f64)),
+            ("rung_coarse", json::n(all_coarse as f64)),
+            ("rung_hold", json::n(all_hold as f64)),
             ("tenants", Json::Obj(tenant_objs)),
         ])
         .to_line()

@@ -59,10 +59,6 @@ struct Flags {
     switches: &'static [&'static str],
 }
 
-/// Switches that selected solver paths which are now the only ones;
-/// accepted as no-ops for one release.
-const RETIRED: [&str; 3] = ["--pipeline", "--engine", "--cache"];
-
 const SOLVE_FLAGS: Flags = Flags {
     valued: &[
         "--trace",
@@ -74,7 +70,7 @@ const SOLVE_FLAGS: Flags = Flags {
         "--threads",
         "--out",
     ],
-    switches: &["--refine", "--chart", RETIRED[0], RETIRED[1], RETIRED[2]],
+    switches: &["--refine", "--chart"],
 };
 
 const SIMULATE_FLAGS: Flags = Flags {
@@ -93,7 +89,7 @@ const SIMULATE_FLAGS: Flags = Flags {
         "--peers",
         "--deadline-us",
     ],
-    switches: &["--refine", RETIRED[0], RETIRED[1], RETIRED[2]],
+    switches: &["--refine"],
 };
 
 const SERVE_FLAGS: Flags = Flags {
@@ -171,12 +167,10 @@ process loses at most K slots of work. A corrupted, truncated, or
 mismatched snapshot exits with code 3 — it never resumes into garbage.
 
 Every offline solve prices g_t through the slot-batched pipeline
-(slot-parallel pricing, warm-started KKT row sweeps, per-day slot reuse
-on repeating traces) and every online controller through the
+(slot-parallel pricing, an exact breakpoint water-fill per cell, per-day
+slot reuse on repeating traces) and every online controller through the
 priced-slot engine. --threads N pins the offline solver's worker count
-(default: all cores for large grids). --pipeline, --engine and --cache
-used to select those paths; they are accepted as no-ops for one release.
-Any other unknown flag is a usage error.
+(default: all cores for large grids). An unknown flag is a usage error.
 
 rsz serve hosts many independent tenants (fleet + controller + its own
 telemetry stream) behind a line-delimited JSON protocol with a
@@ -892,7 +886,10 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         assert!(check_flags(&s(&["--trace", "t.csv", "--chart"]), &SOLVE_FLAGS).is_ok());
-        assert!(check_flags(&s(&["--cache", "--pipeline", "--engine"]), &SOLVE_FLAGS).is_ok());
+        for retired in ["--cache", "--pipeline", "--engine"] {
+            assert!(check_flags(&s(&[retired]), &SOLVE_FLAGS).is_err(), "{retired}");
+            assert!(check_flags(&s(&[retired]), &SIMULATE_FLAGS).is_err(), "{retired}");
+        }
         assert!(check_flags(&s(&["--refine-epsilson", "0.5"]), &SOLVE_FLAGS).is_err());
         assert!(check_flags(&s(&["--trace"]), &SOLVE_FLAGS).is_err(), "missing value");
         assert!(check_flags(&s(&["stray"]), &GENERATE_FLAGS).is_err());

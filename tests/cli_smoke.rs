@@ -35,7 +35,7 @@ fn total_line(s: &str) -> String {
 
 #[test]
 fn misspelled_flags_exit_2_with_usage() {
-    let cases: [&[&str]; 3] = [
+    let cases: [&[&str]; 7] = [
         &[
             "solve",
             "--trace",
@@ -49,6 +49,20 @@ fn misspelled_flags_exit_2_with_usage() {
         ],
         &["simulate", "--trace", "t.csv", "--algo", "a", "--engin"],
         &["generate", "--len", "4", "--peak", "2", "--sead", "3"],
+        // The retired solver-path switches are unknown flags too.
+        &[
+            "solve",
+            "--trace",
+            "t.csv",
+            "--fleet",
+            "cpu-gpu:6,2",
+            "--cache",
+            "--pipeline",
+            "--engine",
+        ],
+        &["solve", "--trace", "t.csv", "--fleet", "cpu-gpu:6,2", "--algorithm", "a", "--pipeline"],
+        &["simulate", "--trace", "t.csv", "--fleet", "cpu-gpu:4,2", "--algo", "c:0.5", "--engine"],
+        &["simulate", "--trace", "t.csv", "--fleet", "homogeneous:6", "--algo", "rhc:3", "--cache"],
     ];
     for args in cases {
         let out = rsz().args(args).output().expect("spawn rsz");
@@ -87,30 +101,16 @@ fn generate_then_solve_round_trip() {
     let sched_text = std::fs::read_to_string(&schedule).expect("schedule written");
     assert!(!sched_text.trim().is_empty(), "schedule file must not be empty");
 
-    // The retired path flags are accepted as no-ops: same totals.
+    // Both the online and the optimal solve report a total.
     let plain_out = String::from_utf8_lossy(&solve.stdout);
     for algorithm in ["a", "opt"] {
-        let reference = rsz()
+        let out = rsz()
             .args(["solve", "--trace", trace.to_str().unwrap()])
             .args(["--fleet", "cpu-gpu:6,2", "--algorithm", algorithm])
             .output()
             .expect("spawn rsz solve");
-        let retired = rsz()
-            .args(["solve", "--trace", trace.to_str().unwrap()])
-            .args(["--fleet", "cpu-gpu:6,2", "--algorithm", algorithm])
-            .args(["--cache", "--pipeline", "--engine"])
-            .output()
-            .expect("spawn rsz solve with retired flags");
-        assert!(
-            retired.status.success(),
-            "retired flags failed: {}",
-            String::from_utf8_lossy(&retired.stderr)
-        );
-        assert_eq!(
-            total_line(&String::from_utf8_lossy(&reference.stdout)),
-            total_line(&String::from_utf8_lossy(&retired.stdout)),
-            "retired flags changed the {algorithm} cost"
-        );
+        assert!(out.status.success(), "solve {algorithm} failed");
+        total_line(&String::from_utf8_lossy(&out.stdout));
     }
     assert!(!plain_out.contains("g_t cache:"), "the cache is gone: {plain_out}");
 
@@ -129,33 +129,18 @@ fn simulate_reports_latency_and_engine_parity() {
         .expect("spawn rsz generate");
     assert!(gen.status.success(), "generate failed: {}", String::from_utf8_lossy(&gen.stderr));
 
-    // With and without the retired --engine flag: identical cost, both
-    // with a latency report and the engine's pricing counters.
-    let mut outputs = Vec::new();
-    for engine in [false, true] {
-        let mut cmd = rsz();
-        cmd.args(["simulate", "--trace", trace.to_str().unwrap()]).args([
-            "--fleet",
-            "cpu-gpu:4,2",
-            "--algo",
-            "c:0.5",
-        ]);
-        if engine {
-            cmd.arg("--engine");
-        }
-        let out = cmd.output().expect("spawn rsz simulate");
-        assert!(
-            out.status.success(),
-            "simulate engine={engine} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        assert!(stdout.contains("decision latency"), "missing latency report: {stdout}");
-        assert!(stdout.contains("p99"), "missing percentiles: {stdout}");
-        assert!(stdout.contains("engine pricing:"), "missing engine stats: {stdout}");
-        outputs.push(stdout);
-    }
-    assert_eq!(total_line(&outputs[0]), total_line(&outputs[1]), "--engine changed the cost");
+    // A total, a latency report and the engine's pricing counters.
+    let out = rsz()
+        .args(["simulate", "--trace", trace.to_str().unwrap()])
+        .args(["--fleet", "cpu-gpu:4,2", "--algo", "c:0.5"])
+        .output()
+        .expect("spawn rsz simulate");
+    assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    total_line(&stdout);
+    assert!(stdout.contains("decision latency"), "missing latency report: {stdout}");
+    assert!(stdout.contains("p99"), "missing percentiles: {stdout}");
+    assert!(stdout.contains("engine pricing:"), "missing engine stats: {stdout}");
 
     // LCP requires a homogeneous fleet and says so.
     let lcp = rsz()
@@ -184,10 +169,10 @@ fn simulate_reports_latency_and_engine_parity() {
     let lcp_out = String::from_utf8_lossy(&lcp_ok.stdout);
     assert!(lcp_out.contains("engine pricing:"), "missing LCP engine stats: {lcp_out}");
 
-    // RHC with an explicit window and both retired flags.
+    // RHC with an explicit window.
     let rhc = rsz()
         .args(["simulate", "--trace", trace.to_str().unwrap()])
-        .args(["--fleet", "homogeneous:6", "--algo", "rhc:3", "--engine", "--cache"])
+        .args(["--fleet", "homogeneous:6", "--algo", "rhc:3"])
         .output()
         .expect("spawn rsz simulate rhc");
     assert!(rhc.status.success(), "simulate rhc failed: {}", String::from_utf8_lossy(&rhc.stderr));

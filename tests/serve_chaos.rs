@@ -651,6 +651,41 @@ fn deadline_none_is_bit_transparent_through_the_serve_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The daemon-wide `rung_*` counters of `/metrics` are the sums of the
+/// per-tenant ones. A tenant with a 1 µs deadline overruns it and
+/// descends the ladder, so its rungs differ from an undeadlined
+/// tenant's exact-only ones.
+#[test]
+fn daemon_rung_counters_are_the_per_tenant_sums() {
+    let dir = tmp_dir("rung-sums");
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    let c = Combo { tag: "exact", fleet: "cpu-gpu:4,2", algo: "b", grid: "full" };
+    assert_ok(&daemon.handle(&register_line("exact", &c, 4)));
+    assert_ok(&daemon.handle(
+        r#"{"op":"register","tenant":"rushed","fleet":"cpu-gpu:4,2","algo":"b","deadline_us":1}"#,
+    ));
+    let ticks = 32;
+    for i in 0..ticks {
+        let load = 1.0 + 7.0 * (i as f64 * 0.618_033_988_749_895).fract();
+        for tenant in ["exact", "rushed"] {
+            assert_eq!(decided(&daemon.handle(&tick_line(tenant, i, load))).len(), 2);
+        }
+    }
+    let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
+    let rungs = |v: &Json| {
+        ["rung_exact", "rung_coarse", "rung_hold"].map(|k| v.get(k).and_then(Json::as_u64).unwrap())
+    };
+    let tenants = m.get("tenants").unwrap();
+    let (exact, rushed) =
+        (rungs(tenants.get("exact").unwrap()), rungs(tenants.get("rushed").unwrap()));
+    assert_eq!(exact, [ticks as u64, 0, 0], "no deadline: every decision is exact");
+    assert_eq!(rushed.iter().sum::<u64>(), ticks as u64);
+    assert!(rushed[0] < ticks as u64, "the 1 µs tenant never descended: {rushed:?}");
+    let sums: Vec<u64> = exact.iter().zip(&rushed).map(|(a, b)| a + b).collect();
+    assert_eq!(rungs(&m).to_vec(), sums, "daemon-wide rungs vs per-tenant sums");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // 5. Segment rotation, compaction, and graceful shutdown
 // ---------------------------------------------------------------------

@@ -14,6 +14,9 @@
 //!   like a direct run of the same controller. The format-2 and
 //!   layout-1 constants stay as the values those fixtures were pinned
 //!   by; a replica does not read an older primary's layout-1 ring.
+//! * Decisions: replicas of different builds compare decision digests,
+//!   so the served decisions of tenants whose every dispatch cell is
+//!   all-affine are pinned too (`tests/fixtures/all_affine/`).
 
 use std::path::{Path, PathBuf};
 
@@ -120,21 +123,29 @@ fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>, Vec<u8>) {
     (out, snap, hist)
 }
 
-/// The fixture under `tests/fixtures/NAME`: its state directory and
-/// the decisions the format-2 daemon answered, in seq order.
-fn fixture(name: &str) -> (PathBuf, Vec<Config>) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
-    let text = std::fs::read_to_string(root.join("decisions.txt")).unwrap();
-    let recorded = text
-        .lines()
+/// The directory `tests/fixtures/NAME`.
+fn fixture_dir(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+/// A recorded decisions file: one `seq c_1 … c_d` line per tick.
+fn read_decisions(path: &Path) -> Vec<Config> {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines()
         .enumerate()
         .map(|(seq, line)| {
             let mut fields = line.split_whitespace().map(|f| f.parse::<u32>().unwrap());
-            assert_eq!(fields.next(), Some(seq as u32), "decisions.txt is in seq order");
+            assert_eq!(fields.next(), Some(seq as u32), "{path:?} is in seq order");
             Config::new(fields.collect())
         })
-        .collect();
-    (root.join("state"), recorded)
+        .collect()
+}
+
+/// The fixture under `tests/fixtures/NAME`: its state directory and
+/// the decisions the format-2 daemon answered, in seq order.
+fn fixture(name: &str) -> (PathBuf, Vec<Config>) {
+    let root = fixture_dir(name);
+    (root.join("state"), read_decisions(&root.join("decisions.txt")))
 }
 
 /// The spec a register line names.
@@ -367,4 +378,70 @@ fn layout_one_fingerprint_entries_are_skipped_not_quarantined() {
     let ready = replica.handle("GET /readyz");
     assert!(ready.contains("\"quarantined\":0"), "{ready}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Tenants whose every dispatch cell is all-affine (both old-new types
+/// and the homogeneous type have linear costs): `(tenant, register)`.
+const AFFINE_TENANTS: [(&str, &str); 4] = [
+    ("a", r#"{"op":"register","tenant":"a","fleet":"old-new:2,2","algo":"a"}"#),
+    ("b", r#"{"op":"register","tenant":"b","fleet":"old-new:2,2","algo":"b"}"#),
+    ("c", r#"{"op":"register","tenant":"c","fleet":"old-new:2,2","algo":"c:0.5"}"#),
+    ("lcp", r#"{"op":"register","tenant":"lcp","fleet":"homogeneous:4","algo":"lcp"}"#),
+];
+
+/// Ticks per tenant in the all-affine golden.
+const AFFINE_TICKS: usize = 2048;
+
+/// `n` loads in `(0, cap)` that never repeat: a slow swell plus a
+/// golden-ratio jitter, so the tenant scales both up and down.
+fn swell_loads(cap: f64, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let i = i as f64;
+            cap * (0.45 + 0.35 * (i * 0.0654).sin() + 0.15 * (i * 0.618_033_988_749_895).fract())
+        })
+        .collect()
+}
+
+/// Serve [`AFFINE_TICKS`] ticks to each of [`AFFINE_TENANTS`] on one
+/// daemon, seq by seq, and return every tenant's decisions.
+fn serve_affine_tenants() -> Vec<Vec<Config>> {
+    let dir = tmp_dir("all-affine");
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    let mut loads = Vec::new();
+    for (_, register) in AFFINE_TENANTS {
+        let reply = json::parse(&daemon.handle(register)).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{register}");
+        let types = spec_of(register).server_types().unwrap();
+        let cap: f64 = types.iter().map(ServerType::fleet_capacity).sum();
+        loads.push(swell_loads(cap, AFFINE_TICKS));
+    }
+    let mut out = vec![Vec::with_capacity(AFFINE_TICKS); AFFINE_TENANTS.len()];
+    for seq in 0..AFFINE_TICKS {
+        for (((tenant, _), loads), out) in AFFINE_TENANTS.iter().zip(&loads).zip(&mut out) {
+            out.push(decided(&daemon.handle(&tick_line(tenant, seq, loads[seq]))).0);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// Every cell these tenants price is all-affine. The decisions were
+/// recorded under the dispatch solver that filled such cells greedily;
+/// whichever solver prices them, the served decisions (and with them
+/// every replica's decision digest) must not move.
+#[test]
+fn all_affine_tenants_decide_as_recorded() {
+    let mut distinct = swell_loads(1.0, AFFINE_TICKS);
+    distinct.sort_by(f64::total_cmp);
+    distinct.dedup();
+    assert_eq!(distinct.len(), AFFINE_TICKS, "the golden's loads never repeat");
+    let served = serve_affine_tenants();
+    for ((tenant, _), got) in AFFINE_TENANTS.iter().zip(&served) {
+        let want = read_decisions(&fixture_dir("all_affine").join(format!("{tenant}.txt")));
+        assert_eq!(want.len(), AFFINE_TICKS, "{tenant}");
+        if let Some(seq) = (0..AFFINE_TICKS).find(|&s| got[s] != want[s]) {
+            panic!("{tenant} seq {seq}: served {:?}, recorded {:?}", got[seq], want[seq]);
+        }
+    }
 }
