@@ -158,7 +158,7 @@ fn main() {
             ("exact".into(), stats.exact.to_string()),
             ("coarse".into(), stats.coarse.to_string()),
             ("hold".into(), stats.hold.to_string()),
-            ("saturated".into(), stats.saturated.len().to_string()),
+            ("saturated".into(), stats.saturated.to_string()),
             ("ladder_ms".into(), num(degraded_secs * 1e3)),
             ("hold_cost_ratio".into(), num(hold_cost_ratio)),
         ],

@@ -25,7 +25,7 @@
 //!   Reports detection counters; gated on M-for-M detection.
 //! * **age** — tenants of Algorithms A, B, C and LCP at the default
 //!   snapshot and fingerprint cadences, on never-repeating loads: mean
-//!   tick, p99 tick and bytes written per snapshot (`.snap` + `.hist`
+//!   tick, p99 tick and bytes written per snapshot (the history log's
 //!   growth) in 512-slot windows ending at 1k, 4k and 16k slots, the
 //!   three ages measured side by side. Per-tick cost must not depend on
 //!   a tenant's age: each 16k/1k ratio is gated at ≤ 1.2 in full mode,
@@ -110,8 +110,8 @@ fn history_footprint(daemon: &Daemon, dir: &std::path::Path, name: &str) -> (u64
 /// then all twelve tenants take their next 512 slots round-robin, timed
 /// — windows ending at 1k, 4k and 16k, measured over the same wall-clock
 /// period, so that what the state directory's file system does over
-/// time falls on every age alike. Bytes per snapshot: the `.snap` a
-/// snapshot rewrites plus the history log's growth per snapshot.
+/// time falls on every age alike. Bytes per snapshot: the history log's
+/// growth per snapshot, which is all a snapshot writes.
 fn age_row(quick: bool) -> Row {
     const WINDOW: usize = 512;
     const AGES: [(usize, &str); 3] = [(1024, "1k"), (4096, "4k"), (16_384, "16k")];
@@ -167,8 +167,7 @@ fn age_row(quick: bool) -> Row {
                     let tenant = name(tag, t.0);
                     let (hist, snaps) = history_footprint(&daemon, &dir, &tenant);
                     assert!(snaps > snaps0, "{tenant}: no snapshot in the window");
-                    let snap = std::fs::metadata(wal::snap_path(&dir, &tenant)).unwrap().len();
-                    snap as f64 + (hist - hist0) as f64 / (snaps - snaps0) as f64
+                    (hist - hist0) as f64 / (snaps - snaps0) as f64
                 })
                 .sum::<f64>()
                 / AGE_TENANTS.len() as f64;

@@ -77,8 +77,11 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
     ws.reset(arms.len());
     ws.prices.clear();
     for (j, arm) in arms.iter().enumerate() {
-        (ws.lo[j], ws.hi[j]) = (arm.phi_deriv(0.0), arm.phi_deriv(arm.cap()));
-        ws.prices.extend([ws.lo[j], ws.hi[j]].into_iter().filter(|p| p.is_finite()));
+        let (lo, hi) = (arm.phi_deriv(0.0), arm.phi_deriv(arm.cap()));
+        (ws.lo[j], ws.hi[j]) = (lo, hi);
+        // An affine arm's interval is a single point: one breakpoint.
+        let ends = if hi.to_bits() == lo.to_bits() { &[lo][..] } else { &[lo, hi][..] };
+        ws.prices.extend(ends.iter().copied().filter(|p| p.is_finite()));
     }
     ws.prices.sort_unstable_by(f64::total_cmp);
     ws.prices.dedup();

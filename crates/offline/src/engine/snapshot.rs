@@ -37,9 +37,11 @@ const MAGIC: [u8; 7] = *b"RSZSNAP";
 /// Snapshot format version this build writes. Version 2 changed what
 /// `rsz_online`'s controllers put in the payload (Algorithm B no longer
 /// logs its power-ups, Algorithm C keeps the largest sub-slot count in
-/// place of a per-slot log); the envelope itself is unchanged.
-/// [`Decoder::version`] tells a reader which layout it is decoding.
-pub const FORMAT_VERSION: u8 = 2;
+/// place of a per-slot log); version 3 bounds the degradation ladder's
+/// saturation log (a total plus a ring of the latest events). The
+/// envelope itself is unchanged. [`Decoder::version`] tells a reader
+/// which layout it is decoding.
+pub const FORMAT_VERSION: u8 = 3;
 
 /// The oldest version [`Decoder::from_sealed`] still opens.
 const OLDEST_VERSION: u8 = 1;
@@ -183,10 +185,24 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
+    /// An encoder that appends after the bytes already in `buf`, so a
+    /// caller can build one payload inside a larger buffer it reuses.
+    #[must_use]
+    pub fn resume(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Payload bytes accumulated so far.
     #[must_use]
     pub fn payload(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Hand back the buffer (with whatever preceded the payload when the
+    /// encoder was [`Encoder::resume`]d).
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Wrap the payload in the versioned, checksummed envelope.

@@ -20,9 +20,12 @@
 //!
 //! Saturated slots — arriving load within rounding of the entire
 //! fleet's capacity, the regime capacity events (`rsz_workloads`'s
-//! event stream) clamp into — are recorded as structured
-//! [`SaturationEvent`]s rather than asserted on, whatever the rung.
+//! event stream) clamp into — are counted, and the latest
+//! [`SATURATION_RING`] are kept as structured [`SaturationEvent`]s,
+//! rather than asserted on, whatever the rung. The ladder's checkpoint
+//! is therefore the same size however many slots saturated.
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance};
@@ -71,7 +74,11 @@ pub struct SaturationEvent {
     pub capacity: f64,
 }
 
-/// Per-rung decision counters plus the saturation log.
+/// How many of the latest saturation events [`DegradeStats`] keeps.
+pub const SATURATION_RING: usize = 64;
+
+/// Per-rung decision counters plus the saturation count and the latest
+/// saturation events.
 #[derive(Clone, Debug, Default)]
 pub struct DegradeStats {
     /// Slots decided on [`Rung::Exact`].
@@ -80,8 +87,10 @@ pub struct DegradeStats {
     pub coarse: u64,
     /// Slots decided on [`Rung::Hold`].
     pub hold: u64,
-    /// Slots where the load saturated the fleet.
-    pub saturated: Vec<SaturationEvent>,
+    /// Slots where the load saturated the fleet, all of them.
+    pub saturated: u64,
+    /// The latest [`SATURATION_RING`] of those slots, oldest first.
+    pub recent_saturations: VecDeque<SaturationEvent>,
 }
 
 impl DegradeStats {
@@ -89,6 +98,15 @@ impl DegradeStats {
     #[must_use]
     pub fn decisions(&self) -> u64 {
         self.exact + self.coarse + self.hold
+    }
+
+    /// Count one saturated slot and keep it among the latest events.
+    fn record_saturation(&mut self, event: SaturationEvent) {
+        self.saturated += 1;
+        if self.recent_saturations.len() == SATURATION_RING {
+            self.recent_saturations.pop_front();
+        }
+        self.recent_saturations.push_back(event);
     }
 }
 
@@ -131,7 +149,7 @@ where
         self.rung
     }
 
-    /// Decision counters per rung and the saturation log.
+    /// Decision counters per rung and the saturation record.
     #[must_use]
     pub fn stats(&self) -> &DegradeStats {
         &self.stats
@@ -156,7 +174,7 @@ where
         let load = instance.load(t);
         let capacity = instance.max_capacity_at(t);
         if load >= capacity - 1e-9 * capacity.abs().max(1.0) && load > 0.0 {
-            self.stats.saturated.push(SaturationEvent { t, load, capacity });
+            self.stats.record_saturation(SaturationEvent { t, load, capacity });
         }
         if let Some(deadline) = self.options.deadline {
             if elapsed > deadline {
@@ -240,8 +258,11 @@ where
     /// The ladder's resumable state: the wrapped algorithm's tag (so a
     /// snapshot taken around algorithm X refuses to restore around Y),
     /// the rung, the last committed decision (the hold rung's input),
-    /// the per-rung counters and saturation log, then the wrapped
-    /// controller's own state. The coarse twin is deliberately **not**
+    /// the per-rung counters, the saturation count and the latest
+    /// saturation events, then the wrapped controller's own state. Before
+    /// layout version 3 the whole saturation log was saved; it restores
+    /// as the count, and its last [`SATURATION_RING`] events as the
+    /// ring. The coarse twin is deliberately **not**
     /// serialized: it is rebuilt by replaying the committed prefix on
     /// the first post-restore coarse decision, which reproduces its
     /// state deterministically (the same catch-up that built it live).
@@ -256,8 +277,9 @@ where
         enc.put_u64(self.stats.exact);
         enc.put_u64(self.stats.coarse);
         enc.put_u64(self.stats.hold);
-        enc.put_usize(self.stats.saturated.len());
-        for ev in &self.stats.saturated {
+        enc.put_u64(self.stats.saturated);
+        enc.put_usize(self.stats.recent_saturations.len());
+        for ev in &self.stats.recent_saturations {
             enc.put_usize(ev.t);
             enc.put_f64(ev.load);
             enc.put_f64(ev.capacity);
@@ -284,19 +306,27 @@ where
             exact: dec.take_u64()?,
             coarse: dec.take_u64()?,
             hold: dec.take_u64()?,
-            saturated: Vec::new(),
+            ..DegradeStats::default()
         };
-        let events = dec.take_usize()?;
-        if events > instance.horizon() {
+        // Layout 3 saves the count and then the ring; older layouts the
+        // whole log, whose length is the count.
+        let saved_total = if dec.version() < 3 { None } else { Some(dec.take_u64()?) };
+        let events = dec.take_usize()? as u64;
+        let total = saved_total.unwrap_or(events);
+        if total > instance.horizon() as u64 {
             return Err(SnapshotError::Corrupt("saturation log exceeds the horizon"));
         }
+        if saved_total.is_some() && events != total.min(SATURATION_RING as u64) {
+            return Err(SnapshotError::Corrupt("saturation ring disagrees with its count"));
+        }
         for _ in 0..events {
-            stats.saturated.push(SaturationEvent {
+            stats.record_saturation(SaturationEvent {
                 t: dec.take_usize()?,
                 load: dec.take_f64()?,
                 capacity: dec.take_f64()?,
             });
         }
+        stats.saturated = total;
         self.inner.restore_state(instance, dec)?;
         self.rung = rung;
         self.last = last;
@@ -396,11 +426,75 @@ mod tests {
             let mut wrapped = wrap(&inst, DegradeOptions { deadline, coarse_gamma: 2.0 });
             let outcome = run(&inst, &mut wrapped, &oracle);
             outcome.schedule.check_feasible(&inst).unwrap();
-            let sat = &wrapped.stats().saturated;
+            let stats = wrapped.stats();
+            assert_eq!(stats.saturated, 1, "deadline {deadline:?}");
+            let sat = &stats.recent_saturations;
             assert_eq!(sat.len(), 1, "deadline {deadline:?}");
             assert_eq!(sat[0].t, 4);
             assert!((sat[0].capacity - 7.0).abs() < 1e-12);
         }
+    }
+
+    /// `horizon` slots whose loads all fill the fleet (two servers of
+    /// capacity 1).
+    fn saturated(horizon: usize) -> Instance {
+        Instance::builder()
+            .server_type(ServerType::new("a", 2, 2.0, 1.0, CostModel::linear(0.5, 1.0)))
+            .loads(vec![2.0; horizon])
+            .build()
+            .unwrap()
+    }
+
+    /// However many slots saturate, the ladder keeps their count and
+    /// the latest [`SATURATION_RING`] of them, so its checkpoint does not
+    /// grow; a layout-2 checkpoint's whole log restores as the count and
+    /// the ring's tail.
+    #[test]
+    fn saturation_record_is_bounded_and_old_logs_restore_as_its_tail() {
+        let oracle = Dispatcher::new();
+        let size = |horizon| {
+            let inst = saturated(horizon);
+            let mut ladder = wrap(&inst, DegradeOptions::default());
+            run(&inst, &mut ladder, &oracle);
+            assert_eq!(ladder.stats().saturated, horizon as u64);
+            let mut enc = Encoder::new();
+            ladder.save_state(&mut enc);
+            enc.payload().len()
+        };
+        assert_eq!(size(SATURATION_RING * 2), size(SATURATION_RING * 16));
+
+        let inst = saturated(100);
+        let mut ladder = wrap(&inst, DegradeOptions::default());
+        run(&inst, &mut ladder, &oracle);
+        let ring: Vec<usize> = ladder.stats().recent_saturations.iter().map(|e| e.t).collect();
+        assert_eq!(ring, (100 - SATURATION_RING..100).collect::<Vec<_>>());
+        // The same ladder in layout 2: the whole log, no separate count.
+        let mut enc = Encoder::new();
+        enc.put_bytes(ladder.inner().algo_tag().as_bytes());
+        enc.put_u8(0);
+        codec::put_config_opt(&mut enc, Some(&Config::new(vec![2])));
+        enc.put_u64(100);
+        enc.put_u64(0);
+        enc.put_u64(0);
+        enc.put_usize(100);
+        for t in 0..100 {
+            enc.put_usize(t);
+            enc.put_f64(2.0);
+            enc.put_f64(2.0);
+        }
+        ladder.inner().save_state(&mut enc);
+        let mut sealed = enc.into_sealed();
+        sealed[7] = 2; // the envelope version, outside the checksum
+        let mut restored = wrap(&inst, DegradeOptions::default());
+        restored.restore_state(&inst, &mut Decoder::from_sealed(&sealed).unwrap()).unwrap();
+        let stats = restored.stats();
+        assert_eq!((stats.exact, stats.saturated), (100, 100));
+        let tail: Vec<usize> = stats.recent_saturations.iter().map(|e| e.t).collect();
+        assert_eq!(tail, ring);
+        // Read as layout 3, the same bytes are refused, not misread.
+        sealed[7] = 3;
+        let mut fresh = wrap(&inst, DegradeOptions::default());
+        assert!(fresh.restore_state(&inst, &mut Decoder::from_sealed(&sealed).unwrap()).is_err());
     }
 
     #[test]

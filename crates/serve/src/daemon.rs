@@ -20,9 +20,10 @@
 //! 3. **the step boundary** — the controller runs under
 //!    `catch_unwind`; a panic quarantines that tenant and the daemon
 //!    answers the next request as if nothing happened.
-//! 4. **recovery** — on restart (or per-tenant revive) the snapshot
-//!    restores the controller and the WAL suffix replays through the
-//!    normal step path, bit-identical to the uninterrupted run.
+//! 4. **recovery** — on restart (or per-tenant revive) the last
+//!    checkpoint in the history log restores the controller and the WAL
+//!    suffix replays through the normal step path, bit-identical to the
+//!    uninterrupted run.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,14 +40,14 @@ use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, ErrorCode, Request};
 use crate::replication::Role;
 use crate::spec::{build_controller, TenantSpec};
-use crate::state::{self, describe_snapshot_error, SnapBody, StateDigest};
+use crate::state::{self, describe_snapshot_error, Found, Saved, StateDigest};
 use crate::tenant::{Fingerprint, QuarantineReason, TenantDegrader, TenantState};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Directory for per-tenant WALs and snapshots.
+    /// Directory for per-tenant WALs and history logs.
     pub state_dir: PathBuf,
     /// Default per-decision budget (the global per-tick deadline);
     /// tenants may override via `deadline_us`.
@@ -120,7 +121,8 @@ pub struct DaemonCounters {
     pub revives: AtomicU64,
     /// Torn WAL tails truncated during recovery.
     pub wal_truncations: AtomicU64,
-    /// Recoveries that ignored a bad snapshot and replayed the full WAL.
+    /// Recoveries that found state on disk but no checkpoint they could
+    /// restore, and replayed the full WAL.
     pub snapshot_fallbacks: AtomicU64,
     /// Snapshots sealed.
     pub snapshots: AtomicU64,
@@ -128,7 +130,7 @@ pub struct DaemonCounters {
     pub recovered: AtomicU64,
     /// WAL segments sealed (rotation).
     pub segments_sealed: AtomicU64,
-    /// Sealed WAL segments deleted because a durable snapshot covers
+    /// Sealed WAL segments deleted because a durable checkpoint covers
     /// them (compaction).
     pub segments_compacted: AtomicU64,
     /// `repl.sync` requests served (primary side).
@@ -610,10 +612,11 @@ impl Daemon {
     }
 
     /// Bring a tenant back from quarantine (or rebuild a controller a
-    /// panic destroyed): restore from the snapshot when possible, merge
-    /// the WAL's tick suffix (which may start past zero once segments
-    /// have been compacted away), fall back to a full WAL replay, then
-    /// replay any undecided suffix through the normal step path.
+    /// panic destroyed): restore from the history log's last checkpoint
+    /// when possible, merge the WAL's tick suffix (which may start past
+    /// zero once segments have been compacted away), fall back to a full
+    /// WAL replay, then replay any undecided suffix through the normal
+    /// step path.
     ///
     /// A diverged tenant is *not* revivable from local storage — its
     /// own WAL would faithfully replay the same divergent state — so
@@ -649,17 +652,20 @@ impl Daemon {
         }
         st.controller = None;
         st.reset_decisions();
-        let unusable = self.restore_from_snapshot(st, name);
-        // A snapshot or history log means ticks were accepted; once
-        // compaction deleted the segments a snapshot covered, one we
+        let restored = self.restore_from_snapshot(st, name);
+        // A history log or snapshot means ticks were accepted; once
+        // compaction deleted the segments a checkpoint covered, one we
         // cannot use leaves a WAL that no longer starts at seq 0 —
         // possibly with no tick at all — and nothing to rebuild the
         // prefix from.
-        if unusable && st.accepted() == 0 && wal_suffix.first().is_none_or(|&(seq, _)| seq != 0) {
+        if restored == Restored::Unusable
+            && st.accepted() == 0
+            && wal_suffix.first().is_none_or(|&(seq, _)| seq != 0)
+        {
             return Err((
                 QuarantineReason::WalCorrupt,
-                "the snapshot is unusable and the WAL no longer starts at seq 0 \
-                 (compacted log without its snapshot)"
+                "no checkpoint is usable and the WAL no longer starts at seq 0 \
+                 (compacted log without its checkpoint)"
                     .into(),
             ));
         }
@@ -689,7 +695,23 @@ impl Daemon {
                     QuarantineReason::WalCorrupt,
                     format!(
                         "WAL resumes at seq {seq} but only {len} ticks are recoverable \
-                         (compacted log without its snapshot)"
+                         (compacted log without its checkpoint)"
+                    ),
+                ));
+            }
+        }
+        // The log ran past the checkpoint restored from, so ticks after
+        // it were accepted. Only a later checkpoint lets compaction drop
+        // them from the WAL; when that one is lost too, nothing holds
+        // them any more.
+        if let Restored::Checkpoint { k, ran_past: true } = restored {
+            if st.accepted() <= k {
+                return Err((
+                    QuarantineReason::WalCorrupt,
+                    format!(
+                        "the history log runs past its last usable checkpoint at k={k} \
+                         but the WAL holds no tick after it (compacted log without its \
+                         checkpoint)"
                     ),
                 ));
             }
@@ -714,49 +736,53 @@ impl Daemon {
         Ok(())
     }
 
-    /// Try to restore controller + committed decisions from the
-    /// snapshot file and the history log. Any failure falls back to a
-    /// fresh controller (full WAL replay) — a bad snapshot or history
-    /// degrades recovery time, not correctness, and is counted +
-    /// detailed. Returns whether committed history was on disk but
-    /// could not be restored: a snapshot that failed, or a history log
-    /// without its snapshot.
-    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) -> bool {
+    /// Try to restore controller + committed decisions from the last
+    /// usable checkpoint in the history log (or, when it holds none, an
+    /// older `.snap`). Any failure falls back to a fresh controller (full
+    /// WAL replay) — a bad checkpoint degrades recovery time, not
+    /// correctness, and is counted.
+    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) -> Restored {
         let dir = &self.options.state_dir;
-        let Ok(bytes) = std::fs::read(wal::snap_path(dir, name)) else {
-            // No snapshot: full replay.
-            return wal::hist_path(dir, name).exists();
-        };
-        let failed = self.try_restore(st, name, &bytes).is_err();
-        if failed {
-            // Quarantine would be wrong here while the WAL still
-            // recovers this tenant fully, just slower. Count the
-            // fallback.
-            st.controller = None;
-            st.reset_decisions();
-            st.counters.snapshot_fallbacks += 1;
-            self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
+        let log = std::fs::read(wal::hist_path(dir, name)).or_else(|e| {
+            if e.kind() == std::io::ErrorKind::NotFound {
+                Ok(Vec::new())
+            } else {
+                Err(format!("history log unreadable: {e}"))
+            }
+        });
+        let snap = st.legacy_snap.then(|| std::fs::read(wal::snap_path(dir, name)).ok()).flatten();
+        if log.as_ref().is_ok_and(Vec::is_empty) && snap.is_none() {
+            // Nothing on disk for the next snapshot to cut back either.
+            st.hist_cut = false;
+            return Restored::Nothing;
         }
-        failed
+        match log.and_then(|log| self.try_restore(st, name, &log, snap.as_deref())) {
+            Ok(restored) => restored,
+            Err(_) => {
+                // Quarantine would be wrong here while the WAL still
+                // recovers this tenant fully, just slower. Count the
+                // fallback.
+                st.controller = None;
+                st.reset_decisions();
+                st.counters.snapshot_fallbacks += 1;
+                self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
+                Restored::Unusable
+            }
+        }
     }
 
-    fn try_restore(&self, st: &mut TenantState, name: &str, bytes: &[u8]) -> Result<(), String> {
-        let snap = state::decode_snapshot(bytes, name)?;
-        if snap.spec != st.spec {
-            return Err("snapshot was taken under a different spec".into());
+    fn try_restore(
+        &self,
+        st: &mut TenantState,
+        name: &str,
+        log_bytes: &[u8],
+        snap: Option<&[u8]>,
+    ) -> Result<Restored, String> {
+        let found = state::find_checkpoint(log_bytes, snap, name, st.instance.num_types())?;
+        if found.spec != st.spec {
+            return Err("checkpoint was taken under a different spec".into());
         }
-        let k = snap.k;
-        // The committed history 0..k: from the history log, checked
-        // against the snapshot's digests (format 3), or from the
-        // snapshot itself (format 2, loads only until restore_run).
-        let (loads, mut history) = match &snap.body {
-            SnapBody::Current { digest, .. } => {
-                let path = wal::hist_path(&self.options.state_dir, name);
-                let h = state::read_history(&path, k, st.instance.num_types(), digest)?;
-                (h.loads, Some((h.decisions, h.bytes, *digest)))
-            }
-            SnapBody::Legacy { loads, .. } => (loads.clone(), None),
-        };
+        let Found { k, loads, mut decisions, saved, digest, log_end, .. } = found;
         // The accepted loads already in memory (live revive) are ground
         // truth: the history must agree with them bit-for-bit. When it
         // reaches *past* them (recovery, or compaction deleted covered
@@ -784,69 +810,69 @@ impl Daemon {
         let accepted = std::mem::replace(&mut st.instance, prefix);
         let result = self.build_tenant_controller(st, name).map_err(|(_, e)| e).and_then(|()| {
             let controller = st.controller.as_mut().expect("just built");
-            match snap.body {
-                SnapBody::Current { controller: mut dec, .. } => {
+            match saved {
+                Saved::State(mut dec) => {
                     restore_controller(controller, &st.instance, &mut dec)
                         .map_err(|e| format!("{e}"))?;
                     if !dec.is_empty() {
                         return Err("trailing bytes after the controller state".into());
                     }
-                    Ok(history.take().expect("read with the snapshot"))
                 }
-                SnapBody::Legacy { run, .. } => {
+                Saved::Run(run) => {
                     let committed = restore_run(controller, &st.instance, run)
                         .map_err(|e| describe_snapshot_error(run, &e))?;
                     if committed.len() != k {
                         return Err("snapshot committed length disagrees with its header".into());
                     }
-                    let decisions = committed.configs().to_vec();
-                    let digest = StateDigest::of(&loads, &decisions);
-                    // No history log yet: the next snapshot writes it.
-                    Ok((decisions, 0, digest))
+                    decisions = committed.configs().to_vec();
                 }
             }
+            Ok(())
         });
-        match result {
-            Ok((decisions, hist_bytes, digest)) => {
-                // Keep whichever committed prefix reaches further: the
-                // in-memory loads past k survive the restore, and with
-                // them the load digest that covers them.
-                if extends {
-                    st.digest.loads = digest.loads;
-                } else {
-                    st.instance = accepted;
-                }
-                st.decisions = Schedule::new(decisions);
-                st.digest.decisions = digest.decisions;
-                (st.hist_len, st.hist_bytes) =
-                    if hist_bytes > 0 { (k, hist_bytes) } else { (0, 0) };
-                st.last_snapshot_k = st.last_snapshot_k.max(k);
-                // restore_state rebuilds internal pools as owned, so
-                // the shared handle must be re-installed after restore.
-                if let Some(mut degrader) = st.controller.take() {
-                    self.install_pool(st, &mut degrader);
-                    st.controller = Some(degrader);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // A failed restore must leave the loads exactly as
-                // memory held them — never the snapshot's.
-                st.instance = accepted;
-                st.controller = None;
-                st.reset_decisions();
-                Err(e)
-            }
+        if let Err(e) = result {
+            // A failed restore must leave the loads exactly as memory
+            // held them — never the history's.
+            st.instance = accepted;
+            st.controller = None;
+            st.reset_decisions();
+            return Err(e);
         }
+        // Keep whichever committed prefix reaches further: the in-memory
+        // loads past k survive the restore, and with them the load
+        // digest that covers them.
+        let digest = digest.unwrap_or_else(|| StateDigest::of(&loads, &decisions));
+        if extends {
+            st.digest.loads = digest.loads;
+        } else {
+            st.instance = accepted;
+        }
+        st.decisions = Schedule::new(decisions);
+        st.digest.decisions = digest.decisions;
+        st.last_snapshot_k = st.last_snapshot_k.max(k);
+        // restore_state rebuilds internal pools as owned, so the shared
+        // handle must be re-installed after restore.
+        if let Some(mut degrader) = st.controller.take() {
+            self.install_pool(st, &mut degrader);
+            st.controller = Some(degrader);
+        }
+        // What the log holds past the restored history is cut off; the
+        // WAL replays it. A format-2 snapshot has no log behind it: the
+        // next snapshot writes the log from slot 0.
+        let Some(end) = log_end else {
+            return Ok(Restored::Checkpoint { k, ran_past: !log_bytes.is_empty() });
+        };
+        let ran_past = log_bytes.len() > end;
+        let cut = !ran_past
+            || wal::truncate_file(&wal::hist_path(&self.options.state_dir, name), end).is_ok();
+        (st.hist_len, st.hist_bytes, st.hist_cut) = (k, end as u64, !cut);
+        Ok(Restored::Checkpoint { k, ran_past })
     }
 
-    /// Seal the tenant's state: first append the slots committed since
-    /// the last snapshot to the history log, then write the snapshot
-    /// (`k`, digests, controller) via tmp + rename, so a crash leaves
-    /// either the old snapshot or the new one, never a hybrid, and the
-    /// history always reaches the snapshot. A durable snapshot then
-    /// compacts the WAL: every sealed segment it fully covers is
-    /// deleted.
+    /// Seal the tenant's state with one append to its history log: the
+    /// slots committed since the last snapshot, then a checkpoint record
+    /// (`k`, digests, controller). A crash mid-append leaves the previous
+    /// checkpoint as the log's last usable one. A durable checkpoint then
+    /// compacts the WAL: every sealed segment it fully covers is deleted.
     pub(crate) fn write_snapshot(&self, st: &mut TenantState, name: &str) {
         let Some(controller) = st.controller.as_ref() else { return };
         let k = st.decisions.len();
@@ -855,36 +881,47 @@ impl Daemon {
         }
         let dir = &self.options.state_dir;
         let from = st.hist_len;
-        let written = state::append_history(
-            &wal::hist_path(dir, name),
-            st.hist_bytes,
+        let mut buf = std::mem::take(&mut st.log_buf);
+        let written = state::encode_append(
+            &mut buf,
             from,
             &st.instance.loads()[from..k],
             &st.decisions.configs()[from..k],
-            self.options.fsync,
+            name,
+            &st.spec,
+            &st.digest,
+            controller,
         )
-        .and_then(|hist_bytes| {
-            let sealed = state::encode_snapshot(name, &st.spec, k, &st.digest, controller);
-            state::write_replacing(&wal::snap_path(dir, name), &sealed, self.options.fsync)
-                .map(|()| hist_bytes)
+        .and_then(|()| {
+            let cut = st.hist_cut.then_some(st.hist_bytes);
+            state::append_log(&wal::hist_path(dir, name), &buf, cut, self.options.fsync)
         });
         // A failure is not fatal: the WAL still recovers everything,
-        // just slower, and the next attempt cuts the history log back
-        // to what it is known to hold.
-        if let Ok(hist_bytes) = written {
-            (st.hist_len, st.hist_bytes) = (k, hist_bytes);
-            st.fresh_since_snapshot = 0;
-            st.last_snapshot_k = k;
-            st.counters.snapshots += 1;
-            self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-            self.compact_segments(st, k as u64);
+        // just slower, and the next attempt cuts the log back to what it
+        // is known to hold.
+        match written {
+            Ok(()) => {
+                (st.hist_len, st.hist_bytes, st.hist_cut) =
+                    (k, st.hist_bytes + buf.len() as u64, false);
+                if st.legacy_snap {
+                    st.legacy_snap = std::fs::remove_file(wal::snap_path(dir, name))
+                        .is_err_and(|e| e.kind() != std::io::ErrorKind::NotFound);
+                }
+                st.fresh_since_snapshot = 0;
+                st.last_snapshot_k = k;
+                st.counters.snapshots += 1;
+                self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+                self.compact_segments(st, k as u64);
+            }
+            Err(_) => st.hist_cut = true,
         }
+        st.log_buf = buf;
     }
 
-    /// Delete sealed WAL segments the durable snapshot fully covers:
+    /// Delete sealed WAL segments the durable checkpoint fully covers:
     /// a segment running through `through ≤ k` contributes nothing the
-    /// history log's bit-exact loads up to `k` do not already hold. Only the
-    /// tenant's own segment list is read, never the directory; a
+    /// history log's bit-exact loads up to `k` do not already hold. Only
+    /// the tenant's own segment list is read, never the directory; a
     /// segment that fails to delete stays listed for the next snapshot.
     fn compact_segments(&self, st: &mut TenantState, k: u64) {
         st.segments.retain(|(through, path)| {
@@ -917,31 +954,37 @@ impl Daemon {
 
     /// Scan the state directory for surviving state and recover each
     /// tenant. A tenant is discoverable through its active WAL, any
-    /// sealed segment, or its snapshot — a crash between seal-rename
-    /// and fresh-active-open leaves no `.wal` file, and compaction can
-    /// leave a snapshot as the only pre-suffix evidence. Per-tenant
-    /// failures quarantine that tenant; nothing here aborts startup.
+    /// sealed segment, its history log or an older `.snap` — a crash
+    /// between seal-rename and fresh-active-open leaves no `.wal` file,
+    /// and compaction can leave the history log as the only pre-suffix
+    /// evidence. Per-tenant failures quarantine that tenant; nothing
+    /// here aborts startup.
     fn recover_all(&self) {
         let entries = match std::fs::read_dir(&self.options.state_dir) {
             Ok(e) => e,
             Err(_) => return,
         };
         // This one listing also yields every tenant's sealed segments,
-        // which the tenant then keeps track of itself.
-        let mut found: std::collections::BTreeMap<String, Vec<(u64, PathBuf)>> =
+        // which the tenant then keeps track of itself, and whether an
+        // older-format `.snap` is still on disk.
+        let mut found: std::collections::BTreeMap<String, (Vec<(u64, PathBuf)>, bool)> =
             std::collections::BTreeMap::new();
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(file) = path.file_name().and_then(|s| s.to_str()) else { continue };
-            if let Some(stem) = file.strip_suffix(".wal").or_else(|| file.strip_suffix(".snap")) {
+            if let Some(stem) = file.strip_suffix(".snap") {
+                found.entry(stem.to_owned()).or_default().1 = true;
+            } else if let Some(stem) =
+                file.strip_suffix(".wal").or_else(|| file.strip_suffix(".hist"))
+            {
                 found.entry(stem.to_owned()).or_default();
             } else if let Some((tenant, through)) = wal::parse_seg_name(file) {
-                found.entry(tenant.to_owned()).or_default().push((through, path.clone()));
+                found.entry(tenant.to_owned()).or_default().0.push((through, path.clone()));
             }
         }
-        for (name, mut segments) in found {
+        for (name, (mut segments, legacy_snap)) in found {
             segments.sort_by_key(|&(through, _)| through);
-            if let Some(state) = self.recover_tenant(&name, segments) {
+            if let Some(state) = self.recover_tenant(&name, segments, legacy_snap) {
                 self.counters.recovered.fetch_add(1, Ordering::Relaxed);
                 lock_clean(&self.tenants).insert(
                     name,
@@ -952,10 +995,15 @@ impl Daemon {
     }
 
     /// Recover one tenant from its sealed WAL `segments` (ascending) +
-    /// active WAL (+snapshot). Returns `None` only when nothing usable
-    /// survives at all (no registration in any log and no readable
-    /// snapshot).
-    fn recover_tenant(&self, name: &str, segments: Vec<(u64, PathBuf)>) -> Option<TenantState> {
+    /// active WAL (+ history log, + an older `.snap` when `legacy_snap`).
+    /// Returns `None` only when nothing usable survives at all (no
+    /// registration in any WAL and no readable checkpoint).
+    fn recover_tenant(
+        &self,
+        name: &str,
+        segments: Vec<(u64, PathBuf)>,
+        legacy_snap: bool,
+    ) -> Option<TenantState> {
         let active = wal::wal_path(&self.options.state_dir, name);
         let mut sources: Vec<(PathBuf, bool)> =
             segments.iter().map(|(_, p)| (p.clone(), false)).collect();
@@ -1040,9 +1088,10 @@ impl Daemon {
         }
 
         // No usable registration anywhere: nothing to attach to.
-        let spec = spec.or_else(|| self.snapshot_spec(name))?;
+        let spec = spec.or_else(|| self.checkpoint_spec(name, legacy_snap))?;
         let instance = Instance::empty(spec.server_types().ok()?).ok()?;
         let mut state = TenantState::new(spec, instance, segments);
+        state.legacy_snap = legacy_snap;
         if let Some(detail) = corrupt_detail {
             self.quarantine(&mut state, name, QuarantineReason::WalCorrupt, detail);
             return Some(state);
@@ -1072,12 +1121,14 @@ impl Daemon {
         Some(state)
     }
 
-    /// Peek a snapshot's header for the tenant spec — the fallback
-    /// registration source when compaction + crash timing left no WAL
-    /// holding a `Register` record.
-    fn snapshot_spec(&self, name: &str) -> Option<TenantSpec> {
-        let bytes = std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok()?;
-        state::decode_snapshot(&bytes, name).ok().map(|snap| snap.spec)
+    /// Peek the history log's last checkpoint (or an older `.snap`) for
+    /// the tenant spec — the fallback registration source when
+    /// compaction + crash timing left no WAL holding a `Register` record.
+    fn checkpoint_spec(&self, name: &str, legacy_snap: bool) -> Option<TenantSpec> {
+        let dir = &self.options.state_dir;
+        let log = std::fs::read(wal::hist_path(dir, name)).unwrap_or_default();
+        let snap = legacy_snap.then(|| std::fs::read(wal::snap_path(dir, name)).ok()).flatten();
+        state::spec_on_disk(&log, snap.as_deref(), name)
     }
 
     pub(crate) fn quarantine(
@@ -1286,6 +1337,18 @@ impl Daemon {
     }
 }
 
+/// What restoring from the history log (or an older `.snap`) found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Restored {
+    /// No committed history on disk: no log, no `.snap`.
+    Nothing,
+    /// Committed history on disk, but no checkpoint that restores.
+    Unusable,
+    /// The checkpoint at `k` restored; `ran_past` when the log held
+    /// bytes after it, which were cut off.
+    Checkpoint { k: usize, ran_past: bool },
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
@@ -1393,6 +1456,36 @@ mod tests {
         assert!(reply.contains("injected fault"), "{reply}");
         // The daemon itself stays healthy.
         assert!(daemon.handle("GET /health").contains("\"ok\":true"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every load fills the fleet, so every slot saturates: the
+    /// checkpoint record a snapshot appends is as large at k = 16k as at
+    /// k = 1k, and a state directory never holds a `.snap`.
+    #[test]
+    fn checkpoints_of_a_saturated_tenant_do_not_grow_with_age() {
+        let dir = tmp_dir("saturated");
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        let reg = r#"{"op":"register","tenant":"t","fleet":"homogeneous:2","algo":"lcp"}"#;
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        let types = rsz_workloads::fleet::parse("homogeneous:2").unwrap();
+        let full: f64 = types.iter().map(rsz_core::ServerType::fleet_capacity).sum();
+        let mut sizes = Vec::new();
+        for seq in 0..16_384 {
+            let line = format!(r#"{{"op":"tick","tenant":"t","seq":{seq},"load":{full}}}"#);
+            assert_eq!(decided_counts(&daemon.handle(&line)), [2]);
+            if seq + 1 == 1024 || seq + 1 == 16_384 {
+                let log = std::fs::read(wal::hist_path(&dir, "t")).unwrap();
+                let last = state::history_frames(&log).pop().unwrap();
+                assert_eq!(last.checkpoint, Some(seq + 1));
+                sizes.push(last.range.len());
+            }
+        }
+        let slot = lock_clean(&daemon.tenants).get("t").cloned().unwrap();
+        let saturated = lock_clean(&slot.state).controller.as_ref().unwrap().stats().saturated;
+        assert_eq!(saturated, 16_384);
+        assert_eq!(sizes[0], sizes[1], "checkpoint record bytes at k = 1k vs 16k");
+        assert!(!wal::snap_path(&dir, "t").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

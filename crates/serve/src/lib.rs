@@ -9,11 +9,11 @@
 //! promises:
 //!
 //! 1. **Crash safety** — accepted ticks go to a checksummed write-ahead
-//!    log *before* the controller decides, and controller state is
-//!    periodically sealed into `RSZSNAP` snapshots beside an
-//!    append-only history log (`<tenant>.hist`). `kill -9` at any byte
-//!    offset recovers to a state whose subsequent decisions are
-//!    bit-identical to the uninterrupted run.
+//!    log *before* the controller decides, and every few decisions one
+//!    append to the tenant's history log (`<tenant>.hist`) seals the
+//!    slots committed since the last one plus a checkpoint of the
+//!    controller. `kill -9` at any byte offset recovers to a state whose
+//!    subsequent decisions are bit-identical to the uninterrupted run.
 //! 2. **Fault isolation** — a poisoned trace, solver failure, storage
 //!    corruption, or outright controller panic quarantines *that*
 //!    tenant with a structured reason and backoff-gated retries; the
@@ -59,5 +59,5 @@ pub use replication::{
 };
 pub use server::{install_sigterm_handler, Server};
 pub use spec::{build_controller, BoxController, GridSpec, ServeController, TenantSpec};
-pub use state::{describe_snapshot_error, state_fingerprint};
+pub use state::{describe_snapshot_error, history_frames, state_fingerprint, HistoryFrame};
 pub use tenant::{Fingerprint, QuarantineReason, TenantState};

@@ -1,7 +1,7 @@
 //! The daemon's state formats, in one place: the rolling state digest
-//! and the replica fingerprint built from it, the `<tenant>.snap`
-//! snapshot, and the `<tenant>.hist` history log. None of them costs
-//! more as a tenant ages: a fingerprint is O(1), a snapshot writes
+//! and the replica fingerprint built from it, and the `<tenant>.hist`
+//! history log with its checkpoint records. None of them costs more as
+//! a tenant ages: a fingerprint is O(1), and a snapshot is one append of
 //! O(cadence) bytes.
 //!
 //! **Rolling digest.** Each tenant keeps two FNV-1a states
@@ -11,8 +11,8 @@
 //! count). They cover the load and decision streams *as they were
 //! folded*: a later in-memory change to an old load does not reach
 //! them. It shows when the history is read again — by recovery, whose
-//! digest check compares the history log with the snapshot, or by a
-//! fresh replica, which folds what the primary ships.
+//! digest check compares the log's slot records with its checkpoint, or
+//! by a fresh replica, which folds what the primary ships.
 //!
 //! **Fingerprint, layout 2.** FNV-1a over a small header: layout byte
 //! `2`, the encoded spec, `k`, the load digest, the decision digest
@@ -23,31 +23,38 @@
 //! history inside an `RSZSNAP` envelope at every fingerprint; sync
 //! replies carry the two layouts under different keys (`fps`, `fps2`).
 //!
-//! **Snapshot, format 3.** A sealed `RSZSNAP` envelope (version 2)
-//! holding format byte `3`, the tenant name, the spec, `k`, both digest
-//! states at `k`, and the controller's algorithm tag + state
-//! ([`rsz_online::save_controller`]). It is written to a temporary file
-//! and renamed over the old one, so a crash leaves the old snapshot or
-//! the new one.
+//! **History log, format 4.** Frames in the WAL's framing (length,
+//! payload, FNV-1a), of two kinds:
+//! * a *slot record* per committed slot: `seq`, the load's bit pattern,
+//!   and the decision (dimension, then each count), `seq` counting up
+//!   from 0;
+//! * a *checkpoint record*: the tag [`CHECKPOINT_TAG`] (a `seq` no slot
+//!   reaches), format byte `4`, `k`, both digest states at `k`, the
+//!   tenant name, the spec, and the controller's algorithm tag + state
+//!   ([`rsz_online::save_controller`], envelope-version-3 layouts).
 //!
-//! **History log.** The committed slots `(seq, load, decision)`, one
-//! record each, framed like WAL records.
-//! Before each snapshot's rename the daemon appends the slots since the
-//! previous one (about a cadence's worth), so the log always reaches at
-//! least as far as the snapshot; the log is created at a tenant's first
-//! snapshot. Recovery reads the first `k` records, checks them against
-//! the snapshot's digests, and cuts off any records past `k` (what a
-//! crash between the append and the rename leaves behind). A missing or
-//! bad log makes the snapshot unusable, exactly as a bad snapshot is:
-//! recovery falls back to the WAL.
+//! A snapshot is one `write`: the slot records since the previous
+//! checkpoint, then a checkpoint at `k` ([`encode_append`]). The log is
+//! created at a tenant's first snapshot. A crash mid-append leaves a
+//! torn tail after the previous checkpoint, whose slot records, and the
+//! WAL, are intact. Recovery ([`read_log`]) reads the log once, folds
+//! the slot records into a digest as it goes, and keeps the last
+//! checkpoint whose `k` and digests agree with the slot records before
+//! it — only that one's controller is decoded. Everything after it is
+//! cut off, and the WAL replays past `k`.
 //!
-//! **Format 2** (read only): a version-1 envelope holding format byte
-//! `2`, name, spec, `k`, the accepted loads `0..k` and a
-//! [`rsz_online::save_run`] image (committed schedule + controller,
-//! older controller layouts). It restores and replays bit-identically;
-//! the next snapshot writes format 3 with a complete history log.
+//! **Formats 2 and 3** (read only): a `<tenant>.snap` beside the log.
+//! Format 3 is a sealed `RSZSNAP` envelope (version 2) holding format
+//! byte `3`, the name, the spec, `k`, both digest states and the
+//! controller tag + state, over a log of slot records only. Format 2 is
+//! a version-1 envelope holding format byte `2`, name, spec, `k`, the
+//! accepted loads `0..k` and a [`rsz_online::save_run`] image
+//! (committed schedule + controller, older controller layouts), with no
+//! log. When the log holds no usable checkpoint, recovery falls back to
+//! the `.snap`; the tenant's first format-4 checkpoint deletes it.
 
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use rsz_core::Config;
@@ -63,11 +70,18 @@ use crate::wal;
 /// reads only entries of its own layout.
 const FINGERPRINT_LAYOUT: u8 = 2;
 
-/// The snapshot format this build writes.
-const SNAP_FORMAT: u8 = 3;
+/// What a checkpoint record's payload starts with where a slot record
+/// has its `seq`: no slot ever reaches it.
+const CHECKPOINT_TAG: u64 = u64::MAX;
 
-/// The previous snapshot format, still read.
-const SNAP_FORMAT_LEGACY: u8 = 2;
+/// The checkpoint format this build writes (formats 2 and 3 were
+/// `.snap` files). Its controller state is read in the current
+/// envelope version's layouts (3), so a layout change bumps it too.
+const CHECKPOINT_FORMAT: u8 = 4;
+
+/// The `.snap` formats still read.
+const SNAP_FORMAT_3: u8 = 3;
+const SNAP_FORMAT_2: u8 = 2;
 
 /// A tenant's rolling FNV-1a states over its accepted loads and its
 /// committed decisions. The default is the digest of nothing.
@@ -142,43 +156,335 @@ pub fn state_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[C
     )
 }
 
-/// Seal a format-3 snapshot of tenant `name` at `k` committed slots.
-#[must_use]
-pub(crate) fn encode_snapshot(
+/// One snapshot's append, encoded into `out` (cleared first): a slot
+/// record for each of the committed slots `from..k` (their `loads` and
+/// `decisions`), then a checkpoint at `k` of tenant `name` — its spec,
+/// `digest` (the digest states at `k`) and `controller`. Fails only when
+/// a record outgrows the log's frame bound ([`wal::MAX_RECORD`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_append(
+    out: &mut Vec<u8>,
+    from: usize,
+    loads: &[f64],
+    decisions: &[Config],
     name: &str,
     spec: &TenantSpec,
-    k: usize,
     digest: &StateDigest,
     controller: &impl Checkpoint,
-) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u8(SNAP_FORMAT);
-    enc.put_bytes(name.as_bytes());
-    spec.encode(&mut enc);
-    enc.put_usize(k);
+) -> io::Result<()> {
+    out.clear();
+    for (i, (&load, config)) in loads.iter().zip(decisions).enumerate() {
+        let at = open_frame(out);
+        out.extend_from_slice(&((from + i) as u64).to_le_bytes());
+        out.extend_from_slice(&load.to_bits().to_le_bytes());
+        out.extend_from_slice(&(config.counts().len() as u64).to_le_bytes());
+        for &c in config.counts() {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        close_frame(out, at)?;
+    }
+    let at = open_frame(out);
+    let mut enc = Encoder::resume(std::mem::take(out));
+    enc.put_u64(CHECKPOINT_TAG);
+    enc.put_u8(CHECKPOINT_FORMAT);
+    enc.put_usize(from + loads.len());
     enc.put_u64(digest.loads);
     enc.put_u64(digest.decisions);
+    enc.put_bytes(name.as_bytes());
+    spec.encode(&mut enc);
     save_controller(controller, &mut enc);
-    enc.into_sealed()
+    *out = enc.into_bytes();
+    close_frame(out, at)
 }
 
-/// Write `bytes` to `path` through a temporary file and a rename.
-pub(crate) fn write_replacing(path: &Path, bytes: &[u8], fsync: bool) -> io::Result<()> {
-    let tmp = path.with_extension("snap.tmp");
-    let written = std::fs::write(&tmp, bytes).and_then(|()| {
-        if fsync {
-            std::fs::File::open(&tmp)?.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
-    });
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+/// Reserve a frame's length field at the end of `out`; the payload
+/// follows it.
+fn open_frame(out: &mut Vec<u8>) -> usize {
+    out.extend_from_slice(&[0; 4]);
+    out.len() - 4
+}
+
+/// Seal the frame opened at `at`: fill in its length, append the
+/// payload's checksum.
+fn close_frame(out: &mut Vec<u8>, at: usize) -> io::Result<()> {
+    let len = out.len() - at - 4;
+    if len > wal::MAX_RECORD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("a {len}-byte history record exceeds the frame bound"),
+        ));
     }
-    written
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(&out[at + 4..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
 }
 
-/// A decoded snapshot header plus what follows it.
-pub(crate) struct Snapshot<'a> {
+/// Append `bytes` to the history log at `path` with one write, creating
+/// the log if needed. `cut`, when known, is where the records known good
+/// end: the file is cut back to it first, so nothing a failed append
+/// left behind stays in front of the new records.
+pub(crate) fn append_log(
+    path: &Path,
+    bytes: &[u8],
+    cut: Option<u64>,
+    fsync: bool,
+) -> io::Result<()> {
+    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    if let Some(len) = cut {
+        file.set_len(len)?;
+    }
+    file.write_all(bytes)?;
+    if fsync {
+        file.sync_data()?;
+    }
+    Ok(())
+}
+
+/// One intact frame of a history log.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistoryFrame {
+    /// The frame's bytes in the log, framing included.
+    pub range: Range<usize>,
+    /// `Some(k)` for a checkpoint record at `k`, `None` for a slot
+    /// record.
+    pub checkpoint: Option<usize>,
+}
+
+/// The frames of the history log image `bytes`, in order, up to the end
+/// or the first frame that is torn or fails its checksum. A checkpoint
+/// is told by its tag; its `k` is read, nothing else is decoded.
+#[must_use]
+pub fn history_frames(bytes: &[u8]) -> Vec<HistoryFrame> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while let Ok(Some((payload, end))) = wal::next_frame(bytes, at) {
+        let mut dec = Decoder::over(payload);
+        let checkpoint = match dec.take_u64() {
+            Ok(CHECKPOINT_TAG) => checkpoint_head(&mut dec).ok().map(|(k, _)| k),
+            _ => None,
+        };
+        frames.push(HistoryFrame { range: at..end, checkpoint });
+        at = end;
+    }
+    frames
+}
+
+/// A checkpoint record's fixed head, after its tag: `k` and the digest
+/// states at `k`.
+fn checkpoint_head(dec: &mut Decoder<'_>) -> Result<(usize, StateDigest), SnapshotError> {
+    if dec.take_u8()? != CHECKPOINT_FORMAT {
+        return Err(SnapshotError::Corrupt("unknown checkpoint format"));
+    }
+    let k = dec.take_usize()?;
+    let loads = dec.take_u64()?;
+    let decisions = dec.take_u64()?;
+    Ok((k, StateDigest { loads, decisions }))
+}
+
+/// What recovery reads back from a history log.
+struct Log<'a> {
+    /// The loads of the slot records, in seq order, up to the end or
+    /// the first damaged frame.
+    loads: Vec<f64>,
+    /// Their committed decisions.
+    decisions: Vec<Config>,
+    /// The byte offset just past each of those slot records.
+    ends: Vec<usize>,
+    /// The last checkpoint whose `k` and digests agree with the slot
+    /// records in front of it.
+    checkpoint: Option<LogCheckpoint<'a>>,
+}
+
+/// A checkpoint record recovery may restore from.
+struct LogCheckpoint<'a> {
+    /// Committed slots it covers.
+    k: usize,
+    /// Both digest states at `k`.
+    digest: StateDigest,
+    /// The byte offset just past the record.
+    end: usize,
+    /// The rest of the record: name, spec, controller.
+    body: Decoder<'a>,
+}
+
+/// The tenant name and spec a checkpoint record or a `.snap` holds,
+/// checking that the name is `name`.
+fn take_owner(dec: &mut Decoder<'_>, name: &str) -> Result<TenantSpec, String> {
+    let owner = wire::take_str(dec, "tenant name is not UTF-8").map_err(stringify)?;
+    if owner != name {
+        return Err(format!("state belongs to tenant `{owner}`"));
+    }
+    TenantSpec::decode(dec).map_err(stringify)
+}
+
+impl Log<'_> {
+    /// The byte offset just past the first `k` slot records (`k` at
+    /// most the slots read).
+    fn end_of_slots(&self, k: usize) -> usize {
+        k.checked_sub(1).map_or(0, |last| self.ends[last])
+    }
+}
+
+/// Read the history log image `bytes` of a tenant whose fleet has `d`
+/// server types, in one pass: every slot record up to the end or the
+/// first damaged frame (torn, failing its checksum, or out of place),
+/// and the last checkpoint that agrees with them. Checkpoints that
+/// disagree are passed over; only their frame checksums are read.
+fn read_log(bytes: &[u8], d: usize) -> Log<'_> {
+    let mut log =
+        Log { loads: Vec::new(), decisions: Vec::new(), ends: Vec::new(), checkpoint: None };
+    let mut digest = StateDigest::default();
+    let mut at = 0;
+    while let Ok(Some((payload, end))) = wal::next_frame(bytes, at) {
+        let mut dec = Decoder::over(payload);
+        let Ok(first) = dec.take_u64() else { break };
+        if first == CHECKPOINT_TAG {
+            if let Ok((k, at_k)) = checkpoint_head(&mut dec) {
+                if k == log.loads.len() && at_k == digest {
+                    log.checkpoint = Some(LogCheckpoint { k, digest, end, body: dec });
+                }
+            }
+        } else {
+            let Ok((load, config)) = take_slot(&mut dec, first, log.loads.len(), d) else { break };
+            digest.fold_load(load);
+            digest.fold_decision(&config);
+            log.loads.push(load);
+            log.decisions.push(config);
+            log.ends.push(end);
+        }
+        at = end;
+    }
+    log
+}
+
+/// The rest of a slot record whose `seq` was read: it must be slot
+/// `expect` of a fleet of `d` types.
+fn take_slot(
+    dec: &mut Decoder<'_>,
+    seq: u64,
+    expect: usize,
+    d: usize,
+) -> Result<(f64, Config), SnapshotError> {
+    let load = dec.take_f64()?;
+    let len = dec.take_usize()?;
+    if seq != expect as u64 || len != d {
+        return Err(SnapshotError::Corrupt("history record out of place"));
+    }
+    let counts = (0..len).map(|_| dec.take_u32()).collect::<Result<_, _>>()?;
+    if !dec.is_empty() {
+        return Err(SnapshotError::Corrupt("trailing bytes in a history record"));
+    }
+    Ok((load, Config::new(counts)))
+}
+
+/// A checkpoint's saved controller: its tag + state, or (format 2) a
+/// `save_run` image that also holds the committed schedule.
+pub(crate) enum Saved<'a> {
+    /// Decode with [`rsz_online::restore_controller`].
+    State(Decoder<'a>),
+    /// Decode with [`rsz_online::restore_run`].
+    Run(&'a [u8]),
+}
+
+/// The checkpoint recovery restores a tenant from, and the committed
+/// history in front of it.
+pub(crate) struct Found<'a> {
+    /// The spec the checkpoint was taken under.
+    pub spec: TenantSpec,
+    /// Committed slots it covers.
+    pub k: usize,
+    /// The accepted loads `0..k`.
+    pub loads: Vec<f64>,
+    /// The committed decisions `0..k`; empty for a `save_run` image,
+    /// which holds them itself.
+    pub decisions: Vec<Config>,
+    /// The controller.
+    pub saved: Saved<'a>,
+    /// Both digest states at `k`, when the checkpoint holds them.
+    pub digest: Option<StateDigest>,
+    /// Where the history up to `k` ends in the log (`None`: format 2,
+    /// whose `.snap` holds the history itself).
+    pub log_end: Option<usize>,
+}
+
+/// Find the checkpoint to restore tenant `name`, whose fleet has `d`
+/// server types, from: the last one in the history log image `log` that
+/// agrees with the slot records before it, or else the older-format
+/// `.snap` image `snap` (format 3, whose history is the log's first `k`
+/// slot records, or format 2).
+pub(crate) fn find_checkpoint<'a>(
+    log: &'a [u8],
+    snap: Option<&'a [u8]>,
+    name: &str,
+    d: usize,
+) -> Result<Found<'a>, String> {
+    let mut read = read_log(log, d);
+    let (spec, k, saved, digest, log_end) = match read.checkpoint.take() {
+        Some(LogCheckpoint { k, digest, end, mut body }) => {
+            (take_owner(&mut body, name)?, k, Saved::State(body), digest, Some(end))
+        }
+        None => {
+            let snap =
+                decode_snapshot(snap.ok_or("the history log holds no usable checkpoint")?, name)?;
+            let k = snap.k;
+            match snap.body {
+                SnapBody::Current { digest, controller } => {
+                    if read.loads.len() < k {
+                        return Err(format!(
+                            "history log ends at slot {} of {k}",
+                            read.loads.len()
+                        ));
+                    }
+                    if StateDigest::of(&read.loads[..k], &read.decisions[..k]) != digest {
+                        return Err(format!("history log disagrees with the snapshot at k={k}"));
+                    }
+                    (snap.spec, k, Saved::State(controller), digest, Some(read.end_of_slots(k)))
+                }
+                SnapBody::Legacy { loads, run } => {
+                    let (spec, saved, decisions) = (snap.spec, Saved::Run(run), Vec::new());
+                    return Ok(Found {
+                        spec,
+                        k,
+                        loads,
+                        decisions,
+                        saved,
+                        digest: None,
+                        log_end: None,
+                    });
+                }
+            }
+        }
+    };
+    read.loads.truncate(k);
+    read.decisions.truncate(k);
+    Ok(Found {
+        spec,
+        k,
+        loads: read.loads,
+        decisions: read.decisions,
+        saved,
+        digest: Some(digest),
+        log_end,
+    })
+}
+
+/// The spec of tenant `name` as the history log image `log` (its last
+/// intact checkpoint record, digests unchecked) or else the `.snap`
+/// image `snap` records it.
+pub(crate) fn spec_on_disk(log: &[u8], snap: Option<&[u8]>, name: &str) -> Option<TenantSpec> {
+    let from_log = || {
+        let last = history_frames(log).into_iter().rev().find(|f| f.checkpoint.is_some())?;
+        let mut dec = Decoder::over(&log[last.range.start + 4..last.range.end - 8]);
+        dec.take_u64().ok()?;
+        checkpoint_head(&mut dec).ok()?;
+        take_owner(&mut dec, name).ok()
+    };
+    from_log().or_else(|| decode_snapshot(snap?, name).ok().map(|snap| snap.spec))
+}
+
+/// A decoded `.snap` header plus what follows it.
+struct Snapshot<'a> {
     /// The spec the snapshot was taken under.
     pub spec: TenantSpec,
     /// Committed slots it covers (at least 1).
@@ -187,8 +493,8 @@ pub(crate) struct Snapshot<'a> {
     pub body: SnapBody<'a>,
 }
 
-/// What a snapshot holds past its header.
-pub(crate) enum SnapBody<'a> {
+/// What a `.snap` holds past its header.
+enum SnapBody<'a> {
     /// Format 3: the digests at `k`, and a decoder positioned at the
     /// controller's tag + state. The history is in the history log.
     Current {
@@ -206,25 +512,21 @@ pub(crate) enum SnapBody<'a> {
     },
 }
 
-/// Decode the snapshot `bytes` of tenant `name`, either format.
-pub(crate) fn decode_snapshot<'a>(bytes: &'a [u8], name: &str) -> Result<Snapshot<'a>, String> {
+/// Decode the `.snap` `bytes` of tenant `name`, format 2 or 3.
+fn decode_snapshot<'a>(bytes: &'a [u8], name: &str) -> Result<Snapshot<'a>, String> {
     let mut dec = Decoder::from_sealed(bytes).map_err(|e| describe_snapshot_error(bytes, &e))?;
     let format = dec.take_u8().map_err(stringify)?;
-    // Format 3 needs the controller layouts of envelope version 2; a
-    // version byte (outside the checksum) that disagrees is damage.
+    // Format 3 holds the controller layouts of envelope version 2, and
+    // format 2 those of version 1; a version byte (outside the
+    // checksum) that disagrees is damage.
     let current = match (format, dec.version()) {
-        (SNAP_FORMAT, 2..) => true,
-        (SNAP_FORMAT_LEGACY, 1) => false,
+        (SNAP_FORMAT_3, 2) => true,
+        (SNAP_FORMAT_2, 1) => false,
         (format, version) => {
             return Err(format!("snapshot format {format} in an envelope of version {version}"))
         }
     };
-    let snap_name =
-        wire::take_str(&mut dec, "snapshot tenant name is not UTF-8").map_err(stringify)?;
-    if snap_name != name {
-        return Err(format!("snapshot belongs to tenant `{snap_name}`"));
-    }
-    let spec = TenantSpec::decode(&mut dec).map_err(stringify)?;
+    let spec = take_owner(&mut dec, name)?;
     let k = dec.take_usize().map_err(stringify)?;
     if k == 0 {
         return Err("snapshot covers zero slots".into());
@@ -242,98 +544,6 @@ pub(crate) fn decode_snapshot<'a>(bytes: &'a [u8], name: &str) -> Result<Snapsho
         SnapBody::Legacy { loads, run }
     };
     Ok(Snapshot { spec, k, body })
-}
-
-/// Append the committed slots `from..from + loads.len()` to the history
-/// log at `path`, first cutting the file back to `keep` bytes (the end
-/// of the records known good) so nothing stale stays behind them.
-/// Returns the log's new length.
-pub(crate) fn append_history(
-    path: &Path,
-    keep: u64,
-    from: usize,
-    loads: &[f64],
-    decisions: &[Config],
-    fsync: bool,
-) -> io::Result<u64> {
-    let mut out = Vec::with_capacity(loads.len() * 48);
-    for (i, (&load, config)) in loads.iter().zip(decisions).enumerate() {
-        let mut enc = Encoder::new();
-        enc.put_u64((from + i) as u64);
-        enc.put_f64(load);
-        enc.put_usize(config.counts().len());
-        for &c in config.counts() {
-            enc.put_u32(c);
-        }
-        out.extend_from_slice(&wal::frame_payload(enc.payload()));
-    }
-    let mut file =
-        std::fs::OpenOptions::new().create(true).write(true).truncate(false).open(path)?;
-    file.set_len(keep)?;
-    file.seek(SeekFrom::Start(keep))?;
-    file.write_all(&out)?;
-    if fsync {
-        file.sync_data()?;
-    }
-    Ok(keep + out.len() as u64)
-}
-
-/// The first `k` committed slots, as read back from a history log.
-pub(crate) struct History {
-    /// Accepted loads `0..k`.
-    pub loads: Vec<f64>,
-    /// Committed decisions `0..k`.
-    pub decisions: Vec<Config>,
-    /// Bytes of the log those `k` records take.
-    pub bytes: u64,
-}
-
-/// Read the first `k` records of the history log at `path` for a fleet
-/// of `d` types and check them against `digest`, the snapshot's digest
-/// states at `k`. Records past `k` are cut off the file.
-pub(crate) fn read_history(
-    path: &Path,
-    k: usize,
-    d: usize,
-    digest: &StateDigest,
-) -> Result<History, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("history log unreadable: {e}"))?;
-    let mut history = History { loads: Vec::with_capacity(k), decisions: Vec::new(), bytes: 0 };
-    history.decisions.reserve(k);
-    let mut at = 0;
-    for seq in 0..k {
-        let (payload, end) = match wal::next_frame(&bytes, at) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Err(format!("history log ends at slot {seq} of {k}")),
-            Err(tail) => return Err(format!("history log damaged at slot {seq}: {tail:?}")),
-        };
-        let mut dec = Decoder::over(payload);
-        let record = (|| {
-            let at_seq = dec.take_u64()?;
-            let load = dec.take_f64()?;
-            let len = dec.take_usize()?;
-            if at_seq != seq as u64 || len != d {
-                return Err(SnapshotError::Corrupt("history record out of place"));
-            }
-            let counts = (0..len).map(|_| dec.take_u32()).collect::<Result<_, _>>()?;
-            if !dec.is_empty() {
-                return Err(SnapshotError::Corrupt("trailing bytes in a history record"));
-            }
-            Ok((load, Config::new(counts)))
-        })()
-        .map_err(|e| format!("history record {seq}: {e}"))?;
-        history.loads.push(record.0);
-        history.decisions.push(record.1);
-        at = end;
-    }
-    if StateDigest::of(&history.loads, &history.decisions) != *digest {
-        return Err(format!("history log disagrees with the snapshot's digests at k={k}"));
-    }
-    if bytes.len() > at {
-        let _ = wal::truncate_file(path, at);
-    }
-    history.bytes = at as u64;
-    Ok(history)
 }
 
 fn stringify(e: SnapshotError) -> String {
@@ -415,29 +625,116 @@ mod tests {
         }
     }
 
+    /// A stand-in controller whose whole state is one number.
+    struct Counter(u64);
+
+    impl Checkpoint for Counter {
+        fn algo_tag(&self) -> &'static str {
+            "counter"
+        }
+
+        fn save_state(&self, enc: &mut Encoder) {
+            enc.put_u64(self.0);
+        }
+
+        fn restore_state(
+            &mut self,
+            _: &rsz_core::Instance,
+            dec: &mut Decoder<'_>,
+        ) -> Result<(), SnapshotError> {
+            self.0 = dec.take_u64()?;
+            Ok(())
+        }
+    }
+
+    /// Append the slots `from..to` and a checkpoint at `to` with digests
+    /// `digest` to the log at `path`; returns the append's length.
+    fn append(path: &Path, cut: Option<u64>, from: usize, to: usize, digest: &StateDigest) -> u64 {
+        let (loads, decisions) = slots();
+        let mut buf = Vec::new();
+        let (loads, decisions) = (&loads[from..to], &decisions[from..to]);
+        encode_append(&mut buf, from, loads, decisions, "t", &spec(), digest, &Counter(to as u64))
+            .unwrap();
+        append_log(path, &buf, cut, false).unwrap();
+        buf.len() as u64
+    }
+
+    fn slots() -> (Vec<f64>, Vec<Config>) {
+        let loads = (0..20).map(|i| f64::from(i) * 0.5).collect();
+        let decisions = (0..20u32).map(|i| Config::new(vec![i % 3, 1])).collect();
+        (loads, decisions)
+    }
+
+    fn digest_at(k: usize) -> StateDigest {
+        let (loads, decisions) = slots();
+        StateDigest::of(&loads[..k], &decisions[..k])
+    }
+
     #[test]
-    fn history_appends_resume_and_read_back_checked() {
+    fn log_reads_back_to_its_last_agreeing_checkpoint() {
         let dir = std::env::temp_dir().join(format!("rsz-hist-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = wal::hist_path(&dir, "t");
-        let loads: Vec<f64> = (0..20).map(|i| f64::from(i) * 0.5).collect();
-        let decisions: Vec<Config> = (0..20u32).map(|i| Config::new(vec![i % 3, 1])).collect();
-        let half = append_history(&path, 0, 0, &loads[..8], &decisions[..8], false).unwrap();
-        // Junk past the known-good end (a torn append) is cut first.
+        let first = append(&path, None, 0, 8, &digest_at(8));
+        // Junk past the known-good end (a failed append) is cut first.
         std::fs::OpenOptions::new().append(true).open(&path).unwrap().write_all(b"junk").unwrap();
-        let full = append_history(&path, half, 8, &loads[8..], &decisions[8..], false).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), full);
+        let full = first + append(&path, Some(first), 8, 20, &digest_at(20));
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, full);
 
-        let digest = StateDigest::of(&loads[..12], &decisions[..12]);
-        let h = read_history(&path, 12, 2, &digest).unwrap();
-        assert_eq!((h.loads.as_slice(), h.decisions.as_slice()), (&loads[..12], &decisions[..12]));
-        // Records past k were cut off the file.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), h.bytes);
-        // Wrong digests, too few records, or the wrong fleet: refused.
-        assert!(read_history(&path, 12, 2, &StateDigest::default()).is_err());
-        assert!(read_history(&path, 13, 2, &digest).is_err());
-        assert!(read_history(&path, 12, 3, &digest).is_err());
+        // Slot records are the bytes the format-3 log held.
+        let frames = history_frames(&bytes);
+        let ks: Vec<_> = frames.iter().filter_map(|f| f.checkpoint).collect();
+        assert_eq!((frames.len(), ks), (22, vec![8, 20]));
+        let payload = &bytes[frames[1].range.start + 4..frames[1].range.end - 8];
+        let mut legacy = Encoder::new();
+        legacy.put_u64(1);
+        legacy.put_f64(0.5);
+        legacy.put_usize(2);
+        legacy.put_u32(1);
+        legacy.put_u32(1);
+        assert_eq!(payload, legacy.payload());
+
+        let (loads, decisions) = slots();
+        let log = read_log(&bytes, 2);
+        assert_eq!((log.loads.as_slice(), log.decisions.as_slice()), (&loads[..], &decisions[..]));
+        assert_eq!(log.end_of_slots(8), frames[7].range.end);
+        let checkpoint = log.checkpoint.as_ref().unwrap();
+        assert_eq!(
+            (checkpoint.k, checkpoint.end, checkpoint.digest),
+            (20, bytes.len(), digest_at(20))
+        );
+        let mut dec = checkpoint.body.clone();
+        assert_eq!(take_owner(&mut dec, "t").unwrap(), spec());
+        assert_eq!((dec.take_bytes().unwrap(), dec.take_u64().unwrap()), (&b"counter"[..], 20));
+        assert!(dec.is_empty());
+        assert!(take_owner(&mut checkpoint.body.clone(), "u").is_err(), "another tenant's");
+        assert_eq!(spec_on_disk(&bytes, None, "t"), Some(spec()));
+
+        // Torn inside the last checkpoint: the one before it is used, and
+        // the slot records between them are still read.
+        let torn = &bytes[..bytes.len() - 5];
+        let log = read_log(torn, 2);
+        assert_eq!((log.loads.len(), log.checkpoint.map(|c| c.k)), (20, Some(8)));
+        // A flipped slot record ends the read there.
+        let mut flipped = bytes.clone();
+        flipped[frames[10].range.start + 9] ^= 1;
+        let log = read_log(&flipped, 2);
+        assert_eq!((log.loads.len(), log.checkpoint.map(|c| c.k)), (9, Some(8)));
+        // A checkpoint whose digests, or whose `k`, disagree with the slot
+        // records before it is passed over; so is a log read for the
+        // wrong fleet.
+        let mut wrong = bytes[..frames[8].range.end].to_vec();
+        for (k, digest) in [(8, digest_at(7)), (7, digest_at(7))] {
+            let mut buf = Vec::new();
+            encode_append(&mut buf, k, &[], &[], "t", &spec(), &digest, &Counter(0)).unwrap();
+            wrong.extend_from_slice(&buf);
+        }
+        let checkpoint = read_log(&wrong, 2).checkpoint.unwrap();
+        assert_eq!((checkpoint.k, checkpoint.end), (8, frames[8].range.end));
+        let log = read_log(&bytes, 3);
+        assert!(log.loads.is_empty() && log.checkpoint.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

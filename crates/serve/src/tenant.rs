@@ -186,11 +186,23 @@ pub struct TenantState {
     /// decisions, folded as they arrive: what fingerprints and
     /// snapshots record.
     pub(crate) digest: StateDigest,
-    /// Committed slots the history log on disk holds, checked or
-    /// written by this process (0 when its contents are unknown).
+    /// Committed slots the history log on disk holds up to its latest
+    /// checkpoint, checked or written by this process (0 when its
+    /// contents are unknown).
     pub(crate) hist_len: usize,
-    /// Bytes those `hist_len` records take in the log.
+    /// Bytes of the log those records (and the checkpoints among them)
+    /// take.
     pub(crate) hist_bytes: u64,
+    /// Whether the log may hold bytes past `hist_bytes` (its contents
+    /// are unknown, or an append failed): the next snapshot cuts it back
+    /// before appending.
+    pub(crate) hist_cut: bool,
+    /// Whether an older-format `<tenant>.snap` is on disk; the first
+    /// checkpoint appended to the log deletes it.
+    pub(crate) legacy_snap: bool,
+    /// The buffer each snapshot's append is encoded into, kept between
+    /// snapshots.
+    pub(crate) log_buf: Vec<u8>,
     /// The live controller; `None` after a panic dropped it (rebuilt
     /// from WAL + snapshot on the next recovery attempt).
     pub controller: Option<TenantDegrader>,
@@ -234,6 +246,9 @@ impl TenantState {
             digest: StateDigest::default(),
             hist_len: 0,
             hist_bytes: 0,
+            hist_cut: false,
+            legacy_snap: false,
+            log_buf: Vec::new(),
             controller: None,
             wal: None,
             fresh_since_snapshot: 0,
@@ -297,6 +312,7 @@ impl TenantState {
         self.digest.decisions = StateDigest::default().decisions;
         self.hist_len = 0;
         self.hist_bytes = 0;
+        self.hist_cut = true;
     }
 
     /// The degrade options this tenant's spec selects, given the daemon

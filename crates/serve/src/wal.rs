@@ -28,12 +28,12 @@
 //! registration record so every segment is self-describing. Sealing
 //! happens only at record boundaries, so a torn tail is legal **only**
 //! in the active segment — a short sealed segment is corruption.
-//! Sealed segments fully covered by a durable snapshot are deleted
-//! (compaction), which is what bounds the log's size: the snapshot's
-//! history log (`<tenant>.hist`, `crate::state`) holds every load up
-//! to the snapshot, written with this module's framing before the
-//! snapshot's rename. Once compaction has run, recovery needs that history: the log alone
-//! no longer starts at seq 0.
+//! Sealed segments fully covered by a durable checkpoint are deleted
+//! (compaction), which is what bounds the log's size: the history log
+//! (`<tenant>.hist`, `crate::state`) holds every load up to its latest
+//! checkpoint, in this module's framing. Once compaction has run,
+//! recovery needs that history: the WAL alone no longer starts at seq
+//! 0.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -117,20 +117,15 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
     Ok(record)
 }
 
-/// Frame one record: length, payload, checksum.
+/// Frame one record: length, payload, checksum. The history log
+/// (`crate::state`) frames its records the same way.
 #[must_use]
 pub fn frame(record: &WalRecord) -> Vec<u8> {
-    frame_payload(&encode_payload(record))
-}
-
-/// Frame any payload the way the WAL frames its records. The history
-/// log (`crate::state`) shares this framing.
-#[must_use]
-pub(crate) fn frame_payload(payload: &[u8]) -> Vec<u8> {
+    let payload = encode_payload(record);
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&u32::try_from(payload.len()).expect("record fits u32").to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out
 }
 
@@ -263,7 +258,8 @@ pub fn wal_path(dir: &Path, tenant: &str) -> PathBuf {
     dir.join(format!("{tenant}.wal"))
 }
 
-/// `<dir>/<tenant>.snap`
+/// `<dir>/<tenant>.snap` — where formats 2 and 3 kept a tenant's
+/// snapshot; this build reads it and never writes it.
 #[must_use]
 pub fn snap_path(dir: &Path, tenant: &str) -> PathBuf {
     dir.join(format!("{tenant}.snap"))

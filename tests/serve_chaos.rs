@@ -7,12 +7,14 @@
 //!    dir yields decisions bit-identical to the uninterrupted run.
 //! 2. **Storage faults** — WAL truncation recovers the intact prefix;
 //!    WAL bit flips quarantine (with the failing byte range) or resume
-//!    a valid prefix, never panic; a vanished snapshot means a full WAL
-//!    replay; a corrupted snapshot, or a history log that is missing,
-//!    torn or bit-flipped, falls back to the WAL without quarantining —
-//!    or, once compaction deleted the WAL's start, quarantines with a
-//!    structured reason; a history log ahead of its snapshot (a crash
-//!    between the append and the rename) is cut back and used.
+//!    a valid prefix, never panic; a snapshot append torn at any byte
+//!    restores from the checkpoint before it; a history log with no
+//!    checkpoint record means a full WAL replay; a corrupted last
+//!    checkpoint, or a history log that is missing, torn or
+//!    bit-flipped, falls back to an earlier checkpoint or the WAL
+//!    without quarantining — or, once compaction deleted the WAL's
+//!    start, quarantines with a structured reason; slot records past the
+//!    last checkpoint are cut back.
 //! 3. **Transport faults** — connections dropped mid-line and partial
 //!    JSON writes against a real TCP server never take the daemon down.
 //! 4. **Isolation** — a quarantined tenant (poisoned λ, mid eviction
@@ -38,7 +40,9 @@ use heterogeneous_rightsizing::online::algo_b::AlgorithmB;
 use heterogeneous_rightsizing::online::runner::run;
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::serve::json::{self, Json};
-use heterogeneous_rightsizing::serve::{wal, Client, ClientOptions, Daemon, ServeOptions, Server};
+use heterogeneous_rightsizing::serve::{
+    history_frames, wal, Client, ClientOptions, Daemon, ServeOptions, Server,
+};
 use heterogeneous_rightsizing::workloads::faultinject::daemon_plan;
 use heterogeneous_rightsizing::workloads::fleet;
 
@@ -380,18 +384,28 @@ fn wal_bit_flip_quarantines_or_resumes_a_prefix() {
     }
 }
 
-/// The snapshot and history-log faults every recovery test runs.
-const STATE_FAULTS: [&str; 6] =
-    ["missing", "corrupt", "hist-missing", "hist-torn", "hist-flip", "hist-ahead"];
+/// The history-log faults every recovery test runs. `missing` and
+/// `hist-missing` lose the log's checkpoint records and its slot
+/// records, the parts that were the `.snap` and the `.hist` before both
+/// lived in the log; `log-missing` loses the whole file.
+const STATE_FAULTS: [&str; 7] =
+    ["missing", "corrupt", "hist-missing", "hist-torn", "hist-flip", "hist-ahead", "log-missing"];
 
-/// Snapshot missing, WAL present: recovery replays the full WAL and the
-/// result is bit-identical. Snapshot corrupted, or its history log
-/// missing, torn mid-record or bit-flipped: recovery notices, falls
+/// The checkpoint records of the history log in `dir`, as `(k, bytes)`.
+fn checkpoints(dir: &Path) -> Vec<(usize, std::ops::Range<usize>)> {
+    let bytes = std::fs::read(wal::hist_path(dir, "t")).unwrap_or_default();
+    history_frames(&bytes).into_iter().filter_map(|f| Some((f.checkpoint?, f.range))).collect()
+}
+
+/// No checkpoint record in the log: recovery replays the full WAL and
+/// the result is bit-identical. The last checkpoint corrupted or torn,
+/// or slot records past it (the last append's checkpoint lost): the
+/// checkpoint before it restores, with no WAL-replay fallback, and the
+/// log is cut back to it. The log's slot records missing (no checkpoint
+/// agrees with the history before it), the whole log missing, or one of
+/// its bits flipped anywhere: recovery restores what is left or falls
 /// back to the WAL (`snapshot_fallbacks`), and does *not* quarantine.
-/// History log ahead of the snapshot (the previous snapshot put back,
-/// as a crash between the append and the rename leaves it): the log is
-/// cut back to the snapshot and used. The long trace replays 4100 ticks
-/// from the WAL alone.
+/// The long trace replays 4100 ticks from the WAL alone.
 #[test]
 fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
     let c = &combos()[0];
@@ -402,67 +416,74 @@ fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
             let dir = tmp_dir(&format!("snap-{mode}-{seed}"));
             let daemon = Daemon::new(options(&dir)).unwrap();
             assert_ok(&daemon.handle(&register_line("t", c, 3)));
-            let previous = dir.with_extension("previous-snap");
             for (i, &l) in loads.iter().enumerate() {
                 daemon.handle(&tick_line("t", i, l));
-                if i + 1 == 6 {
-                    // The snapshot at k = 6; the last one is at k = 9.
-                    std::fs::copy(wal::snap_path(&dir, "t"), &previous).unwrap();
-                }
             }
             drop(daemon);
-            damage_snapshot_and_check(&dir, &loads, 3, &expect, seed, mode, &previous);
-            let _ = std::fs::remove_file(&previous);
+            damage_snapshot_and_check(&dir, &loads, 3, &expect, seed, mode);
         }
     }
     let long = long_loads();
-    let before = long.len() - 10; // the previous snapshot, at k = 4080
-    let expect = long_reference_run("snap", c, &long, &[before, long.len()]);
+    let expect = long_reference_run("snap", c, &long, &[long.len()]);
     let image = kill_image("snap", c, long.len());
-    let previous = wal::snap_path(&kill_image("snap", c, before), "t");
     for mode in STATE_FAULTS {
         let dir = tmp_dir(&format!("snap-{mode}-long"));
         copy_dir(&image, &dir);
         let seed = seeds()[0];
-        damage_snapshot_and_check(&dir, &long, DEFAULT_CADENCE, &expect, seed, mode, &previous);
+        damage_snapshot_and_check(&dir, &long, DEFAULT_CADENCE, &expect, seed, mode);
     }
     let _ = std::fs::remove_dir_all(&image);
-    let _ = std::fs::remove_dir_all(kill_image("snap", c, before));
 }
 
-/// Damage the snapshot or history log in `dir` as `mode` and the seeded
-/// plan say: lose or flip the snapshot, lose the history log, tear it
-/// mid-record, flip one of its bits, or put the `previous` snapshot
-/// back so the log runs ahead of it. Returns whether recovery must
-/// still restore from the snapshot (no WAL-replay fallback).
-fn damage_state(dir: &Path, seed: u64, mode: &str, previous: &Path) -> bool {
+/// Damage the history log in `dir` as `mode` and the seeded plan say:
+/// drop its checkpoint records, flip a bit of its last checkpoint (or
+/// drop it), drop its slot records, tear it inside its last record, flip
+/// one of its bits, cut it right before its last checkpoint so the slot
+/// records of the last append run past the checkpoint before them, or
+/// lose the whole log.
+/// Returns whether recovery must still restore a checkpoint (no
+/// WAL-replay fallback).
+fn damage_state(dir: &Path, seed: u64, mode: &str) -> bool {
     let plan = daemon_plan(seed);
-    let snap = wal::snap_path(dir, "t");
     let hist = wal::hist_path(dir, "t");
-    assert!(snap.exists() && hist.exists(), "{mode}: nothing to damage");
-    let flip = |path: &Path| {
-        let mut bytes = std::fs::read(path).unwrap();
-        plan.flip_wal(&mut bytes); // reuse the seeded flip position
-        std::fs::write(path, &bytes).unwrap();
-    };
+    let mut bytes = std::fs::read(&hist).unwrap();
+    let checkpoints = checkpoints(dir);
+    let Some((_, last)) = checkpoints.last().cloned() else { panic!("{mode}: nothing to damage") };
+    let earlier = checkpoints.len() > 1;
     match mode {
-        "missing" => std::fs::remove_file(&snap).unwrap(),
-        "corrupt" if plan.drop_snapshot => std::fs::remove_file(&snap).unwrap(),
-        "corrupt" => flip(&snap),
-        "hist-missing" => std::fs::remove_file(&hist).unwrap(),
+        "missing" | "hist-missing" => {
+            let frames = history_frames(&bytes).into_iter();
+            let kept = frames.filter(|f| f.checkpoint.is_some() == (mode == "hist-missing"));
+            std::fs::write(&hist, kept.flat_map(|f| bytes[f.range].to_vec()).collect::<Vec<_>>())
+                .unwrap();
+            return false;
+        }
+        "corrupt" if plan.drop_snapshot => wal::truncate_file(&hist, last.start).unwrap(),
+        "corrupt" => {
+            plan.flip_wal(&mut bytes[last]); // reuse the seeded flip position
+            std::fs::write(&hist, &bytes).unwrap();
+        }
+        "log-missing" => {
+            std::fs::remove_file(&hist).unwrap();
+            return false;
+        }
         "hist-torn" => {
             // Inside the last record (each is longer than 17 bytes).
-            let len = std::fs::metadata(&hist).unwrap().len();
+            let len = bytes.len() as u64;
             wal::truncate_file(&hist, (len - 1 - seed % 17) as usize).unwrap();
         }
-        "hist-flip" => flip(&hist),
+        "hist-flip" => {
+            plan.flip_wal(&mut bytes); // reuse the seeded flip position
+            std::fs::write(&hist, &bytes).unwrap();
+            return false;
+        }
         "hist-ahead" => {
-            std::fs::copy(previous, &snap).unwrap();
-            return true;
+            assert!(history_frames(&bytes[..last.start]).last().unwrap().checkpoint.is_none());
+            wal::truncate_file(&hist, last.start).unwrap();
         }
         other => panic!("unknown fault {other}"),
     }
-    false
+    earlier
 }
 
 /// Damage the state of a dropped daemon in `dir` that took all of
@@ -475,15 +496,14 @@ fn damage_snapshot_and_check(
     expect: &[Vec<u64>],
     seed: u64,
     mode: &str,
-    previous: &Path,
 ) {
     assert!(
-        wal::snap_path(dir, "t").exists(),
-        "cadence {snapshot_every} over {} ticks must snapshot",
+        !checkpoints(dir).is_empty(),
+        "cadence {snapshot_every} over {} ticks must checkpoint",
         loads.len()
     );
     let hist_len = std::fs::metadata(wal::hist_path(dir, "t")).unwrap().len();
-    let restores = damage_state(dir, seed, mode, previous);
+    let restores = damage_state(dir, seed, mode);
 
     let daemon = Daemon::new(options(dir)).unwrap();
     assert_eq!(daemon.counters.recovered.load(Ordering::Relaxed), 1);
@@ -491,15 +511,63 @@ fn damage_snapshot_and_check(
     assert!(health.contains("\"quarantined\":0"), "{mode}/{seed}: {health}");
     if restores {
         let fallbacks = daemon.counters.snapshot_fallbacks.load(Ordering::Relaxed);
-        assert_eq!(fallbacks, 0, "{mode}/{seed}: the older snapshot must restore");
+        assert_eq!(fallbacks, 0, "{mode}/{seed}: the earlier checkpoint must restore");
         let cut = std::fs::metadata(wal::hist_path(dir, "t")).unwrap().len();
-        assert!(cut < hist_len, "{mode}/{seed}: records past the snapshot must be cut off");
+        assert!(cut < hist_len, "{mode}/{seed}: records past the checkpoint must be cut off");
     }
     for (i, &l) in loads.iter().enumerate() {
         let reply = daemon.handle(&tick_line("t", i, l));
         assert_eq!(decided(&reply), expect[i], "{mode}/{seed} seq {i}: {reply}");
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A kill -9 in the middle of a snapshot's append, at every byte
+/// offset: the restart restores from the checkpoint before it (no
+/// WAL-replay fallback when there is one), cuts the torn tail off and
+/// replays the rest from the WAL, bit-identical to the live run. A
+/// state directory never holds a `.snap` or its temporary file.
+#[test]
+fn a_snapshot_append_torn_at_any_byte_restores_the_checkpoint_before_it() {
+    let c = &combos()[0];
+    let expect = baseline(c, 3);
+    let loads = loads();
+    let dir = tmp_dir("torn-append");
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    assert_ok(&daemon.handle(&register_line("t", c, 3)));
+    for (i, &l) in loads.iter().enumerate() {
+        assert_eq!(decided(&daemon.handle(&tick_line("t", i, l))), expect[i]);
+    }
+    drop(daemon);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        assert!(!file.ends_with(".snap") && !file.ends_with(".snap.tmp"), "{file}");
+    }
+    let ends: Vec<usize> = checkpoints(&dir).into_iter().map(|(_, r)| r.end).collect();
+    assert_eq!(checkpoints(&dir).iter().map(|c| c.0).collect::<Vec<_>>(), [3, 6, 9]);
+    // The first append (no checkpoint before it) and the last one.
+    let stride = if quick() { 7 } else { 1 };
+    for (appended, earlier) in [(0..ends[0], false), (ends[1]..ends[2], true)] {
+        for cut in appended.step_by(stride) {
+            let torn = tmp_dir("torn-append-cut");
+            copy_dir(&dir, &torn);
+            wal::truncate_file(&wal::hist_path(&torn, "t"), cut).unwrap();
+            let daemon = Daemon::new(options(&torn)).unwrap();
+            let fallbacks = daemon.counters.snapshot_fallbacks.load(Ordering::Relaxed);
+            if earlier {
+                assert_eq!(fallbacks, 0, "torn at byte {cut}: the checkpoint at 6 must restore");
+            }
+            let v = json::parse(&daemon.handle(&register_line("t", c, 3))).unwrap();
+            assert_eq!(v.get("resumed_ticks").and_then(Json::as_u64), Some(loads.len() as u64));
+            for (i, &l) in loads.iter().enumerate() {
+                let reply = daemon.handle(&tick_line("t", i, l));
+                assert_eq!(decided(&reply), expect[i], "torn at byte {cut}, seq {i}: {reply}");
+            }
+            drop(daemon);
+            let _ = std::fs::remove_dir_all(&torn);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -742,11 +810,11 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
 }
 
 /// The WAL of `dir` no longer starts at seq 0 (compaction deleted the
-/// segments the snapshot covers — at some offsets every tick it held),
-/// so a missing snapshot, or a history log that is missing, torn or
-/// bit-flipped, leaves nothing to replay: the tenant must quarantine
-/// with a structured reason, and no tick may ever be answered with a
-/// wrong decision.
+/// segments the checkpoint covers — at some offsets every tick it
+/// held), so a history log whose checkpoint records or slot records are
+/// missing, or that is torn or bit-flipped, leaves nothing to replay:
+/// the tenant must quarantine with a structured reason, and no tick may
+/// ever be answered with a wrong decision.
 fn history_faults_after_compaction_quarantine(
     dir: &Path,
     opts: &ServeOptions,
@@ -756,7 +824,7 @@ fn history_faults_after_compaction_quarantine(
     for mode in ["missing", "hist-missing", "hist-torn", "hist-flip"] {
         let copy = tmp_dir(&format!("rot-{kill_at}-{mode}"));
         copy_dir(dir, &copy);
-        damage_state(&copy, 7, mode, Path::new("unused"));
+        damage_state(&copy, 7, mode);
         let daemon = Daemon::new(ServeOptions { state_dir: copy.clone(), ..opts.clone() }).unwrap();
         let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
         let reason = m
@@ -793,10 +861,11 @@ fn graceful_shutdown_seals_state_and_restart_resumes_cleanly() {
     for (i, &l) in loads.iter().enumerate() {
         assert_eq!(decided(&daemon.handle(&tick_line("t", i, l))), expect[i]);
     }
-    assert!(!wal::snap_path(&dir, "t").exists(), "cadence 100 must not have snapshotted");
+    assert!(checkpoints(&dir).is_empty(), "cadence 100 must not have snapshotted");
 
     daemon.graceful_shutdown();
-    assert!(wal::snap_path(&dir, "t").exists(), "shutdown must seal a final snapshot");
+    let sealed: Vec<usize> = checkpoints(&dir).into_iter().map(|(k, _)| k).collect();
+    assert_eq!(sealed, [loads.len()], "shutdown must seal a final checkpoint");
     // Admission is closed: fresh work sheds explicitly and retryably.
     let reply = daemon.handle(&tick_line("t", loads.len(), 1.0));
     assert!(reply.contains("\"error\":\"overloaded\""), "{reply}");

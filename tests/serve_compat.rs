@@ -4,16 +4,19 @@
 //!   wire and in the encoded spec as inert records of what the client
 //!   sent, so WALs, snapshots and fingerprints written before the
 //!   retirement still decode and match. The spec bytes are pinned.
-//! * Current formats: the layout-2 fingerprint, the format-3 `.snap` and
-//!   the `.hist` history log of a fixed 16-tick run are pinned, which
-//!   holds them fixed across internal rewrites of the tick path.
+//! * Current formats: the layout-2 fingerprint and the format-4 `.hist`
+//!   history log (slot records and checkpoint records) of a fixed
+//!   16-tick run are pinned, which holds them fixed across internal
+//!   rewrites of the tick path.
 //! * Read side: state directories written in format 2 (`.snap` with the
-//!   full load prefix and a `save_run` image inside) are committed under
-//!   `tests/fixtures/`. The current daemon recovers them, answers every
-//!   duplicate seq with the recorded decision, and continues exactly
-//!   like a direct run of the same controller. The format-2 and
-//!   layout-1 constants stay as the values those fixtures were pinned
-//!   by; a replica does not read an older primary's layout-1 ring.
+//!   full load prefix and a `save_run` image inside) and format 3
+//!   (`.snap` with the controller over a `.hist` of slot records) are
+//!   committed under `tests/fixtures/`. The current daemon recovers
+//!   them, answers every duplicate seq with the recorded decision, and
+//!   continues exactly like a direct run of the same controller. The
+//!   format-2, format-3 and layout-1 constants stay as the values those
+//!   fixtures were pinned by; a replica does not read an older primary's
+//!   layout-1 ring.
 //! * Decisions: replicas of different builds compare decision digests,
 //!   so the served decisions of tenants whose every dispatch cell is
 //!   all-affine are pinned too (`tests/fixtures/all_affine/`).
@@ -28,8 +31,8 @@ use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::serve::json::{self, Json};
 use heterogeneous_rightsizing::serve::protocol::parse_request;
 use heterogeneous_rightsizing::serve::{
-    build_controller, state_fingerprint, to_hex, wal, Daemon, Request, Role, ServeOptions,
-    TenantSpec,
+    build_controller, history_frames, state_fingerprint, to_hex, wal, Daemon, Request, Role,
+    ServeOptions, TenantSpec,
 };
 
 const DEFAULT: &str = r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:4,2","algo":"b"}"#;
@@ -51,12 +54,17 @@ const DEFAULT_SNAP_CHECKSUM: u64 = 0xf17a_8a4b_8476_7426;
 /// Layout-2 fingerprint of the same state.
 const DEFAULT_FINGERPRINT_V2: u64 = 0x509c_14db_bd97_4487;
 
-/// Length and `checksum` of the format-3 `.snap` and of the `.hist` log
-/// the same run writes now.
+/// Length and `checksum` of the format-3 `.snap` and `.hist` of the same
+/// run — the committed `format3_default` fixture.
 const DEFAULT_SNAP3_LEN: usize = 482;
 const DEFAULT_SNAP3_CHECKSUM: u64 = 0x90e1_ebd8_0c03_1643;
 const DEFAULT_HIST_LEN: usize = 704;
 const DEFAULT_HIST_CHECKSUM: u64 = 0xcfda_9221_80d1_4ede;
+
+/// Length and `checksum` of the format-4 `.hist` the same run writes now:
+/// the format-3 log's 16 slot records, then a checkpoint at 16.
+const DEFAULT_HIST4_LEN: usize = 1190;
+const DEFAULT_HIST4_CHECKSUM: u64 = 0x9c08_5247_755e_706d;
 
 fn loads() -> Vec<f64> {
     default_loads(16)
@@ -105,9 +113,8 @@ fn decisions(line: &str, tag: &str) -> Vec<Config> {
 }
 
 /// Register `line` on a fresh daemon, feed it the 16 ticks of
-/// [`loads`], and return its decisions plus the bytes of its `.snap` and
-/// `.hist`.
-fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>, Vec<u8>) {
+/// [`loads`], and return its decisions plus the bytes of its `.hist`.
+fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>) {
     let dir = tmp_dir(tag);
     let daemon = Daemon::new(options(&dir)).unwrap();
     let reply = json::parse(&daemon.handle(line)).unwrap();
@@ -117,10 +124,10 @@ fn run(line: &str, tag: &str) -> (Vec<Config>, Vec<u8>, Vec<u8>) {
         .enumerate()
         .map(|(seq, &load)| decided(&daemon.handle(&tick_line("t", seq, load))).0)
         .collect();
-    let snap = std::fs::read(wal::snap_path(&dir, "t")).expect("a snapshot at 16 ticks");
+    assert!(!wal::snap_path(&dir, "t").exists(), "format 4 writes no .snap");
     let hist = std::fs::read(wal::hist_path(&dir, "t")).expect("a history log at 16 ticks");
     std::fs::remove_dir_all(&dir).ok();
-    (out, snap, hist)
+    (out, hist)
 }
 
 /// The directory `tests/fixtures/NAME`.
@@ -142,7 +149,7 @@ fn read_decisions(path: &Path) -> Vec<Config> {
 }
 
 /// The fixture under `tests/fixtures/NAME`: its state directory and
-/// the decisions the format-2 daemon answered, in seq order.
+/// the decisions the daemon that wrote it answered, in seq order.
 fn fixture(name: &str) -> (PathBuf, Vec<Config>) {
     let root = fixture_dir(name);
     (root.join("state"), read_decisions(&root.join("decisions.txt")))
@@ -222,20 +229,27 @@ fn default_tenant_spec_bytes_and_fingerprint_are_pinned() {
 
 #[test]
 fn default_tenant_snapshot_bytes_are_pinned() {
-    let (_, snap, hist) = run(DEFAULT, "snap");
-    let (snap_sum, hist_sum) = (checksum(&snap), checksum(&hist));
-    assert_eq!(
-        (snap.len(), snap_sum),
-        (DEFAULT_SNAP3_LEN, DEFAULT_SNAP3_CHECKSUM),
-        "snapshot bytes changed: len {}, checksum {snap_sum:#018x}",
-        snap.len()
-    );
+    let (_, hist) = run(DEFAULT, "snap");
+    let hist_sum = checksum(&hist);
     assert_eq!(
         (hist.len(), hist_sum),
-        (DEFAULT_HIST_LEN, DEFAULT_HIST_CHECKSUM),
+        (DEFAULT_HIST4_LEN, DEFAULT_HIST4_CHECKSUM),
         "history bytes changed: len {}, checksum {hist_sum:#018x}",
         hist.len()
     );
+    // Its slot records are the format-3 log's bytes, and its checkpoint
+    // follows them.
+    let (state, _) = fixture("format3_default");
+    let (snap3, hist3) = (
+        std::fs::read(state.join("t.snap")).unwrap(),
+        std::fs::read(state.join("t.hist")).unwrap(),
+    );
+    assert_eq!((snap3.len(), checksum(&snap3)), (DEFAULT_SNAP3_LEN, DEFAULT_SNAP3_CHECKSUM));
+    assert_eq!((hist3.len(), checksum(&hist3)), (DEFAULT_HIST_LEN, DEFAULT_HIST_CHECKSUM));
+    assert_eq!(&hist[..hist3.len()], &hist3[..], "the slot records are unchanged");
+    let frames = history_frames(&hist);
+    let checkpoints: Vec<usize> = frames.iter().filter_map(|f| f.checkpoint).collect();
+    assert_eq!((frames.len(), checkpoints), (17, vec![16]));
     // The committed format-2 fixture is the file the old pin describes.
     let old = std::fs::read(fixture("format2_default").0.join("t.snap")).unwrap();
     assert_eq!((old.len(), checksum(&old)), (DEFAULT_SNAP_LEN, DEFAULT_SNAP_CHECKSUM));
@@ -251,11 +265,12 @@ fn copy_state(from: &Path, tag: &str) -> PathBuf {
     to
 }
 
-/// Recover the format-2 fixture `name` (tenant `tenant`, registered by
-/// `register`, fed `loads[..recorded.len()]`), answer every duplicate
-/// from history, continue through all of `loads`, and check the result
-/// against the recorded decisions and a direct run — then kill the
-/// daemon and do it again from the format-3 state it wrote meanwhile.
+/// Recover the format-2 or format-3 fixture `name` (tenant `tenant`,
+/// registered by `register`, fed `loads[..recorded.len()]`), answer
+/// every duplicate from history, continue through all of `loads`, and
+/// check the result against the recorded decisions and a direct run —
+/// then kill the daemon and do it again from the format-4 state it
+/// wrote meanwhile, whose first checkpoint deleted the old `.snap`.
 fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
     let (state_dir, recorded) = fixture(name);
     let want = direct_run(&spec_of(register), loads);
@@ -274,7 +289,9 @@ fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
             assert_eq!(replayed, seq < resumed, "{name} round {round} seq {seq}");
             assert_eq!(config, want[seq], "{name} round {round} seq {seq}");
         }
-        assert!(wal::hist_path(&dir, tenant).exists(), "{name}: format 3 writes a history log");
+        let log = std::fs::read(wal::hist_path(&dir, tenant)).unwrap();
+        assert!(history_frames(&log).iter().any(|f| f.checkpoint.is_some()), "{name}");
+        assert!(!wal::snap_path(&dir, tenant).exists(), "{name}: the old .snap is deleted");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -295,6 +312,26 @@ fn format_two_state_directories_recover_bit_identically() {
     );
     let register = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
     recover_fixture("format2_compacted", register, "c", &compacted_loads(80));
+}
+
+#[test]
+fn format_three_state_directories_recover_bit_identically() {
+    recover_fixture("format3_default", DEFAULT, "t", &default_loads(40));
+    assert_eq!(fixture("format3_default").1, fixture("format2_default").1);
+    // Compaction deleted the early WAL segments of this one: its first
+    // loads exist only in the format-3 history log.
+    let (state_dir, recorded) = fixture("format3_compacted");
+    assert_eq!(recorded.len(), 52);
+    let wal_bytes = wal::read_file(&wal::wal_path(&state_dir, "c")).unwrap();
+    assert!(
+        !wal::scan(&wal_bytes)
+            .records
+            .iter()
+            .any(|r| matches!(r, wal::WalRecord::Tick { seq: 0, .. })),
+        "the compacted fixture's WAL must not hold seq 0"
+    );
+    let register = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
+    recover_fixture("format3_compacted", register, "c", &compacted_loads(80));
 }
 
 /// The `save_run` image inside a format-2 snapshot is a version-1 run

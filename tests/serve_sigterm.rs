@@ -1,7 +1,7 @@
 //! A real `SIGTERM` (delivered with `kill`) drains the server: the
 //! handler's flag is noticed by the accept loop, admission stops, WALs
-//! are fsynced, a final snapshot is sealed, and `run()` returns cleanly
-//! — the "exit 0" path of `rsz serve`.
+//! are fsynced, a final checkpoint is sealed into the history log, and
+//! `run()` returns cleanly — the "exit 0" path of `rsz serve`.
 //!
 //! Lives in its own test binary on purpose: the signal flag is a
 //! process-global static, and once set it would drain every server any
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use heterogeneous_rightsizing::serve::{
-    install_sigterm_handler, wal, Client, ClientOptions, Daemon, GridSpec, ServeOptions, Server,
-    TenantSpec,
+    history_frames, install_sigterm_handler, wal, Client, ClientOptions, Daemon, GridSpec,
+    ServeOptions, Server, TenantSpec,
 };
 
 #[test]
@@ -62,9 +62,12 @@ fn sigterm_drains_the_server_and_seals_a_final_snapshot() {
         std::thread::sleep(Duration::from_millis(5));
     }
     handle.join().unwrap().expect("run() must exit cleanly on SIGTERM");
-    assert!(
-        wal::snap_path(&dir, "t").exists(),
-        "the drain must have sealed a final snapshot (cadence 16 never fired over 3 ticks)"
+    let log = std::fs::read(wal::hist_path(&dir, "t")).unwrap_or_default();
+    let sealed: Vec<usize> = history_frames(&log).iter().filter_map(|f| f.checkpoint).collect();
+    assert_eq!(
+        sealed,
+        [3],
+        "the drain must have sealed a final checkpoint (cadence 16 never fired over 3 ticks)"
     );
 
     // Restarting over the drained state resumes exactly where we left.
