@@ -704,7 +704,7 @@ impl Daemon {
         // it were accepted. Only a later checkpoint lets compaction drop
         // them from the WAL; when that one is lost too, nothing holds
         // them any more.
-        if let Restored::Checkpoint { k, ran_past: true } = restored {
+        if let Restored::Checkpoint { k, cut: Some(_), .. } = restored {
             if st.accepted() <= k {
                 return Err((
                     QuarantineReason::WalCorrupt,
@@ -733,6 +733,20 @@ impl Daemon {
             st.instance = accepted;
             replayed?;
         }
+        // Every check passed, so the WAL holds whatever the log held past
+        // the restored checkpoint: cut it off. Until then it stays, since
+        // it may be the only copy of ticks compaction dropped from the
+        // WAL. A restore from an older `.snap` is sealed as a format-4
+        // checkpoint, and only then is the `.snap` deleted.
+        if let Restored::Checkpoint { cut, from_snap, .. } = restored {
+            let dir = &self.options.state_dir;
+            if let Some(end) = cut {
+                st.hist_cut = wal::truncate_file(&wal::hist_path(dir, name), end).is_err();
+            }
+            if from_snap && self.write_snapshot(st, name) {
+                let _ = std::fs::remove_file(wal::snap_path(dir, name));
+            }
+        }
         Ok(())
     }
 
@@ -740,23 +754,16 @@ impl Daemon {
     /// usable checkpoint in the history log (or, when it holds none, an
     /// older `.snap`). Any failure falls back to a fresh controller (full
     /// WAL replay) — a bad checkpoint degrades recovery time, not
-    /// correctness, and is counted.
+    /// correctness, and is counted. Nothing on disk changes here.
     fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) -> Restored {
-        let dir = &self.options.state_dir;
-        let log = std::fs::read(wal::hist_path(dir, name)).or_else(|e| {
+        let log = std::fs::read(wal::hist_path(&self.options.state_dir, name)).or_else(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 Ok(Vec::new())
             } else {
                 Err(format!("history log unreadable: {e}"))
             }
         });
-        let snap = st.legacy_snap.then(|| std::fs::read(wal::snap_path(dir, name)).ok()).flatten();
-        if log.as_ref().is_ok_and(Vec::is_empty) && snap.is_none() {
-            // Nothing on disk for the next snapshot to cut back either.
-            st.hist_cut = false;
-            return Restored::Nothing;
-        }
-        match log.and_then(|log| self.try_restore(st, name, &log, snap.as_deref())) {
+        match log.and_then(|log| self.try_restore(st, name, &log)) {
             Ok(restored) => restored,
             Err(_) => {
                 // Quarantine would be wrong here while the WAL still
@@ -776,9 +783,20 @@ impl Daemon {
         st: &mut TenantState,
         name: &str,
         log_bytes: &[u8],
-        snap: Option<&[u8]>,
     ) -> Result<Restored, String> {
-        let found = state::find_checkpoint(log_bytes, snap, name, st.instance.num_types())?;
+        let log = state::read_log(log_bytes, st.instance.num_types());
+        // An older-format `.snap` is read only when the log holds no
+        // checkpoint to restore from.
+        let snap = (!log.has_checkpoint())
+            .then(|| std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok())
+            .flatten();
+        if log_bytes.is_empty() && snap.is_none() {
+            // Nothing on disk for the next snapshot to cut back either.
+            st.hist_cut = false;
+            return Ok(Restored::Nothing);
+        }
+        let from_snap = snap.is_some();
+        let found = state::find_checkpoint(log, snap.as_deref(), name)?;
         if found.spec != st.spec {
             return Err("checkpoint was taken under a different spec".into());
         }
@@ -855,31 +873,28 @@ impl Daemon {
             self.install_pool(st, &mut degrader);
             st.controller = Some(degrader);
         }
-        // What the log holds past the restored history is cut off; the
-        // WAL replays it. A format-2 snapshot has no log behind it: the
-        // next snapshot writes the log from slot 0.
-        let Some(end) = log_end else {
-            return Ok(Restored::Checkpoint { k, ran_past: !log_bytes.is_empty() });
-        };
+        // What the log holds past the restored history goes once revive
+        // has checked the WAL replays it; until then the next snapshot
+        // would cut it back. A format-2 snapshot has no log behind it:
+        // the next snapshot writes the log from slot 0.
+        let (hist_len, end) = log_end.map_or((0, 0), |end| (k, end));
         let ran_past = log_bytes.len() > end;
-        let cut = !ran_past
-            || wal::truncate_file(&wal::hist_path(&self.options.state_dir, name), end).is_ok();
-        (st.hist_len, st.hist_bytes, st.hist_cut) = (k, end as u64, !cut);
-        Ok(Restored::Checkpoint { k, ran_past })
+        (st.hist_len, st.hist_bytes, st.hist_cut) = (hist_len, end as u64, ran_past);
+        Ok(Restored::Checkpoint { k, cut: ran_past.then_some(end), from_snap })
     }
 
     /// Seal the tenant's state with one append to its history log: the
     /// slots committed since the last snapshot, then a checkpoint record
     /// (`k`, digests, controller). A crash mid-append leaves the previous
     /// checkpoint as the log's last usable one. A durable checkpoint then
-    /// compacts the WAL: every sealed segment it fully covers is deleted.
-    pub(crate) fn write_snapshot(&self, st: &mut TenantState, name: &str) {
-        let Some(controller) = st.controller.as_ref() else { return };
+    /// compacts the WAL (see [`Daemon::compact_segments`]). Returns
+    /// whether the checkpoint was sealed.
+    pub(crate) fn write_snapshot(&self, st: &mut TenantState, name: &str) -> bool {
+        let Some(controller) = st.controller.as_ref() else { return false };
         let k = st.decisions.len();
         if k == 0 || k != st.accepted() {
-            return;
+            return false;
         }
-        let dir = &self.options.state_dir;
         let from = st.hist_len;
         let mut buf = std::mem::take(&mut st.log_buf);
         let written = state::encode_append(
@@ -894,38 +909,40 @@ impl Daemon {
         )
         .and_then(|()| {
             let cut = st.hist_cut.then_some(st.hist_bytes);
-            state::append_log(&wal::hist_path(dir, name), &buf, cut, self.options.fsync)
+            let path = wal::hist_path(&self.options.state_dir, name);
+            state::append_log(&path, &buf, cut, self.options.fsync)
         });
         // A failure is not fatal: the WAL still recovers everything,
         // just slower, and the next attempt cuts the log back to what it
         // is known to hold.
-        match written {
-            Ok(()) => {
-                (st.hist_len, st.hist_bytes, st.hist_cut) =
-                    (k, st.hist_bytes + buf.len() as u64, false);
-                if st.legacy_snap {
-                    st.legacy_snap = std::fs::remove_file(wal::snap_path(dir, name))
-                        .is_err_and(|e| e.kind() != std::io::ErrorKind::NotFound);
-                }
-                st.fresh_since_snapshot = 0;
-                st.last_snapshot_k = k;
-                st.counters.snapshots += 1;
-                self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.compact_segments(st, k as u64);
-            }
-            Err(_) => st.hist_cut = true,
+        let sealed = written.is_ok();
+        if sealed {
+            (st.hist_len, st.hist_bytes, st.hist_cut) =
+                (k, st.hist_bytes + buf.len() as u64, false);
+            st.fresh_since_snapshot = 0;
+            st.last_snapshot_k = k;
+            st.counters.snapshots += 1;
+            self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+            self.compact_segments(st, k as u64);
+        } else {
+            st.hist_cut = true;
         }
         st.log_buf = buf;
+        sealed
     }
 
-    /// Delete sealed WAL segments the durable checkpoint fully covers:
-    /// a segment running through `through ≤ k` contributes nothing the
-    /// history log's bit-exact loads up to `k` do not already hold. Only
-    /// the tenant's own segment list is read, never the directory; a
-    /// segment that fails to delete stays listed for the next snapshot.
+    /// Delete the sealed WAL segments a durable checkpoint at `k` covers
+    /// and the WAL no longer needs: those running through `through < k`,
+    /// whose loads the history log holds bit for bit. The segment
+    /// running through `k` itself stays, so the WAL keeps tick `k - 1`:
+    /// should the history log be lost, the WAL then still shows it does
+    /// not start at seq 0, and recovery quarantines instead of
+    /// restarting the tenant from scratch. Only the tenant's own segment
+    /// list is read, never the directory; a segment that fails to delete
+    /// stays listed for the next snapshot.
     fn compact_segments(&self, st: &mut TenantState, k: u64) {
         st.segments.retain(|(through, path)| {
-            if *through > k {
+            if *through >= k {
                 return true;
             }
             match std::fs::remove_file(path) {
@@ -965,26 +982,22 @@ impl Daemon {
             Err(_) => return,
         };
         // This one listing also yields every tenant's sealed segments,
-        // which the tenant then keeps track of itself, and whether an
-        // older-format `.snap` is still on disk.
-        let mut found: std::collections::BTreeMap<String, (Vec<(u64, PathBuf)>, bool)> =
+        // which the tenant then keeps track of itself.
+        let mut found: std::collections::BTreeMap<String, Vec<(u64, PathBuf)>> =
             std::collections::BTreeMap::new();
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(file) = path.file_name().and_then(|s| s.to_str()) else { continue };
-            if let Some(stem) = file.strip_suffix(".snap") {
-                found.entry(stem.to_owned()).or_default().1 = true;
-            } else if let Some(stem) =
-                file.strip_suffix(".wal").or_else(|| file.strip_suffix(".hist"))
+            if let Some(stem) = [".wal", ".hist", ".snap"].iter().find_map(|s| file.strip_suffix(s))
             {
                 found.entry(stem.to_owned()).or_default();
             } else if let Some((tenant, through)) = wal::parse_seg_name(file) {
-                found.entry(tenant.to_owned()).or_default().0.push((through, path.clone()));
+                found.entry(tenant.to_owned()).or_default().push((through, path.clone()));
             }
         }
-        for (name, (mut segments, legacy_snap)) in found {
+        for (name, mut segments) in found {
             segments.sort_by_key(|&(through, _)| through);
-            if let Some(state) = self.recover_tenant(&name, segments, legacy_snap) {
+            if let Some(state) = self.recover_tenant(&name, segments) {
                 self.counters.recovered.fetch_add(1, Ordering::Relaxed);
                 lock_clean(&self.tenants).insert(
                     name,
@@ -995,15 +1008,10 @@ impl Daemon {
     }
 
     /// Recover one tenant from its sealed WAL `segments` (ascending) +
-    /// active WAL (+ history log, + an older `.snap` when `legacy_snap`).
-    /// Returns `None` only when nothing usable survives at all (no
-    /// registration in any WAL and no readable checkpoint).
-    fn recover_tenant(
-        &self,
-        name: &str,
-        segments: Vec<(u64, PathBuf)>,
-        legacy_snap: bool,
-    ) -> Option<TenantState> {
+    /// active WAL (+ history log, + an older `.snap`). Returns `None`
+    /// only when nothing usable survives at all (no registration in any
+    /// WAL and no readable checkpoint).
+    fn recover_tenant(&self, name: &str, segments: Vec<(u64, PathBuf)>) -> Option<TenantState> {
         let active = wal::wal_path(&self.options.state_dir, name);
         let mut sources: Vec<(PathBuf, bool)> =
             segments.iter().map(|(_, p)| (p.clone(), false)).collect();
@@ -1088,10 +1096,9 @@ impl Daemon {
         }
 
         // No usable registration anywhere: nothing to attach to.
-        let spec = spec.or_else(|| self.checkpoint_spec(name, legacy_snap))?;
+        let spec = spec.or_else(|| self.checkpoint_spec(name))?;
         let instance = Instance::empty(spec.server_types().ok()?).ok()?;
         let mut state = TenantState::new(spec, instance, segments);
-        state.legacy_snap = legacy_snap;
         if let Some(detail) = corrupt_detail {
             self.quarantine(&mut state, name, QuarantineReason::WalCorrupt, detail);
             return Some(state);
@@ -1124,11 +1131,10 @@ impl Daemon {
     /// Peek the history log's last checkpoint (or an older `.snap`) for
     /// the tenant spec — the fallback registration source when
     /// compaction + crash timing left no WAL holding a `Register` record.
-    fn checkpoint_spec(&self, name: &str, legacy_snap: bool) -> Option<TenantSpec> {
+    fn checkpoint_spec(&self, name: &str) -> Option<TenantSpec> {
         let dir = &self.options.state_dir;
         let log = std::fs::read(wal::hist_path(dir, name)).unwrap_or_default();
-        let snap = legacy_snap.then(|| std::fs::read(wal::snap_path(dir, name)).ok()).flatten();
-        state::spec_on_disk(&log, snap.as_deref(), name)
+        state::spec_on_disk(&log, || std::fs::read(wal::snap_path(dir, name)).ok(), name)
     }
 
     pub(crate) fn quarantine(
@@ -1344,9 +1350,11 @@ enum Restored {
     Nothing,
     /// Committed history on disk, but no checkpoint that restores.
     Unusable,
-    /// The checkpoint at `k` restored; `ran_past` when the log held
-    /// bytes after it, which were cut off.
-    Checkpoint { k: usize, ran_past: bool },
+    /// The checkpoint at `k` restored. `cut`: when the log holds bytes
+    /// past the history it restored, where that history ends — the
+    /// bytes go once the WAL is known to replay them. `from_snap`: the
+    /// checkpoint was an older-format `.snap`.
+    Checkpoint { k: usize, cut: Option<usize>, from_snap: bool },
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -50,8 +50,9 @@
 //! a version-1 envelope holding format byte `2`, name, spec, `k`, the
 //! accepted loads `0..k` and a [`rsz_online::save_run`] image
 //! (committed schedule + controller, older controller layouts), with no
-//! log. When the log holds no usable checkpoint, recovery falls back to
-//! the `.snap`; the tenant's first format-4 checkpoint deletes it.
+//! log. Only when the log holds no usable checkpoint does recovery read
+//! the `.snap`; a recovery that restored from it seals a format-4
+//! checkpoint at once and then deletes it.
 
 use std::io::{self, Write};
 use std::ops::Range;
@@ -174,50 +175,23 @@ pub(crate) fn encode_append(
 ) -> io::Result<()> {
     out.clear();
     for (i, (&load, config)) in loads.iter().zip(decisions).enumerate() {
-        let at = open_frame(out);
-        out.extend_from_slice(&((from + i) as u64).to_le_bytes());
-        out.extend_from_slice(&load.to_bits().to_le_bytes());
-        out.extend_from_slice(&(config.counts().len() as u64).to_le_bytes());
-        for &c in config.counts() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        close_frame(out, at)?;
+        wal::frame_into(out, |enc| {
+            enc.put_u64((from + i) as u64);
+            enc.put_f64(load);
+            enc.put_usize(config.counts().len());
+            config.counts().iter().for_each(|&c| enc.put_u32(c));
+        })?;
     }
-    let at = open_frame(out);
-    let mut enc = Encoder::resume(std::mem::take(out));
-    enc.put_u64(CHECKPOINT_TAG);
-    enc.put_u8(CHECKPOINT_FORMAT);
-    enc.put_usize(from + loads.len());
-    enc.put_u64(digest.loads);
-    enc.put_u64(digest.decisions);
-    enc.put_bytes(name.as_bytes());
-    spec.encode(&mut enc);
-    save_controller(controller, &mut enc);
-    *out = enc.into_bytes();
-    close_frame(out, at)
-}
-
-/// Reserve a frame's length field at the end of `out`; the payload
-/// follows it.
-fn open_frame(out: &mut Vec<u8>) -> usize {
-    out.extend_from_slice(&[0; 4]);
-    out.len() - 4
-}
-
-/// Seal the frame opened at `at`: fill in its length, append the
-/// payload's checksum.
-fn close_frame(out: &mut Vec<u8>, at: usize) -> io::Result<()> {
-    let len = out.len() - at - 4;
-    if len > wal::MAX_RECORD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("a {len}-byte history record exceeds the frame bound"),
-        ));
-    }
-    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    let sum = checksum(&out[at + 4..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    Ok(())
+    wal::frame_into(out, |enc| {
+        enc.put_u64(CHECKPOINT_TAG);
+        enc.put_u8(CHECKPOINT_FORMAT);
+        enc.put_usize(from + loads.len());
+        enc.put_u64(digest.loads);
+        enc.put_u64(digest.decisions);
+        enc.put_bytes(name.as_bytes());
+        spec.encode(enc);
+        save_controller(controller, enc);
+    })
 }
 
 /// Append `bytes` to the history log at `path` with one write, creating
@@ -246,6 +220,8 @@ pub(crate) fn append_log(
 pub struct HistoryFrame {
     /// The frame's bytes in the log, framing included.
     pub range: Range<usize>,
+    /// Its payload's bytes in the log.
+    pub payload: Range<usize>,
     /// `Some(k)` for a checkpoint record at `k`, `None` for a slot
     /// record.
     pub checkpoint: Option<usize>,
@@ -258,13 +234,13 @@ pub struct HistoryFrame {
 pub fn history_frames(bytes: &[u8]) -> Vec<HistoryFrame> {
     let mut frames = Vec::new();
     let mut at = 0;
-    while let Ok(Some((payload, end))) = wal::next_frame(bytes, at) {
-        let mut dec = Decoder::over(payload);
+    while let Ok(Some(wal::Frame { payload, end })) = wal::next_frame(bytes, at) {
+        let mut dec = Decoder::over(&bytes[payload.clone()]);
         let checkpoint = match dec.take_u64() {
             Ok(CHECKPOINT_TAG) => checkpoint_head(&mut dec).ok().map(|(k, _)| k),
             _ => None,
         };
-        frames.push(HistoryFrame { range: at..end, checkpoint });
+        frames.push(HistoryFrame { range: at..end, payload, checkpoint });
         at = end;
     }
     frames
@@ -282,8 +258,8 @@ fn checkpoint_head(dec: &mut Decoder<'_>) -> Result<(usize, StateDigest), Snapsh
     Ok((k, StateDigest { loads, decisions }))
 }
 
-/// What recovery reads back from a history log.
-struct Log<'a> {
+/// What recovery reads back from a history log ([`read_log`]).
+pub(crate) struct Log<'a> {
     /// The loads of the slot records, in seq order, up to the end or
     /// the first damaged frame.
     loads: Vec<f64>,
@@ -324,6 +300,11 @@ impl Log<'_> {
     fn end_of_slots(&self, k: usize) -> usize {
         k.checked_sub(1).map_or(0, |last| self.ends[last])
     }
+
+    /// Whether the log holds a checkpoint recovery may restore from.
+    pub fn has_checkpoint(&self) -> bool {
+        self.checkpoint.is_some()
+    }
 }
 
 /// Read the history log image `bytes` of a tenant whose fleet has `d`
@@ -331,13 +312,13 @@ impl Log<'_> {
 /// first damaged frame (torn, failing its checksum, or out of place),
 /// and the last checkpoint that agrees with them. Checkpoints that
 /// disagree are passed over; only their frame checksums are read.
-fn read_log(bytes: &[u8], d: usize) -> Log<'_> {
+pub(crate) fn read_log(bytes: &[u8], d: usize) -> Log<'_> {
     let mut log =
         Log { loads: Vec::new(), decisions: Vec::new(), ends: Vec::new(), checkpoint: None };
     let mut digest = StateDigest::default();
     let mut at = 0;
-    while let Ok(Some((payload, end))) = wal::next_frame(bytes, at) {
-        let mut dec = Decoder::over(payload);
+    while let Ok(Some(wal::Frame { payload, end })) = wal::next_frame(bytes, at) {
+        let mut dec = Decoder::over(&bytes[payload]);
         let Ok(first) = dec.take_u64() else { break };
         if first == CHECKPOINT_TAG {
             if let Ok((k, at_k)) = checkpoint_head(&mut dec) {
@@ -408,18 +389,15 @@ pub(crate) struct Found<'a> {
     pub log_end: Option<usize>,
 }
 
-/// Find the checkpoint to restore tenant `name`, whose fleet has `d`
-/// server types, from: the last one in the history log image `log` that
-/// agrees with the slot records before it, or else the older-format
-/// `.snap` image `snap` (format 3, whose history is the log's first `k`
-/// slot records, or format 2).
+/// Find the checkpoint to restore tenant `name` from: the last one in
+/// the history log `read` that agrees with the slot records before it,
+/// or else the older-format `.snap` image `snap` (format 3, whose
+/// history is the log's first `k` slot records, or format 2).
 pub(crate) fn find_checkpoint<'a>(
-    log: &'a [u8],
+    mut read: Log<'a>,
     snap: Option<&'a [u8]>,
     name: &str,
-    d: usize,
 ) -> Result<Found<'a>, String> {
-    let mut read = read_log(log, d);
     let (spec, k, saved, digest, log_end) = match read.checkpoint.take() {
         Some(LogCheckpoint { k, digest, end, mut body }) => {
             (take_owner(&mut body, name)?, k, Saved::State(body), digest, Some(end))
@@ -469,18 +447,22 @@ pub(crate) fn find_checkpoint<'a>(
     })
 }
 
-/// The spec of tenant `name` as the history log image `log` (its last
-/// intact checkpoint record, digests unchecked) or else the `.snap`
-/// image `snap` records it.
-pub(crate) fn spec_on_disk(log: &[u8], snap: Option<&[u8]>, name: &str) -> Option<TenantSpec> {
+/// The spec of tenant `name` as the history log image `log` records it
+/// (its last intact checkpoint record, digests unchecked), or else the
+/// `.snap` image `snap` reads, if any.
+pub(crate) fn spec_on_disk(
+    log: &[u8],
+    snap: impl FnOnce() -> Option<Vec<u8>>,
+    name: &str,
+) -> Option<TenantSpec> {
     let from_log = || {
         let last = history_frames(log).into_iter().rev().find(|f| f.checkpoint.is_some())?;
-        let mut dec = Decoder::over(&log[last.range.start + 4..last.range.end - 8]);
+        let mut dec = Decoder::over(&log[last.payload]);
         dec.take_u64().ok()?;
         checkpoint_head(&mut dec).ok()?;
         take_owner(&mut dec, name).ok()
     };
-    from_log().or_else(|| decode_snapshot(snap?, name).ok().map(|snap| snap.spec))
+    from_log().or_else(|| decode_snapshot(&snap()?, name).ok().map(|snap| snap.spec))
 }
 
 /// A decoded `.snap` header plus what follows it.
@@ -687,7 +669,7 @@ mod tests {
         let frames = history_frames(&bytes);
         let ks: Vec<_> = frames.iter().filter_map(|f| f.checkpoint).collect();
         assert_eq!((frames.len(), ks), (22, vec![8, 20]));
-        let payload = &bytes[frames[1].range.start + 4..frames[1].range.end - 8];
+        let payload = &bytes[frames[1].payload.clone()];
         let mut legacy = Encoder::new();
         legacy.put_u64(1);
         legacy.put_f64(0.5);
@@ -710,7 +692,7 @@ mod tests {
         assert_eq!((dec.take_bytes().unwrap(), dec.take_u64().unwrap()), (&b"counter"[..], 20));
         assert!(dec.is_empty());
         assert!(take_owner(&mut checkpoint.body.clone(), "u").is_err(), "another tenant's");
-        assert_eq!(spec_on_disk(&bytes, None, "t"), Some(spec()));
+        assert_eq!(spec_on_disk(&bytes, || None, "t"), Some(spec()));
 
         // Torn inside the last checkpoint: the one before it is used, and
         // the slot records between them are still read.

@@ -197,9 +197,6 @@ pub struct TenantState {
     /// are unknown, or an append failed): the next snapshot cuts it back
     /// before appending.
     pub(crate) hist_cut: bool,
-    /// Whether an older-format `<tenant>.snap` is on disk; the first
-    /// checkpoint appended to the log deletes it.
-    pub(crate) legacy_snap: bool,
     /// The buffer each snapshot's append is encoded into, kept between
     /// snapshots.
     pub(crate) log_buf: Vec<u8>,
@@ -247,7 +244,6 @@ impl TenantState {
             hist_len: 0,
             hist_bytes: 0,
             hist_cut: false,
-            legacy_snap: false,
             log_buf: Vec::new(),
             controller: None,
             wal: None,

@@ -28,15 +28,17 @@
 //! registration record so every segment is self-describing. Sealing
 //! happens only at record boundaries, so a torn tail is legal **only**
 //! in the active segment — a short sealed segment is corruption.
-//! Sealed segments fully covered by a durable checkpoint are deleted
+//! Sealed segments a durable checkpoint at `k` covers are deleted
 //! (compaction), which is what bounds the log's size: the history log
 //! (`<tenant>.hist`, `crate::state`) holds every load up to its latest
-//! checkpoint, in this module's framing. Once compaction has run,
-//! recovery needs that history: the WAL alone no longer starts at seq
-//! 0.
+//! checkpoint, in this module's framing. The segment holding tick
+//! `k - 1` stays. Once compaction has run, recovery needs that history:
+//! the WAL alone no longer starts at seq 0 — and since it still holds a
+//! tick, it shows as much when the history is lost.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use rsz_offline::{checksum, Decoder, Encoder, SnapshotError};
@@ -88,12 +90,11 @@ pub struct WalScan {
     pub tail: WalTail,
 }
 
-fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut enc = Encoder::new();
+fn encode_payload(record: &WalRecord, enc: &mut Encoder) {
     match record {
         WalRecord::Register(spec) => {
             enc.put_u8(1);
-            spec.encode(&mut enc);
+            spec.encode(enc);
         }
         WalRecord::Tick { seq, load } => {
             enc.put_u8(2);
@@ -101,7 +102,6 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
             enc.put_f64(*load);
         }
     }
-    enc.payload().to_vec()
 }
 
 fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
@@ -117,47 +117,93 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
     Ok(record)
 }
 
-/// Frame one record: length, payload, checksum. The history log
-/// (`crate::state`) frames its records the same way.
+/// Frame one record: length, payload, checksum.
+///
+/// # Panics
+///
+/// If the record's payload exceeds [`MAX_RECORD`]. No record of a
+/// registered tenant does: registration appends its record through
+/// [`WalWriter::append`], which refuses one that would.
 #[must_use]
 pub fn frame(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&u32::try_from(payload.len()).expect("record fits u32").to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let mut out = Vec::new();
+    frame_into(&mut out, |enc| encode_payload(record, enc))
+        .expect("an accepted record fits the frame bound");
     out
 }
 
-/// The frame starting at byte `at` of `bytes`: its payload and the
-/// offset just past it, `None` at a clean end, or the tail that ends
-/// the intact prefix at `at` (torn, or failing its integrity check).
-pub(crate) fn next_frame(bytes: &[u8], at: usize) -> Result<Option<(&[u8], usize)>, WalTail> {
+/// Append one frame to `out`: a length field, the payload `payload`
+/// writes, and its checksum. The history log (`crate::state`) frames its
+/// records with this too. A payload over [`MAX_RECORD`] is refused
+/// (`out` is left as it was): the reader would take it for framing
+/// damage.
+pub(crate) fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Encoder)) -> io::Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; LEN_BYTES]);
+    let mut enc = Encoder::resume(std::mem::take(out));
+    payload(&mut enc);
+    *out = enc.into_bytes();
+    let len = out.len() - at - LEN_BYTES;
+    if len > MAX_RECORD {
+        out.truncate(at);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("a {len}-byte record exceeds the frame bound"),
+        ));
+    }
+    out[at..at + LEN_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(&out[at + LEN_BYTES..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Bytes of a frame's length field.
+const LEN_BYTES: usize = 4;
+
+/// Bytes of a frame's checksum.
+const SUM_BYTES: usize = 8;
+
+/// One intact frame of a log image.
+pub(crate) struct Frame {
+    /// Where its payload lies in the image.
+    pub payload: Range<usize>,
+    /// The offset just past it, where the next frame starts.
+    pub end: usize,
+}
+
+/// The frame starting at byte `at` of `bytes`, `None` at a clean end, or
+/// the tail that ends the intact prefix at `at` (torn, or failing its
+/// integrity check).
+pub(crate) fn next_frame(bytes: &[u8], at: usize) -> Result<Option<Frame>, WalTail> {
     let rest = &bytes[at..];
     if rest.is_empty() {
         return Ok(None);
     }
-    if rest.len() < 4 {
+    if rest.len() < LEN_BYTES {
         return Err(WalTail::Torn { at });
     }
-    let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes(rest[..LEN_BYTES].try_into().expect("4 bytes")) as usize;
     if len > MAX_RECORD {
-        return Err(WalTail::Corrupt { start: at, end: at + 4, what: "impossible record length" });
+        return Err(WalTail::Corrupt {
+            start: at,
+            end: at + LEN_BYTES,
+            what: "impossible record length",
+        });
     }
-    let framed = 4 + len + 8;
-    if rest.len() < framed {
+    let payload = at + LEN_BYTES..at + LEN_BYTES + len;
+    let end = payload.end + SUM_BYTES;
+    if bytes.len() < end {
         return Err(WalTail::Torn { at });
     }
-    let payload = &rest[4..4 + len];
-    let stored = u64::from_le_bytes(rest[4 + len..framed].try_into().expect("8 bytes"));
-    if checksum(payload) != stored {
+    let stored = u64::from_le_bytes(bytes[payload.end..end].try_into().expect("8 bytes"));
+    if checksum(&bytes[payload.clone()]) != stored {
         return Err(WalTail::Corrupt {
-            start: at + 4,
-            end: at + 4 + len,
+            start: payload.start,
+            end: payload.end,
             what: "record failed its FNV-1a check",
         });
     }
-    Ok(Some((payload, at + framed)))
+    Ok(Some(Frame { payload, end }))
 }
 
 /// Scan a WAL image into records plus a tail classification. Never
@@ -170,15 +216,15 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     loop {
         let tail = match next_frame(bytes, at) {
             Ok(None) => WalTail::Clean,
-            Ok(Some((payload, end))) => match decode_payload(payload) {
+            Ok(Some(Frame { payload, end })) => match decode_payload(&bytes[payload.clone()]) {
                 Ok(record) => {
                     records.push(record);
                     at = end;
                     continue;
                 }
                 Err(_) => WalTail::Corrupt {
-                    start: at + 4,
-                    end: end - 8,
+                    start: payload.start,
+                    end: payload.end,
                     what: "record checksum ok but contents undecodable",
                 },
             },
@@ -208,7 +254,8 @@ impl WalWriter {
     /// is also forced to stable storage — survives power loss, not just
     /// process death.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let framed = frame(record);
+        let mut framed = Vec::with_capacity(64);
+        frame_into(&mut framed, |enc| encode_payload(record, enc))?;
         self.file.write_all(&framed)?;
         self.file.flush()?;
         if self.fsync {

@@ -384,12 +384,12 @@ fn wal_bit_flip_quarantines_or_resumes_a_prefix() {
     }
 }
 
-/// The history-log faults every recovery test runs. `missing` and
-/// `hist-missing` lose the log's checkpoint records and its slot
-/// records, the parts that were the `.snap` and the `.hist` before both
-/// lived in the log; `log-missing` loses the whole file.
+/// The history-log faults every recovery test runs. `missing` loses the
+/// log's checkpoint records (what was the `.snap` before checkpoints
+/// lived in the log), `hist-missing` the whole log, and `slots-missing`
+/// only its slot records.
 const STATE_FAULTS: [&str; 7] =
-    ["missing", "corrupt", "hist-missing", "hist-torn", "hist-flip", "hist-ahead", "log-missing"];
+    ["missing", "corrupt", "hist-missing", "hist-torn", "hist-flip", "hist-ahead", "slots-missing"];
 
 /// The checkpoint records of the history log in `dir`, as `(k, bytes)`.
 fn checkpoints(dir: &Path) -> Vec<(usize, std::ops::Range<usize>)> {
@@ -437,10 +437,10 @@ fn missing_or_corrupt_snapshots_fall_back_to_the_wal() {
 
 /// Damage the history log in `dir` as `mode` and the seeded plan say:
 /// drop its checkpoint records, flip a bit of its last checkpoint (or
-/// drop it), drop its slot records, tear it inside its last record, flip
+/// drop it), lose the whole log, tear it inside its last record, flip
 /// one of its bits, cut it right before its last checkpoint so the slot
 /// records of the last append run past the checkpoint before them, or
-/// lose the whole log.
+/// drop its slot records.
 /// Returns whether recovery must still restore a checkpoint (no
 /// WAL-replay fallback).
 fn damage_state(dir: &Path, seed: u64, mode: &str) -> bool {
@@ -451,9 +451,9 @@ fn damage_state(dir: &Path, seed: u64, mode: &str) -> bool {
     let Some((_, last)) = checkpoints.last().cloned() else { panic!("{mode}: nothing to damage") };
     let earlier = checkpoints.len() > 1;
     match mode {
-        "missing" | "hist-missing" => {
+        "missing" | "slots-missing" => {
             let frames = history_frames(&bytes).into_iter();
-            let kept = frames.filter(|f| f.checkpoint.is_some() == (mode == "hist-missing"));
+            let kept = frames.filter(|f| f.checkpoint.is_some() == (mode == "slots-missing"));
             std::fs::write(&hist, kept.flat_map(|f| bytes[f.range].to_vec()).collect::<Vec<_>>())
                 .unwrap();
             return false;
@@ -463,7 +463,7 @@ fn damage_state(dir: &Path, seed: u64, mode: &str) -> bool {
             plan.flip_wal(&mut bytes[last]); // reuse the seeded flip position
             std::fs::write(&hist, &bytes).unwrap();
         }
-        "log-missing" => {
+        "hist-missing" => {
             std::fs::remove_file(&hist).unwrap();
             return false;
         }
@@ -778,20 +778,25 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
         for (i, &l) in loads[..kill_at].iter().enumerate() {
             assert_eq!(decided(&daemon.handle(&tick_line("t", i, l))), expect[i]);
         }
-        // Every accepted tick sealed a segment; the cadence-3 snapshots
-        // compacted every covered one.
+        // Every accepted tick sealed a segment; the cadence-3 snapshot
+        // at k compacted every segment before the one running through k,
+        // which stays so that the WAL still holds tick k - 1.
         let sealed = daemon.counters.segments_sealed.load(Ordering::Relaxed);
         assert_eq!(sealed, kill_at as u64, "one seal per tick at threshold 1");
         let compacted = daemon.counters.segments_compacted.load(Ordering::Relaxed);
-        if kill_at >= 3 {
-            assert!(compacted >= 3, "kill_at {kill_at}: only {compacted} compacted");
-        }
+        let k = kill_at / 3 * 3;
+        assert_eq!(compacted, k.saturating_sub(1) as u64, "kill_at {kill_at}");
+        let on_disk: Vec<u64> = wal::list_segments(&dir, "t").into_iter().map(|s| s.0).collect();
+        assert_eq!(on_disk, (k.max(1)..=kill_at).map(|t| t as u64).collect::<Vec<_>>());
         let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
         assert_eq!(m.get("segments_sealed").and_then(Json::as_u64), Some(sealed));
         assert_eq!(m.get("segments_compacted").and_then(Json::as_u64), Some(compacted));
         drop(daemon); // kill -9: no shutdown, no final snapshot
         if kill_at >= 3 {
             history_faults_after_compaction_quarantine(&dir, &opts, &expect, kill_at);
+        }
+        if kill_at >= 6 {
+            a_quarantining_log_is_left_as_it_was(&dir, &opts, &expect, kill_at);
         }
 
         let daemon = Daemon::new(opts).unwrap();
@@ -810,29 +815,27 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
 }
 
 /// The WAL of `dir` no longer starts at seq 0 (compaction deleted the
-/// segments the checkpoint covers — at some offsets every tick it
-/// held), so a history log whose checkpoint records or slot records are
-/// missing, or that is torn or bit-flipped, leaves nothing to replay:
-/// the tenant must quarantine with a structured reason, and no tick may
-/// ever be answered with a wrong decision.
+/// segments the checkpoint covers, all but the one holding its last
+/// tick), so a history log that is missing, whose checkpoint records or
+/// slot records are missing, or that is torn or bit-flipped, leaves
+/// nothing to replay: the tenant must quarantine with a structured
+/// reason, and no tick may ever be answered with a wrong decision.
 fn history_faults_after_compaction_quarantine(
     dir: &Path,
     opts: &ServeOptions,
     expect: &[Vec<u64>],
     kill_at: usize,
 ) {
-    for mode in ["missing", "hist-missing", "hist-torn", "hist-flip"] {
+    for mode in ["missing", "hist-missing", "hist-torn", "hist-flip", "slots-missing"] {
         let copy = tmp_dir(&format!("rot-{kill_at}-{mode}"));
         copy_dir(dir, &copy);
         damage_state(&copy, 7, mode);
         let daemon = Daemon::new(ServeOptions { state_dir: copy.clone(), ..opts.clone() }).unwrap();
-        let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
-        let reason = m
-            .get("tenants")
-            .and_then(|t| t.get("t"))
-            .and_then(|t| t.get("quarantined"))
-            .and_then(Json::as_str);
-        assert_eq!(reason, Some("wal_corrupt"), "kill_at {kill_at} {mode}");
+        assert_eq!(
+            quarantine_reason(&daemon),
+            Some("wal_corrupt".into()),
+            "kill_at {kill_at} {mode}"
+        );
         for (i, &l) in loads().iter().enumerate() {
             let reply = daemon.handle(&tick_line("t", i, l));
             if reply.contains("\"ok\":true") {
@@ -843,6 +846,65 @@ fn history_faults_after_compaction_quarantine(
         }
         let _ = std::fs::remove_dir_all(&copy);
     }
+}
+
+/// Tenant `t`'s quarantine reason, as `/metrics` reports it.
+fn quarantine_reason(daemon: &Daemon) -> Option<String> {
+    let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
+    let t = m.get("tenants").and_then(|t| t.get("t"))?;
+    t.get("quarantined").and_then(Json::as_str).map(str::to_owned)
+}
+
+/// A bit flipped in the first slot record after the first checkpoint of
+/// the compacted state in `dir`: that checkpoint restores, but the WAL
+/// no longer holds the ticks after it, so the tenant quarantines. It
+/// stays quarantined through a retry after its backoff and through a
+/// restart, and the log stays byte for byte as it was: its records past
+/// that checkpoint are the only copy of those ticks. Mending the bit
+/// brings every tick back.
+fn a_quarantining_log_is_left_as_it_was(
+    dir: &Path,
+    opts: &ServeOptions,
+    expect: &[Vec<u64>],
+    kill_at: usize,
+) {
+    let copy = tmp_dir(&format!("rot-{kill_at}-twice"));
+    copy_dir(dir, &copy);
+    let hist = wal::hist_path(&copy, "t");
+    let mut bytes = std::fs::read(&hist).unwrap();
+    let frames = history_frames(&bytes);
+    let first = frames.iter().position(|f| f.checkpoint.is_some()).unwrap();
+    let flip = frames[first + 1].payload.start + 8; // the next slot record's load
+    bytes[flip] ^= 1;
+    std::fs::write(&hist, &bytes).unwrap();
+    let short = Duration::from_millis(1);
+    let opts = ServeOptions {
+        state_dir: copy.clone(),
+        backoff_base: short,
+        backoff_cap: short,
+        ..opts.clone()
+    };
+    for round in 0..2 {
+        let daemon = Daemon::new(opts.clone()).unwrap();
+        for retry in 0..2 {
+            let at = format!("kill_at {kill_at}, round {round}, retry {retry}");
+            assert_eq!(quarantine_reason(&daemon), Some("wal_corrupt".into()), "{at}");
+            assert!(std::fs::read(&hist).unwrap() == bytes, "{at}: the log changed");
+            std::thread::sleep(short * 5);
+            let reply = daemon.handle(&tick_line("t", 0, loads()[0]));
+            assert!(reply.contains("compacted"), "{at}: {reply}");
+        }
+    }
+    let mut mended = std::fs::read(&hist).unwrap();
+    mended[flip] ^= 1;
+    std::fs::write(&hist, &mended).unwrap();
+    let daemon = Daemon::new(opts).unwrap();
+    assert_eq!(quarantine_reason(&daemon), None, "kill_at {kill_at}: mended");
+    for (i, &l) in loads().iter().enumerate() {
+        let reply = daemon.handle(&tick_line("t", i, l));
+        assert_eq!(decided(&reply), expect[i], "kill_at {kill_at} mended, seq {i}: {reply}");
+    }
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 /// An orderly shutdown stops admission with an explicit `overloaded`,

@@ -270,7 +270,8 @@ fn copy_state(from: &Path, tag: &str) -> PathBuf {
 /// every duplicate from history, continue through all of `loads`, and
 /// check the result against the recorded decisions and a direct run —
 /// then kill the daemon and do it again from the format-4 state it
-/// wrote meanwhile, whose first checkpoint deleted the old `.snap`.
+/// wrote meanwhile. Recovery seals what it restored from the old `.snap`
+/// as a format-4 checkpoint at once, then deletes the `.snap`.
 fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
     let (state_dir, recorded) = fixture(name);
     let want = direct_run(&spec_of(register), loads);
@@ -281,6 +282,12 @@ fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
         let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
         assert_eq!(m.get("recovered").and_then(Json::as_u64), Some(1), "{name} round {round}");
         assert_eq!(m.get("snapshot_fallbacks").and_then(Json::as_u64), Some(0), "{name}");
+        if round == 0 {
+            let log = std::fs::read(wal::hist_path(&dir, tenant)).unwrap();
+            let last = history_frames(&log).iter().rev().find_map(|f| f.checkpoint);
+            assert_eq!(last, Some(recorded.len()), "{name}: sealed at recovery");
+            assert!(!wal::snap_path(&dir, tenant).exists(), "{name}: deleted at recovery");
+        }
         let reply = json::parse(&daemon.handle(register)).unwrap();
         let resumed = reply.get("resumed_ticks").and_then(Json::as_u64).unwrap() as usize;
         assert_eq!(resumed, if round == 0 { recorded.len() } else { loads.len() }, "{name}");
