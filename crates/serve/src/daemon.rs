@@ -44,6 +44,13 @@ use crate::state::{self, describe_snapshot_error, Found, Saved, StateDigest};
 use crate::tenant::{Fingerprint, QuarantineReason, TenantDegrader, TenantState};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
 
+thread_local! {
+    /// The buffer a snapshot's append is encoded into, reused by every
+    /// snapshot this thread writes. It is kept per thread, not per
+    /// tenant, so the memory it holds does not grow with the tenants.
+    static APPEND_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -896,39 +903,35 @@ impl Daemon {
             return false;
         }
         let from = st.hist_len;
-        let mut buf = std::mem::take(&mut st.log_buf);
-        let written = state::encode_append(
-            &mut buf,
-            from,
-            &st.instance.loads()[from..k],
-            &st.decisions.configs()[from..k],
-            name,
-            &st.spec,
-            &st.digest,
-            controller,
-        )
-        .and_then(|()| {
+        let written = APPEND_BUF.with_borrow_mut(|buf| {
+            state::encode_append(
+                buf,
+                from,
+                &st.instance.loads()[from..k],
+                &st.decisions.configs()[from..k],
+                name,
+                &st.spec,
+                &st.digest,
+                controller,
+            )?;
             let cut = st.hist_cut.then_some(st.hist_bytes);
             let path = wal::hist_path(&self.options.state_dir, name);
-            state::append_log(&path, &buf, cut, self.options.fsync)
+            state::append_log(&path, buf, cut, self.options.fsync).map(|()| buf.len() as u64)
         });
         // A failure is not fatal: the WAL still recovers everything,
         // just slower, and the next attempt cuts the log back to what it
         // is known to hold.
-        let sealed = written.is_ok();
-        if sealed {
-            (st.hist_len, st.hist_bytes, st.hist_cut) =
-                (k, st.hist_bytes + buf.len() as u64, false);
-            st.fresh_since_snapshot = 0;
-            st.last_snapshot_k = k;
-            st.counters.snapshots += 1;
-            self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-            self.compact_segments(st, k as u64);
-        } else {
+        let Ok(appended) = written else {
             st.hist_cut = true;
-        }
-        st.log_buf = buf;
-        sealed
+            return false;
+        };
+        (st.hist_len, st.hist_bytes, st.hist_cut) = (k, st.hist_bytes + appended, false);
+        st.fresh_since_snapshot = 0;
+        st.last_snapshot_k = k;
+        st.counters.snapshots += 1;
+        self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+        self.compact_segments(st, k as u64);
+        true
     }
 
     /// Delete the sealed WAL segments a durable checkpoint at `k` covers

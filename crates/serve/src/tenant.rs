@@ -197,9 +197,6 @@ pub struct TenantState {
     /// are unknown, or an append failed): the next snapshot cuts it back
     /// before appending.
     pub(crate) hist_cut: bool,
-    /// The buffer each snapshot's append is encoded into, kept between
-    /// snapshots.
-    pub(crate) log_buf: Vec<u8>,
     /// The live controller; `None` after a panic dropped it (rebuilt
     /// from WAL + snapshot on the next recovery attempt).
     pub controller: Option<TenantDegrader>,
@@ -244,7 +241,6 @@ impl TenantState {
             hist_len: 0,
             hist_bytes: 0,
             hist_cut: false,
-            log_buf: Vec::new(),
             controller: None,
             wal: None,
             fresh_since_snapshot: 0,
