@@ -628,18 +628,27 @@ impl Daemon {
     /// A diverged tenant is *not* revivable from local storage — its
     /// own WAL would faithfully replay the same divergent state — so
     /// `Divergence` stays quarantined until a fresh resync replaces the
-    /// state wholesale.
+    /// state wholesale. Nor is a tenant whose WAL or history log did not
+    /// add up (`WalCorrupt`): memory holds only what the failed recovery
+    /// got through, and resuming from it would drop acknowledged ticks,
+    /// so it stays quarantined until a restart recovers it from disk.
     pub(crate) fn revive(
         &self,
         st: &mut TenantState,
         name: &str,
         wal_suffix: &[(u64, f64)],
     ) -> Result<(), (QuarantineReason, String)> {
-        if st.quarantine.as_ref().is_some_and(|q| q.reason == QuarantineReason::Divergence) {
-            return Err((
-                QuarantineReason::Divergence,
-                "diverged from the primary; local replay would reproduce the divergence".into(),
-            ));
+        match &st.quarantine {
+            Some(q) if q.reason == QuarantineReason::Divergence => {
+                return Err((
+                    QuarantineReason::Divergence,
+                    "diverged from the primary; local replay would reproduce the divergence".into(),
+                ));
+            }
+            Some(q) if q.reason == QuarantineReason::WalCorrupt => {
+                return Err((QuarantineReason::WalCorrupt, q.detail.clone()));
+            }
+            _ => {}
         }
         // Input quarantines keep the controller: the bad tick was never
         // applied, so the state is intact and the gate alone suffices.

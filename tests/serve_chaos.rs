@@ -793,7 +793,7 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
         assert_eq!(m.get("segments_compacted").and_then(Json::as_u64), Some(compacted));
         drop(daemon); // kill -9: no shutdown, no final snapshot
         if kill_at >= 3 {
-            history_faults_after_compaction_quarantine(&dir, &opts, &expect, kill_at);
+            history_faults_after_compaction_quarantine(&dir, &opts, kill_at);
         }
         if kill_at >= 6 {
             a_quarantining_log_is_left_as_it_was(&dir, &opts, &expect, kill_at);
@@ -819,18 +819,17 @@ fn rotation_and_compaction_survive_kill_restart_bit_identically() {
 /// tick), so a history log that is missing, whose checkpoint records or
 /// slot records are missing, or that is torn or bit-flipped, leaves
 /// nothing to replay: the tenant must quarantine with a structured
-/// reason, and no tick may ever be answered with a wrong decision.
-fn history_faults_after_compaction_quarantine(
-    dir: &Path,
-    opts: &ServeOptions,
-    expect: &[Vec<u64>],
-    kill_at: usize,
-) {
+/// reason, and stay quarantined when the ticks that follow retry its
+/// revival — resuming would drop acknowledged ticks.
+fn history_faults_after_compaction_quarantine(dir: &Path, opts: &ServeOptions, kill_at: usize) {
     for mode in ["missing", "hist-missing", "hist-torn", "hist-flip", "slots-missing"] {
         let copy = tmp_dir(&format!("rot-{kill_at}-{mode}"));
         copy_dir(dir, &copy);
         damage_state(&copy, 7, mode);
-        let daemon = Daemon::new(ServeOptions { state_dir: copy.clone(), ..opts.clone() }).unwrap();
+        // Gates short enough that the ticks below also retry revival.
+        let short = Duration::from_micros(1);
+        let opts = ServeOptions { backoff_base: short, backoff_cap: short, ..opts.clone() };
+        let daemon = Daemon::new(ServeOptions { state_dir: copy.clone(), ..opts }).unwrap();
         assert_eq!(
             quarantine_reason(&daemon),
             Some("wal_corrupt".into()),
@@ -838,12 +837,10 @@ fn history_faults_after_compaction_quarantine(
         );
         for (i, &l) in loads().iter().enumerate() {
             let reply = daemon.handle(&tick_line("t", i, l));
-            if reply.contains("\"ok\":true") {
-                assert_eq!(decided(&reply), expect[i], "kill_at {kill_at} {mode} seq {i}");
-            } else {
-                assert!(reply.contains("compacted"), "unstructured: {reply}");
-            }
+            assert!(reply.contains("compacted"), "kill_at {kill_at} {mode} seq {i}: {reply}");
         }
+        let still = quarantine_reason(&daemon);
+        assert_eq!(still, Some("wal_corrupt".into()), "kill_at {kill_at} {mode}: revived");
         let _ = std::fs::remove_dir_all(&copy);
     }
 }
@@ -857,54 +854,68 @@ fn quarantine_reason(daemon: &Daemon) -> Option<String> {
 
 /// A bit flipped in the first slot record after the first checkpoint of
 /// the compacted state in `dir`: that checkpoint restores, but the WAL
-/// no longer holds the ticks after it, so the tenant quarantines. It
-/// stays quarantined through a retry after its backoff and through a
-/// restart, and the log stays byte for byte as it was: its records past
-/// that checkpoint are the only copy of those ticks. Mending the bit
-/// brings every tick back.
+/// no longer holds the ticks after it — the sealed segments that held
+/// some of them are compacted, or, in the second variant, lost as well —
+/// so the tenant quarantines. It stays quarantined through a retry after
+/// its backoff and through a restart, and the log stays byte for byte
+/// as it was: its records past that checkpoint are the only copy of
+/// those ticks. Mending the bit brings every tick back.
 fn a_quarantining_log_is_left_as_it_was(
     dir: &Path,
     opts: &ServeOptions,
     expect: &[Vec<u64>],
     kill_at: usize,
 ) {
-    let copy = tmp_dir(&format!("rot-{kill_at}-twice"));
-    copy_dir(dir, &copy);
-    let hist = wal::hist_path(&copy, "t");
-    let mut bytes = std::fs::read(&hist).unwrap();
-    let frames = history_frames(&bytes);
-    let first = frames.iter().position(|f| f.checkpoint.is_some()).unwrap();
-    let flip = frames[first + 1].payload.start + 8; // the next slot record's load
-    bytes[flip] ^= 1;
-    std::fs::write(&hist, &bytes).unwrap();
-    let short = Duration::from_millis(1);
-    let opts = ServeOptions {
-        state_dir: copy.clone(),
-        backoff_base: short,
-        backoff_cap: short,
-        ..opts.clone()
-    };
-    for round in 0..2 {
-        let daemon = Daemon::new(opts.clone()).unwrap();
-        for retry in 0..2 {
-            let at = format!("kill_at {kill_at}, round {round}, retry {retry}");
-            assert_eq!(quarantine_reason(&daemon), Some("wal_corrupt".into()), "{at}");
-            assert!(std::fs::read(&hist).unwrap() == bytes, "{at}: the log changed");
-            std::thread::sleep(short * 5);
-            let reply = daemon.handle(&tick_line("t", 0, loads()[0]));
-            assert!(reply.contains("compacted"), "{at}: {reply}");
+    for segments_lost in [false, true] {
+        let copy = tmp_dir(&format!("rot-{kill_at}-twice-{segments_lost}"));
+        copy_dir(dir, &copy);
+        if segments_lost {
+            for (_, path) in wal::list_segments(&copy, "t") {
+                std::fs::remove_file(path).unwrap();
+            }
         }
+        let hist = wal::hist_path(&copy, "t");
+        let mut bytes = std::fs::read(&hist).unwrap();
+        let frames = history_frames(&bytes);
+        let first = frames.iter().position(|f| f.checkpoint.is_some()).unwrap();
+        let flip = frames[first + 1].payload.start + 8; // the next slot record's load
+        bytes[flip] ^= 1;
+        std::fs::write(&hist, &bytes).unwrap();
+        let short = Duration::from_millis(1);
+        let opts = ServeOptions {
+            state_dir: copy.clone(),
+            backoff_base: short,
+            backoff_cap: short,
+            ..opts.clone()
+        };
+        for round in 0..2 {
+            let daemon = Daemon::new(opts.clone()).unwrap();
+            for retry in 0..2 {
+                let at = format!("kill_at {kill_at}, lost {segments_lost}, round {round}/{retry}");
+                assert_eq!(quarantine_reason(&daemon), Some("wal_corrupt".into()), "{at}");
+                assert!(std::fs::read(&hist).unwrap() == bytes, "{at}: the log changed");
+                std::thread::sleep(short * 5);
+                let reply = daemon.handle(&tick_line("t", 0, loads()[0]));
+                assert!(reply.contains("compacted"), "{at}: {reply}");
+            }
+        }
+        if !segments_lost {
+            let mut mended = std::fs::read(&hist).unwrap();
+            mended[flip] ^= 1;
+            std::fs::write(&hist, &mended).unwrap();
+            let daemon = Daemon::new(opts).unwrap();
+            assert_eq!(quarantine_reason(&daemon), None, "kill_at {kill_at}: mended");
+            for (i, &l) in loads().iter().enumerate() {
+                let reply = daemon.handle(&tick_line("t", i, l));
+                assert_eq!(
+                    decided(&reply),
+                    expect[i],
+                    "kill_at {kill_at} mended, seq {i}: {reply}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&copy);
     }
-    let mut mended = std::fs::read(&hist).unwrap();
-    mended[flip] ^= 1;
-    std::fs::write(&hist, &mended).unwrap();
-    let daemon = Daemon::new(opts).unwrap();
-    assert_eq!(quarantine_reason(&daemon), None, "kill_at {kill_at}: mended");
-    for (i, &l) in loads().iter().enumerate() {
-        let reply = daemon.handle(&tick_line("t", i, l));
-        assert_eq!(decided(&reply), expect[i], "kill_at {kill_at} mended, seq {i}: {reply}");
-    }
-    let _ = std::fs::remove_dir_all(&copy);
 }
 
 /// An orderly shutdown stops admission with an explicit `overloaded`,
