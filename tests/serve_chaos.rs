@@ -13,8 +13,9 @@
 //!    checkpoint, or a history log that is missing, torn or
 //!    bit-flipped, falls back to an earlier checkpoint or the WAL
 //!    without quarantining — or, once compaction deleted the WAL's
-//!    start, quarantines with a structured reason; slot records past the
-//!    last checkpoint are cut back.
+//!    start, quarantines with a structured reason, stays quarantined
+//!    through retries and leaves the log as it was; slot records past
+//!    the last checkpoint are cut back once recovery succeeds.
 //! 3. **Transport faults** — connections dropped mid-line and partial
 //!    JSON writes against a real TCP server never take the daemon down.
 //! 4. **Isolation** — a quarantined tenant (poisoned λ, mid eviction
