@@ -717,9 +717,10 @@ impl Daemon {
             }
         }
         // The log ran past the checkpoint restored from, so ticks after
-        // it were accepted. Only a later checkpoint lets compaction drop
-        // them from the WAL; when that one is lost too, nothing holds
-        // them any more.
+        // it were accepted. Compaction drops them from the WAL only once
+        // a later checkpoint covers them, and keeps the last of them; a
+        // WAL with no tick past `k` has lost segments as well, and
+        // nothing holds those ticks any more.
         if let Restored::Checkpoint { k, cut: Some(_), .. } = restored {
             if st.accepted() <= k {
                 return Err((
