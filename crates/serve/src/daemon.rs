@@ -20,10 +20,10 @@
 //! 3. **the step boundary** — the controller runs under
 //!    `catch_unwind`; a panic quarantines that tenant and the daemon
 //!    answers the next request as if nothing happened.
-//! 4. **recovery** — on restart (or per-tenant revive) the last
-//!    checkpoint in the history log restores the controller and the WAL
-//!    suffix replays through the normal step path, bit-identical to the
-//!    uninterrupted run.
+//! 4. **recovery** — a restart and a per-tenant revival run one loader
+//!    over the tenant's WAL and history log: the last checkpoint
+//!    restores the controller and the WAL suffix replays through the
+//!    normal step path, bit-identical to the uninterrupted run.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,7 +34,9 @@ use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance, Schedule};
 use rsz_offline::{shared_pool, SharedSlotPool};
-use rsz_online::{restore_controller, restore_run, GracefulDegrader, LatencyProfile};
+use rsz_online::{
+    restore_controller, restore_run, DegradeOptions, GracefulDegrader, LatencyProfile,
+};
 
 use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, ErrorCode, Request};
@@ -402,7 +404,7 @@ impl Daemon {
                     ),
                 ));
             }
-            match self.revive(st, name, &[]) {
+            match self.revive(st, name) {
                 Ok(()) => {
                     st.quarantine = None;
                     self.counters.revives.fetch_add(1, Ordering::Relaxed);
@@ -468,7 +470,7 @@ impl Daemon {
         }
         self.maybe_rotate(st, name);
 
-        match self.step(st, name) {
+        match self.step(st) {
             Ok((config, rung, elapsed)) => {
                 st.counters.decisions += 1;
                 st.counters.push_latency(elapsed.as_secs_f64());
@@ -544,10 +546,9 @@ impl Daemon {
     fn step(
         &self,
         st: &mut TenantState,
-        name: &str,
     ) -> Result<(Config, rsz_online::Rung, Duration), (QuarantineReason, String)> {
         if st.controller.is_none() {
-            self.build_tenant_controller(st, name)?;
+            st.controller = Some(self.new_degrader(&st.spec, &st.instance)?);
         }
         let t = st.accepted() - 1;
         let controller = st.controller.as_mut().expect("just built");
@@ -576,108 +577,197 @@ impl Daemon {
         }
     }
 
-    /// Build (or rebuild) the tenant's degrader for its current prefix
-    /// and install the shared pricing pool.
-    fn build_tenant_controller(
+    /// Build the degrader for `spec` over `instance` (the prefix it
+    /// decides or restores on), with the shared pricing pool installed.
+    fn new_degrader(
         &self,
-        st: &mut TenantState,
-        _name: &str,
-    ) -> Result<(), (QuarantineReason, String)> {
-        let (spec, instance) = (&st.spec, &st.instance);
+        spec: &TenantSpec,
+        instance: &Instance,
+    ) -> Result<TenantDegrader, (QuarantineReason, String)> {
         let inner =
             catch_unwind(AssertUnwindSafe(|| build_controller(spec, instance, spec.grid.mode())))
                 .map_err(|p| (QuarantineReason::Solver, panic_message(p)))?
                 .map_err(|e| (QuarantineReason::Solver, e))?;
-        let factory_spec = st.spec.clone();
+        let factory_spec = spec.clone();
         let factory: crate::tenant::ControllerFactory = Box::new(move |inst, grid| {
             build_controller(&factory_spec, inst, grid).expect("spec validated at registration")
         });
-        let mut degrader = GracefulDegrader::new(
-            inner,
-            factory,
-            st.degrade_options(self.options.deadline, self.options.coarse_gamma),
-        );
-        self.install_pool(st, &mut degrader);
-        st.controller = Some(degrader);
-        Ok(())
+        let deadline = spec.effective_deadline(self.options.deadline);
+        let options = DegradeOptions { deadline, coarse_gamma: self.options.coarse_gamma };
+        let mut degrader = GracefulDegrader::new(inner, factory, options);
+        self.install_pool(spec, instance, &mut degrader);
+        Ok(degrader)
     }
 
     /// Point the tenant's engine at the pool shared by every tenant
     /// with the same `(fleet, grid)` key. Sound because pricing is a
     /// pure function of `(partition, λ, grid)`: pool contents change
     /// hit rates, never decisions.
-    fn install_pool(&self, st: &TenantState, degrader: &mut TenantDegrader) {
-        let key = st.spec.pool_key();
-        let pool = {
-            let mut pools = lock_clean(&self.pools);
-            pools
-                .entry(key)
-                .or_insert_with(|| shared_pool(&st.instance, self.options.pool_capacity))
-                .clone()
-        };
+    fn install_pool(&self, spec: &TenantSpec, instance: &Instance, degrader: &mut TenantDegrader) {
+        let pool = lock_clean(&self.pools)
+            .entry(spec.pool_key())
+            .or_insert_with(|| shared_pool(instance, self.options.pool_capacity))
+            .clone();
         degrader.inner_mut().share_pool(pool);
     }
 
     /// Bring a tenant back from quarantine (or rebuild a controller a
-    /// panic destroyed): restore from the history log's last checkpoint
-    /// when possible, merge the WAL's tick suffix (which may start past
-    /// zero once segments have been compacted away), fall back to a full
-    /// WAL replay, then replay any undecided suffix through the normal
-    /// step path.
+    /// panic destroyed) as a restart would: read its WAL
+    /// ([`Daemon::read_wal`]) and load it from disk ([`Daemon::load`]).
+    /// The revival succeeds only when every tick memory had accepted
+    /// comes back bit for bit. Otherwise the tenant quarantines
+    /// `wal_corrupt` and memory stays as it was, so every retry checks
+    /// the disk against the same ticks: the tenant stays quarantined
+    /// while the damage lasts, and recovers once it is mended.
     ///
-    /// A diverged tenant is *not* revivable from local storage — its
-    /// own WAL would faithfully replay the same divergent state — so
-    /// `Divergence` stays quarantined until a fresh resync replaces the
-    /// state wholesale. Nor is a tenant whose WAL or history log did not
-    /// add up (`WalCorrupt`): memory holds only what the failed recovery
-    /// got through, and resuming from it would drop acknowledged ticks,
-    /// so it stays quarantined until a restart recovers it from disk.
+    /// Two quarantines do not reload. An `input` quarantine keeps its
+    /// controller: the bad tick never reached the WAL, so the state is
+    /// intact and the gate alone suffices. A diverged tenant is not
+    /// revivable from local storage — its own WAL would faithfully replay
+    /// the same divergent state — so `Divergence` stays quarantined until
+    /// a fresh resync replaces the state wholesale.
     pub(crate) fn revive(
         &self,
         st: &mut TenantState,
         name: &str,
-        wal_suffix: &[(u64, f64)],
     ) -> Result<(), (QuarantineReason, String)> {
-        match &st.quarantine {
-            Some(q) if q.reason == QuarantineReason::Divergence => {
-                return Err((
-                    QuarantineReason::Divergence,
-                    "diverged from the primary; local replay would reproduce the divergence".into(),
-                ));
+        match st.quarantine.as_ref().map(|q| q.reason) {
+            Some(QuarantineReason::Divergence) => Err((
+                QuarantineReason::Divergence,
+                "diverged from the primary; local replay would reproduce the divergence".into(),
+            )),
+            Some(QuarantineReason::Input)
+                if st.controller.is_some() && st.decisions.len() == st.accepted() =>
+            {
+                Ok(())
             }
-            Some(q) if q.reason == QuarantineReason::WalCorrupt => {
-                return Err((QuarantineReason::WalCorrupt, q.detail.clone()));
+            _ => {
+                let wal = self.read_wal(name, &st.segments, Some(&st.spec));
+                self.load(st, name, wal)
             }
-            _ => {}
         }
-        // Input quarantines keep the controller: the bad tick was never
-        // applied, so the state is intact and the gate alone suffices.
-        if wal_suffix.is_empty()
-            && st.quarantine.as_ref().is_some_and(|q| q.reason == QuarantineReason::Input)
-            && st.controller.is_some()
-            && st.decisions.len() == st.accepted()
-        {
-            return Ok(());
+    }
+
+    /// The loader's first half, shared by recovery and revival: read
+    /// tenant `name`'s WAL — the sealed `segments` it tracks
+    /// (ascending), then the active file — without listing the
+    /// directory. A torn tail is legal only in the active file, where it
+    /// is cut off: it is what `kill -9` mid-append, or an append that
+    /// failed part way, leaves behind. Every registration record must
+    /// agree with `spec` (the one memory holds, if any) and with the
+    /// others.
+    fn read_wal(
+        &self,
+        name: &str,
+        segments: &[(u64, PathBuf)],
+        spec: Option<&TenantSpec>,
+    ) -> WalRead {
+        let active = wal::wal_path(&self.options.state_dir, name);
+        let sources = segments.iter().map(|(_, path)| (path, false)).chain([(&active, true)]);
+        let mut read = WalRead { spec: spec.cloned(), ticks: Vec::new(), corrupt: None };
+        'sources: for (path, is_active) in sources {
+            let bytes = match wal::read_file(path) {
+                Ok(b) => b,
+                // No active file at all: a crash between seal-rename
+                // and fresh-active-open. The sealed segments carry the
+                // history; the loader opens a fresh active log.
+                Err(_) if is_active => Vec::new(),
+                Err(e) => {
+                    read.corrupt = Some(format!("sealed WAL segment unreadable: {e}"));
+                    break;
+                }
+            };
+            let WalScan { records, intact_len, tail } = wal::scan(&bytes);
+            match tail {
+                WalTail::Clean => {}
+                WalTail::Torn { .. } if is_active => {
+                    // Crash-consistent: drop the torn tail and resume
+                    // from the intact prefix.
+                    let _ = wal::truncate_file(path, intact_len);
+                    self.counters.wal_truncations.fetch_add(1, Ordering::Relaxed);
+                }
+                WalTail::Torn { at } => {
+                    // Rotation seals only at record boundaries; a torn
+                    // sealed segment means storage lost bytes.
+                    read.corrupt = Some(format!("sealed WAL segment torn at byte {at}"));
+                }
+                WalTail::Corrupt { start, end, what } => {
+                    read.corrupt =
+                        Some(format!("WAL bytes {start}..{end} failed integrity: {what}"));
+                }
+            }
+            for record in records {
+                let damage = match record {
+                    WalRecord::Register(s) => match &read.spec {
+                        // Segments re-state the registration so each is
+                        // self-describing; re-statements must agree.
+                        None => {
+                            read.spec = Some(s);
+                            continue;
+                        }
+                        Some(prev) if *prev == s => continue,
+                        Some(_) => "WAL re-registers the tenant with a different spec",
+                    },
+                    // Compaction may have deleted early segments: any
+                    // starting seq is legal, a checkpoint must cover the
+                    // gap (checked by the loader).
+                    WalRecord::Tick { seq, load } => match read.ticks.last() {
+                        Some(&(last, _)) if seq != last + 1 => "WAL records out of sequence",
+                        _ => {
+                            read.ticks.push((seq, load));
+                            continue;
+                        }
+                    },
+                };
+                read.corrupt.get_or_insert_with(|| damage.to_owned());
+                break 'sources;
+            }
+            if read.corrupt.is_some() {
+                break;
+            }
         }
-        if st.wal.is_none() {
-            let path = wal::wal_path(&self.options.state_dir, name);
-            st.wal = Some(
-                WalWriter::open(&path, self.options.fsync)
-                    .map_err(|e| (QuarantineReason::Io, format!("WAL reopen failed: {e}")))?,
-            );
+        read
+    }
+
+    /// The loader's second half, shared by recovery and revival: replace
+    /// `st` by what the disk holds for tenant `name`, as a restart does —
+    /// the history log's last usable checkpoint (or an older `.snap`),
+    /// the `wal` ticks merged past it, and the undecided suffix replayed
+    /// through the normal step path. Every tick `st` had accepted must
+    /// come back bit for bit. A failure leaves `st` as it was, and the
+    /// disk too, but for the torn WAL tail [`Daemon::read_wal`] cut.
+    fn load(
+        &self,
+        st: &mut TenantState,
+        name: &str,
+        wal: WalRead,
+    ) -> Result<(), (QuarantineReason, String)> {
+        if let Some(detail) = wal.corrupt {
+            return Err((QuarantineReason::WalCorrupt, detail));
         }
-        st.controller = None;
-        st.reset_decisions();
-        let restored = self.restore_from_snapshot(st, name);
+        let dir = &self.options.state_dir;
+        let mut disk =
+            TenantState::new(st.spec.clone(), st.instance.truncated(0), st.segments.clone());
+        let log = wal::read_file(&wal::hist_path(dir, name))
+            .map_err(|e| format!("history log unreadable: {e}"));
+        let restored = match log.and_then(|log| self.try_restore(&mut disk, name, &log)) {
+            Ok(restored) => restored,
+            Err(_) => {
+                // A checkpoint that does not restore leaves `disk` empty
+                // and the WAL replays in full: slower but sufficient, so
+                // this is no quarantine. Counted; the next snapshot
+                // rewrites the log from slot 0.
+                disk.hist_cut = true;
+                self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
+                Restored::Unusable
+            }
+        };
         // A history log or snapshot means ticks were accepted; once
         // compaction deleted the segments a checkpoint covered, one we
         // cannot use leaves a WAL that no longer starts at seq 0 —
         // possibly with no tick at all — and nothing to rebuild the
         // prefix from.
-        if restored == Restored::Unusable
-            && st.accepted() == 0
-            && wal_suffix.first().is_none_or(|&(seq, _)| seq != 0)
-        {
+        if restored == Restored::Unusable && wal.ticks.first().is_none_or(|&(seq, _)| seq != 0) {
             return Err((
                 QuarantineReason::WalCorrupt,
                 "no checkpoint is usable and the WAL no longer starts at seq 0 \
@@ -685,22 +775,22 @@ impl Daemon {
                     .into(),
             ));
         }
-        // Merge the WAL ticks over whatever prefix the snapshot (or
-        // live memory) established: overlap must agree bit-for-bit, the
-        // contiguous extension is validated and accepted, and a gap
-        // means compaction deleted segments the snapshot was supposed
-        // to cover — unrecoverable locally.
-        for &(seq, load) in wal_suffix {
-            let len = st.accepted() as u64;
+        // Merge the WAL ticks over the prefix the checkpoint restored:
+        // overlap must agree bit-for-bit, the contiguous extension is
+        // validated and accepted, and a gap means compaction deleted
+        // segments the checkpoint was supposed to cover — unrecoverable
+        // locally.
+        for &(seq, load) in &wal.ticks {
+            let len = disk.accepted() as u64;
             if seq < len {
-                if st.instance.load(seq as usize).to_bits() != load.to_bits() {
+                if disk.instance.load(seq as usize).to_bits() != load.to_bits() {
                     return Err((
                         QuarantineReason::WalCorrupt,
                         format!("WAL tick at seq {seq} disagrees with the snapshot prefix"),
                     ));
                 }
             } else if seq == len {
-                st.accept_load(load).map_err(|e| {
+                disk.accept_load(load).map_err(|e| {
                     (
                         QuarantineReason::WalCorrupt,
                         format!("WAL holds an invalid accepted load at seq {seq}: {e}"),
@@ -722,7 +812,7 @@ impl Daemon {
         // WAL with no tick past `k` has lost segments as well, and
         // nothing holds those ticks any more.
         if let Restored::Checkpoint { k, cut: Some(_), .. } = restored {
-            if st.accepted() <= k {
+            if disk.accepted() <= k {
                 return Err((
                     QuarantineReason::WalCorrupt,
                     format!(
@@ -733,30 +823,51 @@ impl Daemon {
                 ));
             }
         }
+        // Resuming from fewer ticks than memory had accepted, or from
+        // other ones, would drop acknowledged ticks.
+        let had = st.instance.loads();
+        let kept =
+            had.iter().zip(disk.instance.loads()).take_while(|(a, b)| a.to_bits() == b.to_bits());
+        let kept = kept.count();
+        if kept < had.len() {
+            return Err((
+                QuarantineReason::WalCorrupt,
+                format!(
+                    "the WAL and history log give back {kept} of the {} accepted ticks",
+                    had.len()
+                ),
+            ));
+        }
         // Replay the undecided suffix through the very same step path a
         // live tick takes — this is what makes resume bit-identical. The
         // controller sees the decided prefix grow by one push per step,
-        // as it did live; every accepted load stays in memory (and in
-        // the load digest), decided or not, whatever the replay's
-        // outcome.
-        let decided = st.decisions.len();
-        if decided < st.accepted() {
-            let revealed = st.instance.truncated(decided);
-            let accepted = std::mem::replace(&mut st.instance, revealed);
-            let replayed = (decided..accepted.horizon()).try_for_each(|t| {
-                st.reveal_load(accepted.load(t)).map_err(|e| (QuarantineReason::WalCorrupt, e))?;
-                self.step(st, name).map(drop)
-            });
-            st.instance = accepted;
-            replayed?;
+        // as it did live.
+        let decided = disk.decisions.len();
+        let revealed = disk.instance.truncated(decided);
+        let accepted = std::mem::replace(&mut disk.instance, revealed);
+        for t in decided..accepted.horizon() {
+            disk.reveal_load(accepted.load(t)).map_err(|e| (QuarantineReason::WalCorrupt, e))?;
+            self.step(&mut disk)?;
         }
+        let mut writer = WalWriter::open(&wal::wal_path(dir, name), self.options.fsync)
+            .map_err(|e| (QuarantineReason::Io, format!("WAL reopen failed: {e}")))?;
+        if writer.bytes() == 0 {
+            // Fresh (or lost) active log: re-state the registration so
+            // the segment is self-describing.
+            let _ = writer.append(&WalRecord::Register(disk.spec.clone()));
+        }
+        disk.wal = Some(writer);
+        // Memory keeps its counters and fingerprint ring; the rest is
+        // what the disk holds.
+        disk.counters = std::mem::take(&mut st.counters);
+        disk.fingerprints = std::mem::take(&mut st.fingerprints);
+        *st = disk;
         // Every check passed, so the WAL holds whatever the log held past
         // the restored checkpoint: cut it off. Until then it stays, since
         // it may be the only copy of ticks compaction dropped from the
         // WAL. A restore from an older `.snap` is sealed as a format-4
         // checkpoint, and only then is the `.snap` deleted.
         if let Restored::Checkpoint { cut, from_snap, .. } = restored {
-            let dir = &self.options.state_dir;
             if let Some(end) = cut {
                 st.hist_cut = wal::truncate_file(&wal::hist_path(dir, name), end).is_err();
             }
@@ -767,34 +878,11 @@ impl Daemon {
         Ok(())
     }
 
-    /// Try to restore controller + committed decisions from the last
-    /// usable checkpoint in the history log (or, when it holds none, an
-    /// older `.snap`). Any failure falls back to a fresh controller (full
-    /// WAL replay) — a bad checkpoint degrades recovery time, not
-    /// correctness, and is counted. Nothing on disk changes here.
-    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) -> Restored {
-        let log = std::fs::read(wal::hist_path(&self.options.state_dir, name)).or_else(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Ok(Vec::new())
-            } else {
-                Err(format!("history log unreadable: {e}"))
-            }
-        });
-        match log.and_then(|log| self.try_restore(st, name, &log)) {
-            Ok(restored) => restored,
-            Err(_) => {
-                // Quarantine would be wrong here while the WAL still
-                // recovers this tenant fully, just slower. Count the
-                // fallback.
-                st.controller = None;
-                st.reset_decisions();
-                st.counters.snapshot_fallbacks += 1;
-                self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Restored::Unusable
-            }
-        }
-    }
-
+    /// Restore `st`, a tenant with nothing accepted yet, from the last
+    /// usable checkpoint in the history log `log_bytes` (or, when it
+    /// holds none, an older `.snap`): its loads, committed decisions,
+    /// digests and controller. A failure leaves `st` as it was. Nothing
+    /// on disk changes here.
     fn try_restore(
         &self,
         st: &mut TenantState,
@@ -808,8 +896,6 @@ impl Daemon {
             .then(|| std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok())
             .flatten();
         if log_bytes.is_empty() && snap.is_none() {
-            // Nothing on disk for the next snapshot to cut back either.
-            st.hist_cut = false;
             return Ok(Restored::Nothing);
         }
         let from_snap = snap.is_some();
@@ -818,82 +904,40 @@ impl Daemon {
             return Err("checkpoint was taken under a different spec".into());
         }
         let Found { k, loads, mut decisions, saved, digest, log_end, .. } = found;
-        // The accepted loads already in memory (live revive) are ground
-        // truth: the history must agree with them bit-for-bit. When it
-        // reaches *past* them (recovery, or compaction deleted covered
-        // segments), it supplies the missing prefix.
-        let overlap = k.min(st.accepted());
-        for (i, load) in loads.iter().enumerate().take(overlap) {
-            if st.instance.load(i).to_bits() != load.to_bits() {
-                return Err(format!("history load at seq {i} disagrees with the WAL"));
-            }
-        }
         // Controller rebuild + restore see exactly the k-slot prefix.
-        let extends = k > st.accepted();
-        let prefix = if extends {
-            let mut prefix = Instance::empty(st.instance.types().to_vec())
-                .map_err(|e| format!("fleet is not a valid instance: {e}"))?;
-            for &load in &loads {
-                prefix
-                    .push_load(load)
-                    .map_err(|e| format!("history holds an invalid load: {e}"))?;
-            }
-            prefix
-        } else {
-            st.instance.truncated(k)
-        };
-        let accepted = std::mem::replace(&mut st.instance, prefix);
-        let result = self.build_tenant_controller(st, name).map_err(|(_, e)| e).and_then(|()| {
-            let controller = st.controller.as_mut().expect("just built");
-            match saved {
-                Saved::State(mut dec) => {
-                    restore_controller(controller, &st.instance, &mut dec)
-                        .map_err(|e| format!("{e}"))?;
-                    if !dec.is_empty() {
-                        return Err("trailing bytes after the controller state".into());
-                    }
-                }
-                Saved::Run(run) => {
-                    let committed = restore_run(controller, &st.instance, run)
-                        .map_err(|e| describe_snapshot_error(run, &e))?;
-                    if committed.len() != k {
-                        return Err("snapshot committed length disagrees with its header".into());
-                    }
-                    decisions = committed.configs().to_vec();
+        let mut prefix = st.instance.truncated(0);
+        for &load in &loads {
+            prefix.push_load(load).map_err(|e| format!("history holds an invalid load: {e}"))?;
+        }
+        let mut controller = self.new_degrader(&st.spec, &prefix).map_err(|(_, e)| e)?;
+        match saved {
+            Saved::State(mut dec) => {
+                restore_controller(&mut controller, &prefix, &mut dec)
+                    .map_err(|e| format!("{e}"))?;
+                if !dec.is_empty() {
+                    return Err("trailing bytes after the controller state".into());
                 }
             }
-            Ok(())
-        });
-        if let Err(e) = result {
-            // A failed restore must leave the loads exactly as memory
-            // held them — never the history's.
-            st.instance = accepted;
-            st.controller = None;
-            st.reset_decisions();
-            return Err(e);
+            Saved::Run(run) => {
+                let committed = restore_run(&mut controller, &prefix, run)
+                    .map_err(|e| describe_snapshot_error(run, &e))?;
+                if committed.len() != k {
+                    return Err("snapshot committed length disagrees with its header".into());
+                }
+                decisions = committed.configs().to_vec();
+            }
         }
-        // Keep whichever committed prefix reaches further: the in-memory
-        // loads past k survive the restore, and with them the load
-        // digest that covers them.
-        let digest = digest.unwrap_or_else(|| StateDigest::of(&loads, &decisions));
-        if extends {
-            st.digest.loads = digest.loads;
-        } else {
-            st.instance = accepted;
-        }
-        st.decisions = Schedule::new(decisions);
-        st.digest.decisions = digest.decisions;
-        st.last_snapshot_k = st.last_snapshot_k.max(k);
         // restore_state rebuilds internal pools as owned, so the shared
         // handle must be re-installed after restore.
-        if let Some(mut degrader) = st.controller.take() {
-            self.install_pool(st, &mut degrader);
-            st.controller = Some(degrader);
-        }
-        // What the log holds past the restored history goes once revive
-        // has checked the WAL replays it; until then the next snapshot
-        // would cut it back. A format-2 snapshot has no log behind it:
-        // the next snapshot writes the log from slot 0.
+        self.install_pool(&st.spec, &prefix, &mut controller);
+        st.digest = digest.unwrap_or_else(|| StateDigest::of(&loads, &decisions));
+        (st.instance, st.controller) = (prefix, Some(controller));
+        st.decisions = Schedule::new(decisions);
+        st.last_snapshot_k = k;
+        // What the log holds past the restored history goes once the
+        // loader has checked the WAL replays it; until then the next
+        // snapshot would cut it back. A format-2 snapshot has no log
+        // behind it: the next snapshot writes the log from slot 0.
         let (hist_len, end) = log_end.map_or((0, 0), |end| (k, end));
         let ran_past = log_bytes.len() > end;
         (st.hist_len, st.hist_bytes, st.hist_cut) = (hist_len, end as u64, ran_past);
@@ -1020,122 +1064,19 @@ impl Daemon {
         }
     }
 
-    /// Recover one tenant from its sealed WAL `segments` (ascending) +
-    /// active WAL (+ history log, + an older `.snap`). Returns `None`
-    /// only when nothing usable survives at all (no registration in any
-    /// WAL and no readable checkpoint).
+    /// Recover one tenant from its sealed WAL `segments` (ascending),
+    /// active WAL, history log and any older `.snap`, through the loader
+    /// a revival runs. Returns `None` only when nothing usable survives
+    /// at all (no registration in any WAL and no readable checkpoint). A
+    /// tenant that fails to load is quarantined holding nothing, as a
+    /// failed revival leaves memory as it was.
     fn recover_tenant(&self, name: &str, segments: Vec<(u64, PathBuf)>) -> Option<TenantState> {
-        let active = wal::wal_path(&self.options.state_dir, name);
-        let mut sources: Vec<(PathBuf, bool)> =
-            segments.iter().map(|(_, p)| (p.clone(), false)).collect();
-        sources.push((active.clone(), true));
-
-        let mut spec: Option<TenantSpec> = None;
-        let mut ticks: Vec<(u64, f64)> = Vec::new();
-        let mut corrupt_detail: Option<String> = None;
-
-        'sources: for (path, is_active) in &sources {
-            let bytes = match wal::read_file(path) {
-                Ok(b) => b,
-                // No active file at all: a crash between seal-rename
-                // and fresh-active-open. The sealed segments carry the
-                // history; a fresh active log is opened below.
-                Err(_) if *is_active => Vec::new(),
-                Err(e) => {
-                    corrupt_detail
-                        .get_or_insert_with(|| format!("sealed WAL segment unreadable: {e}"));
-                    break;
-                }
-            };
-            if bytes.is_empty() {
-                continue;
-            }
-            let WalScan { records, intact_len, tail } = wal::scan(&bytes);
-            match tail {
-                WalTail::Clean => {}
-                WalTail::Torn { .. } if *is_active => {
-                    // Crash-consistent: drop the torn tail and resume
-                    // from the intact prefix.
-                    let _ = wal::truncate_file(path, intact_len);
-                    self.counters.wal_truncations.fetch_add(1, Ordering::Relaxed);
-                }
-                WalTail::Torn { at } => {
-                    // Rotation seals only at record boundaries; a torn
-                    // sealed segment means storage lost bytes.
-                    corrupt_detail
-                        .get_or_insert_with(|| format!("sealed WAL segment torn at byte {at}"));
-                }
-                WalTail::Corrupt { start, end, what } => {
-                    corrupt_detail.get_or_insert_with(|| {
-                        format!("WAL bytes {start}..{end} failed integrity: {what}")
-                    });
-                }
-            }
-            for record in records {
-                match record {
-                    WalRecord::Register(s) => match &spec {
-                        // Segments re-state the registration so each is
-                        // self-describing; re-statements must agree.
-                        None => spec = Some(s),
-                        Some(prev) if *prev == s => {}
-                        Some(_) => {
-                            corrupt_detail.get_or_insert_with(|| {
-                                "WAL re-registers the tenant with a different spec".to_owned()
-                            });
-                            break 'sources;
-                        }
-                    },
-                    WalRecord::Tick { seq, load } => {
-                        let contiguous = match ticks.last() {
-                            // Compaction may have deleted early
-                            // segments: any starting seq is legal, the
-                            // snapshot must cover the gap (checked in
-                            // revive).
-                            None => true,
-                            Some(&(last, _)) => seq == last + 1,
-                        };
-                        if !contiguous {
-                            corrupt_detail
-                                .get_or_insert_with(|| "WAL records out of sequence".to_owned());
-                            break 'sources;
-                        }
-                        ticks.push((seq, load));
-                    }
-                }
-            }
-            if corrupt_detail.is_some() {
-                break;
-            }
-        }
-
+        let wal = self.read_wal(name, &segments, None);
         // No usable registration anywhere: nothing to attach to.
-        let spec = spec.or_else(|| self.checkpoint_spec(name))?;
+        let spec = wal.spec.clone().or_else(|| self.checkpoint_spec(name))?;
         let instance = Instance::empty(spec.server_types().ok()?).ok()?;
         let mut state = TenantState::new(spec, instance, segments);
-        if let Some(detail) = corrupt_detail {
-            self.quarantine(&mut state, name, QuarantineReason::WalCorrupt, detail);
-            return Some(state);
-        }
-        match WalWriter::open(&active, self.options.fsync) {
-            Ok(mut w) => {
-                if w.bytes() == 0 {
-                    // Fresh (or lost) active log: re-state the
-                    // registration so the segment is self-describing.
-                    let _ = w.append(&WalRecord::Register(state.spec.clone()));
-                }
-                state.wal = Some(w);
-            }
-            Err(e) => {
-                self.quarantine(
-                    &mut state,
-                    name,
-                    QuarantineReason::Io,
-                    format!("WAL reopen failed: {e}"),
-                );
-                return Some(state);
-            }
-        }
-        if let Err((reason, detail)) = self.revive(&mut state, name, &ticks) {
+        if let Err((reason, detail)) = self.load(&mut state, name, wal) {
             self.quarantine(&mut state, name, reason, detail);
         }
         Some(state)
@@ -1356,6 +1297,16 @@ impl Daemon {
     }
 }
 
+/// A tenant's WAL as [`Daemon::read_wal`] reads it.
+struct WalRead {
+    /// The registration its records state (or the one memory holds).
+    spec: Option<TenantSpec>,
+    /// Its ticks, contiguous in seq, up to the first damage.
+    ticks: Vec<(u64, f64)>,
+    /// What makes the WAL untrustworthy past `ticks`, if anything.
+    corrupt: Option<String>,
+}
+
 /// What restoring from the history log (or an older `.snap`) found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Restored {
@@ -1433,6 +1384,142 @@ mod tests {
             let v = json::parse(&reply).unwrap();
             assert_eq!(v.get("replayed").and_then(Json::as_bool), Some(true), "{reply}");
             assert_eq!(decided_counts(&reply), baseline[i], "seq {i}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const LOADS: [f64; 8] = [1.0, 2.5, 0.5, 3.0, 1.5, 0.0, 2.0, 2.75];
+    const REGISTER: &str =
+        r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","snapshot_every":3}"#;
+
+    /// Options whose quarantine gates open after 1 µs, so the next tick
+    /// retries the revival.
+    fn short_gates(dir: &std::path::Path) -> ServeOptions {
+        let short = Duration::from_micros(1);
+        ServeOptions { backoff_base: short, backoff_cap: short, ..options(dir) }
+    }
+
+    fn tick(daemon: &Daemon, seq: usize) -> String {
+        daemon.handle(&format!(r#"{{"op":"tick","tenant":"t","seq":{seq},"load":{}}}"#, LOADS[seq]))
+    }
+
+    /// The decisions of an uninterrupted run over `LOADS`.
+    fn uninterrupted(tag: &str) -> Vec<Vec<u64>> {
+        let dir = tmp_dir(tag);
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        assert!(daemon.handle(REGISTER).contains("\"ok\":true"));
+        let decided = (0..LOADS.len()).map(|seq| decided_counts(&tick(&daemon, seq))).collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        decided
+    }
+
+    /// The WAL frame of tick `seq`.
+    fn tick_frame(seq: usize) -> Vec<u8> {
+        wal::frame(&WalRecord::Tick { seq: seq as u64, load: LOADS[seq] })
+    }
+
+    /// Append `bytes` to tenant `t`'s active WAL and quarantine it `io`,
+    /// as `tick_core` does when an append fails after writing them.
+    fn fail_append(daemon: &Daemon, bytes: &[u8]) {
+        let path = wal::wal_path(&daemon.options.state_dir, "t");
+        let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        std::io::Write::write_all(&mut file, bytes).unwrap();
+        let slot = lock_clean(&daemon.tenants).get("t").cloned().unwrap();
+        let detail = "WAL append failed".to_owned();
+        daemon.quarantine(&mut lock_clean(&slot.state), "t", QuarantineReason::Io, detail);
+    }
+
+    /// An append of tick `k` fails after writing part (`whole` false)
+    /// or all of its frame. The revival reads those bytes back from the
+    /// WAL as a restart does: it cuts a torn frame off, or takes the
+    /// whole one as accepted, so seq `k` answers `"replayed":true`.
+    /// Either way the restart that follows resumes every tick.
+    fn a_failed_append_is_read_back_by_the_revival(whole: bool) {
+        let tag = if whole { "append-whole" } else { "append-torn" };
+        let expect = uninterrupted(&format!("{tag}-base"));
+        let dir = tmp_dir(tag);
+        let daemon = Daemon::new(short_gates(&dir)).unwrap();
+        assert!(daemon.handle(REGISTER).contains("\"ok\":true"));
+        let k = 5;
+        for (seq, expect) in expect.iter().enumerate().take(k) {
+            assert_eq!(&decided_counts(&tick(&daemon, seq)), expect);
+        }
+        let frame = tick_frame(k);
+        fail_append(&daemon, &frame[..if whole { frame.len() } else { frame.len() / 2 }]);
+        std::thread::sleep(Duration::from_millis(1));
+        let mut replayed = Vec::new();
+        for (seq, expect) in expect.iter().enumerate().skip(k) {
+            let reply = tick(&daemon, seq);
+            assert_eq!(&decided_counts(&reply), expect, "seq {seq}: {reply}");
+            replayed.push(json::parse(&reply).unwrap().get("replayed").and_then(Json::as_bool));
+        }
+        let cut_live = daemon.counters.wal_truncations.load(Ordering::Relaxed);
+        drop(daemon); // kill -9
+
+        let daemon = Daemon::new(short_gates(&dir)).unwrap();
+        let reply = daemon.handle(REGISTER);
+        let v = json::parse(&reply).unwrap();
+        let resumed = v.get("resumed_ticks").and_then(Json::as_u64);
+        let quarantined = v.get("quarantined").and_then(Json::as_bool);
+        assert_eq!((quarantined, resumed), (Some(false), Some(LOADS.len() as u64)), "{reply}");
+        for (seq, expect) in expect.iter().enumerate() {
+            assert_eq!(&decided_counts(&tick(&daemon, seq)), expect, "seq {seq} after restart");
+        }
+        assert_eq!(replayed[0], Some(whole), "seq {k}");
+        assert!(replayed[1..].iter().all(|r| *r == Some(false)), "{replayed:?}");
+        let cut_restart = daemon.counters.wal_truncations.load(Ordering::Relaxed);
+        assert_eq!((cut_live, cut_restart), (u64::from(!whole), 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_failed_append_is_cut_by_the_revival() {
+        a_failed_append_is_read_back_by_the_revival(false);
+    }
+
+    #[test]
+    fn a_whole_failed_append_is_accepted_by_the_revival() {
+        a_failed_append_is_read_back_by_the_revival(true);
+    }
+
+    /// A live tenant's WAL loses its last acknowledged tick, which no
+    /// checkpoint covers. Reviving from disk would drop that tick, so
+    /// the tenant stays `wal_corrupt` through every retry, with memory
+    /// still holding every acknowledged tick; once the WAL is mended,
+    /// the next retry revives it.
+    #[test]
+    fn a_revival_that_would_drop_an_acknowledged_tick_is_refused() {
+        let expect = uninterrupted("cut-base");
+        let dir = tmp_dir("cut");
+        let daemon = Daemon::new(short_gates(&dir)).unwrap();
+        assert!(daemon.handle(REGISTER).contains("\"ok\":true"));
+        let k = 5; // the cadence-3 checkpoint covers 3 of them
+        for (seq, expect) in expect.iter().enumerate().take(k) {
+            assert_eq!(&decided_counts(&tick(&daemon, seq)), expect);
+        }
+        let path = wal::wal_path(&dir, "t");
+        let bytes = std::fs::read(&path).unwrap();
+        let last = tick_frame(k - 1);
+        assert!(bytes.ends_with(&last));
+        wal::truncate_file(&path, bytes.len() - last.len()).unwrap();
+        fail_append(&daemon, &[]);
+        for retry in 0..3 {
+            std::thread::sleep(Duration::from_millis(1));
+            let reply = tick(&daemon, k);
+            assert!(reply.contains("\"error\":\"wal_corrupt\""), "retry {retry}: {reply}");
+            let (_, loads, decisions, _) = daemon.tenant_states().pop().unwrap();
+            let decisions: Vec<Vec<u64>> = decisions
+                .iter()
+                .map(|c| c.counts().iter().map(|&n| u64::from(n)).collect())
+                .collect();
+            assert_eq!(loads, LOADS[..k].iter().map(|l| l.to_bits()).collect::<Vec<_>>());
+            assert_eq!(decisions, expect[..k], "retry {retry}");
+        }
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        std::io::Write::write_all(&mut file, &last).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+        for (seq, expect) in expect.iter().enumerate().skip(k) {
+            assert_eq!(&decided_counts(&tick(&daemon, seq)), expect, "seq {seq}, mended");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -31,9 +31,8 @@ pub enum ErrorCode {
     /// The tenant's controller failed (panic caught at the step
     /// boundary, solver error).
     Solver,
-    /// A snapshot failed its checksum or decoded to garbage.
-    SnapshotCorrupt,
-    /// The tenant's WAL failed its record checksum.
+    /// The tenant's WAL and history log do not add up (see
+    /// `QuarantineReason::WalCorrupt`).
     WalCorrupt,
     /// Admission control shed this request; retry with backoff.
     Overloaded,
@@ -55,7 +54,6 @@ impl ErrorCode {
             ErrorCode::UnknownTenant => "unknown_tenant",
             ErrorCode::Input => "input",
             ErrorCode::Solver => "solver",
-            ErrorCode::SnapshotCorrupt => "snapshot_corrupt",
             ErrorCode::WalCorrupt => "wal_corrupt",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::Quarantined => "quarantined",
@@ -71,7 +69,6 @@ impl ErrorCode {
             "unknown_tenant" => ErrorCode::UnknownTenant,
             "input" => ErrorCode::Input,
             "solver" => ErrorCode::Solver,
-            "snapshot_corrupt" => ErrorCode::SnapshotCorrupt,
             "wal_corrupt" => ErrorCode::WalCorrupt,
             "overloaded" => ErrorCode::Overloaded,
             "quarantined" => ErrorCode::Quarantined,
@@ -386,7 +383,6 @@ mod tests {
             ErrorCode::UnknownTenant,
             ErrorCode::Input,
             ErrorCode::Solver,
-            ErrorCode::SnapshotCorrupt,
             ErrorCode::WalCorrupt,
             ErrorCode::Overloaded,
             ErrorCode::Quarantined,

@@ -6,13 +6,14 @@
 //! ambitions); the listener polls in non-blocking mode so an orderly
 //! shutdown request can actually stop the loop.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::daemon::Daemon;
+use crate::protocol::{error_line, ErrorCode};
 
 /// Set by the `SIGTERM` handler; the accept loop polls it and turns it
 /// into [`Daemon::graceful_shutdown`] on the next iteration.
@@ -109,9 +110,18 @@ impl Server {
     }
 }
 
+/// The longest request line a connection may send: the bytes before its
+/// `\n`. The largest legitimate request is a `repl.sync` whose `have`
+/// map lists every tenant, and 16 MiB covers 100k tenants at the
+/// 128-byte name bound.
+pub(crate) const MAX_LINE: usize = 16 << 20;
+
 /// Serve one connection: read lines, answer lines, until EOF or error.
 /// A half-written request (connection dropped mid-line) simply ends the
-/// connection — nothing was accepted, nothing is lost.
+/// connection — nothing was accepted, nothing is lost — and so does a
+/// line that is not UTF-8. A line longer than [`MAX_LINE`] is answered
+/// with one `bad_request` and ends it too, so no client can grow one
+/// line without bound.
 fn serve_connection(daemon: &Daemon, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
@@ -119,24 +129,124 @@ fn serve_connection(daemon: &Daemon, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return, // dropped mid-line or timed out
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap is enough to tell a line too long.
+        match (&mut reader).take(MAX_LINE as u64 + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return, // EOF, dropped mid-line or timed out
+            Ok(_) => {}
         }
-        let reply = daemon.handle(&line);
+        if buf.ends_with(b"\n") {
+            buf.pop();
+            if buf.ends_with(b"\r") {
+                buf.pop();
+            }
+        }
+        let reply = if buf.len() > MAX_LINE {
+            daemon.counters.requests.fetch_add(1, Ordering::Relaxed);
+            daemon.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+            error_line(ErrorCode::BadRequest, &format!("request line exceeds {MAX_LINE} bytes"))
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else { return };
+            if line.trim().is_empty() {
+                continue;
+            }
+            daemon.handle(line)
+        };
         if writer.write_all(reply.as_bytes()).is_err()
             || writer.write_all(b"\n").is_err()
             || writer.flush().is_err()
+            || buf.len() > MAX_LINE
+            || daemon.shutdown_requested()
         {
             return;
         }
-        if daemon.shutdown_requested() {
-            return;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    use super::*;
+    use crate::daemon::ServeOptions;
+
+    /// Send `bytes` and read the reply line (`None`: the connection
+    /// closed without one).
+    fn send(
+        stream: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        bytes: &[u8],
+    ) -> Option<String> {
+        stream.write_all(bytes).unwrap();
+        let mut reply = String::new();
+        match reader.read_line(&mut reply) {
+            Ok(n) if n > 0 => Some(reply),
+            _ => None,
         }
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    /// A line at the cap is read and answered like any other; one byte
+    /// longer gets one `bad_request` and its connection closes, as a line
+    /// that is not UTF-8 closes it unanswered. Other connections keep
+    /// being served throughout.
+    #[test]
+    fn request_lines_over_the_cap_are_refused_and_close_the_connection() {
+        let dir = std::env::temp_dir().join(format!("rsz-server-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Arc::new(
+            Daemon::new(ServeOptions { state_dir: dir.clone(), ..ServeOptions::default() })
+                .unwrap(),
+        );
+        let server = Server::bind(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let (mut other, mut other_reader) = connect(addr);
+        assert!(send(&mut other, &mut other_reader, b"GET /livez\n")
+            .unwrap()
+            .contains("\"ok\":true"));
+
+        let mut line = vec![b'x'; MAX_LINE];
+        line.push(b'\n');
+        let (mut at_cap, mut at_cap_reader) = connect(addr);
+        let reply = send(&mut at_cap, &mut at_cap_reader, &line).unwrap();
+        assert!(
+            reply.contains("\"error\":\"bad_request\"") && !reply.contains("exceeds"),
+            "{reply}"
+        );
+        assert!(send(&mut at_cap, &mut at_cap_reader, b"GET /livez\n")
+            .unwrap()
+            .contains("\"ok\":true"));
+
+        line.insert(0, b'x');
+        let (mut over, mut over_reader) = connect(addr);
+        let reply = send(&mut over, &mut over_reader, &line).unwrap();
+        assert!(
+            reply.contains("\"error\":\"bad_request\"") && reply.contains("exceeds"),
+            "{reply}"
+        );
+        let mut rest = String::new();
+        assert!(matches!(over_reader.read_line(&mut rest), Ok(0) | Err(_)), "{rest}");
+
+        let (mut binary, mut binary_reader) = connect(addr);
+        assert_eq!(send(&mut binary, &mut binary_reader, b"\xff\xfe\n"), None);
+
+        assert!(send(&mut other, &mut other_reader, b"GET /livez\n")
+            .unwrap()
+            .contains("\"ok\":true"));
+        assert_eq!(daemon.counters.bad_requests.load(Ordering::Relaxed), 2);
+        drop((at_cap, at_cap_reader)); // its worker returns at EOF
+        send(&mut other, &mut other_reader, b"{\"op\":\"shutdown\"}\n").unwrap();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

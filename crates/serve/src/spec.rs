@@ -214,94 +214,45 @@ fn algo_param(algo: &str) -> Result<Option<f64>, String> {
     }
 }
 
-/// Object-safe view of a checkpointable controller — what the daemon
-/// needs from all five concrete controller types.
-pub trait ServeController: Send {
-    fn ctl_name(&self) -> String;
-    fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config;
-    fn ctl_tag(&self) -> &'static str;
-    fn ctl_save(&self, enc: &mut Encoder);
-    fn ctl_restore(
-        &mut self,
-        instance: &Instance,
-        dec: &mut Decoder<'_>,
-    ) -> Result<(), SnapshotError>;
-    fn ctl_engine_stats(&self) -> Option<EngineStats>;
+/// What the daemon needs from a controller beyond deciding and
+/// checkpointing: its pricing counters and a shared pricing pool. All
+/// five concrete controller types implement it.
+pub trait ServeController: OnlineAlgorithm + Checkpoint + Send {
+    /// Pricing counters of the controller's engine.
+    fn engine_stats(&self) -> Option<EngineStats>;
     /// Install a shared pricing pool (a no-op for the windowed solver,
     /// which pools internally).
-    fn ctl_share_pool(&mut self, pool: SharedSlotPool);
+    fn share_pool(&mut self, pool: SharedSlotPool);
 }
 
 macro_rules! impl_serve_controller {
-    ($ty:ty) => {
+    ($($ty:ty),*) => {$(
         impl ServeController for $ty {
-            fn ctl_name(&self) -> String {
-                OnlineAlgorithm::name(self)
-            }
-            fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config {
-                OnlineAlgorithm::decide(self, instance, t)
-            }
-            fn ctl_tag(&self) -> &'static str {
-                Checkpoint::algo_tag(self)
-            }
-            fn ctl_save(&self, enc: &mut Encoder) {
-                Checkpoint::save_state(self, enc);
-            }
-            fn ctl_restore(
-                &mut self,
-                instance: &Instance,
-                dec: &mut Decoder<'_>,
-            ) -> Result<(), SnapshotError> {
-                Checkpoint::restore_state(self, instance, dec)
-            }
-            fn ctl_engine_stats(&self) -> Option<EngineStats> {
+            fn engine_stats(&self) -> Option<EngineStats> {
                 Some(self.engine_stats())
             }
-            fn ctl_share_pool(&mut self, pool: SharedSlotPool) {
+            fn share_pool(&mut self, pool: SharedSlotPool) {
                 self.share_pool(pool);
             }
         }
-    };
+    )*};
 }
 
-impl_serve_controller!(AlgorithmA<Dispatcher>);
-impl_serve_controller!(AlgorithmB<Dispatcher>);
-impl_serve_controller!(AlgorithmC<Dispatcher>);
-impl_serve_controller!(LazyCapacityProvisioning<Dispatcher>);
+impl_serve_controller!(
+    AlgorithmA<Dispatcher>,
+    AlgorithmB<Dispatcher>,
+    AlgorithmC<Dispatcher>,
+    LazyCapacityProvisioning<Dispatcher>
+);
 
 // The receding-horizon baseline pools per window internally and does
-// not expose pool injection; everything else forwards.
-macro_rules! impl_serve_controller_rhc {
-    ($ty:ty) => {
-        impl ServeController for $ty {
-            fn ctl_name(&self) -> String {
-                OnlineAlgorithm::name(self)
-            }
-            fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config {
-                OnlineAlgorithm::decide(self, instance, t)
-            }
-            fn ctl_tag(&self) -> &'static str {
-                Checkpoint::algo_tag(self)
-            }
-            fn ctl_save(&self, enc: &mut Encoder) {
-                Checkpoint::save_state(self, enc);
-            }
-            fn ctl_restore(
-                &mut self,
-                instance: &Instance,
-                dec: &mut Decoder<'_>,
-            ) -> Result<(), SnapshotError> {
-                Checkpoint::restore_state(self, instance, dec)
-            }
-            fn ctl_engine_stats(&self) -> Option<EngineStats> {
-                self.engine_stats()
-            }
-            fn ctl_share_pool(&mut self, _pool: SharedSlotPool) {}
-        }
-    };
+// not expose pool injection.
+impl ServeController for RecedingHorizon<Dispatcher> {
+    fn engine_stats(&self) -> Option<EngineStats> {
+        self.engine_stats()
+    }
+    fn share_pool(&mut self, _pool: SharedSlotPool) {}
 }
-
-impl_serve_controller_rhc!(RecedingHorizon<Dispatcher>);
 
 /// A fault-injection hook: behaves exactly like Algorithm B but panics
 /// on the decision for slot `at`. Only constructible when the daemon
@@ -313,74 +264,67 @@ struct PanicAt {
     inner: AlgorithmB<Dispatcher>,
 }
 
-impl ServeController for PanicAt {
-    fn ctl_name(&self) -> String {
-        format!("panic@{}({})", self.at, self.inner.ctl_name())
-    }
-    fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config {
-        assert!(t != self.at, "injected fault: controller panic at slot {t}");
-        self.inner.ctl_decide(instance, t)
-    }
-    fn ctl_tag(&self) -> &'static str {
-        self.inner.ctl_tag()
-    }
-    fn ctl_save(&self, enc: &mut Encoder) {
-        self.inner.ctl_save(enc);
-    }
-    fn ctl_restore(
-        &mut self,
-        instance: &Instance,
-        dec: &mut Decoder<'_>,
-    ) -> Result<(), SnapshotError> {
-        self.inner.ctl_restore(instance, dec)
-    }
-    fn ctl_engine_stats(&self) -> Option<EngineStats> {
-        self.inner.ctl_engine_stats()
-    }
-    fn ctl_share_pool(&mut self, pool: SharedSlotPool) {
-        self.inner.ctl_share_pool(pool);
-    }
-}
-
-/// A boxed controller that is itself an [`OnlineAlgorithm`] and a
-/// [`Checkpoint`] — the uniform currency the daemon's degrader wraps.
-pub struct BoxController(pub Box<dyn ServeController>);
-
-impl OnlineAlgorithm for BoxController {
+impl OnlineAlgorithm for PanicAt {
     fn name(&self) -> String {
-        self.0.ctl_name()
+        format!("panic@{}({})", self.at, self.inner.name())
     }
     fn decide(&mut self, instance: &Instance, t: usize) -> Config {
-        self.0.ctl_decide(instance, t)
+        assert!(t != self.at, "injected fault: controller panic at slot {t}");
+        self.inner.decide(instance, t)
     }
 }
 
-impl Checkpoint for BoxController {
+impl Checkpoint for PanicAt {
     fn algo_tag(&self) -> &'static str {
-        self.0.ctl_tag()
+        self.inner.algo_tag()
     }
     fn save_state(&self, enc: &mut Encoder) {
-        self.0.ctl_save(enc);
+        self.inner.save_state(enc);
     }
     fn restore_state(
         &mut self,
         instance: &Instance,
         dec: &mut Decoder<'_>,
     ) -> Result<(), SnapshotError> {
-        self.0.ctl_restore(instance, dec)
+        self.inner.restore_state(instance, dec)
     }
 }
 
-impl BoxController {
-    /// Pricing counters of the wrapped controller's engine.
-    #[must_use]
-    pub fn engine_stats(&self) -> Option<EngineStats> {
-        self.0.ctl_engine_stats()
+impl ServeController for PanicAt {
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(self.inner.engine_stats())
     }
+    fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.inner.share_pool(pool);
+    }
+}
 
-    /// Install a shared pricing pool on the wrapped controller.
-    pub fn share_pool(&mut self, pool: SharedSlotPool) {
-        self.0.ctl_share_pool(pool);
+/// A boxed controller that is itself an [`OnlineAlgorithm`] and a
+/// [`Checkpoint`] — the uniform currency the daemon's degrader wraps.
+pub type BoxController = Box<dyn ServeController>;
+
+impl OnlineAlgorithm for BoxController {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+    fn decide(&mut self, instance: &Instance, t: usize) -> Config {
+        (**self).decide(instance, t)
+    }
+}
+
+impl Checkpoint for BoxController {
+    fn algo_tag(&self) -> &'static str {
+        (**self).algo_tag()
+    }
+    fn save_state(&self, enc: &mut Encoder) {
+        (**self).save_state(enc);
+    }
+    fn restore_state(
+        &mut self,
+        instance: &Instance,
+        dec: &mut Decoder<'_>,
+    ) -> Result<(), SnapshotError> {
+        (**self).restore_state(instance, dec)
     }
 }
 
@@ -395,7 +339,7 @@ pub fn build_controller(
     let aopts = AOptions { grid, ..AOptions::default() };
     let param = algo_param(&spec.algo)?;
     let oracle = Dispatcher::new();
-    let boxed: Box<dyn ServeController> = match base_algo(&spec.algo) {
+    Ok(match base_algo(&spec.algo) {
         "a" => Box::new(AlgorithmA::new(instance, oracle, aopts)),
         "b" => Box::new(AlgorithmB::new(instance, oracle, aopts)),
         "c" => {
@@ -415,8 +359,7 @@ pub fn build_controller(
             Box::new(PanicAt { at, inner: AlgorithmB::new(instance, oracle, aopts) })
         }
         _ => return Err(format!("unknown algorithm `{}`", spec.algo)),
-    };
-    Ok(BoxController(boxed))
+    })
 }
 
 #[cfg(test)]

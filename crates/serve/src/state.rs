@@ -724,6 +724,7 @@ mod tests {
         use super::*;
         use crate::daemon::{lock_clean, Daemon, ServeOptions};
         use crate::replication::Role;
+        use crate::tenant::QuarantineReason;
         use proptest::prelude::*;
 
         fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -746,18 +747,24 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
-            /// Random interleavings of ticks, kill-restarts, revivals and
-            /// capped replica syncs keep every rolling digest — primary
-            /// and replica — equal to its from-scratch value.
+            /// Random interleavings of ticks, kill-restarts, revivals,
+            /// failed WAL appends and capped replica syncs keep every
+            /// rolling digest — primary and replica — equal to its
+            /// from-scratch value.
             #[test]
             fn rolling_digests_track_the_in_memory_state(
-                ops in prop::collection::vec((0u8..6, 0usize..2, 0.0..3.0_f64), 1..48),
+                ops in prop::collection::vec((0u8..7, 0usize..2, 0.0..3.0_f64), 1..48),
             ) {
                 let (pdir, rdir) = (tmp_dir("digest-p"), tmp_dir("digest-r"));
+                // Gates short enough that the tick after a failed append
+                // revives the tenant.
+                let short = std::time::Duration::from_micros(1);
                 let opts = |dir: &std::path::Path| ServeOptions {
                     state_dir: dir.to_path_buf(),
                     snapshot_every: 3,
                     fingerprint_every: 2,
+                    backoff_base: short,
+                    backoff_cap: short,
                     ..ServeOptions::default()
                 };
                 let names = ["b", "c"];
@@ -793,8 +800,28 @@ mod tests {
                             let slot = lock_clean(&primary.tenants).get(name).cloned().unwrap();
                             let mut st = lock_clean(&slot.state);
                             st.controller = None;
-                            primary.revive(&mut st, name, &[]).unwrap();
+                            primary.revive(&mut st, name).unwrap();
                             "revive"
+                        }
+                        5 => {
+                            // The append of the next tick fails after
+                            // writing part (or all) of its frame, and the
+                            // tenant quarantines as `tick_core` makes it.
+                            let slot = lock_clean(&primary.tenants).get(name).cloned().unwrap();
+                            let mut st = lock_clean(&slot.state);
+                            if st.quarantine.is_none() {
+                                let seq = st.accepted() as u64;
+                                let frame = wal::frame(&wal::WalRecord::Tick { seq, load });
+                                let written = if load < 1.5 { frame.len() / 2 } else { frame.len() };
+                                std::fs::OpenOptions::new()
+                                    .append(true)
+                                    .open(wal::wal_path(&pdir, name))
+                                    .and_then(|mut f| f.write_all(&frame[..written]))
+                                    .unwrap();
+                                let detail = "WAL append failed".to_owned();
+                                primary.quarantine(&mut st, name, QuarantineReason::Io, detail);
+                            }
+                            "failed append"
                         }
                         _ => {
                             let have = replica.replication_have();

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance, InstanceError, Schedule};
 use rsz_offline::GridMode;
-use rsz_online::{DegradeOptions, GracefulDegrader};
+use rsz_online::GracefulDegrader;
 
 use crate::protocol::ErrorCode;
 use crate::spec::{BoxController, TenantSpec};
@@ -33,11 +33,10 @@ pub enum QuarantineReason {
     /// The controller failed — a panic caught at the step boundary or a
     /// solver error.
     Solver,
-    /// The tenant's WAL failed an integrity check.
+    /// The tenant's WAL and history log do not add up: a record failed
+    /// its integrity check, ticks are missing, or they give back fewer
+    /// ticks than the tenant had accepted.
     WalCorrupt,
-    /// The tenant's snapshot failed its checksum or decoded to garbage
-    /// *and* WAL replay could not take over.
-    SnapshotCorrupt,
     /// The state directory stopped cooperating (I/O error on append or
     /// snapshot write).
     Io,
@@ -57,7 +56,6 @@ impl QuarantineReason {
             QuarantineReason::Input => ErrorCode::Input,
             QuarantineReason::Solver => ErrorCode::Solver,
             QuarantineReason::WalCorrupt => ErrorCode::WalCorrupt,
-            QuarantineReason::SnapshotCorrupt => ErrorCode::SnapshotCorrupt,
             QuarantineReason::Io => ErrorCode::Quarantined,
             QuarantineReason::Divergence => ErrorCode::Quarantined,
         }
@@ -70,7 +68,6 @@ impl QuarantineReason {
             QuarantineReason::Input => "input",
             QuarantineReason::Solver => "solver",
             QuarantineReason::WalCorrupt => "wal_corrupt",
-            QuarantineReason::SnapshotCorrupt => "snapshot_corrupt",
             QuarantineReason::Io => "io",
             QuarantineReason::Divergence => "divergence",
         }
@@ -126,9 +123,6 @@ pub struct TenantCounters {
     pub quarantines: u64,
     /// Snapshots written.
     pub snapshots: u64,
-    /// Recoveries that had to ignore a bad snapshot and fall back to
-    /// full WAL replay.
-    pub snapshot_fallbacks: u64,
     /// Decision latencies (seconds, `LatencyProfile` convention) of the
     /// most recent fresh decisions, bounded. Once full it is a ring —
     /// each sample overwrites the oldest — so it holds the latest
@@ -295,27 +289,6 @@ impl TenantState {
     pub fn commit(&mut self, config: Config) {
         self.digest.fold_decision(&config);
         self.decisions.push(config);
-    }
-
-    /// Forget every committed decision (recovery rebuilds them), and
-    /// with them what is known of the history log.
-    pub fn reset_decisions(&mut self) {
-        self.decisions = Schedule::empty();
-        self.digest.decisions = StateDigest::default().decisions;
-        self.hist_len = 0;
-        self.hist_bytes = 0;
-        self.hist_cut = true;
-    }
-
-    /// The degrade options this tenant's spec selects, given the daemon
-    /// default deadline.
-    #[must_use]
-    pub fn degrade_options(
-        &self,
-        daemon_deadline: Option<Duration>,
-        coarse_gamma: f64,
-    ) -> DegradeOptions {
-        DegradeOptions { deadline: self.spec.effective_deadline(daemon_deadline), coarse_gamma }
     }
 
     /// Enter quarantine: structured reason, detail, backoff-gated

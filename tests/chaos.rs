@@ -6,8 +6,8 @@
 //! The fault classes come from `rsz_workloads::faultinject` (poisoned
 //! traces, truncation, eviction storms, snapshot corruption) and
 //! `rsz_workloads::events` (machine failures/returns, price shocks,
-//! flash crowds, trace gaps). Set `CHAOS_QUICK=1` to run the CI smoke
-//! subset of the seed matrix.
+//! flash crowds, trace gaps). Set `CHAOS_QUICK=1` to run a quick
+//! subset of the seed matrix; CI runs all of it.
 
 use std::time::Duration;
 

@@ -19,7 +19,7 @@
 //!    peers: shooting the primary mid-stream promotes the replica and
 //!    the client fails over transparently, bit-identical throughout.
 //!
-//! Set `CHAOS_QUICK=1` for the CI smoke subset.
+//! Set `CHAOS_QUICK=1` for a quick subset; CI runs the full matrix.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;

@@ -29,7 +29,7 @@
 //! fingerprint cycles.
 //!
 //! Fault plans are seeded via `rsz_workloads::faultinject::daemon_plan`.
-//! Set `CHAOS_QUICK=1` for the CI smoke subset.
+//! Set `CHAOS_QUICK=1` for a quick subset; CI runs the full matrix.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
