@@ -16,6 +16,18 @@ pub const ABS_TOL: f64 = 1e-9;
 /// another accepted them.
 pub const FEASIBILITY_SLACK: f64 = 1e-12;
 
+/// Saturation: a load at least its fleet's whole capacity less this
+/// share of `max(capacity, 1)` saturates the fleet, and the
+/// degradation ladder records the slot as saturated.
+pub const SATURATION_TOL: f64 = 1e-9;
+
+/// Tie-break: a candidate value within this share of `max(|min|, 1)`
+/// above the minimum counts as tied with it. The offline kernels' argmin,
+/// LCP's corridor of optimal final states and Algorithm C's choice among
+/// its sub-slot states all use it, so a last-bit difference between two
+/// ways of computing a value never decides between them.
+pub const TIE_EPS: f64 = 1e-9;
+
 /// Dispatch/KKT convergence: relative tolerance of the dispatch solver's
 /// iterative steps — the in-segment secant of the breakpoint water-fill
 /// and the price inversion of costs without a closed-form `deriv_inv`.

@@ -34,17 +34,14 @@ use crate::table::Table;
 /// Envelope magic: 7 identifying bytes plus one version byte.
 const MAGIC: [u8; 7] = *b"RSZSNAP";
 
-/// Snapshot format version this build writes. Version 2 changed what
-/// `rsz_online`'s controllers put in the payload (Algorithm B no longer
-/// logs its power-ups, Algorithm C keeps the largest sub-slot count in
-/// place of a per-slot log); version 3 bounds the degradation ladder's
-/// saturation log (a total plus a ring of the latest events). The
-/// envelope itself is unchanged. [`Decoder::version`] tells a reader
-/// which layout it is decoding.
+/// The snapshot format version this build writes, and the only one
+/// [`Decoder::from_sealed`] opens. It names the layouts `rsz_online`'s
+/// controllers put in the payload, so a layout change bumps it; the
+/// envelope itself has never changed. An envelope of an older version
+/// fails with [`SnapshotError::BadVersion`]. Builds from commit e36abfb
+/// through 71b71ff read versions 1 and 2 and write this one, so one run
+/// of such a build upgrades an older file.
 pub const FORMAT_VERSION: u8 = 3;
-
-/// The oldest version [`Decoder::from_sealed`] still opens.
-const OLDEST_VERSION: u8 = 1;
 
 /// Why a snapshot could not be restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,7 +71,7 @@ impl fmt::Display for SnapshotError {
                 write!(
                     f,
                     "snapshot format version {v} is not supported \
-                     (this build speaks {OLDEST_VERSION} to {FORMAT_VERSION})"
+                     (this build speaks only {FORMAT_VERSION})"
                 )
             }
             SnapshotError::ChecksumMismatch => {
@@ -223,15 +220,14 @@ impl Encoder {
 #[derive(Clone, Debug)]
 pub struct Decoder<'a> {
     rest: &'a [u8],
-    version: u8,
 }
 
 impl<'a> Decoder<'a> {
     /// Open a sealed envelope: verify magic, version, declared length,
-    /// and checksum, then expose the payload for field decoding. Every
-    /// version from 1 to [`FORMAT_VERSION`] opens; the version byte is
-    /// outside the checksum, so a layout that depends on it must fail
-    /// structurally when it is read under the wrong one.
+    /// and checksum, then expose the payload for field decoding. Only
+    /// [`FORMAT_VERSION`] opens. The version byte, outside the checksum,
+    /// is checked first, so an envelope of another version fails with
+    /// [`SnapshotError::BadVersion`] whatever its payload holds.
     pub fn from_sealed(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < MAGIC.len() + 1 {
             return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(MAGIC.len())]) {
@@ -244,7 +240,7 @@ impl<'a> Decoder<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = bytes[MAGIC.len()];
-        if !(OLDEST_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
         let rest = &bytes[MAGIC.len() + 1..];
@@ -262,21 +258,14 @@ impl<'a> Decoder<'a> {
         if checksum(payload) != stored {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        Ok(Self { rest: payload, version })
+        Ok(Self { rest: payload })
     }
 
     /// A decoder straight over `payload` (no envelope) — used when a
     /// snapshot embeds a sub-record it wants to decode independently.
-    /// It reads the current [`FORMAT_VERSION`] layout.
     #[must_use]
     pub fn over(payload: &'a [u8]) -> Self {
-        Self { rest: payload, version: FORMAT_VERSION }
-    }
-
-    /// The envelope version the payload was sealed under.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
+        Self { rest: payload }
     }
 
     /// Bytes not yet consumed.
@@ -445,11 +434,16 @@ mod tests {
         wrong_version[MAGIC.len()] = 0;
         assert_eq!(Decoder::from_sealed(&wrong_version).unwrap_err(), SnapshotError::BadVersion(0));
 
-        // Version 1 envelopes still open, and say so.
-        assert_eq!(Decoder::from_sealed(&sealed).unwrap().version(), FORMAT_VERSION);
-        let mut old = sealed.clone();
-        old[MAGIC.len()] = 1;
-        assert_eq!(Decoder::from_sealed(&old).unwrap().version(), 1);
+        // The older versions are refused by their version byte, though
+        // the rest of the envelope is intact.
+        for v in 1..FORMAT_VERSION {
+            wrong_version[MAGIC.len()] = v;
+            assert_eq!(
+                Decoder::from_sealed(&wrong_version).unwrap_err(),
+                SnapshotError::BadVersion(v)
+            );
+        }
+        assert!(Decoder::from_sealed(&sealed).is_ok());
 
         // Flip one payload bit: the checksum must catch it.
         let mut flipped = sealed.clone();

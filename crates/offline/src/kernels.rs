@@ -52,7 +52,7 @@
 //! anchored on a *relative* epsilon window around the true minimum:
 //!
 //! > A candidate is **tied** with the minimum when
-//! > `v ≤ min + TIE_EPS·max(|min|, 1)` with `TIE_EPS = 1e-9`. Among tied
+//! > `v ≤ min + TIE_EPS·max(|min|, 1)` ([`TIE_EPS`]). Among tied
 //! > candidates, the winner is the one with the smallest total server
 //! > count, then the smallest flat (layout-order) index.
 //!
@@ -66,12 +66,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use rsz_core::util::TIE_EPS;
+
 /// Accumulator width of the `*_lanes` kernels.
 pub const LANES: usize = 4;
-
-/// Relative tolerance under which two candidate cell values count as
-/// tied — the module-level tie-break rule's epsilon.
-pub(crate) const TIE_EPS: f64 = 1e-9;
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 

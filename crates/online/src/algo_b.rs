@@ -145,7 +145,7 @@ impl BCore {
                 let with_this_slot = b.acc + l;
                 if with_this_slot > beta {
                     // W_t condition met: b.acc ≤ β < b.acc + l.
-                    debug_assert!(b.acc <= beta + 1e-12);
+                    debug_assert!(b.acc <= beta);
                     *x_j -= b.count;
                     false
                 } else {
@@ -175,9 +175,7 @@ impl BCore {
     }
 
     /// Restore state written by [`BCore::save_state`] into a core built
-    /// against the same `instance` with the same options. A version-1
-    /// snapshot also carries the power-up log older builds kept; it is
-    /// checked and dropped.
+    /// against the same `instance` with the same options.
     pub fn restore_state(
         &mut self,
         instance: &Instance,
@@ -208,16 +206,6 @@ impl BCore {
                 return Err(SnapshotError::Corrupt("batch counts do not sum to the active count"));
             }
             batches.push(per_type);
-        }
-        if dec.version() < 2 {
-            for _ in 0..dec.take_usize()? {
-                let step = dec.take_usize()?;
-                let j = dec.take_usize()?;
-                dec.take_u32()?;
-                if j >= d || step > steps {
-                    return Err(SnapshotError::Corrupt("power-up event out of range"));
-                }
-            }
         }
         self.x = x;
         self.batches = batches;

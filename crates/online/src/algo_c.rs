@@ -21,6 +21,7 @@
 //! refinement constant `c(Ĩ)` is tracked and exposed so the effective
 //! guarantee `2d+1+c(Ĩ)` is always reportable.
 
+use rsz_core::util::TIE_EPS;
 use rsz_core::{Config, GtOracle, Instance};
 use rsz_offline::{Decoder, Encoder, SnapshotError};
 
@@ -123,12 +124,12 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
     /// The operating cost `g_t(x)` used to rank sub-slot states: read
     /// from the engine's dense priced slot (the table was priced once
     /// for this slot and λ), falling back to the oracle for off-grid
-    /// states. Pool-resident values carry
-    /// the documented `1e-9` sweep tolerance; the epsilon tie in
-    /// [`AlgorithmC::decide`] absorbs it for exact and near-exact ties
-    /// (gaps right at the window edge remain theoretically flippable —
-    /// the parity property tests bound how often that matters: never
-    /// observed).
+    /// states. Pool-resident values may differ from the oracle's by the
+    /// relative tolerance [`GtOracle::slot_sweep`] allows; the
+    /// [`TIE_EPS`] window in [`AlgorithmC::decide`] absorbs that for
+    /// exact and near-exact ties (gaps right at the window edge remain
+    /// theoretically flippable — the parity property tests bound how
+    /// often that matters: never observed).
     fn subslot_g(&self, instance: &Instance, t: usize, x: &Config) -> f64 {
         if let Some(priced) = self.core.prefix().last_priced() {
             if let Some(v) = priced.get(x) {
@@ -196,7 +197,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmC<O> {
             // of the window edge could still flip µ(t).
             let better = match &best {
                 None => true,
-                Some((bg, _)) => g + 1e-9 * bg.abs().max(1.0) < *bg,
+                Some((bg, _)) => g + TIE_EPS * bg.abs().max(1.0) < *bg,
             };
             if better {
                 best = Some((g, x));
@@ -234,31 +235,10 @@ impl<O: GtOracle + Sync> Checkpoint for AlgorithmC<O> {
         for _ in 0..d {
             realized_c.push(dec.take_f64()?);
         }
-        let steps = self.core.steps();
-        let subslots_max = if dec.version() < 2 {
-            // Version 1 kept every ñ_t; only their maximum is still
-            // needed, and their sum must be the core's step count.
-            let n = dec.take_usize()?;
-            if n > instance.horizon() {
-                return Err(SnapshotError::Corrupt("sub-slot log exceeds the horizon"));
-            }
-            let (mut max, mut total) = (0, 0usize);
-            for _ in 0..n {
-                let c = dec.take_usize()?;
-                if c == 0 || c > self.options.max_subslots {
-                    return Err(SnapshotError::Corrupt("sub-slot count out of range"));
-                }
-                max = max.max(c);
-                total += c;
-            }
-            if total != steps {
-                return Err(SnapshotError::Corrupt("sub-slot log disagrees with the step count"));
-            }
-            max
-        } else {
-            dec.take_usize()?
-        };
-        if subslots_max > self.options.max_subslots || (subslots_max == 0) != (steps == 0) {
+        let subslots_max = dec.take_usize()?;
+        if subslots_max > self.options.max_subslots
+            || (subslots_max == 0) != (self.core.steps() == 0)
+        {
             return Err(SnapshotError::Corrupt("sub-slot maximum out of range"));
         }
         self.realized_c = realized_c;

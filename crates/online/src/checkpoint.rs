@@ -117,8 +117,12 @@ pub fn save_run(algo: &impl Checkpoint, instance: &Instance, committed: &Schedul
 /// Open a run snapshot and restore `algo` from it, returning the
 /// schedule committed before the interruption. The controller must be
 /// freshly built for `instance` with the options the snapshotted run
-/// used; continue deciding at `t = returned.len()`. Version-1 snapshots
-/// (older controller layouts) restore too.
+/// used; continue deciding at `t = returned.len()`. Only snapshots of
+/// the current envelope version
+/// ([`rsz_offline::engine::snapshot::FORMAT_VERSION`]) open: one sealed
+/// by an older build fails with [`SnapshotError::BadVersion`]. Builds
+/// from commit e36abfb through 71b71ff read versions 1 and 2 and write
+/// the current one.
 pub fn restore_run(
     algo: &mut impl Checkpoint,
     instance: &Instance,

@@ -28,6 +28,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use rsz_core::util::SATURATION_TOL;
 use rsz_core::{Config, Instance};
 use rsz_offline::{Decoder, Encoder, GridMode, SnapshotError};
 
@@ -173,7 +174,7 @@ where
     fn after_decision(&mut self, instance: &Instance, t: usize, elapsed: Duration) {
         let load = instance.load(t);
         let capacity = instance.max_capacity_at(t);
-        if load >= capacity - 1e-9 * capacity.abs().max(1.0) && load > 0.0 {
+        if load >= capacity - SATURATION_TOL * capacity.abs().max(1.0) && load > 0.0 {
             self.stats.record_saturation(SaturationEvent { t, load, capacity });
         }
         if let Some(deadline) = self.options.deadline {
@@ -259,13 +260,11 @@ where
     /// snapshot taken around algorithm X refuses to restore around Y),
     /// the rung, the last committed decision (the hold rung's input),
     /// the per-rung counters, the saturation count and the latest
-    /// saturation events, then the wrapped controller's own state. Before
-    /// layout version 3 the whole saturation log was saved; it restores
-    /// as the count, and its last [`SATURATION_RING`] events as the
-    /// ring. The coarse twin is deliberately **not**
-    /// serialized: it is rebuilt by replaying the committed prefix on
-    /// the first post-restore coarse decision, which reproduces its
-    /// state deterministically (the same catch-up that built it live).
+    /// saturation events, then the wrapped controller's own state. The
+    /// coarse twin is deliberately **not** serialized: it is rebuilt by
+    /// replaying the committed prefix on the first post-restore coarse
+    /// decision, which reproduces its state deterministically (the same
+    /// catch-up that built it live).
     fn save_state(&self, enc: &mut Encoder) {
         enc.put_bytes(self.inner.algo_tag().as_bytes());
         enc.put_u8(match self.rung {
@@ -308,15 +307,12 @@ where
             hold: dec.take_u64()?,
             ..DegradeStats::default()
         };
-        // Layout 3 saves the count and then the ring; older layouts the
-        // whole log, whose length is the count.
-        let saved_total = if dec.version() < 3 { None } else { Some(dec.take_u64()?) };
+        let total = dec.take_u64()?;
         let events = dec.take_usize()? as u64;
-        let total = saved_total.unwrap_or(events);
         if total > instance.horizon() as u64 {
             return Err(SnapshotError::Corrupt("saturation log exceeds the horizon"));
         }
-        if saved_total.is_some() && events != total.min(SATURATION_RING as u64) {
+        if events != total.min(SATURATION_RING as u64) {
             return Err(SnapshotError::Corrupt("saturation ring disagrees with its count"));
         }
         for _ in 0..events {
@@ -447,10 +443,9 @@ mod tests {
 
     /// However many slots saturate, the ladder keeps their count and
     /// the latest [`SATURATION_RING`] of them, so its checkpoint does not
-    /// grow; a layout-2 checkpoint's whole log restores as the count and
-    /// the ring's tail.
+    /// grow, and restores as it was saved.
     #[test]
-    fn saturation_record_is_bounded_and_old_logs_restore_as_its_tail() {
+    fn saturation_record_is_bounded() {
         let oracle = Dispatcher::new();
         let size = |horizon| {
             let inst = saturated(horizon);
@@ -468,33 +463,14 @@ mod tests {
         run(&inst, &mut ladder, &oracle);
         let ring: Vec<usize> = ladder.stats().recent_saturations.iter().map(|e| e.t).collect();
         assert_eq!(ring, (100 - SATURATION_RING..100).collect::<Vec<_>>());
-        // The same ladder in layout 2: the whole log, no separate count.
         let mut enc = Encoder::new();
-        enc.put_bytes(ladder.inner().algo_tag().as_bytes());
-        enc.put_u8(0);
-        codec::put_config_opt(&mut enc, Some(&Config::new(vec![2])));
-        enc.put_u64(100);
-        enc.put_u64(0);
-        enc.put_u64(0);
-        enc.put_usize(100);
-        for t in 0..100 {
-            enc.put_usize(t);
-            enc.put_f64(2.0);
-            enc.put_f64(2.0);
-        }
-        ladder.inner().save_state(&mut enc);
-        let mut sealed = enc.into_sealed();
-        sealed[7] = 2; // the envelope version, outside the checksum
+        ladder.save_state(&mut enc);
         let mut restored = wrap(&inst, DegradeOptions::default());
-        restored.restore_state(&inst, &mut Decoder::from_sealed(&sealed).unwrap()).unwrap();
+        restored.restore_state(&inst, &mut Decoder::over(enc.payload())).unwrap();
         let stats = restored.stats();
         assert_eq!((stats.exact, stats.saturated), (100, 100));
         let tail: Vec<usize> = stats.recent_saturations.iter().map(|e| e.t).collect();
         assert_eq!(tail, ring);
-        // Read as layout 3, the same bytes are refused, not misread.
-        sealed[7] = 3;
-        let mut fresh = wrap(&inst, DegradeOptions::default());
-        assert!(fresh.restore_state(&inst, &mut Decoder::from_sealed(&sealed).unwrap()).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! DP value resolved both ways). Included as the homogeneous baseline for
 //! the experiments; the heterogeneous algorithms are Sections 2–3.
 
+use rsz_core::util::TIE_EPS;
 use rsz_core::{Config, GtOracle, Instance};
 use rsz_offline::{Decoder, DpOptions, Encoder, GridMode, PrefixDp, SnapshotError};
 
@@ -73,7 +74,7 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
     fn corridor(&self) -> (u32, u32) {
         let table = self.prefix.table();
         let min = table.min_value();
-        let tol = 1e-9 * min.abs().max(1.0);
+        let tol = TIE_EPS * min.abs().max(1.0);
         let mut lower = u32::MAX;
         let mut upper = 0u32;
         let levels = table.levels(0); // d = 1: flat index == level position

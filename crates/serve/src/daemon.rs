@@ -34,15 +34,13 @@ use std::time::{Duration, Instant};
 
 use rsz_core::{Config, Instance, Schedule};
 use rsz_offline::{shared_pool, SharedSlotPool};
-use rsz_online::{
-    restore_controller, restore_run, DegradeOptions, GracefulDegrader, LatencyProfile,
-};
+use rsz_online::{restore_controller, DegradeOptions, GracefulDegrader, LatencyProfile};
 
 use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, ErrorCode, Request};
 use crate::replication::Role;
 use crate::spec::{build_controller, TenantSpec};
-use crate::state::{self, describe_snapshot_error, Found, Saved, StateDigest};
+use crate::state::{self, Found};
 use crate::tenant::{Fingerprint, QuarantineReason, TenantDegrader, TenantState};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
 
@@ -198,7 +196,11 @@ pub struct Daemon {
 impl Daemon {
     /// Start a daemon over `options.state_dir`, recovering every tenant
     /// whose WAL survives there. Recovery failures quarantine the
-    /// tenant in question; they never fail daemon startup.
+    /// tenant in question; they never fail daemon startup. Startup fails
+    /// when the directory cannot be created, or when it holds state of a
+    /// format this build no longer reads (a `<tenant>.snap` that was
+    /// never migrated to format 4): that is refused while the directory
+    /// is listed, before any tenant is read, so no file in it changes.
     pub fn new(options: ServeOptions) -> std::io::Result<Self> {
         std::fs::create_dir_all(&options.state_dir)?;
         let daemon = Self {
@@ -211,7 +213,7 @@ impl Daemon {
             role: std::sync::atomic::AtomicU8::new(Role::Primary.to_u8()),
             repl_lag: AtomicU64::new(0),
         };
-        daemon.recover_all();
+        daemon.recover_all()?;
         Ok(daemon)
     }
 
@@ -731,11 +733,11 @@ impl Daemon {
 
     /// The loader's second half, shared by recovery and revival: replace
     /// `st` by what the disk holds for tenant `name`, as a restart does —
-    /// the history log's last usable checkpoint (or an older `.snap`),
-    /// the `wal` ticks merged past it, and the undecided suffix replayed
-    /// through the normal step path. Every tick `st` had accepted must
-    /// come back bit for bit. A failure leaves `st` as it was, and the
-    /// disk too, but for the torn WAL tail [`Daemon::read_wal`] cut.
+    /// the history log's last usable checkpoint, the `wal` ticks merged
+    /// past it, and the undecided suffix replayed through the normal step
+    /// path. Every tick `st` had accepted must come back bit for bit. A
+    /// failure leaves `st` as it was, and the disk too, but for the torn
+    /// WAL tail [`Daemon::read_wal`] cut.
     fn load(
         &self,
         st: &mut TenantState,
@@ -762,11 +764,10 @@ impl Daemon {
                 Restored::Unusable
             }
         };
-        // A history log or snapshot means ticks were accepted; once
-        // compaction deleted the segments a checkpoint covered, one we
-        // cannot use leaves a WAL that no longer starts at seq 0 —
-        // possibly with no tick at all — and nothing to rebuild the
-        // prefix from.
+        // A history log means ticks were accepted; once compaction
+        // deleted the segments a checkpoint covered, one we cannot use
+        // leaves a WAL that no longer starts at seq 0 — possibly with no
+        // tick at all — and nothing to rebuild the prefix from.
         if restored == Restored::Unusable && wal.ticks.first().is_none_or(|&(seq, _)| seq != 0) {
             return Err((
                 QuarantineReason::WalCorrupt,
@@ -865,83 +866,55 @@ impl Daemon {
         // Every check passed, so the WAL holds whatever the log held past
         // the restored checkpoint: cut it off. Until then it stays, since
         // it may be the only copy of ticks compaction dropped from the
-        // WAL. A restore from an older `.snap` is sealed as a format-4
-        // checkpoint, and only then is the `.snap` deleted.
-        if let Restored::Checkpoint { cut, from_snap, .. } = restored {
-            if let Some(end) = cut {
-                st.hist_cut = wal::truncate_file(&wal::hist_path(dir, name), end).is_err();
-            }
-            if from_snap && self.write_snapshot(st, name) {
-                let _ = std::fs::remove_file(wal::snap_path(dir, name));
-            }
+        // WAL.
+        if let Restored::Checkpoint { cut: Some(end), .. } = restored {
+            st.hist_cut = wal::truncate_file(&wal::hist_path(dir, name), end).is_err();
         }
         Ok(())
     }
 
     /// Restore `st`, a tenant with nothing accepted yet, from the last
-    /// usable checkpoint in the history log `log_bytes` (or, when it
-    /// holds none, an older `.snap`): its loads, committed decisions,
-    /// digests and controller. A failure leaves `st` as it was. Nothing
-    /// on disk changes here.
+    /// usable checkpoint in the history log `log_bytes`: its loads,
+    /// committed decisions, digests and controller. A failure leaves
+    /// `st` as it was. Nothing on disk changes here.
     fn try_restore(
         &self,
         st: &mut TenantState,
         name: &str,
         log_bytes: &[u8],
     ) -> Result<Restored, String> {
-        let log = state::read_log(log_bytes, st.instance.num_types());
-        // An older-format `.snap` is read only when the log holds no
-        // checkpoint to restore from.
-        let snap = (!log.has_checkpoint())
-            .then(|| std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok())
-            .flatten();
-        if log_bytes.is_empty() && snap.is_none() {
+        if log_bytes.is_empty() {
             return Ok(Restored::Nothing);
         }
-        let from_snap = snap.is_some();
-        let found = state::find_checkpoint(log, snap.as_deref(), name)?;
-        if found.spec != st.spec {
+        let log = state::read_log(log_bytes, st.instance.num_types());
+        let Found { spec, k, loads, decisions, mut controller, digest, log_end } =
+            state::find_checkpoint(log, name)?;
+        if spec != st.spec {
             return Err("checkpoint was taken under a different spec".into());
         }
-        let Found { k, loads, mut decisions, saved, digest, log_end, .. } = found;
         // Controller rebuild + restore see exactly the k-slot prefix.
         let mut prefix = st.instance.truncated(0);
         for &load in &loads {
             prefix.push_load(load).map_err(|e| format!("history holds an invalid load: {e}"))?;
         }
-        let mut controller = self.new_degrader(&st.spec, &prefix).map_err(|(_, e)| e)?;
-        match saved {
-            Saved::State(mut dec) => {
-                restore_controller(&mut controller, &prefix, &mut dec)
-                    .map_err(|e| format!("{e}"))?;
-                if !dec.is_empty() {
-                    return Err("trailing bytes after the controller state".into());
-                }
-            }
-            Saved::Run(run) => {
-                let committed = restore_run(&mut controller, &prefix, run)
-                    .map_err(|e| describe_snapshot_error(run, &e))?;
-                if committed.len() != k {
-                    return Err("snapshot committed length disagrees with its header".into());
-                }
-                decisions = committed.configs().to_vec();
-            }
+        let mut degrader = self.new_degrader(&st.spec, &prefix).map_err(|(_, e)| e)?;
+        restore_controller(&mut degrader, &prefix, &mut controller).map_err(|e| format!("{e}"))?;
+        if !controller.is_empty() {
+            return Err("trailing bytes after the controller state".into());
         }
         // restore_state rebuilds internal pools as owned, so the shared
         // handle must be re-installed after restore.
-        self.install_pool(&st.spec, &prefix, &mut controller);
-        st.digest = digest.unwrap_or_else(|| StateDigest::of(&loads, &decisions));
-        (st.instance, st.controller) = (prefix, Some(controller));
+        self.install_pool(&st.spec, &prefix, &mut degrader);
+        st.digest = digest;
+        (st.instance, st.controller) = (prefix, Some(degrader));
         st.decisions = Schedule::new(decisions);
         st.last_snapshot_k = k;
         // What the log holds past the restored history goes once the
         // loader has checked the WAL replays it; until then the next
-        // snapshot would cut it back. A format-2 snapshot has no log
-        // behind it: the next snapshot writes the log from slot 0.
-        let (hist_len, end) = log_end.map_or((0, 0), |end| (k, end));
-        let ran_past = log_bytes.len() > end;
-        (st.hist_len, st.hist_bytes, st.hist_cut) = (hist_len, end as u64, ran_past);
-        Ok(Restored::Checkpoint { k, cut: ran_past.then_some(end), from_snap })
+        // snapshot would cut it back.
+        let ran_past = log_bytes.len() > log_end;
+        (st.hist_len, st.hist_bytes, st.hist_cut) = (k, log_end as u64, ran_past);
+        Ok(Restored::Checkpoint { k, cut: ran_past.then_some(log_end) })
     }
 
     /// Seal the tenant's state with one append to its history log: the
@@ -1028,16 +1001,15 @@ impl Daemon {
 
     /// Scan the state directory for surviving state and recover each
     /// tenant. A tenant is discoverable through its active WAL, any
-    /// sealed segment, its history log or an older `.snap` — a crash
-    /// between seal-rename and fresh-active-open leaves no `.wal` file,
-    /// and compaction can leave the history log as the only pre-suffix
-    /// evidence. Per-tenant failures quarantine that tenant; nothing
-    /// here aborts startup.
-    fn recover_all(&self) {
-        let entries = match std::fs::read_dir(&self.options.state_dir) {
-            Ok(e) => e,
-            Err(_) => return,
-        };
+    /// sealed segment or its history log — a crash between seal-rename
+    /// and fresh-active-open leaves no `.wal` file, and compaction can
+    /// leave the history log as the only pre-suffix evidence. Per-tenant
+    /// failures quarantine that tenant. Only a `.snap` an older build
+    /// left unmigrated aborts startup ([`state::check_snap`]), and it
+    /// does so while listing, before any tenant is read.
+    fn recover_all(&self) -> std::io::Result<()> {
+        let dir = &self.options.state_dir;
+        let Ok(entries) = std::fs::read_dir(dir) else { return Ok(()) };
         // This one listing also yields every tenant's sealed segments,
         // which the tenant then keeps track of itself.
         let mut found: std::collections::BTreeMap<String, Vec<(u64, PathBuf)>> =
@@ -1045,8 +1017,9 @@ impl Daemon {
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(file) = path.file_name().and_then(|s| s.to_str()) else { continue };
-            if let Some(stem) = [".wal", ".hist", ".snap"].iter().find_map(|s| file.strip_suffix(s))
-            {
+            if let Some(stem) = file.strip_suffix(".snap") {
+                state::check_snap(dir, stem)?;
+            } else if let Some(stem) = [".wal", ".hist"].iter().find_map(|s| file.strip_suffix(s)) {
                 found.entry(stem.to_owned()).or_default();
             } else if let Some((tenant, through)) = wal::parse_seg_name(file) {
                 found.entry(tenant.to_owned()).or_default().push((through, path.clone()));
@@ -1062,14 +1035,15 @@ impl Daemon {
                 );
             }
         }
+        Ok(())
     }
 
     /// Recover one tenant from its sealed WAL `segments` (ascending),
-    /// active WAL, history log and any older `.snap`, through the loader
-    /// a revival runs. Returns `None` only when nothing usable survives
-    /// at all (no registration in any WAL and no readable checkpoint). A
-    /// tenant that fails to load is quarantined holding nothing, as a
-    /// failed revival leaves memory as it was.
+    /// active WAL and history log, through the loader a revival runs.
+    /// Returns `None` only when nothing usable survives at all (no
+    /// registration in any WAL and no readable checkpoint). A tenant
+    /// that fails to load is quarantined holding nothing, as a failed
+    /// revival leaves memory as it was.
     fn recover_tenant(&self, name: &str, segments: Vec<(u64, PathBuf)>) -> Option<TenantState> {
         let wal = self.read_wal(name, &segments, None);
         // No usable registration anywhere: nothing to attach to.
@@ -1082,13 +1056,12 @@ impl Daemon {
         Some(state)
     }
 
-    /// Peek the history log's last checkpoint (or an older `.snap`) for
-    /// the tenant spec — the fallback registration source when
-    /// compaction + crash timing left no WAL holding a `Register` record.
+    /// Peek the history log's last checkpoint for the tenant spec — the
+    /// fallback registration source when compaction + crash timing left
+    /// no WAL holding a `Register` record.
     fn checkpoint_spec(&self, name: &str) -> Option<TenantSpec> {
-        let dir = &self.options.state_dir;
-        let log = std::fs::read(wal::hist_path(dir, name)).unwrap_or_default();
-        state::spec_on_disk(&log, || std::fs::read(wal::snap_path(dir, name)).ok(), name)
+        let log = std::fs::read(wal::hist_path(&self.options.state_dir, name)).unwrap_or_default();
+        state::spec_on_disk(&log, name)
     }
 
     pub(crate) fn quarantine(
@@ -1282,7 +1255,7 @@ impl Daemon {
 impl Daemon {
     /// Every tenant's loads (bit patterns), decisions and rolling
     /// digest, sorted by name.
-    pub(crate) fn tenant_states(&self) -> Vec<(String, Vec<u64>, Vec<Config>, StateDigest)> {
+    pub(crate) fn tenant_states(&self) -> Vec<(String, Vec<u64>, Vec<Config>, state::StateDigest)> {
         let tenants = lock_clean(&self.tenants);
         let mut out: Vec<_> = tenants
             .iter()
@@ -1307,18 +1280,17 @@ struct WalRead {
     corrupt: Option<String>,
 }
 
-/// What restoring from the history log (or an older `.snap`) found.
+/// What restoring from the history log found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Restored {
-    /// No committed history on disk: no log, no `.snap`.
+    /// No committed history on disk: no log.
     Nothing,
     /// Committed history on disk, but no checkpoint that restores.
     Unusable,
     /// The checkpoint at `k` restored. `cut`: when the log holds bytes
     /// past the history it restored, where that history ends — the
-    /// bytes go once the WAL is known to replay them. `from_snap`: the
-    /// checkpoint was an older-format `.snap`.
-    Checkpoint { k: usize, cut: Option<usize>, from_snap: bool },
+    /// bytes go once the WAL is known to replay them.
+    Checkpoint { k: usize, cut: Option<usize> },
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -7,7 +7,7 @@
 //! shutdown request can actually stop the loop.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,7 +83,9 @@ impl Server {
     /// Accept and serve until a `shutdown` request flips the daemon's
     /// flag. Each connection gets its own thread; a connection error
     /// (including a client dropping mid-line) kills that connection
-    /// only.
+    /// only. At shutdown every live connection's read half is shut, so
+    /// a worker waiting on an idle client returns at once, while a
+    /// request already read still gets its reply on the write half.
     pub fn run(&self) -> std::io::Result<()> {
         let mut workers = Vec::new();
         while !self.daemon.shutdown_requested() {
@@ -93,17 +95,24 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // A connection whose handle cannot be cloned is
+                    // dropped, as its worker would drop it.
+                    let Ok(reader) = stream.try_clone() else { continue };
                     let daemon = Arc::clone(&self.daemon);
-                    workers.push(std::thread::spawn(move || serve_connection(&daemon, stream)));
+                    let worker = std::thread::spawn(move || serve_connection(&daemon, stream));
+                    workers.push((worker, reader));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) => return Err(e),
             }
-            workers.retain(|w| !w.is_finished());
+            workers.retain(|(w, _)| !w.is_finished());
         }
-        for w in workers {
+        for (_, reader) in &workers {
+            let _ = reader.shutdown(Shutdown::Read);
+        }
+        for (w, _) in workers {
             let _ = w.join();
         }
         Ok(())
@@ -247,6 +256,33 @@ mod tests {
         drop((at_cap, at_cap_reader)); // its worker returns at EOF
         send(&mut other, &mut other_reader, b"{\"op\":\"shutdown\"}\n").unwrap();
         handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A client holding an idle connection does not hold up shutdown:
+    /// `run` returns at once, not at the connection's read timeout, and
+    /// the idle client then reads EOF.
+    #[test]
+    fn shutdown_does_not_wait_on_idle_connections() {
+        let dir = std::env::temp_dir().join(format!("rsz-server-idle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions { state_dir: dir.clone(), ..ServeOptions::default() };
+        let server = Server::bind(Arc::new(Daemon::new(options).unwrap()), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || done_tx.send(server.run().is_ok()).unwrap());
+        let (mut idle, mut idle_reader) = connect(addr);
+        assert!(send(&mut idle, &mut idle_reader, b"GET /livez\n")
+            .unwrap()
+            .contains("\"ok\":true"));
+        let (mut stopper, mut stopper_reader) = connect(addr);
+        let reply = send(&mut stopper, &mut stopper_reader, b"{\"op\":\"shutdown\"}\n").unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        let returned = done.recv_timeout(Duration::from_secs(1));
+        assert_eq!(returned, Ok(true), "run must return within 1 s of the shutdown");
+        handle.join().unwrap();
+        let mut rest = String::new();
+        assert!(matches!(idle_reader.read_line(&mut rest), Ok(0) | Err(_)), "{rest}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

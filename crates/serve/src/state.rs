@@ -43,16 +43,17 @@
 //! it — only that one's controller is decoded. Everything after it is
 //! cut off, and the WAL replays past `k`.
 //!
-//! **Formats 2 and 3** (read only): a `<tenant>.snap` beside the log.
-//! Format 3 is a sealed `RSZSNAP` envelope (version 2) holding format
-//! byte `3`, the name, the spec, `k`, both digest states and the
-//! controller tag + state, over a log of slot records only. Format 2 is
-//! a version-1 envelope holding format byte `2`, name, spec, `k`, the
-//! accepted loads `0..k` and a [`rsz_online::save_run`] image
-//! (committed schedule + controller, older controller layouts), with no
-//! log. Only when the log holds no usable checkpoint does recovery read
-//! the `.snap`; a recovery that restored from it seals a format-4
-//! checkpoint at once and then deletes it.
+//! **Older formats are refused, not read.** Formats 2 and 3 kept a
+//! tenant's checkpoint in a `<tenant>.snap` beside the log: a sealed
+//! `RSZSNAP` envelope of version 1 (format 2, with no log) or 2 (format
+//! 3, over a log of slot records only). Builds from commit e36abfb
+//! through 71b71ff read them, and a tenant's first recovery there wrote
+//! a format-4 checkpoint and deleted the `.snap`. A `.snap` whose log
+//! holds no checkpoint record was never migrated, and the daemon refuses
+//! to start over it ([`check_snap`]): the error names the file, its
+//! format and the upgrade path — start one of those builds once over the
+//! directory. A `.snap` beside a log that does hold a checkpoint record
+//! is what a migration leaves when its delete fails, and is ignored.
 
 use std::io::{self, Write};
 use std::ops::Range;
@@ -75,14 +76,10 @@ const FINGERPRINT_LAYOUT: u8 = 2;
 /// has its `seq`: no slot ever reaches it.
 const CHECKPOINT_TAG: u64 = u64::MAX;
 
-/// The checkpoint format this build writes (formats 2 and 3 were
-/// `.snap` files). Its controller state is read in the current
-/// envelope version's layouts (3), so a layout change bumps it too.
+/// The checkpoint format this build writes and reads (formats 2 and 3
+/// were `.snap` files). Its controller state is in the current envelope
+/// version's layouts (3), so a layout change bumps it too.
 const CHECKPOINT_FORMAT: u8 = 4;
-
-/// The `.snap` formats still read.
-const SNAP_FORMAT_3: u8 = 3;
-const SNAP_FORMAT_2: u8 = 2;
 
 /// A tenant's rolling FNV-1a states over its accepted loads and its
 /// committed decisions. The default is the digest of nothing.
@@ -265,8 +262,6 @@ pub(crate) struct Log<'a> {
     loads: Vec<f64>,
     /// Their committed decisions.
     decisions: Vec<Config>,
-    /// The byte offset just past each of those slot records.
-    ends: Vec<usize>,
     /// The last checkpoint whose `k` and digests agree with the slot
     /// records in front of it.
     checkpoint: Option<LogCheckpoint<'a>>,
@@ -284,27 +279,14 @@ struct LogCheckpoint<'a> {
     body: Decoder<'a>,
 }
 
-/// The tenant name and spec a checkpoint record or a `.snap` holds,
-/// checking that the name is `name`.
+/// The tenant name and spec a checkpoint record holds, checking that
+/// the name is `name`.
 fn take_owner(dec: &mut Decoder<'_>, name: &str) -> Result<TenantSpec, String> {
-    let owner = wire::take_str(dec, "tenant name is not UTF-8").map_err(stringify)?;
+    let owner = wire::take_str(dec, "tenant name is not UTF-8").map_err(|e| e.to_string())?;
     if owner != name {
         return Err(format!("state belongs to tenant `{owner}`"));
     }
-    TenantSpec::decode(dec).map_err(stringify)
-}
-
-impl Log<'_> {
-    /// The byte offset just past the first `k` slot records (`k` at
-    /// most the slots read).
-    fn end_of_slots(&self, k: usize) -> usize {
-        k.checked_sub(1).map_or(0, |last| self.ends[last])
-    }
-
-    /// Whether the log holds a checkpoint recovery may restore from.
-    pub fn has_checkpoint(&self) -> bool {
-        self.checkpoint.is_some()
-    }
+    TenantSpec::decode(dec).map_err(|e| e.to_string())
 }
 
 /// Read the history log image `bytes` of a tenant whose fleet has `d`
@@ -313,8 +295,7 @@ impl Log<'_> {
 /// and the last checkpoint that agrees with them. Checkpoints that
 /// disagree are passed over; only their frame checksums are read.
 pub(crate) fn read_log(bytes: &[u8], d: usize) -> Log<'_> {
-    let mut log =
-        Log { loads: Vec::new(), decisions: Vec::new(), ends: Vec::new(), checkpoint: None };
+    let mut log = Log { loads: Vec::new(), decisions: Vec::new(), checkpoint: None };
     let mut digest = StateDigest::default();
     let mut at = 0;
     while let Ok(Some(wal::Frame { payload, end })) = wal::next_frame(bytes, at) {
@@ -332,7 +313,6 @@ pub(crate) fn read_log(bytes: &[u8], d: usize) -> Log<'_> {
             digest.fold_decision(&config);
             log.loads.push(load);
             log.decisions.push(config);
-            log.ends.push(end);
         }
         at = end;
     }
@@ -359,15 +339,6 @@ fn take_slot(
     Ok((load, Config::new(counts)))
 }
 
-/// A checkpoint's saved controller: its tag + state, or (format 2) a
-/// `save_run` image that also holds the committed schedule.
-pub(crate) enum Saved<'a> {
-    /// Decode with [`rsz_online::restore_controller`].
-    State(Decoder<'a>),
-    /// Decode with [`rsz_online::restore_run`].
-    Run(&'a [u8]),
-}
-
 /// The checkpoint recovery restores a tenant from, and the committed
 /// history in front of it.
 pub(crate) struct Found<'a> {
@@ -377,159 +348,66 @@ pub(crate) struct Found<'a> {
     pub k: usize,
     /// The accepted loads `0..k`.
     pub loads: Vec<f64>,
-    /// The committed decisions `0..k`; empty for a `save_run` image,
-    /// which holds them itself.
+    /// The committed decisions `0..k`.
     pub decisions: Vec<Config>,
-    /// The controller.
-    pub saved: Saved<'a>,
-    /// Both digest states at `k`, when the checkpoint holds them.
-    pub digest: Option<StateDigest>,
-    /// Where the history up to `k` ends in the log (`None`: format 2,
-    /// whose `.snap` holds the history itself).
-    pub log_end: Option<usize>,
+    /// The controller's tag + state, for
+    /// [`rsz_online::restore_controller`].
+    pub controller: Decoder<'a>,
+    /// Both digest states at `k`.
+    pub digest: StateDigest,
+    /// Where the history up to `k` ends in the log.
+    pub log_end: usize,
 }
 
 /// Find the checkpoint to restore tenant `name` from: the last one in
-/// the history log `read` that agrees with the slot records before it,
-/// or else the older-format `.snap` image `snap` (format 3, whose
-/// history is the log's first `k` slot records, or format 2).
-pub(crate) fn find_checkpoint<'a>(
-    mut read: Log<'a>,
-    snap: Option<&'a [u8]>,
-    name: &str,
-) -> Result<Found<'a>, String> {
-    let (spec, k, saved, digest, log_end) = match read.checkpoint.take() {
-        Some(LogCheckpoint { k, digest, end, mut body }) => {
-            (take_owner(&mut body, name)?, k, Saved::State(body), digest, Some(end))
-        }
-        None => {
-            let snap =
-                decode_snapshot(snap.ok_or("the history log holds no usable checkpoint")?, name)?;
-            let k = snap.k;
-            match snap.body {
-                SnapBody::Current { digest, controller } => {
-                    if read.loads.len() < k {
-                        return Err(format!(
-                            "history log ends at slot {} of {k}",
-                            read.loads.len()
-                        ));
-                    }
-                    if StateDigest::of(&read.loads[..k], &read.decisions[..k]) != digest {
-                        return Err(format!("history log disagrees with the snapshot at k={k}"));
-                    }
-                    (snap.spec, k, Saved::State(controller), digest, Some(read.end_of_slots(k)))
-                }
-                SnapBody::Legacy { loads, run } => {
-                    let (spec, saved, decisions) = (snap.spec, Saved::Run(run), Vec::new());
-                    return Ok(Found {
-                        spec,
-                        k,
-                        loads,
-                        decisions,
-                        saved,
-                        digest: None,
-                        log_end: None,
-                    });
-                }
-            }
-        }
-    };
+/// the history log `read` that agrees with the slot records before it.
+pub(crate) fn find_checkpoint<'a>(mut read: Log<'a>, name: &str) -> Result<Found<'a>, String> {
+    let LogCheckpoint { k, digest, end, body: mut controller } =
+        read.checkpoint.ok_or("the history log holds no usable checkpoint")?;
+    let spec = take_owner(&mut controller, name)?;
     read.loads.truncate(k);
     read.decisions.truncate(k);
-    Ok(Found {
-        spec,
-        k,
-        loads: read.loads,
-        decisions: read.decisions,
-        saved,
-        digest: Some(digest),
-        log_end,
-    })
+    let (loads, decisions) = (read.loads, read.decisions);
+    Ok(Found { spec, k, loads, decisions, controller, digest, log_end: end })
 }
 
-/// The spec of tenant `name` as the history log image `log` records it
-/// (its last intact checkpoint record, digests unchecked), or else the
-/// `.snap` image `snap` reads, if any.
-pub(crate) fn spec_on_disk(
-    log: &[u8],
-    snap: impl FnOnce() -> Option<Vec<u8>>,
-    name: &str,
-) -> Option<TenantSpec> {
-    let from_log = || {
-        let last = history_frames(log).into_iter().rev().find(|f| f.checkpoint.is_some())?;
-        let mut dec = Decoder::over(&log[last.payload]);
-        dec.take_u64().ok()?;
-        checkpoint_head(&mut dec).ok()?;
-        take_owner(&mut dec, name).ok()
-    };
-    from_log().or_else(|| decode_snapshot(&snap()?, name).ok().map(|snap| snap.spec))
+/// The spec of tenant `name` as the history log image `log` records it:
+/// its last intact checkpoint record, digests unchecked.
+pub(crate) fn spec_on_disk(log: &[u8], name: &str) -> Option<TenantSpec> {
+    let last = history_frames(log).into_iter().rev().find(|f| f.checkpoint.is_some())?;
+    let mut dec = Decoder::over(&log[last.payload]);
+    dec.take_u64().ok()?;
+    checkpoint_head(&mut dec).ok()?;
+    take_owner(&mut dec, name).ok()
 }
 
-/// A decoded `.snap` header plus what follows it.
-struct Snapshot<'a> {
-    /// The spec the snapshot was taken under.
-    pub spec: TenantSpec,
-    /// Committed slots it covers (at least 1).
-    pub k: usize,
-    /// The format-specific rest.
-    pub body: SnapBody<'a>,
-}
-
-/// What a `.snap` holds past its header.
-enum SnapBody<'a> {
-    /// Format 3: the digests at `k`, and a decoder positioned at the
-    /// controller's tag + state. The history is in the history log.
-    Current {
-        /// Both digest states at `k`.
-        digest: StateDigest,
-        /// The controller bytes.
-        controller: Decoder<'a>,
-    },
-    /// Format 2: the accepted loads `0..k` and a `save_run` image.
-    Legacy {
-        /// The accepted loads.
-        loads: Vec<f64>,
-        /// The sealed `save_run` bytes.
-        run: &'a [u8],
-    },
-}
-
-/// Decode the `.snap` `bytes` of tenant `name`, format 2 or 3.
-fn decode_snapshot<'a>(bytes: &'a [u8], name: &str) -> Result<Snapshot<'a>, String> {
-    let mut dec = Decoder::from_sealed(bytes).map_err(|e| describe_snapshot_error(bytes, &e))?;
-    let format = dec.take_u8().map_err(stringify)?;
-    // Format 3 holds the controller layouts of envelope version 2, and
-    // format 2 those of version 1; a version byte (outside the
-    // checksum) that disagrees is damage.
-    let current = match (format, dec.version()) {
-        (SNAP_FORMAT_3, 2) => true,
-        (SNAP_FORMAT_2, 1) => false,
-        (format, version) => {
-            return Err(format!("snapshot format {format} in an envelope of version {version}"))
-        }
-    };
-    let spec = take_owner(&mut dec, name)?;
-    let k = dec.take_usize().map_err(stringify)?;
-    if k == 0 {
-        return Err("snapshot covers zero slots".into());
+/// Check the `.snap` an older build left for `tenant` in the state
+/// directory `dir`. When the tenant's history log holds a checkpoint
+/// record, the `.snap` was migrated and only its delete failed: it is
+/// ignored. Otherwise the state was never migrated, and the error names
+/// the file, its format and the upgrade path.
+pub(crate) fn check_snap(dir: &Path, tenant: &str) -> io::Result<()> {
+    let log = std::fs::read(wal::hist_path(dir, tenant)).unwrap_or_default();
+    if history_frames(&log).iter().any(|f| f.checkpoint.is_some()) {
+        return Ok(());
     }
-    let body = if current {
-        let loads = dec.take_u64().map_err(stringify)?;
-        let decisions = dec.take_u64().map_err(stringify)?;
-        SnapBody::Current { digest: StateDigest { loads, decisions }, controller: dec }
-    } else {
-        if dec.remaining() / 8 < k {
-            return Err(stringify(SnapshotError::Truncated));
-        }
-        let loads = (0..k).map(|_| dec.take_f64()).collect::<Result<_, _>>().map_err(stringify)?;
-        let run = dec.take_bytes().map_err(stringify)?;
-        SnapBody::Legacy { loads, run }
+    // The format, 2 or 3, is told by the version byte (1 or 2) of the
+    // `.snap`'s envelope, which the decoder refuses before anything else.
+    let snap = wal::snap_path(dir, tenant);
+    let format = match std::fs::read(&snap).as_deref().map(Decoder::from_sealed) {
+        Ok(Err(SnapshotError::BadVersion(v @ 1..=2))) => format!("state format {}", v + 1),
+        _ => "an older state format".to_owned(),
     };
-    Ok(Snapshot { spec, k, body })
-}
-
-fn stringify(e: SnapshotError) -> String {
-    format!("{e}")
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} holds {format}, which this build no longer reads; to upgrade the state \
+             directory, start any build from commit e36abfb through 71b71ff over it once \
+             (its recovery rewrites every tenant in state format {CHECKPOINT_FORMAT}), then \
+             start this one",
+            snap.display()
+        ),
+    ))
 }
 
 /// Human-readable snapshot failure, including the byte range that
@@ -681,7 +559,6 @@ mod tests {
         let (loads, decisions) = slots();
         let log = read_log(&bytes, 2);
         assert_eq!((log.loads.as_slice(), log.decisions.as_slice()), (&loads[..], &decisions[..]));
-        assert_eq!(log.end_of_slots(8), frames[7].range.end);
         let checkpoint = log.checkpoint.as_ref().unwrap();
         assert_eq!(
             (checkpoint.k, checkpoint.end, checkpoint.digest),
@@ -692,7 +569,7 @@ mod tests {
         assert_eq!((dec.take_bytes().unwrap(), dec.take_u64().unwrap()), (&b"counter"[..], 20));
         assert!(dec.is_empty());
         assert!(take_owner(&mut checkpoint.body.clone(), "u").is_err(), "another tenant's");
-        assert_eq!(spec_on_disk(&bytes, || None, "t"), Some(spec()));
+        assert_eq!(spec_on_disk(&bytes, "t"), Some(spec()));
 
         // Torn inside the last checkpoint: the one before it is used, and
         // the slot records between them are still read.

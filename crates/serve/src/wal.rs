@@ -306,7 +306,8 @@ pub fn wal_path(dir: &Path, tenant: &str) -> PathBuf {
 }
 
 /// `<dir>/<tenant>.snap` — where formats 2 and 3 kept a tenant's
-/// snapshot; this build reads it and never writes it.
+/// snapshot. This build never writes one, and refuses to start over one
+/// that was never migrated (`crate::state`).
 #[must_use]
 pub fn snap_path(dir: &Path, tenant: &str) -> PathBuf {
     dir.join(format!("{tenant}.snap"))

@@ -478,7 +478,15 @@ where
             Some(bytes) => heterogeneous_rightsizing::serve::describe_snapshot_error(bytes, &e),
             None => e.to_string(),
         };
-        fail_solve(&format!("cannot resume from {}: {detail}", path.display()))
+        // A file an older build sealed: say how to get past it.
+        let fix = match e {
+            offline::SnapshotError::BadVersion(1 | 2) => {
+                "; rerun without --resume, or resume it once with a build from commit e36abfb \
+                 through 71b71ff and --snapshot-every K, which rewrites it in the current version"
+            }
+            _ => "",
+        };
+        fail_solve(&format!("cannot resume from {}: {detail}{fix}", path.display()))
     })
 }
 

@@ -184,32 +184,41 @@ fn simulate_reports_latency_and_engine_parity() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `rsz simulate --resume` files written before the controller state
+/// `rsz simulate --resume` files sealed before the controller state
 /// layouts changed (Algorithm B's power-up log, C's per-slot sub-slot
-/// log; snapshot envelope version 1) still resume, and the completed
-/// schedule equals the uninterrupted run the same build recorded.
+/// log; snapshot envelope version 1) are refused: exit 3, a message
+/// naming the version and the way past it, no schedule written, and
+/// the file left as it was even under `--snapshot-every`. So are the
+/// same files relabelled as version 2.
 #[test]
-fn version_one_resume_files_still_resume_bit_identically() {
+fn version_one_resume_files_are_refused_with_exit_3() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/simulate_v1");
     let dir = std::env::temp_dir().join(format!("rsz-cli-resume-v1-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for (algo, name) in [("b", "b"), ("c:0.5", "c")] {
+    for (algo, name, version) in [("b", "b", 1), ("c:0.5", "c", 1), ("b", "b", 2)] {
         let snap = dir.join(format!("{name}.snap"));
-        std::fs::copy(fixtures.join(format!("{name}.snap")), &snap).unwrap();
+        let mut original = std::fs::read(fixtures.join(format!("{name}.snap"))).unwrap();
+        original[7] = version; // the envelope's version byte, after "RSZSNAP"
+        std::fs::write(&snap, &original).unwrap();
         let out_csv = dir.join(format!("{name}.csv"));
         let out = rsz()
             .args(["simulate", "--fleet", "cpu-gpu:4,2", "--algo", algo, "--trace"])
             .arg(fixtures.join("trace.csv"))
-            .arg("--resume")
+            .args(["--snapshot-every", "2", "--resume"])
             .arg(&snap)
             .arg("--out")
             .arg(&out_csv)
             .output()
             .expect("spawn rsz");
-        assert!(out.status.success(), "{algo}: {}", String::from_utf8_lossy(&out.stderr));
-        let want = std::fs::read_to_string(fixtures.join(format!("{name}.schedule.csv"))).unwrap();
-        assert_eq!(std::fs::read_to_string(&out_csv).unwrap(), want, "{algo}: schedule differs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{algo} v{version}: {stderr}");
+        let named = format!("version {version}");
+        for part in [named.as_str(), "rerun without --resume", "e36abfb through 71b71ff"] {
+            assert!(stderr.contains(part), "{algo} v{version}: `{part}` missing from: {stderr}");
+        }
+        assert!(!out_csv.exists(), "{algo} v{version}: no schedule is written");
+        assert_eq!(std::fs::read(&snap).unwrap(), original, "{algo} v{version}: file changed");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

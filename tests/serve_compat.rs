@@ -8,12 +8,14 @@
 //!   history log (slot records and checkpoint records) of a fixed
 //!   16-tick run are pinned, which holds them fixed across internal
 //!   rewrites of the tick path.
-//! * Read side: state directories written in format 2 (`.snap` with the
-//!   full load prefix and a `save_run` image inside) and format 3
+//! * Older formats: state directories written in format 2 (`.snap` with
+//!   the full load prefix and a `save_run` image inside) and format 3
 //!   (`.snap` with the controller over a `.hist` of slot records) are
-//!   committed under `tests/fixtures/`. The current daemon recovers
-//!   them, answers every duplicate seq with the recorded decision, and
-//!   continues exactly like a direct run of the same controller. The
+//!   committed under `tests/fixtures/`. The current daemon refuses to
+//!   start over them, naming the `.snap`, its format and the upgrade path
+//!   (one start of a build from commit e36abfb through 71b71ff), and
+//!   leaves every file as it was. A `.snap` beside a log that holds a
+//!   checkpoint record (a migration whose delete failed) is ignored. The
 //!   format-2, format-3 and layout-1 constants stay as the values those
 //!   fixtures were pinned by; a replica does not read an older primary's
 //!   layout-1 ring.
@@ -21,9 +23,12 @@
 //!   so the served decisions of tenants whose every dispatch cell is
 //!   all-affine are pinned too (`tests/fixtures/all_affine/`).
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use heterogeneous_rightsizing::offline::{checksum, Decoder, Encoder};
+use heterogeneous_rightsizing::offline::{
+    checksum, payload_range, Decoder, Encoder, SnapshotError,
+};
 use heterogeneous_rightsizing::online::{
     restore_run, DegradeOptions, GracefulDegrader, OnlineAlgorithm,
 };
@@ -265,99 +270,58 @@ fn copy_state(from: &Path, tag: &str) -> PathBuf {
     to
 }
 
-/// Recover the format-2 or format-3 fixture `name` (tenant `tenant`,
-/// registered by `register`, fed `loads[..recorded.len()]`), answer
-/// every duplicate from history, continue through all of `loads`, and
-/// check the result against the recorded decisions and a direct run —
-/// then kill the daemon and do it again from the format-4 state it
-/// wrote meanwhile. Recovery seals what it restored from the old `.snap`
-/// as a format-4 checkpoint at once, then deletes the `.snap`.
-fn recover_fixture(name: &str, register: &str, tenant: &str, loads: &[f64]) {
-    let (state_dir, recorded) = fixture(name);
-    let want = direct_run(&spec_of(register), loads);
-    assert_eq!(&want[..recorded.len()], &recorded[..], "{name}: the fixture is a direct run");
-    let dir = copy_state(&state_dir, name);
-    for round in 0..2 {
-        let daemon = Daemon::new(options(&dir)).unwrap();
-        let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
-        assert_eq!(m.get("recovered").and_then(Json::as_u64), Some(1), "{name} round {round}");
-        assert_eq!(m.get("snapshot_fallbacks").and_then(Json::as_u64), Some(0), "{name}");
-        if round == 0 {
-            let log = std::fs::read(wal::hist_path(&dir, tenant)).unwrap();
-            let last = history_frames(&log).iter().rev().find_map(|f| f.checkpoint);
-            assert_eq!(last, Some(recorded.len()), "{name}: sealed at recovery");
-            assert!(!wal::snap_path(&dir, tenant).exists(), "{name}: deleted at recovery");
-        }
-        let reply = json::parse(&daemon.handle(register)).unwrap();
-        let resumed = reply.get("resumed_ticks").and_then(Json::as_u64).unwrap() as usize;
-        assert_eq!(resumed, if round == 0 { recorded.len() } else { loads.len() }, "{name}");
-        for (seq, &load) in loads.iter().enumerate() {
-            let (config, replayed) = decided(&daemon.handle(&tick_line(tenant, seq, load)));
-            assert_eq!(replayed, seq < resumed, "{name} round {round} seq {seq}");
-            assert_eq!(config, want[seq], "{name} round {round} seq {seq}");
-        }
-        let log = std::fs::read(wal::hist_path(&dir, tenant)).unwrap();
-        assert!(history_frames(&log).iter().any(|f| f.checkpoint.is_some()), "{name}");
-        assert!(!wal::snap_path(&dir, tenant).exists(), "{name}: the old .snap is deleted");
+/// Every file of the directory `dir`, by name.
+fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    entries.map(|path| (path.clone(), std::fs::read(path).unwrap())).collect()
+}
+
+/// Start a daemon over a copy of the format-2 or format-3 fixture `name`
+/// (tenant `tenant`): it must refuse, naming the `.snap`, its `format`
+/// and the upgrade path, and leave every file of the copy byte for byte,
+/// with none added or removed.
+fn assert_refused(name: &str, tenant: &str, format: u8) {
+    let dir = copy_state(&fixture(name).0, name);
+    let before = files(&dir);
+    let Err(e) = Daemon::new(options(&dir)) else { panic!("{name}: the daemon started") };
+    let message = e.to_string();
+    let snap = wal::snap_path(&dir, tenant).display().to_string();
+    for part in [snap.as_str(), &format!("state format {format}"), "e36abfb through 71b71ff"] {
+        assert!(message.contains(part), "{name}: `{part}` missing from: {message}");
     }
+    assert_eq!(files(&dir), before, "{name}: the refusal changed the directory");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn format_two_state_directories_recover_bit_identically() {
-    recover_fixture("format2_default", DEFAULT, "t", &default_loads(40));
-    // Compaction deleted the early WAL segments of this one: its first
-    // loads exist only in the format-2 snapshot.
-    let (state_dir, _) = fixture("format2_compacted");
-    let wal_bytes = wal::read_file(&wal::wal_path(&state_dir, "c")).unwrap();
-    assert!(
-        !wal::scan(&wal_bytes)
-            .records
-            .iter()
-            .any(|r| matches!(r, wal::WalRecord::Tick { seq: 0, .. })),
-        "the compacted fixture's WAL must not hold seq 0"
-    );
-    let register = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
-    recover_fixture("format2_compacted", register, "c", &compacted_loads(80));
+fn format_two_state_directories_are_refused_with_their_upgrade_path() {
+    assert_refused("format2_default", "t", 2);
+    assert_refused("format2_compacted", "c", 2);
 }
 
 #[test]
-fn format_three_state_directories_recover_bit_identically() {
-    recover_fixture("format3_default", DEFAULT, "t", &default_loads(40));
-    assert_eq!(fixture("format3_default").1, fixture("format2_default").1);
-    // Compaction deleted the early WAL segments of this one: its first
-    // loads exist only in the format-3 history log.
-    let (state_dir, recorded) = fixture("format3_compacted");
-    assert_eq!(recorded.len(), 52);
-    let wal_bytes = wal::read_file(&wal::wal_path(&state_dir, "c")).unwrap();
-    assert!(
-        !wal::scan(&wal_bytes)
-            .records
-            .iter()
-            .any(|r| matches!(r, wal::WalRecord::Tick { seq: 0, .. })),
-        "the compacted fixture's WAL must not hold seq 0"
-    );
-    let register = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
-    recover_fixture("format3_compacted", register, "c", &compacted_loads(80));
+fn format_three_state_directories_are_refused_with_their_upgrade_path() {
+    assert_refused("format3_default", "t", 3);
+    assert_refused("format3_compacted", "c", 3);
 }
 
 /// The `save_run` image inside a format-2 snapshot is a version-1 run
 /// snapshot of the daemon's degradation ladder around the tenant's
-/// controller: it restores through `restore_run`, B's power-up log and
-/// C's sub-slot log included, and the run continues exactly.
+/// controller. `restore_run` refuses it by its envelope version, as
+/// the daemon refuses the `.snap` around it.
 #[test]
-fn version_one_run_images_inside_format_two_snapshots_restore() {
+fn version_one_run_images_inside_format_two_snapshots_are_refused() {
     let compacted = r#"{"op":"register","tenant":"c","fleet":"cpu-gpu:4,2","algo":"c:0.5"}"#;
     for (name, tenant, register, loads) in [
         ("format2_default", "t", DEFAULT, default_loads(40)),
         ("format2_compacted", "c", compacted, compacted_loads(80)),
     ] {
-        let (state_dir, recorded) = fixture(name);
         // Format 2: format byte, name, spec, k, the loads 0..k, and the
         // sealed `save_run` image, in a version-1 envelope.
-        let bytes = std::fs::read(wal::snap_path(&state_dir, tenant)).unwrap();
-        let mut dec = Decoder::from_sealed(&bytes).unwrap();
-        assert_eq!((dec.version(), dec.take_u8().unwrap()), (1, 2), "{name} is format 2");
+        let bytes = std::fs::read(wal::snap_path(&fixture(name).0, tenant)).unwrap();
+        assert_eq!(Decoder::from_sealed(&bytes).unwrap_err(), SnapshotError::BadVersion(1));
+        let mut dec = Decoder::over(&bytes[payload_range(&bytes).unwrap()]);
+        assert_eq!(dec.take_u8().unwrap(), 2, "{name} is format 2");
         assert_eq!(dec.take_bytes().unwrap(), tenant.as_bytes());
         let spec = spec_of(register);
         assert_eq!(TenantSpec::decode(&mut dec).unwrap(), spec);
@@ -375,18 +339,41 @@ fn version_one_run_images_inside_format_two_snapshots_restore() {
         let factory = |inst: &Instance, grid| build_controller(&spec, inst, grid).unwrap();
         let ladder = DegradeOptions { deadline: None, coarse_gamma: 2.0 };
         let mut controller = GracefulDegrader::new(inner, factory, ladder);
-        let committed = restore_run(&mut controller, &instance, run).unwrap();
-        assert_eq!(committed.configs(), &recorded[..k], "{name}");
-        let want = direct_run(&spec, &loads);
-        for t in k..loads.len() {
-            let prefix = Instance::builder()
-                .server_types(spec.server_types().unwrap())
-                .loads(loads[..=t].to_vec())
-                .build()
-                .unwrap();
-            assert_eq!(controller.decide(&prefix, t), want[t], "{name} slot {t}");
-        }
+        let refused = restore_run(&mut controller, &instance, run).unwrap_err();
+        assert_eq!(refused, SnapshotError::BadVersion(1), "{name}");
     }
+}
+
+/// A `.snap` beside a history log that holds a checkpoint record is
+/// what a migration leaves when its delete fails. The daemon ignores
+/// it: the tenant recovers every tick bit for bit, and the `.snap`
+/// stays where it was, untouched.
+#[test]
+fn a_stray_snap_beside_a_checkpointed_log_is_ignored() {
+    let loads = default_loads(40);
+    let want = direct_run(&spec_of(DEFAULT), &loads);
+    let dir = tmp_dir("stray-snap");
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    assert!(daemon.handle(DEFAULT).contains("\"ok\":true"));
+    for (seq, &load) in loads.iter().enumerate() {
+        assert_eq!(decided(&daemon.handle(&tick_line("t", seq, load))), (want[seq].clone(), false));
+    }
+    drop(daemon); // kill -9
+    let snap = wal::snap_path(&dir, "t");
+    let stray = std::fs::read(wal::snap_path(&fixture("format3_default").0, "t")).unwrap();
+    std::fs::write(&snap, &stray).unwrap();
+
+    let daemon = Daemon::new(options(&dir)).unwrap();
+    let m = json::parse(&daemon.handle("GET /metrics")).unwrap();
+    assert_eq!(m.get("snapshot_fallbacks").and_then(Json::as_u64), Some(0));
+    let reply = json::parse(&daemon.handle(DEFAULT)).unwrap();
+    assert_eq!(reply.get("resumed_ticks").and_then(Json::as_u64), Some(40));
+    for (seq, &load) in loads.iter().enumerate() {
+        let (config, replayed) = decided(&daemon.handle(&tick_line("t", seq, load)));
+        assert_eq!((config, replayed), (want[seq].clone(), true), "seq {seq}");
+    }
+    assert_eq!(std::fs::read(&snap).unwrap(), stray, "the stray .snap is left in place");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A sync reply from an older primary carries layout-1 fingerprints

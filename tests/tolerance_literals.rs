@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Source trees that route every tolerance through the named constants.
-const GATED: [&str; 2] = ["crates/dispatch/src", "crates/serve/src"];
+const GATED: [&str; 3] = ["crates/dispatch/src", "crates/online/src", "crates/serve/src"];
 
 /// Every `.rs` file under `dir`, recursively, in a stable order.
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
