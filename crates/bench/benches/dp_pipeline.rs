@@ -7,13 +7,9 @@
 //! m = (40, 40), T = 2000), a bursty MMPP trace with few exact load
 //! repeats, a time-dependent electricity-price workload (no slot
 //! sharing anywhere), and a d = 3 fleet. Every scenario gates on the
-//! schedule being feasible, on `objective::evaluate` of the schedule
-//! matching the reported cost to a relative 1e-9, and on the schedule
-//! and cost bits being unchanged with the kernel layer forced onto its
-//! scalar reference twins. The steady-state kernel speedup on the
-//! reference instance is gated at ≥ 2× in full mode only (`--quick`
-//! shrinks horizons for the CI smoke, where wall-clock is too noisy to
-//! gate).
+//! schedule being feasible and on `objective::evaluate` of the schedule
+//! matching the reported cost to a relative 1e-9. Timings are
+//! informational; `--quick` shrinks horizons for the CI smoke.
 //!
 //! Results land in `results/dp_pipeline.json` and, as the trajectory
 //! record the CI uploads, `BENCH_dp.json` at the workspace root.
@@ -21,26 +17,17 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
 use rsz_core::objective::evaluate;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve_with_stats, DpOptions};
-use rsz_offline::kernels;
 use rsz_offline::pipeline::RecoveryStats;
-use rsz_workloads::{patterns, stochastic};
+use rsz_workloads::stochastic;
 
 struct Scenario {
     name: &'static str,
     instance: Instance,
-    /// The reference scenario, on which the kernel layer is timed.
-    reference: bool,
-}
-
-fn tiled_diurnal(horizon: usize, base: f64, amplitude: f64) -> Vec<f64> {
-    // One exact day, tiled: λ values repeat bit-for-bit across days,
-    // which is what lets the pricing pool reuse slots.
-    let day = patterns::diurnal(24, base, amplitude, 24, 0.75);
-    day.values().iter().copied().cycle().take(horizon).collect()
 }
 
 fn scenarios(quick: bool) -> Vec<Scenario> {
@@ -96,10 +83,10 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         .expect("d=3 instance feasible");
 
     vec![
-        Scenario { name: "diurnal_reference", instance: reference, reference: true },
-        Scenario { name: "bursty_mmpp", instance: bursty, reference: false },
-        Scenario { name: "time_dependent_costs", instance: time_dependent, reference: false },
-        Scenario { name: "three_types", instance: three_types, reference: false },
+        Scenario { name: "diurnal_reference", instance: reference },
+        Scenario { name: "bursty_mmpp", instance: bursty },
+        Scenario { name: "time_dependent_costs", instance: time_dependent },
+        Scenario { name: "three_types", instance: three_types },
     ]
 }
 
@@ -129,7 +116,6 @@ struct Row {
     pipeline_ms: f64,
     cost: f64,
     eval_gap_rel: f64,
-    scalar_bits_equal: bool,
     stats: RecoveryStats,
 }
 
@@ -167,12 +153,6 @@ fn main() {
             sc.name,
             pipeline.cost
         );
-        kernels::force_scalar(true);
-        let (scalar, _) = solve_with_stats(inst, &oracle, opts);
-        kernels::force_scalar(false);
-        let scalar_bits_equal = scalar.schedule == pipeline.schedule
-            && scalar.cost.to_bits() == pipeline.cost.to_bits();
-        assert!(scalar_bits_equal, "{}: the scalar twins changed the solve", sc.name);
 
         println!(
             "bench: dp_pipeline/{:<22} {:>9.2} ms  (eval gap {eval_gap_rel:.2e}, pool {}, peak {} tables)",
@@ -188,46 +168,22 @@ fn main() {
             pipeline_ms: pipeline.secs * 1e3,
             cost: pipeline.cost,
             eval_gap_rel,
-            scalar_bits_equal,
             stats,
         });
     }
 
-    // Kernel-layer isolation on the reference instance: steady-state
-    // engine-mode stepping (pool-warm, zero oracle calls per step) under
-    // the lanes kernels vs the scalar twins — the transform + fold +
-    // argmin work this bench's solves bottom out in, without the pricing
-    // dilution. Asserts bit-identity between the modes as it times them.
-    let reference = &all.iter().find(|s| s.reference).expect("one reference scenario").instance;
-    let (warm, steps) = (24, if quick { 48 } else { 96 });
-    let kt = rsz_bench::kernelbench::measure(reference, warm, steps, iterations);
-    let kernel_speedup = kt.speedup();
-    println!(
-        "bench: dp_pipeline/kernels{:>16.2} ms -> {:>9.2} ms  ({kernel_speedup:>5.2}x scalar/simd, {steps} steps)",
-        kt.scalar_ms, kt.simd_ms,
-    );
-    if !quick {
-        assert!(
-            kernel_speedup >= 2.0,
-            "kernel layer speedup {kernel_speedup:.2}x below the 2x gate"
-        );
-    }
-
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
+    let timestamp = timestamp();
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"pipeline_ms\": {:.3},\n      \"cost\": {:.6},\n      \"eval_gap_rel\": {:.3e},\n      \"scalar_bits_equal\": {},\n      \"segment_len\": {},\n      \"checkpoints\": {},\n      \"peak_live_tables\": {},\n      \"pooled_pricing_tables\": {}\n    }}{}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"pipeline_ms\": {:.3},\n      \"cost\": {:.6},\n      \"eval_gap_rel\": {:.3e},\n      \"segment_len\": {},\n      \"checkpoints\": {},\n      \"peak_live_tables\": {},\n      \"pooled_pricing_tables\": {}\n    }}{}",
             r.name,
             r.d,
             r.horizon,
             r.pipeline_ms,
             r.cost,
             r.eval_gap_rel,
-            r.scalar_bits_equal,
             r.stats.segment_len,
             r.stats.checkpoints,
             r.stats.peak_live_tables,
@@ -236,26 +192,8 @@ fn main() {
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"kernel_scalar_ms\": {:.3},\n  \"kernel_simd_ms\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        kt.scalar_ms, kt.simd_ms, kernel_speedup,
+        "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    // `cargo bench` sets the cwd to crates/bench; resolve the workspace
-    // root so the JSON lands in the documented top-level locations.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    for out_path in [root.join("results").join("dp_pipeline.json"), root.join("BENCH_dp.json")] {
-        let write = out_path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&out_path, &json));
-        if let Err(e) = write {
-            eprintln!("warning: could not write {}: {e}", out_path.display());
-        } else {
-            println!("bench: dp_pipeline/json  ... {}", out_path.display());
-        }
-    }
+    write_records("dp_pipeline", &json, &["results/dp_pipeline.json", "BENCH_dp.json"]);
 }

@@ -25,22 +25,18 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve, DpOptions};
 use rsz_offline::refine::{solve_refined, RefineOptions, RefineStats};
-use rsz_workloads::{patterns, stochastic};
+use rsz_workloads::stochastic;
 
 struct Scenario {
     name: &'static str,
     instance: Instance,
     /// Only the d = 3 large-fleet scenario carries the speedup gate.
     gated: bool,
-}
-
-fn tiled_diurnal(horizon: usize, base: f64, amplitude: f64) -> Vec<f64> {
-    let day = patterns::diurnal(24, base, amplitude, 24, 0.75);
-    day.values().iter().copied().cycle().take(horizon).collect()
 }
 
 fn scenarios(quick: bool) -> Vec<Scenario> {
@@ -193,29 +189,7 @@ fn main() {
         }
     }
 
-    // Kernel-layer isolation on the gated d = 3 instance: steady-state
-    // engine-mode stepping (pool-warm, zero oracle calls per step) under
-    // the lanes kernels vs the scalar twins. Whole refined solves are
-    // pricing-dominated, so this is where the ≥ 2× kernel gate lives;
-    // bit-identity between the modes is asserted as part of the timing.
-    let gated_inst = &all.iter().find(|s| s.gated).expect("one gated scenario").instance;
-    let (warm, steps) = if quick { (12, 12) } else { (24, 24) };
-    let kt = rsz_bench::kernelbench::measure(gated_inst, warm, steps, if quick { 1 } else { 2 });
-    let kernel_speedup = kt.speedup();
-    println!(
-        "bench: dp_refine/kernels{:>18.2} ms -> {:>9.2} ms  ({kernel_speedup:>5.2}x scalar/simd, {steps} steps)",
-        kt.scalar_ms, kt.simd_ms,
-    );
-    if !quick {
-        assert!(
-            kernel_speedup >= 2.0,
-            "kernel layer speedup {kernel_speedup:.2}x below the 2x gate"
-        );
-    }
-
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
+    let timestamp = timestamp();
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
@@ -243,29 +217,9 @@ fn main() {
     }
     let reference = rows.iter().find(|r| r.name == "d3_large_fleet_diurnal").expect("gated ran");
     let json = format!(
-        "{{\n  \"bench\": \"dp_refine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"d3_speedup\": {:.3},\n  \"kernel_scalar_ms\": {:.3},\n  \"kernel_simd_ms\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
+        "{{\n  \"bench\": \"dp_refine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"d3_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
         reference.speedup,
-        kt.scalar_ms,
-        kt.simd_ms,
-        kernel_speedup,
     );
 
-    // `cargo bench` sets the cwd to crates/bench; resolve the workspace
-    // root so the JSON lands in the documented top-level locations.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    for out_path in [root.join("results").join("dp_refine.json"), root.join("BENCH_refine.json")] {
-        let write = out_path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&out_path, &json));
-        if let Err(e) = write {
-            eprintln!("warning: could not write {}: {e}", out_path.display());
-        } else {
-            println!("bench: dp_refine/json  ... {}", out_path.display());
-        }
-    }
+    write_records("dp_refine", &json, &["results/dp_refine.json", "BENCH_refine.json"]);
 }

@@ -1,27 +1,26 @@
 //! `kernel_micro` — throughput microbenchmark of the kernel layer.
 //!
 //! Times the three hot-loop kernels (`suffix_min_inplace`, `axpy_fold`,
-//! `argmin_scan`) in both their forms — the `*_lanes` 4-wide
-//! implementations and the `*_scalar` pre-refactor reference twins — on
-//! contiguous lines of length 64 (one short table line), 1024 (a large
-//! table's innermost row block) and 65536 (a whole d = 3 table slab),
-//! reporting elements per second. Inputs are all-finite for the timed
-//! loops (the kernels' fast path and the solver's common case); the
-//! bit-identity of the twins on `+∞`-mixed data is asserted untimed
-//! here and exhaustively in `crates/offline/tests/kernel_parity.rs`.
+//! `argmin_scan`) — the 4-wide implementations every solve runs —
+//! against their `*_scalar` pre-refactor reference twins, on contiguous
+//! lines of length 64 (one short table line), 1024 (a large table's
+//! innermost row block) and 65536 (a whole d = 3 table slab), reporting
+//! elements per second. Inputs are all-finite for the timed loops (the
+//! kernels' fast path and the solver's common case); the bit-identity of
+//! the twins on `+∞`-mixed data is asserted untimed here and
+//! exhaustively in `crates/offline/tests/kernel_parity.rs`.
 //!
 //! Results land in `results/kernels.json`. `--quick` shrinks the rep
-//! counts for the CI smoke step; no wall-clock gates either way (the
-//! solver-level ≥ 2× kernel gate lives in `dp_pipeline` / `dp_refine`,
-//! where it is measured inside real solves).
+//! counts for the CI smoke step; no wall-clock gates either way.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use rsz_bench::harness::{timestamp, write_records};
 use rsz_offline::kernels::{
-    argmin_scan_lanes, argmin_scan_scalar, axpy_fold_lanes, axpy_fold_scalar, min_scan_lanes,
-    min_scan_scalar, suffix_min_inplace_lanes, suffix_min_inplace_scalar,
+    argmin_scan, argmin_scan_scalar, axpy_fold, axpy_fold_scalar, min_scan, min_scan_scalar,
+    suffix_min_inplace, suffix_min_inplace_scalar,
 };
 
 const LENS: [usize; 3] = [64, 1024, 65536];
@@ -77,12 +76,12 @@ fn main() {
         let mut a = v.clone();
         let mut b = v.clone();
         suffix_min_inplace_scalar(&mut a);
-        suffix_min_inplace_lanes(&mut b);
+        suffix_min_inplace(&mut b);
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()), "suffix parity {len}");
-        assert_eq!(min_scan_scalar(&v).to_bits(), min_scan_lanes(&v).to_bits(), "min parity {len}");
+        assert_eq!(min_scan_scalar(&v).to_bits(), min_scan(&v).to_bits(), "min parity {len}");
         assert_eq!(
             argmin_scan_scalar(&v, |i| (i % 5) as u64),
-            argmin_scan_lanes(&v, |i| (i % 5) as u64),
+            argmin_scan(&v, |i| (i % 5) as u64),
             "argmin parity {len}"
         );
     }
@@ -96,7 +95,7 @@ fn main() {
         let mut buf = line(len, 1);
         suffix_min_inplace_scalar(&mut buf);
         let scalar_s = time_reps(reps, || suffix_min_inplace_scalar(black_box(&mut buf)));
-        let lanes_s = time_reps(reps, || suffix_min_inplace_lanes(black_box(&mut buf)));
+        let lanes_s = time_reps(reps, || suffix_min_inplace(black_box(&mut buf)));
         rows.push(Row {
             kernel: "suffix_min",
             len,
@@ -110,7 +109,7 @@ fn main() {
         let mut v = line(len, 3);
         let scalar_s = time_reps(reps, || axpy_fold_scalar(black_box(&mut v), &g, 1e-9));
         let mut v = line(len, 3);
-        let lanes_s = time_reps(reps, || axpy_fold_lanes(black_box(&mut v), &g, 1e-9));
+        let lanes_s = time_reps(reps, || axpy_fold(black_box(&mut v), &g, 1e-9));
         rows.push(Row {
             kernel: "axpy_fold",
             len,
@@ -125,7 +124,7 @@ fn main() {
             black_box(argmin_scan_scalar(black_box(&v), |i| (len - i) as u64));
         });
         let lanes_s = time_reps(reps, || {
-            black_box(argmin_scan_lanes(black_box(&v), |i| (len - i) as u64));
+            black_box(argmin_scan(black_box(&v), |i| (len - i) as u64));
         });
         rows.push(Row {
             kernel: "argmin",
@@ -146,9 +145,7 @@ fn main() {
         );
     }
 
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
+    let timestamp = timestamp();
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
@@ -166,21 +163,5 @@ fn main() {
         "{{\n  \"bench\": \"kernel_micro\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    // `cargo bench` sets the cwd to crates/bench; resolve the workspace
-    // root so the JSON lands in the documented top-level location.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    let out_path = root.join("results").join("kernels.json");
-    let write = out_path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&out_path, &json));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    } else {
-        println!("bench: kernel_micro/json  ... {}", out_path.display());
-    }
+    write_records("kernel_micro", &json, &["results/kernels.json"]);
 }

@@ -14,10 +14,8 @@
 //!   on a wider fleet.
 //!
 //! Gates, every mode: Algorithm C prices each original slot exactly
-//! once (`pricings == horizon`) and its sub-slot replays hit the pool;
-//! the tiled days of Algorithm A are answered from the pool; and every
-//! scenario commits the *identical schedule* with the kernel layer
-//! forced onto its scalar reference twins (`kernels::force_scalar`).
+//! once (`pricings == horizon`) and its sub-slot replays hit the pool,
+//! and the tiled days of Algorithm A are answered from the pool.
 //! Timings are informational. Results land in
 //! `results/online_engine.json` and, as the trajectory record the CI
 //! uploads, `BENCH_online.json`.
@@ -25,20 +23,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
-use rsz_offline::{kernels, EngineStats};
+use rsz_offline::EngineStats;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_c::{AlgorithmC, COptions};
-use rsz_online::runner::{run_instrumented, LatencyProfile, OnlineAlgorithm, OnlineRun};
-use rsz_workloads::patterns;
-
-fn tiled_diurnal(horizon: usize, base: f64, amplitude: f64) -> Vec<f64> {
-    // One exact day, tiled: λ values repeat bit-for-bit across days,
-    // which is what lets the priced-slot pool answer later days.
-    let day = patterns::diurnal(24, base, amplitude, 24, 0.75);
-    day.values().iter().copied().cycle().take(horizon).collect()
-}
+use rsz_online::runner::{run_instrumented, LatencyProfile, OnlineAlgorithm};
 
 /// The reference Algorithm C workload: time-dependent prices (so the
 /// pool partitions by slot and only the sub-slot replay can win) with
@@ -96,7 +87,6 @@ fn c_d3_diurnal(quick: bool) -> Instance {
 }
 
 struct Timed {
-    run: OnlineRun,
     profile: LatencyProfile,
     secs: f64,
 }
@@ -105,7 +95,7 @@ struct Timed {
 /// best wall clock (fresh controller per iteration — online state must
 /// not leak across runs). The controller of the *last* iteration is
 /// handed to `inspect` so callers can pull engine counters off the
-/// concrete type; the run/profile also come from that iteration (every
+/// concrete type; the profile also comes from that iteration (every
 /// iteration is deterministic, only the clock varies).
 fn time_runs<A: OnlineAlgorithm>(
     instance: &Instance,
@@ -115,17 +105,16 @@ fn time_runs<A: OnlineAlgorithm>(
 ) -> Timed {
     let oracle = Dispatcher::new();
     let mut best = f64::INFINITY;
-    let mut out = None;
+    let mut profile = None;
     for _ in 0..iterations {
         let mut algo = build();
         let start = Instant::now();
-        let (run, profile) = run_instrumented(instance, &mut algo, &oracle);
+        let (_, run_profile) = run_instrumented(instance, &mut algo, &oracle);
         best = best.min(start.elapsed().as_secs_f64());
         inspect(&algo);
-        out = Some((run, profile));
+        profile = Some(run_profile);
     }
-    let (run, profile) = out.expect("at least one iteration");
-    Timed { run, profile, secs: best }
+    Timed { profile: profile.expect("at least one iteration"), secs: best }
 }
 
 struct Row {
@@ -137,20 +126,6 @@ struct Row {
     engine_p99_us: f64,
     pricings: u64,
     pool_hits: u64,
-    scalar_schedules_equal: bool,
-}
-
-/// Re-run `build`'s controller once with every kernel on its scalar
-/// twin and report whether it commits `timed`'s schedule.
-fn scalar_parity<A: OnlineAlgorithm>(
-    instance: &Instance,
-    timed: &Timed,
-    build: impl FnMut() -> A,
-) -> bool {
-    kernels::force_scalar(true);
-    let scalar = time_runs(instance, 1, build, |_| ());
-    kernels::force_scalar(false);
-    scalar.run.schedule == timed.run.schedule
 }
 
 fn main() {
@@ -174,8 +149,7 @@ fn main() {
             "Algorithm C must price each original slot exactly once"
         );
         assert!(stats.pool_hits > 0, "sub-slot replay must hit the pool");
-        let parity = scalar_parity(&inst, &engine, build);
-        rows.push(report("algo_c_time_varying", &inst, &engine, stats, parity));
+        rows.push(report("algo_c_time_varying", &inst, &engine, stats));
     }
 
     // --- Algorithm A, tiled diurnal ---
@@ -189,8 +163,7 @@ fn main() {
             stats.pool_hits > stats.pricings,
             "tiled days must be answered from the pool: {stats:?}"
         );
-        let parity = scalar_parity(&inst, &engine, build);
-        rows.push(report("algo_a_diurnal", &inst, &engine, stats, parity));
+        rows.push(report("algo_a_diurnal", &inst, &engine, stats));
     }
 
     // --- Algorithm C, d = 3 time-independent ---
@@ -201,22 +174,15 @@ fn main() {
         let mut stats = None;
         let engine = time_runs(&inst, iterations, build, |c| stats = Some(c.engine_stats()));
         let stats = stats.expect("at least one iteration");
-        let parity = scalar_parity(&inst, &engine, build);
-        rows.push(report("algo_c_d3_diurnal", &inst, &engine, stats, parity));
+        rows.push(report("algo_c_d3_diurnal", &inst, &engine, stats));
     }
 
-    for r in &rows {
-        assert!(r.scalar_schedules_equal, "{}: the scalar twins changed the schedule", r.name);
-    }
-
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
+    let timestamp = timestamp();
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"engine_ms\": {:.3},\n      \"engine_p50_us\": {:.2},\n      \"engine_p99_us\": {:.2},\n      \"pricings\": {},\n      \"pool_hits\": {},\n      \"scalar_schedules_equal\": {}\n    }}{}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"engine_ms\": {:.3},\n      \"engine_p50_us\": {:.2},\n      \"engine_p99_us\": {:.2},\n      \"pricings\": {},\n      \"pool_hits\": {}\n    }}{}",
             r.name,
             r.d,
             r.horizon,
@@ -225,7 +191,6 @@ fn main() {
             r.engine_p99_us,
             r.pricings,
             r.pool_hits,
-            r.scalar_schedules_equal,
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         );
     }
@@ -233,38 +198,13 @@ fn main() {
         "{{\n  \"bench\": \"online_engine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    // `cargo bench` sets the cwd to crates/bench; resolve the workspace
-    // root so the JSON lands in the documented top-level locations.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    for out_path in
-        [root.join("results").join("online_engine.json"), root.join("BENCH_online.json")]
-    {
-        let write = out_path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&out_path, &json));
-        if let Err(e) = write {
-            eprintln!("warning: could not write {}: {e}", out_path.display());
-        } else {
-            println!("bench: online_engine/json  ... {}", out_path.display());
-        }
-    }
+    write_records("online_engine", &json, &["results/online_engine.json", "BENCH_online.json"]);
 }
 
-fn report(
-    name: &'static str,
-    inst: &Instance,
-    engine: &Timed,
-    stats: EngineStats,
-    scalar_schedules_equal: bool,
-) -> Row {
+fn report(name: &'static str, inst: &Instance, engine: &Timed, stats: EngineStats) -> Row {
     let (p50, _, p99, _, _) = engine.profile.summary_us();
     println!(
-        "bench: online_engine/{name:<22} {:>9.2} ms  (p50 {p50:.0} µs, p99 {p99:.0} µs, {} pricings / {} hits, scalar parity {scalar_schedules_equal})",
+        "bench: online_engine/{name:<22} {:>9.2} ms  (p50 {p50:.0} µs, p99 {p99:.0} µs, {} pricings / {} hits)",
         engine.secs * 1e3,
         stats.pricings,
         stats.pool_hits,
@@ -278,6 +218,5 @@ fn report(
         engine_p99_us: p99,
         pricings: stats.pricings,
         pool_hits: stats.pool_hits,
-        scalar_schedules_equal,
     }
 }

@@ -20,9 +20,9 @@
 //! Results land in `results/robustness.json` and, as the trajectory
 //! record the CI uploads, `BENCH_robust.json`.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use rsz_bench::harness::{num, render_rows, tiled_diurnal, timestamp, write_records, Row};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::GridMode;
@@ -31,7 +31,6 @@ use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::degrade::{DegradeOptions, GracefulDegrader};
 use rsz_online::runner::run;
 use rsz_online::{restore_run, run_checkpointed, save_run};
-use rsz_workloads::patterns;
 
 fn workload(quick: bool) -> Instance {
     let horizon = if quick { 48 } else { 192 };
@@ -40,8 +39,7 @@ fn workload(quick: bool) -> Instance {
         .map(|t| 1.0 + 0.6 * ((t % 24) as f64 / 24.0 * std::f64::consts::TAU).sin().abs())
         .collect();
     let cap = 2.0 * f64::from(m);
-    let day = patterns::diurnal(24, 0.1 * cap, 0.55 * cap, 24, 0.75);
-    let loads: Vec<f64> = day.values().iter().copied().cycle().take(horizon).collect();
+    let loads = tiled_diurnal(horizon, 0.1 * cap, 0.55 * cap);
     Instance::builder()
         .server_type(ServerType::with_spec(
             "cpu",
@@ -64,15 +62,6 @@ fn workload(quick: bool) -> Instance {
 
 fn algo(inst: &Instance, base: AOptions) -> AlgorithmC<Dispatcher> {
     AlgorithmC::new(inst, Dispatcher::new(), COptions { epsilon: 0.25, base, ..Default::default() })
-}
-
-struct Row {
-    name: String,
-    fields: Vec<(String, String)>,
-}
-
-fn num(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 fn main() {
@@ -189,45 +178,12 @@ fn main() {
     let probe = save_run(&base_algo, &inst, &baseline.schedule);
     assert!(!probe.is_empty());
 
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let mut fields = String::new();
-        for (j, (k, v)) in r.fields.iter().enumerate() {
-            let _ = write!(
-                fields,
-                "      \"{k}\": {v}{}",
-                if j + 1 < r.fields.len() { ",\n" } else { "\n" }
-            );
-        }
-        let _ = write!(
-            runs,
-            "    {{\n      \"scenario\": \"{}\",\n{fields}    }}{}",
-            r.name,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
+    let timestamp = timestamp();
+    let runs = render_rows(&rows);
     let json = format!(
         "{{\n  \"bench\": \"robustness\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"horizon\": {horizon},\n  \"snapshot_bytes\": {snap_bytes},\n  \"hold_cost_ratio\": {},\n  \"runs\": [\n{runs}  ]\n}}\n",
         num(hold_cost_ratio),
     );
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    for out_path in [root.join("results").join("robustness.json"), root.join("BENCH_robust.json")] {
-        let write = out_path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&out_path, &json));
-        if let Err(e) = write {
-            eprintln!("warning: could not write {}: {e}", out_path.display());
-        } else {
-            println!("bench: robustness/json       ... {}", out_path.display());
-        }
-    }
+    write_records("robustness", &json, &["results/robustness.json", "BENCH_robust.json"]);
 }

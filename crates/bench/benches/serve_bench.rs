@@ -34,11 +34,11 @@
 //! Results land in `results/serve.json` and, as the trajectory record
 //! the CI uploads, `BENCH_serve.json`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rsz_bench::harness::{num, render_rows, timestamp, write_records, Row};
 use rsz_online::LatencyProfile;
 use rsz_serve::json::{self, Json};
 use rsz_serve::{wal, Daemon, ReplicaOptions, Replicator, Role, ServeOptions};
@@ -68,11 +68,6 @@ fn decided(reply: &str) -> Vec<u64> {
         Some(Json::Arr(items)) => items.iter().map(|i| i.as_u64().unwrap()).collect(),
         other => panic!("bad config {other:?} in {reply}"),
     }
-}
-
-struct Row {
-    name: String,
-    fields: Vec<(String, String)>,
 }
 
 /// The age scenario's tenants: one per online algorithm the daemon
@@ -201,10 +196,6 @@ fn age_row(quick: bool) -> Row {
     }
     fields.extend(ratios.iter().map(|&(key, ratio)| (key.to_owned(), num(ratio))));
     Row { name: "age".into(), fields }
-}
-
-fn num(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 fn main() {
@@ -445,45 +436,12 @@ fn main() {
         println!("bench: serve/{:<20} ... {}", r.name, fields.join(" | "));
     }
 
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let mut fields = String::new();
-        for (j, (k, v)) in r.fields.iter().enumerate() {
-            let _ = write!(
-                fields,
-                "      \"{k}\": {v}{}",
-                if j + 1 < r.fields.len() { ",\n" } else { "\n" }
-            );
-        }
-        let _ = write!(
-            runs,
-            "    {{\n      \"scenario\": \"{}\",\n{fields}    }}{}",
-            r.name,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
+    let timestamp = timestamp();
+    let runs = render_rows(&rows);
     let json_out = format!(
         "{{\n  \"bench\": \"serve\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"tenants\": {tenants},\n  \"pool_hit_rate\": {},\n  \"runs\": [\n{runs}  ]\n}}\n",
         num(hit_rate),
     );
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf();
-    for out_path in [root.join("results").join("serve.json"), root.join("BENCH_serve.json")] {
-        let write = out_path
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&out_path, &json_out));
-        if let Err(e) = write {
-            eprintln!("warning: could not write {}: {e}", out_path.display());
-        } else {
-            println!("bench: serve/json           ... {}", out_path.display());
-        }
-    }
+    write_records("serve", &json_out, &["results/serve.json", "BENCH_serve.json"]);
 }

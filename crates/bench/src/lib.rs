@@ -9,7 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod kernelbench;
+pub mod harness;
 pub mod report;
 pub mod stats;
 pub mod sweep;

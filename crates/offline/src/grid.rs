@@ -2,8 +2,6 @@
 //! sets `M^γ_j` (Section 4.2), plus the mixed-radix index math shared by
 //! every table walker ([`GridCursor`]).
 
-use std::ops::Range;
-
 /// How the DP discretizes the number of active servers per type.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GridMode {
@@ -108,9 +106,8 @@ pub fn fill_gamma_levels(m: u32, gamma: f64, levels: &mut Vec<u32>) {
 /// allocate (or run div/mod chains) per cell.
 ///
 /// Strides are memoized at construction, so repositioning
-/// ([`GridCursor::seek`]) and full-layout indexing
-/// ([`GridCursor::flat_index`]) never recompute the radix products —
-/// this is the one place in the crate that decomposes flat indices.
+/// ([`GridCursor::seek`]) never recomputes the radix products — this is
+/// the one place in the crate that decomposes flat indices.
 #[derive(Clone, Debug)]
 pub struct GridCursor<'a> {
     levels: &'a [Vec<u32>],
@@ -164,13 +161,6 @@ impl<'a> GridCursor<'a> {
         self.counts.iter().map(|&c| u64::from(c)).sum()
     }
 
-    /// Flat index of the current cell in the grid's own layout, from the
-    /// memoized strides.
-    #[must_use]
-    pub fn flat_index(&self) -> usize {
-        self.pos.iter().zip(&self.strides).map(|(&p, &s)| p * s).sum()
-    }
-
     /// Step to the next cell in layout order (wrapping at the end),
     /// updating only the dimensions whose position changed.
     pub fn advance(&mut self) {
@@ -182,39 +172,6 @@ impl<'a> GridCursor<'a> {
             }
             self.pos[j] = 0;
             self.counts[j] = self.levels[j][0];
-        }
-    }
-
-    /// Band-aware stepping: advance to the next cell whose per-dimension
-    /// positions stay inside `bands[j]` (half-open position ranges into
-    /// this cursor's level lists), wrapping each dimension at its band
-    /// edge instead of the grid edge. The cursor must already sit inside
-    /// the bands; walking `Π_j bands[j].len()` steps visits every band
-    /// cell exactly once in band-layout order while
-    /// [`GridCursor::flat_index`] keeps reporting full-layout indices —
-    /// this is how banded tables are sliced out of full tables without
-    /// re-deriving positions per cell.
-    pub fn advance_within(&mut self, bands: &[Range<usize>]) {
-        debug_assert_eq!(bands.len(), self.pos.len());
-        for j in (0..self.pos.len()).rev() {
-            self.pos[j] += 1;
-            if self.pos[j] < bands[j].end {
-                self.counts[j] = self.levels[j][self.pos[j]];
-                return;
-            }
-            self.pos[j] = bands[j].start;
-            self.counts[j] = self.levels[j][self.pos[j]];
-        }
-    }
-
-    /// Position the cursor at the band origin (each dimension at
-    /// `bands[j].start`).
-    pub fn seek_band_origin(&mut self, bands: &[Range<usize>]) {
-        debug_assert_eq!(bands.len(), self.pos.len());
-        for (j, band) in bands.iter().enumerate() {
-            debug_assert!(band.start < band.end && band.end <= self.levels[j].len());
-            self.pos[j] = band.start;
-            self.counts[j] = self.levels[j][band.start];
         }
     }
 }
@@ -232,17 +189,6 @@ pub fn decode_counts(levels: &[Vec<u32>], mut idx: usize, out: &mut Vec<u32>) {
         out[j] = l[idx % n];
         idx /= n;
     }
-}
-
-/// Verify the defining property of a level set: consecutive positive
-/// levels have ratio ≤ `gamma` (used by tests and assertions).
-#[must_use]
-pub fn max_consecutive_ratio(levels: &[u32]) -> f64 {
-    levels
-        .windows(2)
-        .filter(|w| w[0] > 0)
-        .map(|w| f64::from(w[1]) / f64::from(w[0]))
-        .fold(1.0, f64::max)
 }
 
 /// The next greater level `N_j(x)` (paper notation), if any.
@@ -352,37 +298,17 @@ mod tests {
     }
 
     #[test]
-    fn cursor_seek_and_flat_index_round_trip() {
+    fn cursor_seek_lands_on_the_mixed_radix_positions() {
         let levels = vec![vec![0u32, 1, 2], vec![0u32, 1], vec![0u32, 1, 2, 3]];
         let mut cursor = GridCursor::new(&levels, 0);
         for idx in 0..24 {
             cursor.seek(idx);
-            assert_eq!(cursor.flat_index(), idx);
             let want = [(idx / 8) % 3, (idx / 4) % 2, idx % 4];
             assert_eq!(cursor.positions(), &want);
         }
         // Wrapping construction parity with seek.
         let wrapped = GridCursor::new(&levels, 24);
         assert_eq!(wrapped.positions(), &[0, 0, 0]);
-    }
-
-    #[test]
-    fn banded_advance_visits_exactly_the_band_cells() {
-        let levels = vec![vec![0u32, 1, 2, 3], vec![10u32, 20, 30]];
-        let bands = vec![1..3usize, 0..2usize];
-        let mut cursor = GridCursor::new(&levels, 0);
-        cursor.seek_band_origin(&bands);
-        let mut seen = Vec::new();
-        for _ in 0..4 {
-            seen.push((cursor.flat_index(), cursor.counts().to_vec()));
-            cursor.advance_within(&bands);
-        }
-        assert_eq!(
-            seen,
-            vec![(3, vec![1, 10]), (4, vec![1, 20]), (6, vec![2, 10]), (7, vec![2, 20]),]
-        );
-        // Wrapped back to the band origin, not the grid origin.
-        assert_eq!(cursor.positions(), &[1, 0]);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! 3. the **windowed argmin** over a table ([`argmin_scan`], which seeds
 //!    schedule recovery and the online engine's committed prefix optimum).
 //!
-//! Each kernel exists in two forms: a `*_lanes` implementation that walks
-//! the data in `f64x4`-style 4-wide accumulator blocks (plain stable Rust
-//! — `chunks_exact` over `[f64; 4]`-shaped windows the autovectorizer
-//! lowers to vector loads), and a `*_scalar` reference twin that is the
-//! pre-refactor loop, verbatim. The un-suffixed entry points dispatch on
-//! the process-wide [`force_scalar`] switch so benches and the
-//! determinism matrix can pit the two against each other on identical
-//! solves.
+//! Each kernel walks the data in `f64x4`-style 4-wide accumulator blocks
+//! (plain stable Rust — `chunks_exact` over `[f64; 4]`-shaped windows the
+//! autovectorizer lowers to vector loads) and is the only implementation
+//! any solve path calls. Each also has a `*_scalar` reference twin, the
+//! pre-refactor loop verbatim, which only `tests/kernel_parity.rs` and
+//! the `kernel_micro` bench call: they compare the two bit for bit and
+//! time one against the other.
 //!
 //! # Why the twins are bit-identical, not epsilon-close
 //!
@@ -36,7 +35,7 @@
 //!   reduction — per-lane accumulators, block trees, suffix carries —
 //!   returns the same bits as the left-to-right scalar fold.
 //! * Every **addition or multiplication keeps the scalar expression
-//!   shape**: the lanes variants evaluate `v + scale·g`, `prev − β·old`
+//!   shape**: the kernels evaluate `v + scale·g`, `prev − β·old`
 //!   (as `prev + (−(β·old))`, identical under IEEE-754), and
 //!   `β·v + best_up` per element exactly as the scalar twins do; sums are
 //!   never reassociated across elements.
@@ -61,37 +60,13 @@
 //! accumulator form used where values are produced on the fly and cannot
 //! be rescanned (DP backtracking); it anchors its window on the running
 //! minimum, which coincides with the rule above unless near-ties chain
-//! across more than one epsilon — which the 1e-9 window makes
-//! vanishingly unlikely and the determinism tests pin in practice.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! across more than one epsilon — which the narrow [`TIE_EPS`] window
+//! makes vanishingly unlikely and the determinism tests pin in practice.
 
 use rsz_core::util::TIE_EPS;
 
-/// Accumulator width of the `*_lanes` kernels.
+/// Accumulator width of the kernels' 4-wide blocks.
 pub const LANES: usize = 4;
-
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Route every dispatching kernel entry point through the `*_scalar`
-/// reference twins (`true`) or the `*_lanes` implementations (`false`,
-/// the default). Scalar mode also makes the arrival transform and
-/// [`crate::table::Table::band_slice`] take their pre-refactor per-cell
-/// paths.
-///
-/// This is a process-wide test-and-bench hook, not a tuning knob: both
-/// modes produce bit-identical results (see the module docs), so flipping
-/// it mid-solve — even from another thread — cannot change any output,
-/// only the wall-clock.
-pub fn force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// `true` when [`force_scalar`] routed the kernels to the scalar twins.
-#[must_use]
-pub fn scalar_forced() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
 
 /// Selection minimum: NaN-free two-operand `min` with the bit behavior
 /// the module contract relies on (returns one of its operands; ties keep
@@ -109,19 +84,6 @@ fn fmin(a: f64, b: f64) -> f64 {
 // Kernel 1: suffix minima.
 // ---------------------------------------------------------------------------
 
-/// Replace `buf[k]` with `min(buf[k], …, buf[n−1])` for every `k`, in
-/// place. The caller appends its own `+∞` sentinel when one is needed
-/// (the transform keeps one at `buf[n_old]`).
-///
-/// Dispatches on [`force_scalar`]; both implementations are bit-identical.
-pub fn suffix_min_inplace(buf: &mut [f64]) {
-    if scalar_forced() {
-        suffix_min_inplace_scalar(buf);
-    } else {
-        suffix_min_inplace_lanes(buf);
-    }
-}
-
 /// Scalar reference twin of [`suffix_min_inplace`]: the pre-refactor
 /// right-to-left fold.
 pub fn suffix_min_inplace_scalar(buf: &mut [f64]) {
@@ -130,12 +92,15 @@ pub fn suffix_min_inplace_scalar(buf: &mut [f64]) {
     }
 }
 
-/// Lanes twin of [`suffix_min_inplace`]: 4-wide blocks from the back,
-/// each block's internal suffix minima built as a tree (breaking the
-/// serial dependence chain to one `min` per element of latency) and then
-/// merged with the running carry. `min` is a selection, so the
-/// reassociation is bit-exact.
-pub fn suffix_min_inplace_lanes(buf: &mut [f64]) {
+/// Replace `buf[k]` with `min(buf[k], …, buf[n−1])` for every `k`, in
+/// place. The caller appends its own `+∞` sentinel when one is needed
+/// (the transform keeps one at `buf[n_old]`).
+///
+/// Walks 4-wide blocks from the back, each block's internal suffix minima
+/// built as a tree (breaking the serial dependence chain to one `min` per
+/// element of latency) and then merged with the running carry. `min` is a
+/// selection, so the reassociation is bit-exact.
+pub fn suffix_min_inplace(buf: &mut [f64]) {
     let n = buf.len();
     if n < 2 {
         return;
@@ -178,23 +143,8 @@ fn axpy_cell(v: &mut f64, g: f64, scale: f64) {
     }
 }
 
-/// Fold a priced slot table into an accumulator: `v[i] ← v[i] +
-/// scale·g[i]` with infeasibility saturation (see `axpy_cell`'s rules —
-/// exactly the pre-refactor `add_priced` loop).
-///
-/// Dispatches on [`force_scalar`]; both implementations are bit-identical.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn axpy_fold(v: &mut [f64], g: &[f64], scale: f64) {
-    if scalar_forced() {
-        axpy_fold_scalar(v, g, scale);
-    } else {
-        axpy_fold_lanes(v, g, scale);
-    }
-}
-
-/// Scalar reference twin of [`axpy_fold`].
+/// Scalar reference twin of [`axpy_fold`]: the pre-refactor `add_priced`
+/// loop.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -205,15 +155,17 @@ pub fn axpy_fold_scalar(v: &mut [f64], g: &[f64], scale: f64) {
     }
 }
 
-/// Lanes twin of [`axpy_fold`]: 4-wide blocks take a branch-free
-/// multiply-add fast path when a conservative all-finite probe passes,
-/// and fall back to the exact per-cell rules otherwise. The fast path
-/// computes the same `v + scale·g` expression per element, so the split
-/// is bit-invisible.
+/// Fold a priced slot table into an accumulator: `v[i] ← v[i] +
+/// scale·g[i]` with infeasibility saturation (see `axpy_cell`'s rules).
+///
+/// 4-wide blocks take a branch-free multiply-add fast path when a
+/// conservative all-finite probe passes, and fall back to the exact
+/// per-cell rules otherwise. The fast path computes the same
+/// `v + scale·g` expression per element, so the split is bit-invisible.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn axpy_fold_lanes(v: &mut [f64], g: &[f64], scale: f64) {
+pub fn axpy_fold(v: &mut [f64], g: &[f64], scale: f64) {
     assert_eq!(v.len(), g.len(), "pricing fold over mismatched tables");
     let split = v.len() - v.len() % LANES;
     let (vh, vt) = v.split_at_mut(split);
@@ -250,18 +202,6 @@ pub fn axpy_fold_lanes(v: &mut [f64], g: &[f64], scale: f64) {
 // Kernel 3: min + windowed argmin.
 // ---------------------------------------------------------------------------
 
-/// Minimum over all values (`+∞` for an empty or all-infeasible slice).
-///
-/// Dispatches on [`force_scalar`]; both implementations are bit-identical.
-#[must_use]
-pub fn min_scan(values: &[f64]) -> f64 {
-    if scalar_forced() {
-        min_scan_scalar(values)
-    } else {
-        min_scan_lanes(values)
-    }
-}
-
 /// Scalar reference twin of [`min_scan`]: the pre-refactor left-to-right
 /// fold.
 #[must_use]
@@ -269,10 +209,11 @@ pub fn min_scan_scalar(values: &[f64]) -> f64 {
     values.iter().fold(f64::INFINITY, |acc, &v| fmin(acc, v))
 }
 
-/// Lanes twin of [`min_scan`]: four independent accumulators, merged with
-/// a tree at the end (bit-exact — `min` is a selection).
+/// Minimum over all values (`+∞` for an empty or all-infeasible slice),
+/// from four independent accumulators merged with a tree at the end
+/// (bit-exact — `min` is a selection).
 #[must_use]
-pub fn min_scan_lanes(values: &[f64]) -> f64 {
+pub fn min_scan(values: &[f64]) -> f64 {
     let mut acc = [f64::INFINITY; LANES];
     let mut chunks = values.chunks_exact(LANES);
     for c in chunks.by_ref() {
@@ -296,34 +237,24 @@ pub(crate) fn tie_window(min_v: f64) -> f64 {
     min_v + TIE_EPS * min_v.abs().max(1.0)
 }
 
-/// Index of the winning cell under the module-level tie-break rule:
-/// smallest total server count, then smallest index, among the cells
-/// within one relative epsilon of the true minimum. `total_of` is queried
-/// only for cells inside the window. Returns `None` when every value is
-/// non-finite (or the slice is empty).
-///
-/// Dispatches on [`force_scalar`]; both implementations are bit-identical.
-pub fn argmin_scan(values: &[f64], total_of: impl Fn(usize) -> u64) -> Option<usize> {
-    if scalar_forced() {
-        argmin_scan_scalar(values, total_of)
-    } else {
-        argmin_scan_lanes(values, total_of)
-    }
-}
-
 /// Scalar reference twin of [`argmin_scan`]: scalar min sweep, then the
 /// shared candidate sweep.
 pub fn argmin_scan_scalar(values: &[f64], total_of: impl Fn(usize) -> u64) -> Option<usize> {
     argmin_candidates(values, min_scan_scalar(values), total_of)
 }
 
-/// Lanes twin of [`argmin_scan`]: lanes min sweep, then a candidate sweep
-/// that skips whole 4-blocks whose block minimum misses the tie window —
-/// a block is skipped exactly when every cell in it would fail the
-/// per-cell test, so the candidate sequence (and thus the winner) is
-/// identical to the scalar twin's.
-pub fn argmin_scan_lanes(values: &[f64], total_of: impl Fn(usize) -> u64) -> Option<usize> {
-    let min_v = min_scan_lanes(values);
+/// Index of the winning cell under the module-level tie-break rule:
+/// smallest total server count, then smallest index, among the cells
+/// within one relative epsilon of the true minimum. `total_of` is queried
+/// only for cells inside the window. Returns `None` when every value is
+/// non-finite (or the slice is empty).
+///
+/// A [`min_scan`] sweep, then a candidate sweep that skips whole 4-blocks
+/// whose block minimum misses the tie window — a block is skipped exactly
+/// when every cell in it would fail the per-cell test, so the candidate
+/// sequence (and thus the winner) is identical to the scalar twin's.
+pub fn argmin_scan(values: &[f64], total_of: impl Fn(usize) -> u64) -> Option<usize> {
+    let min_v = min_scan(values);
     if !min_v.is_finite() {
         return None;
     }
@@ -347,7 +278,7 @@ pub fn argmin_scan_lanes(values: &[f64], total_of: impl Fn(usize) -> u64) -> Opt
     best.map(|(_, i)| i)
 }
 
-/// Shared second phase of [`argmin_scan`]: the candidate sweep over the
+/// Second phase of [`argmin_scan_scalar`]: the candidate sweep over the
 /// tie window. Visits indices in ascending order, so "smallest total
 /// count, then smallest index" needs only a strict `<` on totals.
 fn argmin_candidates(values: &[f64], min_v: f64, total_of: impl Fn(usize) -> u64) -> Option<usize> {
@@ -482,7 +413,7 @@ mod tests {
                 .collect();
             let mut b = a.clone();
             suffix_min_inplace_scalar(&mut a);
-            suffix_min_inplace_lanes(&mut b);
+            suffix_min_inplace(&mut b);
             assert_eq!(
                 a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -498,7 +429,7 @@ mod tests {
         let mut a = v0;
         let mut b = v0;
         axpy_fold_scalar(&mut a, &g, 2.0);
-        axpy_fold_lanes(&mut b, &g, 2.0);
+        axpy_fold(&mut b, &g, 2.0);
         assert_eq!(a, [2.0, f64::INFINITY, f64::INFINITY, 3.5, f64::INFINITY]);
         assert_eq!(a, b);
     }
@@ -509,7 +440,7 @@ mod tests {
         // "total"; index 3 is below the window edge's loser side.
         let values = [5.0, 5.0 + 1e-7, 5.0 + 1e-10, 6.0];
         let totals = [9u64, 1, 2, 0];
-        let got = argmin_scan_lanes(&values, |i| totals[i]);
+        let got = argmin_scan(&values, |i| totals[i]);
         assert_eq!(got, argmin_scan_scalar(&values, |i| totals[i]));
         assert_eq!(got, Some(2));
     }
@@ -517,7 +448,7 @@ mod tests {
     #[test]
     fn argmin_none_when_all_infinite() {
         let values = [f64::INFINITY; 7];
-        assert_eq!(argmin_scan_lanes(&values, |_| 0), None);
+        assert_eq!(argmin_scan(&values, |_| 0), None);
         assert_eq!(argmin_scan_scalar(&values, |_| 0), None);
         assert_eq!(argmin_scan(&[], |_| 0), None);
     }
@@ -525,7 +456,7 @@ mod tests {
     #[test]
     fn min_scan_twins_agree() {
         let values: Vec<f64> = (0..67).map(|i| ((i * 31) % 17) as f64 - 3.0).collect();
-        assert_eq!(min_scan_scalar(&values).to_bits(), min_scan_lanes(&values).to_bits());
+        assert_eq!(min_scan_scalar(&values).to_bits(), min_scan(&values).to_bits());
         assert_eq!(min_scan(&[]), f64::INFINITY);
     }
 }

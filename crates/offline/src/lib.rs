@@ -11,8 +11,7 @@
 //!   solved by per-layer relaxations with plain per-cell pricing; the
 //!   independent reference the DP, the prefix solver and the online
 //!   algorithms are cross-checked against (with [`brute`] for tiny
-//!   instances and the scalar kernel twins behind
-//!   [`kernels::force_scalar`]).
+//!   instances).
 //! * [`grid`] + [`approx`] — the reduced level sets `M^γ_j` and the
 //!   `(1+ε)`-approximation of Theorems 16/21.
 //! * [`rounding`] — the corridor witness `X'` from the proof of
@@ -40,10 +39,10 @@
 //!   property-tested; a `(1+ε)` early-stop mode reuses Theorem 21).
 //! * [`kernels`] — the kernel layer: chunked 4-lane implementations of
 //!   the three hot loops every solve path bottoms out in (suffix minima,
-//!   the pricing fold, the windowed argmin), each with a bit-identical
-//!   scalar reference twin and a process-wide
-//!   [`kernels::force_scalar`] switch, plus the one documented home of
-//!   the relative-epsilon tie-break rule.
+//!   the pricing fold, the windowed argmin), each the only production
+//!   path and each pinned bit for bit to a scalar reference twin by the
+//!   parity tests, plus the one documented home of the relative-epsilon
+//!   tie-break rule.
 //! * [`relax`] — the fractional relaxation via server subdivision, for
 //!   integrality-gap measurements against the prior fractional work.
 //! * [`brute`] — exhaustive enumeration for tiny instances (test oracle).

@@ -37,7 +37,7 @@
 //!    fixpoint continues. Only a contact-free solve whose verification
 //!    pass reproduces the same schedule is accepted (property-tested
 //!    schedule-identical to full-grid solves, costs within the
-//!    documented `1e-9` sweep tolerance). Exhausting
+//!    documented `rsz_core::util::REL_TOL` tolerance). Exhausting
 //!    [`RefineOptions::max_rounds`] falls back to one unrestricted
 //!    full-grid pass, so the exact mode can never return a sub-optimal
 //!    schedule.

@@ -16,6 +16,7 @@
 //! can *exhibit* the constructive proof and verify Lemmas 19/20 cost
 //! bounds empirically; see the `fig5_gamma_rounding` experiment.
 
+use rsz_core::util::ABS_TOL;
 use rsz_core::{Config, Instance, Schedule};
 
 use crate::grid::{level_at_least, level_at_most, GridMode};
@@ -72,7 +73,7 @@ pub fn corridor_invariant_holds(
             let w = witness.count(t, j);
             let m = instance.server_count(t, j);
             let hi = (factor * f64::from(star)).min(f64::from(m));
-            w >= star && f64::from(w) <= hi + 1e-9
+            w >= star && f64::from(w) <= hi + ABS_TOL
         })
     })
 }

@@ -236,6 +236,7 @@ impl Table {
             (i, cfg)
         })
     }
+
     /// A new table over the per-dimension *position* sub-ranges `bands`
     /// of this table's grid, copying the banded cells — the sliced view
     /// the corridor refiner and the priced-slot pool carve out of
@@ -244,9 +245,7 @@ impl Table {
     /// The innermost band is a contiguous run in the flat layout, so the
     /// copy proceeds one whole run (`memcpy`) at a time, walking the
     /// outer bands as an odometer — cache-blocked band iteration instead
-    /// of a per-cell cursor walk. Under [`crate::kernels::force_scalar`]
-    /// the pre-refactor band-aware [`GridCursor`] walk runs instead
-    /// (bit-identical: both are exact copies).
+    /// of a per-cell cursor walk.
     ///
     /// # Panics
     /// Panics (via debug assertions) if a band is empty or exceeds its
@@ -257,15 +256,6 @@ impl Table {
         let levels: Vec<Vec<u32>> =
             self.levels.iter().zip(bands).map(|(l, b)| l[b.start..b.end].to_vec()).collect();
         let mut out = Table::new(levels, f64::INFINITY);
-        if kernels::scalar_forced() {
-            let mut cursor = self.cursor(0);
-            cursor.seek_band_origin(bands);
-            for v in out.values_mut() {
-                *v = self.values[cursor.flat_index()];
-                cursor.advance_within(bands);
-            }
-            return out;
-        }
         let d = self.dims();
         let inner = &bands[d - 1];
         let run = inner.end - inner.start;
@@ -295,125 +285,6 @@ impl Table {
             }
         }
         out
-    }
-
-    /// The contiguous dimension-`d−1` (innermost) lines of this table:
-    /// zero-copy stride-1 views, one per setting of the outer dimensions.
-    pub fn lines(&self) -> impl Iterator<Item = &[f64]> {
-        let n = self.levels[self.dims() - 1].len();
-        self.values.chunks_exact(n)
-    }
-
-    /// Mutable contiguous line views along dimension `j` — the stride-1
-    /// access path for any dimension pass.
-    ///
-    /// For the innermost dimension the views borrow the flat values
-    /// directly (zero copy). For an outer dimension the lines are
-    /// gathered into `scratch`'s dimension-permuted buffer — transpose on
-    /// demand, with the permuted layout's tag memoized in the scratch so
-    /// repeated same-shape calls skip re-planning — and scattered back
-    /// into the table when the returned guard drops. (The transform's own
-    /// dimension passes use the equivalent *virtual* transpose — lockstep
-    /// rows through [`crate::kernels`] — which never materializes the
-    /// permutation; this view is the general-purpose form.)
-    ///
-    /// # Panics
-    /// Panics if `j` is out of range.
-    pub fn lines_mut<'a>(&'a mut self, j: usize, scratch: &'a mut LineScratch) -> LinesMut<'a> {
-        let d = self.dims();
-        assert!(j < d, "dimension {j} out of range for a {d}-dimensional table");
-        let n = self.levels[j].len();
-        if j == d - 1 {
-            return LinesMut { n, mode: LinesMode::Direct(&mut self.values) };
-        }
-        let s = self.strides[j];
-        let outer = self.values.len() / (n * s);
-        scratch.ensure(j, n, s, self.values.len());
-        // Gather: values[a·n·s + k·s + b] → buf[(a·s + b)·n + k].
-        for a in 0..outer {
-            for k in 0..n {
-                let row = &self.values[a * n * s + k * s..][..s];
-                for (b, &v) in row.iter().enumerate() {
-                    scratch.buf[(a * s + b) * n + k] = v;
-                }
-            }
-        }
-        LinesMut {
-            n,
-            mode: LinesMode::Permuted { values: &mut self.values, buf: &mut scratch.buf, s },
-        }
-    }
-}
-
-/// Scratch backing [`Table::lines_mut`] for outer dimensions: the
-/// dimension-permuted value buffer plus the memoized layout tag
-/// identifying what it is currently shaped for.
-#[derive(Clone, Debug, Default)]
-pub struct LineScratch {
-    buf: Vec<f64>,
-    /// `(j, line length, stride, total)` of the current permuted layout.
-    tag: Option<(usize, usize, usize, usize)>,
-}
-
-impl LineScratch {
-    /// Empty scratch; the buffer grows to its high-water mark on use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, j: usize, n: usize, s: usize, total: usize) {
-        if self.tag != Some((j, n, s, total)) {
-            self.buf.resize(total, 0.0);
-            self.tag = Some((j, n, s, total));
-        }
-    }
-}
-
-/// Guard over [`Table::lines_mut`] views: iterate the stride-1 lines,
-/// mutate them freely; permuted (outer-dimension) lines are scattered
-/// back into the table on drop.
-pub struct LinesMut<'a> {
-    n: usize,
-    mode: LinesMode<'a>,
-}
-
-enum LinesMode<'a> {
-    Direct(&'a mut [f64]),
-    Permuted { values: &'a mut [f64], buf: &'a mut Vec<f64>, s: usize },
-}
-
-impl LinesMut<'_> {
-    /// Length of each line.
-    #[must_use]
-    pub fn line_len(&self) -> usize {
-        self.n
-    }
-
-    /// Iterate the contiguous lines mutably.
-    pub fn iter_mut(&mut self) -> std::slice::ChunksExactMut<'_, f64> {
-        match &mut self.mode {
-            LinesMode::Direct(values) => values.chunks_exact_mut(self.n),
-            LinesMode::Permuted { buf, .. } => buf.chunks_exact_mut(self.n),
-        }
-    }
-}
-
-impl Drop for LinesMut<'_> {
-    fn drop(&mut self) {
-        if let LinesMode::Permuted { values, buf, s } = &mut self.mode {
-            let (n, s) = (self.n, *s);
-            let outer = values.len() / (n * s);
-            // Scatter: buf[(a·s + b)·n + k] → values[a·n·s + k·s + b].
-            for a in 0..outer {
-                for k in 0..n {
-                    let row = &mut values[a * n * s + k * s..][..s];
-                    for (b, v) in row.iter_mut().enumerate() {
-                        *v = buf[(a * s + b) * n + k];
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -488,52 +359,42 @@ mod tests {
     }
 
     #[test]
-    fn band_slice_run_copy_matches_the_cursor_walk() {
-        let mut t = Table::new(vec![vec![0, 1, 2], vec![0, 1, 4], vec![0, 2]], 0.0);
-        for (i, v) in t.values_mut().iter_mut().enumerate() {
-            *v = (i as f64).sin();
-        }
-        for bands in
-            [[0..3, 0..3, 0..2], [1..2, 0..2, 1..2], [0..2, 2..3, 0..1], [2..3, 1..3, 0..2]]
-        {
-            kernels::force_scalar(true);
-            let cursor_walk = t.band_slice(&bands);
-            kernels::force_scalar(false);
-            let run_copy = t.band_slice(&bands);
-            assert_eq!(cursor_walk.all_levels(), run_copy.all_levels());
-            assert_eq!(cursor_walk.values(), run_copy.values(), "bands {bands:?}");
-        }
-    }
-
-    #[test]
-    fn lines_mut_round_trips_every_dimension() {
-        // Incrementing each cell once through the dimension-j line views
-        // must equal incrementing the flat values, for inner and outer j.
-        let base = Table::new(vec![vec![0, 1, 2], vec![0, 1], vec![0, 3, 5, 7]], 0.0);
-        for j in 0..base.dims() {
-            let mut t = base.clone();
-            for (i, v) in t.values_mut().iter_mut().enumerate() {
-                *v = i as f64;
+    fn band_slice_matches_a_per_cell_copy() {
+        // Every banded cell, looked up by its configuration in the full
+        // table, must come back bit for bit and in band-layout order,
+        // over random d = 1..4 grids with +∞ cells.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..60 {
+            let d = rng.gen_range(1..=4);
+            let levels: Vec<Vec<u32>> = (0..d)
+                .map(|_| {
+                    let n = rng.gen_range(1..=5);
+                    (0..n).map(|k: u32| k * 2 + rng.gen_range(0..2u32)).collect()
+                })
+                .collect();
+            let mut t = Table::new(levels, 0.0);
+            for v in t.values_mut() {
+                *v = if rng.gen_bool(0.15) { f64::INFINITY } else { rng.gen_range(0.0..10.0) };
             }
-            let mut scratch = LineScratch::new();
-            let mut lines = t.lines_mut(j, &mut scratch);
-            assert_eq!(lines.line_len(), base.levels(j).len());
-            let mut seen = 0usize;
-            for line in lines.iter_mut() {
-                for v in line {
-                    *v += 100.0;
-                    seen += 1;
-                }
+            let bands: Vec<Range<usize>> = (0..d)
+                .map(|j| {
+                    let n = t.levels(j).len();
+                    let start = rng.gen_range(0..n);
+                    start..rng.gen_range(start + 1..=n)
+                })
+                .collect();
+            let sliced = t.band_slice(&bands);
+            for (j, band) in bands.iter().enumerate() {
+                assert_eq!(sliced.levels(j), &t.levels(j)[band.clone()], "bands {bands:?}");
             }
-            drop(lines);
-            assert_eq!(seen, t.len());
-            for (i, &v) in t.values().iter().enumerate() {
-                assert_eq!(v, i as f64 + 100.0, "j={j} cell {i}");
-            }
+            let want: Vec<u64> = sliced
+                .iter_configs()
+                .map(|(_, cfg)| t.get(&cfg).expect("a banded cell is on the grid").to_bits())
+                .collect();
+            let got: Vec<u64> = sliced.values().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "bands {bands:?}");
         }
-        // The innermost views are zero-copy chunks of the flat slice.
-        let t = base.clone();
-        assert_eq!(t.lines().count(), t.len() / base.levels(2).len());
     }
 
     #[test]

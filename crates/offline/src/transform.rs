@@ -25,11 +25,11 @@
 //! # Data layout: every pass iterates stride-1
 //!
 //! Tables are row-major with the last dimension fastest, so a pass along
-//! the innermost dimension reads contiguous lines directly
-//! ([`Table::lines`]). For an *outer* dimension `j` with stride `s > 1`,
-//! the pass is **row-vectorized** instead of transposed: the `s` lines of
-//! an outer block advance in lockstep, one contiguous `s`-wide row per
-//! level, through the [`crate::kernels`] row primitives. The merge
+//! the innermost dimension reads contiguous lines directly. For an
+//! *outer* dimension `j` with stride `s > 1`, the pass is
+//! **row-vectorized** instead of transposed: the `s` lines of an outer
+//! block advance in lockstep, one contiguous `s`-wide row per level,
+//! through the [`crate::kernels`] row primitives. The merge
 //! pointer `k` depends only on the level values — never on cell data —
 //! so all `s` lines share it, and each cell sees exactly the operations
 //! of its own scalar line pass (bit-identical by construction; see the
@@ -79,63 +79,16 @@ impl TransformScratch {
     }
 }
 
-/// One-line transform with a caller-owned suffix-minima buffer: `suffix`
-/// is resized (reusing capacity) and overwritten, so a warm buffer makes
-/// the line pass allocation-free. The buffer carries no state between
-/// calls — any `Vec` will do.
+/// Apply the transform along dimension `j` of `table` into a caller-owned
+/// destination table, re-gridding that dimension to `new_levels`. `dst`
+/// is reshaped to `table`'s grid with dimension `j` replaced by
+/// `new_levels` and every cell overwritten, reusing its buffers
+/// ([`Table::reset_shape`]) and the transform scratch: steady-state calls
+/// with unchanged shapes perform zero heap allocation.
 ///
-/// This is the scalar reference form of the line pass — the
-/// [`kernels::force_scalar`] mode of the dimension passes runs every
-/// line through it verbatim.
-pub fn transform_line_scratch(
-    old_vals: &[u32],
-    new_vals: &[u32],
-    beta: f64,
-    suffix: &mut Vec<f64>,
-    get_prev: impl Fn(usize) -> f64,
-    mut set_out: impl FnMut(usize, f64),
-) {
-    let n_old = old_vals.len();
-    // Suffix minima of prev: suffix[k] = min_{l ≥ k} prev[l].
-    suffix.clear();
-    suffix.resize(n_old + 1, f64::INFINITY);
-    for k in (0..n_old).rev() {
-        suffix[k] = suffix[k + 1].min(get_prev(k));
-    }
-    let mut k = 0usize; // first old index with old_vals[k] ≥ v_i
-    let mut best_up = f64::INFINITY; // min over old_vals[k] < v_i of prev[k] − β·old_vals[k]
-    for (i, &v) in new_vals.iter().enumerate() {
-        while k < n_old && old_vals[k] < v {
-            let c = get_prev(k) - beta * f64::from(old_vals[k]);
-            if c < best_up {
-                best_up = c;
-            }
-            k += 1;
-        }
-        let stay_or_down = suffix[k];
-        let up = beta * f64::from(v) + best_up;
-        set_out(i, stay_or_down.min(up));
-    }
-}
-
-/// Apply the transform along dimension `j` of `table`, re-gridding that
-/// dimension to `new_levels`. Returns a new table whose dimension `j` has
-/// levels `new_levels`; all other dimensions are unchanged.
-#[must_use]
-pub fn transform_dim(table: &Table, j: usize, new_levels: &[u32], beta: f64) -> Table {
-    let mut levels: Vec<Vec<u32>> = table.all_levels().to_vec();
-    levels[j] = new_levels.to_vec();
-    let mut out = Table::new(levels, f64::INFINITY);
-    let mut scratch = TransformScratch::new();
-    transform_lines(table, &mut out, j, new_levels, beta, &mut scratch);
-    out
-}
-
-/// [`transform_dim`] into a caller-owned destination table, reusing its
-/// buffers ([`Table::reset_shape`]) and the transform scratch:
-/// steady-state calls with unchanged shapes perform zero heap allocation.
-/// `dst` is reshaped to `table`'s grid with dimension `j` replaced by
-/// `new_levels` and every cell overwritten.
+/// Two paths (see the module docs): contiguous whole-line kernels for the
+/// innermost dimension, and the row-vectorized lockstep pass for outer
+/// dimensions.
 pub fn transform_dim_into(
     table: &Table,
     dst: &mut Table,
@@ -145,30 +98,8 @@ pub fn transform_dim_into(
     scratch: &mut TransformScratch,
 ) {
     let d = table.dims();
-    dst.reset_shape(d, |jj| if jj == j { new_levels } else { table.levels(jj) }, f64::INFINITY);
-    transform_lines(table, dst, j, new_levels, beta, scratch);
-}
-
-/// The line loop shared by [`transform_dim`] and [`transform_dim_into`]:
-/// `dst` must already carry `table`'s grid with dimension `j` re-gridded
-/// to `new_levels` (passed separately so the destination's value slice
-/// can be borrowed mutably while the levels are read).
-///
-/// Three bit-identical paths (see the module docs): the pre-refactor
-/// strided per-line loop when [`kernels::force_scalar`] is on, contiguous
-/// whole-line kernels for the innermost dimension, and the row-vectorized
-/// lockstep pass for outer dimensions.
-fn transform_lines(
-    table: &Table,
-    dst: &mut Table,
-    j: usize,
-    new_levels: &[u32],
-    beta: f64,
-    scratch: &mut TransformScratch,
-) {
-    let d = table.dims();
     debug_assert!(j < d);
-    debug_assert_eq!(dst.levels(j), new_levels);
+    dst.reset_shape(d, |jj| if jj == j { new_levels } else { table.levels(jj) }, f64::INFINITY);
     let old_stride = table.stride(j);
     let new_stride = dst.stride(j);
     let n_old = table.levels(j).len();
@@ -180,28 +111,6 @@ fn transform_lines(
     let old_levels = table.levels(j);
     let out_vals = dst.values_mut();
 
-    if kernels::scalar_forced() {
-        // The pre-refactor reference: one strided closure-indexed line
-        // at a time.
-        for a in 0..outer_blocks {
-            let in_base_a = a * n_old * old_stride;
-            let out_base_a = a * n_new * new_stride;
-            for b in 0..old_stride {
-                let in_base = in_base_a + b;
-                let out_base = out_base_a + b;
-                transform_line_scratch(
-                    old_levels,
-                    new_levels,
-                    beta,
-                    &mut scratch.suffix,
-                    |k| in_vals[in_base + k * old_stride],
-                    |i, v| out_vals[out_base + i * new_stride] = v,
-                );
-            }
-        }
-        return;
-    }
-
     if old_stride == 1 {
         // Innermost dimension: lines are contiguous already.
         debug_assert_eq!(new_stride, 1);
@@ -211,7 +120,7 @@ fn transform_lines(
             suffix.clear();
             suffix.extend_from_slice(in_line);
             suffix.push(f64::INFINITY);
-            kernels::suffix_min_inplace_lanes(suffix);
+            kernels::suffix_min_inplace(suffix);
             let mut k = 0usize;
             let mut best_up = f64::INFINITY;
             for (i, &v) in new_levels.iter().enumerate() {
@@ -277,8 +186,9 @@ fn transform_lines(
     }
 }
 
-/// Full arrival transform: apply [`transform_dim`] for every dimension,
-/// re-gridding to `new_levels` and charging `betas[j]` per power-up.
+/// Full arrival transform: apply [`transform_dim_into`] for every
+/// dimension, re-gridding to `new_levels` and charging `betas[j]` per
+/// power-up.
 ///
 /// Computes `A(x) = min_{x'} table(x') + Σ_j β_j (x_j − x'_j)^+` for every
 /// `x` on the new grid. Allocates its own ping-pong partner and scratch;
@@ -384,6 +294,72 @@ pub fn arrival_transform_naive(table: &Table, new_levels: &[Vec<u32>], betas: &[
 mod tests {
     use super::*;
 
+    /// One-line transform with a caller-owned suffix-minima buffer: the
+    /// pre-refactor line pass, kept as the reference the production
+    /// passes are compared with bit for bit.
+    fn transform_line_scratch(
+        old_vals: &[u32],
+        new_vals: &[u32],
+        beta: f64,
+        suffix: &mut Vec<f64>,
+        get_prev: impl Fn(usize) -> f64,
+        mut set_out: impl FnMut(usize, f64),
+    ) {
+        let n_old = old_vals.len();
+        // Suffix minima of prev: suffix[k] = min_{l ≥ k} prev[l].
+        suffix.clear();
+        suffix.resize(n_old + 1, f64::INFINITY);
+        for k in (0..n_old).rev() {
+            suffix[k] = suffix[k + 1].min(get_prev(k));
+        }
+        let mut k = 0usize; // first old index with old_vals[k] ≥ v_i
+        let mut best_up = f64::INFINITY; // min over old_vals[k] < v_i of prev[k] − β·old_vals[k]
+        for (i, &v) in new_vals.iter().enumerate() {
+            while k < n_old && old_vals[k] < v {
+                let c = get_prev(k) - beta * f64::from(old_vals[k]);
+                if c < best_up {
+                    best_up = c;
+                }
+                k += 1;
+            }
+            let stay_or_down = suffix[k];
+            let up = beta * f64::from(v) + best_up;
+            set_out(i, stay_or_down.min(up));
+        }
+    }
+
+    /// The arrival transform as the pre-refactor code computed it: every
+    /// dimension pass runs one strided, closure-indexed line at a time
+    /// through [`transform_line_scratch`].
+    fn strided_reference(table: &Table, new_levels: &[Vec<u32>], betas: &[f64]) -> Table {
+        let mut src = table.clone();
+        let mut suffix = Vec::new();
+        for (j, (new, &beta)) in new_levels.iter().zip(betas).enumerate() {
+            let mut levels = src.all_levels().to_vec();
+            levels[j] = new.clone();
+            let mut out = Table::new(levels, f64::INFINITY);
+            // Re-gridding j leaves the strides of j and every outer
+            // dimension unchanged.
+            let (n_old, s) = (src.levels(j).len(), src.stride(j));
+            let out_vals = out.values_mut();
+            for a in 0..src.len() / (n_old * s) {
+                for b in 0..s {
+                    let (in_base, out_base) = (a * n_old * s + b, a * new.len() * s + b);
+                    transform_line_scratch(
+                        src.levels(j),
+                        new,
+                        beta,
+                        &mut suffix,
+                        |k| src.values()[in_base + k * s],
+                        |i, v| out_vals[out_base + i * s] = v,
+                    );
+                }
+            }
+            src = out;
+        }
+        src
+    }
+
     fn random_levels(rng: &mut impl rand::Rng, d: usize) -> Vec<Vec<u32>> {
         (0..d)
             .map(|_| {
@@ -466,13 +442,15 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_scalar_transforms_are_bit_identical() {
-        // The refactor's core contract: the lanes paths (contiguous
-        // innermost lines + row-vectorized outer passes) reproduce the
-        // pre-refactor strided per-line loop bit for bit, including
-        // infeasible (+∞) cells and mismatched source/target grids.
+    fn transforms_match_the_strided_line_reference_bit_for_bit() {
+        // The kernel layer's contract for the transform: the contiguous
+        // innermost lines and the row-vectorized outer passes reproduce
+        // the strided per-line reference bit for bit, including
+        // infeasible (+∞) cells and mismatched source/target grids, in
+        // both the allocating and the in-place entry points.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
+        let (mut spare, mut scratch) = (Table::origin(1), TransformScratch::new());
         for _ in 0..40 {
             let d = rng.gen_range(1..=4);
             let levels_in = random_levels(&mut rng, d);
@@ -482,18 +460,14 @@ mod tests {
             for v in t.values_mut() {
                 *v = if rng.gen_bool(0.15) { f64::INFINITY } else { rng.gen_range(0.0..10.0) };
             }
-            crate::kernels::force_scalar(true);
-            let scalar = arrival_transform(&t, &levels_out, &betas);
-            crate::kernels::force_scalar(false);
-            let lanes = arrival_transform(&t, &levels_out, &betas);
-            for i in 0..scalar.len() {
-                assert_eq!(
-                    scalar.values()[i].to_bits(),
-                    lanes.values()[i].to_bits(),
-                    "cell {i}: scalar {} vs lanes {}",
-                    scalar.values()[i],
-                    lanes.values()[i]
-                );
+            let reference = strided_reference(&t, &levels_out, &betas);
+            let mut in_place = t.clone();
+            arrival_transform_inplace(&mut in_place, &mut spare, &levels_out, &betas, &mut scratch);
+            for got in [arrival_transform(&t, &levels_out, &betas), in_place] {
+                assert_eq!(got.all_levels(), reference.all_levels());
+                for (i, (a, b)) in got.values().iter().zip(reference.values()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "cell {i}: {a} vs reference {b}");
+                }
             }
         }
     }

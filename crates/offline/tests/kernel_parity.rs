@@ -1,17 +1,16 @@
 //! Lanes/scalar parity for the kernel layer.
 //!
-//! The kernel twins in `rsz_offline::kernels` promise **bit-identical**
-//! results, not epsilon-close ones — the determinism matrix relies on a
-//! scalar-forced solve reproducing the lanes solve bit for bit. These
-//! properties pin that contract directly on the kernels, across every
-//! lane remainder (`len % 4 ∈ {0, 1, 2, 3}`), with `+∞`-saturated lines
-//! mixed in, and check the NaN-free invariant the bit-identity argument
-//! rests on.
+//! The kernels in `rsz_offline::kernels` promise results **bit-identical**
+//! to their scalar reference twins, not epsilon-close ones — no solve may
+//! move a bit when a loop is vectorized. These properties pin that
+//! contract directly on the kernels, across every lane remainder
+//! (`len % 4 ∈ {0, 1, 2, 3}`), with `+∞`-saturated lines mixed in, and
+//! check the NaN-free invariant the bit-identity argument rests on.
 
 use proptest::prelude::*;
 use rsz_offline::kernels::{
-    argmin_scan_lanes, argmin_scan_scalar, axpy_fold_lanes, axpy_fold_scalar, min_scan_lanes,
-    min_scan_scalar, suffix_min_inplace_lanes, suffix_min_inplace_scalar,
+    argmin_scan, argmin_scan_scalar, axpy_fold, axpy_fold_scalar, min_scan, min_scan_scalar,
+    suffix_min_inplace, suffix_min_inplace_scalar,
 };
 
 /// One table cell: a nonnegative cost, an exact near-tie of a round
@@ -45,7 +44,7 @@ proptest! {
         let mut a = v;
         let mut b = a.clone();
         suffix_min_inplace_scalar(&mut a);
-        suffix_min_inplace_lanes(&mut b);
+        suffix_min_inplace(&mut b);
         prop_assert_eq!(bits(&a), bits(&b));
         prop_assert!(a.iter().all(|v| !v.is_nan()), "suffix minima stay NaN-free");
     }
@@ -59,7 +58,7 @@ proptest! {
         let mut a = v0.clone();
         let mut b = v0.clone();
         axpy_fold_scalar(&mut a, &g, scale);
-        axpy_fold_lanes(&mut b, &g, scale);
+        axpy_fold(&mut b, &g, scale);
         prop_assert_eq!(bits(&a), bits(&b));
         // The saturation rule, cell by cell: an infinite g poisons the
         // cell even at scale 0 (0·∞ would be NaN — the kernel must not
@@ -78,7 +77,7 @@ proptest! {
 
     #[test]
     fn min_scan_twins_are_bit_identical(v in line()) {
-        prop_assert_eq!(min_scan_scalar(&v).to_bits(), min_scan_lanes(&v).to_bits());
+        prop_assert_eq!(min_scan_scalar(&v).to_bits(), min_scan(&v).to_bits());
     }
 
     #[test]
@@ -87,7 +86,7 @@ proptest! {
         totals in prop::collection::vec(0u64..6, 67..=67),
     ) {
         let scalar = argmin_scan_scalar(&v, |i| totals[i]);
-        let lanes = argmin_scan_lanes(&v, |i| totals[i]);
+        let lanes = argmin_scan(&v, |i| totals[i]);
         prop_assert_eq!(scalar, lanes);
         match scalar {
             None => prop_assert!(v.iter().all(|x| !x.is_finite())),
@@ -107,7 +106,7 @@ fn every_lane_remainder_matches_at_small_lengths() {
         let mut a = v.clone();
         let mut b = v.clone();
         suffix_min_inplace_scalar(&mut a);
-        suffix_min_inplace_lanes(&mut b);
+        suffix_min_inplace(&mut b);
         assert_eq!(bits(&a), bits(&b), "suffix n={n}");
 
         let g: Vec<f64> = (0..n)
@@ -116,13 +115,13 @@ fn every_lane_remainder_matches_at_small_lengths() {
         let mut a = v.clone();
         let mut b = v.clone();
         axpy_fold_scalar(&mut a, &g, 1.5);
-        axpy_fold_lanes(&mut b, &g, 1.5);
+        axpy_fold(&mut b, &g, 1.5);
         assert_eq!(bits(&a), bits(&b), "axpy n={n}");
 
-        assert_eq!(min_scan_scalar(&v).to_bits(), min_scan_lanes(&v).to_bits(), "min n={n}");
+        assert_eq!(min_scan_scalar(&v).to_bits(), min_scan(&v).to_bits(), "min n={n}");
         assert_eq!(
             argmin_scan_scalar(&v, |i| (i % 3) as u64),
-            argmin_scan_lanes(&v, |i| (i % 3) as u64),
+            argmin_scan(&v, |i| (i % 3) as u64),
             "argmin n={n}"
         );
     }
@@ -137,18 +136,18 @@ fn saturated_lines_agree_and_stay_saturated() {
         let mut a = inf.clone();
         let mut b = inf.clone();
         suffix_min_inplace_scalar(&mut a);
-        suffix_min_inplace_lanes(&mut b);
+        suffix_min_inplace(&mut b);
         assert!(a.iter().chain(&b).all(|&v| v == f64::INFINITY), "n={n}");
 
         let mut a = inf.clone();
         let mut b = inf.clone();
         axpy_fold_scalar(&mut a, &inf, 1.0);
-        axpy_fold_lanes(&mut b, &inf, 1.0);
+        axpy_fold(&mut b, &inf, 1.0);
         assert!(a.iter().chain(&b).all(|&v| v == f64::INFINITY), "n={n}");
 
         assert_eq!(min_scan_scalar(&inf), f64::INFINITY);
-        assert_eq!(min_scan_lanes(&inf), f64::INFINITY);
+        assert_eq!(min_scan(&inf), f64::INFINITY);
         assert_eq!(argmin_scan_scalar(&inf, |_| 0), None);
-        assert_eq!(argmin_scan_lanes(&inf, |_| 0), None);
+        assert_eq!(argmin_scan(&inf, |_| 0), None);
     }
 }

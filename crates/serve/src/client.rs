@@ -9,7 +9,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rsz_core::Config;
 
@@ -332,24 +332,4 @@ impl Client {
         }
         total
     }
-}
-
-/// Convenience: elapse-bounded wait for a daemon to come up (tests).
-pub fn wait_until_healthy(addr: &str, deadline: Duration) -> bool {
-    let start = Instant::now();
-    let mut client = Client::new(
-        addr,
-        ClientOptions {
-            timeout: Duration::from_millis(250),
-            max_attempts: 1,
-            ..Default::default()
-        },
-    );
-    while start.elapsed() < deadline {
-        if client.health().is_ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
 }

@@ -277,9 +277,9 @@ impl Daemon {
                 self.graceful_shutdown();
                 json::obj(vec![("ok", Json::Bool(true)), ("stopping", Json::Bool(true))]).to_line()
             }
-            Request::ReplSync { replica, have } => {
+            Request::ReplSync { replica, have, stuck } => {
                 if self.role() == Role::Primary {
-                    self.sync_reply(&replica, &have)
+                    self.sync_reply(&replica, &have, &stuck)
                 } else {
                     error_line(
                         ErrorCode::NotPrimary,
@@ -985,13 +985,21 @@ impl Daemon {
         });
     }
 
+    /// Every tenant's `(name, slot)`, sorted by name. The pairs are
+    /// cloned under the tenant-map lock, which is released before the
+    /// caller locks any tenant's state: a tenant's lock is held for its
+    /// whole tick, and a reader waiting on it must not keep the other
+    /// tenants' ticks from finding their slots.
+    pub(crate) fn slots(&self) -> Vec<(String, Arc<TenantSlot>)> {
+        let mut slots: Vec<_> =
+            lock_clean(&self.tenants).iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect();
+        slots.sort_by(|a, b| a.0.cmp(&b.0));
+        slots
+    }
+
     /// Snapshot every live tenant (orderly shutdown).
     pub fn snapshot_all(&self) {
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        for (name, slot) in slots {
+        for (name, slot) in self.slots() {
             let mut st = lock_clean(&slot.state);
             if st.quarantine.is_none() {
                 self.write_snapshot(&mut st, &name);
@@ -1088,11 +1096,7 @@ impl Daemon {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        for (name, slot) in slots {
+        for (name, slot) in self.slots() {
             let mut st = lock_clean(&slot.state);
             if let Some(w) = st.wal.as_mut() {
                 let _ = w.sync();
@@ -1113,19 +1117,13 @@ impl Daemon {
     }
 
     fn readyz_line(&self) -> String {
-        let (total, reasons) = {
-            let tenants = lock_clean(&self.tenants);
-            let mut names: Vec<&String> = tenants.keys().collect();
-            names.sort();
-            let mut reasons: Vec<(String, Json)> = Vec::new();
-            for name in &names {
-                let st = lock_clean(&tenants[*name].state);
-                if let Some(q) = &st.quarantine {
-                    reasons.push(((*name).clone(), json::s(q.reason.as_str())));
-                }
+        let slots = self.slots();
+        let mut reasons: Vec<(String, Json)> = Vec::new();
+        for (name, slot) in &slots {
+            if let Some(q) = &lock_clean(&slot.state).quarantine {
+                reasons.push((name.clone(), json::s(q.reason.as_str())));
             }
-            (tenants.len(), reasons)
-        };
+        }
         let role = self.role();
         let ready = role == Role::Primary && !self.shutdown_requested();
         json::obj(vec![
@@ -1133,7 +1131,7 @@ impl Daemon {
             ("ready", Json::Bool(ready)),
             ("role", json::s(role.as_str())),
             ("repl_lag_ticks", json::n(self.repl_lag.load(Ordering::Relaxed) as f64)),
-            ("tenants", json::n(total as f64)),
+            ("tenants", json::n(slots.len() as f64)),
             ("quarantined", json::n(reasons.len() as f64)),
             ("quarantine_reasons", Json::Obj(reasons)),
         ])
@@ -1141,11 +1139,10 @@ impl Daemon {
     }
 
     fn health_line(&self) -> String {
-        let (total, quarantined) = {
-            let tenants = lock_clean(&self.tenants);
-            let q = tenants.values().filter(|s| lock_clean(&s.state).quarantine.is_some()).count();
-            (tenants.len(), q)
-        };
+        let slots = self.slots();
+        let total = slots.len();
+        let quarantined =
+            slots.iter().filter(|(_, s)| lock_clean(&s.state).quarantine.is_some()).count();
         json::obj(vec![
             ("ok", Json::Bool(true)),
             ("status", json::s(if quarantined == 0 { "ok" } else { "degraded" })),
@@ -1162,54 +1159,48 @@ impl Daemon {
         let mut tenant_objs: Vec<(String, Json)> = Vec::new();
         let mut pool_pricings = 0u64;
         let mut pool_hits = 0u64;
-        {
-            let tenants = lock_clean(&self.tenants);
-            let mut names: Vec<&String> = tenants.keys().collect();
-            names.sort();
-            for name in names {
-                let slot = &tenants[name];
-                let st = lock_clean(&slot.state);
-                let [p50, p99] = LatencyProfile::quantiles(&st.counters.latencies, [0.5, 0.99]);
-                let (exact, coarse, hold, rung) = match st.controller.as_ref() {
-                    Some(ctl) => {
-                        let s = ctl.stats();
-                        (s.exact, s.coarse, s.hold, protocol::rung_str(ctl.rung()))
-                    }
-                    None => (0, 0, 0, "none"),
-                };
-                all_exact += exact;
-                all_coarse += coarse;
-                all_hold += hold;
-                let engine = st.controller.as_ref().and_then(|ctl| ctl.inner().engine_stats());
-                if let Some(e) = &engine {
-                    pool_pricings += e.pricings;
-                    pool_hits += e.pool_hits;
+        for (name, slot) in self.slots() {
+            let st = lock_clean(&slot.state);
+            let [p50, p99] = LatencyProfile::quantiles(&st.counters.latencies, [0.5, 0.99]);
+            let (exact, coarse, hold, rung) = match st.controller.as_ref() {
+                Some(ctl) => {
+                    let s = ctl.stats();
+                    (s.exact, s.coarse, s.hold, protocol::rung_str(ctl.rung()))
                 }
-                let mut fields = vec![
-                    ("ticks".to_owned(), json::n(st.accepted() as f64)),
-                    ("decisions".to_owned(), json::n(st.counters.decisions as f64)),
-                    ("replays".to_owned(), json::n(st.counters.replays as f64)),
-                    ("rejected".to_owned(), json::n(st.counters.rejected as f64)),
-                    ("quarantines".to_owned(), json::n(st.counters.quarantines as f64)),
-                    ("snapshots".to_owned(), json::n(st.counters.snapshots as f64)),
-                    ("snapshot_lag".to_owned(), json::n(st.fresh_since_snapshot as f64)),
-                    ("rung".to_owned(), json::s(rung)),
-                    ("rung_exact".to_owned(), json::n(exact as f64)),
-                    ("rung_coarse".to_owned(), json::n(coarse as f64)),
-                    ("rung_hold".to_owned(), json::n(hold as f64)),
-                    ("latency_p50_us".to_owned(), json::n(p50 * 1e6)),
-                    ("latency_p99_us".to_owned(), json::n(p99 * 1e6)),
-                ];
-                if let Some(e) = engine {
-                    fields.push(("pool_pricings".to_owned(), json::n(e.pricings as f64)));
-                    fields.push(("pool_hits".to_owned(), json::n(e.pool_hits as f64)));
-                }
-                if let Some(q) = &st.quarantine {
-                    fields.push(("quarantined".to_owned(), json::s(q.reason.as_str())));
-                    fields.push(("quarantine_detail".to_owned(), json::s(&q.detail)));
-                }
-                tenant_objs.push((name.clone(), Json::Obj(fields)));
+                None => (0, 0, 0, "none"),
+            };
+            all_exact += exact;
+            all_coarse += coarse;
+            all_hold += hold;
+            let engine = st.controller.as_ref().and_then(|ctl| ctl.inner().engine_stats());
+            if let Some(e) = &engine {
+                pool_pricings += e.pricings;
+                pool_hits += e.pool_hits;
             }
+            let mut fields = vec![
+                ("ticks".to_owned(), json::n(st.accepted() as f64)),
+                ("decisions".to_owned(), json::n(st.counters.decisions as f64)),
+                ("replays".to_owned(), json::n(st.counters.replays as f64)),
+                ("rejected".to_owned(), json::n(st.counters.rejected as f64)),
+                ("quarantines".to_owned(), json::n(st.counters.quarantines as f64)),
+                ("snapshots".to_owned(), json::n(st.counters.snapshots as f64)),
+                ("snapshot_lag".to_owned(), json::n(st.fresh_since_snapshot as f64)),
+                ("rung".to_owned(), json::s(rung)),
+                ("rung_exact".to_owned(), json::n(exact as f64)),
+                ("rung_coarse".to_owned(), json::n(coarse as f64)),
+                ("rung_hold".to_owned(), json::n(hold as f64)),
+                ("latency_p50_us".to_owned(), json::n(p50 * 1e6)),
+                ("latency_p99_us".to_owned(), json::n(p99 * 1e6)),
+            ];
+            if let Some(e) = engine {
+                fields.push(("pool_pricings".to_owned(), json::n(e.pricings as f64)));
+                fields.push(("pool_hits".to_owned(), json::n(e.pool_hits as f64)));
+            }
+            if let Some(q) = &st.quarantine {
+                fields.push(("quarantined".to_owned(), json::s(q.reason.as_str())));
+                fields.push(("quarantine_detail".to_owned(), json::s(&q.detail)));
+            }
+            tenant_objs.push((name, Json::Obj(fields)));
         }
         let total_lookups = pool_pricings + pool_hits;
         let hit_rate =
@@ -1256,17 +1247,14 @@ impl Daemon {
     /// Every tenant's loads (bit patterns), decisions and rolling
     /// digest, sorted by name.
     pub(crate) fn tenant_states(&self) -> Vec<(String, Vec<u64>, Vec<Config>, state::StateDigest)> {
-        let tenants = lock_clean(&self.tenants);
-        let mut out: Vec<_> = tenants
-            .iter()
+        self.slots()
+            .into_iter()
             .map(|(name, slot)| {
                 let st = lock_clean(&slot.state);
                 let loads = st.instance.loads().iter().map(|l| l.to_bits()).collect();
-                (name.clone(), loads, st.decisions.configs().to_vec(), st.digest)
+                (name, loads, st.decisions.configs().to_vec(), st.digest)
             })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 }
 
@@ -1576,6 +1564,42 @@ mod tests {
         let reg = r#"{"op":"register","tenant":"t","fleet":"homogeneous:3","algo":"panic:2"}"#;
         let reply = daemon.handle(reg);
         assert!(reply.contains("\"error\":\"input\""), "{reply}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A scrape waiting on one tenant's state lock (held for that
+    /// tenant's whole tick) must not hold the tenant map while it waits:
+    /// a tick of another tenant still finds its slot and gets its reply.
+    #[test]
+    fn a_scrape_waiting_on_one_tenant_does_not_stall_the_others() {
+        let dir = tmp_dir("scrape");
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        for name in ["fast", "slow"] {
+            let reg = format!(
+                r#"{{"op":"register","tenant":"{name}","fleet":"cpu-gpu:2,1","algo":"b"}}"#
+            );
+            assert!(daemon.handle(&reg).contains("\"ok\":true"));
+        }
+        let slow = lock_clean(&daemon.tenants).get("slow").cloned().unwrap();
+        let held = lock_clean(&slow.state);
+        let daemon = &daemon;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let scrape = s.spawn(|| daemon.handle("GET /metrics"));
+            // Let the scrape reach `slow`'s lock before `fast` ticks. No
+            // signal marks a thread blocked on a mutex, so this waits; a
+            // tick that ran first would only miss the defect, never fail.
+            std::thread::sleep(Duration::from_millis(100));
+            s.spawn(move || {
+                let tick = r#"{"op":"tick","tenant":"fast","seq":0,"load":1.0}"#;
+                tx.send(daemon.handle(tick)).unwrap();
+            });
+            let reply = rx.recv_timeout(Duration::from_secs(2));
+            drop(held);
+            let reply = reply.expect("`fast`'s tick waited on a scrape blocked by `slow`");
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+            assert!(scrape.join().unwrap().contains("\"ok\":true"));
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

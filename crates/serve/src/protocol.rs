@@ -109,6 +109,10 @@ pub enum Request {
         replica: String,
         /// `(tenant, accepted-tick count)` pairs the replica holds.
         have: Vec<(String, u64)>,
+        /// Tenants the replica can never apply (quarantined there as
+        /// diverged): the reply ships them no frames. Empty when the
+        /// request has no `stuck` array.
+        stuck: Vec<String>,
     },
 }
 
@@ -217,7 +221,21 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     return Err(ParseError { detail: "repl.sync `have` must be an object".into() })
                 }
             };
-            Ok(Request::ReplSync { replica, have })
+            let stuck = match v.get("stuck") {
+                None => Vec::new(),
+                Some(Json::Arr(items)) => items
+                    .iter()
+                    .map(|t| {
+                        t.as_str().map(str::to_owned).ok_or_else(|| ParseError {
+                            detail: "repl.sync `stuck` entries must be strings".into(),
+                        })
+                    })
+                    .collect::<Result<_, _>>()?,
+                Some(_) => {
+                    return Err(ParseError { detail: "repl.sync `stuck` must be an array".into() })
+                }
+            };
+            Ok(Request::ReplSync { replica, have, stuck })
         }
         other => Err(ParseError { detail: format!("unknown op `{other}`") }),
     }
@@ -315,22 +333,33 @@ mod tests {
 
     #[test]
     fn repl_sync_parses_and_rejects_malformed_have() {
-        let r =
-            parse_request(r#"{"op":"repl.sync","replica":"r1","have":{"t1":5,"t2":0}}"#).unwrap();
+        let r = parse_request(
+            r#"{"op":"repl.sync","replica":"r1","have":{"t1":5,"t2":0},"stuck":["t2"]}"#,
+        )
+        .unwrap();
         match r {
-            Request::ReplSync { replica, have } => {
+            Request::ReplSync { replica, have, stuck } => {
                 assert_eq!(replica, "r1");
                 assert_eq!(have, vec![("t1".to_owned(), 5), ("t2".to_owned(), 0)]);
+                assert_eq!(stuck, vec!["t2".to_owned()]);
             }
             other => panic!("wrong request: {other:?}"),
         }
-        // `have` may be absent (a cold replica knows nothing yet).
+        // `have` and `stuck` may be absent (a cold replica knows nothing
+        // yet; an older one never sends `stuck`).
         let r = parse_request(r#"{"op":"repl.sync","replica":"r1"}"#).unwrap();
-        assert!(matches!(r, Request::ReplSync { ref have, .. } if have.is_empty()), "{r:?}");
+        assert!(
+            matches!(r, Request::ReplSync { ref have, ref stuck, .. } if have.is_empty() && stuck.is_empty()),
+            "{r:?}"
+        );
         for bad in [
             r#"{"op":"repl.sync"}"#,
             r#"{"op":"repl.sync","replica":"r1","have":[1]}"#,
             r#"{"op":"repl.sync","replica":"r1","have":{"t":"x"}}"#,
+            r#"{"op":"repl.sync","replica":"r1","stuck":"t"}"#,
+            r#"{"op":"repl.sync","replica":"r1","stuck":{"t":1}}"#,
+            r#"{"op":"repl.sync","replica":"r1","stuck":null}"#,
+            r#"{"op":"repl.sync","replica":"r1","stuck":["t",2]}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }

@@ -41,14 +41,18 @@
 //! bytes of frames, so a fresh replica of a large, old primary catches
 //! up over several syncs. The cap is shared max-min fairly among the
 //! tenants that lag: none gets more than it is missing, and what small
-//! backlogs leave over is split among the larger ones. A tenant far
-//! behind, or one the replica can never apply (a diverged one), takes
-//! at most its share and never starves the others. Every lagging tenant
-//! ships at least one tick, so catch-up always progresses; a reply
-//! passes the cap only when more tenants lag than one tick each fits
-//! under it. Every reply still reports each tenant's full tick count,
-//! so the lag in `/readyz` stays right, and the replica loop syncs
-//! again at once while a tenant that applied cleanly still lags.
+//! backlogs leave over is split among the larger ones, so a tenant far
+//! behind takes at most its share and never starves the others. Every
+//! lagging tenant ships at least one tick, so catch-up always
+//! progresses; a reply passes the cap only when more tenants lag than
+//! one tick each fits under it. A tenant the replica can never apply —
+//! one it quarantined as diverged, which no revival clears — is named
+//! in the request's `stuck` list and gets no share and no frames. Every
+//! reply still reports each tenant's full tick count, so the lag in
+//! `/readyz` stays right, and the replica loop syncs again at once
+//! while a tenant that applied cleanly still lags. A primary that does
+//! not know `stuck` ignores it, and a replica that does not send it is
+//! answered as before.
 //!
 //! **Failover.** The replica counts consecutive failed syncs; once the
 //! count crosses the lease threshold the primary is presumed dead and
@@ -58,13 +62,13 @@
 //! the primary at every tick offset and reproduce the exact failover
 //! from the seed alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::client::{Client, ClientOptions};
-use crate::daemon::{lock_clean, Daemon, TenantSlot};
+use crate::daemon::{lock_clean, Daemon};
 use crate::json::{self, Json};
 use crate::state::state_fingerprint;
 use crate::tenant::{Fingerprint, QuarantineReason, TenantState};
@@ -203,13 +207,26 @@ impl Daemon {
     /// reports as `have` in `repl.sync`.
     #[must_use]
     pub fn replication_have(&self) -> Vec<(String, u64)> {
-        let tenants = lock_clean(&self.tenants);
-        let mut have: Vec<(String, u64)> = tenants
-            .iter()
-            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).accepted() as u64))
-            .collect();
-        have.sort();
-        have
+        self.slots()
+            .into_iter()
+            .map(|(name, slot)| (name, lock_clean(&slot.state).accepted() as u64))
+            .collect()
+    }
+
+    /// Tenants quarantined here as diverged, sorted by name — what a
+    /// replica reports as `stuck` in `repl.sync`. No revival clears that
+    /// reason, so frames shipped for them could never apply.
+    pub(crate) fn replication_stuck(&self) -> Vec<String> {
+        self.slots()
+            .into_iter()
+            .filter(|(_, slot)| {
+                lock_clean(&slot.state)
+                    .quarantine
+                    .as_ref()
+                    .is_some_and(|q| q.reason == QuarantineReason::Divergence)
+            })
+            .map(|(name, _)| name)
+            .collect()
     }
 
     /// Replication lag gauge (accepted ticks behind the primary after
@@ -244,27 +261,31 @@ impl Daemon {
     /// the WAL frames the replica is missing (hex, FNV-1a framing
     /// intact end-to-end) within its share of [`SYNC_FRAME_CAP`]
     /// bytes, the tenant's tick count, the durable-snapshot horizon,
-    /// and the recent fingerprint ring.
-    pub(crate) fn sync_reply(&self, replica: &str, have: &[(String, u64)]) -> String {
-        self.sync_reply_capped(replica, have, SYNC_FRAME_CAP)
+    /// and the recent fingerprint ring. The replica's `stuck` tenants
+    /// get everything but frames.
+    pub(crate) fn sync_reply(
+        &self,
+        replica: &str,
+        have: &[(String, u64)],
+        stuck: &[String],
+    ) -> String {
+        self.sync_reply_capped(replica, have, stuck, SYNC_FRAME_CAP)
     }
 
     /// [`Daemon::sync_reply`] with `cap` bytes of frames shared among
-    /// the lagging tenants (see [`fair_shares`], [`missing_frames`]).
+    /// the lagging tenants that are not `stuck` (see [`fair_shares`],
+    /// [`missing_frames`]).
     pub(crate) fn sync_reply_capped(
         &self,
         replica: &str,
         have: &[(String, u64)],
+        stuck: &[String],
         cap: usize,
     ) -> String {
         self.counters.repl_syncs.fetch_add(1, Ordering::Relaxed);
         let have: HashMap<&str, u64> = have.iter().map(|(t, n)| (t.as_str(), *n)).collect();
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            let mut v: Vec<_> = tenants.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
+        let stuck: HashSet<&str> = stuck.iter().map(String::as_str).collect();
+        let slots = self.slots();
         let base = |name: &str, st: &TenantState| {
             have.get(name).copied().unwrap_or(0).min(st.accepted() as u64)
         };
@@ -273,7 +294,7 @@ impl Daemon {
             .iter()
             .map(|(name, slot)| {
                 let st = lock_clean(&slot.state);
-                if st.quarantine.is_some() {
+                if st.quarantine.is_some() || stuck.contains(name.as_str()) {
                     0
                 } else {
                     backlog_bytes(&st, base(name, &st))
@@ -290,7 +311,11 @@ impl Daemon {
                 continue;
             }
             let total = st.accepted() as u64;
-            let frames = missing_frames(&st, base(&name, &st), share);
+            let frames = if stuck.contains(name.as_str()) {
+                Vec::new()
+            } else {
+                missing_frames(&st, base(&name, &st), share)
+            };
             let fps = st.fingerprints.iter().map(fingerprint_json).collect();
             tenant_objs.push((
                 name,
@@ -571,7 +596,8 @@ impl Replicator {
         Self { daemon, options, consecutive_failures: 0, syncs: 0, failures: 0 }
     }
 
-    /// The `repl.sync` request line for the daemon's current holdings.
+    /// The `repl.sync` request line for the daemon's current holdings,
+    /// naming its `stuck` tenants when it has any.
     #[must_use]
     pub fn sync_request(&self) -> String {
         let have = self
@@ -580,12 +606,16 @@ impl Replicator {
             .into_iter()
             .map(|(tenant, n)| (tenant, json::n(n as f64)))
             .collect();
-        json::obj(vec![
+        let mut fields = vec![
             ("op", json::s("repl.sync")),
             ("replica", json::s(&self.options.replica_id)),
             ("have", json::obj_owned(have)),
-        ])
-        .to_line()
+        ];
+        let stuck = self.daemon.replication_stuck();
+        if !stuck.is_empty() {
+            fields.push(("stuck", Json::Arr(stuck.iter().map(json::s).collect())));
+        }
+        json::obj(fields).to_line()
     }
 
     /// One pull-apply round trip. `transport` carries the request line
@@ -671,6 +701,7 @@ pub fn run_replica(
 mod tests {
     use super::*;
     use crate::daemon::ServeOptions;
+    use crate::protocol::Request;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("rsz-repl-test-{}-{tag}", std::process::id()));
@@ -716,7 +747,7 @@ mod tests {
         let mut syncs = 0;
         let mut checks = 0;
         loop {
-            let reply = primary.sync_reply_capped("r", &replica.replication_have(), cap);
+            let reply = primary.sync_reply_capped("r", &replica.replication_have(), &[], cap);
             let shipped = frame_bytes(&reply);
             assert!(shipped <= cap, "sync {syncs} shipped {shipped} bytes of frames");
             let v = json::parse(&reply).unwrap();
@@ -743,7 +774,7 @@ mod tests {
         // progresses.
         let third = Daemon::new(options(&tmp_dir("cap-t"))).unwrap();
         third.set_role(Role::Replica);
-        let report = third.apply_sync(&primary.sync_reply_capped("t", &[], 1)).unwrap();
+        let report = third.apply_sync(&primary.sync_reply_capped("t", &[], &[], 1)).unwrap();
         assert_eq!(report.applied, 3);
         for dir in [pdir, rdir, tmp_dir("cap-t")] {
             std::fs::remove_dir_all(&dir).unwrap();
@@ -761,17 +792,20 @@ mod tests {
     }
 
     /// A tenant the replica can never apply — quarantined as diverged —
-    /// takes at most its share of each capped reply: the tenants sorted
-    /// after it still catch up. Its backlog is reported as lag, but it
-    /// never makes the replica loop re-sync without waiting.
+    /// is named in the replica's `stuck` list and gets no frames at all,
+    /// so the tenants sorted after it catch up and no apply fails. Its
+    /// backlog is reported as lag, but it never makes the replica loop
+    /// re-sync without waiting. A request without `stuck` (an older
+    /// replica) is answered as before: `a` gets its fair share.
     #[test]
     fn a_tenant_that_never_applies_does_not_starve_the_others() {
         let (pdir, rdir) = (tmp_dir("stuck-p"), tmp_dir("stuck-r"));
         let primary = Daemon::new(options(&pdir)).unwrap();
         feed(&primary, &["a", "b", "c"], (0..8).map(|t| f64::from(t % 5) * 0.5));
-        let replica = Daemon::new(options(&rdir)).unwrap();
+        let replica = Arc::new(Daemon::new(options(&rdir)).unwrap());
         replica.set_role(Role::Replica);
-        assert_eq!(replica.apply_sync(&primary.sync_reply("r", &[])).unwrap().lag, 0);
+        let replicator = Replicator::new(Arc::clone(&replica), ReplicaOptions::default());
+        assert_eq!(replica.apply_sync(&primary.sync_reply("r", &[], &[])).unwrap().lag, 0);
         {
             let slot = lock_clean(&replica.tenants).get("a").cloned().unwrap();
             let mut st = lock_clean(&slot.state);
@@ -793,12 +827,24 @@ mod tests {
         // `a` stays 392 ticks behind for good, and every report counts it.
         let stuck = 400 - 8;
         let mut syncs = 0;
+        // One round trip as the replicator asks for it, through the
+        // request parser the daemon runs.
         let sync = || {
-            let reply = primary.sync_reply_capped("r", &replica.replication_have(), cap);
+            let Request::ReplSync { have, stuck, .. } =
+                crate::protocol::parse_request(&replicator.sync_request()).unwrap()
+            else {
+                panic!("not a repl.sync request")
+            };
+            assert_eq!(stuck, ["a"]);
+            let reply = primary.sync_reply_capped("r", &have, &stuck, cap);
             let shipped = frame_bytes(&reply);
             assert!(shipped <= cap, "a sync shipped {shipped} bytes of frames");
+            let v = json::parse(&reply).unwrap();
+            let a = v.get("tenants").and_then(|t| t.get("a")).expect("`a` is still reported");
+            assert_eq!(a.get("frames").and_then(Json::as_str), Some(""), "frames for `a`");
+            assert_eq!(a.get("ticks").and_then(Json::as_u64), Some(400));
             let report = replica.apply_sync(&reply).unwrap();
-            assert_eq!(report.errors.len(), 1, "only `a` fails: {:?}", report.errors);
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
             report
         };
         loop {
@@ -829,6 +875,15 @@ mod tests {
         let ready = json::parse(&replica.handle("GET /readyz")).unwrap();
         assert_eq!(ready.get("repl_lag_ticks").and_then(Json::as_u64), Some(stuck));
         assert_eq!(ready.get("quarantined").and_then(Json::as_u64), Some(1), "{ready:?}");
+        // A request without `stuck`: `a` gets its share again, and the
+        // replica throws it away with one apply error.
+        let reply = primary.sync_reply_capped("r", &replica.replication_have(), &[], cap);
+        let v = json::parse(&reply).unwrap();
+        let a = v.get("tenants").and_then(|t| t.get("a")).unwrap();
+        assert_ne!(a.get("frames").and_then(Json::as_str), Some(""));
+        let report = replica.apply_sync(&reply).unwrap();
+        assert_eq!(report.errors.len(), 1, "only `a` fails: {:?}", report.errors);
+        assert_eq!((report.lag, report.stuck_lag), (stuck, stuck));
         for dir in [pdir, rdir] {
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -45,13 +45,6 @@ pub fn install_sigterm_handler() {
     }
 }
 
-/// Whether a `SIGTERM` has been received since the handler was
-/// installed (visible for tests).
-#[must_use]
-pub fn sigterm_received() -> bool {
-    SIGTERM_RECEIVED.load(Ordering::Relaxed)
-}
-
 /// A serving daemon bound to a TCP address.
 pub struct Server {
     daemon: Arc<Daemon>,

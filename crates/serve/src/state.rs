@@ -702,7 +702,7 @@ mod tests {
                         }
                         _ => {
                             let have = replica.replication_have();
-                            let reply = primary.sync_reply_capped("r", &have, 200);
+                            let reply = primary.sync_reply_capped("r", &have, &[], 200);
                             let report = replica.apply_sync(&reply).unwrap();
                             prop_assert_eq!(report.fp_mismatches, 0);
                             "sync"

@@ -185,45 +185,6 @@ fn schedules_identical_across_pipeline_parallelism_and_caching() {
 }
 
 #[test]
-fn scalar_and_simd_kernels_are_bit_identical_across_the_mode_matrix() {
-    // The kernel-layer contract: forcing every kernel (and the transform
-    // / band-slice layout paths) onto the scalar reference twins must
-    // reproduce the lanes solve **bit for bit** — same schedule, same
-    // cost bits — across the mode matrix {threads} × {refine}. This is
-    // what lets the SIMD kernels ship without a tolerance bump anywhere.
-    use heterogeneous_rightsizing::offline::kernels::force_scalar;
-    use heterogeneous_rightsizing::offline::refine::RefineOptions;
-    let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
-    let oracle = Dispatcher::new();
-    for threads in [Some(1), Some(2)] {
-        for refine in [false, true] {
-            let opts = DpOptions {
-                threads,
-                refine: refine.then(RefineOptions::exact),
-                ..Default::default()
-            };
-            let run_mode = |scalar: bool| {
-                force_scalar(scalar);
-                let res = solve(&inst, &oracle, opts);
-                force_scalar(false);
-                res
-            };
-            let lanes = run_mode(false);
-            let scalar = run_mode(true);
-            let tag = format!("threads={threads:?} refine={refine}");
-            assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
-            assert_eq!(
-                lanes.cost.to_bits(),
-                scalar.cost.to_bits(),
-                "cost bits: {tag} ({} vs {})",
-                lanes.cost,
-                scalar.cost
-            );
-        }
-    }
-}
-
-#[test]
 fn online_algorithms_are_deterministic() {
     let inst = scenario::electricity_market(5, 24, 12, 13);
     let oracle = Dispatcher::new();
