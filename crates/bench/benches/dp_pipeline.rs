@@ -195,5 +195,5 @@ fn main() {
         "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    write_records("dp_pipeline", &json, &["results/dp_pipeline.json", "BENCH_dp.json"]);
+    write_records("dp_pipeline", &json, quick, &["results/dp_pipeline.json", "BENCH_dp.json"]);
 }

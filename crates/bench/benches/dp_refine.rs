@@ -221,5 +221,5 @@ fn main() {
         reference.speedup,
     );
 
-    write_records("dp_refine", &json, &["results/dp_refine.json", "BENCH_refine.json"]);
+    write_records("dp_refine", &json, quick, &["results/dp_refine.json", "BENCH_refine.json"]);
 }

@@ -163,5 +163,5 @@ fn main() {
         "{{\n  \"bench\": \"kernel_micro\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    write_records("kernel_micro", &json, &["results/kernels.json"]);
+    write_records("kernel_micro", &json, quick, &["results/kernels.json"]);
 }

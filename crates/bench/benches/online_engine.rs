@@ -198,7 +198,12 @@ fn main() {
         "{{\n  \"bench\": \"online_engine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
-    write_records("online_engine", &json, &["results/online_engine.json", "BENCH_online.json"]);
+    write_records(
+        "online_engine",
+        &json,
+        quick,
+        &["results/online_engine.json", "BENCH_online.json"],
+    );
 }
 
 fn report(name: &'static str, inst: &Instance, engine: &Timed, stats: EngineStats) -> Row {

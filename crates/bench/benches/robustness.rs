@@ -185,5 +185,5 @@ fn main() {
         num(hold_cost_ratio),
     );
 
-    write_records("robustness", &json, &["results/robustness.json", "BENCH_robust.json"]);
+    write_records("robustness", &json, quick, &["results/robustness.json", "BENCH_robust.json"]);
 }

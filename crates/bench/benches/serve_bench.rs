@@ -443,5 +443,5 @@ fn main() {
         num(hit_rate),
     );
 
-    write_records("serve", &json_out, &["results/serve.json", "BENCH_serve.json"]);
+    write_records("serve", &json_out, quick, &["results/serve.json", "BENCH_serve.json"]);
 }

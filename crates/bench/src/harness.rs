@@ -65,13 +65,20 @@ pub fn timestamp() -> u64 {
 
 /// Write `json` to each of `files`, given relative to the workspace root
 /// (`cargo bench` runs with the cwd at `crates/bench`), creating parent
-/// directories. A failed write warns and moves on to the next file.
-pub fn write_records(bench: &str, json: &str, files: &[&str]) {
+/// directories. A `quick` record goes only to the files under the
+/// git-ignored `results/`: a trajectory file at the root keeps its
+/// committed full-mode record, whose gates a smoke run would drop. A
+/// failed write warns and moves on to the next file.
+pub fn write_records(bench: &str, json: &str, quick: bool, files: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crates/bench has a workspace root");
     for file in files {
+        if quick && !file.starts_with("results/") {
+            println!("bench: {bench}/json  ... {file} left as committed (quick run)");
+            continue;
+        }
         let out_path = root.join(file);
         let write = out_path
             .parent()

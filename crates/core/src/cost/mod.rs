@@ -52,7 +52,7 @@ pub trait CostFunction: Send + Sync + std::fmt::Debug {
     /// which is adequate for the dispatch solver's bisections; exact
     /// implementations speed up dispatch considerably.
     fn deriv(&self, z: f64) -> f64 {
-        let h = (z.abs() * 1e-6).max(1e-9);
+        let h = (z.abs() * crate::util::FD_REL_STEP).max(crate::util::FD_MIN_STEP);
         let lo = (z - h).max(0.0);
         (self.eval(z + h) - self.eval(lo)) / (z + h - lo)
     }

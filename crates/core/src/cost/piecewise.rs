@@ -1,6 +1,7 @@
 //! Convex piecewise-linear operating cost — empirical power curves.
 
 use super::CostFunction;
+use crate::util::BREAKPOINT_TOL;
 
 /// A convex, increasing piecewise-linear function through breakpoints
 /// `(z_0, c_0), …, (z_k, c_k)` with `z_0 = 0`, extended linearly beyond the
@@ -49,7 +50,7 @@ impl PiecewiseLinearCost {
             let s = (cs[i + 1] - cs[i]) / (zs[i + 1] - zs[i]);
             if let Some(&prev) = slopes.last() {
                 assert!(
-                    s >= prev - 1e-12,
+                    s >= prev - BREAKPOINT_TOL,
                     "slopes must be non-decreasing for convexity (segment {i}: {s} < {prev})"
                 );
             }
@@ -87,7 +88,7 @@ impl PiecewiseLinearCost {
         pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite loads"));
         // Deduplicate loads, keeping the cheapest measurement.
         pts.dedup_by(|next, prev| {
-            if (next.0 - prev.0).abs() < 1e-12 {
+            if (next.0 - prev.0).abs() < BREAKPOINT_TOL {
                 prev.1 = prev.1.min(next.1);
                 true
             } else {
@@ -105,7 +106,7 @@ impl PiecewiseLinearCost {
                 let b = hull[hull.len() - 1];
                 // b above segment a→p ⇒ b is not on the lower envelope.
                 let cross = (b.0 - a.0) * (p.1 - a.1) - (b.1 - a.1) * (p.0 - a.0);
-                if cross <= 1e-12 {
+                if cross <= BREAKPOINT_TOL {
                     hull.pop();
                 } else {
                     break;

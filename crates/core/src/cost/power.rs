@@ -1,6 +1,7 @@
 //! Power-law operating cost — super-linear CPU voltage/frequency scaling.
 
 use super::CostFunction;
+use crate::util::LINEAR_EXPONENT_TOL;
 
 /// `f(z) = idle + coef·z^alpha` with `alpha ≥ 1`.
 ///
@@ -67,7 +68,7 @@ impl CostFunction for PowerCost {
         if slope <= 0.0 {
             return Some(0.0);
         }
-        if (self.alpha - 1.0).abs() < 1e-12 {
+        if (self.alpha - 1.0).abs() < LINEAR_EXPONENT_TOL {
             // Linear: constant derivative `coef`.
             return Some(if slope >= self.coef { f64::INFINITY } else { 0.0 });
         }

@@ -4,6 +4,7 @@ use crate::config::Config;
 use crate::cost::CostRef;
 use crate::error::InstanceError;
 use crate::server::ServerType;
+use crate::util::{CONVEX_SAMPLE_TOL, MONOTONE_SAMPLE_TOL};
 
 /// A complete right-sizing problem instance.
 ///
@@ -348,7 +349,7 @@ impl Instance {
                             reason: format!("f({z}) = {v} is not finite and non-negative"),
                         });
                     }
-                    if v < prev - 1e-9 * prev.abs().max(1.0) {
+                    if v < prev - MONOTONE_SAMPLE_TOL * prev.abs().max(1.0) {
                         return Err(InstanceError::NonConvexCost {
                             j,
                             t,
@@ -364,7 +365,7 @@ impl Instance {
                     let mid = 0.5 * (a + b);
                     let lhs = f.eval(mid);
                     let rhs = 0.5 * (f.eval(a) + f.eval(b));
-                    if lhs > rhs + 1e-7 * rhs.abs().max(1.0) {
+                    if lhs > rhs + CONVEX_SAMPLE_TOL * rhs.abs().max(1.0) {
                         return Err(InstanceError::NonConvexCost {
                             j,
                             t,

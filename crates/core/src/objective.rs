@@ -76,7 +76,7 @@ pub trait GtOracle {
     /// third-party oracle may override it to exploit the locality — e.g.
     /// warm-starting an iterative solver from the previous cell's state —
     /// under a relaxed contract: values may differ from
-    /// [`GtOracle::g_scaled`] by up to a relative `1e-9`.
+    /// [`GtOracle::g_scaled`] by up to a relative [`crate::util::REL_TOL`].
     fn slot_sweep<'a>(
         &'a self,
         instance: &'a Instance,

@@ -49,6 +49,36 @@ pub const DISPATCH_STALL: f64 = 1e-15;
 /// this share of `max(λ, 1)`.
 pub const DISPATCH_SHORTFALL: f64 = 1e-9;
 
+/// Finite differences: the default `CostFunction::deriv` differences a
+/// cost over a step of this share of `|z|` on each side of `z`, ...
+pub const FD_REL_STEP: f64 = 1e-6;
+/// ... and never over a step shorter than this, so the quotient stays
+/// defined near `z = 0`.
+pub const FD_MIN_STEP: f64 = 1e-9;
+
+/// Breakpoint noise of a piecewise-linear cost: two sample loads closer
+/// than this are one load, a sample within this of the chord between
+/// its hull neighbours leaves the lower convex envelope, and a segment's
+/// slope may fall this far below its predecessor's and still count as
+/// convex.
+pub const BREAKPOINT_TOL: f64 = 1e-12;
+
+/// A power-law cost whose exponent is within this of 1 is linear, and
+/// its derivative is inverted as a constant.
+pub const LINEAR_EXPONENT_TOL: f64 = 1e-12;
+
+/// Instance validation samples every cost function: a sample may fall
+/// this share of `max(|f|, 1)` below the one before it and still count
+/// as non-decreasing, ...
+pub const MONOTONE_SAMPLE_TOL: f64 = 1e-9;
+/// ... and a midpoint may rise this share of `max(|chord|, 1)` above
+/// the chord between its neighbours and still count as convex.
+pub const CONVEX_SAMPLE_TOL: f64 = 1e-7;
+
+/// Box–Muller's first uniform draw is at least this, so its logarithm
+/// stays finite.
+pub const BOX_MULLER_MIN_U: f64 = 1e-12;
+
 /// `true` if `load` exceeds `capacity` by more than the
 /// [`FEASIBILITY_SLACK`] — the one feasibility test shared by the
 /// dispatch oracle (which prices such a configuration `f64::INFINITY`)

@@ -33,6 +33,10 @@
 //! Retention is bounded: at [`PricedSlotPool::capacity`] entries the
 //! oldest insertion is evicted (FIFO — online algorithms visit slots in
 //! order, so the oldest priced slot is also the least likely to recur).
+//! A miss at capacity re-prices into the table it evicts when nothing
+//! else holds it, so a stream of loads that never repeat (live
+//! telemetry) reuses the pool's tables instead of allocating one per
+//! slot; only the oracle's own sweep state is allocated per pricing.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -289,12 +293,7 @@ impl PricedSlotPool {
                 return Arc::clone(slot);
             }
         }
-        let priced = Arc::new(price_slot(instance, oracle, t, lambda, levels));
-        self.pricings += 1;
-        if let Some(key) = key {
-            self.retain(key, Arc::clone(&priced));
-        }
-        priced
+        self.price_and_retain(key, instance, oracle, t, lambda, levels.len(), |j| &levels[j])
     }
 
     /// The priced slot for `(t, λ)` restricted to the per-dimension
@@ -348,22 +347,55 @@ impl PricedSlotPool {
                 return sliced;
             }
         }
-        let banded_levels: Vec<Vec<u32>> =
-            bands.iter().zip(fine_levels).map(|(b, l)| l[b.start..b.end].to_vec()).collect();
-        let priced = Arc::new(price_slot(instance, oracle, t, lambda, &banded_levels));
-        self.pricings += 1;
-        if let Some(k) = key {
-            self.retain(k, Arc::clone(&priced));
+        self.price_and_retain(key, instance, oracle, t, lambda, bands.len(), |j| {
+            &fine_levels[j][bands[j].clone()]
+        })
+    }
+
+    /// A miss: price `(t, λ)` over the `d` level lists `level_of` yields
+    /// and retain the slot under `key` (when it has one). At capacity the
+    /// oldest entry is evicted first, and its table is priced into when
+    /// no one else holds it — the same values as a fresh table, with no
+    /// allocation beyond what a larger grid needs.
+    #[allow(clippy::too_many_arguments)]
+    fn price_and_retain<'l>(
+        &mut self,
+        key: Option<PoolKey>,
+        instance: &Instance,
+        oracle: &(impl GtOracle + ?Sized),
+        t: usize,
+        lambda: f64,
+        d: usize,
+        level_of: impl FnMut(usize) -> &'l [u32],
+    ) -> PricedSlot {
+        let evicted = match key {
+            Some(_) if self.entries.len() >= self.cap => self.evict_oldest(),
+            _ => None,
+        };
+        let mut slot = evicted.unwrap_or_default();
+        if Arc::get_mut(&mut slot).is_none() {
+            // A solver still holds the evicted table: price a fresh one.
+            slot = PricedSlot::default();
         }
-        priced
+        let table = Arc::get_mut(&mut slot).expect("a slot no one else holds");
+        price_into(table, instance, oracle, t, lambda, d, level_of);
+        self.pricings += 1;
+        if let Some(key) = key {
+            self.retain(key, Arc::clone(&slot));
+        }
+        slot
+    }
+
+    /// Remove the oldest entry, returning its slot.
+    fn evict_oldest(&mut self) -> Option<PricedSlot> {
+        let oldest = self.order.pop_front()?;
+        self.entries.remove(&oldest)
     }
 
     /// Insert under FIFO eviction.
     fn retain(&mut self, key: PoolKey, slot: PricedSlot) {
         if self.entries.len() >= self.cap {
-            if let Some(oldest) = self.order.pop_front() {
-                self.entries.remove(&oldest);
-            }
+            self.evict_oldest();
         }
         self.entries.insert(key, slot);
         self.order.push_back(key);
@@ -373,7 +405,8 @@ impl PricedSlotPool {
 /// Price one slot's **unscaled** `g_t` over `levels` as a single
 /// layout-order sweep through [`GtOracle::slot_sweep`] — identical to
 /// the offline pipeline's per-table pricing, so a replayed slot repeats
-/// its values bit for bit.
+/// its values bit for bit. The pool's misses run the same sweep into a
+/// table they reuse; this is its cold case, a fresh table.
 #[must_use]
 pub fn price_slot(
     instance: &Instance,
@@ -382,15 +415,30 @@ pub fn price_slot(
     lambda: f64,
     levels: &[Vec<u32>],
 ) -> Table {
-    let mut table = Table::new(levels.to_vec(), f64::INFINITY);
-    let levels = table.all_levels().to_vec();
+    let mut table = Table::default();
+    price_into(&mut table, instance, oracle, t, lambda, levels.len(), |j| &levels[j]);
+    table
+}
+
+/// [`price_slot`] into `table`, reshaped in place over the `d` level
+/// lists `level_of` yields ([`Table::reset_shape`]).
+fn price_into<'l>(
+    table: &mut Table,
+    instance: &Instance,
+    oracle: &(impl GtOracle + ?Sized),
+    t: usize,
+    lambda: f64,
+    d: usize,
+    level_of: impl FnMut(usize) -> &'l [u32],
+) {
+    table.reset_shape(d, level_of, f64::INFINITY);
+    let (levels, values) = table.levels_and_values_mut();
     let mut sweep = oracle.slot_sweep(instance, t, lambda, 1.0);
-    let mut cursor = GridCursor::new(&levels, 0);
-    for v in table.values_mut() {
+    let mut cursor = GridCursor::new(levels, 0);
+    for v in values {
         *v = sweep.eval(cursor.counts());
         cursor.advance();
     }
-    table
 }
 
 /// Fold a priced slot into a DP table in place:
@@ -501,6 +549,37 @@ mod tests {
         assert_eq!(pool.stats().pool_hits, 1);
         let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels);
         assert_eq!(pool.stats().pricings, 5, "evicted slot re-priced");
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a 1-d grid's band list IS one range
+    fn a_miss_at_capacity_reprices_into_the_evicted_table() {
+        let inst = td_instance();
+        let oracle = Dispatcher::new();
+        let mut pool = PricedSlotPool::with_capacity(&inst, 2);
+        let levels = full_levels(&inst, 0);
+        let first = Arc::as_ptr(&pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels));
+        let _ = pool.get_or_price(&inst, &oracle, 1, inst.load(1), &levels);
+        // Slot 2 evicts slot 0, which no one holds: its table is reused,
+        // and its values are a fresh pricing's, bit for bit.
+        let reused = pool.get_or_price(&inst, &oracle, 2, inst.load(2), &levels);
+        assert_eq!(Arc::as_ptr(&reused), first, "the evicted table is priced into");
+        let fresh = price_slot(&inst, &oracle, 2, inst.load(2), &levels);
+        assert_eq!(reused.all_levels(), fresh.all_levels());
+        let bits = |t: &Table| t.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&fresh));
+        // Slot 3 evicts slot 1; a held slot is never written: slot 2 is
+        // held here, so when slot 0 evicts it, a fresh table is priced.
+        let _ = pool.get_or_price(&inst, &oracle, 3, inst.load(3), &levels);
+        let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels);
+        assert_eq!(bits(&reused), bits(&fresh), "a held slot keeps its values");
+        // A banded miss reshapes an evicted full-grid table to its band.
+        let bands = [1..3usize];
+        let banded = pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &bands);
+        let want = price_slot(&inst, &oracle, 1, inst.load(1), &[levels[0][1..3].to_vec()]);
+        assert_eq!(banded.all_levels(), want.all_levels());
+        assert_eq!(bits(&banded), bits(&want));
+        assert_eq!(pool.stats().pricings, 6);
     }
 
     #[test]

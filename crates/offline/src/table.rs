@@ -14,8 +14,10 @@ use crate::kernels;
 
 pub use crate::grid::GridCursor;
 
-/// Sorted candidate counts per dimension plus a flat value array.
-#[derive(Clone, Debug)]
+/// Sorted candidate counts per dimension plus a flat value array. The
+/// default table has no dimensions and no cells: a shell that
+/// [`Table::reset_shape`] gives its first shape without a copy.
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     levels: Vec<Vec<u32>>,
     strides: Vec<usize>,
@@ -124,6 +126,12 @@ impl Table {
     /// Mutable flat value slice.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// The level lists beside the mutable value slice, for a pass that
+    /// walks the grid while it writes the values.
+    pub(crate) fn levels_and_values_mut(&mut self) -> (&[Vec<u32>], &mut [f64]) {
+        (&self.levels, &mut self.values)
     }
 
     /// Stride of dimension `j` in the flat layout.

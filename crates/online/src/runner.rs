@@ -98,21 +98,31 @@ impl LatencyProfile {
     }
 
     /// Several nearest-rank quantiles of `samples` (each `0 ≤ q ≤ 1`)
-    /// from one sorted copy: the same values as one
-    /// [`LatencyProfile::quantile`] call per `q`, for one sort. All 0
+    /// from one copy: the same values as one [`LatencyProfile::quantile`]
+    /// call per `q`, and bit for bit the entries of the copy sorted by
+    /// [`f64::total_cmp`]. No sort runs: the largest rank is selected
+    /// first, then each smaller one inside the part left of the previous
+    /// selection, so `N` quantiles of `n` samples cost `O(N·n)`. All 0
     /// for no samples.
     #[must_use]
     pub fn quantiles<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
-        if samples.is_empty() {
+        let n = samples.len();
+        if n == 0 {
             return [0.0; N];
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        qs.map(|q| {
-            let rank =
-                ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
-        })
+        let ranks = qs.map(|q| ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n));
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| std::cmp::Reverse(ranks[i]));
+        let mut copy = samples.to_vec();
+        let mut out = [0.0; N];
+        // `copy[..end]` holds the `end` smallest samples.
+        let mut end = n;
+        for i in order {
+            let (_, &mut v, _) = copy[..end].select_nth_unstable_by(ranks[i] - 1, f64::total_cmp);
+            out[i] = v;
+            end = ranks[i];
+        }
+        out
     }
 
     /// Mean per-decision latency in seconds (0 for an empty profile).
@@ -268,6 +278,64 @@ mod tests {
         assert_eq!((p50, p90, p99), (all[3] * 1e6, all[4] * 1e6, all[5] * 1e6));
         assert_eq!(LatencyProfile::quantiles(&[], [0.5, 0.99]), [0.0, 0.0]);
         assert_eq!(LatencyProfile::new(Vec::new()).quantile(0.5), 0.0);
+    }
+
+    mod selection {
+        use super::LatencyProfile;
+        use proptest::prelude::*;
+
+        /// The reference: every sample sorted, each rank read off.
+        fn sorted_quantiles<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
+            if samples.is_empty() {
+                return [0.0; N];
+            }
+            let mut sorted = samples.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            qs.map(|q| sorted[((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n) - 1])
+        }
+
+        /// A sample drawn from few values, so duplicates are common,
+        /// with both zeros among them.
+        fn sample() -> impl Strategy<Value = f64> {
+            (0u32..12, 0.0..1.0_f64).prop_map(|(k, x)| match k {
+                0 => 0.0,
+                1 => -0.0,
+                2..=5 => f64::from(k) * 1e-6,
+                _ => x * 1e-3,
+            })
+        }
+
+        fn q() -> impl Strategy<Value = f64> {
+            prop_oneof![Just(0.0), Just(1.0), Just(0.5), Just(0.99), -0.5..1.5_f64]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn selection_equals_the_sort_bit_for_bit(
+                samples in prop::collection::vec(sample(), 1..=300),
+                qs in (q(), q(), q(), q()),
+            ) {
+                let qs = [qs.0, qs.1, qs.2, qs.3];
+                let got = LatencyProfile::quantiles(&samples, qs);
+                let want = sorted_quantiles(&samples, qs);
+                for k in 0..4 {
+                    prop_assert_eq!(got[k].to_bits(), want[k].to_bits());
+                }
+                let [p50, p99] = LatencyProfile::quantiles(&samples, [0.5, 0.99]);
+                prop_assert_eq!(
+                    [p50.to_bits(), p99.to_bits()],
+                    sorted_quantiles(&samples, [0.5, 0.99]).map(f64::to_bits)
+                );
+            }
+
+            #[test]
+            fn a_single_sample_is_every_quantile(x in sample(), q in q()) {
+                prop_assert_eq!(LatencyProfile::quantiles(&[x], [q])[0].to_bits(), x.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use rsz_core::{Config, Instance, Schedule};
+use rsz_core::{Instance, Schedule};
 use rsz_offline::{shared_pool, SharedSlotPool};
 use rsz_online::{restore_controller, DegradeOptions, GracefulDegrader, LatencyProfile};
 
@@ -373,7 +373,9 @@ impl Daemon {
         let _guard = QueueGuard(&slot.waiting);
         let mut st = lock_clean(&slot.state);
         match self.tick_core(&mut st, name, seq, load) {
-            Ok((config, rung, replayed)) => decision_line(seq, &config, rung, replayed),
+            Ok((rung, replayed)) => {
+                decision_line(seq, &st.decisions.configs()[seq as usize], rung, replayed)
+            }
             Err((code, detail)) => error_line(code, &detail),
         }
     }
@@ -383,15 +385,16 @@ impl Daemon {
     /// primary's shipped ticks through exactly this path — that is what
     /// makes failover bit-identical): quarantine gate → idempotent
     /// sequencing → validation → WAL append (+rotation) → step →
-    /// snapshot and fingerprint cadences. The returned `bool` is true
-    /// when the decision was replayed from committed history.
+    /// snapshot and fingerprint cadences. On success the decision for
+    /// `seq` is committed in `st.decisions`; the returned `bool` is true
+    /// when it was replayed from committed history.
     pub(crate) fn tick_core(
         &self,
         st: &mut TenantState,
         name: &str,
         seq: u64,
         load: f64,
-    ) -> Result<(Config, rsz_online::Rung, bool), (ErrorCode, String)> {
+    ) -> Result<(rsz_online::Rung, bool), (ErrorCode, String)> {
         // Quarantine gate: bounce until the backoff expires, then try
         // to revive; a failed revival re-enters with a longer gate.
         if let Some(q) = st.quarantine.clone() {
@@ -423,22 +426,19 @@ impl Daemon {
         // was accepted).
         let expected = st.accepted() as u64;
         if seq < expected {
-            let config = match st.decisions.configs().get(seq as usize) {
-                Some(c) => c.clone(),
+            if seq as usize >= st.decisions.len() {
                 // The decision for this accepted tick is still pending
                 // (its first attempt panicked and we just revived): the
                 // client should re-send the *next* seq; report the gap.
-                None => {
-                    return Err((
-                        ErrorCode::Input,
-                        format!("seq {seq} accepted but undecided; resend seq {expected}"),
-                    ))
-                }
-            };
+                return Err((
+                    ErrorCode::Input,
+                    format!("seq {seq} accepted but undecided; resend seq {expected}"),
+                ));
+            }
             st.counters.replays += 1;
             self.counters.replays.fetch_add(1, Ordering::Relaxed);
             let rung = st.controller.as_ref().map_or(rsz_online::Rung::Exact, |c| c.rung());
-            return Ok((config, rung, true));
+            return Ok((rung, true));
         }
         if seq > expected {
             return Err((ErrorCode::Input, format!("seq gap: expected {expected}, got {seq}")));
@@ -473,7 +473,7 @@ impl Daemon {
         self.maybe_rotate(st, name);
 
         match self.step(st) {
-            Ok((config, rung, elapsed)) => {
+            Ok((rung, elapsed)) => {
                 st.counters.decisions += 1;
                 st.counters.push_latency(elapsed.as_secs_f64());
                 self.counters.decisions.fetch_add(1, Ordering::Relaxed);
@@ -496,7 +496,7 @@ impl Daemon {
                     let fp = st.digest.fingerprint(&st.spec, st.accepted(), full);
                     st.push_fingerprint(Fingerprint { k: st.accepted() as u64, fp, full });
                 }
-                Ok((config, rung, false))
+                Ok((rung, false))
             }
             Err((reason, detail)) => {
                 self.quarantine(st, name, reason, detail.clone());
@@ -542,13 +542,13 @@ impl Daemon {
         }
     }
 
-    /// Decide the latest accepted slot. The controller runs under
-    /// `catch_unwind`: a panic here is the tenant's problem, never the
-    /// daemon's.
+    /// Decide the latest accepted slot and commit the decision. The
+    /// controller runs under `catch_unwind`: a panic here is the
+    /// tenant's problem, never the daemon's.
     fn step(
         &self,
         st: &mut TenantState,
-    ) -> Result<(Config, rsz_online::Rung, Duration), (QuarantineReason, String)> {
+    ) -> Result<(rsz_online::Rung, Duration), (QuarantineReason, String)> {
         if st.controller.is_none() {
             st.controller = Some(self.new_degrader(&st.spec, &st.instance)?);
         }
@@ -563,8 +563,8 @@ impl Daemon {
         match outcome {
             Ok(config) => {
                 let rung = controller.rung();
-                st.commit(config.clone());
-                Ok((config, rung, elapsed))
+                st.commit(config);
+                Ok((rung, elapsed))
             }
             Err(payload) => {
                 // The controller is gone; recovery rebuilds it from the
@@ -1246,7 +1246,9 @@ impl Daemon {
 impl Daemon {
     /// Every tenant's loads (bit patterns), decisions and rolling
     /// digest, sorted by name.
-    pub(crate) fn tenant_states(&self) -> Vec<(String, Vec<u64>, Vec<Config>, state::StateDigest)> {
+    pub(crate) fn tenant_states(
+        &self,
+    ) -> Vec<(String, Vec<u64>, Vec<rsz_core::Config>, state::StateDigest)> {
         self.slots()
             .into_iter()
             .map(|(name, slot)| {

@@ -10,8 +10,15 @@
 //! malformed input of any kind surfaces as a [`JsonError`] with a byte
 //! offset, never a panic (the serve chaos suite feeds this parser
 //! fuzz-split garbage).
+//!
+//! There is one parser. It builds a [`JsonRef`], which borrows from the
+//! line: a string without escapes is a slice of it, and only a string
+//! with escapes is decoded into an owned copy. The request path reads
+//! that tree directly ([`parse_borrowed`]); [`parse`] converts it into
+//! the owned [`Json`] for callers that keep a value past its line.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser. Protocol messages are
 /// depth ≤ 3; anything deeper is hostile or broken input.
@@ -26,6 +33,18 @@ pub enum Json {
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+}
+
+/// A parsed JSON value borrowing from the line it was parsed from (see
+/// the module docs); [`JsonRef::into_owned`] converts it into a [`Json`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonRef<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Arr(Vec<JsonRef<'a>>),
+    Obj(Vec<(Cow<'a, str>, JsonRef<'a>)>),
 }
 
 /// Why a line failed to parse, with the byte offset it failed at.
@@ -77,10 +96,7 @@ impl Json {
     /// exact `u64` value (protocol sequence numbers must round-trip).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a bool, if it is one.
@@ -112,7 +128,7 @@ impl Json {
                 if v.is_finite() {
                     // `{}` on f64 is the shortest representation that
                     // round-trips — exactly what a wire format wants.
-                    out.push_str(&format!("{v}"));
+                    let _ = write!(out, "{v}");
                 } else {
                     out.push_str("null");
                 }
@@ -144,6 +160,73 @@ impl Json {
     }
 }
 
+impl<'a> JsonRef<'a> {
+    /// Member lookup on an object, the last of duplicate keys winning
+    /// (see [`Json::get`]).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
+        match self {
+            JsonRef::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, if it is one.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a number, if it is one.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonRef::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact non-negative integer (see [`Json::as_u64`]).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// The value as a bool, if it is one.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonRef::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The owned tree: every borrowed string copied out of the line.
+    #[must_use]
+    pub fn into_owned(self) -> Json {
+        match self {
+            JsonRef::Null => Json::Null,
+            JsonRef::Bool(b) => Json::Bool(b),
+            JsonRef::Num(v) => Json::Num(v),
+            JsonRef::Str(s) => Json::Str(s.into_owned()),
+            JsonRef::Arr(items) => Json::Arr(items.into_iter().map(JsonRef::into_owned).collect()),
+            JsonRef::Obj(members) => Json::Obj(
+                members.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect(),
+            ),
+        }
+    }
+}
+
+/// `v` as a `u64` if it is a whole number in `0..=2^53`, the range where
+/// every integer has an exact `f64` (protocol sequence numbers must
+/// round-trip).
+fn exact_u64(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53)).then_some(v as u64)
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -153,7 +236,9 @@ fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -164,6 +249,12 @@ fn write_escaped(out: &mut String, s: &str) {
 /// string (modulo surrounding whitespace) — a request line is one
 /// message, so trailing garbage is an error, not a second message.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
+    parse_borrowed(input).map(JsonRef::into_owned)
+}
+
+/// [`parse`] without the conversion: the tree borrows its unescaped
+/// strings from `input`.
+pub fn parse_borrowed(input: &str) -> Result<JsonRef<'_>, JsonError> {
     let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
@@ -204,7 +295,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str, value: JsonRef<'a>) -> Result<JsonRef<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -213,29 +304,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<JsonRef<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'"') => Ok(JsonRef::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonRef::Bool(true)),
+            Some(b'f') => self.literal("false", JsonRef::Bool(false)),
+            Some(b'n') => self.literal("null", JsonRef::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonRef<'a>, JsonError> {
         self.expect(b'{', "expected '{'")?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(JsonRef::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -250,20 +341,20 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(JsonRef::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonRef<'a>, JsonError> {
         self.expect(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(JsonRef::Arr(items));
         }
         loop {
             self.skip_ws();
@@ -273,22 +364,29 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(JsonRef::Arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string: a slice of the input when it holds no escape, decoded
+    /// into an owned copy when it does.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_owned();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -332,21 +430,22 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy the run of plain bytes up to the next `"`,
-                    // `\` or control byte in one piece. Those stop bytes
-                    // are ASCII, so the run ends on a char boundary of
-                    // the `&str` input.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.text[self.pos..self.pos + run]);
-                    self.pos += run;
-                }
+                Some(_) => out.push_str(self.plain_run()),
             }
         }
+    }
+
+    /// Skip the run of plain string bytes up to the next `"`, `\\` or
+    /// control byte, returning it: a string is scanned once, its plain
+    /// runs taken whole. Those stop bytes are ASCII, so the run ends on
+    /// a char boundary of the `&str` input.
+    fn plain_run(&mut self) -> &'a str {
+        let rest = &self.bytes[self.pos..];
+        let run =
+            rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(rest.len());
+        let start = self.pos;
+        self.pos += run;
+        &self.text[start..self.pos]
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -360,7 +459,7 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<JsonRef<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -390,7 +489,7 @@ impl<'a> Parser<'a> {
         // structured error, which is the behavior the poisoned-λ chaos
         // tests drive.
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(JsonRef::Num)
             .map_err(|_| JsonError { at: start, what: "invalid number" })
     }
 }

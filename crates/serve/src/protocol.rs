@@ -9,11 +9,14 @@
 //! with the same JSON bodies so a curl or a load-balancer probe works
 //! without speaking the protocol.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 use rsz_core::Config;
 use rsz_offline::{Decoder, SnapshotError};
 use rsz_online::Rung;
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, JsonRef};
 use crate::spec::{GridSpec, TenantSpec};
 
 /// Stable error codes. Clients retry on [`ErrorCode::Overloaded`],
@@ -78,16 +81,17 @@ impl ErrorCode {
     }
 }
 
-/// A parsed request line.
+/// A parsed request line. A tenant name borrows from the line unless it
+/// was written with escapes.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Create (or idempotently re-attach to) a tenant.
-    Register { tenant: String, spec: TenantSpec },
+    Register { tenant: Cow<'a, str>, spec: TenantSpec },
     /// One telemetry tick. A load that arrived malformed (JSON cannot
     /// carry NaN; clients send null/strings instead) parses to NaN here
     /// and fails load validation downstream — attributed to the tenant,
     /// as a poisoned trace should be.
-    Tick { tenant: String, seq: u64, load: f64 },
+    Tick { tenant: Cow<'a, str>, seq: u64, load: f64 },
     /// Legacy combined health probe (liveness + a tenant summary).
     Health,
     /// Pure liveness: is the process up and answering?
@@ -124,8 +128,10 @@ pub struct ParseError {
 }
 
 /// Parse one request line. Accepts the JSON protocol plus the
-/// `GET /health` / `GET /metrics` plain-text escapes.
-pub fn parse_request(line: &str) -> Result<Request, ParseError> {
+/// `GET /health` / `GET /metrics` plain-text escapes. The line is read
+/// as a borrowing [`JsonRef`] tree, so a tick allocates only that tree's
+/// member list.
+pub fn parse_request(line: &str) -> Result<Request<'_>, ParseError> {
     let line = line.trim();
     match line {
         "GET /health" | "GET /health HTTP/1.1" | "GET /health HTTP/1.0" => {
@@ -140,38 +146,38 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         }
         _ => {}
     }
-    let v =
-        json::parse(line).map_err(|e| ParseError { detail: format!("not a JSON request: {e}") })?;
+    let v = json::parse_borrowed(line)
+        .map_err(|e| ParseError { detail: format!("not a JSON request: {e}") })?;
     let op = v
         .get("op")
-        .and_then(Json::as_str)
+        .and_then(JsonRef::as_str)
         .ok_or_else(|| ParseError { detail: "missing string field `op`".into() })?;
     match op {
         "register" => {
             let tenant = req_tenant(&v)?;
             let fleet = v
                 .get("fleet")
-                .and_then(Json::as_str)
+                .and_then(JsonRef::as_str)
                 .ok_or_else(|| ParseError { detail: "register needs a `fleet` string".into() })?
                 .to_owned();
-            let algo = v.get("algo").and_then(Json::as_str).unwrap_or("b").to_owned();
+            let algo = v.get("algo").and_then(JsonRef::as_str).unwrap_or("b").to_owned();
             // `engine` and `cache` are retired solver flags: recorded
             // verbatim in the spec (WAL bytes and fingerprints stay
             // stable), ignored by `build_controller`.
-            let engine = v.get("engine").and_then(Json::as_bool).unwrap_or(true);
-            let cache = v.get("cache").and_then(Json::as_bool).unwrap_or(false);
-            let grid = match v.get("grid").and_then(Json::as_str) {
+            let engine = v.get("engine").and_then(JsonRef::as_bool).unwrap_or(true);
+            let cache = v.get("cache").and_then(JsonRef::as_bool).unwrap_or(false);
+            let grid = match v.get("grid").and_then(JsonRef::as_str) {
                 None => GridSpec::Full,
                 Some(s) => GridSpec::parse(s).map_err(|detail| ParseError { detail })?,
             };
             let deadline_us = match v.get("deadline_us") {
-                None | Some(Json::Null) => None,
+                None | Some(JsonRef::Null) => None,
                 Some(d) => Some(d.as_u64().ok_or_else(|| ParseError {
                     detail: "`deadline_us` must be a non-negative integer".into(),
                 })?),
             };
             let snapshot_every = match v.get("snapshot_every") {
-                None | Some(Json::Null) => 0,
+                None | Some(JsonRef::Null) => 0,
                 Some(d) => d.as_u64().ok_or_else(|| ParseError {
                     detail: "`snapshot_every` must be a non-negative integer".into(),
                 })? as usize,
@@ -185,13 +191,13 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             let tenant = req_tenant(&v)?;
             let seq = v
                 .get("seq")
-                .and_then(Json::as_u64)
+                .and_then(JsonRef::as_u64)
                 .ok_or_else(|| ParseError { detail: "tick needs an integer `seq`".into() })?;
             // A missing or non-numeric load is the tenant's data being
             // bad, not the request being unparseable: map it to NaN so
             // it flows through load validation and quarantines the
             // tenant instead of bouncing as bad_request.
-            let load = v.get("load").and_then(Json::as_f64).unwrap_or(f64::NAN);
+            let load = v.get("load").and_then(JsonRef::as_f64).unwrap_or(f64::NAN);
             Ok(Request::Tick { tenant, seq, load })
         }
         "health" => Ok(Request::Health),
@@ -202,18 +208,18 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         "repl.sync" => {
             let replica = v
                 .get("replica")
-                .and_then(Json::as_str)
+                .and_then(JsonRef::as_str)
                 .ok_or_else(|| ParseError { detail: "repl.sync needs a `replica` string".into() })?
                 .to_owned();
             let have = match v.get("have") {
-                None | Some(Json::Null) => Vec::new(),
-                Some(Json::Obj(fields)) => {
+                None | Some(JsonRef::Null) => Vec::new(),
+                Some(JsonRef::Obj(fields)) => {
                     let mut have = Vec::with_capacity(fields.len());
                     for (tenant, count) in fields {
                         let n = count.as_u64().ok_or_else(|| ParseError {
                             detail: format!("repl.sync `have.{tenant}` must be an integer"),
                         })?;
-                        have.push((tenant.clone(), n));
+                        have.push((tenant.to_string(), n));
                     }
                     have
                 }
@@ -223,7 +229,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             };
             let stuck = match v.get("stuck") {
                 None => Vec::new(),
-                Some(Json::Arr(items)) => items
+                Some(JsonRef::Arr(items)) => items
                     .iter()
                     .map(|t| {
                         t.as_str().map(str::to_owned).ok_or_else(|| ParseError {
@@ -241,18 +247,17 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     }
 }
 
-fn req_tenant(v: &Json) -> Result<String, ParseError> {
-    let name = v
-        .get("tenant")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ParseError { detail: "missing string field `tenant`".into() })?;
+fn req_tenant<'a>(v: &JsonRef<'a>) -> Result<Cow<'a, str>, ParseError> {
+    let Some(JsonRef::Str(name)) = v.get("tenant") else {
+        return Err(ParseError { detail: "missing string field `tenant`".into() });
+    };
     if name.is_empty() || name.len() > 128 {
         return Err(ParseError { detail: "tenant name must be 1..=128 bytes".into() });
     }
     if !name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.') {
         return Err(ParseError { detail: "tenant name may only contain [A-Za-z0-9._-]".into() });
     }
-    Ok(name.to_owned())
+    Ok(name.clone())
 }
 
 /// `{"ok":false,"error":CODE,"detail":MSG}` as a reply line.
@@ -268,18 +273,26 @@ pub fn error_line(code: ErrorCode, detail: &str) -> String {
 
 /// The successful reply to a tick: the decided configuration, echoing
 /// the sequence number, flagged when it replays an already-committed
-/// decision, with the degradation rung that produced it.
+/// decision, with the degradation rung that produced it —
+/// `{"ok":true,"seq":7,"config":[2,1],"rung":"exact","replayed":false}`.
+/// Written straight into one string sized for the longest such line;
+/// the integers print as the owned [`Json`] tree would print them as
+/// numbers (every `seq` a request can carry is at most `2^53`).
 #[must_use]
 pub fn decision_line(seq: u64, config: &Config, rung: Rung, replayed: bool) -> String {
-    let counts = Json::Arr(config.counts().iter().map(|&c| json::n(f64::from(c))).collect());
-    json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("seq", json::n(seq as f64)),
-        ("config", counts),
-        ("rung", json::s(rung_str(rung))),
-        ("replayed", Json::Bool(replayed)),
-    ])
-    .to_line()
+    // The fixed text is 52 bytes; a `u64` takes at most 20 digits, a
+    // rung 6 bytes, a `bool` 5, and each `u32` count 10 plus a comma.
+    let counts = config.counts();
+    let mut out = String::with_capacity(83 + 11 * counts.len());
+    let _ = write!(out, r#"{{"ok":true,"seq":{seq},"config":["#);
+    for (i, c) in counts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{c}");
+    }
+    let _ = write!(out, r#"],"rung":"{}","replayed":{replayed}}}"#, rung_str(rung));
+    out
 }
 
 /// Wire name of a degradation rung.
@@ -382,6 +395,62 @@ mod tests {
             r#"{"op":"register","tenant":"t","fleet":"x","deadline_us":-3}"#,
         ] {
             assert!(parse_request(line).is_err(), "{line:?} should be rejected");
+        }
+    }
+
+    /// The rejection tests' malformed lines, each with the detail the
+    /// reply carries: reading through the borrowing tree changed none.
+    #[test]
+    fn malformed_lines_keep_their_error_details() {
+        for (line, detail) in [
+            ("", "not a JSON request: expected a value at byte 0"),
+            ("{", "not a JSON request: expected '\"' at byte 1"),
+            ("null", "missing string field `op`"),
+            ("[1,2]", "missing string field `op`"),
+            (r#"{"op":"warp"}"#, "unknown op `warp`"),
+            (r#"{"op":"tick"}"#, "missing string field `tenant`"),
+            (r#"{"op":"tick","tenant":"t"}"#, "tick needs an integer `seq`"),
+            (r#"{"op":"tick","tenant":"","seq":0}"#, "tenant name must be 1..=128 bytes"),
+            (
+                r#"{"op":"tick","tenant":"a b","seq":0}"#,
+                "tenant name may only contain [A-Za-z0-9._-]",
+            ),
+            (r#"{"op":"register","tenant":"t"}"#, "register needs a `fleet` string"),
+            (
+                r#"{"op":"register","tenant":"t","fleet":"x","grid":"mesh"}"#,
+                "unknown grid `mesh` (expected `full` or `gamma:G`)",
+            ),
+            (
+                r#"{"op":"register","tenant":"t","fleet":"x","deadline_us":-3}"#,
+                "`deadline_us` must be a non-negative integer",
+            ),
+            (r#"{"op":"repl.sync"}"#, "repl.sync needs a `replica` string"),
+            (
+                r#"{"op":"repl.sync","replica":"r1","have":[1]}"#,
+                "repl.sync `have` must be an object",
+            ),
+            (
+                r#"{"op":"repl.sync","replica":"r1","have":{"t":"x"}}"#,
+                "repl.sync `have.t` must be an integer",
+            ),
+            (
+                r#"{"op":"repl.sync","replica":"r1","stuck":"t"}"#,
+                "repl.sync `stuck` must be an array",
+            ),
+            (
+                r#"{"op":"repl.sync","replica":"r1","stuck":{"t":1}}"#,
+                "repl.sync `stuck` must be an array",
+            ),
+            (
+                r#"{"op":"repl.sync","replica":"r1","stuck":null}"#,
+                "repl.sync `stuck` must be an array",
+            ),
+            (
+                r#"{"op":"repl.sync","replica":"r1","stuck":["t",2]}"#,
+                "repl.sync `stuck` entries must be strings",
+            ),
+        ] {
+            assert_eq!(parse_request(line).unwrap_err().detail, detail, "{line:?}");
         }
     }
 

@@ -416,7 +416,7 @@ impl Daemon {
                     };
                     let mut st = lock_clean(&slot.state);
                     match self.tick_core(&mut st, name, seq, load) {
-                        Ok((_, _, replayed)) => {
+                        Ok((_, replayed)) => {
                             if !replayed {
                                 report.applied += 1;
                                 self.counters.repl_applied.fetch_add(1, Ordering::Relaxed);

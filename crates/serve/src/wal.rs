@@ -240,6 +240,9 @@ pub struct WalWriter {
     file: File,
     fsync: bool,
     bytes: u64,
+    /// The frame being written, kept between appends so a tick's append
+    /// reuses its capacity instead of allocating.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -247,21 +250,21 @@ impl WalWriter {
     pub fn open(path: &Path, fsync: bool) -> io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let bytes = file.metadata()?.len();
-        Ok(Self { file, fsync, bytes })
+        Ok(Self { file, fsync, bytes, frame: Vec::new() })
     }
 
     /// Append one record and flush it to the OS. With `fsync` the write
     /// is also forced to stable storage — survives power loss, not just
     /// process death.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let mut framed = Vec::with_capacity(64);
-        frame_into(&mut framed, |enc| encode_payload(record, enc))?;
-        self.file.write_all(&framed)?;
+        self.frame.clear();
+        frame_into(&mut self.frame, |enc| encode_payload(record, enc))?;
+        self.file.write_all(&self.frame)?;
         self.file.flush()?;
         if self.fsync {
             self.file.sync_data()?;
         }
-        self.bytes += framed.len() as u64;
+        self.bytes += self.frame.len() as u64;
         Ok(())
     }
 

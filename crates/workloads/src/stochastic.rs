@@ -125,7 +125,7 @@ pub fn spiky(len: usize, base: f64, spike_height: f64, p_spike: f64, seed: u64) 
 
 fn gaussian(rng: &mut StdRng) -> f64 {
     // Box–Muller; u1 bounded away from 0.
-    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let u1: f64 = rng.gen_range(rsz_core::util::BOX_MULLER_MIN_U..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }

@@ -1,11 +1,13 @@
 //! Schema check for the benchmark trajectory records.
 //!
-//! Every `BENCH_*.json` at the workspace root is a machine-read
-//! trajectory the CI uploads as an artifact; downstream tooling (and
-//! the next PR's diffing) relies on three top-level keys being present:
-//! `bench` (which bench wrote it), `timestamp` (when), and `runs` (the
-//! per-scenario rows). The workspace has no JSON dependency, so the
-//! check is a minimal structural scan, not a full parse.
+//! Every `BENCH_*.json` at the workspace root is a committed, full-mode
+//! trajectory record; downstream tooling (and the next PR's diffing)
+//! relies on three top-level keys being present: `bench` (which bench
+//! wrote it), `timestamp` (when), and `runs` (the per-scenario rows),
+//! and on `"quick": false`, since only a full run carries the gated
+//! numbers (a `--quick` run writes under `results/` only). The workspace
+//! has no JSON dependency, so the check is a minimal structural scan,
+//! not a full parse.
 
 use std::fs;
 use std::path::Path;
@@ -34,15 +36,13 @@ fn committed_speedups_never_drop_below_their_gates() {
     // (re-running the full bench on a slower machine can move the
     // number, but never below the gate the bench itself asserts — a
     // lower committed value means someone recorded a gate-failing run).
-    // A quick-mode record gates nothing.
+    // A quick-mode record would gate nothing, so none may be committed.
     let floors: [(&str, &[(&str, f64)]); 1] = [("BENCH_refine.json", &[("d3_speedup", 3.0)])];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for (file, keys) in floors {
         let path = root.join(file);
         let body = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file} unreadable: {e}"));
-        if !body.contains("\"quick\": false") {
-            continue; // quick smoke record: wall-clock gates don't apply
-        }
+        assert!(body.contains("\"quick\": false"), "{file} is not a full-mode record");
         for &(key, floor) in keys {
             let got = number_of(&body, key)
                 .unwrap_or_else(|| panic!("{file} is missing a numeric `{key}`"));
@@ -81,7 +81,8 @@ fn serve_trajectory_carries_the_age_row() {
     // The age row records what a serve tick costs as a tenant ages:
     // mean and p99 tick and bytes per snapshot at 1k, 4k and 16k slots,
     // and the 16k/1k ratios the bench gates (at ≤ 1.2; the bytes ratio
-    // in every mode, the timing ratios in full mode).
+    // in every mode, the timing ratios in full mode — which the committed
+    // record is, so all three hold here).
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let body = fs::read_to_string(root.join("BENCH_serve.json"))
         .unwrap_or_else(|e| panic!("BENCH_serve.json unreadable: {e}"));
@@ -94,13 +95,11 @@ fn serve_trajectory_carries_the_age_row() {
             assert!(got > 0.0, "BENCH_serve.json: `{key}` is {got}");
         }
     }
-    let full = body.contains("\"quick\": false");
+    assert!(body.contains("\"quick\": false"), "BENCH_serve.json is not a full-mode record");
     for key in ["tick_mean_ratio", "tick_p99_ratio", "snapshot_bytes_ratio"] {
         let got = number_of(&body, key)
             .unwrap_or_else(|| panic!("BENCH_serve.json is missing a numeric `{key}`"));
-        if full || key == "snapshot_bytes_ratio" {
-            assert!(got <= 1.2, "BENCH_serve.json: `{key}` {got} is above the 1.2 gate");
-        }
+        assert!(got <= 1.2, "BENCH_serve.json: `{key}` {got} is above the 1.2 gate");
     }
 }
 
@@ -120,6 +119,10 @@ fn all_bench_trajectories_carry_the_required_keys() {
         for key in ["bench", "timestamp", "runs"] {
             assert!(has_key(&body, key), "{name} is missing the required `{key}` key");
         }
+        assert!(
+            body.contains("\"quick\": false"),
+            "{name} is not a full-mode record (a `--quick` run writes under results/ only)"
+        );
         assert!(
             body.trim_start().starts_with('{') && body.trim_end().ends_with('}'),
             "{name} is not a JSON object"

@@ -8,14 +8,25 @@
 //! literal with a negative exponent (a digit, `e`, `-`, a digit) in the
 //! non-test part of a gated crate: everything before a file's first
 //! `#[cfg(test)]`, comments included, so the docs name the constants
-//! instead of copying their values.
+//! instead of copying their values. Every library source tree is gated;
+//! the one file exempt is `crates/core/src/util.rs`, where the constants
+//! are defined.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Source trees that route every tolerance through the named constants.
-const GATED: [&str; 4] =
-    ["crates/dispatch/src", "crates/offline/src", "crates/online/src", "crates/serve/src"];
+const GATED: [&str; 6] = [
+    "crates/core/src",
+    "crates/dispatch/src",
+    "crates/offline/src",
+    "crates/online/src",
+    "crates/serve/src",
+    "crates/workloads/src",
+];
+
+/// The one file that may spell tolerances out: where they are named.
+const EXEMPT: &str = "crates/core/src/util.rs";
 
 /// Every `.rs` file under `dir`, recursively, in a stable order.
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
@@ -47,6 +58,9 @@ fn gated_library_code_has_no_bare_tolerance_literals() {
         let files = rust_files(&root.join(dir));
         assert!(!files.is_empty(), "{dir} has no sources");
         for path in files {
+            if path == root.join(EXEMPT) {
+                continue;
+            }
             let text = fs::read_to_string(&path).unwrap();
             for (i, line) in text.lines().enumerate() {
                 if line.trim_start().starts_with("#[cfg(test)]") {
