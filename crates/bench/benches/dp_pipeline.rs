@@ -9,20 +9,17 @@
 //! sharing anywhere), and a d = 3 fleet. Every scenario gates on the
 //! schedule being feasible and on `objective::evaluate` of the schedule
 //! matching the reported cost to a relative 1e-9. Timings are
-//! informational; `--quick` shrinks horizons for the CI smoke.
+//! informational: `pipeline_ms` is the median of five solves, with its
+//! IQR; `--quick` shrinks horizons and solves once, for the CI smoke.
 //!
 //! Results land in `results/dp_pipeline.json` and, as the trajectory
 //! record the CI uploads, `BENCH_dp.json` at the workspace root.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
+use rsz_bench::harness::{tiled_diurnal, Bench, Row};
 use rsz_core::objective::evaluate;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve_with_stats, DpOptions};
-use rsz_offline::pipeline::RecoveryStats;
 use rsz_workloads::stochastic;
 
 struct Scenario {
@@ -90,110 +87,42 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     ]
 }
 
-struct Timed {
-    cost: f64,
-    schedule: rsz_core::Schedule,
-    secs: f64,
-}
-
-fn time_best<F: FnMut() -> (f64, rsz_core::Schedule)>(iterations: usize, mut run: F) -> Timed {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        let (cost, schedule) = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some((cost, schedule));
-    }
-    let (cost, schedule) = out.expect("at least one iteration");
-    Timed { cost, schedule, secs: best }
-}
-
-struct Row {
-    name: &'static str,
-    d: usize,
-    horizon: usize,
-    pipeline_ms: f64,
-    cost: f64,
-    eval_gap_rel: f64,
-    stats: RecoveryStats,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let iterations = if quick { 1 } else { 3 };
-
-    let all = scenarios(quick);
-    let mut rows: Vec<Row> = Vec::new();
-    for sc in &all {
+    let mut bench = Bench::from_args("dp_pipeline");
+    for sc in scenarios(bench.quick) {
         let inst = &sc.instance;
         let opts = DpOptions::pipelined();
         let oracle = Dispatcher::new();
 
         // Warm-up (page in code paths), then timed runs.
         let _ = solve_with_stats(inst, &oracle, opts);
-        let mut stats = None;
-        let pipeline = time_best(iterations, || {
-            let (res, st) = solve_with_stats(inst, &oracle, opts);
-            stats = Some(st);
-            (res.cost, res.schedule)
-        });
-        let stats = stats.expect("pipeline ran");
+        let ((res, stats), pipeline) = bench.time(|| solve_with_stats(inst, &oracle, opts));
 
         // Correctness gates (always enforced).
-        if let Err(e) = pipeline.schedule.check_feasible(inst) {
+        if let Err(e) = res.schedule.check_feasible(inst) {
             panic!("{}: infeasible schedule: {e}", sc.name);
         }
-        let evaluated = evaluate(inst, &pipeline.schedule, &oracle).total();
-        let eval_gap_rel = (evaluated - pipeline.cost).abs() / pipeline.cost.abs().max(1.0);
+        let evaluated = evaluate(inst, &res.schedule, &oracle).total();
+        let eval_gap_rel = (evaluated - res.cost).abs() / res.cost.abs().max(1.0);
         assert!(
             eval_gap_rel <= 1e-9,
             "{}: evaluated schedule cost {evaluated} vs reported {} (gap {eval_gap_rel:e})",
             sc.name,
-            pipeline.cost
+            res.cost
         );
 
-        println!(
-            "bench: dp_pipeline/{:<22} {:>9.2} ms  (eval gap {eval_gap_rel:.2e}, pool {}, peak {} tables)",
-            sc.name,
-            pipeline.secs * 1e3,
-            stats.pooled_pricing_tables,
-            stats.peak_live_tables,
-        );
-        rows.push(Row {
-            name: sc.name,
-            d: inst.num_types(),
-            horizon: inst.horizon(),
-            pipeline_ms: pipeline.secs * 1e3,
-            cost: pipeline.cost,
-            eval_gap_rel,
-            stats,
-        });
-    }
-
-    let timestamp = timestamp();
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"pipeline_ms\": {:.3},\n      \"cost\": {:.6},\n      \"eval_gap_rel\": {:.3e},\n      \"segment_len\": {},\n      \"checkpoints\": {},\n      \"peak_live_tables\": {},\n      \"pooled_pricing_tables\": {}\n    }}{}",
-            r.name,
-            r.d,
-            r.horizon,
-            r.pipeline_ms,
-            r.cost,
-            r.eval_gap_rel,
-            r.stats.segment_len,
-            r.stats.checkpoints,
-            r.stats.peak_live_tables,
-            r.stats.pooled_pricing_tables,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
+        bench.row(
+            Row::new(sc.name)
+                .field("d", inst.num_types())
+                .field("horizon", inst.horizon())
+                .ms("pipeline_ms", pipeline)
+                .field("cost", format!("{:.6}", res.cost))
+                .field("eval_gap_rel", format!("{eval_gap_rel:.3e}"))
+                .field("segment_len", stats.segment_len)
+                .field("checkpoints", stats.checkpoints)
+                .field("peak_live_tables", stats.peak_live_tables)
+                .field("pooled_pricing_tables", stats.pooled_pricing_tables),
         );
     }
-    let json = format!(
-        "{{\n  \"bench\": \"dp_pipeline\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
-    );
-
-    write_records("dp_pipeline", &json, quick, &["results/dp_pipeline.json", "BENCH_dp.json"]);
+    bench.finish(&[], &["results/dp_pipeline.json", "BENCH_dp.json"]);
 }

@@ -16,20 +16,18 @@
 //! electricity-price d = 2 workload (no slot sharing anywhere — every
 //! slot prices fresh, so banding is the only lever). Every scenario
 //! gates cost parity ≤ 1e-9 and schedule equality between the refined
-//! and the unrestricted pipeline solve; the wall-clock gate applies in
-//! full (non `--quick`) mode only.
+//! and the unrestricted pipeline solve; the wall-clock gate, on the
+//! ratio of the two medians of five solves, applies in full (non
+//! `--quick`) mode only.
 //!
 //! Results land in `results/dp_refine.json` and, as the trajectory
 //! record the CI uploads, `BENCH_refine.json` at the workspace root.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
+use rsz_bench::harness::{tiled_diurnal, Bench, Row};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve, DpOptions};
-use rsz_offline::refine::{solve_refined, RefineOptions, RefineStats};
+use rsz_offline::refine::{solve_refined, RefineOptions};
 use rsz_workloads::stochastic;
 
 struct Scenario {
@@ -87,45 +85,10 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     ]
 }
 
-struct Timed {
-    cost: f64,
-    schedule: rsz_core::Schedule,
-    secs: f64,
-}
-
-fn time_best<F: FnMut() -> (f64, rsz_core::Schedule)>(iterations: usize, mut run: F) -> Timed {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        let (cost, schedule) = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some((cost, schedule));
-    }
-    let (cost, schedule) = out.expect("at least one iteration");
-    Timed { cost, schedule, secs: best }
-}
-
-struct Row {
-    name: &'static str,
-    d: usize,
-    horizon: usize,
-    pipeline_ms: f64,
-    refine_ms: f64,
-    speedup: f64,
-    cost_gap_rel: f64,
-    schedules_equal: bool,
-    stats: RefineStats,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let iterations = if quick { 1 } else { 3 };
-
-    let all = scenarios(quick);
-    let mut rows: Vec<Row> = Vec::new();
-    for sc in &all {
+    let mut bench = Bench::from_args("dp_refine");
+    let mut d3_speedup = None;
+    for sc in scenarios(bench.quick) {
         let inst = &sc.instance;
         // Baseline: the PR-3 slot-batched pipeline, unrestricted grid.
         let pipeline_opts = DpOptions::pipelined();
@@ -135,42 +98,32 @@ fn main() {
 
         // Warm-up (page in code paths), then timed runs.
         let _ = solve(inst, &Dispatcher::new(), DpOptions::pipelined());
+        let (baseline, pipeline) = bench.time(|| solve(inst, &Dispatcher::new(), pipeline_opts));
+        let ((refined, stats), refine) =
+            bench.time(|| solve_refined(inst, &Dispatcher::new(), refine_opts));
 
-        let baseline = time_best(iterations, || {
-            let res = solve(inst, &Dispatcher::new(), pipeline_opts);
-            (res.cost, res.schedule)
-        });
-
-        let mut stats = None;
-        let refined = time_best(iterations, || {
-            let (res, st) = solve_refined(inst, &Dispatcher::new(), refine_opts);
-            stats = Some(st);
-            (res.cost, res.schedule)
-        });
-        let stats = stats.expect("refined solve ran");
-
-        let speedup = baseline.secs / refined.secs;
+        let speedup = pipeline.median / refine.median;
         let cost_gap_rel = (baseline.cost - refined.cost).abs() / baseline.cost.abs().max(1.0);
         let schedules_equal = baseline.schedule == refined.schedule;
-        println!(
-            "bench: dp_refine/{:<24} {:>9.2} ms -> {:>9.2} ms  ({speedup:>5.2}x, gap {cost_gap_rel:.2e}, bands {:.1}%, {} rounds)",
-            sc.name,
-            baseline.secs * 1e3,
-            refined.secs * 1e3,
-            100.0 * stats.band_fraction(),
-            stats.rounds,
+        bench.row(
+            Row::new(sc.name)
+                .field("d", inst.num_types())
+                .field("horizon", inst.horizon())
+                .ms("pipeline_ms", pipeline)
+                .ms("refine_ms", refine)
+                .num("speedup", speedup)
+                .field("cost_gap_rel", format!("{cost_gap_rel:.3e}"))
+                .field("schedules_equal", schedules_equal)
+                .field("rounds", stats.rounds)
+                .field("expansions", stats.expansions)
+                .field("fell_back", stats.fell_back)
+                .field("band_cells", stats.band_cells)
+                .field("fine_cells", stats.fine_cells)
+                .field("band_fraction", format!("{:.4}", stats.band_fraction()))
+                .field("pricings", stats.engine.pricings)
+                .field("pool_hits", stats.engine.pool_hits)
+                .field("slice_hits", stats.engine.slice_hits),
         );
-        rows.push(Row {
-            name: sc.name,
-            d: inst.num_types(),
-            horizon: inst.horizon(),
-            pipeline_ms: baseline.secs * 1e3,
-            refine_ms: refined.secs * 1e3,
-            speedup,
-            cost_gap_rel,
-            schedules_equal,
-            stats,
-        });
 
         // Correctness gates (always enforced).
         assert!(
@@ -180,46 +133,17 @@ fn main() {
         );
         assert!(schedules_equal, "{}: corridor refinement changed the schedule", sc.name);
         // Performance gate: d = 3 large fleet, full mode only.
-        if sc.gated && !quick {
+        if sc.gated {
             assert!(
-                speedup >= 3.0,
+                bench.quick || speedup >= 3.0,
                 "{}: corridor speedup {speedup:.2}x below the 3x gate",
                 sc.name
             );
+            d3_speedup = Some(speedup);
         }
     }
-
-    let timestamp = timestamp();
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"pipeline_ms\": {:.3},\n      \"refine_ms\": {:.3},\n      \"speedup\": {:.3},\n      \"cost_gap_rel\": {:.3e},\n      \"schedules_equal\": {},\n      \"rounds\": {},\n      \"expansions\": {},\n      \"fell_back\": {},\n      \"band_cells\": {},\n      \"fine_cells\": {},\n      \"band_fraction\": {:.4},\n      \"pricings\": {},\n      \"pool_hits\": {},\n      \"slice_hits\": {}\n    }}{}",
-            r.name,
-            r.d,
-            r.horizon,
-            r.pipeline_ms,
-            r.refine_ms,
-            r.speedup,
-            r.cost_gap_rel,
-            r.schedules_equal,
-            r.stats.rounds,
-            r.stats.expansions,
-            r.stats.fell_back,
-            r.stats.band_cells,
-            r.stats.fine_cells,
-            r.stats.band_fraction(),
-            r.stats.engine.pricings,
-            r.stats.engine.pool_hits,
-            r.stats.engine.slice_hits,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
-    let reference = rows.iter().find(|r| r.name == "d3_large_fleet_diurnal").expect("gated ran");
-    let json = format!(
-        "{{\n  \"bench\": \"dp_refine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"d3_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        reference.speedup,
+    bench.finish(
+        &[("d3_speedup", format!("{:.3}", d3_speedup.expect("the gated scenario ran")))],
+        &["results/dp_refine.json", "BENCH_refine.json"],
     );
-
-    write_records("dp_refine", &json, quick, &["results/dp_refine.json", "BENCH_refine.json"]);
 }

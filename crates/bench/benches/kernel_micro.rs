@@ -5,19 +5,19 @@
 //! against their `*_scalar` pre-refactor reference twins, on contiguous
 //! lines of length 64 (one short table line), 1024 (a large table's
 //! innermost row block) and 65536 (a whole d = 3 table slab), reporting
-//! elements per second. Inputs are all-finite for the timed loops (the
-//! kernels' fast path and the solver's common case); the bit-identity of
-//! the twins on `+∞`-mixed data is asserted untimed here and
-//! exhaustively in `crates/offline/tests/kernel_parity.rs`.
+//! elements per second at the median of five timed batches. Inputs are
+//! all-finite for the timed loops (the kernels' fast path and the
+//! solver's common case); the bit-identity of the twins on `+∞`-mixed
+//! data is asserted untimed here and exhaustively in
+//! `crates/offline/tests/kernel_parity.rs`.
 //!
 //! Results land in `results/kernels.json`. `--quick` shrinks the rep
-//! counts for the CI smoke step; no wall-clock gates either way.
+//! counts and times one batch, for the CI smoke step; no wall-clock
+//! gates either way.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
-use rsz_bench::harness::{timestamp, write_records};
+use rsz_bench::harness::{Bench, Row};
 use rsz_offline::kernels::{
     argmin_scan, argmin_scan_scalar, axpy_fold, axpy_fold_scalar, min_scan, min_scan_scalar,
     suffix_min_inplace, suffix_min_inplace_scalar,
@@ -38,32 +38,18 @@ fn line(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Best-of-3 wall-clock of `reps` calls to `f`.
-fn time_reps(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-struct Row {
-    kernel: &'static str,
-    len: usize,
-    scalar_eps: f64,
-    lanes_eps: f64,
+/// Elements per second of `reps` calls to `f` on a line of `len`, at
+/// the median batch.
+fn throughput(bench: &Bench, len: usize, reps: usize, mut f: impl FnMut()) -> f64 {
+    let ((), batch) = bench.time(|| (0..reps).for_each(|_| f()));
+    (len * reps) as f64 / batch.median
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut bench = Bench::from_args("kernel_micro");
     // Total elements per measurement — enough to dwarf timer noise in
     // full mode, small enough for a CI smoke in quick mode.
-    let target: usize = if quick { 1 << 21 } else { 1 << 25 };
+    let target: usize = if bench.quick { 1 << 21 } else { 1 << 25 };
 
     // Untimed twin parity on +∞-mixed data (the full property suite
     // lives in kernel_parity.rs; this is a cheap self-check so a broken
@@ -86,82 +72,50 @@ fn main() {
         );
     }
 
-    let mut rows: Vec<Row> = Vec::new();
     for len in LENS {
         let reps = (target / len).max(1);
+        let mut measured = Vec::new();
 
         // Suffix minima: idempotent in place, so one buffer serves every
         // rep with identical per-rep work.
         let mut buf = line(len, 1);
         suffix_min_inplace_scalar(&mut buf);
-        let scalar_s = time_reps(reps, || suffix_min_inplace_scalar(black_box(&mut buf)));
-        let lanes_s = time_reps(reps, || suffix_min_inplace(black_box(&mut buf)));
-        rows.push(Row {
-            kernel: "suffix_min",
-            len,
-            scalar_eps: len as f64 * reps as f64 / scalar_s,
-            lanes_eps: len as f64 * reps as f64 / lanes_s,
-        });
+        let scalar =
+            throughput(&bench, len, reps, || suffix_min_inplace_scalar(black_box(&mut buf)));
+        let lanes = throughput(&bench, len, reps, || suffix_min_inplace(black_box(&mut buf)));
+        measured.push(("suffix_min", scalar, lanes));
 
         // Pricing fold: all-finite accumulator and slot values keep every
         // rep on the same path; scale 1e-9 keeps sums far from overflow.
         let g = line(len, 2);
         let mut v = line(len, 3);
-        let scalar_s = time_reps(reps, || axpy_fold_scalar(black_box(&mut v), &g, 1e-9));
+        let scalar =
+            throughput(&bench, len, reps, || axpy_fold_scalar(black_box(&mut v), &g, 1e-9));
         let mut v = line(len, 3);
-        let lanes_s = time_reps(reps, || axpy_fold(black_box(&mut v), &g, 1e-9));
-        rows.push(Row {
-            kernel: "axpy_fold",
-            len,
-            scalar_eps: len as f64 * reps as f64 / scalar_s,
-            lanes_eps: len as f64 * reps as f64 / lanes_s,
-        });
+        let lanes = throughput(&bench, len, reps, || axpy_fold(black_box(&mut v), &g, 1e-9));
+        measured.push(("axpy_fold", scalar, lanes));
 
         // Windowed argmin (read-only): totals favor high indices so the
         // candidate sweep does real tie-break work every rep.
         let v = line(len, 4);
-        let scalar_s = time_reps(reps, || {
+        let scalar = throughput(&bench, len, reps, || {
             black_box(argmin_scan_scalar(black_box(&v), |i| (len - i) as u64));
         });
-        let lanes_s = time_reps(reps, || {
+        let lanes = throughput(&bench, len, reps, || {
             black_box(argmin_scan(black_box(&v), |i| (len - i) as u64));
         });
-        rows.push(Row {
-            kernel: "argmin",
-            len,
-            scalar_eps: len as f64 * reps as f64 / scalar_s,
-            lanes_eps: len as f64 * reps as f64 / lanes_s,
-        });
-    }
+        measured.push(("argmin", scalar, lanes));
 
-    for r in &rows {
-        println!(
-            "bench: kernel_micro/{:<11} len {:>6}  {:>8.1} Melem/s -> {:>8.1} Melem/s  ({:>5.2}x)",
-            r.kernel,
-            r.len,
-            r.scalar_eps / 1e6,
-            r.lanes_eps / 1e6,
-            r.lanes_eps / r.scalar_eps,
-        );
+        for (kernel, scalar, lanes) in measured {
+            bench.row(
+                Row::new(format!("{kernel}_{len}"))
+                    .field("kernel", format!("\"{kernel}\""))
+                    .field("len", len)
+                    .field("scalar_elems_per_s", format!("{scalar:.0}"))
+                    .field("lanes_elems_per_s", format!("{lanes:.0}"))
+                    .num("speedup", lanes / scalar),
+            );
+        }
     }
-
-    let timestamp = timestamp();
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            runs,
-            "    {{\n      \"kernel\": \"{}\",\n      \"len\": {},\n      \"scalar_elems_per_s\": {:.0},\n      \"lanes_elems_per_s\": {:.0},\n      \"speedup\": {:.3}\n    }}{}",
-            r.kernel,
-            r.len,
-            r.scalar_eps,
-            r.lanes_eps,
-            r.lanes_eps / r.scalar_eps,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"kernel_micro\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
-    );
-
-    write_records("kernel_micro", &json, quick, &["results/kernels.json"]);
+    bench.finish(&[], &["results/kernels.json"]);
 }

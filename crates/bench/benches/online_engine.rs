@@ -16,20 +16,18 @@
 //! Gates, every mode: Algorithm C prices each original slot exactly
 //! once (`pricings == horizon`) and its sub-slot replays hit the pool,
 //! and the tiled days of Algorithm A are answered from the pool.
-//! Timings are informational. Results land in
+//! Timings are informational: `engine_ms` is the median of five whole
+//! runs (one under `--quick`), with its IQR. Results land in
 //! `results/online_engine.json` and, as the trajectory record the CI
 //! uploads, `BENCH_online.json`.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use rsz_bench::harness::{tiled_diurnal, timestamp, write_records};
+use rsz_bench::harness::{tiled_diurnal, Bench, Row};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::EngineStats;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_c::{AlgorithmC, COptions};
-use rsz_online::runner::{run_instrumented, LatencyProfile, OnlineAlgorithm};
+use rsz_online::runner::{run_instrumented, OnlineAlgorithm};
 
 /// The reference Algorithm C workload: time-dependent prices (so the
 /// pool partitions by slot and only the sub-slot replay can win) with
@@ -86,142 +84,67 @@ fn c_d3_diurnal(quick: bool) -> Instance {
         .expect("d=3 instance feasible")
 }
 
-struct Timed {
-    profile: LatencyProfile,
-    secs: f64,
-}
-
-/// Time `build`'s controller over `iterations` whole runs, keeping the
-/// best wall clock (fresh controller per iteration — online state must
-/// not leak across runs). The controller of the *last* iteration is
-/// handed to `inspect` so callers can pull engine counters off the
-/// concrete type; the profile also comes from that iteration (every
-/// iteration is deterministic, only the clock varies).
-fn time_runs<A: OnlineAlgorithm>(
+/// Time whole runs of `build`'s controller, a fresh one per run (online
+/// state must not leak across runs), and add the scenario's row. The
+/// profile and the engine counters come from the last run: every run is
+/// deterministic, only the clock varies.
+fn measure<A: OnlineAlgorithm>(
+    bench: &mut Bench,
+    name: &str,
     instance: &Instance,
-    iterations: usize,
     mut build: impl FnMut() -> A,
-    mut inspect: impl FnMut(&A),
-) -> Timed {
+    engine_stats: impl Fn(&A) -> EngineStats,
+) -> EngineStats {
     let oracle = Dispatcher::new();
-    let mut best = f64::INFINITY;
-    let mut profile = None;
-    for _ in 0..iterations {
+    let ((algo, profile), [engine]) = bench.repeat(|laps| {
         let mut algo = build();
-        let start = Instant::now();
-        let (_, run_profile) = run_instrumented(instance, &mut algo, &oracle);
-        best = best.min(start.elapsed().as_secs_f64());
-        inspect(&algo);
-        profile = Some(run_profile);
-    }
-    Timed { profile: profile.expect("at least one iteration"), secs: best }
-}
-
-struct Row {
-    name: &'static str,
-    d: usize,
-    horizon: usize,
-    engine_ms: f64,
-    engine_p50_us: f64,
-    engine_p99_us: f64,
-    pricings: u64,
-    pool_hits: u64,
+        let (_, profile) = laps.time(|| run_instrumented(instance, &mut algo, &oracle));
+        (algo, profile)
+    });
+    let stats = engine_stats(&algo);
+    let (p50, _, p99, _, _) = profile.summary_us();
+    bench.row(
+        Row::new(name)
+            .field("d", instance.num_types())
+            .field("horizon", instance.horizon())
+            .ms("engine_ms", engine)
+            .field("engine_p50_us", format!("{p50:.2}"))
+            .field("engine_p99_us", format!("{p99:.2}"))
+            .field("pricings", stats.pricings)
+            .field("pool_hits", stats.pool_hits),
+    );
+    stats
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let iterations = 3;
-
-    let mut rows: Vec<Row> = Vec::new();
+    let mut bench = Bench::from_args("online_engine");
 
     // --- Algorithm C, time-varying reference ---
-    {
-        let inst = c_reference(quick);
-        let opts = COptions { epsilon: 0.25, ..Default::default() };
-        let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
-        let mut stats = None;
-        let engine = time_runs(&inst, iterations, build, |c| stats = Some(c.engine_stats()));
-        let stats = stats.expect("at least one iteration");
-        assert_eq!(
-            stats.pricings,
-            inst.horizon() as u64,
-            "Algorithm C must price each original slot exactly once"
-        );
-        assert!(stats.pool_hits > 0, "sub-slot replay must hit the pool");
-        rows.push(report("algo_c_time_varying", &inst, &engine, stats));
-    }
+    let inst = c_reference(bench.quick);
+    let opts = COptions { epsilon: 0.25, ..Default::default() };
+    let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
+    let stats = measure(&mut bench, "algo_c_time_varying", &inst, build, AlgorithmC::engine_stats);
+    assert_eq!(
+        stats.pricings,
+        inst.horizon() as u64,
+        "Algorithm C must price each original slot exactly once"
+    );
+    assert!(stats.pool_hits > 0, "sub-slot replay must hit the pool");
 
     // --- Algorithm A, tiled diurnal ---
-    {
-        let inst = a_diurnal(quick);
-        let build = || AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
-        let mut stats = None;
-        let engine = time_runs(&inst, iterations, build, |a| stats = Some(a.engine_stats()));
-        let stats = stats.expect("at least one iteration");
-        assert!(
-            stats.pool_hits > stats.pricings,
-            "tiled days must be answered from the pool: {stats:?}"
-        );
-        rows.push(report("algo_a_diurnal", &inst, &engine, stats));
-    }
+    let inst = a_diurnal(bench.quick);
+    let build = || AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
+    let stats = measure(&mut bench, "algo_a_diurnal", &inst, build, AlgorithmA::engine_stats);
+    assert!(
+        stats.pool_hits > stats.pricings,
+        "tiled days must be answered from the pool: {stats:?}"
+    );
 
     // --- Algorithm C, d = 3 time-independent ---
-    {
-        let inst = c_d3_diurnal(quick);
-        let opts = COptions { epsilon: 0.5, ..Default::default() };
-        let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
-        let mut stats = None;
-        let engine = time_runs(&inst, iterations, build, |c| stats = Some(c.engine_stats()));
-        let stats = stats.expect("at least one iteration");
-        rows.push(report("algo_c_d3_diurnal", &inst, &engine, stats));
-    }
+    let inst = c_d3_diurnal(bench.quick);
+    let opts = COptions { epsilon: 0.5, ..Default::default() };
+    let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
+    measure(&mut bench, "algo_c_d3_diurnal", &inst, build, AlgorithmC::engine_stats);
 
-    let timestamp = timestamp();
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"engine_ms\": {:.3},\n      \"engine_p50_us\": {:.2},\n      \"engine_p99_us\": {:.2},\n      \"pricings\": {},\n      \"pool_hits\": {}\n    }}{}",
-            r.name,
-            r.d,
-            r.horizon,
-            r.engine_ms,
-            r.engine_p50_us,
-            r.engine_p99_us,
-            r.pricings,
-            r.pool_hits,
-            if i + 1 < rows.len() { ",\n" } else { "\n" },
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"online_engine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
-    );
-
-    write_records(
-        "online_engine",
-        &json,
-        quick,
-        &["results/online_engine.json", "BENCH_online.json"],
-    );
-}
-
-fn report(name: &'static str, inst: &Instance, engine: &Timed, stats: EngineStats) -> Row {
-    let (p50, _, p99, _, _) = engine.profile.summary_us();
-    println!(
-        "bench: online_engine/{name:<22} {:>9.2} ms  (p50 {p50:.0} µs, p99 {p99:.0} µs, {} pricings / {} hits)",
-        engine.secs * 1e3,
-        stats.pricings,
-        stats.pool_hits,
-    );
-    Row {
-        name,
-        d: inst.num_types(),
-        horizon: inst.horizon(),
-        engine_ms: engine.secs * 1e3,
-        engine_p50_us: p50,
-        engine_p99_us: p99,
-        pricings: stats.pricings,
-        pool_hits: stats.pool_hits,
-    }
+    bench.finish(&[], &["results/online_engine.json", "BENCH_online.json"]);
 }

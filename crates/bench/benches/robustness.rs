@@ -17,19 +17,21 @@
 //!   pool against the default pool: slowdown under constant re-pricing.
 //!   Gated on identical decisions.
 //!
-//! Results land in `results/robustness.json` and, as the trajectory
-//! record the CI uploads, `BENCH_robust.json`.
+//! Each timing is the median of five rounds, with its IQR, and every
+//! ratio is taken between medians; one round runs every path once, so
+//! the paths alternate. Results land in `results/robustness.json` and,
+//! as the trajectory record the CI uploads, `BENCH_robust.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rsz_bench::harness::{num, render_rows, tiled_diurnal, timestamp, write_records, Row};
+use rsz_bench::harness::{tiled_diurnal, Bench, Row};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_offline::GridMode;
 use rsz_online::algo_a::AOptions;
 use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::degrade::{DegradeOptions, GracefulDegrader};
-use rsz_online::runner::run;
+use rsz_online::runner::{run, OnlineAlgorithm};
 use rsz_online::{restore_run, run_checkpointed, save_run};
 
 fn workload(quick: bool) -> Instance {
@@ -65,125 +67,112 @@ fn algo(inst: &Instance, base: AOptions) -> AlgorithmC<Dispatcher> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let inst = workload(quick);
+    let mut bench = Bench::from_args("robustness");
+    let inst = workload(bench.quick);
     let oracle = Dispatcher::new();
     let horizon = inst.horizon();
-    let mut rows: Vec<Row> = Vec::new();
 
-    // Baseline: uninterrupted engine run.
-    let mut base_algo = algo(&inst, AOptions::default());
-    let clock = Instant::now();
-    let baseline = run(&inst, &mut base_algo, &oracle);
-    let baseline_secs = clock.elapsed().as_secs_f64();
+    // Each round runs every path once, so whatever the machine does over
+    // the rounds falls on every path, and every ratio, alike.
+    let ((base_algo, baseline, snaps, restored_at, degraded, stats), laps) = bench.repeat(|laps| {
+        // Baseline: uninterrupted engine run.
+        let mut base_algo = algo(&inst, AOptions::default());
+        let baseline = laps.time(|| run(&inst, &mut base_algo, &oracle));
 
-    // --- snapshot_overhead ---
-    let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let mut snap_algo = algo(&inst, AOptions::default());
-    let clock = Instant::now();
-    let (snapped, _) =
-        run_checkpointed(&inst, &mut snap_algo, &oracle, None, Some(8), |b| snaps.push(b.to_vec()))
+        // snapshot_overhead: the same run, checkpointed every 8 slots.
+        let mut snaps: Vec<Vec<u8>> = Vec::new();
+        let mut snap_algo = algo(&inst, AOptions::default());
+        let (snapped, _) = laps
+            .time(|| {
+                run_checkpointed(&inst, &mut snap_algo, &oracle, None, Some(8), |b| {
+                    snaps.push(b.to_vec());
+                })
+            })
             .expect("checkpointed run");
-    let snapped_secs = clock.elapsed().as_secs_f64();
-    assert_eq!(snapped.schedule, baseline.schedule, "snapshotting changed the schedule");
-    assert!(!snaps.is_empty(), "snapshot-every-8 must emit snapshots");
+        assert_eq!(snapped.schedule, baseline.schedule, "snapshotting changed the schedule");
+        assert!(!snaps.is_empty(), "snapshot-every-8 must emit snapshots");
+
+        // restart_resume: restore from the mid-horizon snapshot, finish.
+        let mid = &snaps[snaps.len() / 2];
+        let mut resumed_algo = algo(&inst, AOptions::default());
+        let (schedule, restored_at) = laps.time(|| {
+            let mut schedule =
+                restore_run(&mut resumed_algo, &inst, mid).expect("mid-horizon snapshot restores");
+            let restored_at = schedule.len();
+            for t in restored_at..horizon {
+                schedule.push(OnlineAlgorithm::decide(&mut resumed_algo, &inst, t));
+            }
+            (schedule, restored_at)
+        });
+        assert_eq!(schedule, baseline.schedule, "resumed schedule diverged");
+
+        // degradation_ladder: zero deadline walks every rung.
+        let mut degrader = GracefulDegrader::new(
+            algo(&inst, AOptions::default()),
+            |i: &Instance, g: GridMode| algo(i, AOptions { grid: g, ..AOptions::default() }),
+            DegradeOptions { deadline: Some(Duration::ZERO), ..Default::default() },
+        );
+        let degraded = laps.time(|| run(&inst, &mut degrader, &oracle));
+        degraded.schedule.check_feasible(&inst).expect("held schedule feasible");
+        let stats = degrader.stats().clone();
+        assert_eq!(stats.exact, 1, "zero deadline grants exactly one exact decision");
+        assert_eq!(stats.coarse, 1, "one coarse decision before the hold rung");
+        assert_eq!(stats.hold, horizon as u64 - 2, "hold is terminal");
+
+        // eviction_storm: capacity-1 pool vs the default pool.
+        let mut storm_algo =
+            algo(&inst, AOptions { pool_capacity: Some(1), ..AOptions::default() });
+        let stormy = laps.time(|| run(&inst, &mut storm_algo, &oracle));
+        assert_eq!(stormy.schedule, baseline.schedule, "eviction storm changed decisions");
+        (base_algo, baseline, snaps, restored_at, degraded, stats)
+    });
+    let [calm, snapshotting, resume, ladder, storm] = laps;
+
     let snap_bytes = snaps.last().map_or(0, Vec::len);
-    let overhead_pct = 100.0 * (snapped_secs - baseline_secs).max(0.0) / baseline_secs.max(1e-12);
-    rows.push(Row {
-        name: "snapshot_overhead".into(),
-        fields: vec![
-            ("baseline_ms".into(), num(baseline_secs * 1e3)),
-            ("snapshotting_ms".into(), num(snapped_secs * 1e3)),
-            ("overhead_pct".into(), num(overhead_pct)),
-            ("snapshots".into(), snaps.len().to_string()),
-            ("snapshot_bytes".into(), snap_bytes.to_string()),
-        ],
-    });
-
-    // --- restart_resume: restore from the mid-horizon snapshot ---
-    let mid = snaps[snaps.len() / 2].clone();
-    let mut resumed_algo = algo(&inst, AOptions::default());
-    let clock = Instant::now();
-    let committed =
-        restore_run(&mut resumed_algo, &inst, &mid).expect("mid-horizon snapshot restores");
-    let mut schedule = committed;
-    let restored_at = schedule.len();
-    for t in restored_at..horizon {
-        schedule.push(rsz_online::runner::OnlineAlgorithm::decide(&mut resumed_algo, &inst, t));
-    }
-    let resume_secs = clock.elapsed().as_secs_f64();
-    assert_eq!(schedule, baseline.schedule, "resumed schedule diverged");
-    rows.push(Row {
-        name: "restart_resume".into(),
-        fields: vec![
-            ("restored_slots".into(), restored_at.to_string()),
-            ("resumed_slots".into(), (horizon - restored_at).to_string()),
-            ("resume_ms".into(), num(resume_secs * 1e3)),
-            ("rerun_ms".into(), num(baseline_secs * 1e3)),
-            ("restart_win".into(), num(baseline_secs / resume_secs.max(1e-12))),
-        ],
-    });
-
-    // --- degradation_ladder: zero deadline walks every rung ---
-    let ladder_opts = DegradeOptions { deadline: Some(Duration::ZERO), ..Default::default() };
-    let mut degrader = GracefulDegrader::new(
-        algo(&inst, AOptions::default()),
-        |i: &Instance, g: GridMode| algo(i, AOptions { grid: g, ..AOptions::default() }),
-        ladder_opts,
+    let overhead_pct = 100.0 * (snapshotting.median - calm.median).max(0.0) / calm.median;
+    bench.row(
+        Row::new("snapshot_overhead")
+            .ms("baseline_ms", calm)
+            .ms("snapshotting_ms", snapshotting)
+            .num("overhead_pct", overhead_pct)
+            .field("snapshots", snaps.len())
+            .field("snapshot_bytes", snap_bytes),
     );
-    let clock = Instant::now();
-    let degraded = run(&inst, &mut degrader, &oracle);
-    let degraded_secs = clock.elapsed().as_secs_f64();
-    degraded.schedule.check_feasible(&inst).expect("held schedule feasible");
-    let stats = degrader.stats();
-    assert_eq!(stats.exact, 1, "zero deadline grants exactly one exact decision");
-    assert_eq!(stats.coarse, 1, "one coarse decision before the hold rung");
-    assert_eq!(stats.hold, horizon as u64 - 2, "hold is terminal");
+    bench.row(
+        Row::new("restart_resume")
+            .field("restored_slots", restored_at)
+            .field("resumed_slots", horizon - restored_at)
+            .ms("resume_ms", resume)
+            .ms("rerun_ms", calm)
+            .num("restart_win", calm.median / resume.median),
+    );
     let hold_cost_ratio = degraded.cost() / baseline.cost();
-    rows.push(Row {
-        name: "degradation_ladder".into(),
-        fields: vec![
-            ("exact".into(), stats.exact.to_string()),
-            ("coarse".into(), stats.coarse.to_string()),
-            ("hold".into(), stats.hold.to_string()),
-            ("saturated".into(), stats.saturated.to_string()),
-            ("ladder_ms".into(), num(degraded_secs * 1e3)),
-            ("hold_cost_ratio".into(), num(hold_cost_ratio)),
-        ],
-    });
-
-    // --- eviction_storm: capacity-1 pool vs the default pool ---
-    let mut storm_algo = algo(&inst, AOptions { pool_capacity: Some(1), ..AOptions::default() });
-    let clock = Instant::now();
-    let stormy = run(&inst, &mut storm_algo, &oracle);
-    let storm_secs = clock.elapsed().as_secs_f64();
-    assert_eq!(stormy.schedule, baseline.schedule, "eviction storm changed decisions");
-    rows.push(Row {
-        name: "eviction_storm".into(),
-        fields: vec![
-            ("calm_ms".into(), num(baseline_secs * 1e3)),
-            ("storm_ms".into(), num(storm_secs * 1e3)),
-            ("slowdown".into(), num(storm_secs / baseline_secs.max(1e-12))),
-        ],
-    });
-
-    // Console summary.
-    for r in &rows {
-        let fields: Vec<String> = r.fields.iter().map(|(k, v)| format!("{k} {v}")).collect();
-        println!("bench: robustness/{:<20} ... {}", r.name, fields.join(" | "));
-    }
+    bench.row(
+        Row::new("degradation_ladder")
+            .field("exact", stats.exact)
+            .field("coarse", stats.coarse)
+            .field("hold", stats.hold)
+            .field("saturated", stats.saturated)
+            .ms("ladder_ms", ladder)
+            .num("hold_cost_ratio", hold_cost_ratio),
+    );
+    bench.row(
+        Row::new("eviction_storm")
+            .ms("calm_ms", calm)
+            .ms("storm_ms", storm)
+            .num("slowdown", storm.median / calm.median),
+    );
 
     // One mid-run snapshot must also round-trip through disk bytes.
     let probe = save_run(&base_algo, &inst, &baseline.schedule);
     assert!(!probe.is_empty());
 
-    let timestamp = timestamp();
-    let runs = render_rows(&rows);
-    let json = format!(
-        "{{\n  \"bench\": \"robustness\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"horizon\": {horizon},\n  \"snapshot_bytes\": {snap_bytes},\n  \"hold_cost_ratio\": {},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        num(hold_cost_ratio),
+    bench.finish(
+        &[
+            ("horizon", horizon.to_string()),
+            ("snapshot_bytes", snap_bytes.to_string()),
+            ("hold_cost_ratio", format!("{hold_cost_ratio:.3}")),
+        ],
+        &["results/robustness.json", "BENCH_robust.json"],
     );
-
-    write_records("robustness", &json, quick, &["results/robustness.json", "BENCH_robust.json"]);
 }

@@ -31,14 +31,21 @@
 //!   a tenant's age: each 16k/1k ratio is gated at ≤ 1.2 in full mode,
 //!   and the bytes ratio — deterministic — in `--quick` mode too.
 //!
-//! Results land in `results/serve.json` and, as the trajectory record
-//! the CI uploads, `BENCH_serve.json`.
+//! Fanout, replay and recovery run as one round per fresh state dir,
+//! and divergence as one primary/replica pair per round: each `*_ms`
+//! is the median of five rounds (one under `--quick`), with its IQR,
+//! and `ticks_per_sec` is taken at the median. Every state dir lives
+//! under one per-process parent, marked as the top of a directory
+//! hierarchy (see [`state_parent`]). Results land in
+//! `results/serve.json` and, as the trajectory record the CI uploads,
+//! `BENCH_serve.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rsz_bench::harness::{num, render_rows, timestamp, write_records, Row};
+use rsz_bench::harness::{Bench, Row};
 use rsz_online::LatencyProfile;
 use rsz_serve::json::{self, Json};
 use rsz_serve::{wal, Daemon, ReplicaOptions, Replicator, Role, ServeOptions};
@@ -55,6 +62,14 @@ fn loads(tenant: usize, horizon: usize) -> Vec<f64> {
             1.5 + 1.25 * phase.sin() + 0.25 * ((t + tenant) % 2) as f64
         })
         .collect()
+}
+
+/// Register `tenant` on `fleet` under the controller `algo`.
+fn register_tenant(daemon: &Daemon, tenant: &str, fleet: &str, algo: &str) {
+    let reply = daemon.handle(&format!(
+        r#"{{"op":"register","tenant":"{tenant}","fleet":"{fleet}","algo":"{algo}","engine":true}}"#
+    ));
+    assert!(reply.contains("\"ok\":true"), "register {tenant}: {reply}");
 }
 
 fn tick_line(tenant: &str, seq: usize, load: f64) -> String {
@@ -89,7 +104,7 @@ struct AgeWindow {
 
 /// Bytes the tenant `name` has on disk in its history log, and the
 /// snapshots it has sealed.
-fn history_footprint(daemon: &Daemon, dir: &std::path::Path, name: &str) -> (u64, u64) {
+fn history_footprint(daemon: &Daemon, dir: &Path, name: &str) -> (u64, u64) {
     let metrics = json::parse(&daemon.handle("GET /metrics")).expect("metrics parse");
     let snapshots = metrics
         .get("tenants")
@@ -107,13 +122,12 @@ fn history_footprint(daemon: &Daemon, dir: &std::path::Path, name: &str) -> (u64
 /// period, so that what the state directory's file system does over
 /// time falls on every age alike. Bytes per snapshot: the history log's
 /// growth per snapshot, which is all a snapshot writes.
-fn age_row(quick: bool) -> Row {
+fn age_row(quick: bool, dir: &Path) -> Row {
     const WINDOW: usize = 512;
     const AGES: [(usize, &str); 3] = [(1024, "1k"), (4096, "4k"), (16_384, "16k")];
-    let dir = std::env::temp_dir().join(format!("rsz-serve-bench-age-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let daemon =
-        Daemon::new(ServeOptions { state_dir: dir.clone(), ..ServeOptions::default() }).unwrap();
+        Daemon::new(ServeOptions { state_dir: dir.to_path_buf(), ..ServeOptions::default() })
+            .unwrap();
     // A Weyl sequence in [0, 3): no load ever repeats.
     let load = |seq: usize| 3.0 * (seq as f64 * 0.618_033_988_749_895).fract();
     // Equal-length names, so every age's snapshot is the same size.
@@ -129,17 +143,14 @@ fn age_row(quick: bool) -> Row {
     for &(end, tag) in &AGES {
         for (algo, fleet, spec) in AGE_TENANTS {
             let tenant = name(tag, algo);
-            let reply = daemon.handle(&format!(
-                r#"{{"op":"register","tenant":"{tenant}","fleet":"{fleet}","algo":"{spec}"}}"#
-            ));
-            assert!(reply.contains("\"ok\":true"), "register {tenant}: {reply}");
+            register_tenant(&daemon, &tenant, fleet, spec);
             for seq in 0..end - WINDOW {
                 tick(&tenant, seq);
             }
         }
     }
     let footprints = |tag: &str| -> Vec<(u64, u64)> {
-        AGE_TENANTS.iter().map(|t| history_footprint(&daemon, &dir, &name(tag, t.0))).collect()
+        AGE_TENANTS.iter().map(|t| history_footprint(&daemon, dir, &name(tag, t.0))).collect()
     };
     let before: Vec<Vec<(u64, u64)>> = AGES.iter().map(|&(_, tag)| footprints(tag)).collect();
     let mut samples = vec![Vec::with_capacity(WINDOW * AGE_TENANTS.len()); AGES.len()];
@@ -160,7 +171,7 @@ fn age_row(quick: bool) -> Row {
                 .zip(before)
                 .map(|(t, &(hist0, snaps0))| {
                     let tenant = name(tag, t.0);
-                    let (hist, snaps) = history_footprint(&daemon, &dir, &tenant);
+                    let (hist, snaps) = history_footprint(&daemon, dir, &tenant);
                     assert!(snaps > snaps0, "{tenant}: no snapshot in the window");
                     (hist - hist0) as f64 / (snaps - snaps0) as f64
                 })
@@ -175,7 +186,6 @@ fn age_row(quick: bool) -> Row {
         })
         .collect();
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let (young, old) = (&windows[0], &windows[windows.len() - 1]);
     let ratios = [
@@ -188,134 +198,156 @@ fn age_row(quick: bool) -> Row {
             assert!(ratio <= 1.2, "age: {key} {ratio:.3} > 1.2 (16k vs 1k slots)");
         }
     }
-    let mut fields = vec![("horizon".to_owned(), AGES[AGES.len() - 1].0.to_string())];
+    let mut row = Row::new("age").field("horizon", AGES[AGES.len() - 1].0);
     for ((_, tag), w) in AGES.iter().zip(&windows) {
-        fields.push((format!("tick_mean_us_{tag}"), num(w.tick_mean_us)));
-        fields.push((format!("tick_p99_us_{tag}"), num(w.tick_p99_us)));
-        fields.push((format!("snapshot_bytes_{tag}"), num(w.snapshot_bytes)));
+        row = row
+            .num(format!("tick_mean_us_{tag}"), w.tick_mean_us)
+            .num(format!("tick_p99_us_{tag}"), w.tick_p99_us)
+            .num(format!("snapshot_bytes_{tag}"), w.snapshot_bytes);
     }
-    fields.extend(ratios.iter().map(|&(key, ratio)| (key.to_owned(), num(ratio))));
-    Row { name: "age".into(), fields }
+    ratios.iter().fold(row, |row, &(key, ratio)| row.num(key, ratio))
+}
+
+/// The fresh per-process parent of every scenario's state dir, marked
+/// as the top of a directory hierarchy (`chattr +T`, best effort) as
+/// `perfbench/run.py` marks its own, so ext4 spreads the state dirs over
+/// block groups, starting from a hash of each one's name. Each state dir
+/// is new, named per process, and removed only with the parent at the
+/// end: ext4 without a journal skips inodes freed in the last minutes,
+/// so a create beside recent deletes scans past them. Unmarked and
+/// reused, fanout's `register_ms` drifted from 22 to 628 ms.
+fn state_parent() -> PathBuf {
+    let parent = std::env::temp_dir().join(format!("rsz-serve-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&parent);
+    std::fs::create_dir_all(&parent).expect("state parent");
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    if let Ok(dir) = std::fs::File::open(&parent) {
+        use std::ffi::{c_int, c_ulong};
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
+        }
+        const FS_IOC_GETFLAGS: c_ulong = 0x8008_6601;
+        const FS_IOC_SETFLAGS: c_ulong = 0x4008_6602;
+        const FS_TOPDIR_FL: c_int = 0x0002_0000;
+        let mut flags: c_int = 0;
+        // SAFETY: both requests read or write one `int` through the
+        // pointer, which points at a live local, on a descriptor `dir`
+        // keeps open across both calls. A file system without the flag
+        // fails the calls and keeps its own placement policy.
+        unsafe {
+            if ioctl(dir.as_raw_fd(), FS_IOC_GETFLAGS, &mut flags as *mut c_int) == 0 {
+                flags |= FS_TOPDIR_FL;
+                ioctl(dir.as_raw_fd(), FS_IOC_SETFLAGS, &flags as *const c_int);
+            }
+        }
+    }
+    parent
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut bench = Bench::from_args("serve");
+    let quick = bench.quick;
     let tenants = if quick { 100 } else { 1000 };
     let horizon = 6;
-    let dir: PathBuf = std::env::temp_dir().join(format!("rsz-serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let options =
-        || ServeOptions { state_dir: dir.clone(), snapshot_every: 4, ..ServeOptions::default() };
-    let mut rows: Vec<Row> = Vec::new();
+    let parent = state_parent();
+    // A new state dir, named per process (see `state_parent`).
+    let fresh = |name: &str| parent.join(format!("{name}-{}", std::process::id()));
+    let options = |dir: &Path| ServeOptions {
+        state_dir: dir.to_path_buf(),
+        snapshot_every: 4,
+        ..ServeOptions::default()
+    };
 
-    // --- fanout: N tenants, round-robin ticks ---
-    let daemon = Daemon::new(options()).expect("state dir");
-    let clock = Instant::now();
-    for i in 0..tenants {
-        let reply = daemon.handle(&format!(
-            r#"{{"op":"register","tenant":"t{i}","fleet":"{}","algo":"b","engine":true}}"#,
-            FLEETS[i % FLEETS.len()],
-        ));
-        assert!(reply.contains("\"ok\":true"), "register t{i}: {reply}");
-    }
-    let register_secs = clock.elapsed().as_secs_f64();
+    // --- fanout, replay and recovery: one round per fresh state dir ---
+    let mut round = 0;
+    let ((profile, replays, hit_rate, recovered), [register, fanout, recovery]) =
+        bench.repeat(|laps| {
+            round += 1;
+            let dir = fresh(&format!("fanout-{round}"));
+            // fanout: N tenants, round-robin ticks.
+            let daemon = Daemon::new(options(&dir)).expect("state dir");
+            laps.time(|| {
+                for i in 0..tenants {
+                    register_tenant(&daemon, &format!("t{i}"), FLEETS[i % FLEETS.len()], "b");
+                }
+            });
+            let mut samples = Vec::with_capacity(tenants * horizon);
+            laps.time(|| {
+                for seq in 0..horizon {
+                    for i in 0..tenants {
+                        let line = tick_line(&format!("t{i}"), seq, loads(i, horizon)[seq]);
+                        let tick = Instant::now();
+                        let reply = daemon.handle(&line);
+                        samples.push(tick.elapsed().as_secs_f64());
+                        debug_assert!(reply.contains("\"ok\":true"), "{reply}");
+                    }
+                }
+            });
+            let metrics = json::parse(&daemon.handle("GET /metrics")).expect("metrics parse");
+            let hit_rate = metrics.get("pool_hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
+            assert!(
+                hit_rate > 0.0,
+                "{tenants} tenants over {} pool keys must share pricing (hit rate {hit_rate})",
+                FLEETS.len()
+            );
 
-    let mut samples = Vec::with_capacity(tenants * horizon);
-    let clock = Instant::now();
-    for seq in 0..horizon {
-        for i in 0..tenants {
-            let line = tick_line(&format!("t{i}"), seq, loads(i, horizon)[seq]);
-            let tick = Instant::now();
-            let reply = daemon.handle(&line);
-            samples.push(tick.elapsed().as_secs_f64());
-            debug_assert!(reply.contains("\"ok\":true"), "{reply}");
-        }
-    }
-    let fanout_secs = clock.elapsed().as_secs_f64();
-    let decisions = (tenants * horizon) as f64;
-    let profile = LatencyProfile::new(samples);
+            // replay: duplicate seqs answer from committed history.
+            let mut replay_samples = Vec::with_capacity(tenants);
+            for i in 0..tenants {
+                let line = tick_line(&format!("t{i}"), 0, loads(i, horizon)[0]);
+                let tick = Instant::now();
+                let reply = daemon.handle(&line);
+                replay_samples.push(tick.elapsed().as_secs_f64());
+                assert!(reply.contains("\"replayed\":true"), "t{i} seq 0 should replay: {reply}");
+            }
 
-    let metrics = json::parse(&daemon.handle("GET /metrics")).expect("metrics parse");
-    let hit_rate = metrics.get("pool_hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
-    assert!(
-        hit_rate > 0.0,
-        "{tenants} tenants over {} pool keys must share pricing (hit rate {hit_rate})",
-        FLEETS.len()
+            // Parity probe for the recovery gate, then kill -9.
+            let probe = loads(0, horizon);
+            let expect: Vec<Vec<u64>> = (0..horizon)
+                .map(|seq| decided(&daemon.handle(&tick_line("t0", seq, probe[seq]))))
+                .collect();
+            drop(daemon);
+
+            // recovery: restart over the surviving state dir.
+            let daemon = laps.time(|| Daemon::new(options(&dir)).expect("recovery"));
+            let recovered = daemon.counters.recovered.load(Ordering::Relaxed);
+            assert_eq!(recovered as usize, tenants, "every tenant must recover");
+            for (seq, want) in expect.iter().enumerate() {
+                let got = decided(&daemon.handle(&tick_line("t0", seq, probe[seq])));
+                assert_eq!(&got, want, "recovery diverged at seq {seq}");
+            }
+            (LatencyProfile::new(samples), LatencyProfile::new(replay_samples), hit_rate, recovered)
+        });
+    bench.row(
+        Row::new("fanout")
+            .field("tenants", tenants)
+            .ms("register_ms", register)
+            .ms("fanout_ms", fanout)
+            .num("ticks_per_sec", (tenants * horizon) as f64 / fanout.median)
+            .num("tick_p50_us", profile.quantile(0.5) * 1e6)
+            .num("tick_p99_us", profile.quantile(0.99) * 1e6)
+            .num("pool_hit_rate", hit_rate),
     );
-    rows.push(Row {
-        name: "fanout".into(),
-        fields: vec![
-            ("tenants".into(), tenants.to_string()),
-            ("register_ms".into(), num(register_secs * 1e3)),
-            ("ticks_per_sec".into(), num(decisions / fanout_secs.max(1e-12))),
-            ("tick_p50_us".into(), num(profile.quantile(0.5) * 1e6)),
-            ("tick_p99_us".into(), num(profile.quantile(0.99) * 1e6)),
-            ("pool_hit_rate".into(), num(hit_rate)),
-        ],
-    });
-
-    // --- replay: duplicate seqs answer from committed history ---
-    let mut replay_samples = Vec::with_capacity(tenants);
-    for i in 0..tenants {
-        let line = tick_line(&format!("t{i}"), 0, loads(i, horizon)[0]);
-        let tick = Instant::now();
-        let reply = daemon.handle(&line);
-        replay_samples.push(tick.elapsed().as_secs_f64());
-        assert!(reply.contains("\"replayed\":true"), "t{i} seq 0 should replay: {reply}");
-    }
-    let replays = LatencyProfile::new(replay_samples);
-    rows.push(Row {
-        name: "replay".into(),
-        fields: vec![
-            ("replay_p50_us".into(), num(replays.quantile(0.5) * 1e6)),
-            ("replay_p99_us".into(), num(replays.quantile(0.99) * 1e6)),
-        ],
-    });
-
-    // Parity probe for the recovery gate, then kill -9.
-    let probe = loads(0, horizon);
-    let expect: Vec<Vec<u64>> = (0..horizon)
-        .map(|seq| decided(&daemon.handle(&tick_line("t0", seq, probe[seq]))))
-        .collect();
-    drop(daemon);
-
-    // --- recovery: restart over the surviving state dir ---
-    let clock = Instant::now();
-    let daemon = Daemon::new(options()).expect("recovery");
-    let recovery_secs = clock.elapsed().as_secs_f64();
-    let recovered = daemon.counters.recovered.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(recovered as usize, tenants, "every tenant must recover");
-    for (seq, want) in expect.iter().enumerate() {
-        let got = decided(&daemon.handle(&tick_line("t0", seq, probe[seq])));
-        assert_eq!(&got, want, "recovery diverged at seq {seq}");
-    }
-    rows.push(Row {
-        name: "recovery".into(),
-        fields: vec![
-            ("recovered".into(), recovered.to_string()),
-            ("recovery_ms".into(), num(recovery_secs * 1e3)),
-            ("per_tenant_us".into(), num(recovery_secs / tenants as f64 * 1e6)),
-        ],
-    });
-    drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
+    bench.row(
+        Row::new("replay")
+            .num("replay_p50_us", replays.quantile(0.5) * 1e6)
+            .num("replay_p99_us", replays.quantile(0.99) * 1e6),
+    );
+    bench.row(
+        Row::new("recovery")
+            .field("recovered", recovered)
+            .ms("recovery_ms", recovery)
+            .num("per_tenant_us", recovery.median / tenants as f64 * 1e6),
+    );
 
     // --- failover: primary death → promoted, caught-up replica ---
     let trials = if quick { 10 } else { 100 };
     let fo_horizon = 6;
-    let pdir = std::env::temp_dir().join(format!("rsz-serve-bench-fo-p-{}", std::process::id()));
-    let rdir = std::env::temp_dir().join(format!("rsz-serve-bench-fo-r-{}", std::process::id()));
-    let pair_options = |d: &PathBuf| ServeOptions {
-        state_dir: d.clone(),
-        snapshot_every: 4,
-        fingerprint_every: 2,
-        ..ServeOptions::default()
-    };
+    let pair_options = |d: &Path| ServeOptions { fingerprint_every: 2, ..options(d) };
     let mut failover_samples = Vec::with_capacity(trials);
     for trial in 0..trials {
-        let _ = std::fs::remove_dir_all(&pdir);
-        let _ = std::fs::remove_dir_all(&rdir);
+        let (pdir, rdir) = (fresh(&format!("fo-p-{trial}")), fresh(&format!("fo-r-{trial}")));
         let primary = Arc::new(Daemon::new(pair_options(&pdir)).expect("primary dir"));
         let replica = Arc::new(Daemon::new(pair_options(&rdir)).expect("replica dir"));
         replica.set_role(Role::Replica);
@@ -323,10 +355,7 @@ fn main() {
             Arc::clone(&replica),
             ReplicaOptions { replica_id: "bench".into(), lease_failures: 3 },
         );
-        let reply = primary.handle(
-            r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","engine":true}"#,
-        );
-        assert!(reply.contains("\"ok\":true"), "trial {trial}: {reply}");
+        register_tenant(&primary, "t", "cpu-gpu:2,1", "b");
         let trace = loads(trial, fo_horizon);
         let expect: Vec<Vec<u64>> = (0..fo_horizon)
             .map(|seq| {
@@ -355,93 +384,74 @@ fn main() {
             "trial {trial}: accepted ticks lost across failover"
         );
     }
-    let _ = std::fs::remove_dir_all(&pdir);
-    let _ = std::fs::remove_dir_all(&rdir);
     let failovers = LatencyProfile::new(failover_samples);
-    rows.push(Row {
-        name: "failover".into(),
-        fields: vec![
-            ("trials".into(), trials.to_string()),
-            ("failover_p50_us".into(), num(failovers.quantile(0.5) * 1e6)),
-            ("failover_p99_us".into(), num(failovers.quantile(0.99) * 1e6)),
-        ],
-    });
+    bench.row(
+        Row::new("failover")
+            .field("trials", trials)
+            .num("failover_p50_us", failovers.quantile(0.5) * 1e6)
+            .num("failover_p99_us", failovers.quantile(0.99) * 1e6),
+    );
 
-    // --- divergence: M flipped replica tenants, M detections ---
+    // --- divergence: M flipped replica tenants, M detections, one
+    // primary/replica pair per round ---
     let flipped = if quick { 20 } else { 100 };
-    let _ = std::fs::remove_dir_all(&pdir);
-    let _ = std::fs::remove_dir_all(&rdir);
-    let primary = Arc::new(Daemon::new(pair_options(&pdir)).expect("primary dir"));
-    let replica = Arc::new(
-        Daemon::new(ServeOptions { allow_fault_hooks: true, ..pair_options(&rdir) })
-            .expect("replica dir"),
-    );
-    replica.set_role(Role::Replica);
-    let mut replicator = Replicator::new(Arc::clone(&replica), ReplicaOptions::default());
-    for i in 0..flipped {
-        let reply = primary.handle(&format!(
-            r#"{{"op":"register","tenant":"d{i}","fleet":"cpu-gpu:2,1","algo":"b","engine":true}}"#
-        ));
-        assert!(reply.contains("\"ok\":true"), "register d{i}: {reply}");
-    }
-    for seq in 0..4 {
+    let mut round = 0;
+    let ((detected, fp_checks), [detect]) = bench.repeat(|laps| {
+        round += 1;
+        let (pdir, rdir) = (fresh(&format!("div-p-{round}")), fresh(&format!("div-r-{round}")));
+        let primary = Arc::new(Daemon::new(pair_options(&pdir)).expect("primary dir"));
+        let replica = Arc::new(
+            Daemon::new(ServeOptions { allow_fault_hooks: true, ..pair_options(&rdir) })
+                .expect("replica dir"),
+        );
+        replica.set_role(Role::Replica);
+        let mut replicator = Replicator::new(Arc::clone(&replica), ReplicaOptions::default());
         for i in 0..flipped {
-            primary.handle(&tick_line(&format!("d{i}"), seq, loads(i, 6)[seq]));
+            register_tenant(&primary, &format!("d{i}"), "cpu-gpu:2,1", "b");
         }
-    }
-    replicator
-        .sync_once(&mut |line| Ok::<String, String>(primary.handle(line)))
-        .expect("pre-flip sync");
-    for i in 0..flipped {
-        assert!(replica.inject_divergence(&format!("d{i}")), "fault hook d{i}");
-    }
-    for seq in 4..6 {
+        let tick_all = |seqs: std::ops::Range<usize>| {
+            for seq in seqs {
+                for i in 0..flipped {
+                    primary.handle(&tick_line(&format!("d{i}"), seq, loads(i, 6)[seq]));
+                }
+            }
+        };
+        tick_all(0..4);
+        replicator
+            .sync_once(&mut |line| Ok::<String, String>(primary.handle(line)))
+            .expect("pre-flip sync");
         for i in 0..flipped {
-            primary.handle(&tick_line(&format!("d{i}"), seq, loads(i, 6)[seq]));
+            assert!(replica.inject_divergence(&format!("d{i}")), "fault hook d{i}");
         }
-    }
-    let clock = Instant::now();
-    let report = replicator
-        .sync_once(&mut |line| Ok::<String, String>(primary.handle(line)))
-        .expect("post-flip sync applies, with per-tenant errors");
-    let detect_secs = clock.elapsed().as_secs_f64();
-    let detected =
-        replica.counters.fingerprint_mismatches.load(std::sync::atomic::Ordering::Relaxed);
-    let fp_checks = replica.counters.fingerprint_checks.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(
-        detected as usize,
-        flipped,
-        "every flipped tenant must trip a fingerprint check ({:?})",
-        report.errors.len()
-    );
-    rows.push(Row {
-        name: "divergence".into(),
-        fields: vec![
-            ("divergence_tenants".into(), flipped.to_string()),
-            ("divergence_detected".into(), detected.to_string()),
-            ("fingerprint_checks".into(), fp_checks.to_string()),
-            ("detect_ms".into(), num(detect_secs * 1e3)),
-        ],
+        tick_all(4..6);
+        let report = laps.time(|| {
+            replicator
+                .sync_once(&mut |line| Ok::<String, String>(primary.handle(line)))
+                .expect("post-flip sync applies, with per-tenant errors")
+        });
+        let detected = replica.counters.fingerprint_mismatches.load(Ordering::Relaxed);
+        let fp_checks = replica.counters.fingerprint_checks.load(Ordering::Relaxed);
+        assert_eq!(
+            detected as usize,
+            flipped,
+            "every flipped tenant must trip a fingerprint check ({:?})",
+            report.errors.len()
+        );
+        (detected, fp_checks)
     });
-    drop(replica);
-    drop(primary);
-    let _ = std::fs::remove_dir_all(&pdir);
-    let _ = std::fs::remove_dir_all(&rdir);
-
-    rows.push(age_row(quick));
-
-    // Console summary.
-    for r in &rows {
-        let fields: Vec<String> = r.fields.iter().map(|(k, v)| format!("{k} {v}")).collect();
-        println!("bench: serve/{:<20} ... {}", r.name, fields.join(" | "));
-    }
-
-    let timestamp = timestamp();
-    let runs = render_rows(&rows);
-    let json_out = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"tenants\": {tenants},\n  \"pool_hit_rate\": {},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        num(hit_rate),
+    bench.row(
+        Row::new("divergence")
+            .field("divergence_tenants", flipped)
+            .field("divergence_detected", detected)
+            .field("fingerprint_checks", fp_checks)
+            .ms("detect_ms", detect),
     );
 
-    write_records("serve", &json_out, quick, &["results/serve.json", "BENCH_serve.json"]);
+    bench.row(age_row(quick, &fresh("age")));
+    let _ = std::fs::remove_dir_all(&parent);
+
+    bench.finish(
+        &[("tenants", tenants.to_string()), ("pool_hit_rate", format!("{hit_rate:.3}"))],
+        &["results/serve.json", "BENCH_serve.json"],
+    );
 }

@@ -49,11 +49,6 @@ impl Config {
         &self.counts
     }
 
-    /// Mutable access, for in-place construction by the online algorithms.
-    pub fn counts_mut(&mut self) -> &mut [u32] {
-        &mut self.counts
-    }
-
     /// Total number of active servers `Σ_j x_j`.
     #[must_use]
     pub fn total(&self) -> u64 {

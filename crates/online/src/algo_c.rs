@@ -86,12 +86,6 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
         self.realized_c.iter().sum()
     }
 
-    /// The effective competitive guarantee `2d + 1 + c(Ĩ)` so far.
-    #[must_use]
-    pub fn effective_guarantee(&self) -> f64 {
-        2.0 * self.realized_c.len() as f64 + 1.0 + self.realized_c()
-    }
-
     /// `Σ_t ñ_t` over the slots processed so far: every sub-slot is
     /// one step of the B core.
     #[must_use]

@@ -50,13 +50,6 @@ impl<O: GtOracle + Sync> Myopic<O> {
     pub fn new(oracle: O, count_switching: bool) -> Self {
         Self { oracle, count_switching, grid: GridMode::Full, prev: None }
     }
-
-    /// Restrict the per-slot search to a γ-grid (for large fleets).
-    #[must_use]
-    pub fn with_grid(mut self, grid: GridMode) -> Self {
-        self.grid = grid;
-        self
-    }
 }
 
 impl<O: GtOracle + Sync> OnlineAlgorithm for Myopic<O> {
@@ -133,13 +126,6 @@ impl<O: GtOracle + Sync> ReactiveTimeout<O> {
             })
             .collect();
         Self::new(oracle, timeouts)
-    }
-
-    /// Restrict the per-slot search to a γ-grid (for large fleets).
-    #[must_use]
-    pub fn with_grid(mut self, grid: GridMode) -> Self {
-        self.grid = grid;
-        self
     }
 }
 

@@ -83,13 +83,6 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         self.pool.as_ref().map(PricedSlotPool::stats)
     }
 
-    /// Use a γ-grid for the window DP (large fleets).
-    #[must_use]
-    pub fn with_grid(mut self, grid: GridMode) -> Self {
-        self.options.grid = grid;
-        self
-    }
-
     /// Override the window DP options wholesale (grid, corridor
     /// refinement, pool bound).
     #[must_use]

@@ -316,20 +316,4 @@ impl Client {
         self.round_trip(&json::obj(vec![("op", json::s("shutdown"))]).to_line())?;
         Ok(())
     }
-
-    /// Total time budget a full retry ladder can take (used by callers
-    /// sizing their own deadlines).
-    #[must_use]
-    pub fn worst_case_latency(&self) -> Duration {
-        let mut total = self.options.timeout * self.options.max_attempts;
-        for attempt in 0..self.options.max_attempts.saturating_sub(1) {
-            total += backoff_delay(
-                self.current_peer(),
-                attempt,
-                self.options.backoff_base,
-                self.options.backoff_cap,
-            );
-        }
-        total
-    }
 }

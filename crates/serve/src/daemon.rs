@@ -1133,7 +1133,7 @@ impl Daemon {
             ("repl_lag_ticks", json::n(self.repl_lag.load(Ordering::Relaxed) as f64)),
             ("tenants", json::n(slots.len() as f64)),
             ("quarantined", json::n(reasons.len() as f64)),
-            ("quarantine_reasons", Json::Obj(reasons)),
+            ("quarantine_reasons", json::obj_owned(reasons)),
         ])
         .to_line()
     }
@@ -1178,29 +1178,29 @@ impl Daemon {
                 pool_hits += e.pool_hits;
             }
             let mut fields = vec![
-                ("ticks".to_owned(), json::n(st.accepted() as f64)),
-                ("decisions".to_owned(), json::n(st.counters.decisions as f64)),
-                ("replays".to_owned(), json::n(st.counters.replays as f64)),
-                ("rejected".to_owned(), json::n(st.counters.rejected as f64)),
-                ("quarantines".to_owned(), json::n(st.counters.quarantines as f64)),
-                ("snapshots".to_owned(), json::n(st.counters.snapshots as f64)),
-                ("snapshot_lag".to_owned(), json::n(st.fresh_since_snapshot as f64)),
-                ("rung".to_owned(), json::s(rung)),
-                ("rung_exact".to_owned(), json::n(exact as f64)),
-                ("rung_coarse".to_owned(), json::n(coarse as f64)),
-                ("rung_hold".to_owned(), json::n(hold as f64)),
-                ("latency_p50_us".to_owned(), json::n(p50 * 1e6)),
-                ("latency_p99_us".to_owned(), json::n(p99 * 1e6)),
+                ("ticks", json::n(st.accepted() as f64)),
+                ("decisions", json::n(st.counters.decisions as f64)),
+                ("replays", json::n(st.counters.replays as f64)),
+                ("rejected", json::n(st.counters.rejected as f64)),
+                ("quarantines", json::n(st.counters.quarantines as f64)),
+                ("snapshots", json::n(st.counters.snapshots as f64)),
+                ("snapshot_lag", json::n(st.fresh_since_snapshot as f64)),
+                ("rung", json::s(rung)),
+                ("rung_exact", json::n(exact as f64)),
+                ("rung_coarse", json::n(coarse as f64)),
+                ("rung_hold", json::n(hold as f64)),
+                ("latency_p50_us", json::n(p50 * 1e6)),
+                ("latency_p99_us", json::n(p99 * 1e6)),
             ];
             if let Some(e) = engine {
-                fields.push(("pool_pricings".to_owned(), json::n(e.pricings as f64)));
-                fields.push(("pool_hits".to_owned(), json::n(e.pool_hits as f64)));
+                fields.push(("pool_pricings", json::n(e.pricings as f64)));
+                fields.push(("pool_hits", json::n(e.pool_hits as f64)));
             }
             if let Some(q) = &st.quarantine {
-                fields.push(("quarantined".to_owned(), json::s(q.reason.as_str())));
-                fields.push(("quarantine_detail".to_owned(), json::s(&q.detail)));
+                fields.push(("quarantined", json::s(q.reason.as_str())));
+                fields.push(("quarantine_detail", json::s(&q.detail)));
             }
-            tenant_objs.push((name, Json::Obj(fields)));
+            tenant_objs.push((name, json::obj(fields)));
         }
         let total_lookups = pool_pricings + pool_hits;
         let hit_rate =
@@ -1236,7 +1236,7 @@ impl Daemon {
             ("rung_exact", json::n(all_exact as f64)),
             ("rung_coarse", json::n(all_coarse as f64)),
             ("rung_hold", json::n(all_hold as f64)),
-            ("tenants", Json::Obj(tenant_objs)),
+            ("tenants", json::obj_owned(tenant_objs)),
         ])
         .to_line()
     }

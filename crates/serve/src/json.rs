@@ -11,11 +11,13 @@
 //! offset, never a panic (the serve chaos suite feeds this parser
 //! fuzz-split garbage).
 //!
-//! There is one parser. It builds a [`JsonRef`], which borrows from the
-//! line: a string without escapes is a slice of it, and only a string
-//! with escapes is decoded into an owned copy. The request path reads
-//! that tree directly ([`parse_borrowed`]); [`parse`] converts it into
-//! the owned [`Json`] for callers that keep a value past its line.
+//! There is one parser and one tree. The parser builds a [`JsonRef`],
+//! which borrows from the line: a string without escapes is a slice of
+//! it, and only a string with escapes is decoded into an owned copy. The
+//! request path reads that tree directly ([`parse_borrowed`]); [`parse`]
+//! converts it into [`Json`], the same tree owning its strings, for
+//! callers that keep a value past its line. Replies are built as a
+//! [`Json`] through [`obj`], [`obj_owned`], [`s`] and [`n`].
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -24,18 +26,7 @@ use std::fmt::{self, Write as _};
 /// depth ≤ 3; anything deeper is hostile or broken input.
 const MAX_DEPTH: usize = 32;
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// A parsed JSON value borrowing from the line it was parsed from (see
+/// A parsed JSON value, borrowing from the line it was parsed from (see
 /// the module docs); [`JsonRef::into_owned`] converts it into a [`Json`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonRef<'a> {
@@ -46,6 +37,10 @@ pub enum JsonRef<'a> {
     Arr(Vec<JsonRef<'a>>),
     Obj(Vec<(Cow<'a, str>, JsonRef<'a>)>),
 }
+
+/// A JSON value that owns its strings: the tree a caller keeps past the
+/// line it was parsed from, and the tree replies are built as.
+pub type Json = JsonRef<'static>;
 
 /// Why a line failed to parse, with the byte offset it failed at.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,107 +57,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl Json {
-    /// Member lookup on an object (`None` on non-objects too — lookups
-    /// on a mistyped message read as "field absent", which the protocol
-    /// layer reports uniformly).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is a number with an
-    /// exact `u64` value (protocol sequence numbers must round-trip).
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(exact_u64)
-    }
-
-    /// The value as a bool, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serialize to a single line (no trailing newline). Non-finite
-    /// numbers — unrepresentable in JSON — serialize as `null`, which
-    /// is only reachable if a caller builds such a value explicitly;
-    /// the daemon never does.
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // `{}` on f64 is the shortest representation that
-                    // round-trips — exactly what a wire format wants.
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
 impl<'a> JsonRef<'a> {
     /// Member lookup on an object, the last of duplicate keys winning
-    /// (see [`Json::get`]).
+    /// (`None` on non-objects too — lookups on a mistyped message read
+    /// as "field absent", which the protocol layer reports uniformly).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
         match self {
@@ -189,7 +87,8 @@ impl<'a> JsonRef<'a> {
         }
     }
 
-    /// The value as an exact non-negative integer (see [`Json::as_u64`]).
+    /// The value as a non-negative integer, if it is a number with an
+    /// exact `u64` value (protocol sequence numbers must round-trip).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         self.as_f64().and_then(exact_u64)
@@ -207,15 +106,69 @@ impl<'a> JsonRef<'a> {
     /// The owned tree: every borrowed string copied out of the line.
     #[must_use]
     pub fn into_owned(self) -> Json {
+        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
         match self {
-            JsonRef::Null => Json::Null,
-            JsonRef::Bool(b) => Json::Bool(b),
-            JsonRef::Num(v) => Json::Num(v),
-            JsonRef::Str(s) => Json::Str(s.into_owned()),
-            JsonRef::Arr(items) => Json::Arr(items.into_iter().map(JsonRef::into_owned).collect()),
-            JsonRef::Obj(members) => Json::Obj(
-                members.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect(),
-            ),
+            JsonRef::Null => JsonRef::Null,
+            JsonRef::Bool(b) => JsonRef::Bool(b),
+            JsonRef::Num(v) => JsonRef::Num(v),
+            JsonRef::Str(s) => JsonRef::Str(own(s)),
+            JsonRef::Arr(items) => {
+                JsonRef::Arr(items.into_iter().map(JsonRef::into_owned).collect())
+            }
+            JsonRef::Obj(members) => {
+                JsonRef::Obj(members.into_iter().map(|(k, v)| (own(k), v.into_owned())).collect())
+            }
+        }
+    }
+
+    /// Serialize to a single line (no trailing newline). Non-finite
+    /// numbers — unrepresentable in JSON — serialize as `null`, which
+    /// is only reachable if a caller builds such a value explicitly;
+    /// the daemon never does.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            JsonRef::Null => out.push_str("null"),
+            JsonRef::Bool(true) => out.push_str("true"),
+            JsonRef::Bool(false) => out.push_str("false"),
+            JsonRef::Num(v) => {
+                if v.is_finite() {
+                    // `{}` on f64 is the shortest representation that
+                    // round-trips — exactly what a wire format wants.
+                    let _ = write!(out, "{v}");
+                } else {
+                    out.push_str("null");
+                }
+            }
+            JsonRef::Str(s) => write_escaped(out, s),
+            JsonRef::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            JsonRef::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
@@ -496,24 +449,24 @@ impl<'a> Parser<'a> {
 
 /// Convenience constructors for reply assembly.
 pub fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    JsonRef::Obj(members.into_iter().map(|(k, v)| (Cow::Owned(k.to_owned()), v)).collect())
 }
 
 /// An object from owned keys — for maps keyed by runtime names (the
 /// replication protocol's per-tenant sections).
 #[must_use]
 pub fn obj_owned(members: Vec<(String, Json)>) -> Json {
-    Json::Obj(members)
+    JsonRef::Obj(members.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect())
 }
 
 /// A string member value.
 pub fn s(v: impl Into<String>) -> Json {
-    Json::Str(v.into())
+    JsonRef::Str(Cow::Owned(v.into()))
 }
 
 /// A numeric member value.
 pub fn n(v: f64) -> Json {
-    Json::Num(v)
+    JsonRef::Num(v)
 }
 
 #[cfg(test)]

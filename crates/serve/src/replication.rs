@@ -127,10 +127,10 @@ pub(crate) fn missing_frames(st: &TenantState, base: u64, share: usize) -> Vec<u
 
 /// A fingerprint ring entry as a sync reply carries it (under `fps2`).
 pub(crate) fn fingerprint_json(f: &Fingerprint) -> Json {
-    Json::Obj(vec![
-        ("k".to_owned(), json::n(f.k as f64)),
-        ("fp".to_owned(), json::s(format!("{:016x}", f.fp))),
-        ("full".to_owned(), Json::Bool(f.full)),
+    json::obj(vec![
+        ("k", json::n(f.k as f64)),
+        ("fp", json::s(format!("{:016x}", f.fp))),
+        ("full", Json::Bool(f.full)),
     ])
 }
 
@@ -319,11 +319,11 @@ impl Daemon {
             let fps = st.fingerprints.iter().map(fingerprint_json).collect();
             tenant_objs.push((
                 name,
-                Json::Obj(vec![
-                    ("ticks".to_owned(), json::n(total as f64)),
-                    ("snap_k".to_owned(), json::n(st.last_snapshot_k as f64)),
-                    ("frames".to_owned(), json::s(to_hex(&frames))),
-                    ("fps2".to_owned(), Json::Arr(fps)),
+                json::obj(vec![
+                    ("ticks", json::n(total as f64)),
+                    ("snap_k", json::n(st.last_snapshot_k as f64)),
+                    ("frames", json::s(to_hex(&frames))),
+                    ("fps2", Json::Arr(fps)),
                 ]),
             ));
         }
@@ -331,7 +331,7 @@ impl Daemon {
             ("ok", Json::Bool(true)),
             ("role", json::s(self.role().as_str())),
             ("replica", json::s(replica)),
-            ("tenants", Json::Obj(tenant_objs)),
+            ("tenants", json::obj_owned(tenant_objs)),
         ])
         .to_line()
     }

@@ -58,7 +58,7 @@ fn reference_request(line: &str) -> Request<'static> {
             replica: text("replica").expect("a replica"),
             have: match v.get("have") {
                 Some(Json::Obj(members)) => {
-                    members.iter().map(|(k, n)| (k.clone(), n.as_u64().unwrap())).collect()
+                    members.iter().map(|(k, n)| (k.to_string(), n.as_u64().unwrap())).collect()
                 }
                 _ => Vec::new(),
             },

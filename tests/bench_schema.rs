@@ -127,6 +127,16 @@ fn all_bench_trajectories_carry_the_required_keys() {
             body.trim_start().starts_with('{') && body.trim_end().ends_with('}'),
             "{name} is not a JSON object"
         );
+        // Every timing is a median with its spread: the line after each
+        // `*_ms` key holds its numeric `*_ms_iqr`.
+        let lines: Vec<&str> = body.lines().collect();
+        for (line, next) in lines.iter().zip(lines.iter().skip(1).chain([&""])) {
+            let key = line.trim().strip_prefix('"').and_then(|l| l.split_once("\":"));
+            if let Some((key, _)) = key.filter(|(key, _)| key.ends_with("_ms")) {
+                let iqr = number_of(next, &format!("{key}_iqr"));
+                assert!(iqr.is_some(), "{name}: `{key}` lacks a numeric `{key}_iqr` after it");
+            }
+        }
         checked += 1;
     }
     assert!(
