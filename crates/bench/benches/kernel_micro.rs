@@ -11,17 +11,28 @@
 //! data is asserted untimed here and exhaustively in
 //! `crates/offline/tests/kernel_parity.rs`.
 //!
+//! The `price_slot` row times the pricing kernel the same way: every
+//! configuration of `three_tier(12,12,6)` (1,183 cells) at 20%, 50% and
+//! 80% of its capacity, priced through one slot context per load
+//! (`GtOracle::slot_eval`, whose memos the cells share) and cell by
+//! cell through one-shot `g_scaled`, in nanoseconds per cell. Both give
+//! the same bits, which is asserted untimed first.
+//!
 //! Results land in `results/kernels.json`. `--quick` shrinks the rep
 //! counts and times one batch, for the CI smoke step; no wall-clock
 //! gates either way.
 
 use std::hint::black_box;
 
-use rsz_bench::harness::{Bench, Row};
+use rsz_bench::harness::{Bench, Row, Spread};
+use rsz_core::{GtOracle, Instance};
+use rsz_dispatch::Dispatcher;
+use rsz_offline::brute::enumerate_configs;
 use rsz_offline::kernels::{
     argmin_scan, argmin_scan_scalar, axpy_fold, axpy_fold_scalar, min_scan, min_scan_scalar,
     suffix_min_inplace, suffix_min_inplace_scalar,
 };
+use rsz_workloads::fleet;
 
 const LENS: [usize; 3] = [64, 1024, 65536];
 
@@ -117,5 +128,59 @@ fn main() {
             );
         }
     }
+    price_slot(&mut bench);
     bench.finish(&[], &["results/kernels.json"]);
+}
+
+/// The `price_slot` row (see the module doc).
+fn price_slot(bench: &mut Bench) {
+    let types = fleet::three_tier(12, 12, 6);
+    let cap = fleet::total_capacity(&types);
+    let inst = Instance::builder()
+        .server_types(types)
+        .loads(vec![0.2 * cap, 0.5 * cap, 0.8 * cap])
+        .build()
+        .expect("loads within the fleet's capacity");
+    let grid = enumerate_configs(&inst.server_counts_at(0));
+    let oracle = Dispatcher::new();
+    let price = |t: usize, x: &[u32]| oracle.g_scaled(&inst, t, x, inst.load(t), 1.0);
+    for t in 0..inst.horizon() {
+        let mut slot = oracle.slot_eval(&inst, t, inst.load(t), 1.0);
+        for x in &grid {
+            let (memo, direct) = (slot.eval(x.counts()), price(t, x.counts()));
+            assert_eq!(memo.to_bits(), direct.to_bits(), "price_slot parity t={t} x={x}");
+        }
+    }
+    let reps = if bench.quick { 1 } else { 10 };
+    let ((), [context, one_shot]) = bench.repeat(|laps| {
+        laps.time(|| {
+            for _ in 0..reps {
+                for t in 0..inst.horizon() {
+                    let mut slot = oracle.slot_eval(&inst, t, inst.load(t), 1.0);
+                    for x in &grid {
+                        black_box(slot.eval(x.counts()));
+                    }
+                }
+            }
+        });
+        laps.time(|| {
+            for _ in 0..reps {
+                for t in 0..inst.horizon() {
+                    for x in &grid {
+                        black_box(price(t, x.counts()));
+                    }
+                }
+            }
+        });
+    });
+    let cells = reps * inst.horizon() * grid.len();
+    let ns = |spread: Spread| spread.median * 1e9 / cells as f64;
+    bench.row(
+        Row::new("price_slot")
+            .field("kernel", "\"price_slot\"")
+            .field("cells", grid.len() * inst.horizon())
+            .num("context_ns_per_cell", ns(context))
+            .num("one_shot_ns_per_cell", ns(one_shot))
+            .num("speedup", one_shot.median / context.median),
+    );
 }

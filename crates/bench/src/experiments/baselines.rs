@@ -15,7 +15,6 @@
 use rsz_core::Instance;
 use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve as dp_solve, DpOptions};
-use rsz_offline::GridMode;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_b::AlgorithmB;
 use rsz_online::algo_c::{AlgorithmC, COptions};
@@ -48,7 +47,7 @@ fn run_suite(
         let cost = outcome.cost();
         rows.push((outcome.name, cost));
     }
-    if let Some((cfg, cost)) = best_static(inst, oracle, GridMode::Full) {
+    if let Some((cfg, cost)) = best_static(inst, oracle) {
         rows.push((format!("static {cfg}"), cost));
     }
     rows.push(("OPT (clairvoyant)".into(), opt.cost));

@@ -71,8 +71,11 @@ pub trait GtOracle {
     /// calls walk the grid in layout order, each configuration a close
     /// neighbour of the previous one. The default ignores the promise and
     /// forwards to [`GtOracle::slot_eval`], so its values equal
-    /// [`GtOracle::g_scaled`] bit for bit; every in-tree oracle keeps it
-    /// (`rsz_dispatch::Dispatcher` solves each cell from scratch). A
+    /// [`GtOracle::g_scaled`] bit for bit; every in-tree oracle keeps it.
+    /// (`rsz_dispatch::Dispatcher`'s context memoizes only what depends
+    /// on the slot and a key — a type's inverse derivative at a breakpoint
+    /// price, a `(type, count)`'s marginal and cost ends — not on the
+    /// cell priced before, so order does not change a value.) A
     /// third-party oracle may override it to exploit the locality — e.g.
     /// warm-starting an iterative solver from the previous cell's state —
     /// under a relaxed contract: values may differ from

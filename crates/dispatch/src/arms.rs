@@ -58,12 +58,21 @@ impl<'a> Arm<'a> {
     /// piecewise-linear kink, the upper one.
     #[must_use]
     pub fn volume_at_price(&self, nu: f64) -> f64 {
+        self.volume_at_load(nu, self.cost.deriv_inv(nu))
+    }
+
+    /// [`Arm::volume_at_price`] given the model's inverse derivative at
+    /// `nu`, `load = f'⁻¹(nu)`: the per-server load depends on the type
+    /// and `nu` alone, so a slot context computes it once per breakpoint
+    /// and every cell shares this per-arm step.
+    #[must_use]
+    pub(crate) fn volume_at_load(&self, nu: f64, load: Option<f64>) -> f64 {
         let cap = self.cap();
         if cap == 0.0 {
             return 0.0;
         }
         let x = f64::from(self.count);
-        if let Some(z) = self.cost.deriv_inv(nu) {
+        if let Some(z) = load {
             let y = z * x;
             let y = if y / x < z { y.next_up() } else { y };
             return y.clamp(0.0, cap);

@@ -33,10 +33,19 @@
 //! load-independent case, Corollary 9) always ends in step 3: the arms
 //! cheaper than `b` saturate and those at `b` split the rest.
 //!
-//! Every call solves from scratch: the value of a configuration never
-//! depends on what was priced before it.
+//! Within one slot, every cell searches the same few breakpoint prices
+//! and its arms repeat the same few `(type, count)` pairs. A slot context
+//! hands `solve_in` its memos (`crate::memo`): each type's per-server
+//! load `f_j'⁻¹(ν)` at a breakpoint price, computed once per
+//! `(type, ν bits)` for the segment search and the volumes at `b`, and
+//! `Φ'(0)`, `Φ'(cap)`, `Φ(0)`, `Φ(cap)` per `(type, count)`. The
+//! bracketed secant and the fallback price their arbitrary `ν` directly.
+//! Both memos are pure functions of their keys, filled by the same calls
+//! a one-shot solve (which passes none) makes, so the value of a
+//! configuration never depends on what was priced before it.
 
 use crate::arms::Arm;
+use crate::memo::Memo;
 use crate::solution::Workspace;
 use rsz_core::util::{
     exceeds_capacity, DISPATCH_MACRO_RESIDUAL, DISPATCH_MAX_ITER, DISPATCH_NOISE,
@@ -52,33 +61,40 @@ struct Problem<'p> {
 
 impl Problem<'_> {
     /// `y_j(ν)` of arm `j`, whose marginal interval is `[lo, hi]`;
-    /// prices outside the interval cost no [`Arm::volume_at_price`] call.
-    fn volume_at(&self, j: usize, lo: f64, hi: f64, nu: f64) -> f64 {
+    /// prices outside the interval cost no [`Arm::volume_at_price`] call,
+    /// and those inside it read `memo`'s breakpoint loads.
+    fn volume_at(&self, j: usize, (lo, hi): (f64, f64), nu: f64, memo: &mut Memo<'_>) -> f64 {
         if nu < lo {
             0.0
         } else if nu >= hi {
             self.arms[j].cap()
         } else {
-            self.arms[j].volume_at_price(nu)
+            memo.volume_at_price(&self.arms[j], nu)
         }
     }
 
     /// The willing volume `Y(ν) = Σ_j y_j(ν)`.
-    fn willing(&self, lo: &[f64], hi: &[f64], nu: f64) -> f64 {
-        (0..self.arms.len()).map(|j| self.volume_at(j, lo[j], hi[j], nu)).sum()
+    fn willing(&self, interval: &[(f64, f64)], nu: f64, memo: &mut Memo<'_>) -> f64 {
+        (0..self.arms.len()).map(|j| self.volume_at(j, interval[j], nu, memo)).sum()
     }
 }
 
 /// Solve the dispatch problem with `0 < lambda ≤ Σ cap_j` into
 /// `ws.volumes`, returning the cost (`f64::INFINITY` when no allocation
-/// within capacity serves `lambda`).
-pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
+/// within capacity serves `lambda`). `memo` supplies the breakpoint loads
+/// and the arms' ends ([`Memo::none`] computes them).
+pub(crate) fn solve_in(
+    arms: &[Arm<'_>],
+    lambda: f64,
+    ws: &mut Workspace,
+    mut memo: Memo<'_>,
+) -> f64 {
     let p = Problem { arms, lambda };
     ws.reset(arms.len());
     ws.prices.clear();
     for (j, arm) in arms.iter().enumerate() {
-        let (lo, hi) = (arm.phi_deriv(0.0), arm.phi_deriv(arm.cap()));
-        (ws.lo[j], ws.hi[j]) = (lo, hi);
+        let (lo, hi) = memo.interval(arm);
+        ws.interval[j] = (lo, hi);
         // An affine arm's interval is a single point: one breakpoint.
         let ends = if hi.to_bits() == lo.to_bits() { &[lo][..] } else { &[lo, hi][..] };
         ws.prices.extend(ends.iter().copied().filter(|p| p.is_finite()));
@@ -90,7 +106,7 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
     let (mut k, mut end, mut y_a) = (0, ws.prices.len(), 0.0);
     while k < end {
         let mid = (k + end) / 2;
-        let y = p.willing(&ws.lo, &ws.hi, ws.prices[mid]);
+        let y = p.willing(&ws.interval, ws.prices[mid], &mut memo);
         if y < lambda {
             (k, y_a) = (mid + 1, y);
         } else {
@@ -103,12 +119,13 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
     // `reach` on the interior arms, `top` on those whose interval starts at `b`.
     let (mut rest, mut reach, mut top, mut interior) = (lambda, 0.0, 0.0, (0, 0));
     for (j, arm) in arms.iter().enumerate() {
-        if ws.hi[j] <= a {
+        let (lo, hi) = ws.interval[j];
+        if hi <= a {
             ws.volumes[j] = arm.cap();
             rest -= arm.cap();
         } else {
-            ws.volumes[j] = p.volume_at(j, ws.lo[j], ws.hi[j], b);
-            if ws.lo[j] >= b {
+            ws.volumes[j] = p.volume_at(j, (lo, hi), b, &mut memo);
+            if lo >= b {
                 top += ws.volumes[j];
             } else {
                 reach += ws.volumes[j];
@@ -121,7 +138,7 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
     match interior {
         (1, i) if reach > rest => ws.volumes[i] = rest,
         (2.., _) if reach - rest > DISPATCH_TOL * lambda => {
-            return illinois(p, (a, y_a - lambda), (b, reach - rest), ws);
+            return illinois(p, (a, y_a - lambda), (b, reach - rest), ws, &mut memo);
         }
         _ => {}
     }
@@ -131,10 +148,12 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
         return f64::INFINITY;
     }
     let theta = if top > 0.0 { (rest / top).clamp(0.0, 1.0) } else { 0.0 };
-    for j in (0..arms.len()).filter(|&j| ws.hi[j] > a && ws.lo[j] >= b) {
-        ws.volumes[j] *= theta;
+    for (v, &(lo, hi)) in ws.volumes.iter_mut().zip(&ws.interval) {
+        if hi > a && lo >= b {
+            *v *= theta;
+        }
     }
-    settle(p, ws)
+    settle(p, ws, &mut memo)
 }
 
 /// Several arms interior to the segment between the prices of `lo` and
@@ -143,14 +162,21 @@ pub(crate) fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64
 /// halving the stale end's excess whenever the same end survives twice
 /// (the Illinois rule), until the excess or the bracket is within
 /// [`DISPATCH_TOL`].
-/// An infinite `hi` is first brought down by doubling the price.
-fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Workspace) -> f64 {
+/// An infinite `hi` is first brought down by doubling the price. These
+/// prices are not breakpoints, so they are priced without the memo.
+fn illinois(
+    p: Problem<'_>,
+    mut lo: (f64, f64),
+    mut hi: (f64, f64),
+    ws: &mut Workspace,
+    memo: &mut Memo<'_>,
+) -> f64 {
     while hi.0 == f64::INFINITY {
         let nu = 2.0 * lo.0.max(0.5);
         if !nu.is_finite() {
-            return saturation_fallback(p, lo.0, ws);
+            return saturation_fallback(p, lo.0, ws, memo);
         }
-        let f = p.willing(&ws.lo, &ws.hi, nu) - p.lambda;
+        let f = p.willing(&ws.interval, nu, &mut Memo::none()) - p.lambda;
         *(if f >= 0.0 { &mut hi } else { &mut lo }) = (nu, f);
     }
     let ((mut nu_lo, mut f_lo), (mut nu_hi, mut f_hi)) = (lo, hi);
@@ -161,7 +187,7 @@ fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Wor
         }
         let secant = nu_lo - f_lo * (nu_hi - nu_lo) / (f_hi - f_lo);
         let nu = if nu_lo < secant && secant < nu_hi { secant } else { 0.5 * (nu_lo + nu_hi) };
-        let f = p.willing(&ws.lo, &ws.hi, nu) - p.lambda;
+        let f = p.willing(&ws.interval, nu, &mut Memo::none()) - p.lambda;
         if f >= 0.0 {
             (nu_hi, f_hi) = (nu, f);
             f_lo *= if side < 0 { 0.5 } else { 1.0 };
@@ -175,7 +201,7 @@ fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Wor
             break;
         }
     }
-    finish(p, nu_lo, nu_hi, ws)
+    finish(p, nu_lo, nu_hi, ws, memo)
 }
 
 /// Blend the allocations at the bracket ends `nu_lo < nu_hi`, where
@@ -183,11 +209,13 @@ fn illinois(p: Problem<'_>, mut lo: (f64, f64), mut hi: (f64, f64), ws: &mut Wor
 /// whose volume is the same at both ends (saturated, idle, or on a kink
 /// of a piecewise-linear cost) keeps it exactly. At `nu_hi` an arm whose
 /// interval starts there counts with none, as the bracket's excess does.
-fn finish(p: Problem<'_>, nu_lo: f64, nu_hi: f64, ws: &mut Workspace) -> f64 {
-    let Workspace { volumes, lo, hi, y_lo, .. } = ws;
-    for j in 0..p.arms.len() {
-        volumes[j] = if lo[j] >= nu_hi { 0.0 } else { p.volume_at(j, lo[j], hi[j], nu_hi) };
-        y_lo[j] = p.volume_at(j, lo[j], hi[j], nu_lo);
+fn finish(p: Problem<'_>, nu_lo: f64, nu_hi: f64, ws: &mut Workspace, memo: &mut Memo<'_>) -> f64 {
+    let Workspace { volumes, interval, y_lo, .. } = ws;
+    let direct = &mut Memo::none();
+    y_lo.resize(p.arms.len(), 0.0);
+    for (j, &ends) in interval.iter().enumerate() {
+        volumes[j] = if ends.0 >= nu_hi { 0.0 } else { p.volume_at(j, ends, nu_hi, direct) };
+        y_lo[j] = p.volume_at(j, ends, nu_lo, direct);
     }
     let sum_hi: f64 = volumes.iter().sum();
     let sum_lo: f64 = y_lo.iter().sum();
@@ -197,28 +225,34 @@ fn finish(p: Problem<'_>, nu_lo: f64, nu_hi: f64, ws: &mut Workspace) -> f64 {
             *v = lo + theta * (*v - lo);
         }
     }
-    settle(p, ws)
+    settle(p, ws, memo)
 }
 
 /// Clamp the volumes into capacity, push any residual onto arms with
-/// spare capacity and price the allocation.
-fn settle(p: Problem<'_>, ws: &mut Workspace) -> f64 {
+/// spare capacity and price the allocation (an arm at `0` or at capacity
+/// from `memo`'s ends).
+fn settle(p: Problem<'_>, ws: &mut Workspace, memo: &mut Memo<'_>) -> f64 {
     for (v, a) in ws.volumes.iter_mut().zip(p.arms) {
         *v = v.clamp(0.0, a.cap());
     }
     distribute_residual(&mut ws.volumes, p.arms, p.lambda, &mut ws.parked);
-    ws.volumes.iter().zip(p.arms).map(|(&y, a)| a.phi(y)).sum()
+    ws.volumes.iter().zip(p.arms).map(|(&y, a)| memo.phi(a, y)).sum()
 }
 
 /// No finite price places λ: doubling the price overflowed first. Keep
 /// each arm's volume at `nu_max`, the highest price reached, then place
 /// the deficit by ascending marginal cost; if even full saturation falls
 /// short, report infeasibility instead of an under-allocated "solution".
-fn saturation_fallback(p: Problem<'_>, nu_max: f64, ws: &mut Workspace) -> f64 {
+fn saturation_fallback(
+    p: Problem<'_>,
+    nu_max: f64,
+    ws: &mut Workspace,
+    memo: &mut Memo<'_>,
+) -> f64 {
     for (v, a) in ws.volumes.iter_mut().zip(p.arms) {
         *v = a.volume_at_price(nu_max);
     }
-    let cost = settle(p, ws);
+    let cost = settle(p, ws, memo);
     let placed: f64 = ws.volumes.iter().sum();
     if placed < p.lambda - DISPATCH_SHORTFALL * p.lambda.max(1.0) {
         return f64::INFINITY;

@@ -32,21 +32,25 @@
 //! [`Dispatcher`] implements [`rsz_core::GtOracle`], which is how the
 //! offline DP and the online algorithms price configurations;
 //! [`SlotDispatcher`] is the allocation-free per-slot context DP workers
-//! solve through. Every pricing path returns exactly
-//! [`Dispatcher::g_value`]'s bits. Repeated `g_t` work is shared one
-//! level up, by the offline pipeline's pricing pool and the online
-//! engine's priced-slot pool.
+//! solve through; it memoizes, for its slot, each breakpoint's inverse
+//! derivative per type and each `(type, count)`'s marginal and cost ends.
+//! Every pricing path returns exactly [`Dispatcher::g_value`]'s bits.
+//! Repeated `g_t` work of whole slots is shared one level up, by the
+//! offline pipeline's pricing pool and the online engine's priced-slot
+//! pool.
 
 #![warn(missing_docs)]
 
 pub mod arms;
 pub mod brute;
 pub mod kkt;
+mod memo;
 pub mod solution;
 
 pub use arms::{Arm, SlotArms};
 pub use solution::DispatchSolution;
 
+use memo::{Memo, SlotMemo};
 use rsz_core::util::exceeds_capacity;
 use rsz_core::{GtOracle, Instance, SlotEval};
 use solution::Workspace;
@@ -78,7 +82,7 @@ impl Dispatcher {
     #[must_use]
     pub fn solve_arms(&self, arms: &[Arm<'_>], lambda: f64) -> DispatchSolution {
         let mut ws = Workspace::default();
-        let cost = solve_in(arms, lambda, &mut ws);
+        let cost = solve_in(arms, lambda, &mut ws, Memo::none());
         ws.into_solution(cost)
     }
 
@@ -93,13 +97,14 @@ impl Dispatcher {
         scale: f64,
     ) -> f64 {
         let arms = arms::collect(instance, t, x);
-        value_in(&arms, lambda, scale, &mut Workspace::default())
+        value_in(&arms, lambda, scale, &mut Workspace::default(), Memo::none())
     }
 
     /// Open a buffer-reusing evaluator for slot `t` of `instance`: the
     /// slot's arm templates are captured once and every
     /// [`SlotDispatcher::eval_config`] assembles its arm list and solves
-    /// into the same scratch buffers (no per-configuration allocation).
+    /// into the same scratch buffers (no per-configuration allocation),
+    /// reading and filling the slot's memos (see [`SlotDispatcher`]).
     #[must_use]
     pub fn slot_dispatcher<'a>(
         &self,
@@ -109,14 +114,22 @@ impl Dispatcher {
         cost_scale: f64,
     ) -> SlotDispatcher<'a> {
         let arms = SlotArms::new(instance, t);
-        let scratch = Vec::with_capacity(arms.num_types());
-        SlotDispatcher { arms, lambda, cost_scale, scratch, ws: Workspace::default() }
+        let d = arms.num_types();
+        let max_count = (0..d).map(|j| instance.server_count(t, j)).max().unwrap_or(0);
+        SlotDispatcher {
+            arms,
+            lambda,
+            cost_scale,
+            scratch: Vec::with_capacity(d),
+            ws: Workspace::default(),
+            memo: SlotMemo::new(d, max_count),
+        }
     }
 }
 
 /// The preamble every dispatch entry point shares (feasibility slack,
-/// λ clamp, idle-only cells), solving into `ws`.
-fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
+/// λ clamp, idle-only cells), solving into `ws` through `memo`.
+fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace, memo: Memo<'_>) -> f64 {
     debug_assert!(lambda >= 0.0);
     let total_cap: f64 = arms.iter().map(Arm::cap).sum();
     if exceeds_capacity(lambda, total_cap) {
@@ -129,13 +142,13 @@ fn solve_in(arms: &[Arm<'_>], lambda: f64, ws: &mut Workspace) -> f64 {
         ws.reset(arms.len());
         return arms.iter().map(Arm::idle_total).sum();
     }
-    kkt::solve_in(arms, lambda, ws)
+    kkt::solve_in(arms, lambda, ws, memo)
 }
 
 /// Cost of a pre-assembled arm list — shared by [`Dispatcher::g_value`]
 /// and the buffer-reusing [`SlotDispatcher`] so both produce
 /// bit-identical results.
-fn value_in(arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace) -> f64 {
+fn value_in(arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace, memo: Memo<'_>) -> f64 {
     if scale == 0.0 {
         // Zero-scaled slots cost nothing but must still be feasible.
         let total_cap: f64 = arms.iter().map(Arm::cap).sum();
@@ -143,13 +156,19 @@ fn value_in(arms: &[Arm<'_>], lambda: f64, scale: f64, ws: &mut Workspace) -> f6
     }
     // A uniform positive scale does not change the argmin, so solve the
     // unscaled problem and scale the optimum.
-    scale * solve_in(arms, lambda, ws)
+    scale * solve_in(arms, lambda, ws, memo)
 }
 
 /// A [`Dispatcher`] scoped to one `(slot, λ, cost_scale)` triple: prices
 /// many configurations of the same slot through one reused arm buffer.
 /// Created by [`Dispatcher::slot_dispatcher`]; this is what DP workers
 /// hold per thread (it is deliberately not `Sync`).
+///
+/// It keeps two memos for the slot: each type's per-server load
+/// `f_j'⁻¹(ν)` at every breakpoint price, and `Φ'(0)`, `Φ'(cap)`, `Φ(0)`
+/// and `Φ(cap)` per `(type, count)`. They are filled on first use by the
+/// calls a one-shot solve makes, so values keep
+/// [`Dispatcher::g_value`]'s bits.
 #[derive(Clone, Debug)]
 pub struct SlotDispatcher<'a> {
     arms: SlotArms<'a>,
@@ -157,6 +176,7 @@ pub struct SlotDispatcher<'a> {
     cost_scale: f64,
     scratch: Vec<Arm<'a>>,
     ws: Workspace,
+    memo: SlotMemo,
 }
 
 impl SlotDispatcher<'_> {
@@ -165,7 +185,8 @@ impl SlotDispatcher<'_> {
     /// before it.
     pub fn eval_config(&mut self, x: &[u32]) -> f64 {
         self.arms.fill_into(x, &mut self.scratch);
-        value_in(&self.scratch, self.lambda, self.cost_scale, &mut self.ws)
+        let memo = Memo::of(&mut self.memo);
+        value_in(&self.scratch, self.lambda, self.cost_scale, &mut self.ws, memo)
     }
 }
 

@@ -38,9 +38,9 @@ pub(crate) struct Workspace {
     /// The solve's output: volume per arm.
     pub(crate) volumes: Vec<f64>,
     /// Per-arm marginal interval `[Φ'(0), Φ'(cap)]`.
-    pub(crate) lo: Vec<f64>,
-    pub(crate) hi: Vec<f64>,
-    /// Per-arm volume at the lower end of a price bracket.
+    pub(crate) interval: Vec<(f64, f64)>,
+    /// Per-arm volume at the lower end of a price bracket, sized by the
+    /// bracketed secant, the one step that needs it.
     pub(crate) y_lo: Vec<f64>,
     /// Sorted breakpoint prices.
     pub(crate) prices: Vec<f64>,
@@ -49,12 +49,11 @@ pub(crate) struct Workspace {
 }
 
 impl Workspace {
-    /// Zero the volumes and size the other per-arm buffers for `n` arms.
+    /// Zero the volumes and size the intervals for `n` arms.
     pub(crate) fn reset(&mut self, n: usize) {
         self.volumes.clear();
-        for buf in [&mut self.volumes, &mut self.lo, &mut self.hi, &mut self.y_lo] {
-            buf.resize(n, 0.0);
-        }
+        self.volumes.resize(n, 0.0);
+        self.interval.resize(n, (0.0, 0.0));
     }
 
     /// The solution of a solve that returned `cost`.

@@ -441,3 +441,248 @@ proptest! {
         }
     }
 }
+
+/// Per-server capacities for which `(c·zmax)/c` rounds away from `zmax`
+/// at `c = 3`, so `Φ'(cap)` of three servers is not that of one.
+const UNEVEN_ZMAX: [f64; 3] = [0.1, 0.7, 0.982_020_966_044_343_3];
+
+/// A random capacity or, half the time, an uneven one.
+fn memo_zmax() -> impl Strategy<Value = f64> {
+    prop_oneof![0.5..4.0_f64, (0usize..3).prop_map(|i| UNEVEN_ZMAX[i])]
+}
+
+/// One type of a memo case, of any shape `model_strategy` draws (the
+/// exp cost has no `deriv_inv`): one in six has a zero-scaled cost view.
+fn memo_type() -> impl Strategy<Value = ArmSpec> {
+    (1u32..5, memo_zmax(), model_strategy(), 0u32..6).prop_map(|(count, zmax, model, k)| ArmSpec {
+        count,
+        zmax,
+        model,
+        scale: if k == 0 { 0.0 } else { 1.0 },
+    })
+}
+
+/// Eight quadratic types with staggered marginal intervals: the slot's
+/// cells query more `(type, breakpoint)` pairs than the 12 a context's
+/// breakpoint memo keeps.
+fn wide_types() -> impl Strategy<Value = Vec<ArmSpec>> {
+    prop::collection::vec((0.0..3.0_f64, 0.2..1.5_f64, memo_zmax()), 8..9).prop_map(|abz| {
+        abz.into_iter().map(|(a, b, zmax)| spec(2, zmax, CostModel::quadratic(0.5, a, b))).collect()
+    })
+}
+
+/// Two slots of `specs`, slot 1 priced at `price` times slot 0.
+fn two_slot_instance(specs: &[ArmSpec], price: f64) -> Instance {
+    let types = specs.iter().enumerate().map(|(j, s)| {
+        let factors = vec![s.scale, s.scale * price];
+        ServerType::with_spec(
+            format!("t{j}"),
+            s.count,
+            1.0,
+            s.zmax,
+            CostSpec::scaled(s.model.clone(), factors),
+        )
+    });
+    Instance::builder()
+        .server_types(types.collect::<Vec<_>>())
+        .loads(vec![0.0, 0.0])
+        .build()
+        .expect("valid memo test instance")
+}
+
+/// The grid of `counts` in a shuffled order, then a third of it again:
+/// what a memo holds must not depend on which cell filled it.
+fn shuffled_with_repeats(counts: &[u32], seed: u64) -> Vec<Vec<u32>> {
+    let mut state = seed | 1;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut order = layout_order_configs(counts);
+    for i in (1..order.len()).rev() {
+        order.swap(i, next(i + 1));
+    }
+    let repeats: Vec<Vec<u32>> =
+        (0..order.len() / 3).map(|_| order[next(order.len())].clone()).collect();
+    order.extend(repeats);
+    order
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One slot context prices a grid in any order, repeats included,
+    /// with exactly `g_scaled`'s bits: its memos are pure functions of
+    /// their keys. Covers every memoized cost shape, time-dependent and
+    /// zero-scaled cost views, zero-scaled slots, capacities that do not
+    /// round-trip through `c·zmax / c`, and more breakpoint pairs than
+    /// the memo keeps.
+    #[test]
+    fn slot_memo_keeps_g_scaled_bits_in_any_order(
+        specs in prop_oneof![prop::collection::vec(memo_type(), 1..5), wide_types()],
+        frac in 0.05..0.95_f64,
+        price in 0.25..3.0_f64,
+        scale_pick in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let inst = two_slot_instance(&specs, price);
+        let counts: Vec<u32> = specs.iter().map(|s| s.count).collect();
+        let total_cap: f64 = specs.iter().map(|s| f64::from(s.count) * s.zmax).sum();
+        let lambda = frac * total_cap;
+        let cost_scale = [1.0, 0.5, 1.0 / 3.0, 0.0][scale_pick];
+        let d = Dispatcher::new();
+        let order = shuffled_with_repeats(&counts, seed);
+        for t in 0..2 {
+            let mut slot = d.slot_dispatcher(&inst, t, lambda, cost_scale);
+            for x in &order {
+                let memo = slot.eval_config(x);
+                let direct = d.g_scaled(&inst, t, x, lambda, cost_scale);
+                prop_assert_eq!(
+                    memo.to_bits(), direct.to_bits(),
+                    "t={} x={:?}: context {} vs g_scaled {}", t, x, memo, direct
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn uneven_capacities_do_not_round_trip() {
+    for z in UNEVEN_ZMAX {
+        assert_ne!((3.0 * z) / 3.0, z, "{z}");
+    }
+}
+
+/// `f(z) = a·z + b·z²` with a closed-form `deriv_inv` that records every
+/// price it is asked for.
+#[derive(Debug)]
+struct Counted {
+    a: f64,
+    b: f64,
+    asked: std::sync::Mutex<Vec<u64>>,
+}
+
+impl Counted {
+    fn new(a: f64, b: f64) -> Arc<Self> {
+        Arc::new(Self { a, b, asked: std::sync::Mutex::new(Vec::new()) })
+    }
+
+    /// The prices asked since the last call, as bits.
+    fn take(&self) -> Vec<u64> {
+        std::mem::take(&mut *self.asked.lock().unwrap())
+    }
+}
+
+impl CostFunction for Counted {
+    fn eval(&self, z: f64) -> f64 {
+        self.a * z + self.b * z * z
+    }
+
+    fn deriv(&self, z: f64) -> f64 {
+        self.a + 2.0 * self.b * z
+    }
+
+    fn deriv_inv(&self, slope: f64) -> Option<f64> {
+        self.asked.lock().unwrap().push(slope.to_bits());
+        Some(((slope - self.a) / (2.0 * self.b)).max(0.0))
+    }
+}
+
+/// How often each price was asked, most first.
+fn repeats(asked: &[u64]) -> usize {
+    let mut sorted = asked.to_vec();
+    sorted.sort_unstable();
+    sorted.chunk_by(|x, y| x == y).map(<[u64]>::len).max().unwrap_or(0)
+}
+
+#[test]
+fn one_slot_asks_each_breakpoint_load_once_per_type() {
+    // Marginal intervals [0, 1], [1, 2] and [2, 3] (dyadic capacities, so
+    // every count has the same ends) touch but do not overlap: no
+    // segment between breakpoints has two interior arms, so no cell takes
+    // the bracketed secant and every `deriv_inv` call is at a breakpoint.
+    let costs = [Counted::new(0.0, 0.5), Counted::new(1.0, 0.25), Counted::new(2.0, 0.5)];
+    let types = [(3, 1.0), (2, 2.0), (3, 1.0)].iter().zip(&costs).enumerate().map(
+        |(j, (&(count, zmax), cost))| {
+            let model = CostModel::Custom(Arc::clone(cost) as Arc<dyn CostFunction>);
+            ServerType::new(format!("t{j}"), count, 1.0, zmax, model)
+        },
+    );
+    let inst = Instance::builder()
+        .server_types(types.collect::<Vec<_>>())
+        .loads(vec![0.0])
+        .build()
+        .expect("valid counting instance");
+    let grid = layout_order_configs(&[3, 2, 3]);
+    let d = Dispatcher::new();
+    for lambda in [1.3, 3.5, 6.2] {
+        let direct: Vec<f64> = grid.iter().map(|x| d.g_scaled(&inst, 0, x, lambda, 1.0)).collect();
+        let one_shot: Vec<Vec<u64>> = costs.iter().map(|c| c.take()).collect();
+        let mut slot = d.slot_dispatcher(&inst, 0, lambda, 1.0);
+        for (x, want) in grid.iter().zip(&direct) {
+            assert_eq!(slot.eval_config(x).to_bits(), want.to_bits(), "λ={lambda} x={x:?}");
+        }
+        let memo: Vec<Vec<u64>> = costs.iter().map(|c| c.take()).collect();
+        assert!(memo.iter().any(|asked| !asked.is_empty()), "λ={lambda}: no breakpoint load asked");
+        for (j, (memo, one_shot)) in memo.iter().zip(&one_shot).enumerate() {
+            assert!(repeats(memo) <= 1, "λ={lambda} type {j}: a breakpoint asked twice: {memo:?}");
+            assert!(memo.len() <= one_shot.len(), "λ={lambda} type {j}");
+        }
+        // Without the memo the same loads are asked cell after cell.
+        assert!(one_shot.iter().any(|asked| repeats(asked) > 1), "λ={lambda}: {one_shot:?}");
+    }
+}
+
+#[test]
+fn a_count_that_does_not_round_trip_its_capacity_keeps_its_bits() {
+    // Three servers of the last type hold `(3·zmax)/3 ≠ zmax`, so their
+    // `Φ'(cap)` is not one server's: a memo that read it per type moves
+    // this cell's last bit (a case the proptest above found).
+    let specs = [
+        spec(
+            2,
+            2.925_244_097_605_068,
+            CostModel::Custom(Arc::new(ExpCost {
+                idle: 0.052_401_759_173_333_45,
+                coef: 0.111_889_689_243_514_06,
+            })),
+        ),
+        spec(
+            1,
+            2.460_549_612_987_136,
+            CostModel::quadratic(
+                1.763_517_621_864_493_5,
+                1.225_279_721_635_516_7,
+                0.179_592_318_331_695_26,
+            ),
+        ),
+        spec(
+            4,
+            1.401_179_321_875_048,
+            CostModel::quadratic(
+                1.740_223_186_325_038_4,
+                0.708_525_226_674_478_4,
+                1.117_044_990_225_126_7,
+            ),
+        ),
+        spec(
+            4,
+            UNEVEN_ZMAX[2],
+            CostModel::power(
+                0.369_995_181_418_012_24,
+                0.853_697_319_208_822_9,
+                1.304_880_717_735_194_2,
+            ),
+        ),
+    ];
+    let inst = two_slot_instance(&specs, 0.728_134_445_717_523_8);
+    let (lambda, cost_scale) = (9.802_009_263_697_88, 0.5);
+    let d = Dispatcher::new();
+    let mut slot = d.slot_dispatcher(&inst, 1, lambda, cost_scale);
+    for x in layout_order_configs(&[2, 1, 4, 4]) {
+        let direct = d.g_scaled(&inst, 1, &x, lambda, cost_scale);
+        assert_eq!(slot.eval_config(&x).to_bits(), direct.to_bits(), "x={x:?}");
+    }
+}

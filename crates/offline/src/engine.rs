@@ -34,9 +34,10 @@
 //! oldest insertion is evicted (FIFO — online algorithms visit slots in
 //! order, so the oldest priced slot is also the least likely to recur).
 //! A miss at capacity re-prices into the table it evicts when nothing
-//! else holds it, so a stream of loads that never repeat (live
-//! telemetry) reuses the pool's tables instead of allocating one per
-//! slot; only the oracle's own sweep state is allocated per pricing.
+//! else holds it, and walks the grid with cursor buffers the pool keeps,
+//! so a stream of loads that never repeat (live telemetry) reuses the
+//! pool's tables instead of allocating one per slot; only the oracle's
+//! own sweep state is allocated per pricing.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -44,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rsz_core::{GtOracle, Instance};
 
-use crate::table::{GridCursor, Table};
+use crate::table::{CursorBuffers, GridCursor, Table};
 
 pub mod snapshot;
 
@@ -142,6 +143,8 @@ pub struct PricedSlotPool {
     entries: HashMap<PoolKey, PricedSlot>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<PoolKey>,
+    /// The pricing sweep's cursor buffers, reused by every miss.
+    cursor: CursorBuffers,
     cap: usize,
     pricings: u64,
     hits: u64,
@@ -194,6 +197,7 @@ impl PricedSlotPool {
             max_counts,
             entries: HashMap::new(),
             order: VecDeque::new(),
+            cursor: CursorBuffers::default(),
             cap: cap.max(1),
             pricings: 0,
             hits: 0,
@@ -378,7 +382,8 @@ impl PricedSlotPool {
             slot = PricedSlot::default();
         }
         let table = Arc::get_mut(&mut slot).expect("a slot no one else holds");
-        price_into(table, instance, oracle, t, lambda, d, level_of);
+        table.reset_shape(d, level_of, f64::INFINITY);
+        sweep_into(table, &mut self.cursor, instance, oracle, t, lambda);
         self.pricings += 1;
         if let Some(key) = key {
             self.retain(key, Arc::clone(&slot));
@@ -416,29 +421,31 @@ pub fn price_slot(
     levels: &[Vec<u32>],
 ) -> Table {
     let mut table = Table::default();
-    price_into(&mut table, instance, oracle, t, lambda, levels.len(), |j| &levels[j]);
+    table.reset_shape(levels.len(), |j| &levels[j], f64::INFINITY);
+    sweep_into(&mut table, &mut CursorBuffers::default(), instance, oracle, t, lambda);
     table
 }
 
-/// [`price_slot`] into `table`, reshaped in place over the `d` level
-/// lists `level_of` yields ([`Table::reset_shape`]).
-fn price_into<'l>(
+/// Write slot `t`'s unscaled `g_t` at `lambda` into every cell of
+/// `table`, as one layout-order sweep through [`GtOracle::slot_sweep`]
+/// that walks the grid with `cursor`'s buffers. The one pricing loop of
+/// the pool and the offline pipeline.
+pub(crate) fn sweep_into(
     table: &mut Table,
+    cursor: &mut CursorBuffers,
     instance: &Instance,
     oracle: &(impl GtOracle + ?Sized),
     t: usize,
     lambda: f64,
-    d: usize,
-    level_of: impl FnMut(usize) -> &'l [u32],
 ) {
-    table.reset_shape(d, level_of, f64::INFINITY);
     let (levels, values) = table.levels_and_values_mut();
     let mut sweep = oracle.slot_sweep(instance, t, lambda, 1.0);
-    let mut cursor = GridCursor::new(levels, 0);
+    let mut walk = GridCursor::reusing(levels, 0, std::mem::take(cursor));
     for v in values {
-        *v = sweep.eval(cursor.counts());
-        cursor.advance();
+        *v = sweep.eval(walk.counts());
+        walk.advance();
     }
+    *cursor = walk.into_buffers();
 }
 
 /// Fold a priced slot into a DP table in place:

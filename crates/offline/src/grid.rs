@@ -117,20 +117,51 @@ pub struct GridCursor<'a> {
     counts: Vec<u32>,
 }
 
+/// The buffers of a finished [`GridCursor`], kept so that a caller who
+/// walks one small grid after another (the priced-slot pool) allocates
+/// them once rather than per grid.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CursorBuffers {
+    strides: Vec<usize>,
+    pos: Vec<usize>,
+    counts: Vec<u32>,
+}
+
 impl<'a> GridCursor<'a> {
     /// Cursor positioned at flat index `idx` of the grid `levels` (levels
     /// lists must be non-empty; `idx` may equal the grid size, in which
     /// case the cursor wraps to the origin like [`GridCursor::advance`]).
     #[must_use]
     pub fn new(levels: &'a [Vec<u32>], idx: usize) -> Self {
+        Self::reusing(levels, idx, CursorBuffers::default())
+    }
+
+    /// [`GridCursor::new`] in `buffers`, which allocate nothing once they
+    /// have held a grid of as many dimensions.
+    #[must_use]
+    pub(crate) fn reusing(levels: &'a [Vec<u32>], idx: usize, buffers: CursorBuffers) -> Self {
+        let CursorBuffers { mut strides, mut pos, mut counts } = buffers;
         let d = levels.len();
-        let mut strides = vec![1usize; d];
+        strides.clear();
+        strides.resize(d, 1);
         for j in (0..d.saturating_sub(1)).rev() {
             strides[j] = strides[j + 1] * levels[j + 1].len();
         }
-        let mut cursor = Self { levels, strides, pos: vec![0usize; d], counts: vec![0u32; d] };
+        pos.clear();
+        pos.resize(d, 0);
+        counts.clear();
+        counts.resize(d, 0);
+        let mut cursor = Self { levels, strides, pos, counts };
         cursor.seek(idx);
         cursor
+    }
+
+    /// Give the cursor's buffers back for the next
+    /// [`GridCursor::reusing`].
+    #[must_use]
+    pub(crate) fn into_buffers(self) -> CursorBuffers {
+        let Self { strides, pos, counts, .. } = self;
+        CursorBuffers { strides, pos, counts }
     }
 
     /// Reposition at flat index `idx` (wrapping past the end), reusing

@@ -48,7 +48,7 @@ use crate::transform::{arrival_transform_inplace, TransformScratch};
 /// accounting, never a schedule (property-tested in `tests/serve_chaos.rs`).
 #[derive(Clone, Debug)]
 enum Pool {
-    Owned(PricedSlotPool),
+    Owned(Box<PricedSlotPool>),
     Shared(SharedSlotPool),
 }
 
@@ -93,10 +93,10 @@ impl PrefixDp {
             slot_invariant: !instance.has_time_varying_counts(),
             scratch: TransformScratch::new(),
             counts: Vec::with_capacity(d),
-            pool: Pool::Owned(PricedSlotPool::with_capacity(
+            pool: Pool::Owned(Box::new(PricedSlotPool::with_capacity(
                 instance,
                 options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP),
-            )),
+            ))),
             last_priced: None,
             slots_processed: 0,
         }
@@ -330,7 +330,7 @@ impl PrefixDp {
         let mut pool = PricedSlotPool::with_capacity(instance, cap);
         pool.restore_counters(pricings, pool_hits, slice_hits);
         self.table = table;
-        self.pool = Pool::Owned(pool);
+        self.pool = Pool::Owned(Box::new(pool));
         self.slots_processed = slots;
         // Scratch state is rebuilt on the next step.
         self.levels_cached = false;

@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
 use crate::dp::{backtrack_segment, betas, DpOptions, DpResult};
-use crate::table::{GridCursor, Table};
+use crate::engine::sweep_into;
+use crate::table::{CursorBuffers, Table};
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
 /// Memory accounting of a checkpointed solve, for tests and reports.
@@ -142,15 +143,9 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     /// bit-identical to the forward pass. Parallelism lives *across*
     /// slots.
     fn price_table(&self, t: usize, levels: Vec<Vec<u32>>) -> Table {
-        let lambda = self.instance.load(t);
         let mut table = Table::new(levels, f64::INFINITY);
-        let levels = table.all_levels().to_vec();
-        let mut sweep = self.oracle.slot_sweep(self.instance, t, lambda, 1.0);
-        let mut cursor = GridCursor::new(&levels, 0);
-        for v in table.values_mut() {
-            *v = sweep.eval(cursor.counts());
-            cursor.advance();
-        }
+        let cursor = &mut CursorBuffers::default();
+        sweep_into(&mut table, cursor, self.instance, self.oracle, t, self.instance.load(t));
         table
     }
 

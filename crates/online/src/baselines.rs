@@ -9,7 +9,6 @@
 
 use rsz_core::{Config, GtOracle, Instance};
 use rsz_offline::brute::enumerate_configs;
-use rsz_offline::GridMode;
 
 use crate::runner::OnlineAlgorithm;
 
@@ -28,7 +27,8 @@ impl OnlineAlgorithm for AllOn {
 }
 
 /// Myopic best response: pick the configuration minimizing
-/// `g_t(x) [+ switching from the previous state]`, ignoring the future.
+/// `g_t(x) [+ switching from the previous state]` over every
+/// configuration of the slot's fleet, ignoring the future.
 ///
 /// With `count_switching = false` this is the purely reactive policy
 /// (provision exactly for now, drop everything idle) — the thrashing
@@ -38,17 +38,14 @@ pub struct Myopic<O> {
     oracle: O,
     /// Include the power-up cost from the previous state in the argmin.
     pub count_switching: bool,
-    /// Grid over which configurations are enumerated (Full for small
-    /// fleets, Gamma for large).
-    pub grid: GridMode,
     prev: Option<Config>,
 }
 
 impl<O: GtOracle + Sync> Myopic<O> {
-    /// A myopic policy over the full grid.
+    /// A myopic policy.
     #[must_use]
     pub fn new(oracle: O, count_switching: bool) -> Self {
-        Self { oracle, count_switching, grid: GridMode::Full, prev: None }
+        Self { oracle, count_switching, prev: None }
     }
 }
 
@@ -66,7 +63,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for Myopic<O> {
         let zero = Config::zeros(d);
         let prev = self.prev.clone().unwrap_or_else(|| zero.clone());
         let mut best: Option<(f64, u64, Config)> = None;
-        for_each_grid_config(instance, t, self.grid, |x| {
+        for_each_config(instance, t, |x| {
             let mut cost = self.oracle.g(instance, t, x.counts());
             if !cost.is_finite() {
                 return;
@@ -98,7 +95,6 @@ pub struct ReactiveTimeout<O> {
     oracle: O,
     /// Idle slots a type-`j` server survives after last being needed.
     pub timeouts: Vec<usize>,
-    grid: GridMode,
     /// History of needed counts per type (for the sliding-window max).
     needed: Vec<Vec<u32>>,
 }
@@ -107,7 +103,7 @@ impl<O: GtOracle + Sync> ReactiveTimeout<O> {
     /// Reactive policy with the given per-type timeouts.
     #[must_use]
     pub fn new(oracle: O, timeouts: Vec<usize>) -> Self {
-        Self { oracle, timeouts, grid: GridMode::Full, needed: Vec::new() }
+        Self { oracle, timeouts, needed: Vec::new() }
     }
 
     /// Ski-rental-informed timeouts `⌈β_j / l_j(0)⌉` (what the paper's
@@ -138,7 +134,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for ReactiveTimeout<O> {
         let d = instance.num_types();
         // Cheapest configuration for the current slot alone.
         let mut best: Option<(f64, u64, Config)> = None;
-        for_each_grid_config(instance, t, self.grid, |x| {
+        for_each_config(instance, t, |x| {
             let cost = self.oracle.g(instance, t, x.counts());
             if !cost.is_finite() {
                 return;
@@ -175,19 +171,14 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for ReactiveTimeout<O> {
 ///
 /// Returns `None` if no single configuration is feasible for every slot.
 #[must_use]
-pub fn best_static(
-    instance: &Instance,
-    oracle: &dyn GtOracle,
-    grid: GridMode,
-) -> Option<(Config, f64)> {
+pub fn best_static(instance: &Instance, oracle: &dyn GtOracle) -> Option<(Config, f64)> {
     // A static config must fit the smallest fleet over time.
     let d = instance.num_types();
     let min_counts: Vec<u32> = (0..d)
         .map(|j| (0..instance.horizon()).map(|t| instance.server_count(t, j)).min().unwrap())
         .collect();
     let mut best: Option<(Config, f64)> = None;
-    let levels: Vec<Vec<u32>> = min_counts.iter().map(|&m| grid.levels(m)).collect();
-    for_each_levels_config(&levels, |x| {
+    enumerate_configs(&min_counts).iter().for_each(|x| {
         let mut cost = 0.0;
         for j in 0..d {
             cost += f64::from(x.count(j)) * instance.switching_cost(j);
@@ -209,22 +200,9 @@ pub fn best_static(
     best
 }
 
-/// Enumerate configurations on slot `t`'s grid.
-fn for_each_grid_config(instance: &Instance, t: usize, grid: GridMode, f: impl FnMut(&Config)) {
-    let levels: Vec<Vec<u32>> =
-        (0..instance.num_types()).map(|j| grid.levels(instance.server_count(t, j))).collect();
-    for_each_levels_config(&levels, f);
-}
-
-fn for_each_levels_config(levels: &[Vec<u32>], mut f: impl FnMut(&Config)) {
-    // Position bounds per dimension, then map through the level lists.
-    let bounds: Vec<u32> = levels.iter().map(|l| (l.len() - 1) as u32).collect();
-    for pos in enumerate_configs(&bounds) {
-        let cfg = Config::new(
-            pos.counts().iter().enumerate().map(|(j, &p)| levels[j][p as usize]).collect(),
-        );
-        f(&cfg);
-    }
+/// Enumerate every configuration of slot `t`'s fleet.
+fn for_each_config(instance: &Instance, t: usize, f: impl FnMut(&Config)) {
+    enumerate_configs(&instance.server_counts_at(t)).iter().for_each(f);
 }
 
 #[cfg(test)]
@@ -308,7 +286,7 @@ mod tests {
     fn best_static_is_feasible_and_not_insane() {
         let inst = instance();
         let oracle = Dispatcher::new();
-        let (cfg, cost) = best_static(&inst, &oracle, GridMode::Full).unwrap();
+        let (cfg, cost) = best_static(&inst, &oracle).unwrap();
         // must carry the peak load of 6
         assert!(cfg.capacity(inst.types()) >= 6.0);
         assert!(cost.is_finite());

@@ -66,7 +66,7 @@ fn main() {
             run.breakdown.switching
         );
     }
-    if let Some((cfg, cost)) = best_static(&instance, &oracle, GridMode::Full) {
+    if let Some((cfg, cost)) = best_static(&instance, &oracle) {
         println!("{:<22} {:>10.1} {:>8.3}", format!("best static {cfg}"), cost, cost / opt.cost);
     }
 
