@@ -30,6 +30,14 @@
 //!   three ages measured side by side. Per-tick cost must not depend on
 //!   a tenant's age: each 16k/1k ratio is gated at ≤ 1.2 in full mode,
 //!   and the bytes ratio — deterministic — in `--quick` mode too.
+//! * **contention** — `available_parallelism` threads each step their
+//!   own Algorithm A controllers on `three-tier:6,6,3` over loads that
+//!   never repeat, so every step misses the pricing pool: once with
+//!   every controller on one shared pool, once with one pool per
+//!   thread. Sharing a pool must neither serialize pricing nor change a
+//!   decision: the decisions of the two runs are asserted equal, and in
+//!   full mode, with at least two threads, one-pool ticks/s is gated at
+//!   ≥ 0.8× the pool-per-thread figure.
 //!
 //! Fanout, replay and recovery run as one round per fresh state dir,
 //! and divergence as one primary/replica pair per round: each `*_ms`
@@ -45,10 +53,16 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rsz_bench::harness::{Bench, Row};
+use rsz_bench::harness::{Bench, Laps, Row};
+use rsz_core::Instance;
+use rsz_offline::{shared_pool, GridMode};
 use rsz_online::LatencyProfile;
 use rsz_serve::json::{self, Json};
-use rsz_serve::{wal, Daemon, ReplicaOptions, Replicator, Role, ServeOptions};
+use rsz_serve::{
+    build_controller, wal, BoxController, Daemon, GridSpec, ReplicaOptions, Replicator, Role,
+    ServeOptions, TenantSpec,
+};
+use rsz_workloads::fleet;
 
 /// Pool keys the tenant population collides on: four fleets, one grid.
 const FLEETS: [&str; 4] = ["cpu-gpu:2,1", "cpu-gpu:4,2", "old-new:2,2", "homogeneous:4"];
@@ -206,6 +220,100 @@ fn age_row(quick: bool, dir: &Path) -> Row {
             .num(format!("snapshot_bytes_{tag}"), w.snapshot_bytes);
     }
     ratios.iter().fold(row, |row, &(key, ratio)| row.num(key, ratio))
+}
+
+/// The contention row's fleet, and the controllers each thread steps.
+const CONTENTION_FLEET: &str = "three-tier:6,6,3";
+const CONTENTION_PER_THREAD: usize = 2;
+
+/// One contention round: `threads` threads step their
+/// [`CONTENTION_PER_THREAD`] Algorithm A controllers `ticks` slots each,
+/// timed as one lap, over loads that never repeat (a Weyl sequence
+/// across all controllers). With `one_pool` every controller prices
+/// through one shared pool, otherwise each thread's controllers share a
+/// pool of their own. Returns every controller's decisions.
+fn contention_round(laps: &mut Laps, threads: usize, ticks: usize, one_pool: bool) -> Vec<u32> {
+    let types = fleet::parse(CONTENTION_FLEET).expect("a preset");
+    let cap = fleet::total_capacity(&types);
+    let spec = TenantSpec {
+        fleet: CONTENTION_FLEET.into(),
+        algo: "a".into(),
+        engine: true,
+        cache: false,
+        grid: GridSpec::Full,
+        deadline_us: None,
+        snapshot_every: 0,
+    };
+    let instance = |loads: Vec<f64>| {
+        Instance::builder().server_types(types.clone()).loads(loads).build().unwrap()
+    };
+    let new_pool = || shared_pool(&instance(vec![0.0]), ServeOptions::default().pool_capacity);
+    let one = new_pool();
+    let mut per_thread: Vec<Vec<(Instance, BoxController)>> = Vec::with_capacity(threads);
+    for thread in 0..threads {
+        let pool = if one_pool { Arc::clone(&one) } else { new_pool() };
+        let mut tenants = Vec::with_capacity(CONTENTION_PER_THREAD);
+        for c in 0..CONTENTION_PER_THREAD {
+            let first = (thread * CONTENTION_PER_THREAD + c) * ticks;
+            let inst = instance(
+                (first..first + ticks)
+                    .map(|i| 0.8 * cap * (i as f64 * 0.618_033_988_749_895).fract())
+                    .collect(),
+            );
+            let mut controller = build_controller(&spec, &inst, GridMode::Full).unwrap();
+            controller.share_pool(Arc::clone(&pool));
+            tenants.push((inst, controller));
+        }
+        per_thread.push(tenants);
+    }
+    let decided: Vec<Vec<u32>> = laps.time(|| {
+        std::thread::scope(|s| {
+            let workers: Vec<_> = per_thread
+                .iter_mut()
+                .map(|tenants| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        for t in 0..ticks {
+                            for (instance, controller) in tenants.iter_mut() {
+                                out.extend_from_slice(controller.decide(instance, t).counts());
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("a contention thread")).collect()
+        })
+    });
+    decided.concat()
+}
+
+/// The contention row (see the module doc).
+fn contention_row(bench: &Bench) -> Row {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let ticks = if bench.quick { 300 } else { 3000 };
+    let mut decisions = Vec::new();
+    let (_, [one_pool, per_thread]) = bench.repeat(|laps| {
+        let shared = contention_round(laps, threads, ticks, true);
+        let own = contention_round(laps, threads, ticks, false);
+        assert!(shared == own, "contention: sharing a pool changed a decision");
+        decisions = shared;
+    });
+    let steps = (threads * CONTENTION_PER_THREAD * ticks) as f64;
+    let (one_tps, own_tps) = (steps / one_pool.median, steps / per_thread.median);
+    let ratio = one_tps / own_tps;
+    if !bench.quick && threads >= 2 {
+        assert!(ratio >= 0.8, "contention: one pool at {ratio:.3}× the pool-per-thread ticks/s");
+    }
+    Row::new("contention")
+        .field("threads", threads)
+        .field("controllers", threads * CONTENTION_PER_THREAD)
+        .field("ticks", ticks)
+        .num("one_pool_ticks_per_sec", one_tps)
+        .num("pool_per_thread_ticks_per_sec", own_tps)
+        .num("one_pool_ratio", ratio)
+        .ms("one_pool_ms", one_pool)
+        .ms("pool_per_thread_ms", per_thread)
 }
 
 /// The fresh per-process parent of every scenario's state dir, marked
@@ -448,6 +556,8 @@ fn main() {
     );
 
     bench.row(age_row(quick, &fresh("age")));
+    let contention = contention_row(&bench);
+    bench.row(contention);
     let _ = std::fs::remove_dir_all(&parent);
 
     bench.finish(

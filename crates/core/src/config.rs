@@ -62,10 +62,13 @@ impl Config {
         self.counts.iter().zip(types).map(|(&x, ty)| f64::from(x) * ty.capacity).sum()
     }
 
-    /// `true` if this configuration can process job volume `lambda`.
+    /// `true` if this configuration can process job volume `lambda`:
+    /// the load does not exceed its capacity by more than the
+    /// feasibility slack ([`crate::util::exceeds_capacity`], the test the
+    /// dispatcher and `Schedule::check_feasible` apply too).
     #[must_use]
     pub fn can_serve(&self, types: &[ServerType], lambda: f64) -> bool {
-        self.capacity(types) >= lambda
+        !crate::util::exceeds_capacity(lambda, self.capacity(types))
     }
 
     /// `true` if every count is within the fleet bound `x_j ≤ bound_j`.

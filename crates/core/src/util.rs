@@ -81,8 +81,9 @@ pub const BOX_MULLER_MIN_U: f64 = 1e-12;
 
 /// `true` if `load` exceeds `capacity` by more than the
 /// [`FEASIBILITY_SLACK`] — the one feasibility test shared by the
-/// dispatch oracle (which prices such a configuration `f64::INFINITY`)
-/// and `Schedule::check_feasible`.
+/// dispatch oracle (which prices such a configuration `f64::INFINITY`),
+/// `Schedule::check_feasible` and `Config::can_serve` (behind
+/// `Instance::is_admissible` and the brute-force oracle).
 #[inline]
 #[must_use]
 pub fn exceeds_capacity(load: f64, capacity: f64) -> bool {

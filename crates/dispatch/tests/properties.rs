@@ -394,7 +394,10 @@ proptest! {
     /// A layout-order sweep (the pricing pipeline's access pattern)
     /// returns exactly `g_scaled`'s bits on every grid cell — including
     /// time-dependent per-slot cost scaling and Algorithm C's scaled
-    /// sub-slots — because every cell is solved from scratch.
+    /// sub-slots — because every cell runs `g_scaled`'s water-fill, and
+    /// the slot context's memos (each breakpoint's inverse derivatives,
+    /// each `(type, count)`'s ends) hand it the very values it would
+    /// compute.
     #[test]
     fn slot_sweep_equals_g_scaled_bit_for_bit(
         specs in prop::collection::vec(arm_strategy(), 1..3),

@@ -1,21 +1,20 @@
-//! Dense priced slots — the pricing substrate of the online decision
-//! engine.
+//! Dense priced slots — the pricing substrate of every solver.
 //!
 //! A [`PricedSlot`] is the whole grid's **unscaled** operating costs
 //! `g_t(·)` laid out exactly like a DP [`Table`], produced by one
-//! layout-order sweep through [`GtOracle::slot_sweep`], the same path the
-//! offline pipeline prices with (with `rsz_dispatch::Dispatcher` every
-//! value equals `g_scaled` bit for bit). Once a slot is priced, folding it
-//! into a DP table is a single vectorized `v += scale · g` pass — no
-//! per-cell oracle calls, no hash probes.
+//! layout-order sweep through [`GtOracle::slot_sweep`] (with
+//! `rsz_dispatch::Dispatcher` every value equals `g_scaled` bit for
+//! bit). Folding it into a DP table is a single vectorized
+//! `v += scale · g` pass — no per-cell oracle calls, no hash probes.
 //!
-//! The [`PricedSlotPool`] retains priced slots keyed by
-//! `(slot partition, λ bits, grid)`:
+//! The [`PricedSlotPool`] is the one pool every solver prices through —
+//! the offline pipeline's batches, the prefix solver of the online
+//! algorithms, the corridor refiner's rounds and RHC's windows. It
+//! retains priced slots keyed by `(slot partition, λ bits, grid)`:
 //!
 //! * **time-independent** instances share one partition, so recurring
 //!   load values (tiled diurnal traces, work-weeks) price one period and
-//!   replay it for the rest of the horizon — the online generalization of
-//!   the offline pipeline's `(λ, grid)` pricing-table pool;
+//!   replay it for the rest of the horizon;
 //! * **time-dependent** instances partition by slot, which is what makes
 //!   Algorithm C's sub-slot refinement collapse: all `ñ_t` sub-slots of
 //!   an original slot carry the same `(t, λ, grid)` key, so the slot is
@@ -23,29 +22,34 @@
 //!
 //! The grid component of the key packs the slot's per-type fleet sizes
 //! into a mixed-radix `u128` (radix `m_j + 1` from the horizon-max
-//! counts): for a fixed
-//! [`crate::GridMode`] the candidate levels are a pure function of those
-//! counts, so equal keys imply equal grids. Key construction allocates
-//! nothing, and neither does a pool hit — the steady-state step of
-//! [`crate::PrefixDp`] is heap-silent, which the counting-allocator
-//! test asserts.
+//! counts): for a fixed [`crate::GridMode`] the candidate levels are a
+//! pure function of those counts, so equal keys imply equal grids. Key
+//! construction allocates nothing, and neither does a pool hit — the
+//! steady-state step of [`crate::PrefixDp`] is heap-silent, which the
+//! counting-allocator test asserts.
 //!
-//! Retention is bounded: at [`PricedSlotPool::capacity`] entries the
-//! oldest insertion is evicted (FIFO — online algorithms visit slots in
-//! order, so the oldest priced slot is also the least likely to recur).
-//! A miss at capacity re-prices into the table it evicts when nothing
-//! else holds it, and walks the grid with cursor buffers the pool keeps,
-//! so a stream of loads that never repeat (live telemetry) reuses the
-//! pool's tables instead of allocating one per slot; only the oracle's
-//! own sweep state is allocated per pricing.
+//! Every miss takes one path in three steps: **look up** (at
+//! [`PricedSlotPool::capacity`], evict the oldest entry — FIFO: solvers
+//! visit slots in order — and take its table when no solver still holds
+//! it), **price** outside the pool (one `sweep_into`, with grid-cursor
+//! buffers the caller keeps: one set per prefix solver, RHC controller,
+//! refine pass and pipeline pricing worker), then **retain**. A
+//! [`SharedSlotPool`] is locked for the look-up and the retain only, so
+//! its sharers price their misses concurrently. A stream of loads that
+//! never repeat (live telemetry) reuses the pool's tables instead of
+//! allocating one per slot; only the oracle's own sweep state is
+//! allocated per pricing.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rsz_core::{GtOracle, Instance};
 
-use crate::table::{CursorBuffers, GridCursor, Table};
+pub use crate::grid::CursorBuffers;
+use crate::grid::GridCursor;
+use crate::table::Table;
 
 pub mod snapshot;
 
@@ -64,8 +68,9 @@ pub type PricedSlot = Arc<Table>;
 /// owner (the `rsz serve` daemon) hands one pool to all tenants of the
 /// same fleet shape so a recurring load prices **once** across the
 /// whole tenancy. Sharing is sound because pricing is a pure function
-/// of `(instance, oracle, t, λ, grid)`: pool contents can change who
-/// pays for a pricing, never what any solver decides.
+/// of `(instance, oracle, t, λ, grid)`: a shared pool moves hit rates
+/// and nothing else. The lock is held to look up and to retain, never
+/// while a slot is priced.
 pub type SharedSlotPool = Arc<Mutex<PricedSlotPool>>;
 
 /// Build a [`SharedSlotPool`] bound to `instance`'s shape.
@@ -76,9 +81,9 @@ pub fn shared_pool(instance: &Instance, cap: usize) -> SharedSlotPool {
 
 /// Lock a shared pool, recovering from poisoning: a sharer that
 /// panicked mid-step (a quarantined tenant) only ever leaves fully
-/// inserted entries behind — pricing is pure and insertions are
-/// `HashMap` puts — so the pool state is valid and the survivors keep
-/// going.
+/// inserted entries behind — pricing runs outside the lock and
+/// insertions are `HashMap` puts — so the pool state is valid and the
+/// survivors keep going.
 pub fn lock_shared(pool: &SharedSlotPool) -> MutexGuard<'_, PricedSlotPool> {
     pool.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -118,7 +123,7 @@ impl EngineStats {
 /// range end is ≥ 1). Corridor-banded solvers and full-grid steppers
 /// therefore share one pool without ever aliasing.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct PoolKey {
+pub(crate) struct PoolKey {
     slot: u32,
     lambda: u64,
     grid: u128,
@@ -143,8 +148,6 @@ pub struct PricedSlotPool {
     entries: HashMap<PoolKey, PricedSlot>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<PoolKey>,
-    /// The pricing sweep's cursor buffers, reused by every miss.
-    cursor: CursorBuffers,
     cap: usize,
     pricings: u64,
     hits: u64,
@@ -152,13 +155,6 @@ pub struct PricedSlotPool {
 }
 
 impl PricedSlotPool {
-    /// A pool bound to `instance`'s shape with the default retention
-    /// bound.
-    #[must_use]
-    pub fn new(instance: &Instance) -> Self {
-        Self::with_capacity(instance, DEFAULT_POOL_CAP)
-    }
-
     /// A pool retaining at most `cap` priced slots (`cap ≥ 1`).
     ///
     /// # Panics
@@ -197,7 +193,6 @@ impl PricedSlotPool {
             max_counts,
             entries: HashMap::new(),
             order: VecDeque::new(),
-            cursor: CursorBuffers::default(),
             cap: cap.max(1),
             pricings: 0,
             hits: 0,
@@ -234,19 +229,13 @@ impl PricedSlotPool {
         self.slice_hits = slice_hits;
     }
 
-    /// The pool key for slot `t` priced at volume `lambda` over the
-    /// optional position `bands`, or `None` when the slot's fleet sizes
+    /// The pool key of `req`, or `None` when the slot's fleet sizes
     /// exceed the bounds the pool was built with (possible only when a
     /// pool was initialized against a truncated instance of a fleet that
     /// later grows — such slots are priced without pooling rather than
     /// risking key aliasing) or when band packing is unavailable.
-    fn key(
-        &self,
-        instance: &Instance,
-        t: usize,
-        lambda: f64,
-        bands: Option<&[Range<usize>]>,
-    ) -> Option<PoolKey> {
+    pub(crate) fn key(&self, instance: &Instance, req: &SlotRequest<'_>) -> Option<PoolKey> {
+        let t = req.t;
         let mut grid = 0u128;
         for (j, (&stride, &max)) in self.strides.iter().zip(&self.max_counts).enumerate() {
             let m = instance.server_count(t, j);
@@ -255,7 +244,7 @@ impl PricedSlotPool {
             }
             grid += u128::from(m) * stride;
         }
-        let band = match bands {
+        let band = match req.bands {
             None => 0u128,
             Some(ranges) => {
                 let bs = self.band_strides.as_ref()?;
@@ -271,12 +260,13 @@ impl PricedSlotPool {
             }
         };
         let slot = if self.slot_shared { 0 } else { u32::try_from(t).ok()? };
-        Some(PoolKey { slot, lambda: lambda.to_bits(), grid, band })
+        Some(PoolKey { slot, lambda: req.lambda.to_bits(), grid, band })
     }
 
     /// The priced slot for `(t, λ)` over `levels`, from the pool or by
-    /// one oracle sweep. Hits allocate nothing; misses price, retain
-    /// (evicting the oldest entry at capacity) and return the fresh slot.
+    /// one oracle sweep walked with the caller's `cursor` buffers. Hits
+    /// allocate nothing; misses price and retain (evicting the oldest
+    /// entry at capacity) and return the fresh slot.
     pub fn get_or_price(
         &mut self,
         instance: &Instance,
@@ -284,26 +274,14 @@ impl PricedSlotPool {
         t: usize,
         lambda: f64,
         levels: &[Vec<u32>],
+        cursor: &mut CursorBuffers,
     ) -> PricedSlot {
-        let key = self.key(instance, t, lambda, None);
-        if let Some(key) = key {
-            if let Some(slot) = self.entries.get(&key) {
-                debug_assert_eq!(
-                    slot.all_levels(),
-                    levels,
-                    "pool key collision: same key, different grid"
-                );
-                self.hits += 1;
-                return Arc::clone(slot);
-            }
-        }
-        self.price_and_retain(key, instance, oracle, t, lambda, levels.len(), |j| &levels[j])
+        self.resolve(instance, oracle, &SlotRequest { t, lambda, levels, bands: None }, cursor)
     }
 
     /// The priced slot for `(t, λ)` restricted to the per-dimension
     /// position `bands` of `fine_levels` — the banded entry point of the
-    /// corridor refiner and RHC's warm-started windows. Resolution
-    /// order:
+    /// corridor refiner. Resolution order:
     ///
     /// 1. a retained entry under the same band signature (pure hit);
     /// 2. a retained **full-grid** entry for the same `(t, λ, grid)`,
@@ -315,6 +293,7 @@ impl PricedSlotPool {
     /// Full-range bands collapse to [`PricedSlotPool::get_or_price`], so
     /// banded and unbanded callers share entries instead of duplicating
     /// them.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_price_band(
         &mut self,
         instance: &Instance,
@@ -323,72 +302,75 @@ impl PricedSlotPool {
         lambda: f64,
         fine_levels: &[Vec<u32>],
         bands: &[Range<usize>],
+        cursor: &mut CursorBuffers,
     ) -> PricedSlot {
         debug_assert_eq!(bands.len(), fine_levels.len());
-        if bands.iter().zip(fine_levels).all(|(b, l)| b.start == 0 && b.end == l.len()) {
-            return self.get_or_price(instance, oracle, t, lambda, fine_levels);
-        }
-        let key = self.key(instance, t, lambda, Some(bands));
-        if let Some(k) = key {
-            if let Some(slot) = self.entries.get(&k) {
-                debug_assert!(
-                    slot.all_levels()
-                        .iter()
-                        .zip(bands.iter().zip(fine_levels))
-                        .all(|(sl, (b, l))| sl[..] == l[b.start..b.end]),
-                    "pool key collision: same band key, different grid"
-                );
-                self.hits += 1;
-                return Arc::clone(slot);
-            }
-            let full = self.key(instance, t, lambda, None).and_then(|fk| self.entries.get(&fk));
-            if let Some(full) = full {
-                debug_assert_eq!(full.all_levels(), fine_levels, "pool key collision");
-                let sliced = Arc::new(full.band_slice(bands));
-                self.hits += 1;
-                self.slice_hits += 1;
-                self.retain(k, Arc::clone(&sliced));
-                return sliced;
-            }
-        }
-        self.price_and_retain(key, instance, oracle, t, lambda, bands.len(), |j| {
-            &fine_levels[j][bands[j].clone()]
+        let whole = bands.iter().zip(fine_levels).all(|(b, l)| b.start == 0 && b.end == l.len());
+        let req = SlotRequest { t, lambda, levels: fine_levels, bands: (!whole).then_some(bands) };
+        self.resolve(instance, oracle, &req, cursor)
+    }
+
+    /// The one miss path on a pool this caller holds outright: look up,
+    /// price a miss, retain it.
+    fn resolve(
+        &mut self,
+        instance: &Instance,
+        oracle: &(impl GtOracle + ?Sized),
+        req: &SlotRequest<'_>,
+        cursor: &mut CursorBuffers,
+    ) -> PricedSlot {
+        self.lookup(instance, req).unwrap_or_else(|mut miss| {
+            miss.price(instance, oracle, req, cursor);
+            self.retain(miss)
         })
     }
 
-    /// A miss: price `(t, λ)` over the `d` level lists `level_of` yields
-    /// and retain the slot under `key` (when it has one). At capacity the
-    /// oldest entry is evicted first, and its table is priced into when
-    /// no one else holds it — the same values as a fresh table, with no
-    /// allocation beyond what a larger grid needs.
-    #[allow(clippy::too_many_arguments)]
-    fn price_and_retain<'l>(
+    /// Step 1 of a pricing: the retained slot for `req`, or the [`Miss`]
+    /// to price it into. A banded request whose full-grid slot is
+    /// retained is answered by slicing it. At capacity, a miss evicts
+    /// the oldest entry and takes its table when no solver still holds
+    /// it, so its pricing allocates no table.
+    pub(crate) fn lookup(
         &mut self,
-        key: Option<PoolKey>,
         instance: &Instance,
-        oracle: &(impl GtOracle + ?Sized),
-        t: usize,
-        lambda: f64,
-        d: usize,
-        level_of: impl FnMut(usize) -> &'l [u32],
-    ) -> PricedSlot {
+        req: &SlotRequest<'_>,
+    ) -> Result<PricedSlot, Miss> {
+        let key = self.key(instance, req);
+        if let Some(k) = key {
+            if let Some(slot) = self.entries.get(&k) {
+                debug_assert!(
+                    (0..req.levels.len()).all(|j| slot.all_levels()[j] == req.levels_of(j)),
+                    "pool key collision: same key, different grid"
+                );
+                self.hits += 1;
+                return Ok(Arc::clone(slot));
+            }
+            if let Some(bands) = req.bands {
+                let full = SlotRequest { bands: None, ..*req };
+                if let Some(full) = self.key(instance, &full).and_then(|fk| self.entries.get(&fk)) {
+                    debug_assert_eq!(full.all_levels(), req.levels, "pool key collision");
+                    let sliced = Arc::new(full.band_slice(bands));
+                    self.hits += 1;
+                    self.slice_hits += 1;
+                    return Ok(self.insert(k, sliced));
+                }
+            }
+        }
         let evicted = match key {
             Some(_) if self.entries.len() >= self.cap => self.evict_oldest(),
             _ => None,
         };
-        let mut slot = evicted.unwrap_or_default();
-        if Arc::get_mut(&mut slot).is_none() {
-            // A solver still holds the evicted table: price a fresh one.
-            slot = PricedSlot::default();
-        }
-        let table = Arc::get_mut(&mut slot).expect("a slot no one else holds");
-        table.reset_shape(d, level_of, f64::INFINITY);
-        sweep_into(table, &mut self.cursor, instance, oracle, t, lambda);
+        let slot = evicted.and_then(|mut slot| Arc::get_mut(&mut slot).is_some().then_some(slot));
+        Err(Miss { key, slot: slot.unwrap_or_default() })
+    }
+
+    /// Step 3 of a pricing: count it and retain the miss's slot.
+    pub(crate) fn retain(&mut self, miss: Miss) -> PricedSlot {
         self.pricings += 1;
-        if let Some(key) = key {
-            self.retain(key, Arc::clone(&slot));
+        match miss.key {
+            Some(key) => self.insert(key, miss.slot),
+            None => miss.slot,
         }
-        slot
     }
 
     /// Remove the oldest entry, returning its slot.
@@ -397,39 +379,80 @@ impl PricedSlotPool {
         self.entries.remove(&oldest)
     }
 
-    /// Insert under FIFO eviction.
-    fn retain(&mut self, key: PoolKey, slot: PricedSlot) {
-        if self.entries.len() >= self.cap {
-            self.evict_oldest();
+    /// Retain `slot` under `key` with FIFO eviction and return it —
+    /// unless another sharer retained `key` since this one looked it up:
+    /// then its copy (the same bits, since pricing is pure) is the one
+    /// kept and returned.
+    fn insert(&mut self, key: PoolKey, slot: PricedSlot) -> PricedSlot {
+        match self.entries.entry(key) {
+            Entry::Occupied(resident) => Arc::clone(resident.get()),
+            Entry::Vacant(vacant) => {
+                vacant.insert(Arc::clone(&slot));
+                self.order.push_back(key);
+                if self.entries.len() > self.cap {
+                    self.evict_oldest();
+                }
+                slot
+            }
         }
-        self.entries.insert(key, slot);
-        self.order.push_back(key);
     }
 }
 
-/// Price one slot's **unscaled** `g_t` over `levels` as a single
-/// layout-order sweep through [`GtOracle::slot_sweep`] — identical to
-/// the offline pipeline's per-table pricing, so a replayed slot repeats
-/// its values bit for bit. The pool's misses run the same sweep into a
-/// table they reuse; this is its cold case, a fresh table.
-#[must_use]
-pub fn price_slot(
-    instance: &Instance,
-    oracle: &(impl GtOracle + ?Sized),
-    t: usize,
-    lambda: f64,
-    levels: &[Vec<u32>],
-) -> Table {
-    let mut table = Table::default();
-    table.reset_shape(levels.len(), |j| &levels[j], f64::INFINITY);
-    sweep_into(&mut table, &mut CursorBuffers::default(), instance, oracle, t, lambda);
-    table
+/// One slot a solver prices: slot `t` at volume `lambda` over the
+/// candidate `levels`, cut to the per-dimension position `bands` when
+/// given.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SlotRequest<'a> {
+    pub(crate) t: usize,
+    pub(crate) lambda: f64,
+    pub(crate) levels: &'a [Vec<u32>],
+    pub(crate) bands: Option<&'a [Range<usize>]>,
+}
+
+impl<'a> SlotRequest<'a> {
+    /// The levels priced along dimension `j`.
+    fn levels_of(&self, j: usize) -> &'a [u32] {
+        match self.bands {
+            Some(bands) => &self.levels[j][bands[j].clone()],
+            None => &self.levels[j],
+        }
+    }
+}
+
+/// A pool miss: the key its slot is retained under (`None`: priced
+/// without pooling) and the table it is priced into, which no one else
+/// holds. [`Miss::default`] is a miss outside any pool.
+#[derive(Debug, Default)]
+pub(crate) struct Miss {
+    key: Option<PoolKey>,
+    slot: PricedSlot,
+}
+
+impl Miss {
+    /// Step 2 of a pricing, outside the pool: shape the miss's table to
+    /// `req`'s levels and price it with the caller's `cursor` buffers.
+    pub(crate) fn price(
+        &mut self,
+        instance: &Instance,
+        oracle: &(impl GtOracle + ?Sized),
+        req: &SlotRequest<'_>,
+        cursor: &mut CursorBuffers,
+    ) {
+        let table = Arc::get_mut(&mut self.slot).expect("a miss's table is its own");
+        table.reset_shape(req.levels.len(), |j| req.levels_of(j), f64::INFINITY);
+        sweep_into(table, cursor, instance, oracle, req.t, req.lambda);
+    }
+
+    /// The priced slot, for a miss outside any pool.
+    pub(crate) fn into_slot(self) -> PricedSlot {
+        self.slot
+    }
 }
 
 /// Write slot `t`'s unscaled `g_t` at `lambda` into every cell of
 /// `table`, as one layout-order sweep through [`GtOracle::slot_sweep`]
 /// that walks the grid with `cursor`'s buffers. The one pricing loop of
-/// the pool and the offline pipeline.
+/// every solver.
 pub(crate) fn sweep_into(
     table: &mut Table,
     cursor: &mut CursorBuffers,
@@ -489,6 +512,19 @@ mod tests {
             .unwrap()
     }
 
+    /// A fresh table priced through the pool's sweep.
+    fn price_slot(
+        inst: &Instance,
+        oracle: &Dispatcher,
+        t: usize,
+        lambda: f64,
+        levels: &[Vec<u32>],
+    ) -> Table {
+        let mut table = Table::new(levels.to_vec(), f64::INFINITY);
+        sweep_into(&mut table, &mut CursorBuffers::default(), inst, oracle, t, lambda);
+        table
+    }
+
     fn full_levels(inst: &Instance, t: usize) -> Vec<Vec<u32>> {
         (0..inst.num_types())
             .map(|j| crate::GridMode::Full.levels(inst.server_count(t, j)))
@@ -512,10 +548,11 @@ mod tests {
     fn time_independent_pool_shares_recurring_loads() {
         let inst = ti_instance();
         let oracle = Dispatcher::new();
-        let mut pool = PricedSlotPool::new(&inst);
+        let mut pool = PricedSlotPool::with_capacity(&inst, DEFAULT_POOL_CAP);
+        let cursor = &mut CursorBuffers::default();
         for t in 0..inst.horizon() {
             let levels = full_levels(&inst, t);
-            let _ = pool.get_or_price(&inst, &oracle, t, inst.load(t), &levels);
+            let _ = pool.get_or_price(&inst, &oracle, t, inst.load(t), &levels, cursor);
         }
         let stats = pool.stats();
         assert_eq!(stats.pricings, 2, "two distinct load values");
@@ -528,15 +565,16 @@ mod tests {
     fn time_dependent_pool_partitions_by_slot() {
         let inst = td_instance();
         let oracle = Dispatcher::new();
-        let mut pool = PricedSlotPool::new(&inst);
+        let mut pool = PricedSlotPool::with_capacity(&inst, DEFAULT_POOL_CAP);
+        let cursor = &mut CursorBuffers::default();
         let levels = full_levels(&inst, 0);
         // Same λ, different slots: must price separately.
-        let a = pool.get_or_price(&inst, &oracle, 0, 2.0, &levels);
-        let b = pool.get_or_price(&inst, &oracle, 1, 2.0, &levels);
+        let a = pool.get_or_price(&inst, &oracle, 0, 2.0, &levels, cursor);
+        let b = pool.get_or_price(&inst, &oracle, 1, 2.0, &levels, cursor);
         assert_eq!(pool.stats().pricings, 2);
         assert_ne!(a.values()[1].to_bits(), b.values()[1].to_bits(), "prices differ per slot");
         // Re-querying a slot — Algorithm C's sub-slot replay — hits.
-        let c = pool.get_or_price(&inst, &oracle, 0, 2.0, &levels);
+        let c = pool.get_or_price(&inst, &oracle, 0, 2.0, &levels, cursor);
         assert_eq!(pool.stats().pool_hits, 1);
         assert!(Arc::ptr_eq(&a, &c), "hit returns the retained slot");
     }
@@ -546,15 +584,16 @@ mod tests {
         let inst = td_instance();
         let oracle = Dispatcher::new();
         let mut pool = PricedSlotPool::with_capacity(&inst, 2);
+        let cursor = &mut CursorBuffers::default();
         let levels = full_levels(&inst, 0);
         for t in 0..4 {
-            let _ = pool.get_or_price(&inst, &oracle, t, inst.load(t), &levels);
+            let _ = pool.get_or_price(&inst, &oracle, t, inst.load(t), &levels, cursor);
         }
         assert_eq!(pool.stats().pooled_slots, 2);
         // Slot 0 was evicted; slot 3 is still resident.
-        let _ = pool.get_or_price(&inst, &oracle, 3, inst.load(3), &levels);
+        let _ = pool.get_or_price(&inst, &oracle, 3, inst.load(3), &levels, cursor);
         assert_eq!(pool.stats().pool_hits, 1);
-        let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels);
+        let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels, cursor);
         assert_eq!(pool.stats().pricings, 5, "evicted slot re-priced");
     }
 
@@ -564,12 +603,14 @@ mod tests {
         let inst = td_instance();
         let oracle = Dispatcher::new();
         let mut pool = PricedSlotPool::with_capacity(&inst, 2);
+        let cursor = &mut CursorBuffers::default();
         let levels = full_levels(&inst, 0);
-        let first = Arc::as_ptr(&pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels));
-        let _ = pool.get_or_price(&inst, &oracle, 1, inst.load(1), &levels);
+        let first =
+            Arc::as_ptr(&pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels, cursor));
+        let _ = pool.get_or_price(&inst, &oracle, 1, inst.load(1), &levels, cursor);
         // Slot 2 evicts slot 0, which no one holds: its table is reused,
         // and its values are a fresh pricing's, bit for bit.
-        let reused = pool.get_or_price(&inst, &oracle, 2, inst.load(2), &levels);
+        let reused = pool.get_or_price(&inst, &oracle, 2, inst.load(2), &levels, cursor);
         assert_eq!(Arc::as_ptr(&reused), first, "the evicted table is priced into");
         let fresh = price_slot(&inst, &oracle, 2, inst.load(2), &levels);
         assert_eq!(reused.all_levels(), fresh.all_levels());
@@ -577,12 +618,13 @@ mod tests {
         assert_eq!(bits(&reused), bits(&fresh));
         // Slot 3 evicts slot 1; a held slot is never written: slot 2 is
         // held here, so when slot 0 evicts it, a fresh table is priced.
-        let _ = pool.get_or_price(&inst, &oracle, 3, inst.load(3), &levels);
-        let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels);
+        let _ = pool.get_or_price(&inst, &oracle, 3, inst.load(3), &levels, cursor);
+        let _ = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels, cursor);
         assert_eq!(bits(&reused), bits(&fresh), "a held slot keeps its values");
         // A banded miss reshapes an evicted full-grid table to its band.
         let bands = [1..3usize];
-        let banded = pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &bands);
+        let banded =
+            pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &bands, cursor);
         let want = price_slot(&inst, &oracle, 1, inst.load(1), &[levels[0][1..3].to_vec()]);
         assert_eq!(banded.all_levels(), want.all_levels());
         assert_eq!(bits(&banded), bits(&want));
@@ -590,16 +632,44 @@ mod tests {
     }
 
     #[test]
+    fn sharers_that_miss_one_key_keep_one_copy() {
+        // Two sharers look the same slot up before either retains it:
+        // both miss and price, the second retain keeps the first's copy.
+        let inst = ti_instance();
+        let oracle = Dispatcher::new();
+        let mut pool = PricedSlotPool::with_capacity(&inst, DEFAULT_POOL_CAP);
+        let levels = full_levels(&inst, 0);
+        let req = SlotRequest { t: 0, lambda: inst.load(0), levels: &levels, bands: None };
+        let (Err(mut first), Err(mut second)) =
+            (pool.lookup(&inst, &req), pool.lookup(&inst, &req))
+        else {
+            panic!("an empty pool misses");
+        };
+        let cursor = &mut CursorBuffers::default();
+        first.price(&inst, &oracle, &req, cursor);
+        second.price(&inst, &oracle, &req, cursor);
+        let kept = pool.retain(first);
+        let again = pool.retain(second);
+        assert!(Arc::ptr_eq(&kept, &again), "the resident copy is returned");
+        let s = pool.stats();
+        assert_eq!((s.pricings, s.pool_hits, s.pooled_slots), (2, 0, 1));
+        let hit = pool.lookup(&inst, &req).expect("retained");
+        assert!(Arc::ptr_eq(&hit, &kept));
+    }
+
+    #[test]
     fn banded_requests_slice_retained_full_slots() {
         let inst = ti_instance();
         let oracle = Dispatcher::new();
-        let mut pool = PricedSlotPool::new(&inst);
+        let mut pool = PricedSlotPool::with_capacity(&inst, DEFAULT_POOL_CAP);
+        let cursor = &mut CursorBuffers::default();
         let levels = full_levels(&inst, 0);
-        let full = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels);
+        let full = pool.get_or_price(&inst, &oracle, 0, inst.load(0), &levels, cursor);
         let bands = vec![1..3usize, 0..2usize];
         // First banded request: answered by slicing the retained full
         // pricing — no oracle sweep.
-        let sliced = pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &bands);
+        let sliced =
+            pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &bands, cursor);
         let s = pool.stats();
         assert_eq!(s.pricings, 1, "slice must not re-price");
         assert_eq!(s.slice_hits, 1);
@@ -610,12 +680,13 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "cell {i}");
         }
         // Second identical banded request: a direct hit on the band key.
-        let again = pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &bands);
+        let again =
+            pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &bands, cursor);
         assert!(Arc::ptr_eq(&sliced, &again));
         assert_eq!(pool.stats().slice_hits, 1, "second request is a plain hit");
         // Full-range bands collapse to the unbanded entry.
         let all = vec![0..levels[0].len(), 0..levels[1].len()];
-        let whole = pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &all);
+        let whole = pool.get_or_price_band(&inst, &oracle, 0, inst.load(0), &levels, &all, cursor);
         assert!(Arc::ptr_eq(&whole, &full));
     }
 
@@ -624,22 +695,26 @@ mod tests {
     fn banded_pricing_without_full_entry_sweeps_band_cells_only() {
         let inst = td_instance();
         let oracle = Dispatcher::new();
-        let mut pool = PricedSlotPool::new(&inst);
+        let mut pool = PricedSlotPool::with_capacity(&inst, DEFAULT_POOL_CAP);
+        let cursor = &mut CursorBuffers::default();
         let levels = full_levels(&inst, 1);
         let bands = vec![2..4usize];
-        let banded = pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &bands);
+        let banded =
+            pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &bands, cursor);
         assert_eq!(pool.stats().pricings, 1);
         assert_eq!(banded.len(), 2, "only the band cells were priced");
         assert_eq!(banded.all_levels(), &[vec![2, 3]]);
-        // Values match a full pricing's slice to the sweep tolerance.
+        // Values equal a full pricing's slice bit for bit: every cell is
+        // `g_scaled`'s value whichever grid the sweep walks.
         let full = price_slot(&inst, &oracle, 1, inst.load(1), &levels);
         for (i, (&a, &b)) in
             banded.values().iter().zip(full.band_slice(&bands).values()).enumerate()
         {
-            assert!((a == b) || (a - b).abs() <= 1e-9 * b.abs().max(1.0), "cell {i}: {a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "cell {i}: {a} vs {b}");
         }
         // Different bands on the same slot key separately — no aliasing.
-        let other = pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &[0..3]);
+        let other =
+            pool.get_or_price_band(&inst, &oracle, 1, inst.load(1), &levels, &[0..3], cursor);
         assert_eq!(pool.stats().pricings, 2);
         assert_eq!(other.len(), 3);
     }

@@ -118,10 +118,10 @@ pub struct GridCursor<'a> {
 }
 
 /// The buffers of a finished [`GridCursor`], kept so that a caller who
-/// walks one small grid after another (the priced-slot pool) allocates
-/// them once rather than per grid.
+/// walks one small grid after another (a solver pricing its pool misses)
+/// allocates them once rather than per grid.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct CursorBuffers {
+pub struct CursorBuffers {
     strides: Vec<usize>,
     pos: Vec<usize>,
     counts: Vec<u32>,

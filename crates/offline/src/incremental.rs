@@ -19,41 +19,34 @@
 //! [`PrefixDp::step_counts`] touches the allocator only when pricing a
 //! slot it has never seen (asserted by a counting-allocator test).
 //!
-//! **Pricing** goes through the online decision engine: each slot is
-//! priced **once** as a dense [`crate::engine::PricedSlot`] and retained
-//! in a bounded `(slot partition, λ, grid)` pool, so recurring loads on
+//! **Pricing** goes through the priced-slot pool: each slot is priced
+//! **once** as a dense [`crate::engine::PricedSlot`] and retained in a
+//! bounded `(slot partition, λ, grid)` pool, so recurring loads on
 //! time-independent instances and Algorithm C's `ñ_t` sub-slot replays
 //! of one original slot all fold the same priced table in with a
 //! vectorized `v += scale·g` pass, with no per-cell oracle calls at all.
-//! The pool is owned by the solver or shared with other solvers of the
-//! same instance shape ([`PrefixDp::share_pool`]).
+//! The solver always holds a [`SharedSlotPool`] — its own, or one shared
+//! with other solvers of the same instance shape
+//! ([`PrefixDp::share_pool`]) — and locks it only to look a slot up and
+//! to retain a priced one: a miss is priced outside the lock, with the
+//! solver's own cursor buffers.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rsz_core::{Config, GtOracle, Instance};
 
 use crate::dp::{betas, DpOptions};
 use crate::engine::snapshot::{self, Decoder, Encoder, SnapshotError};
 use crate::engine::{
-    add_priced, lock_shared, EngineStats, PricedSlotPool, SharedSlotPool, DEFAULT_POOL_CAP,
+    add_priced, lock_shared, shared_pool, CursorBuffers, EngineStats, PricedSlotPool,
+    SharedSlotPool, SlotRequest, DEFAULT_POOL_CAP,
 };
 use crate::grid::GridMode;
 use crate::table::Table;
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
-/// The pricing pool: owned by this solver, or a handle to
-/// a pool shared with other solvers of the same instance shape (see
-/// [`SharedSlotPool`]). Decisions never depend on which variant is in
-/// use — pricing is pure — so a shared pool only changes hit-rate
-/// accounting, never a schedule (property-tested in `tests/serve_chaos.rs`).
-#[derive(Clone, Debug)]
-enum Pool {
-    Owned(Box<PricedSlotPool>),
-    Shared(SharedSlotPool),
-}
-
 /// Rolling prefix-DP state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PrefixDp {
     betas: Vec<f64>,
     /// Candidate-grid discretization of every step.
@@ -71,8 +64,12 @@ pub struct PrefixDp {
     scratch: TransformScratch,
     /// Counts of the last argmin cell ([`PrefixDp::step_counts`]).
     counts: Vec<u32>,
-    /// Priced-slot pool.
-    pool: Pool,
+    /// Priced-slot pool. Decisions never depend on who else shares it —
+    /// pricing is pure — so sharing moves hit rates, never a schedule
+    /// (tested in `tests/serve_chaos.rs` and `tests/shared_pool.rs`).
+    pool: SharedSlotPool,
+    /// Grid-cursor buffers of this solver's pool misses.
+    cursor: CursorBuffers,
     /// The priced slot folded in by the most recent step.
     last_priced: Option<Arc<Table>>,
     slots_processed: usize,
@@ -93,10 +90,8 @@ impl PrefixDp {
             slot_invariant: !instance.has_time_varying_counts(),
             scratch: TransformScratch::new(),
             counts: Vec::with_capacity(d),
-            pool: Pool::Owned(Box::new(PricedSlotPool::with_capacity(
-                instance,
-                options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP),
-            ))),
+            pool: shared_pool(instance, options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP)),
+            cursor: CursorBuffers::default(),
             last_priced: None,
             slots_processed: 0,
         }
@@ -139,21 +134,18 @@ impl PrefixDp {
     /// every sharer.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        match &self.pool {
-            Pool::Owned(p) => p.stats(),
-            Pool::Shared(p) => lock_shared(p).stats(),
-        }
+        lock_shared(&self.pool).stats()
     }
 
-    /// Replace the owned pricing pool with a handle to `pool`, shared
-    /// with other solvers of the same instance shape.
+    /// Replace this solver's pricing pool with `pool`, shared with other
+    /// solvers of the same instance shape.
     ///
     /// The shared pool must have been built against an instance with
     /// the same fleet shape (same `max_counts`); mismatched slots
-    /// simply price without pooling, exactly like the owned path, so
-    /// this is a performance contract, not a correctness one.
+    /// simply price without pooling, so this is a performance contract,
+    /// not a correctness one.
     pub fn share_pool(&mut self, pool: SharedSlotPool) {
-        self.pool = Pool::Shared(pool);
+        self.pool = pool;
     }
 
     /// Fold slot `t` of `instance` in and return `x̂^t_t`.
@@ -166,21 +158,7 @@ impl PrefixDp {
         oracle: &(impl GtOracle + Sync),
         t: usize,
     ) -> Config {
-        self.step_scaled(instance, oracle, t, instance.load(t), 1.0)
-    }
-
-    /// Fold a (sub-)slot priced at `cost_scale · g_t` with volume
-    /// `lambda` — Algorithm C feeds each original slot `ñ_t` times with
-    /// `cost_scale = 1/ñ_t`.
-    pub fn step_scaled(
-        &mut self,
-        instance: &Instance,
-        oracle: &(impl GtOracle + Sync),
-        t: usize,
-        lambda: f64,
-        cost_scale: f64,
-    ) -> Config {
-        let idx = self.advance(instance, oracle, t, lambda, cost_scale);
+        let idx = self.advance(instance, oracle, t, instance.load(t), 1.0);
         self.table.config_of(idx)
     }
 
@@ -196,7 +174,9 @@ impl PrefixDp {
         self.step_counts_scaled(instance, oracle, t, instance.load(t), 1.0)
     }
 
-    /// [`PrefixDp::step_scaled`] returning borrowed argmin counts.
+    /// Fold a (sub-)slot priced at `cost_scale · g_t` with volume
+    /// `lambda` — Algorithm C feeds each original slot `ñ_t` times with
+    /// `cost_scale = 1/ñ_t` — returning borrowed argmin counts.
     pub fn step_counts_scaled(
         &mut self,
         instance: &Instance,
@@ -229,12 +209,13 @@ impl PrefixDp {
             &self.betas,
             &mut self.scratch,
         );
-        let priced = match &mut self.pool {
-            Pool::Owned(p) => p.get_or_price(instance, oracle, t, lambda, &self.levels),
-            Pool::Shared(p) => {
-                lock_shared(p).get_or_price(instance, oracle, t, lambda, &self.levels)
-            }
-        };
+        // The pool's one miss path, locked to look up and to retain only.
+        let req = SlotRequest { t, lambda, levels: &self.levels, bands: None };
+        let found = lock_shared(&self.pool).lookup(instance, &req);
+        let priced = found.unwrap_or_else(|mut miss| {
+            miss.price(instance, oracle, &req, &mut self.cursor);
+            lock_shared(&self.pool).retain(miss)
+        });
         add_priced(&mut self.table, &priced, cost_scale);
         self.last_priced = Some(priced);
         self.slots_processed += 1;
@@ -278,16 +259,12 @@ impl PrefixDp {
         enc.put_usize(self.slots_processed);
         snapshot::encode_table(enc, &self.table);
         enc.put_u8(1);
-        // A shared pool snapshots like an owned one (capacity + the
-        // shared counters); the owner re-installs the shared handle
-        // after restore if it wants to keep sharing — entries re-price
-        // on demand either way.
-        let (cap, s) = match &self.pool {
-            Pool::Owned(p) => (p.capacity(), p.stats()),
-            Pool::Shared(p) => {
-                let p = lock_shared(p);
-                (p.capacity(), p.stats())
-            }
+        // A shared pool snapshots as capacity + the shared counters; the
+        // owner re-installs the shared handle after restore if it wants
+        // to keep sharing — entries re-price on demand either way.
+        let (cap, s) = {
+            let p = lock_shared(&self.pool);
+            (p.capacity(), p.stats())
         };
         enc.put_usize(cap);
         enc.put_u64(s.pricings);
@@ -330,7 +307,7 @@ impl PrefixDp {
         let mut pool = PricedSlotPool::with_capacity(instance, cap);
         pool.restore_counters(pricings, pool_hits, slice_hits);
         self.table = table;
-        self.pool = Pool::Owned(Box::new(pool));
+        self.pool = Arc::new(Mutex::new(pool));
         self.slots_processed = slots;
         // Scratch state is rebuilt on the next step.
         self.levels_cached = false;

@@ -19,18 +19,19 @@
 //!   constructive argument.
 //! * [`pipeline`] — the slot-batched pricing pipeline (barrier-free
 //!   `g_t` pricing in layout-order row sweeps with time-independent
-//!   slot de-duplication) plus `√T`-checkpointed schedule recovery; the
-//!   one path behind [`dp::solve`].
+//!   slot de-duplication through [`engine`]'s pool) plus
+//!   `√T`-checkpointed schedule recovery; the one path behind
+//!   [`dp::solve`].
 //! * [`incremental`] — a rolling prefix-optimal solver, the substrate
 //!   that makes the online algorithms of Sections 2–3 efficient. It
 //!   steps in place (double-buffered tables, persistent scratch) and
 //!   prices through [`engine`]'s dense priced-slot pool.
-//! * [`engine`] — the online decision engine's pricing layer: whole-grid
-//!   `g_t` tables priced once via the pipeline's sweep path and
-//!   retained in a bounded `(slot partition, λ, grid)` pool; its
-//!   [`engine::snapshot`] submodule serializes resumable engine state
-//!   into versioned, checksummed snapshots so interrupted online runs
-//!   restart bit-identically.
+//! * [`engine`] — the pricing layer of every solver: whole-grid `g_t`
+//!   tables priced once by one sweep and retained in the one bounded
+//!   `(slot partition, λ, grid)` pool, whose misses all take one
+//!   look-up / price / retain path; its [`engine::snapshot`] submodule
+//!   serializes resumable engine state into versioned, checksummed
+//!   snapshots so interrupted online runs restart bit-identically.
 //! * [`refine`] — the coarse-to-fine **corridor solver**: a cheap
 //!   `Γ(γ₀)` coarse solve localizes the optimum, the DP then runs on
 //!   per-slot bands of the fine grid only, and an exactness-guarded

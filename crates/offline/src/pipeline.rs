@@ -11,7 +11,9 @@
 //!    value equals `g_scaled` bit for bit). For **time-independent**
 //!    instances, slots with identical `(λ, grid)` share one pricing table
 //!    (tiled diurnal traces price one day, not the horizon), retained in
-//!    a bounded pool.
+//!    a bounded first-in-first-out [`PricedSlotPool`] — the pool every
+//!    solver prices through, with its one look-up / price / retain miss
+//!    path.
 //! 2. **Recurrence** — `OPT_t = arrival_transform(OPT_{t−1}) + G_t` is a
 //!    cheap, transform-only sequential pass.
 //! 3. **Checkpointed recovery** — instead of materializing all `T`
@@ -28,6 +30,7 @@
 //! determinism tests assert this across thread counts and recovery
 //! modes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,8 +39,8 @@ use std::sync::{Arc, Mutex};
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
 use crate::dp::{backtrack_segment, betas, DpOptions, DpResult};
-use crate::engine::sweep_into;
-use crate::table::{CursorBuffers, Table};
+use crate::engine::{CursorBuffers, Miss, PricedSlot, PricedSlotPool, SlotRequest};
+use crate::table::Table;
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
 /// Memory accounting of a checkpointed solve, for tests and reports.
@@ -57,15 +60,6 @@ pub struct RecoveryStats {
     pub pooled_pricing_tables: usize,
 }
 
-/// Key identifying a reusable pricing table: exact λ bits plus the
-/// slot's candidate grid. Only consulted for time-independent instances,
-/// where equal keys imply equal `g_t` tables.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct PriceKey {
-    lambda: u64,
-    levels: Vec<Vec<u32>>,
-}
-
 /// The solver engine: advances `OPT` tables across slot ranges, pricing
 /// each range as one batch. One instance lives for the whole solve so
 /// the time-independent pricing pool persists across forward and
@@ -75,10 +69,9 @@ struct Engine<'a, O> {
     oracle: &'a O,
     options: DpOptions,
     betas: Vec<f64>,
-    /// `Some` iff the instance is time-independent: pricing tables
-    /// keyed by `(λ, grid)`, capped at `pool_cap`.
-    pool: Option<HashMap<PriceKey, Arc<Table>>>,
-    pool_cap: usize,
+    /// `Some` iff the instance is time-independent, so that slots with
+    /// equal `(λ, grid)` share one pricing table.
+    pool: Option<PricedSlotPool>,
     /// The candidate grid, hoisted once when fleet sizes are
     /// slot-invariant (`γ`-level recomputation per slot is measurable on
     /// long horizons).
@@ -95,9 +88,22 @@ struct Engine<'a, O> {
     scratch: TransformScratch,
 }
 
+/// A batch slot the pool missed: the slot, its grid and the miss it is
+/// priced into.
+struct Job<'l> {
+    t: usize,
+    levels: Cow<'l, [Vec<u32>]>,
+    miss: Miss,
+}
+
 impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     fn new(instance: &'a Instance, oracle: &'a O, options: DpOptions, segment_len: usize) -> Self {
-        let pool = instance.is_time_independent().then(HashMap::new);
+        // Enough for any trace whose distinct load levels are on the
+        // order of the segment length (a tiled diurnal day), while
+        // keeping worst-case retention within the √T budget.
+        let cap = (4 * segment_len).max(64);
+        let pool =
+            instance.is_time_independent().then(|| PricedSlotPool::with_capacity(instance, cap));
         let invariant_levels = (!instance.has_time_varying_counts()).then(|| {
             (0..instance.num_types())
                 .map(|j| options.grid.levels(instance.server_count(0, j)))
@@ -110,25 +116,10 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
             betas: betas(instance),
             pool,
             invariant_levels,
-            // Enough for any trace whose distinct load levels are on the
-            // order of the segment length (a tiled diurnal day), while
-            // keeping worst-case retention within the √T budget.
-            pool_cap: (4 * segment_len).max(64),
             peak_live: 0,
             spare: Table::origin(instance.num_types()),
             scratch: TransformScratch::new(),
         }
-    }
-
-    /// Candidate grid of slot `t` (cloned from the hoisted copy when
-    /// fleet sizes are slot-invariant).
-    fn levels(&self, t: usize) -> Vec<Vec<u32>> {
-        if let Some(levels) = &self.invariant_levels {
-            return levels.clone();
-        }
-        (0..self.instance.num_types())
-            .map(|j| self.options.grid.levels(self.instance.server_count(t, j)))
-            .collect()
     }
 
     /// Record a live-table high-water mark.
@@ -136,108 +127,86 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         self.peak_live = self.peak_live.max(live);
     }
 
-    /// Price one slot's `g_t` table over `levels` as a single
-    /// layout-order sweep. Always one sequential sweep per table: a
-    /// slot's priced values must never depend on batch composition or
-    /// worker count, or replayed recovery segments would stop being
-    /// bit-identical to the forward pass. Parallelism lives *across*
-    /// slots.
-    fn price_table(&self, t: usize, levels: Vec<Vec<u32>>) -> Table {
-        let mut table = Table::new(levels, f64::INFINITY);
-        let cursor = &mut CursorBuffers::default();
-        sweep_into(&mut table, cursor, self.instance, self.oracle, t, self.instance.load(t));
-        table
-    }
-
-    /// Pricing pass over a batch of slots: one table per slot, slots
-    /// with identical `(λ, grid)` sharing a single table when the
-    /// instance is time-independent. Distinct slots are priced
-    /// concurrently by a work-claiming pool — no per-slot barrier.
+    /// Pricing pass over a batch of slots, through the pool's one miss
+    /// path: every slot is looked up (slots of one `(λ, grid)` key
+    /// resolve to one table), the misses are priced concurrently by a
+    /// work-claiming pool — no per-slot barrier — and then retained.
+    /// Each table is one sequential sweep: a slot's priced values must
+    /// never depend on batch composition or worker count, or replayed
+    /// recovery segments would stop being bit-identical to the forward
+    /// pass. Parallelism lives *across* slots.
     ///
-    /// Returns the per-slot tables plus the number of *batch-owned*
-    /// tables among them — freshly solved tables that did not land in
-    /// the retained pool (pool-resident tables are accounted separately
-    /// in [`RecoveryStats`]; the per-slot entries are `Arc` clones, not
-    /// copies).
-    fn price_batch(&mut self, range: Range<usize>) -> (Vec<Arc<Table>>, usize) {
-        let slots: Vec<usize> = range.collect();
-        // Resolve each slot to either a pooled table or a pending job.
-        let mut jobs: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
-        let mut job_keys: Vec<Option<PriceKey>> = Vec::new();
-        let mut slot_source: Vec<Result<Arc<Table>, usize>> = Vec::with_capacity(slots.len());
-        let mut batch_keys: HashMap<PriceKey, usize> = HashMap::new();
-        for &t in &slots {
-            let levels = self.levels(t);
-            let key = self.pool.is_some().then(|| PriceKey {
-                lambda: self.instance.load(t).to_bits(),
-                levels: levels.clone(),
-            });
-            if let (Some(pool), Some(k)) = (self.pool.as_ref(), key.as_ref()) {
-                if let Some(shared) = pool.get(k) {
-                    slot_source.push(Ok(Arc::clone(shared)));
-                    continue;
-                }
-                if let Some(&job) = batch_keys.get(k) {
-                    slot_source.push(Err(job));
-                    continue;
-                }
-                batch_keys.insert(k.clone(), jobs.len());
+    /// Returns the batch's distinct tables and each slot's index into
+    /// them.
+    fn price_batch(&mut self, range: Range<usize>) -> (Vec<PricedSlot>, Vec<usize>) {
+        let (instance, oracle) = (self.instance, self.oracle);
+        let mut found: Vec<Result<PricedSlot, Job<'_>>> = Vec::new();
+        let mut order = Vec::with_capacity(range.len());
+        let mut batch_keys = HashMap::new();
+        let mut cells = 0;
+        for t in range {
+            // The candidate grid, borrowed when it is hoisted.
+            let levels = match &self.invariant_levels {
+                Some(levels) => Cow::Borrowed(&levels[..]),
+                None => (0..instance.num_types())
+                    .map(|j| self.options.grid.levels(instance.server_count(t, j)))
+                    .collect(),
+            };
+            let req = SlotRequest { t, lambda: instance.load(t), levels: &levels, bands: None };
+            let key = self.pool.as_ref().and_then(|pool| pool.key(instance, &req));
+            if let Some(&i) = key.and_then(|k| batch_keys.get(&k)) {
+                order.push(i);
+                continue;
             }
-            slot_source.push(Err(jobs.len()));
-            job_keys.push(key);
-            jobs.push((t, levels));
+            if let Some(k) = key {
+                batch_keys.insert(k, found.len());
+            }
+            let lookup =
+                self.pool.as_mut().map_or(Err(Miss::default()), |p| p.lookup(instance, &req));
+            if lookup.is_err() {
+                cells += levels.iter().map(Vec::len).product::<usize>();
+            }
+            order.push(found.len());
+            found.push(lookup.map_err(|miss| Job { t, levels, miss }));
         }
 
-        let total_cells: usize =
-            jobs.iter().map(|(_, l)| l.iter().map(Vec::len).product::<usize>()).sum();
-        let threads = self.options.effective_threads(total_cells).min(jobs.len().max(1));
-        let solved: Vec<Table> = if threads <= 1 || jobs.len() <= 1 {
-            jobs.drain(..).map(|(t, levels)| self.price_table(t, levels)).collect()
+        let jobs: Vec<Mutex<&mut Job<'_>>> =
+            found.iter_mut().filter_map(|f| f.as_mut().err()).map(Mutex::new).collect();
+        let price = |job: &mut Job<'_>, cursor: &mut CursorBuffers| {
+            let (t, levels) = (job.t, &job.levels);
+            let req = SlotRequest { t, lambda: instance.load(t), levels, bands: None };
+            job.miss.price(instance, oracle, &req, cursor);
+        };
+        let threads = self.options.effective_threads(cells).min(jobs.len().max(1));
+        if threads <= 1 {
+            let cursor = &mut CursorBuffers::default();
+            for job in &jobs {
+                price(&mut job.lock().expect("poisoned"), cursor);
+            }
         } else {
-            let results: Vec<Mutex<Option<Table>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
-            let next = &next;
-            let jobs = &jobs;
-            let results_ref = &results;
-            let this = &*self;
             std::thread::scope(|s| {
                 for _ in 0..threads {
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((t, levels)) = jobs.get(i) else { break };
-                        let table = this.price_table(*t, levels.clone());
-                        *results_ref[i].lock().expect("poisoned") = Some(table);
+                    s.spawn(|| {
+                        let cursor = &mut CursorBuffers::default();
+                        while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            price(&mut job.lock().expect("poisoned"), cursor);
+                        }
                     });
                 }
             });
-            results
-                .into_iter()
-                .map(|m| m.into_inner().expect("poisoned").expect("every job ran"))
-                .collect()
-        };
-
-        let shared: Vec<Arc<Table>> = solved.into_iter().map(Arc::new).collect();
-        let mut pooled = 0usize;
-        if let Some(pool) = self.pool.as_mut() {
-            for (key, table) in job_keys.iter().zip(&shared) {
-                if let Some(key) = key {
-                    if pool.len() < self.pool_cap {
-                        pool.insert(key.clone(), Arc::clone(table));
-                        pooled += 1;
-                    }
-                }
-            }
         }
-        let owned = shared.len() - pooled;
-        let tables = slot_source
+        drop(jobs);
+
+        let tables = found
             .into_iter()
-            .map(|src| match src {
-                Ok(t) => t,
-                Err(job) => Arc::clone(&shared[job]),
+            .map(|f| match (f, self.pool.as_mut()) {
+                (Ok(hit), _) => hit,
+                (Err(job), Some(pool)) => pool.retain(job.miss),
+                (Err(job), None) => job.miss.into_slot(),
             })
             .collect();
-        (tables, owned)
+        (tables, order)
     }
 
     /// One recurrence step, in place: arrival transform onto the pricing
@@ -268,10 +237,12 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         mut out: Option<&mut Vec<Table>>,
         base_live: usize,
     ) -> Table {
-        let (pricing, owned) = self.price_batch(range);
+        let (tables, order) = self.price_batch(range);
+        // Batch-owned: the tables no pool holds.
+        let owned = tables.iter().filter(|t| Arc::strong_count(t) == 1).count();
         self.note_live(base_live + owned + 1);
-        for priced in &pricing {
-            self.recurrence_step(&mut prev, priced);
+        for &i in &order {
+            self.recurrence_step(&mut prev, &tables[i]);
             if let Some(out) = out.as_deref_mut() {
                 out.push(prev.clone());
                 self.note_live(base_live + owned + out.len() + 1);
@@ -390,7 +361,7 @@ pub fn solve_checkpointed(
         segment_len: k,
         checkpoints,
         peak_live_tables: engine.peak_live,
-        pooled_pricing_tables: engine.pool.as_ref().map_or(0, HashMap::len),
+        pooled_pricing_tables: engine.pool.as_ref().map_or(0, |p| p.stats().pooled_slots),
     };
     (DpResult { cost, schedule: Schedule::new(configs) }, stats)
 }

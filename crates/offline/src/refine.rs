@@ -59,7 +59,7 @@ use std::ops::Range;
 use rsz_core::{GtOracle, Instance};
 
 use crate::dp::{backtrack_window, betas, DpOptions, DpResult};
-use crate::engine::{add_priced, EngineStats, PricedSlotPool};
+use crate::engine::{add_priced, CursorBuffers, EngineStats, PricedSlotPool};
 use crate::grid::GridMode;
 use crate::table::Table;
 use crate::transform::{arrival_transform_scratch, TransformScratch};
@@ -443,6 +443,7 @@ fn banded_pass(
     let mut scratch = TransformScratch::new();
     let mut spare = Table::origin(instance.num_types());
     let mut band_levels: Vec<Vec<u32>> = vec![Vec::new(); instance.num_types()];
+    let cursor = &mut CursorBuffers::default();
     let mut tables: Vec<Table> = Vec::with_capacity(range.len());
     for (o, t) in range.enumerate() {
         let fine_t = fine.at(t);
@@ -453,8 +454,8 @@ fn banded_pass(
         let prev = tables.last().unwrap_or(start);
         let mut cur =
             arrival_transform_scratch(prev, &band_levels, betas, &mut spare, &mut scratch);
-        let priced =
-            pool.get_or_price_band(instance, oracle, t, instance.load(t), fine_t, &bands[o]);
+        let load = instance.load(t);
+        let priced = pool.get_or_price_band(instance, oracle, t, load, fine_t, &bands[o], cursor);
         add_priced(&mut cur, &priced, 1.0);
         if !cur.min_value().is_finite() {
             return Err(o);

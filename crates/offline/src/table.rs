@@ -12,7 +12,6 @@ use rsz_core::Config;
 
 use crate::kernels;
 
-pub(crate) use crate::grid::CursorBuffers;
 pub use crate::grid::GridCursor;
 
 /// Sorted candidate counts per dimension plus a flat value array. The

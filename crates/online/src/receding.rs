@@ -15,9 +15,9 @@
 
 use std::ops::Range;
 
-use rsz_core::{Config, GtOracle, Instance};
+use rsz_core::{Config, GtOracle, Instance, Schedule};
 use rsz_offline::dp::{backtrack_window, betas, DpOptions};
-use rsz_offline::engine::{add_priced, PricedSlotPool};
+use rsz_offline::engine::{add_priced, CursorBuffers, PricedSlotPool, DEFAULT_POOL_CAP};
 use rsz_offline::refine::{lift_band, refine_window, FineGrid, RefineOptions};
 use rsz_offline::table::Table;
 use rsz_offline::transform::arrival_transform;
@@ -47,6 +47,8 @@ pub struct RecedingHorizon<O> {
     /// (coarse and fine grids share fleet sizes, so one pool would
     /// alias keys).
     coarse_pool: Option<PricedSlotPool>,
+    /// Grid-cursor buffers of both pools' misses.
+    cursor: CursorBuffers,
     /// The previous decision's window plan (refine mode): consecutive
     /// windows overlap in `w − 1` slots, so the old plan's trajectory
     /// seeds the new window's bands — the warm start that keeps band
@@ -71,6 +73,7 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
             prev: None,
             pool: None,
             coarse_pool: None,
+            cursor: CursorBuffers::default(),
             last_plan: Vec::new(),
             last_plan_start: 0,
         }
@@ -100,7 +103,6 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
     fn decide(&mut self, instance: &Instance, t: usize) -> Config {
         let d = instance.num_types();
         let end = (t + self.window).min(instance.horizon());
-        let b = betas(instance);
         let opts = self.options;
         // Rebind the pool at every run start (t = 0), not just on first
         // use: pooled g_t tables are only valid for the instance they
@@ -108,12 +110,10 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         // different instance with equal fleet sizes would otherwise
         // silently optimize against stale operating costs. The previous
         // run's window plan is stale for the same reason.
-        let pool_cap = opts.pool_capacity.unwrap_or(rsz_offline::engine::DEFAULT_POOL_CAP);
         if self.pool.is_none() || t == 0 {
-            self.pool = Some(PricedSlotPool::with_capacity(instance, pool_cap));
-        }
-        if opts.refine.is_some() && (self.coarse_pool.is_none() || t == 0) {
-            self.coarse_pool = Some(PricedSlotPool::with_capacity(instance, pool_cap));
+            let cap = opts.pool_capacity.unwrap_or(DEFAULT_POOL_CAP);
+            self.pool = Some(PricedSlotPool::with_capacity(instance, cap));
+            self.coarse_pool = Some(PricedSlotPool::with_capacity(instance, cap));
         }
         if t == 0 {
             self.last_plan.clear();
@@ -121,31 +121,15 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         // Start the window DP from a point mass at the current state: the
         // arrival transform prices power-ups relative to it for free.
         let start = self.prev.clone().unwrap_or_else(|| Config::zeros(d));
-        let mut point_levels: Vec<Vec<u32>> = Vec::with_capacity(d);
-        for j in 0..d {
-            point_levels.push(vec![start.count(j)]);
-        }
-        let mut point = Table::new(point_levels, f64::INFINITY);
-        point.values_mut()[0] = 0.0;
+        let point = Table::new(start.counts().iter().map(|&c| vec![c]).collect(), 0.0);
 
         if let Some(refine) = opts.refine {
-            return self.decide_refined(instance, t, end, &b, &point, refine);
+            return self.decide_refined(instance, t, end, &point, refine);
         }
-        // Transform onto each slot's grid and fold in the pooled dense
-        // pricing — overlapping windows hit.
         let pool = self.pool.as_mut().expect("the pool is bound above");
-        let mut tables: Vec<Table> = Vec::with_capacity(end - t);
-        for u in t..end {
-            let prev = tables.last().unwrap_or(&point);
-            let levels: Vec<Vec<u32>> =
-                (0..d).map(|j| opts.grid.levels(instance.server_count(u, j))).collect();
-            let priced = pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
-            let mut cur = arrival_transform(prev, &levels, &b);
-            add_priced(&mut cur, &priced, 1.0);
-            tables.push(cur);
-        }
-        let plan = backtrack_window(instance, &tables);
-        let choice = plan.schedule.config(0).clone();
+        let plan =
+            window_plan(instance, &self.oracle, pool, &mut self.cursor, opts.grid, t..end, &point);
+        let choice = plan.config(0).clone();
         self.prev = Some(choice.clone());
         choice
     }
@@ -174,7 +158,6 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         instance: &Instance,
         t: usize,
         end: usize,
-        betas: &[f64],
         point: &Table,
         refine: RefineOptions,
     ) -> Config {
@@ -184,28 +167,15 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
 
         // Coarse window solve on Γ(γ₀), priced through the coarse pool
         // (overlapping windows hit on the w − 1 shared slots).
+        let (oracle, cursor) = (&self.oracle, &mut self.cursor);
+        let coarse_pool = self.coarse_pool.as_mut().expect("decide binds the coarse pool");
         let coarse_mode = GridMode::Gamma(refine.coarse_gamma);
-        let coarse_pool =
-            self.coarse_pool.as_mut().expect("refine mode binds the coarse pool in decide");
-        let mut tables: Vec<Table> = Vec::with_capacity(end - t);
-        for u in t..end {
-            let levels: Vec<Vec<u32>> =
-                (0..d).map(|j| coarse_mode.levels(instance.server_count(u, j))).collect();
-            let prev = tables.last().unwrap_or(point);
-            let mut cur = arrival_transform(prev, &levels, betas);
-            let priced =
-                coarse_pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
-            add_priced(&mut cur, &priced, 1.0);
-            tables.push(cur);
-        }
-        let coarse: Vec<Config> =
-            backtrack_window(instance, &tables).schedule.iter().map(|(_, c)| c.clone()).collect();
+        let coarse = window_plan(instance, oracle, coarse_pool, cursor, coarse_mode, t..end, point);
 
         // Bands: corridor around the coarse trajectory, unioned with the
         // corridor around the previous plan where it overlaps.
         let mut bands: Vec<Vec<Range<usize>>> = coarse
             .iter()
-            .enumerate()
             .map(|(o, seed)| {
                 (0..d)
                     .map(|j| {
@@ -232,6 +202,32 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         self.last_plan_start = t;
         choice
     }
+}
+
+/// The optimal plan of the window `slots` on `grid` from the point mass
+/// `point`: each slot's table is the previous one arrival-transformed
+/// onto the slot's grid plus its `g_t` priced through `pool`, where
+/// overlapping windows hit.
+fn window_plan(
+    instance: &Instance,
+    oracle: &(impl GtOracle + Sync),
+    pool: &mut PricedSlotPool,
+    cursor: &mut CursorBuffers,
+    grid: GridMode,
+    slots: Range<usize>,
+    point: &Table,
+) -> Schedule {
+    let b = betas(instance);
+    let mut tables: Vec<Table> = Vec::with_capacity(slots.len());
+    for u in slots {
+        let levels: Vec<Vec<u32>> =
+            (0..instance.num_types()).map(|j| grid.levels(instance.server_count(u, j))).collect();
+        let priced = pool.get_or_price(instance, oracle, u, instance.load(u), &levels, cursor);
+        let mut cur = arrival_transform(tables.last().unwrap_or(point), &levels, &b);
+        add_priced(&mut cur, &priced, 1.0);
+        tables.push(cur);
+    }
+    backtrack_window(instance, &tables).schedule
 }
 
 impl<O: GtOracle + Sync> Checkpoint for RecedingHorizon<O> {

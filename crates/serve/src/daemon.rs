@@ -902,8 +902,8 @@ impl Daemon {
         if !controller.is_empty() {
             return Err("trailing bytes after the controller state".into());
         }
-        // restore_state rebuilds internal pools as owned, so the shared
-        // handle must be re-installed after restore.
+        // restore_state gives the controller a fresh pool of its own, so
+        // the shared handle must be re-installed after restore.
         self.install_pool(&st.spec, &prefix, &mut degrader);
         st.digest = digest;
         (st.instance, st.controller) = (prefix, Some(degrader));

@@ -3,8 +3,8 @@
 //! A tenant registers with a *spec*: fleet preset, algorithm, grid, an
 //! optional per-decision deadline and a snapshot cadence. The spec is
 //! the unit of determinism — the WAL records it verbatim, recovery
-//! rebuilds the controller from it, and two tenants with byte-equal
-//! `(fleet, grid)` halves share one priced slot pool.
+//! rebuilds the controller from it, and two tenants whose fleets parse
+//! alike on one grid share one priced slot pool.
 //!
 //! [`BoxController`] erases the concrete controller type (five
 //! algorithms) behind one object that still implements
@@ -72,8 +72,9 @@ impl GridSpec {
 /// deterministically.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantSpec {
-    /// Fleet preset spec (`rsz_workloads::fleet::parse` syntax). Also
-    /// the tenant's pool-sharing key together with `grid`.
+    /// Fleet preset spec (`rsz_workloads::fleet::parse` syntax). Its
+    /// parsed form is the tenant's pool-sharing key together with
+    /// `grid`.
     pub fleet: String,
     /// Algorithm spec: `a`, `b`, `c[:EPS]`, `lcp`, `rhc[:WINDOW]` —
     /// plus the fault hook `panic:T` when the daemon allows it.
@@ -121,11 +122,19 @@ impl TenantSpec {
     }
 
     /// The key under which this tenant's priced-slot pool is shared:
-    /// tenants with equal keys have identical cost models and grids, so
-    /// their `(partition, λ, grid)` pricings are interchangeable.
+    /// the fleet's preset name and parsed counts, and the grid's wire
+    /// form. Tenants with equal keys have identical cost models and
+    /// grids however their fleets are spelled, so their
+    /// `(partition, λ, grid)` pricings are interchangeable. (A fleet that
+    /// does not parse, which validation refuses first, keys by its
+    /// spelling.)
     #[must_use]
     pub fn pool_key(&self) -> String {
-        format!("{}/{}", self.fleet, self.grid.to_wire())
+        let grid = self.grid.to_wire();
+        match fleet::preset(&self.fleet) {
+            Ok((name, counts)) => format!("{name}:{counts:?}/{grid}"),
+            Err(_) => format!("{}/{grid}", self.fleet),
+        }
     }
 
     /// The fleet this spec names.
@@ -420,5 +429,15 @@ mod tests {
         let mut c = spec("b");
         c.grid = GridSpec::Gamma(2.0);
         assert_ne!(a.pool_key(), c.pool_key());
+        // Two spellings of one fleet share a pool; another fleet does not.
+        let mut d = spec("a");
+        d.fleet = "cpu-gpu:03,1".into();
+        assert_eq!(a.pool_key(), d.pool_key());
+        d.fleet = "cpu-gpu:3,2".into();
+        assert_ne!(a.pool_key(), d.pool_key());
+        let (mut e, mut f) = (spec("a"), spec("a"));
+        e.fleet = "three-tier:6,6,3".into();
+        f.fleet = "three-tier:06,6,3".into();
+        assert_eq!(e.pool_key(), f.pool_key());
     }
 }

@@ -19,9 +19,10 @@
 //! and breakpoints (its bracket buffer is sized only by a cell that
 //! takes the bracketed secant, which no cell of these fleets does). The
 //! WAL frame, the priced table and the grid cursor's buffers are reused:
-//! the table is the one the pool evicts, the cursor buffers are the
-//! pool's own. The snapshot and fingerprint cadences add under two per
-//! tick. Before the request was borrowed, the reply written directly and
+//! the table is the one the shared pool evicts, the cursor buffers are
+//! the tenant's prefix solver's own (the pool is locked only to look a
+//! slot up and to retain it; the slot is priced outside the lock). The
+//! snapshot and fingerprint cadences add under two per tick. Before the request was borrowed, the reply written directly and
 //! the evicted table reused, this harness counted 49.8 / 49.8 / 54.8 /
 //! 46.8 per tick (A / B / C / LCP); before the pool kept the cursor's
 //! three buffers and the workspace merged its two interval buffers and

@@ -68,15 +68,23 @@ pub fn total_capacity(types: &[ServerType]) -> f64 {
     types.iter().map(ServerType::fleet_capacity).sum()
 }
 
+/// Split a `NAME:PARAMS` fleet preset spec into its name and parsed
+/// counts: what a spec means, whatever its spelling (`three-tier:06,6,3`
+/// and `three-tier:6,6,3` split alike). The serve daemon keys its shared
+/// pools by it.
+pub fn preset(spec: &str) -> Result<(&str, Vec<u32>), String> {
+    let (name, params) = spec.split_once(':').ok_or("fleet must be NAME:PARAMS")?;
+    let nums: Result<Vec<u32>, _> = params.split(',').map(str::parse).collect();
+    Ok((name, nums.map_err(|e| format!("bad fleet parameters: {e}"))?))
+}
+
 /// Parse a `NAME:PARAMS` fleet preset spec — the syntax shared by the
 /// `rsz` CLI's `--fleet` flag and the serve daemon's tenant
 /// registration: `homogeneous:M`, `cpu-gpu:C,G`, `old-new:O,N`,
-/// `three-tier:L,C,G`. The spec string doubles as the daemon's pool
-/// sharing key, so equal specs must (and do) produce identical fleets.
+/// `three-tier:L,C,G`. The fleet is a function of the [`preset`] split
+/// alone, so specs that split alike produce identical fleets.
 pub fn parse(spec: &str) -> Result<Vec<ServerType>, String> {
-    let (name, params) = spec.split_once(':').ok_or("fleet must be NAME:PARAMS")?;
-    let nums: Result<Vec<u32>, _> = params.split(',').map(str::parse).collect();
-    let nums = nums.map_err(|e| format!("bad fleet parameters: {e}"))?;
+    let (name, nums) = preset(spec)?;
     match (name, nums.as_slice()) {
         ("homogeneous", [m]) => Ok(homogeneous(*m, 3.0, 1.0, CostModel::linear(0.5, 1.0))),
         ("cpu-gpu", [c, g]) => Ok(cpu_gpu(*c, *g)),

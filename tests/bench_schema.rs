@@ -104,6 +104,28 @@ fn serve_trajectory_carries_the_age_row() {
 }
 
 #[test]
+fn serve_trajectory_carries_the_contention_row() {
+    // The contention row steps Algorithm A controllers from every core
+    // on never-repeating loads, on one shared pool and on a pool per
+    // thread; with two threads or more, the full-mode run the record is
+    // gates one pool at ≥ 0.8× the pool-per-thread ticks/s.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let body = fs::read_to_string(root.join("BENCH_serve.json"))
+        .unwrap_or_else(|e| panic!("BENCH_serve.json unreadable: {e}"));
+    assert!(body.contains("\"scenario\": \"contention\""), "BENCH_serve.json lacks contention");
+    let number = |key: &str| {
+        number_of(&body, key).unwrap_or_else(|| panic!("BENCH_serve.json is missing `{key}`"))
+    };
+    for key in ["one_pool_ticks_per_sec", "pool_per_thread_ticks_per_sec"] {
+        assert!(number(key) > 0.0, "BENCH_serve.json: `{key}` is {}", number(key));
+    }
+    if number("threads") >= 2.0 {
+        let ratio = number("one_pool_ratio");
+        assert!(ratio >= 0.8, "BENCH_serve.json: `one_pool_ratio` {ratio} is below the 0.8 gate");
+    }
+}
+
+#[test]
 fn all_bench_trajectories_carry_the_required_keys() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut checked = 0usize;

@@ -45,9 +45,10 @@ fn offline_solver_is_deterministic() {
 
 /// An external memoizing `g_t` oracle: answers repeated `(t, λ, scale,
 /// x)` queries from a memo and says so through
-/// [`GtOracle::is_memoizing`]. Its values are the plain dispatcher's cold
-/// solves, so they may differ from the dispatcher's warm-started sweeps
-/// by the documented relative `1e-9`.
+/// [`GtOracle::is_memoizing`]. Its values are the plain dispatcher's
+/// one-shot `g_scaled` solves, which the dispatcher's slot sweeps equal
+/// bit for bit; a third-party memo may differ from a sweep by the
+/// relative `1e-9` the oracle contract allows.
 struct Memo {
     inner: Dispatcher,
     memo: Mutex<HashMap<MemoKey, f64>>,

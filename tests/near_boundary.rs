@@ -1,26 +1,30 @@
 //! Loads within a few `FEASIBILITY_SLACK` of a configuration's capacity,
 //! driven through every layer that decides feasibility: the dispatcher
-//! prices the configuration, `dp::solve` plans the slot,
+//! prices the configuration, `Instance::is_admissible` admits it,
+//! `dp::solve` and the brute-force oracle plan the slot,
 //! `Schedule::check_feasible` validates the plan, and the daemon
 //! validates the load it is ticked with and decides a configuration.
 //!
-//! The dispatcher and `check_feasible` share one test
-//! (`exceeds_capacity`: capacity plus the slack); instance building and
-//! the daemon admit a load up to the fleet's capacity, no further. So:
+//! The dispatcher, `is_admissible` (through `Config::can_serve`) and
+//! `check_feasible` share one test (`exceeds_capacity`: capacity plus
+//! the slack); instance building and the daemon admit a load up to the
+//! fleet's capacity, no further. So:
 //!
-//! * on a configuration, the dispatcher and `check_feasible` agree;
+//! * on a configuration, the dispatcher, `is_admissible` and
+//!   `check_feasible` agree;
 //! * a load that building the instance admits, the daemon admits, and
 //!   the other way round;
 //! * on an admitted load, the dispatcher serves the whole fleet,
 //!   `dp::solve` returns a plan of finite cost that `check_feasible`
-//!   accepts, and the daemon's decision serves the load too.
+//!   accepts, the brute-force oracle finds the same cost, and the
+//!   daemon's decision serves the load too.
 //!
 //! No layer accepts what the next one rejects.
 
 use std::path::PathBuf;
 
-use heterogeneous_rightsizing::core::util::{exceeds_capacity, FEASIBILITY_SLACK};
-use heterogeneous_rightsizing::offline::dp;
+use heterogeneous_rightsizing::core::util::{approx_eq, exceeds_capacity, FEASIBILITY_SLACK};
+use heterogeneous_rightsizing::offline::{brute, dp};
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::serve::json::{self, Json};
 use heterogeneous_rightsizing::serve::{Daemon, ServeOptions};
@@ -140,6 +144,10 @@ proptest! {
                 &spec, &x, load, priced, checked
             );
             prop_assert_eq!(priced, !exceeds_capacity(load, near[0]));
+            prop_assert_eq!(
+                inst.is_admissible(0, &Config::new(x.clone())), priced,
+                "{} x={:?} λ={:e}: is_admissible vs the dispatcher", &spec, &x, load
+            );
             // An admitted load is one the whole fleet serves, so the plan
             // is finite and passes validation.
             prop_assert!(oracle.g(&inst, 0, &full).is_finite(), "{} λ={:e}", &spec, load);
@@ -148,9 +156,38 @@ proptest! {
             let step = plan.schedule.config(0);
             prop_assert!(oracle.g(&inst, 0, step.counts()).is_finite());
             prop_assert!(plan.schedule.check_feasible(&inst).is_ok(), "{} λ={:e}", &spec, load);
+            let exhaustive = brute::solve(&inst, &oracle);
+            prop_assert!(
+                approx_eq(exhaustive.cost, plan.cost),
+                "{} λ={:e}: brute force {} vs dp {}", &spec, load, exhaustive.cost, plan.cost
+            );
             // So does the daemon's decision.
             let chosen = Schedule::new(vec![Config::new(decided.clone())]).check_feasible(&inst);
             prop_assert!(chosen.is_ok(), "{} λ={:e}: decided {:?}: {:?}", &spec, load, &decided, chosen);
         }
     }
+}
+
+/// Two 1-capacity servers at λ a hair above 2, within the slack: the
+/// dispatcher serves it on both small servers (cost 5 with their power
+/// ups), so every layer must admit that configuration rather than fall
+/// back to the 4-capacity server (cost 17).
+#[test]
+fn brute_force_admits_what_the_dispatcher_serves() {
+    let inst = Instance::builder()
+        .server_type(ServerType::new("small", 2, 1.0, 1.0, CostModel::linear(1.0, 0.5)))
+        .server_type(ServerType::new("big", 1, 10.0, 4.0, CostModel::constant(7.0)))
+        .loads(vec![2.0 * (1.0 + FEASIBILITY_SLACK / 2.0)])
+        .build()
+        .unwrap();
+    let oracle = Dispatcher::new();
+    let small = Config::new(vec![2, 0]);
+    assert!(oracle.g(&inst, 0, small.counts()).is_finite());
+    assert!(inst.is_admissible(0, &small));
+    assert!(Schedule::new(vec![small.clone()]).check_feasible(&inst).is_ok());
+    let plan = dp::solve(&inst, &oracle, DpOptions::default());
+    let exhaustive = brute::solve(&inst, &oracle);
+    assert_eq!(plan.schedule.config(0), &small);
+    assert_eq!(exhaustive.schedule, plan.schedule);
+    assert!(approx_eq(exhaustive.cost, 5.0) && approx_eq(plan.cost, 5.0), "{}", exhaustive.cost);
 }
