@@ -1,16 +1,19 @@
 //! `dp_pipeline` — end-to-end offline-solve benchmark of the
-//! slot-batched pricing pipeline (warm-started KKT row sweeps +
-//! time-independent slot de-duplication + checkpointed backtracking),
-//! the one path behind `dp::solve`.
+//! slot-batched pricing pipeline (layout-order slot sweeps through the
+//! breakpoint water-fill + time-independent slot de-duplication +
+//! recovery from certified backtrack pointers), the one path behind
+//! `dp::solve`.
 //!
 //! Scenarios: the reference tiled-diurnal workload (d = 2,
 //! m = (40, 40), T = 2000), a bursty MMPP trace with few exact load
 //! repeats, a time-dependent electricity-price workload (no slot
 //! sharing anywhere), and a d = 3 fleet. Every scenario gates on the
-//! schedule being feasible and on `objective::evaluate` of the schedule
-//! matching the reported cost to a relative 1e-9. Timings are
-//! informational: `pipeline_ms` is the median of five solves, with its
-//! IQR; `--quick` shrinks horizons and solves once, for the CI smoke.
+//! schedule being feasible, on `objective::evaluate` of the schedule
+//! matching the reported cost to a relative 1e-9, and on the solve
+//! pricing at most one sweep per slot (`priced_slots ≤ horizon`: no
+//! recovery replay re-prices a slot). Timings are informational:
+//! `pipeline_ms` is the median of five solves, with its IQR; `--quick`
+//! shrinks horizons and solves once, for the CI smoke.
 //!
 //! Results land in `results/dp_pipeline.json` and, as the trajectory
 //! record the CI uploads, `BENCH_dp.json` at the workspace root.
@@ -110,6 +113,14 @@ fn main() {
             sc.name,
             res.cost
         );
+        assert!(
+            stats.priced_slots <= inst.horizon(),
+            "{}: {} pricing sweeps for {} slots ({} replayed segments)",
+            sc.name,
+            stats.priced_slots,
+            inst.horizon(),
+            stats.replayed_segments
+        );
 
         bench.row(
             Row::new(sc.name)
@@ -121,7 +132,9 @@ fn main() {
                 .field("segment_len", stats.segment_len)
                 .field("checkpoints", stats.checkpoints)
                 .field("peak_live_tables", stats.peak_live_tables)
-                .field("pooled_pricing_tables", stats.pooled_pricing_tables),
+                .field("pooled_pricing_tables", stats.pooled_pricing_tables)
+                .field("priced_slots", stats.priced_slots)
+                .field("replayed_segments", stats.replayed_segments),
         );
     }
     bench.finish(&[], &["results/dp_pipeline.json", "BENCH_dp.json"]);

@@ -57,11 +57,10 @@ pub trait GtOracle {
     }
 
     /// `true` if repeated queries for the same `(t, λ, x)` are answered
-    /// from a memo (cache hits) rather than re-solved — the property a
-    /// checkpointed solver needs to know **up front**: replaying a
-    /// segment against a memoizing oracle costs lookups, while replaying
-    /// against a plain solver re-pays the full pricing. The default is
-    /// `false` (plain solvers); memoization wrappers override it.
+    /// from a memo (cache hits) rather than re-solved. The default is
+    /// `false` (plain solvers); memoization wrappers override it. No
+    /// solver reads it any more: the offline recovery policy decides by
+    /// pointer bytes alone.
     fn is_memoizing(&self) -> bool {
         false
     }

@@ -47,9 +47,10 @@ pub struct DpOptions {
     /// `Some(n)` is used as-is, which keeps thread sweeps reproducible
     /// in benches.
     pub threads: Option<usize>,
-    /// How [`solve`] recovers the schedule: `√T` checkpoints + segment
-    /// replay (`O(|grid|·√T)` memory, up to one extra pricing pass) vs
-    /// fully materialized tables (`O(|grid|·T)` memory, single pass).
+    /// How [`solve`] recovers the schedule: backtrack pointers recorded
+    /// in the forward pass (one pricing pass, 2–4 bytes per cell and
+    /// slot) or `√T` checkpoints with segment replay (`O(|grid|·√T)`
+    /// memory, about one extra pricing pass).
     pub recovery: RecoveryMode,
     /// `Some`: route [`solve`] through the coarse-to-fine **corridor
     /// solver** ([`crate::refine`]) — a cheap `Γ(γ₀)` coarse solve
@@ -68,24 +69,24 @@ pub struct DpOptions {
     pub pool_capacity: Option<usize>,
 }
 
-/// Schedule-recovery policy of [`solve`].
+/// Schedule-recovery policy of [`solve`]. Every policy recovers the same
+/// schedule, bit for bit: a recorded pointer is followed only when its
+/// certificate says it names the cell the backtrack's tie-break would
+/// pick, and a segment is replayed from its checkpoint otherwise (see
+/// [`crate::pipeline`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
-    /// Materialize below [`crate::pipeline::CHECKPOINT_MIN_HORIZON`]
-    /// slots, checkpoint beyond — replay only kicks in where the
-    /// `O(|grid|·T)` table memory starts to matter. When **nothing**
-    /// would make the replay cheap (time-dependent costs, so the
-    /// pricing pool cannot share slots, *and* a non-memoizing oracle),
-    /// materialization extends up to
-    /// [`crate::pipeline::AUTO_MATERIALIZE_BUDGET_BYTES`] of table
-    /// memory, so checkpointing never doubles the pricing for free.
+    /// Record backtrack pointers beside `√T` checkpoints when they fit
+    /// [`crate::pipeline::AUTO_POINTER_BUDGET_BYTES`] (each slot is then
+    /// priced once), and checkpoint without pointers beyond it.
     #[default]
     Auto,
-    /// Always keep every `OPT_t` table: one pass, maximum memory; pick
-    /// it when the horizon fits in memory and nothing (pricing pool,
-    /// memoizing oracle) would make the replay cheap.
+    /// Always record pointers, over one segment (`k = T`): a pointer
+    /// that is not certified replays from slot 0, holding up to `T`
+    /// tables.
     Materialized,
-    /// Always checkpoint, whatever the horizon.
+    /// Never record pointers: replay every `√T` segment from its
+    /// checkpoint, whatever the horizon.
     Checkpointed,
 }
 
@@ -140,11 +141,13 @@ pub struct DpResult {
 /// Solve `instance` to optimality over the chosen grid and recover the
 /// schedule.
 ///
-/// Schedule recovery is **checkpointed** (Hirschberg-style): the forward
-/// pass keeps only `√T` checkpoint tables and backtracking replays one
-/// `√T`-slot segment at a time, so peak table memory is `O(|grid|·√T)`
-/// instead of `O(|grid|·T)` — see [`crate::pipeline`] and
-/// [`solve_with_stats`] for the observable accounting.
+/// The forward pass keeps `√T` checkpoint tables and, under the default
+/// [`RecoveryMode::Auto`], a certified backtrack pointer per cell and
+/// slot; recovery follows the pointers and replays a `√T`-slot segment
+/// only where one is not certified, so peak table memory is
+/// `O(|grid|·√T)` instead of `O(|grid|·T)` and each slot is priced once —
+/// see [`crate::pipeline`] and [`solve_with_stats`] for the observable
+/// accounting.
 ///
 /// With [`DpOptions::refine`] set, the solve instead runs the
 /// coarse-to-fine corridor solver ([`crate::refine::solve_refined`]) —
@@ -206,9 +209,10 @@ pub fn validate_for_solve(
     Ok(())
 }
 
-/// [`solve`] returning the recovery memory accounting alongside the
-/// result (checkpoint count, segment length, peak live tables). This
-/// entry point measures the checkpointed-recovery machinery, so
+/// [`solve`] returning the recovery accounting alongside the result
+/// (checkpoint count, segment length, peak live tables, priced slots,
+/// replayed segments). This entry point measures the recovery machinery,
+/// so
 /// [`DpOptions::refine`] is ignored here — refined solves report
 /// through [`crate::refine::solve_refined`]'s own
 /// [`crate::refine::RefineStats`] instead.
@@ -317,8 +321,8 @@ pub(crate) fn backtrack_segment(
 /// The cell of `tab` minimizing `OPT(x') + Σ_j β_j (target_j − x'_j)^+`.
 ///
 /// Predecessor selection shares the [`crate::kernels`] epsilon tie-break
-/// rule with [`Table::argmin`]: one-ulp value wobbles (e.g. parallel vs
-/// sequential fills) must not flip the recovered schedule. Candidate
+/// rule with [`Table::argmin`]: a last-bit difference between two orders
+/// of addition must not flip the recovered schedule. Candidate
 /// values are produced on the fly, so this uses the streaming `TieMin`
 /// accumulator form; the scan walks a [`crate::table::GridCursor`] — no
 /// per-cell `Config` allocation.

@@ -42,11 +42,10 @@
 //!
 //! # The tie-break rule (the one place it is documented)
 //!
-//! Cell values are sums of dispatch solves whose last bits can wobble
-//! between otherwise identical runs (parallel fills, a third-party
-//! oracle's warm-started sweeps), and the selected cell seeds schedule
-//! recovery — exact float comparison would let a one-ulp difference flip
-//! a recovered schedule.
+//! The selected cell seeds schedule recovery, and two ways of computing
+//! one candidate value — the transform's order of additions and the
+//! backtrack's — can differ in the last bits, so exact float comparison
+//! would let a one-ulp difference decide a recovered schedule.
 //! Everything that picks a winning cell therefore uses one policy,
 //! anchored on a *relative* epsilon window around the true minimum:
 //!
@@ -62,6 +61,49 @@
 //! minimum, which coincides with the rule above unless near-ties chain
 //! across more than one epsilon — which the narrow [`TIE_EPS`] window
 //! makes vanishingly unlikely and the determinism tests pin in practice.
+//!
+//! # The backtrack certificate
+//!
+//! The forward pass that records backtrack pointers runs the arrival
+//! transform with a tag beside each value (the `Track` parameter of the
+//! suffix and row kernels below): the source cell the value came from
+//! and a **certificate bit**. Each slot has a candidate-value bound
+//! `B = max finite |OPT_{t−1}| + Σ_j β_j·max level_j` (over the source
+//! and target grids), a rounding slack `s = 8(d+1)·ε·B` and a margin
+//! `M = TIE_EPS·max(B, 1) + 2s` ([`Certificate`]). Every selection
+//! `min(a, b)` keeps
+//!
+//! * the winner's tag, bit and all, when the loser trails by more than
+//!   `M`;
+//! * on an **exact** tie (equal values), the tag whose cell has the
+//!   smaller `(total server count, flat index)` — `TieMin`'s own
+//!   preference — with the bit set only if both operands had it, and
+//!   only while `s ≤ TIE_EPS`;
+//! * otherwise the winner's tag with the bit cleared (so also between
+//!   two `+∞` values).
+//!
+//! By induction over the selections (suffix carries, block trees, row
+//! merges and the `d` dimension passes alike), a set bit says: the
+//! cell's candidates split into a group `S` whose values are bit-equal in
+//! the transform's arithmetic, led by the tag, and the rest, each more
+//! than `M` above `S`.
+//!
+//! The backtrack sums the same candidates in another order. The
+//! transform rounds at most four times per dimension (`β·old`, the shift,
+//! `β·v`, the up sum) and the backtrack twice (the product and the sum),
+//! each by at most `ε/2·B` — every intermediate is bounded by `B` — so a
+//! gap between two candidates moves by at most `6d·ε·B < s` from one
+//! order to the other. In the backtrack's arithmetic the members of `S`
+//! therefore lie within `s ≤ TIE_EPS` of each other, inside every tie
+//! window anchored on one of them, and every other candidate lies more
+//! than `TIE_EPS·max(B, 1) + s` above them, outside every such window.
+//! `TieMin` scans in index order: the first member of `S` it meets
+//! evicts any earlier incumbent, no later outsider enters the window,
+//! and among the members it keeps the smaller `(total, index)` — the
+//! tag's cell. A clear bit promises nothing; recovery then replays the
+//! slot's segment and selects with `TieMin` itself.
+
+use std::ops::Range;
 
 use rsz_core::util::TIE_EPS;
 
@@ -77,6 +119,217 @@ fn fmin(a: f64, b: f64) -> f64 {
         b
     } else {
         a
+    }
+}
+
+/// What a transform pass carries beside each value through its selection
+/// minima: nothing (`()`, the value-only transform every solver runs) or
+/// a certified origin ([`Certify`], the forward pass that records
+/// backtrack pointers). The suffix and row kernels are generic over it,
+/// so both are one implementation; with `()` every tag operation
+/// compiles away.
+pub(crate) trait Track: Copy {
+    /// The per-cell tag.
+    type Tag: Copy + Default;
+
+    /// The tag a selection keeps, given the winning and the losing
+    /// operand (the winner's value is at most the loser's).
+    fn select(self, winner: Self::Tag, winner_v: f64, loser: Self::Tag, loser_v: f64) -> Self::Tag;
+}
+
+impl Track for () {
+    type Tag = ();
+
+    #[inline]
+    fn select(self, (): (), _: f64, (): (), _: f64) {}
+}
+
+/// The certificate bit of a [`Certify`] tag. The low 31 bits hold the
+/// source cell's rank in `TieMin`'s preference order — smaller total
+/// server count first, then smaller flat index ([`TieOrder`]) — so the
+/// cell `TieMin` prefers among tied tags is their minimum.
+pub(crate) const CERTIFIED: u32 = 1 << 31;
+
+/// The pointer-recording track (see the module-level certificate).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Certify {
+    margin: f64,
+    /// Whether an exact tie may keep the bit ([`Certificate::resolves_ties`]).
+    ties: bool,
+}
+
+impl Certify {
+    pub(crate) fn new(certificate: Certificate) -> Self {
+        Self { margin: certificate.margin, ties: certificate.resolves_ties() }
+    }
+}
+
+impl Track for Certify {
+    type Tag = u32;
+
+    #[inline]
+    fn select(self, winner: u32, winner_v: f64, loser: u32, loser_v: f64) -> u32 {
+        // Two infinite operands give NaN, which compares false.
+        let gap = loser_v - winner_v;
+        if gap == 0.0 && self.ties {
+            // An exact tie: both groups enter TieMin's window together,
+            // and it prefers the smaller rank.
+            (winner & !CERTIFIED).min(loser & !CERTIFIED) | (winner & loser & CERTIFIED)
+        } else if gap > self.margin {
+            winner
+        } else {
+            winner & !CERTIFIED
+        }
+    }
+}
+
+/// `TieMin`'s preference order over one grid's cells: smaller total
+/// server count first, then smaller flat index. Rebuilt only when the
+/// grid changes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TieOrder {
+    levels: Vec<Vec<u32>>,
+    /// `rank[i]`: the rank of flat index `i`.
+    pub(crate) rank: Vec<u32>,
+    /// `index[r]`: the flat index of rank `r`.
+    pub(crate) index: Vec<u32>,
+}
+
+impl TieOrder {
+    /// Shape the order for the grid `levels`.
+    pub(crate) fn for_grid(&mut self, levels: &[Vec<u32>]) -> &Self {
+        if self.levels != levels {
+            self.levels = levels.to_vec();
+            let mut cursor = crate::grid::GridCursor::new(levels, 0);
+            let cells: usize = levels.iter().map(Vec::len).product();
+            let mut totals = Vec::with_capacity(cells);
+            for _ in 0..cells {
+                totals.push(cursor.total());
+                cursor.advance();
+            }
+            #[allow(clippy::cast_possible_truncation)]
+            let indices = 0..cells as u32;
+            self.index = indices.collect();
+            // Stable: equal totals keep index order.
+            self.index.sort_by_key(|&i| totals[i as usize]);
+            self.rank.resize(cells, 0);
+            #[allow(clippy::cast_possible_truncation)]
+            for (r, &i) in self.index.iter().enumerate() {
+                self.rank[i as usize] = r as u32;
+            }
+        }
+        self
+    }
+}
+
+/// [`fmin`] with tags: `b` when `b < a`, else `a` (ties keep the first).
+#[inline]
+pub(crate) fn tmin<K: Track>(track: K, a: f64, ta: K::Tag, b: f64, tb: K::Tag) -> (f64, K::Tag) {
+    let b_wins = b < a;
+    let (winner, loser) = if b_wins { ((b, tb), (a, ta)) } else { ((a, ta), (b, tb)) };
+    (winner.0, track.select(winner.1, winner.0, loser.1, loser.0))
+}
+
+/// Tags of the value-only track are zero-sized and never stored: every
+/// tag buffer of a pass over `()` stays empty, and the helpers below hand
+/// out empty slices and defaults for them, so that pass pays no bounds
+/// check for its tags.
+#[inline]
+const fn stored<T>() -> bool {
+    std::mem::size_of::<T>() != 0
+}
+
+/// The tags of `range` (empty for zero-sized tags).
+#[inline]
+pub(crate) fn tags_in<T>(tags: &[T], range: Range<usize>) -> &[T] {
+    if stored::<T>() {
+        &tags[range]
+    } else {
+        &[]
+    }
+}
+
+/// [`tags_in`], mutably.
+#[inline]
+pub(crate) fn tags_in_mut<T>(tags: &mut [T], range: Range<usize>) -> &mut [T] {
+    if stored::<T>() {
+        &mut tags[range]
+    } else {
+        Default::default()
+    }
+}
+
+/// The tag at `i` (the default for zero-sized tags).
+#[inline]
+pub(crate) fn tag_at<T: Copy + Default>(tags: &[T], i: usize) -> T {
+    if stored::<T>() {
+        tags[i]
+    } else {
+        T::default()
+    }
+}
+
+/// Set the tag at `i` (nothing for zero-sized tags).
+#[inline]
+pub(crate) fn set_tag<T>(tags: &mut [T], i: usize, tag: T) {
+    if stored::<T>() {
+        tags[i] = tag;
+    }
+}
+
+/// Resize a tag buffer to `n` default tags (it stays empty for
+/// zero-sized tags).
+#[inline]
+pub(crate) fn reset_tags<T: Copy + Default>(tags: &mut Vec<T>, n: usize) {
+    if stored::<T>() {
+        tags.clear();
+        tags.resize(n, T::default());
+    }
+}
+
+/// The certificate of one arrival transform (see the module docs): the
+/// rounding `slack = 8(d+1)·ε·B` and the `margin = TIE_EPS·max(B, 1) +
+/// 2·slack` a selection must be decided by, for the candidate-value
+/// bound `B`.
+#[derive(Clone, Copy, Debug)]
+pub struct Certificate {
+    /// Gap by which a certified winner beats every candidate outside
+    /// its exact tie.
+    pub margin: f64,
+    /// Bound on how far one candidate's value moves between the
+    /// transform's order of additions and the backtrack's.
+    pub slack: f64,
+}
+
+impl Certificate {
+    /// The certificate of transforming `source` (over `old_levels`) onto
+    /// `new_levels` with switching costs `betas`.
+    #[must_use]
+    pub fn new(
+        source: &[f64],
+        old_levels: &[Vec<u32>],
+        new_levels: &[Vec<u32>],
+        betas: &[f64],
+    ) -> Self {
+        let base = source.iter().filter(|v| v.is_finite()).fold(0.0_f64, |m, v| m.max(v.abs()));
+        let top = |levels: &Vec<u32>| f64::from(levels.last().copied().unwrap_or(0));
+        let bound = old_levels
+            .iter()
+            .zip(new_levels)
+            .zip(betas)
+            .fold(base, |b, ((old, new), &beta)| b + beta * top(old).max(top(new)));
+        #[allow(clippy::cast_precision_loss)]
+        let dims = betas.len() as f64;
+        let slack = 8.0 * (dims + 1.0) * f64::EPSILON * bound;
+        Self { margin: TIE_EPS * bound.max(1.0) + 2.0 * slack, slack }
+    }
+
+    /// Whether an exact tie in the transform's arithmetic is certified
+    /// as `TieMin`'s own choice: only while every tied candidate stays
+    /// inside `TieMin`'s narrowest window (`slack ≤ TIE_EPS`).
+    #[must_use]
+    pub fn resolves_ties(&self) -> bool {
+        self.slack <= TIE_EPS
     }
 }
 
@@ -101,29 +354,39 @@ pub fn suffix_min_inplace_scalar(buf: &mut [f64]) {
 /// element of latency) and then merged with the running carry. `min` is a
 /// selection, so the reassociation is bit-exact.
 pub fn suffix_min_inplace(buf: &mut [f64]) {
+    suffix_min_tagged((), buf, &mut []);
+}
+
+/// [`suffix_min_inplace`] with a tag beside each value (`tags` is empty
+/// for zero-sized tags).
+pub(crate) fn suffix_min_tagged<K: Track>(track: K, buf: &mut [f64], tags: &mut [K::Tag]) {
     let n = buf.len();
     if n < 2 {
         return;
     }
-    let mut carry = buf[n - 1];
+    let tags = tags_in_mut(tags, 0..n);
+    let (mut carry, mut carry_tag) = (buf[n - 1], tag_at(tags, n - 1));
     let full = (n - 1) / LANES;
     for k in (full * LANES..n - 1).rev() {
-        carry = fmin(buf[k], carry);
+        (carry, carry_tag) = tmin(track, buf[k], tag_at(tags, k), carry, carry_tag);
         buf[k] = carry;
+        set_tag(tags, k, carry_tag);
     }
     let mut b = full;
     while b > 0 {
         b -= 1;
         let blk = &mut buf[b * LANES..(b + 1) * LANES];
-        let m3 = blk[3];
-        let m23 = fmin(blk[2], m3);
-        let m123 = fmin(blk[1], m23);
-        let m0123 = fmin(blk[0], m123);
-        blk[3] = fmin(m3, carry);
-        blk[2] = fmin(m23, carry);
-        blk[1] = fmin(m123, carry);
-        blk[0] = fmin(m0123, carry);
-        carry = blk[0];
+        let tg = tags_in_mut(tags, b * LANES..(b + 1) * LANES);
+        let m3 = (blk[3], tag_at(tg, 3));
+        let m23 = tmin(track, blk[2], tag_at(tg, 2), m3.0, m3.1);
+        let m123 = tmin(track, blk[1], tag_at(tg, 1), m23.0, m23.1);
+        let m0123 = tmin(track, blk[0], tag_at(tg, 0), m123.0, m123.1);
+        for (i, m) in [(0, m0123), (1, m123), (2, m23), (3, m3)] {
+            let (v, t) = tmin(track, m.0, m.1, carry, carry_tag);
+            blk[i] = v;
+            set_tag(tg, i, t);
+        }
+        (carry, carry_tag) = (blk[0], tag_at(tg, 0));
     }
 }
 
@@ -302,17 +565,27 @@ fn argmin_candidates(values: &[f64], min_v: f64, total_of: impl Fn(usize) -> u64
 // Stride-1 row primitives (the vectorized dimension pass).
 // ---------------------------------------------------------------------------
 
+/// Values beside their tags: one row of a tagged transform pass.
+type Row<'r, T> = (&'r [f64], &'r [T]);
+
 /// `dst[i] = min(a[i], b[i])` — the suffix-row recurrence of the
 /// row-vectorized transform (`suffix_row[k] = min(suffix_row[k+1],
 /// prev_row[k])` one contiguous row at a time).
 ///
-/// # Panics
-/// Panics (via debug assertions) if the slices differ in length.
-pub fn row_min_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = fmin(x, y);
+#[inline]
+pub(crate) fn row_min_into<K: Track>(
+    track: K,
+    (dst, dst_tags): (&mut [f64], &mut [K::Tag]),
+    (a, a_tags): Row<'_, K::Tag>,
+    (b, b_tags): Row<'_, K::Tag>,
+) {
+    let n = dst.len();
+    let (dst_tags, a_tags, b_tags) =
+        (tags_in_mut(dst_tags, 0..n), tags_in(a_tags, 0..n), tags_in(b_tags, 0..n));
+    for (i, ((d, &x), &y)) in dst.iter_mut().zip(a).zip(b).enumerate() {
+        let (v, t) = tmin(track, x, tag_at(a_tags, i), y, tag_at(b_tags, i));
+        *d = v;
+        set_tag(dst_tags, i, t);
     }
 }
 
@@ -320,26 +593,39 @@ pub fn row_min_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
 /// one contiguous row at a time. With `shift = −(β·old_level)` this is
 /// bit-identical to the scalar `prev − β·old` candidate (IEEE subtraction
 /// is addition of the negation).
-///
-/// # Panics
-/// Panics (via debug assertions) if the slices differ in length.
-pub fn row_shift_min_inplace(acc: &mut [f64], src: &[f64], shift: f64) {
-    debug_assert_eq!(acc.len(), src.len());
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a = fmin(*a, s + shift);
+#[inline]
+pub(crate) fn row_shift_min_inplace<K: Track>(
+    track: K,
+    (acc, acc_tags): (&mut [f64], &mut [K::Tag]),
+    (src, src_tags): Row<'_, K::Tag>,
+    shift: f64,
+) {
+    let n = acc.len();
+    let (acc_tags, src_tags) = (tags_in_mut(acc_tags, 0..n), tags_in(src_tags, 0..n));
+    for (i, (a, &s)) in acc.iter_mut().zip(src).enumerate() {
+        let (v, t) = tmin(track, *a, tag_at(acc_tags, i), s + shift, tag_at(src_tags, i));
+        *a = v;
+        set_tag(acc_tags, i, t);
     }
 }
 
 /// `out[i] = min(stay[i], up_shift + up[i])` — the output merge of the
 /// row-vectorized transform, with `up_shift = β·new_level`.
-///
-/// # Panics
-/// Panics (via debug assertions) if the slices differ in length.
-pub fn row_combine_min_into(out: &mut [f64], stay: &[f64], up: &[f64], up_shift: f64) {
-    debug_assert_eq!(out.len(), stay.len());
-    debug_assert_eq!(out.len(), up.len());
-    for ((o, &s), &u) in out.iter_mut().zip(stay).zip(up) {
-        *o = fmin(s, up_shift + u);
+#[inline]
+pub(crate) fn row_combine_min_into<K: Track>(
+    track: K,
+    (out, out_tags): (&mut [f64], &mut [K::Tag]),
+    (stay, stay_tags): Row<'_, K::Tag>,
+    (up, up_tags): Row<'_, K::Tag>,
+    up_shift: f64,
+) {
+    let n = out.len();
+    let (out_tags, stay_tags, up_tags) =
+        (tags_in_mut(out_tags, 0..n), tags_in(stay_tags, 0..n), tags_in(up_tags, 0..n));
+    for (i, ((o, &s), &u)) in out.iter_mut().zip(stay).zip(up).enumerate() {
+        let (v, t) = tmin(track, s, tag_at(stay_tags, i), up_shift + u, tag_at(up_tags, i));
+        *o = v;
+        set_tag(out_tags, i, t);
     }
 }
 

@@ -1,5 +1,5 @@
-//! The slot-batched pricing pipeline and checkpointed schedule recovery
-//! — the one path every offline solve runs.
+//! The slot-batched pricing pipeline and schedule recovery — the one
+//! path every offline solve runs.
 //!
 //! The solver is organized around the observation that `g_t(x)` does
 //! not depend on `OPT_{t−1}`:
@@ -15,18 +15,28 @@
 //!    solver prices through, with its one look-up / price / retain miss
 //!    path.
 //! 2. **Recurrence** — `OPT_t = arrival_transform(OPT_{t−1}) + G_t` is a
-//!    cheap, transform-only sequential pass.
-//! 3. **Checkpointed recovery** — instead of materializing all `T`
-//!    tables, the forward pass keeps `⌈T/k⌉` checkpoint tables with
-//!    `k = ⌈√T⌉` and backtracking replays one `k`-slot segment at a
-//!    time: peak table memory is `O(|grid|·√T)` (checkpoints + one
-//!    replayed segment + its pricing batch), which
-//!    [`RecoveryStats::peak_live_tables`] makes observable.
+//!    cheap, transform-only sequential pass. It keeps each `k`-slot
+//!    segment's entry table (`k = ⌈√T⌉` checkpoints) and, when pointers
+//!    are recorded, runs the certified transform: for every slot `t ≥ 1`
+//!    and every cell of its grid, the flat index of the `grid_{t−1}`
+//!    cell the minimum came from (2 bytes on source grids up to 65,536
+//!    cells, 4 beyond) and a certificate bit (see [`crate::kernels`]).
+//! 3. **Recovery** — from the cheapest cell of the last table, follow
+//!    the pointers back while their bits are set; where a bit is clear
+//!    (or no pointers were recorded), replay the slot's segment from its
+//!    checkpoint and select predecessors with the DP's `TieMin`
+//!    tie-break ([`crate::dp`]'s `backtrack_segment`). A set bit names
+//!    exactly the cell `TieMin` would pick, so both routes recover the
+//!    same schedule, bit for bit.
+//!
+//! [`crate::dp::RecoveryMode::Auto`] records pointers whenever they fit
+//! [`AUTO_POINTER_BUDGET_BYTES`], so a solve prices each slot once and
+//! holds `O(|grid|·√T)` tables plus the pointers; beyond the budget it
+//! records none and replays every segment: `O(|grid|·√T)` memory, about
+//! one extra pricing pass. [`RecoveryStats`] makes both observable.
 //!
 //! Replayed segments are bit-identical to the forward pass (pricing is
-//! per-table deterministic and pooled tables are reused verbatim), and
-//! every selection step shares the DP's `TieMin` epsilon tie-break, so
-//! the recovered schedule equals the whole-window backtrack's — the
+//! per-table deterministic and pooled tables are reused verbatim) — the
 //! determinism tests assert this across thread counts and recovery
 //! modes.
 
@@ -38,17 +48,30 @@ use std::sync::{Arc, Mutex};
 
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
-use crate::dp::{backtrack_segment, betas, DpOptions, DpResult};
+use crate::dp::{backtrack_segment, betas, DpOptions, DpResult, RecoveryMode};
 use crate::engine::{CursorBuffers, Miss, PricedSlot, PricedSlotPool, SlotRequest};
+use crate::grid::{decode_counts, GridMode};
+use crate::kernels::{Certificate, TieOrder, CERTIFIED};
 use crate::table::Table;
-use crate::transform::{arrival_transform_inplace, TransformScratch};
+use crate::transform::{
+    arrival_transform_certified_inplace, arrival_transform_inplace, TransformScratch,
+};
 
-/// Memory accounting of a checkpointed solve, for tests and reports.
+/// Pointer-memory budget of [`crate::dp::RecoveryMode::Auto`]: a solve
+/// records backtrack pointers when they fit (and then prices each slot
+/// once), and otherwise replays every `√T` segment from its checkpoint.
+/// 128 MiB holds the pointers of every bench scenario that recovered in
+/// one pass with `f64` tables, the largest being `64 × 274,625` 4-byte
+/// pointers (about 72 MB, where its tables took 140 MB).
+pub const AUTO_POINTER_BUDGET_BYTES: u64 = 128 << 20;
+
+/// Work and memory accounting of a solve, for tests and reports.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryStats {
     /// Horizon `T` of the solved instance.
     pub horizon: usize,
-    /// Segment length `k = ⌈√T⌉`.
+    /// Segment length `k`: `⌈√T⌉`, or `T` under
+    /// [`crate::dp::RecoveryMode::Materialized`].
     pub segment_len: usize,
     /// Checkpoint tables kept by the forward pass (`⌈T/k⌉`).
     pub checkpoints: usize,
@@ -58,6 +81,89 @@ pub struct RecoveryStats {
     pub peak_live_tables: usize,
     /// Distinct pricing tables retained for time-independent reuse.
     pub pooled_pricing_tables: usize,
+    /// Pricing sweeps the solve ran, forward pass and replays together
+    /// (slots answered by the pool are not priced again).
+    pub priced_slots: usize,
+    /// Segments recovery replayed: where a traversed pointer was not
+    /// certified, or none were recorded.
+    pub replayed_segments: usize,
+}
+
+/// Backtrack pointers of a forward pass: for every recorded slot `t ≥ 1`
+/// and every cell of its grid, the flat index of the `grid_{t−1}` cell
+/// the arrival transform's minimum came from, and its certificate bit.
+struct PointerLog {
+    /// `u16` indices when every grid has at most 65,536 cells.
+    index: PointerIndex,
+    /// One certificate bit per recorded cell.
+    certified: Vec<u64>,
+    /// Start of slot `t`'s cells, for `t = 1 ..= T` (slot `T` is the end).
+    starts: Vec<usize>,
+}
+
+enum PointerIndex {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl PointerLog {
+    /// Room for `cells` pointers of the given width, allocated once.
+    fn with_capacity(cells: usize, narrow: bool) -> Self {
+        let index = if narrow {
+            PointerIndex::Narrow(Vec::with_capacity(cells))
+        } else {
+            PointerIndex::Wide(Vec::with_capacity(cells))
+        };
+        Self { index, certified: Vec::with_capacity(cells.div_ceil(64)), starts: vec![0] }
+    }
+
+    /// Bytes of `cells` pointers of the given width, with their bits.
+    fn bytes(cells: usize, narrow: bool) -> u64 {
+        let width = if narrow { 2 } else { 4 };
+        (cells as u64).saturating_mul(width).saturating_add(cells.div_ceil(64) as u64 * 8)
+    }
+
+    /// Append the next slot's origins (the certified transform's tags).
+    fn push(&mut self, origins: &[u32]) {
+        let base = *self.starts.last().expect("starts holds slot 1's start");
+        #[allow(clippy::cast_possible_truncation)]
+        match &mut self.index {
+            PointerIndex::Narrow(v) => v.extend(origins.iter().map(|&o| (o & !CERTIFIED) as u16)),
+            PointerIndex::Wide(v) => v.extend(origins.iter().map(|&o| o & !CERTIFIED)),
+        }
+        self.certified.resize((base + origins.len()).div_ceil(64), 0);
+        for (i, &o) in origins.iter().enumerate() {
+            if o & CERTIFIED != 0 {
+                let c = base + i;
+                self.certified[c / 64] |= 1 << (c % 64);
+            }
+        }
+        self.starts.push(base + origins.len());
+    }
+
+    /// The certified predecessor of cell `idx` of slot `t ≥ 1`: `None`
+    /// when its bit is clear.
+    fn certified(&self, t: usize, idx: usize) -> Option<usize> {
+        let c = self.starts[t - 1] + idx;
+        debug_assert!(c < self.starts[t]);
+        if self.certified[c / 64] & (1 << (c % 64)) == 0 {
+            return None;
+        }
+        Some(match &self.index {
+            PointerIndex::Narrow(v) => usize::from(v[c]),
+            PointerIndex::Wide(v) => v[c] as usize,
+        })
+    }
+}
+
+/// Where a run of recurrence steps leaves its trail.
+enum Trail<'r> {
+    /// Nothing: the forward pass without pointers.
+    None,
+    /// Every slot's `OPT` table (recovery replays).
+    Tables(&'r mut Vec<Table>),
+    /// Every slot's backtrack pointers (the forward pass).
+    Pointers(&'r mut PointerLog),
 }
 
 /// The solver engine: advances `OPT` tables across slot ranges, pricing
@@ -86,6 +192,29 @@ struct Engine<'a, O> {
     /// Transform scratch (suffix buffer + row-vectorized block), shared
     /// by every recurrence step of the solve.
     scratch: TransformScratch,
+    /// The certified transform's origins and their ping-pong partner,
+    /// with the scratch that carries them.
+    origins: (Vec<u32>, Vec<u32>),
+    certified_scratch: TransformScratch<u32>,
+    /// `TieMin`'s order over the certified step's source grid.
+    tie_order: TieOrder,
+    /// Pricing sweeps run so far.
+    priced: usize,
+}
+
+/// Slot `t`'s candidate grid, borrowed when it is hoisted.
+fn slot_levels<'l>(
+    hoisted: &'l Option<Vec<Vec<u32>>>,
+    instance: &Instance,
+    grid: GridMode,
+    t: usize,
+) -> Cow<'l, [Vec<u32>]> {
+    match hoisted {
+        Some(levels) => Cow::Borrowed(&levels[..]),
+        None => {
+            (0..instance.num_types()).map(|j| grid.levels(instance.server_count(t, j))).collect()
+        }
+    }
 }
 
 /// A batch slot the pool missed: the slot, its grid and the miss it is
@@ -119,7 +248,44 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
             peak_live: 0,
             spare: Table::origin(instance.num_types()),
             scratch: TransformScratch::new(),
+            origins: (Vec::new(), Vec::new()),
+            certified_scratch: TransformScratch::default(),
+            tie_order: TieOrder::default(),
+            priced: 0,
         }
+    }
+
+    /// Slot `t`'s candidate grid.
+    fn levels(&self, t: usize) -> Cow<'_, [Vec<u32>]> {
+        slot_levels(&self.invariant_levels, self.instance, self.options.grid, t)
+    }
+
+    /// The pointer log the recovery policy asks for, with room for every
+    /// slot `t ≥ 1` reserved up front: always under
+    /// [`RecoveryMode::Materialized`], never under
+    /// [`RecoveryMode::Checkpointed`], and under [`RecoveryMode::Auto`]
+    /// when the pointers fit [`AUTO_POINTER_BUDGET_BYTES`].
+    fn pointer_log(&self) -> Option<PointerLog> {
+        let horizon = self.instance.horizon();
+        let cells = |t: usize| self.levels(t).iter().map(Vec::len).product::<usize>();
+        let (recorded, widest) = if self.invariant_levels.is_some() {
+            (cells(0) * (horizon - 1), cells(0))
+        } else {
+            ((1..horizon).map(cells).sum(), (0..horizon).map(cells).max().unwrap_or(1))
+        };
+        let narrow = widest <= 1 << 16;
+        let record = match self.options.recovery {
+            RecoveryMode::Materialized => true,
+            RecoveryMode::Checkpointed => false,
+            RecoveryMode::Auto => PointerLog::bytes(recorded, narrow) <= AUTO_POINTER_BUDGET_BYTES,
+        };
+        record.then(|| PointerLog::with_capacity(recorded, narrow))
+    }
+
+    /// The configuration of cell `idx` of slot `t`'s grid.
+    fn config_at(&self, t: usize, idx: usize, counts: &mut Vec<u32>) -> Config {
+        decode_counts(&self.levels(t), idx, counts);
+        Config::new(counts.clone())
     }
 
     /// Record a live-table high-water mark.
@@ -145,13 +311,7 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         let mut batch_keys = HashMap::new();
         let mut cells = 0;
         for t in range {
-            // The candidate grid, borrowed when it is hoisted.
-            let levels = match &self.invariant_levels {
-                Some(levels) => Cow::Borrowed(&levels[..]),
-                None => (0..instance.num_types())
-                    .map(|j| self.options.grid.levels(instance.server_count(t, j)))
-                    .collect(),
-            };
+            let levels = slot_levels(&self.invariant_levels, instance, self.options.grid, t);
             let req = SlotRequest { t, lambda: instance.load(t), levels: &levels, bands: None };
             let key = self.pool.as_ref().and_then(|pool| pool.key(instance, &req));
             if let Some(&i) = key.and_then(|k| batch_keys.get(&k)) {
@@ -172,6 +332,7 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
 
         let jobs: Vec<Mutex<&mut Job<'_>>> =
             found.iter_mut().filter_map(|f| f.as_mut().err()).map(Mutex::new).collect();
+        self.priced += jobs.len();
         let price = |job: &mut Job<'_>, cursor: &mut CursorBuffers| {
             let (t, levels) = (job.t, &job.levels);
             let req = SlotRequest { t, lambda: instance.load(t), levels, bands: None };
@@ -212,38 +373,63 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     /// One recurrence step, in place: arrival transform onto the pricing
     /// table's grid (ping-ponging through the engine's spare table), then
     /// fold in `g_t` via [`crate::kernels::axpy_fold`] at scale 1 — cells
-    /// priced infeasible become infinite. Zero heap
+    /// priced infeasible become infinite. With `log`, the transform is the
+    /// certified one and the slot's pointers are appended to it. Zero heap
     /// allocation once the engine's buffers reach the grid's high-water
-    /// mark.
-    fn recurrence_step(&mut self, prev: &mut Table, pricing: &Table) {
-        arrival_transform_inplace(
-            prev,
-            &mut self.spare,
-            pricing.all_levels(),
-            &self.betas,
-            &mut self.scratch,
-        );
+    /// mark (and the log its reserved size).
+    fn recurrence_step(&mut self, prev: &mut Table, pricing: &Table, log: Option<&mut PointerLog>) {
+        let levels = pricing.all_levels();
+        if let Some(log) = log {
+            let certificate =
+                Certificate::new(prev.values(), prev.all_levels(), levels, &self.betas);
+            let order = self.tie_order.for_grid(prev.all_levels());
+            let (origins, spare_origins) = &mut self.origins;
+            arrival_transform_certified_inplace(
+                (prev, origins),
+                (&mut self.spare, spare_origins),
+                levels,
+                &self.betas,
+                (certificate, order),
+                &mut self.certified_scratch,
+            );
+            log.push(origins);
+        } else {
+            arrival_transform_inplace(
+                prev,
+                &mut self.spare,
+                levels,
+                &self.betas,
+                &mut self.scratch,
+            );
+        }
         crate::kernels::axpy_fold(prev.values_mut(), pricing.values(), 1.0);
     }
 
-    /// Advance `prev` across `range`, optionally materializing every
-    /// slot's `OPT` table into `out` (recovery replays). `base_live` is
-    /// the number of tables the caller already holds, for peak
-    /// accounting.
+    /// Advance `prev` across `range`, leaving `trail` behind: nothing,
+    /// every slot's `OPT` table (recovery replays) or every slot's
+    /// pointers (slot 0, whose only predecessor is the origin, records
+    /// none). `base_live` is the number of tables the caller already
+    /// holds, for peak accounting.
     fn run(
         &mut self,
         mut prev: Table,
         range: Range<usize>,
-        mut out: Option<&mut Vec<Table>>,
+        mut trail: Trail<'_>,
         base_live: usize,
     ) -> Table {
+        let start = range.start;
         let (tables, order) = self.price_batch(range);
         // Batch-owned: the tables no pool holds.
         let owned = tables.iter().filter(|t| Arc::strong_count(t) == 1).count();
         self.note_live(base_live + owned + 1);
-        for &i in &order {
-            self.recurrence_step(&mut prev, &tables[i]);
-            if let Some(out) = out.as_deref_mut() {
+        for (t, &i) in (start..).zip(&order) {
+            match &mut trail {
+                Trail::Pointers(log) if t > 0 => {
+                    self.recurrence_step(&mut prev, &tables[i], Some(&mut **log));
+                }
+                _ => self.recurrence_step(&mut prev, &tables[i], None),
+            }
+            if let Trail::Tables(out) = &mut trail {
                 out.push(prev.clone());
                 self.note_live(base_live + owned + out.len() + 1);
             }
@@ -252,51 +438,13 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     }
 }
 
-/// Under [`crate::dp::RecoveryMode::Auto`], horizons up to this length
-/// skip checkpointing and materialize all `OPT` tables directly:
-/// recovery replay re-prices every slot (2× dispatch work when nothing
-/// caches it), which is only worth paying once `O(|grid|·T)` table
-/// memory actually bites. An explicit [`crate::dp::RecoveryMode`]
-/// overrides this cutoff in either direction.
-pub const CHECKPOINT_MIN_HORIZON: usize = 257;
-
-/// Table-memory budget under which [`crate::dp::RecoveryMode::Auto`]
-/// materializes even beyond [`CHECKPOINT_MIN_HORIZON`] when **nothing
-/// would make the recovery replay cheap** — the instance's costs are
-/// time-dependent (so the pipeline's `(λ, grid)` pricing pool cannot
-/// share slots) *and* the oracle does not memoize
-/// ([`GtOracle::is_memoizing`]). In that corner, checkpointing would pay
-/// the full pricing twice; detecting the non-poolable combination up
-/// front materializes instead.
-pub const AUTO_MATERIALIZE_BUDGET_BYTES: u64 = 64 << 20;
-
-/// `true` if the Auto policy should materialize the whole horizon for
-/// this solve: short horizon, or a non-poolable slot stream (see
-/// [`AUTO_MATERIALIZE_BUDGET_BYTES`]) whose tables fit the budget.
-fn auto_materializes(
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    options: DpOptions,
-) -> bool {
-    let horizon = instance.horizon();
-    if horizon < CHECKPOINT_MIN_HORIZON {
-        return true;
-    }
-    if instance.is_time_independent() || oracle.is_memoizing() {
-        return false;
-    }
-    let max_counts = instance.max_counts();
-    let cells: u64 = (0..instance.num_types())
-        .map(|j| options.grid.levels(max_counts[j]).len() as u64)
-        .product();
-    cells.saturating_mul(horizon as u64).saturating_mul(8) <= AUTO_MATERIALIZE_BUDGET_BYTES
-}
-
-/// Checkpointed offline solve: forward pass storing `√T` checkpoints,
-/// recovery replaying one segment at a time (horizons below
-/// [`CHECKPOINT_MIN_HORIZON`] materialize a single full segment with no
-/// replay, exactly the classic forward-tables backtrack). The entry
-/// point behind [`crate::dp::solve`] and [`crate::dp::solve_with_stats`].
+/// The offline solve: a forward pass that keeps each `k`-slot segment's
+/// entry table and, when the recovery policy records them, every slot's
+/// backtrack pointers; then recovery from the last table's cheapest cell,
+/// following certified pointers and replaying a segment from its
+/// checkpoint only where a pointer is not certified or none was recorded
+/// (see the module docs). The entry point behind [`crate::dp::solve`]
+/// and [`crate::dp::solve_with_stats`].
 ///
 /// # Panics
 /// Panics on an empty horizon or an infeasible instance (neither can
@@ -309,61 +457,69 @@ pub fn solve_checkpointed(
 ) -> (DpResult, RecoveryStats) {
     let horizon = instance.horizon();
     assert!(horizon > 0, "cannot solve an empty horizon");
-    let materialize = match options.recovery {
-        crate::dp::RecoveryMode::Materialized => true,
-        crate::dp::RecoveryMode::Checkpointed => false,
-        crate::dp::RecoveryMode::Auto => auto_materializes(instance, oracle, options),
-    };
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let k = if materialize { horizon } else { ((horizon as f64).sqrt().ceil() as usize).max(1) };
+    let k = match options.recovery {
+        RecoveryMode::Materialized => horizon,
+        _ => ((horizon as f64).sqrt().ceil() as usize).max(1),
+    };
     let segments: Vec<Range<usize>> =
         (0..horizon.div_ceil(k)).map(|s| s * k..((s + 1) * k).min(horizon)).collect();
 
     let mut engine = Engine::new(instance, oracle, options, k);
+    let mut log = engine.pointer_log();
 
-    // Forward: keep only each segment's *entry* table. The final
-    // segment is never advanced here — recovery replays it first, so
-    // running it forward would only duplicate its pricing work.
+    // Forward: keep each segment's entry table (and the pointers).
     let mut entries: Vec<Table> = Vec::with_capacity(segments.len());
     let mut prev = Table::origin(instance.num_types());
-    for (s, seg) in segments.iter().enumerate() {
+    for seg in &segments {
         entries.push(prev.clone());
-        if s + 1 == segments.len() {
-            break;
-        }
-        let base = entries.len();
-        prev = engine.run(prev, seg.clone(), None, base);
+        let trail = log.as_mut().map_or(Trail::None, Trail::Pointers);
+        prev = engine.run(prev, seg.clone(), trail, entries.len());
     }
-    drop(prev);
     let checkpoints = entries.len();
+    let last = prev.argmin().expect("instance validated as feasible, so OPT_T has a finite cell");
+    let cost = prev.values()[last];
+    drop(prev);
 
-    // Recovery: replay segments back to front, threading the chosen
-    // successor configuration across segment boundaries.
-    let mut successor: Option<Config> = None;
-    let mut cost = f64::INFINITY;
-    let mut rev_segments: Vec<Vec<Config>> = Vec::with_capacity(segments.len());
-    for seg in segments.iter().rev() {
-        let entry = entries.pop().expect("one entry per segment");
-        let mut tables: Vec<Table> = Vec::with_capacity(seg.len());
-        engine.run(entry, seg.clone(), Some(&mut tables), entries.len() + 1);
-        let (seg_cost, configs) = backtrack_segment(instance, &tables, successor.as_ref());
-        if let Some(c) = seg_cost {
-            cost = c;
+    // Recovery, back to front: `rev` holds the configurations of slots
+    // T−1, T−2, … and `(t, idx)` the earliest one's slot and cell.
+    let mut counts = Vec::new();
+    let mut rev: Vec<Config> = Vec::with_capacity(horizon);
+    let (mut t, mut idx) = (horizon - 1, last);
+    rev.push(engine.config_at(t, idx, &mut counts));
+    let mut replayed_segments = 0;
+    while t > 0 {
+        if let Some(p) = log.as_ref().and_then(|log| log.certified(t, idx)) {
+            (t, idx) = (t - 1, p);
+            rev.push(engine.config_at(t, idx, &mut counts));
+            continue;
         }
-        successor = Some(configs[0].clone());
-        rev_segments.push(configs);
+        // Replay the segment holding slot t − 1, up to that slot, and
+        // select its predecessors with the backtrack's tie-break.
+        let s = (t - 1) / k;
+        entries.truncate(s + 1);
+        let entry = entries.pop().expect("one entry per segment");
+        let mut tables: Vec<Table> = Vec::with_capacity(t - s * k);
+        engine.run(entry, s * k..t, Trail::Tables(&mut tables), entries.len() + 1);
+        replayed_segments += 1;
+        let (_, configs) = backtrack_segment(instance, &tables, rev.last());
+        idx = tables[0].index_of_config(&configs[0]).expect("a selected cell is on its grid");
+        rev.extend(configs.into_iter().rev());
+        t = s * k;
     }
 
-    let configs: Vec<Config> = rev_segments.into_iter().rev().flatten().collect();
-    debug_assert_eq!(configs.len(), horizon);
+    rev.reverse();
+    debug_assert_eq!(rev.len(), horizon);
     let stats = RecoveryStats {
         horizon,
         segment_len: k,
         checkpoints,
         peak_live_tables: engine.peak_live,
         pooled_pricing_tables: engine.pool.as_ref().map_or(0, |p| p.stats().pooled_slots),
+        priced_slots: engine.priced,
+        replayed_segments,
     };
-    (DpResult { cost, schedule: Schedule::new(configs) }, stats)
+    (DpResult { cost, schedule: Schedule::new(rev) }, stats)
 }
 
 /// Optimal cost only — rolling recurrence, no checkpoints, no recovery.
@@ -380,7 +536,7 @@ pub fn cost_only(instance: &Instance, oracle: &(impl GtOracle + Sync), options: 
     let mut t = 0;
     while t < horizon {
         let end = (t + k).min(horizon);
-        prev = engine.run(prev, t..end, None, 1);
+        prev = engine.run(prev, t..end, Trail::None, 1);
         t = end;
     }
     prev.min_value()
@@ -512,16 +668,82 @@ mod tests {
 
     #[test]
     fn short_horizons_skip_checkpointing() {
-        // Below CHECKPOINT_MIN_HORIZON the solver materializes one full
-        // segment and never replays: every slot is priced exactly once.
+        // Auto records backtrack pointers beside its √T checkpoints and
+        // never replays: every slot is priced exactly once.
         let inst = time_dependent_instance(29);
         let oracle = SweepCounter::default();
         let (res, stats) = solve_with_stats(&inst, &oracle, opts());
-        assert_eq!(stats.segment_len, 29);
-        assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.segment_len, 6, "⌈√29⌉");
+        assert_eq!(stats.checkpoints, 5);
         assert_eq!(oracle.sweeps.load(Ordering::Relaxed), 29, "one pricing sweep per slot");
         let graph = crate::graph::solve(&inst, &Dispatcher::new(), crate::GridMode::Full);
         assert_eq!(graph.schedule, res.schedule);
+    }
+
+    /// `three_tier(4, 4, 2)` under two days of a noisy work-week: the
+    /// offline planner's workload at test size, whose loads never repeat.
+    fn noisy_three_tier(horizon: usize) -> Instance {
+        use rsz_workloads::{fleet, patterns, stochastic};
+        let types = fleet::three_tier(4, 4, 2);
+        let cap = fleet::total_capacity(&types);
+        let week = patterns::work_week(2, horizon / 2, 0.1 * cap, 0.6 * cap, 0.6);
+        let noisy = stochastic::with_gaussian_noise(&week, 0.01 * cap, 1).capped(cap);
+        Instance::builder()
+            .server_types(types)
+            .loads(noisy.into_values().into_iter().map(|v| v.max(0.0)).collect::<Vec<f64>>())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn certified_pointers_price_each_noisy_slot_once() {
+        let inst = noisy_three_tier(200);
+        let oracle = Dispatcher::new();
+        let (auto, stats) = solve_with_stats(&inst, &oracle, opts());
+        assert_eq!(stats.priced_slots, 200, "one pricing per slot");
+        assert_eq!(stats.replayed_segments, 0, "every traversed pointer is certified");
+        let (chk, chk_stats) = solve_with_stats(
+            &inst,
+            &oracle,
+            DpOptions { recovery: RecoveryMode::Checkpointed, ..opts() },
+        );
+        assert_eq!(chk_stats.replayed_segments, chk_stats.checkpoints, "every segment replays");
+        assert_eq!(auto.schedule, chk.schedule);
+        assert_eq!(auto.cost.to_bits(), chk.cost.to_bits());
+    }
+
+    /// Two interchangeable types with constant costs, the second dearer
+    /// by `premium`: from one server of either type, the other type's
+    /// server is an equally cheap predecessor up to the premium.
+    fn twin_types(premium: f64) -> Instance {
+        let loads: Vec<f64> = (0..40).map(|t| f64::from([1, 2, 1, 0, 2, 3, 1][t % 7])).collect();
+        Instance::builder()
+            .server_type(ServerType::new("a", 2, 2.0, 1.0, CostModel::constant(1.0)))
+            .server_type(ServerType::new("b", 2, 2.0, 1.0, CostModel::constant(1.0 + premium)))
+            .loads(loads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn near_ties_replay_their_segment() {
+        // Exact ties are certified as TieMin's own (total, index) choice;
+        // a near-tie inside the margin is not, and replays its segment.
+        let oracle = Dispatcher::new();
+        for (premium, replays) in [(0.0, false), (1e-12, true)] {
+            let inst = twin_types(premium);
+            let (auto, stats) = solve_with_stats(&inst, &oracle, opts());
+            assert_eq!(stats.replayed_segments > 0, replays, "premium {premium}");
+            let (chk, _) = solve_with_stats(
+                &inst,
+                &oracle,
+                DpOptions { recovery: RecoveryMode::Checkpointed, ..opts() },
+            );
+            assert_eq!(auto.schedule, chk.schedule, "premium {premium}");
+            assert_eq!(auto.cost.to_bits(), chk.cost.to_bits(), "premium {premium}");
+            let graph = crate::graph::solve(&inst, &oracle, crate::GridMode::Full);
+            assert_eq!(graph.schedule, auto.schedule, "premium {premium}");
+        }
     }
 
     #[test]

@@ -37,26 +37,31 @@
 //! this virtual transpose runs through and memoizes its layout tag, so
 //! steady-state passes with unchanged shapes never touch the allocator.
 
-use crate::kernels;
+use crate::kernels::{self, reset_tags, set_tag, tag_at, tags_in, tags_in_mut};
+use crate::kernels::{Certificate, Certify, TieOrder, Track, CERTIFIED};
 use crate::table::Table;
 
 /// Reusable scratch for the transform passes: the per-line suffix-minima
 /// buffer (innermost dimension), and the suffix-row block plus power-up
-/// row backing the row-vectorized outer-dimension passes.
+/// row backing the row-vectorized outer-dimension passes, each with its
+/// tags beside it (zero-sized for the value-only transform, `T = ()`).
 ///
 /// The block's `(rows, width)` layout tag is memoized, so repeated passes
 /// over unchanged shapes skip re-planning entirely, and all buffers reuse
 /// capacity: once warmed to a shape's high-water mark, transforms perform
 /// zero heap allocation — the steady state of the online engine's
-/// [`crate::PrefixDp`] and of the pipeline's checkpoint replay.
+/// [`crate::PrefixDp`] and of the pipeline's forward pass.
 #[derive(Clone, Debug, Default)]
-pub struct TransformScratch {
+pub struct TransformScratch<T = ()> {
     /// Suffix minima of one line (`n_old + 1` with the `+∞` sentinel).
     suffix: Vec<f64>,
+    suffix_tags: Vec<T>,
     /// `(n_old + 1) × stride` suffix rows of the current outer block.
     block: Vec<f64>,
+    block_tags: Vec<T>,
     /// Running power-up minima, one per line of the current outer block.
     best_up: Vec<f64>,
+    best_up_tags: Vec<T>,
     /// Layout tag `(rows, width)` the block is currently shaped for.
     tag: Option<(usize, usize)>,
 }
@@ -67,13 +72,17 @@ impl TransformScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T: Copy + Default> TransformScratch<T> {
     /// Shape the suffix-row block for `rows × width`, skipping the work
     /// when the memoized layout tag already matches.
     fn ensure_rows(&mut self, rows: usize, width: usize) {
         if self.tag != Some((rows, width)) {
             self.block.resize(rows * width, f64::INFINITY);
+            reset_tags(&mut self.block_tags, rows * width);
             self.best_up.resize(width, f64::INFINITY);
+            reset_tags(&mut self.best_up_tags, width);
             self.tag = Some((rows, width));
         }
     }
@@ -97,9 +106,23 @@ pub fn transform_dim_into(
     beta: f64,
     scratch: &mut TransformScratch,
 ) {
+    transform_dim_tagged((), (table, &[]), (dst, &mut Vec::new()), (j, new_levels, beta), scratch);
+}
+
+/// [`transform_dim_into`] carrying a tag beside each cell through every
+/// selection (see [`kernels::Track`]); `dst_tags` is resized to `dst`.
+/// Zero-sized tags are never stored: their buffers stay empty.
+fn transform_dim_tagged<K: Track>(
+    track: K,
+    (table, tags): (&Table, &[K::Tag]),
+    (dst, dst_tags): (&mut Table, &mut Vec<K::Tag>),
+    (j, new_levels, beta): (usize, &[u32], f64),
+    scratch: &mut TransformScratch<K::Tag>,
+) {
     let d = table.dims();
     debug_assert!(j < d);
     dst.reset_shape(d, |jj| if jj == j { new_levels } else { table.levels(jj) }, f64::INFINITY);
+    reset_tags(dst_tags, dst.len());
     let old_stride = table.stride(j);
     let new_stride = dst.stride(j);
     let n_old = table.levels(j).len();
@@ -114,26 +137,35 @@ pub fn transform_dim_into(
     if old_stride == 1 {
         // Innermost dimension: lines are contiguous already.
         debug_assert_eq!(new_stride, 1);
-        let suffix = &mut scratch.suffix;
-        for (in_line, out_line) in in_vals.chunks_exact(n_old).zip(out_vals.chunks_exact_mut(n_new))
+        let TransformScratch { suffix, suffix_tags, .. } = scratch;
+        for (line, (in_line, out_line)) in
+            in_vals.chunks_exact(n_old).zip(out_vals.chunks_exact_mut(n_new)).enumerate()
         {
+            let in_tags = tags_in(tags, line * n_old..(line + 1) * n_old);
+            let out_tags = tags_in_mut(dst_tags, line * n_new..(line + 1) * n_new);
             suffix.clear();
             suffix.extend_from_slice(in_line);
             suffix.push(f64::INFINITY);
-            kernels::suffix_min_inplace(suffix);
+            suffix_tags.clear();
+            suffix_tags.extend_from_slice(in_tags);
+            if !in_tags.is_empty() {
+                suffix_tags.push(K::Tag::default());
+            }
+            kernels::suffix_min_tagged(track, suffix, suffix_tags);
             let mut k = 0usize;
-            let mut best_up = f64::INFINITY;
+            let (mut best_up, mut best_tag) = (f64::INFINITY, K::Tag::default());
             for (i, &v) in new_levels.iter().enumerate() {
                 while k < n_old && old_levels[k] < v {
                     let c = in_line[k] - beta * f64::from(old_levels[k]);
-                    if c < best_up {
-                        best_up = c;
-                    }
+                    (best_up, best_tag) =
+                        kernels::tmin(track, best_up, best_tag, c, tag_at(in_tags, k));
                     k += 1;
                 }
-                let stay_or_down = suffix[k];
                 let up = beta * f64::from(v) + best_up;
-                out_line[i] = if up < stay_or_down { up } else { stay_or_down };
+                let stay = (suffix[k], tag_at(suffix_tags, k));
+                let (value, tag) = kernels::tmin(track, stay.0, stay.1, up, best_tag);
+                out_line[i] = value;
+                set_tag(out_tags, i, tag);
             }
         }
         return;
@@ -146,40 +178,47 @@ pub fn transform_dim_into(
     debug_assert_eq!(new_stride, old_stride);
     let s = old_stride;
     scratch.ensure_rows(n_old + 1, s);
-    let block = &mut scratch.block;
-    let best_up = &mut scratch.best_up;
+    let TransformScratch { block, block_tags, best_up, best_up_tags, .. } = scratch;
     // Row n_old is the +∞ sentinel every suffix recurrence starts from.
     block[n_old * s..].fill(f64::INFINITY);
+    block_tags.fill(K::Tag::default());
     for a in 0..outer_blocks {
         let in_base = a * n_old * s;
         let out_base = a * n_new * s;
+        let in_row = |k: usize| {
+            let r = in_base + k * s..in_base + (k + 1) * s;
+            (&in_vals[r.clone()], tags_in(tags, r))
+        };
         // Suffix rows: block[k] = min(block[k+1], in_row_k), elementwise.
         for k in (0..n_old).rev() {
             let (lo, hi) = block.split_at_mut((k + 1) * s);
+            let mid = ((k + 1) * s).min(block_tags.len());
+            let (lo_tags, hi_tags) = block_tags.split_at_mut(mid);
             kernels::row_min_into(
-                &mut lo[k * s..],
-                &hi[..s],
-                &in_vals[in_base + k * s..in_base + (k + 1) * s],
+                track,
+                (&mut lo[k * s..], tags_in_mut(lo_tags, k * s..(k + 1) * s)),
+                (&hi[..s], tags_in(hi_tags, 0..s)),
+                in_row(k),
             );
         }
         best_up.fill(f64::INFINITY);
+        best_up_tags.fill(K::Tag::default());
         let mut k = 0usize;
         for (i, &v) in new_levels.iter().enumerate() {
             while k < n_old && old_levels[k] < v {
                 // prev − β·old as prev + (−(β·old)): IEEE-identical.
                 let shift = -(beta * f64::from(old_levels[k]));
-                kernels::row_shift_min_inplace(
-                    best_up,
-                    &in_vals[in_base + k * s..in_base + (k + 1) * s],
-                    shift,
-                );
+                kernels::row_shift_min_inplace(track, (best_up, best_up_tags), in_row(k), shift);
                 k += 1;
             }
             let up_shift = beta * f64::from(v);
+            let out = out_base + i * s..out_base + (i + 1) * s;
+            let stay = k * s..(k + 1) * s;
             kernels::row_combine_min_into(
-                &mut out_vals[out_base + i * s..out_base + (i + 1) * s],
-                &block[k * s..(k + 1) * s],
-                best_up,
+                track,
+                (&mut out_vals[out.clone()], tags_in_mut(dst_tags, out)),
+                (&block[stay.clone()], tags_in(block_tags, stay)),
+                (best_up, best_up_tags),
                 up_shift,
             );
         }
@@ -248,13 +287,42 @@ pub fn arrival_transform_inplace(
     betas: &[f64],
     scratch: &mut TransformScratch,
 ) {
+    arrival_transform_tagged(
+        (),
+        (a, &mut Vec::new()),
+        (b, &mut Vec::new()),
+        new_levels,
+        betas,
+        scratch,
+    );
+}
+
+/// [`arrival_transform_inplace`] carrying a tag beside each cell:
+/// `a_tags` holds one tag per cell of `a` on entry and the transformed
+/// cells' tags on exit, with `b_tags` as its ping-pong partner (both stay
+/// empty for zero-sized tags).
+fn arrival_transform_tagged<K: Track>(
+    track: K,
+    (a, a_tags): (&mut Table, &mut Vec<K::Tag>),
+    (b, b_tags): (&mut Table, &mut Vec<K::Tag>),
+    new_levels: &[Vec<u32>],
+    betas: &[f64],
+    scratch: &mut TransformScratch<K::Tag>,
+) {
     let d = a.dims();
     debug_assert_eq!(new_levels.len(), d);
     debug_assert_eq!(betas.len(), d);
     {
-        let (mut src, mut dst) = (&mut *a, &mut *b);
+        let (mut src, mut dst) = ((&mut *a, &mut *a_tags), (&mut *b, &mut *b_tags));
         for j in 0..d {
-            transform_dim_into(src, dst, j, &new_levels[j], betas[j], scratch);
+            let pass = (j, new_levels[j].as_slice(), betas[j]);
+            transform_dim_tagged(
+                track,
+                (&*src.0, &src.1[..]),
+                (&mut *dst.0, &mut *dst.1),
+                pass,
+                scratch,
+            );
             std::mem::swap(&mut src, &mut dst);
         }
     }
@@ -263,7 +331,63 @@ pub fn arrival_transform_inplace(
     // contract without copying values.
     if d % 2 == 1 {
         std::mem::swap(a, b);
+        std::mem::swap(a_tags, b_tags);
     }
+}
+
+/// The pointer-recording arrival transform: [`arrival_transform_inplace`]
+/// (bit-identical values) that also leaves in `origins`, per cell of the
+/// transformed `a`, the flat index of the source cell its minimum came
+/// from, with [`CERTIFIED`] set when `certificate` vouches that the cell
+/// is the backtrack's `TieMin` pick (see [`crate::kernels`]). `order` is
+/// `TieMin`'s order over `a`'s grid on entry; `origins` and
+/// `spare_origins` are scratch.
+pub(crate) fn arrival_transform_certified_inplace(
+    (a, origins): (&mut Table, &mut Vec<u32>),
+    (b, spare_origins): (&mut Table, &mut Vec<u32>),
+    new_levels: &[Vec<u32>],
+    betas: &[f64],
+    (certificate, order): (Certificate, &TieOrder),
+    scratch: &mut TransformScratch<u32>,
+) {
+    assert!(a.len() <= CERTIFIED as usize, "source grid too large for a backtrack pointer");
+    debug_assert_eq!(order.rank.len(), a.len());
+    origins.clear();
+    origins.extend(order.rank.iter().map(|&r| r | CERTIFIED));
+    let track = Certify::new(certificate);
+    arrival_transform_tagged(track, (a, origins), (b, spare_origins), new_levels, betas, scratch);
+    for o in origins.iter_mut() {
+        *o = order.index[(*o & !CERTIFIED) as usize] | (*o & CERTIFIED);
+    }
+}
+
+/// [`arrival_transform`] returning, beside the transformed table, each
+/// cell's backtrack pointer: the flat index of the source cell its
+/// minimum came from and whether that pointer is certified — then it is
+/// exactly the cell the backtrack's `TieMin` selection picks for that
+/// target (see the certificate in [`crate::kernels`]).
+#[must_use]
+pub fn arrival_transform_certified(
+    table: &Table,
+    new_levels: &[Vec<u32>],
+    betas: &[f64],
+) -> (Table, Vec<(usize, bool)>) {
+    let certificate = Certificate::new(table.values(), table.all_levels(), new_levels, betas);
+    let (mut out, mut spare) = (table.clone(), Table::origin(table.dims()));
+    let (mut origins, mut spare_origins) = (Vec::new(), Vec::new());
+    let mut order = TieOrder::default();
+    order.for_grid(table.all_levels());
+    arrival_transform_certified_inplace(
+        (&mut out, &mut origins),
+        (&mut spare, &mut spare_origins),
+        new_levels,
+        betas,
+        (certificate, &order),
+        &mut TransformScratch::default(),
+    );
+    let pointers =
+        origins.iter().map(|&o| ((o & !CERTIFIED) as usize, o & CERTIFIED != 0)).collect();
+    (out, pointers)
 }
 
 /// Naive `O(|grid|²)` reference implementation of the arrival transform,
