@@ -1,8 +1,9 @@
 //! `dp_pipeline` — end-to-end offline-solve benchmark of the
 //! slot-batched pricing pipeline (layout-order slot sweeps through the
 //! breakpoint water-fill + time-independent slot de-duplication +
-//! recovery from certified backtrack pointers), the one path behind
-//! `dp::solve`.
+//! recovery from certified backtrack pointers where a replay would
+//! re-price, from pool-answered checkpoint replays where it would not),
+//! the one path behind `dp::solve`.
 //!
 //! Scenarios: the reference tiled-diurnal workload (d = 2,
 //! m = (40, 40), T = 2000), a bursty MMPP trace with few exact load

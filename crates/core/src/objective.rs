@@ -59,8 +59,8 @@ pub trait GtOracle {
     /// `true` if repeated queries for the same `(t, λ, x)` are answered
     /// from a memo (cache hits) rather than re-solved. The default is
     /// `false` (plain solvers); memoization wrappers override it. No
-    /// solver reads it any more: the offline recovery policy decides by
-    /// pointer bytes alone.
+    /// solver reads it: the offline recovery policy decides from the
+    /// instance and its own pricing pool.
     fn is_memoizing(&self) -> bool {
         false
     }

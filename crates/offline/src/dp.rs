@@ -49,8 +49,9 @@ pub struct DpOptions {
     pub threads: Option<usize>,
     /// How [`solve`] recovers the schedule: backtrack pointers recorded
     /// in the forward pass (one pricing pass, 2–4 bytes per cell and
-    /// slot) or `√T` checkpoints with segment replay (`O(|grid|·√T)`
-    /// memory, about one extra pricing pass).
+    /// slot), `√T` checkpoints with segment replay (`O(|grid|·√T)`
+    /// memory; the replay prices again what the pool does not hold) or
+    /// every slot's table (8 bytes per cell and slot).
     pub recovery: RecoveryMode,
     /// `Some`: route [`solve`] through the coarse-to-fine **corridor
     /// solver** ([`crate::refine`]) — a cheap `Γ(γ₀)` coarse solve
@@ -76,14 +77,16 @@ pub struct DpOptions {
 /// [`crate::pipeline`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
-    /// Record backtrack pointers beside `√T` checkpoints when they fit
+    /// Record backtrack pointers beside `√T` checkpoints when a replay
+    /// would price slots again (time-varying costs, or more distinct
+    /// slots than the pricing pool retains) and the pointers fit
     /// [`crate::pipeline::AUTO_POINTER_BUDGET_BYTES`] (each slot is then
-    /// priced once), and checkpoint without pointers beyond it.
+    /// priced once); otherwise checkpoint without pointers.
     #[default]
     Auto,
-    /// Always record pointers, over one segment (`k = T`): a pointer
-    /// that is not certified replays from slot 0, holding up to `T`
-    /// tables.
+    /// Keep every slot's `OPT` table and backtrack once: one value-only
+    /// forward pass, no pointers, no replay, `O(|grid|·T)` memory. The
+    /// reference the other policies are tested against.
     Materialized,
     /// Never record pointers: replay every `√T` segment from its
     /// checkpoint, whatever the horizon.
@@ -142,12 +145,13 @@ pub struct DpResult {
 /// schedule.
 ///
 /// The forward pass keeps `√T` checkpoint tables and, under the default
-/// [`RecoveryMode::Auto`], a certified backtrack pointer per cell and
-/// slot; recovery follows the pointers and replays a `√T`-slot segment
-/// only where one is not certified, so peak table memory is
-/// `O(|grid|·√T)` instead of `O(|grid|·T)` and each slot is priced once —
-/// see [`crate::pipeline`] and [`solve_with_stats`] for the observable
-/// accounting.
+/// [`RecoveryMode::Auto`] when a replay would price slots again, a
+/// certified backtrack pointer per cell and slot; recovery follows the
+/// pointers and replays a `√T`-slot segment only where one is not
+/// certified (or from the pricing pool, when it holds every slot), so
+/// peak table memory is `O(|grid|·√T)` instead of `O(|grid|·T)` and each
+/// slot is priced once — see [`crate::pipeline`] and
+/// [`solve_with_stats`] for the observable accounting.
 ///
 /// With [`DpOptions::refine`] set, the solve instead runs the
 /// coarse-to-fine corridor solver ([`crate::refine::solve_refined`]) —

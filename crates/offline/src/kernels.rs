@@ -66,24 +66,30 @@
 //!
 //! The forward pass that records backtrack pointers runs the arrival
 //! transform with a tag beside each value (the `Track` parameter of the
-//! suffix and row kernels below): the source cell the value came from
-//! and a **certificate bit**. Each slot has a candidate-value bound
+//! suffix and row kernels below): the source cell the value came from,
+//! as its rank in `TieMin`'s preference order (smaller total server
+//! count, then smaller flat index), or `UNCERTIFIED` — a **certificate
+//! bit** folded into the tag. Each slot has a candidate-value bound
 //! `B = max finite |OPT_{t−1}| + Σ_j β_j·max level_j` (over the source
 //! and target grids), a rounding slack `s = 8(d+1)·ε·B` and a margin
-//! `M = TIE_EPS·max(B, 1) + 2s` ([`Certificate`]). Every selection
+//! `M = TIE_EPS·max(B, 1) + 2s` (`Certificate`). Every selection
 //! `min(a, b)` keeps
 //!
-//! * the winner's tag, bit and all, when the loser trails by more than
-//!   `M`;
-//! * on an **exact** tie (equal values), the tag whose cell has the
-//!   smaller `(total server count, flat index)` — `TieMin`'s own
-//!   preference — with the bit set only if both operands had it, and
-//!   only while `s ≤ TIE_EPS`;
-//! * otherwise the winner's tag with the bit cleared (so also between
-//!   two `+∞` values).
+//! * the winner's tag, certified or not, when the loser trails by more
+//!   than `M`;
+//! * on an **exact** tie (equal values), the smaller tag: the cell
+//!   `TieMin` prefers when both operands are certified, `UNCERTIFIED`
+//!   (which sorts below every rank) otherwise — and this only while
+//!   `s ≤ TIE_EPS`;
+//! * otherwise `UNCERTIFIED` (so also between two `+∞` values).
+//!
+//! Tags are `f64`s like the values, so a tagged selection is a handful
+//! of branch-free lane operations (compare, select, subtract, minimum)
+//! that vectorize with the values; the certified transform still costs
+//! about three value-only ones.
 //!
 //! By induction over the selections (suffix carries, block trees, row
-//! merges and the `d` dimension passes alike), a set bit says: the
+//! merges and the `d` dimension passes alike), a certified tag says: the
 //! cell's candidates split into a group `S` whose values are bit-equal in
 //! the transform's arithmetic, led by the tag, and the rest, each more
 //! than `M` above `S`.
@@ -100,8 +106,8 @@
 //! `TieMin` scans in index order: the first member of `S` it meets
 //! evicts any earlier incumbent, no later outsider enters the window,
 //! and among the members it keeps the smaller `(total, index)` — the
-//! tag's cell. A clear bit promises nothing; recovery then replays the
-//! slot's segment and selects with `TieMin` itself.
+//! tag's cell. An uncertified tag promises nothing; recovery then replays
+//! the slot's segment and selects with `TieMin` itself.
 
 use std::ops::Range;
 
@@ -126,60 +132,68 @@ fn fmin(a: f64, b: f64) -> f64 {
 /// minima: nothing (`()`, the value-only transform every solver runs) or
 /// a certified origin ([`Certify`], the forward pass that records
 /// backtrack pointers). The suffix and row kernels are generic over it,
-/// so both are one implementation; with `()` every tag operation
-/// compiles away.
+/// so both are one implementation; with `()` each kernel runs its plain
+/// value loop.
 pub(crate) trait Track: Copy {
     /// The per-cell tag.
     type Tag: Copy + Default;
 
-    /// The tag a selection keeps, given the winning and the losing
-    /// operand (the winner's value is at most the loser's).
-    fn select(self, winner: Self::Tag, winner_v: f64, loser: Self::Tag, loser_v: f64) -> Self::Tag;
+    /// The selection minimum `min(a, b)` (`b` when `b < a`, else `a`)
+    /// and the tag it keeps.
+    fn min(self, a: f64, ta: Self::Tag, b: f64, tb: Self::Tag) -> (f64, Self::Tag);
 }
 
 impl Track for () {
     type Tag = ();
 
     #[inline]
-    fn select(self, (): (), _: f64, (): (), _: f64) {}
+    fn min(self, a: f64, (): (), b: f64, (): ()) -> (f64, ()) {
+        (fmin(a, b), ())
+    }
 }
 
-/// The certificate bit of a [`Certify`] tag. The low 31 bits hold the
-/// source cell's rank in `TieMin`'s preference order — smaller total
-/// server count first, then smaller flat index ([`TieOrder`]) — so the
-/// cell `TieMin` prefers among tied tags is their minimum.
-pub(crate) const CERTIFIED: u32 = 1 << 31;
+/// The tag of an origin the certificate does not vouch for. A certified
+/// tag is the source cell's rank in `TieMin`'s preference order —
+/// smaller total server count first, then smaller flat index
+/// ([`TieOrder`]) — as an `f64`, so the cell `TieMin` prefers among tied
+/// certified tags is their minimum, and the minimum of a certified tag
+/// and this one is this one: an exact tie keeps a certificate only when
+/// both operands hold one. Tags share the values' lane width, so the
+/// tagged row kernels stay branch-free vector loops.
+pub(crate) const UNCERTIFIED: f64 = -1.0;
 
 /// The pointer-recording track (see the module-level certificate).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Certify {
     margin: f64,
-    /// Whether an exact tie may keep the bit ([`Certificate::resolves_ties`]).
-    ties: bool,
+    /// The gap of an exact tie when one may keep its certificate
+    /// (`0`, [`Certificate::resolves_ties`]), else NaN, which no gap
+    /// equals.
+    tie_gap: f64,
 }
 
 impl Certify {
     pub(crate) fn new(certificate: Certificate) -> Self {
-        Self { margin: certificate.margin, ties: certificate.resolves_ties() }
+        let tie_gap = if certificate.resolves_ties() { 0.0 } else { f64::NAN };
+        Self { margin: certificate.margin, tie_gap }
     }
 }
 
 impl Track for Certify {
-    type Tag = u32;
+    type Tag = f64;
 
     #[inline]
-    fn select(self, winner: u32, winner_v: f64, loser: u32, loser_v: f64) -> u32 {
-        // Two infinite operands give NaN, which compares false.
-        let gap = loser_v - winner_v;
-        if gap == 0.0 && self.ties {
-            // An exact tie: both groups enter TieMin's window together,
-            // and it prefers the smaller rank.
-            (winner & !CERTIFIED).min(loser & !CERTIFIED) | (winner & loser & CERTIFIED)
-        } else if gap > self.margin {
-            winner
-        } else {
-            winner & !CERTIFIED
-        }
+    fn min(self, a: f64, ta: f64, b: f64, tb: f64) -> (f64, f64) {
+        let b_wins = b < a;
+        let value = if b_wins { b } else { a };
+        let winner = if b_wins { tb } else { ta };
+        // NaN between two infinite operands, which compares false.
+        let gap = (a - b).abs();
+        let kept = if gap > self.margin { winner } else { UNCERTIFIED };
+        // An exact tie: both groups enter TieMin's window together, and
+        // it prefers the smaller rank.
+        let tag = if gap == self.tie_gap { fmin(ta, tb) } else { kept };
+        (value, tag)
     }
 }
 
@@ -189,8 +203,8 @@ impl Track for Certify {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TieOrder {
     levels: Vec<Vec<u32>>,
-    /// `rank[i]`: the rank of flat index `i`.
-    pub(crate) rank: Vec<u32>,
+    /// `rank[i]`: the certified tag of flat index `i`, its rank.
+    pub(crate) rank: Vec<f64>,
     /// `index[r]`: the flat index of rank `r`.
     pub(crate) index: Vec<u32>,
 }
@@ -212,22 +226,22 @@ impl TieOrder {
             self.index = indices.collect();
             // Stable: equal totals keep index order.
             self.index.sort_by_key(|&i| totals[i as usize]);
-            self.rank.resize(cells, 0);
-            #[allow(clippy::cast_possible_truncation)]
+            self.rank.resize(cells, 0.0);
+            #[allow(clippy::cast_precision_loss)]
             for (r, &i) in self.index.iter().enumerate() {
-                self.rank[i as usize] = r as u32;
+                self.rank[i as usize] = r as f64;
             }
         }
         self
     }
-}
 
-/// [`fmin`] with tags: `b` when `b < a`, else `a` (ties keep the first).
-#[inline]
-pub(crate) fn tmin<K: Track>(track: K, a: f64, ta: K::Tag, b: f64, tb: K::Tag) -> (f64, K::Tag) {
-    let b_wins = b < a;
-    let (winner, loser) = if b_wins { ((b, tb), (a, ta)) } else { ((a, ta), (b, tb)) };
-    (winner.0, track.select(winner.1, winner.0, loser.1, loser.0))
+    /// The flat index a certified tag names, or `None` for
+    /// [`UNCERTIFIED`].
+    #[inline]
+    pub(crate) fn origin(&self, tag: f64) -> Option<u32> {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        (tag >= 0.0).then(|| self.index[tag as usize])
+    }
 }
 
 /// Tags of the value-only track are zero-sized and never stored: every
@@ -235,7 +249,7 @@ pub(crate) fn tmin<K: Track>(track: K, a: f64, ta: K::Tag, b: f64, tb: K::Tag) -
 /// out empty slices and defaults for them, so that pass pays no bounds
 /// check for its tags.
 #[inline]
-const fn stored<T>() -> bool {
+pub(crate) const fn stored<T>() -> bool {
     std::mem::size_of::<T>() != 0
 }
 
@@ -292,20 +306,20 @@ pub(crate) fn reset_tags<T: Copy + Default>(tags: &mut Vec<T>, n: usize) {
 /// 2·slack` a selection must be decided by, for the candidate-value
 /// bound `B`.
 #[derive(Clone, Copy, Debug)]
-pub struct Certificate {
+pub(crate) struct Certificate {
     /// Gap by which a certified winner beats every candidate outside
     /// its exact tie.
-    pub margin: f64,
+    pub(crate) margin: f64,
     /// Bound on how far one candidate's value moves between the
     /// transform's order of additions and the backtrack's.
-    pub slack: f64,
+    pub(crate) slack: f64,
 }
 
 impl Certificate {
     /// The certificate of transforming `source` (over `old_levels`) onto
     /// `new_levels` with switching costs `betas`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         source: &[f64],
         old_levels: &[Vec<u32>],
         new_levels: &[Vec<u32>],
@@ -328,7 +342,7 @@ impl Certificate {
     /// as `TieMin`'s own choice: only while every tied candidate stays
     /// inside `TieMin`'s narrowest window (`slack ≤ TIE_EPS`).
     #[must_use]
-    pub fn resolves_ties(&self) -> bool {
+    pub(crate) fn resolves_ties(&self) -> bool {
         self.slack <= TIE_EPS
     }
 }
@@ -354,12 +368,39 @@ pub fn suffix_min_inplace_scalar(buf: &mut [f64]) {
 /// element of latency) and then merged with the running carry. `min` is a
 /// selection, so the reassociation is bit-exact.
 pub fn suffix_min_inplace(buf: &mut [f64]) {
-    suffix_min_tagged((), buf, &mut []);
+    let n = buf.len();
+    if n < 2 {
+        return;
+    }
+    let mut carry = buf[n - 1];
+    let full = (n - 1) / LANES;
+    for k in (full * LANES..n - 1).rev() {
+        carry = fmin(buf[k], carry);
+        buf[k] = carry;
+    }
+    let mut b = full;
+    while b > 0 {
+        b -= 1;
+        let blk = &mut buf[b * LANES..(b + 1) * LANES];
+        let m3 = blk[3];
+        let m23 = fmin(blk[2], m3);
+        let m123 = fmin(blk[1], m23);
+        let m0123 = fmin(blk[0], m123);
+        blk[3] = fmin(m3, carry);
+        blk[2] = fmin(m23, carry);
+        blk[1] = fmin(m123, carry);
+        blk[0] = fmin(m0123, carry);
+        carry = blk[0];
+    }
 }
 
 /// [`suffix_min_inplace`] with a tag beside each value (`tags` is empty
-/// for zero-sized tags).
+/// for zero-sized tags, whose pass is [`suffix_min_inplace`] itself).
 pub(crate) fn suffix_min_tagged<K: Track>(track: K, buf: &mut [f64], tags: &mut [K::Tag]) {
+    if !stored::<K::Tag>() {
+        suffix_min_inplace(buf);
+        return;
+    }
     let n = buf.len();
     if n < 2 {
         return;
@@ -368,7 +409,7 @@ pub(crate) fn suffix_min_tagged<K: Track>(track: K, buf: &mut [f64], tags: &mut 
     let (mut carry, mut carry_tag) = (buf[n - 1], tag_at(tags, n - 1));
     let full = (n - 1) / LANES;
     for k in (full * LANES..n - 1).rev() {
-        (carry, carry_tag) = tmin(track, buf[k], tag_at(tags, k), carry, carry_tag);
+        (carry, carry_tag) = track.min(buf[k], tag_at(tags, k), carry, carry_tag);
         buf[k] = carry;
         set_tag(tags, k, carry_tag);
     }
@@ -378,11 +419,11 @@ pub(crate) fn suffix_min_tagged<K: Track>(track: K, buf: &mut [f64], tags: &mut 
         let blk = &mut buf[b * LANES..(b + 1) * LANES];
         let tg = tags_in_mut(tags, b * LANES..(b + 1) * LANES);
         let m3 = (blk[3], tag_at(tg, 3));
-        let m23 = tmin(track, blk[2], tag_at(tg, 2), m3.0, m3.1);
-        let m123 = tmin(track, blk[1], tag_at(tg, 1), m23.0, m23.1);
-        let m0123 = tmin(track, blk[0], tag_at(tg, 0), m123.0, m123.1);
+        let m23 = track.min(blk[2], tag_at(tg, 2), m3.0, m3.1);
+        let m123 = track.min(blk[1], tag_at(tg, 1), m23.0, m23.1);
+        let m0123 = track.min(blk[0], tag_at(tg, 0), m123.0, m123.1);
         for (i, m) in [(0, m0123), (1, m123), (2, m23), (3, m3)] {
-            let (v, t) = tmin(track, m.0, m.1, carry, carry_tag);
+            let (v, t) = track.min(m.0, m.1, carry, carry_tag);
             blk[i] = v;
             set_tag(tg, i, t);
         }
@@ -568,10 +609,13 @@ fn argmin_candidates(values: &[f64], min_v: f64, total_of: impl Fn(usize) -> u64
 /// Values beside their tags: one row of a tagged transform pass.
 type Row<'r, T> = (&'r [f64], &'r [T]);
 
+// Each row kernel runs a plain value loop for the value-only track and a
+// zipped values-and-tags loop otherwise: both are branch-free, so both
+// vectorize.
+
 /// `dst[i] = min(a[i], b[i])` — the suffix-row recurrence of the
 /// row-vectorized transform (`suffix_row[k] = min(suffix_row[k+1],
 /// prev_row[k])` one contiguous row at a time).
-///
 #[inline]
 pub(crate) fn row_min_into<K: Track>(
     track: K,
@@ -579,13 +623,19 @@ pub(crate) fn row_min_into<K: Track>(
     (a, a_tags): Row<'_, K::Tag>,
     (b, b_tags): Row<'_, K::Tag>,
 ) {
-    let n = dst.len();
-    let (dst_tags, a_tags, b_tags) =
-        (tags_in_mut(dst_tags, 0..n), tags_in(a_tags, 0..n), tags_in(b_tags, 0..n));
-    for (i, ((d, &x), &y)) in dst.iter_mut().zip(a).zip(b).enumerate() {
-        let (v, t) = tmin(track, x, tag_at(a_tags, i), y, tag_at(b_tags, i));
-        *d = v;
-        set_tag(dst_tags, i, t);
+    if !stored::<K::Tag>() {
+        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+            *d = fmin(x, y);
+        }
+        return;
+    }
+    debug_assert!(
+        dst_tags.len() == dst.len() && a_tags.len() == a.len() && b_tags.len() == b.len()
+    );
+    for (((((d, dt), &x), &xt), &y), &yt) in
+        dst.iter_mut().zip(dst_tags).zip(a).zip(a_tags).zip(b).zip(b_tags)
+    {
+        (*d, *dt) = track.min(x, xt, y, yt);
     }
 }
 
@@ -600,12 +650,15 @@ pub(crate) fn row_shift_min_inplace<K: Track>(
     (src, src_tags): Row<'_, K::Tag>,
     shift: f64,
 ) {
-    let n = acc.len();
-    let (acc_tags, src_tags) = (tags_in_mut(acc_tags, 0..n), tags_in(src_tags, 0..n));
-    for (i, (a, &s)) in acc.iter_mut().zip(src).enumerate() {
-        let (v, t) = tmin(track, *a, tag_at(acc_tags, i), s + shift, tag_at(src_tags, i));
-        *a = v;
-        set_tag(acc_tags, i, t);
+    if !stored::<K::Tag>() {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a = fmin(*a, s + shift);
+        }
+        return;
+    }
+    debug_assert!(acc_tags.len() == acc.len() && src_tags.len() == src.len());
+    for (((a, at), &s), &st) in acc.iter_mut().zip(acc_tags).zip(src).zip(src_tags) {
+        (*a, *at) = track.min(*a, *at, s + shift, st);
     }
 }
 
@@ -619,13 +672,18 @@ pub(crate) fn row_combine_min_into<K: Track>(
     (up, up_tags): Row<'_, K::Tag>,
     up_shift: f64,
 ) {
-    let n = out.len();
-    let (out_tags, stay_tags, up_tags) =
-        (tags_in_mut(out_tags, 0..n), tags_in(stay_tags, 0..n), tags_in(up_tags, 0..n));
-    for (i, ((o, &s), &u)) in out.iter_mut().zip(stay).zip(up).enumerate() {
-        let (v, t) = tmin(track, s, tag_at(stay_tags, i), up_shift + u, tag_at(up_tags, i));
-        *o = v;
-        set_tag(out_tags, i, t);
+    if !stored::<K::Tag>() {
+        for ((o, &s), &u) in out.iter_mut().zip(stay).zip(up) {
+            *o = fmin(s, up_shift + u);
+        }
+        return;
+    }
+    debug_assert!(out_tags.len() == out.len() && stay_tags.len() == stay.len());
+    debug_assert_eq!(up_tags.len(), up.len());
+    for (((((o, ot), &s), &st), &u), &ut) in
+        out.iter_mut().zip(out_tags).zip(stay).zip(stay_tags).zip(up).zip(up_tags)
+    {
+        (*o, *ot) = track.min(s, st, up_shift + u, ut);
     }
 }
 

@@ -29,11 +29,18 @@
 //!    exactly the cell `TieMin` would pick, so both routes recover the
 //!    same schedule, bit for bit.
 //!
-//! [`crate::dp::RecoveryMode::Auto`] records pointers whenever they fit
-//! [`AUTO_POINTER_BUDGET_BYTES`], so a solve prices each slot once and
-//! holds `O(|grid|·√T)` tables plus the pointers; beyond the budget it
-//! records none and replays every segment: `O(|grid|·√T)` memory, about
-//! one extra pricing pass. [`RecoveryStats`] makes both observable.
+//! [`crate::dp::RecoveryMode::Auto`] records pointers when a replay would
+//! price slots again — the costs vary over time, or the horizon holds
+//! more distinct `(λ, grid)` slots than the pool retains — and they fit
+//! [`AUTO_POINTER_BUDGET_BYTES`]: the solve then prices each slot once
+//! and holds `O(|grid|·√T)` tables plus the pointers. Otherwise it
+//! records none and replays every segment; when the pool holds every
+//! slot, the replay prices nothing and costs one value-only transform per
+//! slot, less than the certified transform (about three value-only ones)
+//! would have. [`crate::dp::RecoveryMode::Materialized`] instead keeps
+//! every slot's table (`O(|grid|·T)` memory) and backtracks once: one
+//! value-only pass, the reference the other modes are tested against.
+//! [`RecoveryStats`] makes all of it observable.
 //!
 //! Replayed segments are bit-identical to the forward pass (pricing is
 //! per-table deterministic and pooled tables are reused verbatim) — the
@@ -41,7 +48,7 @@
 //! modes.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,18 +58,17 @@ use rsz_core::{Config, GtOracle, Instance, Schedule};
 use crate::dp::{backtrack_segment, betas, DpOptions, DpResult, RecoveryMode};
 use crate::engine::{CursorBuffers, Miss, PricedSlot, PricedSlotPool, SlotRequest};
 use crate::grid::{decode_counts, GridMode};
-use crate::kernels::{Certificate, TieOrder, CERTIFIED};
+use crate::kernels::{Certificate, TieOrder, UNCERTIFIED};
 use crate::table::Table;
 use crate::transform::{
     arrival_transform_certified_inplace, arrival_transform_inplace, TransformScratch,
 };
 
 /// Pointer-memory budget of [`crate::dp::RecoveryMode::Auto`]: a solve
-/// records backtrack pointers when they fit (and then prices each slot
-/// once), and otherwise replays every `√T` segment from its checkpoint.
-/// 128 MiB holds the pointers of every bench scenario that recovered in
-/// one pass with `f64` tables, the largest being `64 × 274,625` 4-byte
-/// pointers (about 72 MB, where its tables took 140 MB).
+/// whose replays would price slots again records backtrack pointers when
+/// they fit (and then prices each slot once), and otherwise replays every
+/// `√T` segment from its checkpoint. 128 MiB holds `64 × 274,625` 4-byte
+/// pointers (about 72 MB), the largest grid the benches solve.
 pub const AUTO_POINTER_BUDGET_BYTES: u64 = 128 << 20;
 
 /// Work and memory accounting of a solve, for tests and reports.
@@ -123,17 +129,19 @@ impl PointerLog {
         (cells as u64).saturating_mul(width).saturating_add(cells.div_ceil(64) as u64 * 8)
     }
 
-    /// Append the next slot's origins (the certified transform's tags).
-    fn push(&mut self, origins: &[u32]) {
+    /// Append the next slot's origins: the certified transform's tags,
+    /// which `order` names.
+    fn push(&mut self, origins: &[f64], order: &TieOrder) {
         let base = *self.starts.last().expect("starts holds slot 1's start");
+        let origin = |&tag: &f64| order.origin(tag).unwrap_or(0);
         #[allow(clippy::cast_possible_truncation)]
         match &mut self.index {
-            PointerIndex::Narrow(v) => v.extend(origins.iter().map(|&o| (o & !CERTIFIED) as u16)),
-            PointerIndex::Wide(v) => v.extend(origins.iter().map(|&o| o & !CERTIFIED)),
+            PointerIndex::Narrow(v) => v.extend(origins.iter().map(|t| origin(t) as u16)),
+            PointerIndex::Wide(v) => v.extend(origins.iter().map(origin)),
         }
         self.certified.resize((base + origins.len()).div_ceil(64), 0);
-        for (i, &o) in origins.iter().enumerate() {
-            if o & CERTIFIED != 0 {
+        for (i, &tag) in origins.iter().enumerate() {
+            if tag != UNCERTIFIED {
                 let c = base + i;
                 self.certified[c / 64] |= 1 << (c % 64);
             }
@@ -194,8 +202,8 @@ struct Engine<'a, O> {
     scratch: TransformScratch,
     /// The certified transform's origins and their ping-pong partner,
     /// with the scratch that carries them.
-    origins: (Vec<u32>, Vec<u32>),
-    certified_scratch: TransformScratch<u32>,
+    origins: (Vec<f64>, Vec<f64>),
+    certified_scratch: TransformScratch<f64>,
     /// `TieMin`'s order over the certified step's source grid.
     tie_order: TieOrder,
     /// Pricing sweeps run so far.
@@ -260,12 +268,32 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         slot_levels(&self.invariant_levels, self.instance, self.options.grid, t)
     }
 
+    /// Whether replaying a segment would price any of its slots again:
+    /// always without the time-independent pool, and with it when the
+    /// horizon holds more distinct slots than the pool retains (it evicts
+    /// first in, first out, so the replay would miss what it evicted).
+    fn replays_reprice(&self) -> bool {
+        let Some(pool) = &self.pool else { return true };
+        let mut keys = HashSet::new();
+        (0..self.instance.horizon()).any(|t| {
+            let levels = self.levels(t);
+            let req =
+                SlotRequest { t, lambda: self.instance.load(t), levels: &levels, bands: None };
+            pool.key(self.instance, &req).is_none_or(|key| {
+                keys.insert(key);
+                keys.len() > pool.capacity()
+            })
+        })
+    }
+
     /// The pointer log the recovery policy asks for, with room for every
-    /// slot `t ≥ 1` reserved up front: always under
-    /// [`RecoveryMode::Materialized`], never under
-    /// [`RecoveryMode::Checkpointed`], and under [`RecoveryMode::Auto`]
-    /// when the pointers fit [`AUTO_POINTER_BUDGET_BYTES`].
+    /// slot `t ≥ 1` reserved up front: under [`RecoveryMode::Auto`], when
+    /// a replay would price slots again and the pointers fit
+    /// [`AUTO_POINTER_BUDGET_BYTES`]; never under the other modes.
     fn pointer_log(&self) -> Option<PointerLog> {
+        if self.options.recovery != RecoveryMode::Auto || !self.replays_reprice() {
+            return None;
+        }
         let horizon = self.instance.horizon();
         let cells = |t: usize| self.levels(t).iter().map(Vec::len).product::<usize>();
         let (recorded, widest) = if self.invariant_levels.is_some() {
@@ -274,12 +302,8 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
             ((1..horizon).map(cells).sum(), (0..horizon).map(cells).max().unwrap_or(1))
         };
         let narrow = widest <= 1 << 16;
-        let record = match self.options.recovery {
-            RecoveryMode::Materialized => true,
-            RecoveryMode::Checkpointed => false,
-            RecoveryMode::Auto => PointerLog::bytes(recorded, narrow) <= AUTO_POINTER_BUDGET_BYTES,
-        };
-        record.then(|| PointerLog::with_capacity(recorded, narrow))
+        (PointerLog::bytes(recorded, narrow) <= AUTO_POINTER_BUDGET_BYTES)
+            .then(|| PointerLog::with_capacity(recorded, narrow))
     }
 
     /// The configuration of cell `idx` of slot `t`'s grid.
@@ -392,7 +416,7 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
                 (certificate, order),
                 &mut self.certified_scratch,
             );
-            log.push(origins);
+            log.push(origins, order);
         } else {
             arrival_transform_inplace(
                 prev,
@@ -468,12 +492,18 @@ pub fn solve_checkpointed(
     let mut engine = Engine::new(instance, oracle, options, k);
     let mut log = engine.pointer_log();
 
-    // Forward: keep each segment's entry table (and the pointers).
+    // Forward: keep each segment's entry table (and the pointers, or
+    // under `Materialized` every slot's table).
     let mut entries: Vec<Table> = Vec::with_capacity(segments.len());
+    let mut kept: Vec<Table> = Vec::new();
     let mut prev = Table::origin(instance.num_types());
     for seg in &segments {
         entries.push(prev.clone());
-        let trail = log.as_mut().map_or(Trail::None, Trail::Pointers);
+        let trail = match (&mut log, options.recovery) {
+            (Some(log), _) => Trail::Pointers(log),
+            (None, RecoveryMode::Materialized) => Trail::Tables(&mut kept),
+            (None, _) => Trail::None,
+        };
         prev = engine.run(prev, seg.clone(), trail, entries.len());
     }
     let checkpoints = entries.len();
@@ -494,15 +524,23 @@ pub fn solve_checkpointed(
             rev.push(engine.config_at(t, idx, &mut counts));
             continue;
         }
-        // Replay the segment holding slot t − 1, up to that slot, and
-        // select its predecessors with the backtrack's tie-break.
+        // Select the predecessors of the segment holding slot t − 1, up
+        // to that slot, with the backtrack's tie-break: over the kept
+        // tables, or over the segment replayed from its checkpoint.
         let s = (t - 1) / k;
-        entries.truncate(s + 1);
-        let entry = entries.pop().expect("one entry per segment");
-        let mut tables: Vec<Table> = Vec::with_capacity(t - s * k);
-        engine.run(entry, s * k..t, Trail::Tables(&mut tables), entries.len() + 1);
-        replayed_segments += 1;
-        let (_, configs) = backtrack_segment(instance, &tables, rev.last());
+        let replay;
+        let tables = if kept.is_empty() {
+            entries.truncate(s + 1);
+            let entry = entries.pop().expect("one entry per segment");
+            let mut tables: Vec<Table> = Vec::with_capacity(t - s * k);
+            engine.run(entry, s * k..t, Trail::Tables(&mut tables), entries.len() + 1);
+            replayed_segments += 1;
+            replay = tables;
+            &replay[..]
+        } else {
+            &kept[s * k..t]
+        };
+        let (_, configs) = backtrack_segment(instance, tables, rev.last());
         idx = tables[0].index_of_config(&configs[0]).expect("a selected cell is on its grid");
         rev.extend(configs.into_iter().rev());
         t = s * k;
@@ -631,7 +669,9 @@ mod tests {
 
     #[test]
     fn checkpointed_recovery_equals_materialized_recovery() {
-        let inst = diurnal_instance(300); // not a square, above the cutoff
+        // Not a square; 8-periodic loads, so the pool answers every
+        // replay and Auto checkpoints without pointers.
+        let inst = diurnal_instance(300);
         let oracle = Dispatcher::new();
         let (full, _) = solve_with_stats(
             &inst,
@@ -647,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_mode_overrides_the_auto_cutoff() {
+    fn recovery_mode_sets_the_segment_length() {
         let inst = diurnal_instance(29);
         let oracle = Dispatcher::new();
         let (_, forced) = solve_with_stats(
@@ -655,19 +695,20 @@ mod tests {
             &oracle,
             DpOptions { recovery: RecoveryMode::Checkpointed, ..opts() },
         );
-        assert_eq!(forced.segment_len, 6, "⌈√29⌉ despite the short horizon");
+        assert_eq!(forced.segment_len, 6, "⌈√29⌉");
         let long = diurnal_instance(300);
         let (_, mat) = solve_with_stats(
             &long,
             &oracle,
             DpOptions { recovery: RecoveryMode::Materialized, ..opts() },
         );
-        assert_eq!(mat.checkpoints, 1, "single pass despite the long horizon");
+        assert_eq!(mat.checkpoints, 1, "every table kept, one backtrack");
         assert_eq!(mat.segment_len, 300);
     }
 
     #[test]
-    fn short_horizons_skip_checkpointing() {
+    fn short_horizons_price_each_slot_once() {
+        // Time-dependent costs: a replay would price its slots again, so
         // Auto records backtrack pointers beside its √T checkpoints and
         // never replays: every slot is priced exactly once.
         let inst = time_dependent_instance(29);
@@ -712,14 +753,41 @@ mod tests {
         assert_eq!(auto.cost.to_bits(), chk.cost.to_bits());
     }
 
+    #[test]
+    fn pool_covered_replays_record_no_pointers() {
+        // Four distinct loads (`|t mod 8 − 3.5|` is symmetric): the pool
+        // keeps every priced slot, so a replay prices nothing and Auto
+        // checkpoints without pointers.
+        let inst = diurnal_instance(64);
+        let oracle = Dispatcher::new();
+        let (auto, stats) = solve_with_stats(&inst, &oracle, opts());
+        assert_eq!(stats.priced_slots, 4, "one pricing per distinct load");
+        assert_eq!(stats.replayed_segments, stats.checkpoints, "every segment replays");
+        let (full, _) = solve_with_stats(
+            &inst,
+            &oracle,
+            DpOptions { recovery: RecoveryMode::Materialized, ..opts() },
+        );
+        assert_eq!(auto.schedule, full.schedule);
+        assert_eq!(auto.cost.to_bits(), full.cost.to_bits());
+    }
+
     /// Two interchangeable types with constant costs, the second dearer
     /// by `premium`: from one server of either type, the other type's
-    /// server is an equally cheap predecessor up to the premium.
+    /// server is an equally cheap predecessor up to the premium. Both
+    /// costs scale by an integer price that changes from slot to slot,
+    /// so a replay would price its slots again and Auto records
+    /// pointers; integer loads and prices keep the exact ties exact.
     fn twin_types(premium: f64) -> Instance {
         let loads: Vec<f64> = (0..40).map(|t| f64::from([1, 2, 1, 0, 2, 3, 1][t % 7])).collect();
+        let prices: Vec<f64> = (0..40).map(|t| f64::from(1 + t % 2)).collect();
+        let twin = |name, cost| {
+            let spec = CostSpec::scaled(CostModel::constant(cost), prices.clone());
+            ServerType::with_spec(name, 2, 2.0, 1.0, spec)
+        };
         Instance::builder()
-            .server_type(ServerType::new("a", 2, 2.0, 1.0, CostModel::constant(1.0)))
-            .server_type(ServerType::new("b", 2, 2.0, 1.0, CostModel::constant(1.0 + premium)))
+            .server_type(twin("a", 1.0))
+            .server_type(twin("b", 1.0 + premium))
             .loads(loads)
             .build()
             .unwrap()

@@ -37,8 +37,8 @@
 //! this virtual transpose runs through and memoizes its layout tag, so
 //! steady-state passes with unchanged shapes never touch the allocator.
 
-use crate::kernels::{self, reset_tags, set_tag, tag_at, tags_in, tags_in_mut};
-use crate::kernels::{Certificate, Certify, TieOrder, Track, CERTIFIED};
+use crate::kernels::{self, reset_tags, set_tag, stored, tag_at, tags_in, tags_in_mut};
+use crate::kernels::{Certificate, Certify, TieOrder, Track};
 use crate::table::Table;
 
 /// Reusable scratch for the transform passes: the per-line suffix-minima
@@ -146,9 +146,9 @@ fn transform_dim_tagged<K: Track>(
             suffix.clear();
             suffix.extend_from_slice(in_line);
             suffix.push(f64::INFINITY);
-            suffix_tags.clear();
-            suffix_tags.extend_from_slice(in_tags);
-            if !in_tags.is_empty() {
+            if stored::<K::Tag>() {
+                suffix_tags.clear();
+                suffix_tags.extend_from_slice(in_tags);
                 suffix_tags.push(K::Tag::default());
             }
             kernels::suffix_min_tagged(track, suffix, suffix_tags);
@@ -157,13 +157,12 @@ fn transform_dim_tagged<K: Track>(
             for (i, &v) in new_levels.iter().enumerate() {
                 while k < n_old && old_levels[k] < v {
                     let c = in_line[k] - beta * f64::from(old_levels[k]);
-                    (best_up, best_tag) =
-                        kernels::tmin(track, best_up, best_tag, c, tag_at(in_tags, k));
+                    (best_up, best_tag) = track.min(best_up, best_tag, c, tag_at(in_tags, k));
                     k += 1;
                 }
                 let up = beta * f64::from(v) + best_up;
                 let stay = (suffix[k], tag_at(suffix_tags, k));
-                let (value, tag) = kernels::tmin(track, stay.0, stay.1, up, best_tag);
+                let (value, tag) = track.min(stay.0, stay.1, up, best_tag);
                 out_line[i] = value;
                 set_tag(out_tags, i, tag);
             }
@@ -337,57 +336,25 @@ fn arrival_transform_tagged<K: Track>(
 
 /// The pointer-recording arrival transform: [`arrival_transform_inplace`]
 /// (bit-identical values) that also leaves in `origins`, per cell of the
-/// transformed `a`, the flat index of the source cell its minimum came
-/// from, with [`CERTIFIED`] set when `certificate` vouches that the cell
-/// is the backtrack's `TieMin` pick (see [`crate::kernels`]). `order` is
-/// `TieMin`'s order over `a`'s grid on entry; `origins` and
-/// `spare_origins` are scratch.
+/// transformed `a`, the tag of the source cell its minimum came from:
+/// its rank in `order` (`TieMin`'s order over `a`'s grid on entry) when
+/// `certificate` vouches that the cell is the backtrack's `TieMin` pick,
+/// else [`crate::kernels::UNCERTIFIED`] (see [`crate::kernels`];
+/// [`TieOrder::origin`] names the cell). `origins` and `spare_origins`
+/// are scratch.
 pub(crate) fn arrival_transform_certified_inplace(
-    (a, origins): (&mut Table, &mut Vec<u32>),
-    (b, spare_origins): (&mut Table, &mut Vec<u32>),
+    (a, origins): (&mut Table, &mut Vec<f64>),
+    (b, spare_origins): (&mut Table, &mut Vec<f64>),
     new_levels: &[Vec<u32>],
     betas: &[f64],
     (certificate, order): (Certificate, &TieOrder),
-    scratch: &mut TransformScratch<u32>,
+    scratch: &mut TransformScratch<f64>,
 ) {
-    assert!(a.len() <= CERTIFIED as usize, "source grid too large for a backtrack pointer");
     debug_assert_eq!(order.rank.len(), a.len());
     origins.clear();
-    origins.extend(order.rank.iter().map(|&r| r | CERTIFIED));
+    origins.extend_from_slice(&order.rank);
     let track = Certify::new(certificate);
     arrival_transform_tagged(track, (a, origins), (b, spare_origins), new_levels, betas, scratch);
-    for o in origins.iter_mut() {
-        *o = order.index[(*o & !CERTIFIED) as usize] | (*o & CERTIFIED);
-    }
-}
-
-/// [`arrival_transform`] returning, beside the transformed table, each
-/// cell's backtrack pointer: the flat index of the source cell its
-/// minimum came from and whether that pointer is certified — then it is
-/// exactly the cell the backtrack's `TieMin` selection picks for that
-/// target (see the certificate in [`crate::kernels`]).
-#[must_use]
-pub fn arrival_transform_certified(
-    table: &Table,
-    new_levels: &[Vec<u32>],
-    betas: &[f64],
-) -> (Table, Vec<(usize, bool)>) {
-    let certificate = Certificate::new(table.values(), table.all_levels(), new_levels, betas);
-    let (mut out, mut spare) = (table.clone(), Table::origin(table.dims()));
-    let (mut origins, mut spare_origins) = (Vec::new(), Vec::new());
-    let mut order = TieOrder::default();
-    order.for_grid(table.all_levels());
-    arrival_transform_certified_inplace(
-        (&mut out, &mut origins),
-        (&mut spare, &mut spare_origins),
-        new_levels,
-        betas,
-        (certificate, &order),
-        &mut TransformScratch::default(),
-    );
-    let pointers =
-        origins.iter().map(|&o| ((o & !CERTIFIED) as usize, o & CERTIFIED != 0)).collect();
-    (out, pointers)
 }
 
 /// Naive `O(|grid|²)` reference implementation of the arrival transform,
@@ -594,5 +561,193 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sorted, non-empty random levels per dimension (not always from 0, so
+    /// source and target grids differ).
+    fn random_grid(rng: &mut rand::rngs::StdRng, d: usize) -> Vec<Vec<u32>> {
+        use rand::Rng;
+        (0..d)
+            .map(|_| {
+                let m = rng.gen_range(1..=6u32);
+                let mut v: Vec<u32> = (0..=m).filter(|_| rng.gen_bool(0.7)).collect();
+                if v.is_empty() {
+                    v.push(rng.gen_range(0..=m));
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// The backtrack's predecessor selection, written out naively: every
+    /// finite source cell's value `OPT(x') + Σ_j (x_j − x'_j)^+·β_j` summed in
+    /// dimension order, then the streaming `TieMin` rule — a candidate within
+    /// `TIE_EPS·max(|min|, 1)` of the running minimum is tied, and ties go to
+    /// the smaller total count, then the smaller index. Returns the winner
+    /// and every finite candidate's `(index, value)`.
+    fn tie_min_scan(
+        source: &Table,
+        target: &[u32],
+        betas: &[f64],
+    ) -> (Option<usize>, Vec<(usize, f64)>) {
+        let mut candidates = Vec::new();
+        let (mut min_v, mut best): (f64, Option<(f64, u64, usize)>) = (f64::INFINITY, None);
+        for (i, cfg) in source.iter_configs() {
+            let base = source.values()[i];
+            if !base.is_finite() {
+                continue;
+            }
+            let mut v = base;
+            for (j, &beta) in betas.iter().enumerate() {
+                v += f64::from(target[j].saturating_sub(cfg.count(j))) * beta;
+            }
+            candidates.push((i, v));
+            min_v = min_v.min(v);
+            let window = min_v + rsz_core::util::TIE_EPS * min_v.abs().max(1.0);
+            let total = cfg.total();
+            best = match best {
+                None => Some((v, total, i)),
+                Some((bv, bt, bi))
+                    if v <= window && (bv > window || total < bt || (total == bt && i < bi)) =>
+                {
+                    Some((v, total, i))
+                }
+                keep => keep,
+            };
+        }
+        (best.map(|(_, _, i)| i), candidates)
+    }
+
+    /// The certified transform against the value-only transform and the
+    /// naive `TieMin` scan, on random `d = 1..4` grids with `+∞` cells and
+    /// differing source and target levels. Half the cases draw small
+    /// integers with integer β, which plants exact ties (certified only as
+    /// `TieMin`'s own `(total, index)` choice); the other half draw
+    /// continuous values. Both plant near-ties half a tie window apart,
+    /// which no certificate may cover.
+    #[test]
+    fn certified_transform_pointers_match_the_tie_min_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut finite_cells, mut certified, mut tied, mut contested) = (0usize, 0, 0, 0);
+        for case in 0..400 {
+            let d = rng.gen_range(1..=4);
+            let levels_in = random_grid(&mut rng, d);
+            let levels_out = random_grid(&mut rng, d);
+            let integral = case % 2 == 0;
+            let betas: Vec<f64> = (0..d)
+                .map(|_| {
+                    if integral {
+                        f64::from(rng.gen_range(0..3u32))
+                    } else {
+                        rng.gen_range(0.0..4.0)
+                    }
+                })
+                .collect();
+            let mut table = Table::new(levels_in, 0.0);
+            for v in table.values_mut() {
+                *v = if rng.gen_bool(0.15) {
+                    f64::INFINITY
+                } else if integral {
+                    f64::from(rng.gen_range(0..6u32))
+                } else {
+                    rng.gen_range(0.0..1.0e4)
+                };
+            }
+            // Near-ties: a cell half a tie window above a neighbour along a
+            // random dimension — beyond the rounding slack, inside the
+            // margin — so they meet in that dimension's pass.
+            for _ in 0..rng.gen_range(0..4) {
+                let cell = rng.gen_range(0..table.len());
+                let (v, mut pos) = (table.values()[cell], table.positions_of(cell));
+                let j = rng.gen_range(0..d);
+                if !v.is_finite() || table.levels(j).len() < 2 {
+                    continue;
+                }
+                pos[j] = if pos[j] == 0 { 1 } else { pos[j] - 1 };
+                let neighbour = table.index_of(&pos);
+                table.values_mut()[neighbour] = v + 0.5 * rsz_core::util::TIE_EPS * v.max(1.0);
+            }
+            let cert = Certificate::new(table.values(), table.all_levels(), &levels_out, &betas);
+            assert!(cert.resolves_ties(), "case {case}: small values resolve exact ties");
+
+            let plain = arrival_transform(&table, &levels_out, &betas);
+            let (transformed, pointers) = certified_pointers(&table, &levels_out, &betas, cert);
+            assert_eq!(transformed.all_levels(), plain.all_levels());
+            let bits = |t: &Table| t.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&transformed), bits(&plain), "case {case}: values moved");
+
+            for (cell, cfg) in plain.iter_configs() {
+                if !plain.values()[cell].is_finite() {
+                    assert_eq!(
+                        pointers[cell], None,
+                        "case {case} cell {cell}: an infinite cell is certified"
+                    );
+                    continue;
+                }
+                finite_cells += 1;
+                let (winner, candidates) = tie_min_scan(&table, cfg.counts(), &betas);
+                let winner_v = candidates.iter().find(|c| Some(c.0) == winner).expect("a winner").1;
+                let gaps = candidates
+                    .iter()
+                    .filter(|&&(i, _)| Some(i) != winner)
+                    .map(|&(_, v)| v - winner_v);
+                let (ties, ambiguous) = gaps.fold((0, 0), |(t, a), gap| {
+                    if gap.abs() <= cert.slack {
+                        (t + 1, a)
+                    } else if gap <= cert.margin - cert.slack {
+                        (t, a + 1)
+                    } else {
+                        (t, a)
+                    }
+                });
+                contested += usize::from(ambiguous > 0);
+                if let Some(pointer) = pointers[cell] {
+                    certified += 1;
+                    tied += usize::from(ties > 0);
+                    assert_eq!(
+                        Some(pointer),
+                        winner,
+                        "case {case} cell {cell}: pointer is not TieMin's"
+                    );
+                    assert_eq!(
+                        ambiguous, 0,
+                        "case {case} cell {cell}: certified with a rival in the margin"
+                    );
+                }
+            }
+        }
+        // The certificate must be worth having, and both kinds of tie must
+        // be there: exact ones it resolves, near ones it refuses.
+        assert!(
+            certified * 2 > finite_cells,
+            "{certified} of {finite_cells} finite cells certified"
+        );
+        assert!(tied > 0, "no exact tie was certified");
+        assert!(contested > 0, "no near-tie was generated");
+    }
+
+    /// The certified transform of `table` and each cell's certified
+    /// pointer (`None` where the certificate does not vouch).
+    fn certified_pointers(
+        table: &Table,
+        new_levels: &[Vec<u32>],
+        betas: &[f64],
+        certificate: Certificate,
+    ) -> (Table, Vec<Option<usize>>) {
+        let (mut out, mut spare) = (table.clone(), Table::origin(table.dims()));
+        let (mut origins, mut spare_origins) = (Vec::new(), Vec::new());
+        let mut order = TieOrder::default();
+        order.for_grid(table.all_levels());
+        arrival_transform_certified_inplace(
+            (&mut out, &mut origins),
+            (&mut spare, &mut spare_origins),
+            new_levels,
+            betas,
+            (certificate, &order),
+            &mut TransformScratch::default(),
+        );
+        let pointers = origins.iter().map(|&tag| order.origin(tag).map(|i| i as usize)).collect();
+        (out, pointers)
     }
 }

@@ -6,22 +6,12 @@
 //! contract directly on the kernels, across every lane remainder
 //! (`len % 4 ∈ {0, 1, 2, 3}`), with `+∞`-saturated lines mixed in, and
 //! check the NaN-free invariant the bit-identity argument rests on.
-//!
-//! The certified transform (the pointer-recording instantiation of the
-//! same kernels) is held to the backtrack certificate: its values equal
-//! the value-only transform's bit for bit, and a set certificate bit
-//! names exactly the cell a naive `TieMin` predecessor scan picks, with
-//! no rival between the rounding slack and the margin.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use rsz_core::util::TIE_EPS;
 use rsz_offline::kernels::{
     argmin_scan, argmin_scan_scalar, axpy_fold, axpy_fold_scalar, min_scan, min_scan_scalar,
-    suffix_min_inplace, suffix_min_inplace_scalar, Certificate,
+    suffix_min_inplace, suffix_min_inplace_scalar,
 };
-use rsz_offline::transform::{arrival_transform, arrival_transform_certified};
-use rsz_offline::Table;
 
 /// One table cell: a nonnegative cost, an exact near-tie of a round
 /// value (to exercise the argmin tie window), or the `+∞` infeasibility
@@ -160,159 +150,4 @@ fn saturated_lines_agree_and_stay_saturated() {
         assert_eq!(argmin_scan_scalar(&inf, |_| 0), None);
         assert_eq!(argmin_scan(&inf, |_| 0), None);
     }
-}
-
-/// Sorted, non-empty random levels per dimension (not always from 0, so
-/// source and target grids differ).
-fn random_levels(rng: &mut StdRng, d: usize) -> Vec<Vec<u32>> {
-    (0..d)
-        .map(|_| {
-            let m = rng.gen_range(1..=6u32);
-            let mut v: Vec<u32> = (0..=m).filter(|_| rng.gen_bool(0.7)).collect();
-            if v.is_empty() {
-                v.push(rng.gen_range(0..=m));
-            }
-            v
-        })
-        .collect()
-}
-
-/// The backtrack's predecessor selection, written out naively: every
-/// finite source cell's value `OPT(x') + Σ_j (x_j − x'_j)^+·β_j` summed in
-/// dimension order, then the streaming `TieMin` rule — a candidate within
-/// `TIE_EPS·max(|min|, 1)` of the running minimum is tied, and ties go to
-/// the smaller total count, then the smaller index. Returns the winner
-/// and every finite candidate's `(index, value)`.
-fn tie_min_scan(
-    source: &Table,
-    target: &[u32],
-    betas: &[f64],
-) -> (Option<usize>, Vec<(usize, f64)>) {
-    let mut candidates = Vec::new();
-    let (mut min_v, mut best): (f64, Option<(f64, u64, usize)>) = (f64::INFINITY, None);
-    for (i, cfg) in source.iter_configs() {
-        let base = source.values()[i];
-        if !base.is_finite() {
-            continue;
-        }
-        let mut v = base;
-        for (j, &beta) in betas.iter().enumerate() {
-            v += f64::from(target[j].saturating_sub(cfg.count(j))) * beta;
-        }
-        candidates.push((i, v));
-        min_v = min_v.min(v);
-        let window = min_v + TIE_EPS * min_v.abs().max(1.0);
-        let total = cfg.total();
-        best = match best {
-            None => Some((v, total, i)),
-            Some((bv, bt, bi))
-                if v <= window && (bv > window || total < bt || (total == bt && i < bi)) =>
-            {
-                Some((v, total, i))
-            }
-            keep => keep,
-        };
-    }
-    (best.map(|(_, _, i)| i), candidates)
-}
-
-/// The certified transform against the value-only transform and the
-/// naive `TieMin` scan, on random `d = 1..4` grids with `+∞` cells and
-/// differing source and target levels. Half the cases draw small
-/// integers with integer β, which plants exact ties (certified only as
-/// `TieMin`'s own `(total, index)` choice); the other half draw
-/// continuous values. Both plant near-ties half a tie window apart,
-/// which no certificate may cover.
-#[test]
-fn certified_transform_pointers_match_the_tie_min_scan() {
-    let mut rng = StdRng::seed_from_u64(41);
-    let (mut finite_cells, mut certified, mut tied, mut contested) = (0usize, 0, 0, 0);
-    for case in 0..400 {
-        let d = rng.gen_range(1..=4);
-        let levels_in = random_levels(&mut rng, d);
-        let levels_out = random_levels(&mut rng, d);
-        let integral = case % 2 == 0;
-        let betas: Vec<f64> =
-            (0..d)
-                .map(|_| {
-                    if integral {
-                        f64::from(rng.gen_range(0..3u32))
-                    } else {
-                        rng.gen_range(0.0..4.0)
-                    }
-                })
-                .collect();
-        let mut table = Table::new(levels_in, 0.0);
-        for v in table.values_mut() {
-            *v = if rng.gen_bool(0.15) {
-                f64::INFINITY
-            } else if integral {
-                f64::from(rng.gen_range(0..6u32))
-            } else {
-                rng.gen_range(0.0..1.0e4)
-            };
-        }
-        // Near-ties: a cell half a tie window above a neighbour along a
-        // random dimension — beyond the rounding slack, inside the
-        // margin — so they meet in that dimension's pass.
-        for _ in 0..rng.gen_range(0..4) {
-            let cell = rng.gen_range(0..table.len());
-            let (v, mut pos) = (table.values()[cell], table.positions_of(cell));
-            let j = rng.gen_range(0..d);
-            if !v.is_finite() || table.levels(j).len() < 2 {
-                continue;
-            }
-            pos[j] = if pos[j] == 0 { 1 } else { pos[j] - 1 };
-            let neighbour = table.index_of(&pos);
-            table.values_mut()[neighbour] = v + 0.5 * TIE_EPS * v.max(1.0);
-        }
-        let cert = Certificate::new(table.values(), table.all_levels(), &levels_out, &betas);
-        assert!(cert.resolves_ties(), "case {case}: small values resolve exact ties");
-
-        let plain = arrival_transform(&table, &levels_out, &betas);
-        let (transformed, pointers) = arrival_transform_certified(&table, &levels_out, &betas);
-        assert_eq!(transformed.all_levels(), plain.all_levels());
-        assert_eq!(bits(transformed.values()), bits(plain.values()), "case {case}: values moved");
-
-        for (cell, cfg) in plain.iter_configs() {
-            let (pointer, bit) = pointers[cell];
-            if !plain.values()[cell].is_finite() {
-                assert!(!bit, "case {case} cell {cell}: an infinite cell is certified");
-                continue;
-            }
-            finite_cells += 1;
-            let (winner, candidates) = tie_min_scan(&table, cfg.counts(), &betas);
-            let winner_v = candidates.iter().find(|c| Some(c.0) == winner).expect("a winner").1;
-            let gaps =
-                candidates.iter().filter(|&&(i, _)| Some(i) != winner).map(|&(_, v)| v - winner_v);
-            let (ties, ambiguous) = gaps.fold((0, 0), |(t, a), gap| {
-                if gap.abs() <= cert.slack {
-                    (t + 1, a)
-                } else if gap <= cert.margin - cert.slack {
-                    (t, a + 1)
-                } else {
-                    (t, a)
-                }
-            });
-            contested += usize::from(ambiguous > 0);
-            if bit {
-                certified += 1;
-                tied += usize::from(ties > 0);
-                assert_eq!(
-                    Some(pointer),
-                    winner,
-                    "case {case} cell {cell}: pointer is not TieMin's"
-                );
-                assert_eq!(
-                    ambiguous, 0,
-                    "case {case} cell {cell}: certified with a rival in the margin"
-                );
-            }
-        }
-    }
-    // The certificate must be worth having, and both kinds of tie must
-    // be there: exact ones it resolves, near ones it refuses.
-    assert!(certified * 2 > finite_cells, "{certified} of {finite_cells} finite cells certified");
-    assert!(tied > 0, "no exact tie was certified");
-    assert!(contested > 0, "no near-tie was generated");
 }

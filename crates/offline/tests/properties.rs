@@ -214,9 +214,9 @@ fn recovery_memory_is_sqrt_t_on_long_horizons() {
         .unwrap();
     let oracle = Dispatcher::new();
     // Checkpointing is forced: under Auto this non-poolable instance
-    // would (correctly) materialize within the memory budget instead of
-    // paying the replay — the machinery under test here is the
-    // checkpointed recovery itself.
+    // would (correctly) record backtrack pointers instead of paying the
+    // replay — the machinery under test here is the checkpointed
+    // recovery itself.
     let opts =
         DpOptions { threads: Some(1), recovery: RecoveryMode::Checkpointed, ..Default::default() };
     let (res, stats) = solve_with_stats(&inst, &oracle, opts);
