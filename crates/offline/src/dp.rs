@@ -77,9 +77,11 @@ pub struct DpOptions {
 /// [`crate::pipeline`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
-    /// Record backtrack pointers beside `√T` checkpoints when a replay
-    /// would price slots again (time-varying costs, or more distinct
-    /// slots than the pricing pool retains) and the pointers fit
+    /// Keep every slot's table on horizons of up to 64 slots (no more
+    /// tables than the pricing pool may retain). Beyond, record
+    /// backtrack pointers beside `√T` checkpoints when a replay would
+    /// price slots again (time-varying costs, or more distinct slots
+    /// than the pricing pool retains) and the pointers fit
     /// [`crate::pipeline::AUTO_POINTER_BUDGET_BYTES`] (each slot is then
     /// priced once); otherwise checkpoint without pointers.
     #[default]
@@ -144,14 +146,14 @@ pub struct DpResult {
 /// Solve `instance` to optimality over the chosen grid and recover the
 /// schedule.
 ///
-/// The forward pass keeps `√T` checkpoint tables and, under the default
-/// [`RecoveryMode::Auto`] when a replay would price slots again, a
-/// certified backtrack pointer per cell and slot; recovery follows the
-/// pointers and replays a `√T`-slot segment only where one is not
-/// certified (or from the pricing pool, when it holds every slot), so
-/// peak table memory is `O(|grid|·√T)` instead of `O(|grid|·T)` and each
-/// slot is priced once — see [`crate::pipeline`] and
-/// [`solve_with_stats`] for the observable accounting.
+/// Beyond 64 slots the forward pass keeps `√T` checkpoint tables and,
+/// under the default [`RecoveryMode::Auto`] when a replay would price
+/// slots again, a certified backtrack pointer per cell and slot;
+/// recovery follows the pointers and replays a `√T`-slot segment only
+/// where one is not certified (or from the pricing pool, when it holds
+/// every slot), so peak table memory is `O(|grid|·√T)` instead of
+/// `O(|grid|·T)` and each slot is priced once — see [`crate::pipeline`]
+/// and [`solve_with_stats`] for the observable accounting.
 ///
 /// With [`DpOptions::refine`] set, the solve instead runs the
 /// coarse-to-fine corridor solver ([`crate::refine::solve_refined`]) —

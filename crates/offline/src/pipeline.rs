@@ -29,18 +29,20 @@
 //!    exactly the cell `TieMin` would pick, so both routes recover the
 //!    same schedule, bit for bit.
 //!
-//! [`crate::dp::RecoveryMode::Auto`] records pointers when a replay would
-//! price slots again — the costs vary over time, or the horizon holds
-//! more distinct `(λ, grid)` slots than the pool retains — and they fit
+//! [`crate::dp::RecoveryMode::Materialized`] keeps every slot's table
+//! (`O(|grid|·T)` memory) and backtracks once: one value-only pass, the
+//! cheapest recovery and the reference the other modes are tested
+//! against. [`crate::dp::RecoveryMode::Auto`] does the same on horizons
+//! of up to 64 slots, no more tables than the pricing pool may retain.
+//! Beyond, it records pointers when a replay would price slots again —
+//! the costs vary over time, or the horizon holds more distinct
+//! `(λ, grid)` slots than the pool retains — and they fit
 //! [`AUTO_POINTER_BUDGET_BYTES`]: the solve then prices each slot once
 //! and holds `O(|grid|·√T)` tables plus the pointers. Otherwise it
 //! records none and replays every segment; when the pool holds every
 //! slot, the replay prices nothing and costs one value-only transform per
 //! slot, less than the certified transform (about three value-only ones)
-//! would have. [`crate::dp::RecoveryMode::Materialized`] instead keeps
-//! every slot's table (`O(|grid|·T)` memory) and backtracks once: one
-//! value-only pass, the reference the other modes are tested against.
-//! [`RecoveryStats`] makes all of it observable.
+//! would have. [`RecoveryStats`] makes all of it observable.
 //!
 //! Replayed segments are bit-identical to the forward pass (pricing is
 //! per-table deterministic and pooled tables are reused verbatim) — the
@@ -76,8 +78,7 @@ pub const AUTO_POINTER_BUDGET_BYTES: u64 = 128 << 20;
 pub struct RecoveryStats {
     /// Horizon `T` of the solved instance.
     pub horizon: usize,
-    /// Segment length `k`: `⌈√T⌉`, or `T` under
-    /// [`crate::dp::RecoveryMode::Materialized`].
+    /// Segment length `k`: `⌈√T⌉`, or `T` when every table is kept.
     pub segment_len: usize,
     /// Checkpoint tables kept by the forward pass (`⌈T/k⌉`).
     pub checkpoints: usize,
@@ -210,6 +211,14 @@ struct Engine<'a, O> {
     priced: usize,
 }
 
+/// Tables the time-independent pricing pool retains for a solve with
+/// `segment_len`-slot segments: enough for any trace whose distinct load
+/// levels are on the order of the segment length (a tiled diurnal day),
+/// while keeping worst-case retention within the √T budget.
+fn pool_capacity(segment_len: usize) -> usize {
+    (4 * segment_len).max(64)
+}
+
 /// Slot `t`'s candidate grid, borrowed when it is hoisted.
 fn slot_levels<'l>(
     hoisted: &'l Option<Vec<Vec<u32>>>,
@@ -235,10 +244,7 @@ struct Job<'l> {
 
 impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     fn new(instance: &'a Instance, oracle: &'a O, options: DpOptions, segment_len: usize) -> Self {
-        // Enough for any trace whose distinct load levels are on the
-        // order of the segment length (a tiled diurnal day), while
-        // keeping worst-case retention within the √T budget.
-        let cap = (4 * segment_len).max(64);
+        let cap = pool_capacity(segment_len);
         let pool =
             instance.is_time_independent().then(|| PricedSlotPool::with_capacity(instance, cap));
         let invariant_levels = (!instance.has_time_varying_counts()).then(|| {
@@ -287,9 +293,10 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     }
 
     /// The pointer log the recovery policy asks for, with room for every
-    /// slot `t ≥ 1` reserved up front: under [`RecoveryMode::Auto`], when
-    /// a replay would price slots again and the pointers fit
-    /// [`AUTO_POINTER_BUDGET_BYTES`]; never under the other modes.
+    /// slot `t ≥ 1` reserved up front: under [`RecoveryMode::Auto`] on a
+    /// checkpointed horizon, when a replay would price slots again and
+    /// the pointers fit [`AUTO_POINTER_BUDGET_BYTES`]; never under the
+    /// other modes.
     fn pointer_log(&self) -> Option<PointerLog> {
         if self.options.recovery != RecoveryMode::Auto || !self.replays_reprice() {
             return None;
@@ -482,27 +489,34 @@ pub fn solve_checkpointed(
     let horizon = instance.horizon();
     assert!(horizon > 0, "cannot solve an empty horizon");
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let k = match options.recovery {
-        RecoveryMode::Materialized => horizon,
-        _ => ((horizon as f64).sqrt().ceil() as usize).max(1),
+    let root = ((horizon as f64).sqrt().ceil() as usize).max(1);
+    // Auto keeps every table when the horizon has no more slots than the
+    // pricing pool may retain tables (up to 64 slots): the solve then
+    // holds no more tables than its pool may, and one value-only pass is
+    // the cheapest recovery.
+    let keep_all = match options.recovery {
+        RecoveryMode::Auto => horizon <= pool_capacity(root),
+        RecoveryMode::Materialized => true,
+        RecoveryMode::Checkpointed => false,
     };
+    let k = if keep_all { horizon } else { root };
     let segments: Vec<Range<usize>> =
         (0..horizon.div_ceil(k)).map(|s| s * k..((s + 1) * k).min(horizon)).collect();
 
     let mut engine = Engine::new(instance, oracle, options, k);
-    let mut log = engine.pointer_log();
+    let mut log = if keep_all { None } else { engine.pointer_log() };
 
     // Forward: keep each segment's entry table (and the pointers, or
-    // under `Materialized` every slot's table).
+    // every slot's table).
     let mut entries: Vec<Table> = Vec::with_capacity(segments.len());
     let mut kept: Vec<Table> = Vec::new();
     let mut prev = Table::origin(instance.num_types());
     for seg in &segments {
         entries.push(prev.clone());
-        let trail = match (&mut log, options.recovery) {
-            (Some(log), _) => Trail::Pointers(log),
-            (None, RecoveryMode::Materialized) => Trail::Tables(&mut kept),
-            (None, _) => Trail::None,
+        let trail = match &mut log {
+            Some(log) => Trail::Pointers(log),
+            None if keep_all => Trail::Tables(&mut kept),
+            None => Trail::None,
         };
         prev = engine.run(prev, seg.clone(), trail, entries.len());
     }
@@ -687,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_mode_sets_the_segment_length() {
+    fn recovery_mode_overrides_the_auto_cutoff() {
         let inst = diurnal_instance(29);
         let oracle = Dispatcher::new();
         let (_, forced) = solve_with_stats(
@@ -695,27 +709,27 @@ mod tests {
             &oracle,
             DpOptions { recovery: RecoveryMode::Checkpointed, ..opts() },
         );
-        assert_eq!(forced.segment_len, 6, "⌈√29⌉");
+        assert_eq!(forced.segment_len, 6, "⌈√29⌉ despite the short horizon");
         let long = diurnal_instance(300);
         let (_, mat) = solve_with_stats(
             &long,
             &oracle,
             DpOptions { recovery: RecoveryMode::Materialized, ..opts() },
         );
-        assert_eq!(mat.checkpoints, 1, "every table kept, one backtrack");
+        assert_eq!(mat.checkpoints, 1, "single pass despite the long horizon");
         assert_eq!(mat.segment_len, 300);
     }
 
     #[test]
-    fn short_horizons_price_each_slot_once() {
-        // Time-dependent costs: a replay would price its slots again, so
-        // Auto records backtrack pointers beside its √T checkpoints and
-        // never replays: every slot is priced exactly once.
+    fn short_horizons_skip_checkpointing() {
+        // Up to 64 slots Auto keeps every table (no more than the pricing
+        // pool may retain) and never replays: every slot is priced
+        // exactly once.
         let inst = time_dependent_instance(29);
         let oracle = SweepCounter::default();
         let (res, stats) = solve_with_stats(&inst, &oracle, opts());
-        assert_eq!(stats.segment_len, 6, "⌈√29⌉");
-        assert_eq!(stats.checkpoints, 5);
+        assert_eq!(stats.segment_len, 29);
+        assert_eq!(stats.checkpoints, 1);
         assert_eq!(oracle.sweeps.load(Ordering::Relaxed), 29, "one pricing sweep per slot");
         let graph = crate::graph::solve(&inst, &Dispatcher::new(), crate::GridMode::Full);
         assert_eq!(graph.schedule, res.schedule);
@@ -758,7 +772,7 @@ mod tests {
         // Four distinct loads (`|t mod 8 − 3.5|` is symmetric): the pool
         // keeps every priced slot, so a replay prices nothing and Auto
         // checkpoints without pointers.
-        let inst = diurnal_instance(64);
+        let inst = diurnal_instance(100);
         let oracle = Dispatcher::new();
         let (auto, stats) = solve_with_stats(&inst, &oracle, opts());
         assert_eq!(stats.priced_slots, 4, "one pricing per distinct load");
@@ -776,11 +790,12 @@ mod tests {
     /// by `premium`: from one server of either type, the other type's
     /// server is an equally cheap predecessor up to the premium. Both
     /// costs scale by an integer price that changes from slot to slot,
-    /// so a replay would price its slots again and Auto records
-    /// pointers; integer loads and prices keep the exact ties exact.
+    /// so over 80 slots (more than Auto keeps whole) a replay would price
+    /// its slots again and Auto records pointers; integer loads and
+    /// prices keep the exact ties exact.
     fn twin_types(premium: f64) -> Instance {
-        let loads: Vec<f64> = (0..40).map(|t| f64::from([1, 2, 1, 0, 2, 3, 1][t % 7])).collect();
-        let prices: Vec<f64> = (0..40).map(|t| f64::from(1 + t % 2)).collect();
+        let loads: Vec<f64> = (0..80).map(|t| f64::from([1, 2, 1, 0, 2, 3, 1][t % 7])).collect();
+        let prices: Vec<f64> = (0..80).map(|t| f64::from(1 + t % 2)).collect();
         let twin = |name, cost| {
             let spec = CostSpec::scaled(CostModel::constant(cost), prices.clone());
             ServerType::with_spec(name, 2, 2.0, 1.0, spec)
