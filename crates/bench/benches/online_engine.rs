@@ -27,7 +27,8 @@ use rsz_dispatch::Dispatcher;
 use rsz_offline::EngineStats;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_c::{AlgorithmC, COptions};
-use rsz_online::runner::{run_instrumented, OnlineAlgorithm};
+use rsz_online::runner::run_instrumented;
+use rsz_online::Controller;
 
 /// The reference Algorithm C workload: time-dependent prices (so the
 /// pool partitions by slot and only the sub-slot replay can win) with
@@ -88,12 +89,11 @@ fn c_d3_diurnal(quick: bool) -> Instance {
 /// state must not leak across runs), and add the scenario's row. The
 /// profile and the engine counters come from the last run: every run is
 /// deterministic, only the clock varies.
-fn measure<A: OnlineAlgorithm>(
+fn measure<A: Controller>(
     bench: &mut Bench,
     name: &str,
     instance: &Instance,
     mut build: impl FnMut() -> A,
-    engine_stats: impl Fn(&A) -> EngineStats,
 ) -> EngineStats {
     let oracle = Dispatcher::new();
     let ((algo, profile), [engine]) = bench.repeat(|laps| {
@@ -101,7 +101,7 @@ fn measure<A: OnlineAlgorithm>(
         let (_, profile) = laps.time(|| run_instrumented(instance, &mut algo, &oracle));
         (algo, profile)
     });
-    let stats = engine_stats(&algo);
+    let stats = algo.engine_stats().expect("the prefix solver prices every slot");
     let (p50, _, p99, _, _) = profile.summary_us();
     bench.row(
         Row::new(name)
@@ -123,7 +123,7 @@ fn main() {
     let inst = c_reference(bench.quick);
     let opts = COptions { epsilon: 0.25, ..Default::default() };
     let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
-    let stats = measure(&mut bench, "algo_c_time_varying", &inst, build, AlgorithmC::engine_stats);
+    let stats = measure(&mut bench, "algo_c_time_varying", &inst, build);
     assert_eq!(
         stats.pricings,
         inst.horizon() as u64,
@@ -134,7 +134,7 @@ fn main() {
     // --- Algorithm A, tiled diurnal ---
     let inst = a_diurnal(bench.quick);
     let build = || AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
-    let stats = measure(&mut bench, "algo_a_diurnal", &inst, build, AlgorithmA::engine_stats);
+    let stats = measure(&mut bench, "algo_a_diurnal", &inst, build);
     assert!(
         stats.pool_hits > stats.pricings,
         "tiled days must be answered from the pool: {stats:?}"
@@ -144,7 +144,7 @@ fn main() {
     let inst = c_d3_diurnal(bench.quick);
     let opts = COptions { epsilon: 0.5, ..Default::default() };
     let build = || AlgorithmC::new(&inst, Dispatcher::new(), opts);
-    measure(&mut bench, "algo_c_d3_diurnal", &inst, build, AlgorithmC::engine_stats);
+    measure(&mut bench, "algo_c_d3_diurnal", &inst, build);
 
     bench.finish(&[], &["results/online_engine.json", "BENCH_online.json"]);
 }

@@ -27,12 +27,12 @@ use std::time::Duration;
 use rsz_bench::harness::{tiled_diurnal, Bench, Row};
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
-use rsz_offline::GridMode;
+use rsz_offline::{shared_pool, GridMode};
 use rsz_online::algo_a::AOptions;
 use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::degrade::{DegradeOptions, GracefulDegrader};
 use rsz_online::runner::{run, OnlineAlgorithm};
-use rsz_online::{restore_run, run_checkpointed, save_run};
+use rsz_online::{restore_run, run_checkpointed, save_run, Controller};
 
 fn workload(quick: bool) -> Instance {
     let horizon = if quick { 48 } else { 192 };
@@ -109,7 +109,7 @@ fn main() {
         // degradation_ladder: zero deadline walks every rung.
         let mut degrader = GracefulDegrader::new(
             algo(&inst, AOptions::default()),
-            |i: &Instance, g: GridMode| algo(i, AOptions { grid: g, ..AOptions::default() }),
+            |i: &Instance, g: GridMode| algo(i, AOptions { grid: g }),
             DegradeOptions { deadline: Some(Duration::ZERO), ..Default::default() },
         );
         let degraded = laps.time(|| run(&inst, &mut degrader, &oracle));
@@ -120,8 +120,8 @@ fn main() {
         assert_eq!(stats.hold, horizon as u64 - 2, "hold is terminal");
 
         // eviction_storm: capacity-1 pool vs the default pool.
-        let mut storm_algo =
-            algo(&inst, AOptions { pool_capacity: Some(1), ..AOptions::default() });
+        let mut storm_algo = algo(&inst, AOptions::default());
+        storm_algo.share_pool(shared_pool(&inst, 1));
         let stormy = laps.time(|| run(&inst, &mut storm_algo, &oracle));
         assert_eq!(stormy.schedule, baseline.schedule, "eviction storm changed decisions");
         (base_algo, baseline, snaps, restored_at, degraded, stats)

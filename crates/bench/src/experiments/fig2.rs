@@ -1,6 +1,6 @@
 //! Figure 2 — blocks `A_{j,i}` and special time slots `τ_{j,k}`.
 //!
-//! Runs Algorithm A on a spiky workload, extracts the power-up log, and
+//! Runs Algorithm A on a spiky workload, derives its power-up log, and
 //! computes the block decomposition that drives the proof of Lemma 7:
 //! special slots are constructed backwards with spacing ≥ `t̄_j`, the
 //! index sets `B_{j,k}` partition the blocks, and every block contains
@@ -10,7 +10,7 @@ use rsz_core::CostModel;
 use rsz_core::{Instance, ServerType};
 use rsz_dispatch::Dispatcher;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
-use rsz_online::blocks::decompose;
+use rsz_online::blocks::{decompose, power_ups};
 use rsz_online::runner::run as run_online;
 use rsz_workloads::adversarial;
 
@@ -35,18 +35,15 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         .build()
         .expect("probe instance is feasible");
     let oracle = Dispatcher::new();
-    // The block decomposition needs the whole power-up history, which
-    // Algorithm A only retains on request (the controller itself keeps a
-    // ring of `max t̄` rows).
-    let mut algo =
-        AlgorithmA::new(&inst, oracle, AOptions { keep_power_up_log: true, ..AOptions::default() });
+    let mut algo = AlgorithmA::new(&inst, oracle, AOptions::default());
     let outcome = run_online(&inst, &mut algo, &oracle);
     outcome.schedule.check_feasible(&inst).expect("Lemma 1");
 
+    // The controller keeps only a ring of `t̄` power-up rows; the whole
+    // log follows from the committed schedule.
     let tbar = algo.runtime(0).expect("positive idle cost");
-    let w: Vec<u32> =
-        algo.power_up_log().expect("full log opted in").iter().map(|row| row[0]).collect();
-    let dec = decompose(&w, tbar);
+    let x: Vec<u32> = outcome.schedule.configs().iter().map(|c| c.count(0)).collect();
+    let dec = decompose(&power_ups(&x, tbar), tbar);
 
     report.kv("horizon", horizon);
     report.kv("t̄ (ski-rental runtime)", tbar);

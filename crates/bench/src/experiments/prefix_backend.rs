@@ -57,7 +57,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         let cells: usize =
             (0..inst.num_types()).map(|j| grid.levels(inst.server_count(0, j)).len()).product();
         let (outcome, dur) = timed(|| {
-            let mut algo = AlgorithmA::new(&inst, oracle, AOptions { grid, ..AOptions::default() });
+            let mut algo = AlgorithmA::new(&inst, oracle, AOptions { grid });
             run_online(&inst, &mut algo, &oracle)
         });
         outcome.schedule.check_feasible(&inst).expect("feasible");

@@ -238,12 +238,6 @@ impl<'a> CostRef<'a> {
     pub fn is_load_independent(&self) -> bool {
         self.scale == 0.0 || self.model.is_load_independent()
     }
-
-    /// Apply an additional scale factor on top of the current one.
-    #[must_use]
-    pub fn rescaled(&self, extra: f64) -> CostRef<'a> {
-        CostRef::new(self.model, self.scale * extra)
-    }
 }
 
 #[cfg(test)]
@@ -275,13 +269,6 @@ mod tests {
         let r = CostRef::new(&m, 0.0);
         assert!(r.is_load_independent());
         assert_eq!(r.eval(10.0), 0.0);
-    }
-
-    #[test]
-    fn rescaled_compounds() {
-        let m = CostModel::constant(4.0);
-        let r = CostRef::new(&m, 0.5).rescaled(0.5);
-        assert!(approx_eq(r.eval(0.0), 1.0));
     }
 
     #[test]

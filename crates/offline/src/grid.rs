@@ -222,19 +222,12 @@ pub fn decode_counts(levels: &[Vec<u32>], mut idx: usize, out: &mut Vec<u32>) {
     }
 }
 
-/// The next greater level `N_j(x)` (paper notation), if any.
+/// The smallest level ≥ `x` (the `xmin` of Eq. 18), if any.
 ///
-/// Level lists are strictly sorted, so all three neighbour lookups
+/// Level lists are strictly sorted, so both neighbour lookups
 /// binary-search (`partition_point`) instead of scanning — they sit on
 /// the corridor-rounding and online hot paths where level lists can hold
 /// thousands of entries on full grids.
-#[must_use]
-pub fn next_level(levels: &[u32], x: u32) -> Option<u32> {
-    let i = levels.partition_point(|&v| v <= x);
-    levels.get(i).copied()
-}
-
-/// The smallest level ≥ `x` (the `xmin` of Eq. 18), if any.
 #[must_use]
 pub fn level_at_least(levels: &[u32], x: u32) -> Option<u32> {
     let i = levels.partition_point(|&v| v < x);
@@ -320,8 +313,6 @@ mod tests {
     #[test]
     fn neighbor_lookups() {
         let l = vec![0u32, 1, 2, 4, 8, 10];
-        assert_eq!(next_level(&l, 2), Some(4));
-        assert_eq!(next_level(&l, 10), None);
         assert_eq!(level_at_least(&l, 3), Some(4));
         assert_eq!(level_at_least(&l, 0), Some(0));
         assert_eq!(level_at_most(&l, 7), Some(4));

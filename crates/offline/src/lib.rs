@@ -19,9 +19,10 @@
 //!   constructive argument.
 //! * [`pipeline`] — the slot-batched pricing pipeline (barrier-free
 //!   `g_t` pricing in layout-order row sweeps with time-independent
-//!   slot de-duplication through [`engine`]'s pool) plus
-//!   `√T`-checkpointed schedule recovery; the one path behind
-//!   [`dp::solve`].
+//!   slot de-duplication through [`engine`]'s pool) plus schedule
+//!   recovery that follows certified backtrack pointers and replays a
+//!   `√T` segment from its checkpoint only where a pointer is not
+//!   certified or none was recorded; the one path behind [`dp::solve`].
 //! * [`incremental`] — a rolling prefix-optimal solver, the substrate
 //!   that makes the online algorithms of Sections 2–3 efficient. It
 //!   steps in place (double-buffered tables, persistent scratch) and

@@ -67,10 +67,15 @@ use crate::transform::{
 };
 
 /// Pointer-memory budget of [`crate::dp::RecoveryMode::Auto`]: a solve
-/// whose replays would price slots again records backtrack pointers when
-/// they fit (and then prices each slot once), and otherwise replays every
-/// `√T` segment from its checkpoint. 128 MiB holds `64 × 274,625` 4-byte
-/// pointers (about 72 MB), the largest grid the benches solve.
+/// of more than 64 slots whose replays would price slots again records
+/// backtrack pointers when they fit (and then prices each slot once), and
+/// otherwise replays every `√T` segment from its checkpoint. The bench
+/// rows that record pointers are dp_pipeline's `time_dependent_costs`,
+/// dp_refine's `d2_time_varying_costs` coarse pass and perfbench's
+/// offline_plan; shorter horizons keep every table and record none. A
+/// pointer on a grid of up to 65,536 cells costs 2 bytes plus its
+/// certificate bit, so 128 MiB holds about 53,000 slots of offline_plan's
+/// 1,183-cell grid.
 pub const AUTO_POINTER_BUDGET_BYTES: u64 = 128 << 20;
 
 /// Work and memory accounting of a solve, for tests and reports.

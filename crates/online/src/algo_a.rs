@@ -23,9 +23,12 @@
 //! ```
 
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::{Decoder, DpOptions, Encoder, GridMode, PrefixDp, SnapshotError};
+use rsz_offline::{
+    Decoder, DpOptions, Encoder, EngineStats, GridMode, PrefixDp, SharedSlotPool, SnapshotError,
+};
 
 use crate::checkpoint::{codec, Checkpoint};
+use crate::registry::Controller;
 use crate::runner::OnlineAlgorithm;
 
 /// Options for [`AlgorithmA`].
@@ -35,20 +38,11 @@ pub struct AOptions {
     /// paper's algorithm; `Gamma(γ)` trades the guarantee for speed on
     /// large fleets (the prefix optima become (2γ−1)-approximate).
     pub grid: GridMode,
-    /// Retain the **full** per-slot power-up log `w` (`O(T·d)` memory)
-    /// instead of only the ring of rows still inside a retirement
-    /// window. Needed by the block decomposition ([`crate::blocks`]);
-    /// off by default so long-horizon controllers run in `O(max t̄·d)`.
-    pub keep_power_up_log: bool,
-    /// Priced-slot pool retention bound for the engine (`None` = the
-    /// engine default). Tiny values force constant re-pricing — the
-    /// chaos suite's eviction storm — without ever changing decisions.
-    pub pool_capacity: Option<usize>,
 }
 
 impl Default for AOptions {
     fn default() -> Self {
-        Self { grid: GridMode::Full, keep_power_up_log: false, pool_capacity: None }
+        Self { grid: GridMode::Full }
     }
 }
 
@@ -58,7 +52,7 @@ impl AOptions {
     /// engine: one sweep per slot, no thread count to choose).
     #[must_use]
     pub fn dp_options(&self) -> DpOptions {
-        DpOptions { grid: self.grid, pool_capacity: self.pool_capacity, ..DpOptions::default() }
+        DpOptions { grid: self.grid, ..DpOptions::default() }
     }
 }
 
@@ -73,11 +67,9 @@ pub struct AlgorithmA<O> {
     /// servers of type `j` powered up at slot `t`, with
     /// `cap = max_j t̄_j` — the only rows a future retirement can still
     /// read. Empty when every type idles for free (no retirements ever).
+    /// The whole log is never kept: [`crate::blocks::power_ups`] derives
+    /// it from the committed schedule.
     ring: Vec<Vec<u32>>,
-    /// The full log `w[t][j]`, retained only under
-    /// [`AOptions::keep_power_up_log`] (the block decomposition needs
-    /// all of history; the controller itself does not).
-    full_log: Option<Vec<Vec<u32>>>,
     /// Scratch copy of the latest prefix target.
     target: Vec<u32>,
     /// Deterministic runtimes `t̄_j`; `None` = never power down
@@ -120,7 +112,6 @@ impl<O: GtOracle + Sync> AlgorithmA<O> {
             prefix: PrefixDp::new(instance, options.dp_options()),
             x: vec![0; d],
             ring: vec![vec![0; d]; ring_cap],
-            full_log: options.keep_power_up_log.then(Vec::new),
             target: Vec::with_capacity(d),
             tbar,
             steps: 0,
@@ -134,40 +125,19 @@ impl<O: GtOracle + Sync> AlgorithmA<O> {
         self.tbar[j]
     }
 
-    /// The full power-up log `w` (`w[t][j]` = servers of type `j` powered
-    /// up at slot `t`) — the raw material of the block decomposition
-    /// ([`crate::blocks`]). `None` unless the run was started with
-    /// [`AOptions::keep_power_up_log`]: by default only the ring of rows
-    /// inside a retirement window is retained, so long-horizon
-    /// controllers don't grow memory with `T`.
-    #[must_use]
-    pub fn power_up_log(&self) -> Option<&[Vec<u32>]> {
-        self.full_log.as_deref()
-    }
-
-    /// Number of power-up rows currently held in memory: `max_j t̄_j`
-    /// ring rows, plus the full history iff it was opted into. The
-    /// long-horizon memory test pins this.
-    #[must_use]
-    pub fn retained_log_rows(&self) -> usize {
-        self.ring.len() + self.full_log.as_ref().map_or(0, Vec::len)
-    }
-
     /// The prefix-optimal target `x̂^t_t` most recently computed.
     #[must_use]
     pub fn prefix_opt_cost(&self) -> f64 {
         self.prefix.prefix_opt_cost()
     }
+}
 
-    /// Pricing counters of the prefix solver's engine.
-    #[must_use]
-    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
-        self.prefix.engine_stats()
+impl<O: GtOracle + Sync + Send> Controller for AlgorithmA<O> {
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(self.prefix.engine_stats())
     }
 
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape (see [`rsz_offline::SharedSlotPool`]).
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+    fn share_pool(&mut self, pool: SharedSlotPool) {
         self.prefix.share_pool(pool);
     }
 }
@@ -212,24 +182,10 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmA<O> {
                     row[j] = 0;
                 }
             }
-            if let Some(log) = self.full_log.as_mut() {
-                log.push(row.clone());
-            }
         } else {
-            // No type ever retires: nothing reads the ring, so a row is
-            // materialized only for the opt-in full log.
-            let mut row = self.full_log.is_some().then(|| vec![0u32; d]);
-            #[allow(clippy::needless_range_loop)] // j indexes x and target
-            for j in 0..d {
-                if self.x[j] <= self.target[j] {
-                    if let Some(row) = row.as_mut() {
-                        row[j] = self.target[j] - self.x[j];
-                    }
-                    self.x[j] = self.target[j];
-                }
-            }
-            if let (Some(log), Some(row)) = (self.full_log.as_mut(), row) {
-                log.push(row);
+            // No type ever retires: nothing reads the ring.
+            for (x, &target) in self.x.iter_mut().zip(&self.target) {
+                *x = (*x).max(target);
             }
         }
         self.steps += 1;
@@ -250,16 +206,8 @@ impl<O: GtOracle + Sync> Checkpoint for AlgorithmA<O> {
         for row in &self.ring {
             codec::put_u32s(enc, row);
         }
-        match &self.full_log {
-            None => enc.put_u8(0),
-            Some(log) => {
-                enc.put_u8(1);
-                enc.put_usize(log.len());
-                for row in log {
-                    codec::put_u32s(enc, row);
-                }
-            }
-        }
+        // The tag of the retired whole-history log: always absent.
+        enc.put_u8(0);
     }
 
     fn restore_state(
@@ -289,40 +237,13 @@ impl<O: GtOracle + Sync> Checkpoint for AlgorithmA<O> {
             }
             ring.push(row);
         }
-        let full_log = match dec.take_u8()? {
-            0 => {
-                if self.full_log.is_some() {
-                    return Err(SnapshotError::Corrupt(
-                        "snapshot was taken without the power-up log",
-                    ));
-                }
-                None
-            }
-            1 => {
-                if self.full_log.is_none() {
-                    return Err(SnapshotError::Corrupt("snapshot was taken with the power-up log"));
-                }
-                let n = dec.take_usize()?;
-                if n != steps {
-                    return Err(SnapshotError::Corrupt(
-                        "power-up log length does not match the step counter",
-                    ));
-                }
-                let mut log = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let row = codec::take_u32s(dec, d)?;
-                    if row.len() != d {
-                        return Err(SnapshotError::Corrupt("power-up row has the wrong dimension"));
-                    }
-                    log.push(row);
-                }
-                Some(log)
-            }
+        match dec.take_u8()? {
+            0 => {}
+            1 => return Err(SnapshotError::Corrupt("snapshot was taken with the power-up log")),
             _ => return Err(SnapshotError::Corrupt("unknown option tag")),
-        };
+        }
         self.x = x;
         self.ring = ring;
-        self.full_log = full_log;
         self.steps = steps;
         Ok(())
     }
@@ -422,43 +343,61 @@ mod tests {
     }
 
     #[test]
-    fn long_horizon_runs_do_not_grow_the_power_up_log() {
-        // t̄ = ⌈3/1⌉ = 3: however long the horizon, only max t̄ = 3 ring
-        // rows may stay resident — the O(T·d) log is opt-in now.
-        let loads: Vec<f64> = (0..2000).map(|t| f64::from((t % 5) as u32)).collect();
-        let inst = simple(loads, 3.0, 1.0);
-        let oracle = Dispatcher::new();
-        let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
-        let outcome = run(&inst, &mut a, &oracle);
-        outcome.schedule.check_feasible(&inst).unwrap();
-        assert_eq!(a.retained_log_rows(), 3, "ring must hold exactly max t̄ rows");
-        assert!(a.power_up_log().is_none(), "full log must be opt-in");
+    fn checkpoints_holding_a_power_up_log_are_refused() {
+        let inst = simple(vec![1.0, 3.0, 0.0], 3.0, 1.0);
+        let mut a = AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
+        a.decide(&inst, 0);
+        let mut enc = Encoder::new();
+        a.save_state(&mut enc);
+        let mut payload = enc.payload().to_vec();
+        assert_eq!(payload.pop(), Some(0), "the log tag closes the state");
+        let restore = |tag: u8| {
+            let bytes = [&payload[..], &[tag]].concat();
+            let mut fresh = AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
+            fresh.restore_state(&inst, &mut Decoder::over(&bytes))
+        };
+        assert_eq!(restore(0), Ok(()));
+        assert_eq!(
+            restore(1),
+            Err(SnapshotError::Corrupt("snapshot was taken with the power-up log"))
+        );
     }
 
     #[test]
-    fn opt_in_log_matches_ring_driven_schedule() {
-        // The ring-driven controller and the full-log variant decide
-        // identically, and the opted-in log records one row per slot
-        // with exactly the power-ups the schedule realizes.
-        let loads = vec![1.0, 3.0, 0.0, 2.0, 4.0, 0.0, 1.0, 2.0];
+    fn checkpoints_do_not_grow_with_age() {
+        // t̄ = ⌈3/1⌉ = 3: however long the horizon, the checkpoint holds
+        // the 3-row power-up ring and no per-slot log.
+        let loads: Vec<f64> = (0..2000).map(|t| f64::from((t % 5) as u32)).collect();
+        let inst = simple(loads, 3.0, 1.0);
+        let mut a = AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default());
+        let mut sizes = Vec::new();
+        for t in 0..inst.horizon() {
+            a.decide(&inst, t);
+            if t + 1 == 100 || t + 1 == 2000 {
+                let mut enc = Encoder::new();
+                a.save_state(&mut enc);
+                sizes.push(enc.payload().len());
+            }
+        }
+        assert_eq!(sizes[0], sizes[1], "checkpoint bytes at t = 100 vs 2000");
+    }
+
+    #[test]
+    fn derived_power_up_log_explains_the_schedule() {
+        // Every active server was powered up within the last t̄ slots:
+        // the log derived from the schedule sums to its counts, and
+        // Lemma 7's partition invariant holds on it.
+        let loads = vec![1.0, 3.0, 0.0, 2.0, 4.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0];
         let inst = simple(loads, 3.0, 1.0);
         let oracle = Dispatcher::new();
-        let mut plain = AlgorithmA::new(&inst, oracle, AOptions::default());
-        let want = run(&inst, &mut plain, &oracle);
-        let mut logged = AlgorithmA::new(
-            &inst,
-            oracle,
-            AOptions { keep_power_up_log: true, ..AOptions::default() },
-        );
-        let got = run(&inst, &mut logged, &oracle);
-        assert_eq!(want.schedule, got.schedule);
-        let log = logged.power_up_log().expect("opted in");
-        assert_eq!(log.len(), inst.horizon());
-        assert_eq!(logged.retained_log_rows(), 3 + inst.horizon());
-        // The retained log is the real block-decomposition substrate:
-        // Lemma 7's partition invariant must hold on it.
-        let w: Vec<u32> = log.iter().map(|row| row[0]).collect();
-        let tbar = logged.runtime(0).expect("positive idle cost");
+        let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
+        let x: Vec<u32> =
+            run(&inst, &mut a, &oracle).schedule.configs().iter().map(|c| c.count(0)).collect();
+        let tbar = a.runtime(0).expect("positive idle cost");
+        let w = crate::blocks::power_ups(&x, tbar);
+        for (t, &active) in x.iter().enumerate() {
+            assert_eq!(w[t.saturating_sub(tbar - 1)..=t].iter().sum::<u32>(), active, "slot {t}");
+        }
         let dec = crate::blocks::decompose(&w, tbar);
         assert!(dec.is_partition());
         assert!(dec.spacing_at_least(tbar));
@@ -470,7 +409,7 @@ mod tests {
         let oracle = Dispatcher::new();
         let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
         let _ = run(&inst, &mut a, &oracle);
-        let stats = a.engine_stats();
+        let stats = a.engine_stats().expect("A prices through its prefix solver");
         assert_eq!(stats.pricings, 4, "four distinct loads");
         assert_eq!(stats.pool_hits, 4);
     }
@@ -483,11 +422,7 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let mut a = AlgorithmA::new(
-            &inst,
-            oracle,
-            AOptions { grid: GridMode::Gamma(1.5), ..AOptions::default() },
-        );
+        let mut a = AlgorithmA::new(&inst, oracle, AOptions { grid: GridMode::Gamma(1.5) });
         let run = run(&inst, &mut a, &oracle);
         run.schedule.check_feasible(&inst).unwrap();
     }

@@ -16,10 +16,11 @@
 //! `(2d+1+c(I))`-competitive with `c(I) = Σ_j max_t l_{t,j}/β_j`.
 
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::{Decoder, Encoder, PrefixDp, SnapshotError};
+use rsz_offline::{Decoder, Encoder, EngineStats, PrefixDp, SharedSlotPool, SnapshotError};
 
 use crate::algo_a::AOptions;
 use crate::checkpoint::{codec, Checkpoint};
+use crate::registry::Controller;
 use crate::runner::OnlineAlgorithm;
 
 /// A batch of servers of one type powered up at the same (sub-)slot.
@@ -249,16 +250,14 @@ impl<O: GtOracle + Sync> AlgorithmB<O> {
     pub fn core(&self) -> &BCore {
         &self.core
     }
+}
 
-    /// Pricing counters of the prefix solver's engine.
-    #[must_use]
-    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
-        self.core.prefix().engine_stats()
+impl<O: GtOracle + Sync + Send> Controller for AlgorithmB<O> {
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(self.core.prefix().engine_stats())
     }
 
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+    fn share_pool(&mut self, pool: SharedSlotPool) {
         self.core.share_pool(pool);
     }
 }

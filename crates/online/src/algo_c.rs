@@ -23,11 +23,12 @@
 
 use rsz_core::util::TIE_EPS;
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::{Decoder, Encoder, SnapshotError};
+use rsz_offline::{Decoder, Encoder, EngineStats, SharedSlotPool, SnapshotError};
 
 use crate::algo_a::AOptions;
 use crate::algo_b::BCore;
 use crate::checkpoint::Checkpoint;
+use crate::registry::Controller;
 use crate::runner::OnlineAlgorithm;
 
 /// Options for [`AlgorithmC`].
@@ -99,22 +100,6 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
         self.subslots_max
     }
 
-    /// Pricing counters of the prefix solver's engine. Every original
-    /// slot is priced **once** however many sub-slots replay it: the
-    /// `ñ_t` sub-slots of slot `t` share the pool key `(t, λ_t, grid)`,
-    /// so `pricings` equals the number of distinct original slots — the
-    /// property the pricing-count test asserts.
-    #[must_use]
-    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
-        self.core.prefix().engine_stats()
-    }
-
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
-        self.core.share_pool(pool);
-    }
-
     /// The operating cost `g_t(x)` used to rank sub-slot states: read
     /// from the engine's dense priced slot (the table was priced once
     /// for this slot and λ), falling back to the oracle for off-grid
@@ -150,6 +135,20 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
             .fold(0.0_f64, f64::max);
         let n = (d / self.options.epsilon * worst).ceil() as usize;
         n.clamp(1, self.options.max_subslots)
+    }
+}
+
+impl<O: GtOracle + Sync + Send> Controller for AlgorithmC<O> {
+    /// Every original slot is priced **once** however many sub-slots
+    /// replay it: the `ñ_t` sub-slots of slot `t` share the pool key
+    /// `(t, λ_t, grid)`, so `pricings` equals the number of distinct
+    /// original slots — the property the pricing-count test asserts.
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(self.core.prefix().engine_stats())
+    }
+
+    fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.core.share_pool(pool);
     }
 }
 
@@ -340,7 +339,7 @@ mod tests {
         outcome.schedule.check_feasible(&inst).unwrap();
         let total_subslots = c.subslots_total();
         assert!(total_subslots > inst.horizon(), "refinement must actually refine");
-        let stats = c.engine_stats();
+        let stats = c.engine_stats().expect("C prices through its prefix solver");
         assert_eq!(
             stats.pricings,
             inst.horizon() as u64,

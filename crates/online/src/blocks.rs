@@ -7,8 +7,9 @@
 //! τ_{j,n'_j}`, constructed backwards so consecutive ones are at least
 //! `t̄_j` apart. The proof of Lemma 7 hinges on the combinatorial fact
 //! that *every block contains exactly one special slot*; this module
-//! computes the decomposition from a power-up log so experiments and
-//! tests can exhibit and verify it on real runs.
+//! derives the power-up log from a committed schedule and computes the
+//! decomposition from it, so experiments and tests can exhibit and
+//! verify it on real runs.
 
 /// One server lifetime `[start, end]` (inclusive slots).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,11 +40,30 @@ pub struct BlockDecomposition {
     pub index_sets: Vec<Vec<usize>>,
 }
 
+/// Algorithm A's power-up log for one type, derived from the active
+/// counts `x` it committed: every server it powers up runs exactly
+/// `tbar` slots, so `w_t = x_t − x_{t−1} + w_{t−t̄}` (with `x_{−1}` and
+/// `w_{t−t̄}` for `t < t̄` zero).
+///
+/// # Panics
+/// Panics if `x` drops by more servers than retire at some slot, which
+/// no run of Algorithm A with runtime `tbar` does.
+#[must_use]
+pub fn power_ups(x: &[u32], tbar: usize) -> Vec<u32> {
+    let mut w: Vec<u32> = Vec::with_capacity(x.len());
+    let mut prev = 0;
+    for (t, &now) in x.iter().enumerate() {
+        let retired = t.checked_sub(tbar).map_or(0, |u| w[u]);
+        w.push((now + retired).checked_sub(prev).expect("more servers left than retired"));
+        prev = now;
+    }
+    w
+}
+
 /// Decompose a power-up log for one type.
 ///
-/// `w[t]` is the number of type-`j` servers powered up at slot `t`
-/// (`AlgorithmA::power_up_log` transposed), `tbar` the deterministic
-/// runtime `t̄_j ≥ 1`.
+/// `w[t]` is the number of type-`j` servers powered up at slot `t` (see
+/// [`power_ups`]), `tbar` the deterministic runtime `t̄_j ≥ 1`.
 #[must_use]
 pub fn decompose(w: &[u32], tbar: usize) -> BlockDecomposition {
     assert!(tbar >= 1, "runtime must be at least one slot");
@@ -144,6 +164,14 @@ mod tests {
             assert!(dec.is_partition(), "tbar={tbar} w={w:?} dec={dec:?}");
             assert!(dec.spacing_at_least(tbar));
         }
+    }
+
+    #[test]
+    fn power_ups_follow_the_retirements() {
+        // t̄ = 2: the two servers powered up at 0 retire at 2, the one
+        // from 1 at 3, where one is powered up again (retiring at 5).
+        assert_eq!(power_ups(&[2, 3, 1, 1, 1, 0], 2), vec![2, 1, 0, 1, 0, 0]);
+        assert_eq!(power_ups(&[], 3), Vec::<u32>::new());
     }
 
     #[test]

@@ -370,13 +370,7 @@ mod tests {
         let inner = AlgorithmA::new(inst, Dispatcher::new(), AOptions::default());
         GracefulDegrader::new(
             inner,
-            |instance, grid| {
-                AlgorithmA::new(
-                    instance,
-                    Dispatcher::new(),
-                    AOptions { grid, ..AOptions::default() },
-                )
-            },
+            |instance, grid| AlgorithmA::new(instance, Dispatcher::new(), AOptions { grid }),
             options,
         )
     }

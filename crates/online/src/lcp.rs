@@ -13,9 +13,12 @@
 
 use rsz_core::util::TIE_EPS;
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::{Decoder, DpOptions, Encoder, GridMode, PrefixDp, SnapshotError};
+use rsz_offline::{
+    Decoder, DpOptions, Encoder, EngineStats, GridMode, PrefixDp, SharedSlotPool, SnapshotError,
+};
 
 use crate::checkpoint::Checkpoint;
+use crate::registry::Controller;
 use crate::runner::OnlineAlgorithm;
 
 /// Discrete lazy capacity provisioning (homogeneous fleets only).
@@ -57,18 +60,6 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
         &self.prefix
     }
 
-    /// Pricing counters of the prefix solver's engine.
-    #[must_use]
-    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
-        self.prefix.engine_stats()
-    }
-
-    /// Share the prefix solver's priced-slot pool (see
-    /// [`PrefixDp::share_pool`]).
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
-        self.prefix.share_pool(pool);
-    }
-
     /// The corridor `[lower, upper]` of final states of optimal prefix
     /// schedules in the current table.
     fn corridor(&self) -> (u32, u32) {
@@ -86,6 +77,16 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
             }
         }
         (lower, upper)
+    }
+}
+
+impl<O: GtOracle + Sync + Send> Controller for LazyCapacityProvisioning<O> {
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(self.prefix.engine_stats())
+    }
+
+    fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 }
 

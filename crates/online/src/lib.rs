@@ -30,6 +30,10 @@
 //!   deadline budgets falling back exact → `Γ(γ₀)`-coarse →
 //!   hold-previous, with per-rung counters and structured saturation
 //!   reports instead of assertions.
+//! * [`registry`] — the one table of shipping algorithms: parses a
+//!   spelling (`a | b | c[:ε] | lcp | rhc[:w]`), checks it against the
+//!   fleet and builds the boxed [`Controller`] that `rsz solve`,
+//!   `rsz simulate` and the serve daemon all drive.
 //!
 //! All algorithms consume the instance strictly online: `decide(inst, t)`
 //! may inspect loads and cost functions of slots `≤ t` only (a
@@ -47,6 +51,7 @@ pub mod checkpoint;
 pub mod degrade;
 pub mod lcp;
 pub mod receding;
+pub mod registry;
 pub mod runner;
 
 pub use algo_a::AlgorithmA;
@@ -58,4 +63,5 @@ pub use checkpoint::{
 pub use degrade::{DegradeOptions, DegradeStats, GracefulDegrader, Rung};
 pub use lcp::LazyCapacityProvisioning;
 pub use receding::RecedingHorizon;
+pub use registry::{Algorithm, Controller};
 pub use runner::{run, run_instrumented, LatencyProfile, OnlineAlgorithm, OnlineRun};

@@ -21,9 +21,10 @@ use rsz_offline::engine::{add_priced, CursorBuffers, PricedSlotPool, DEFAULT_POO
 use rsz_offline::refine::{lift_band, refine_window, FineGrid, RefineOptions};
 use rsz_offline::table::Table;
 use rsz_offline::transform::arrival_transform;
-use rsz_offline::{Decoder, Encoder, GridMode, SnapshotError};
+use rsz_offline::{Decoder, Encoder, EngineStats, GridMode, SharedSlotPool, SnapshotError};
 
 use crate::checkpoint::{codec, Checkpoint};
+use crate::registry::Controller;
 use crate::runner::OnlineAlgorithm;
 
 /// Receding-horizon (model-predictive) provisioning with a perfect
@@ -79,13 +80,6 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         }
     }
 
-    /// Pricing counters of the engine's priced-slot pool (`None` before
-    /// the first decision).
-    #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
-        self.pool.as_ref().map(PricedSlotPool::stats)
-    }
-
     /// Override the window DP options wholesale (grid, corridor
     /// refinement, pool bound).
     #[must_use]
@@ -93,6 +87,16 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         self.options = options;
         self
     }
+}
+
+impl<O: GtOracle + Sync + Send> Controller for RecedingHorizon<O> {
+    /// The window pool's counters (`None` before the first decision).
+    fn engine_stats(&self) -> Option<EngineStats> {
+        self.pool.as_ref().map(PricedSlotPool::stats)
+    }
+
+    /// A no-op: the window DP pools per instance internally.
+    fn share_pool(&mut self, _pool: SharedSlotPool) {}
 }
 
 impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {

@@ -259,7 +259,9 @@ mod tests {
         let mut a2 = AlgorithmA::new(&inst, oracle, AOptions::default());
         let revealed = run_with_prefix_revelation(&inst, &mut a2, &oracle);
         assert_eq!(want.schedule, revealed.schedule);
-        assert!(a2.engine_stats().pool_hits > 0, "recurring loads must hit the pool");
+        let stats =
+            crate::Controller::engine_stats(&a2).expect("A prices through its prefix solver");
+        assert!(stats.pool_hits > 0, "recurring loads must hit the pool");
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn prefix_backend_gamma_never_undercuts_opt() {
             rsz_offline::GridMode::Gamma(1.5),
             rsz_offline::GridMode::Gamma(3.0),
         ] {
-            let mut a = AlgorithmA::new(&inst, oracle, AOptions { grid, ..AOptions::default() });
+            let mut a = AlgorithmA::new(&inst, oracle, AOptions { grid });
             let r = run(&inst, &mut a, &oracle);
             r.schedule.check_feasible(&inst).unwrap();
             assert!(r.cost() + 1e-9 >= opt, "{grid:?} beat OPT");

@@ -16,7 +16,7 @@ use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_b::AlgorithmB;
 use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::runner::{run, OnlineAlgorithm};
-use rsz_online::{restore_run, save_run, LazyCapacityProvisioning, RecedingHorizon};
+use rsz_online::{restore_run, save_run, Controller, LazyCapacityProvisioning, RecedingHorizon};
 
 #[derive(Clone, Debug)]
 struct Spec {
@@ -122,7 +122,7 @@ proptest! {
     fn prefix_optimum_matches_the_graph_formulation(spec in spec_strategy(2, 7)) {
         let oracle = Dispatcher::new();
         for grid in [GridMode::Full, GridMode::Gamma(1.5)] {
-            let opts = AOptions { grid, ..AOptions::default() };
+            let opts = AOptions { grid };
             let ti = time_independent(&spec);
             let mut a = AlgorithmA::new(&ti, oracle, opts);
             assert_prefix_optimal(&ti, grid, "A", |t| {
@@ -213,7 +213,7 @@ proptest! {
             AlgorithmC::new(&inst, oracle, COptions { epsilon: eps, ..Default::default() });
         let _ = run(&inst, &mut c, &oracle);
         let subslots = c.subslots_total();
-        let stats = c.engine_stats();
+        let stats = c.engine_stats().expect("C prices through its prefix solver");
         prop_assert_eq!(
             stats.pricings,
             inst.horizon() as u64,

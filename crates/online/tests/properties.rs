@@ -200,7 +200,7 @@ proptest! {
         let mut algo = AlgorithmA::new(
             &inst,
             oracle,
-            AOptions { grid: GridMode::Gamma(1.5), ..AOptions::default() },
+            AOptions { grid: GridMode::Gamma(1.5) },
         );
         let outcome = run(&inst, &mut algo, &oracle);
         prop_assert!(outcome.schedule.is_feasible(&inst));

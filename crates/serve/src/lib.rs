@@ -58,6 +58,6 @@ pub use replication::{
     from_hex, run_replica, to_hex, ApplyReport, ReplicaOptions, Replicator, Role,
 };
 pub use server::{install_sigterm_handler, Server};
-pub use spec::{build_controller, BoxController, GridSpec, ServeController, TenantSpec};
+pub use spec::{build_controller, BoxController, GridSpec, TenantSpec};
 pub use state::{describe_snapshot_error, history_frames, state_fingerprint, HistoryFrame};
 pub use tenant::{Fingerprint, QuarantineReason, TenantState};

@@ -6,20 +6,18 @@
 //! rebuilds the controller from it, and two tenants whose fleets parse
 //! alike on one grid share one priced slot pool.
 //!
-//! [`BoxController`] erases the concrete controller type (five
-//! algorithms) behind one object that still implements
-//! [`OnlineAlgorithm`] and [`Checkpoint`], so the daemon wraps every
-//! tenant in the same `GracefulDegrader<BoxController, _>` ladder.
+//! The algorithm half of a spec is read and built by
+//! [`rsz_online::Algorithm`], the registry `rsz solve` and
+//! `rsz simulate` use too. [`BoxController`] erases the concrete
+//! controller type behind one [`Controller`] object, so the daemon
+//! wraps every tenant in the same `GracefulDegrader<BoxController, _>`
+//! ladder.
 
 use rsz_core::{Config, Instance, ServerType};
-use rsz_dispatch::Dispatcher;
-use rsz_offline::{Decoder, Encoder, EngineStats, GridMode, SharedSlotPool, SnapshotError};
-use rsz_online::algo_a::AOptions;
-use rsz_online::algo_c::COptions;
-use rsz_online::{
-    AlgorithmA, AlgorithmB, AlgorithmC, Checkpoint, LazyCapacityProvisioning, OnlineAlgorithm,
-    RecedingHorizon,
+use rsz_offline::{
+    Decoder, DpOptions, Encoder, EngineStats, GridMode, SharedSlotPool, SnapshotError,
 };
+use rsz_online::{Algorithm, Checkpoint, Controller, OnlineAlgorithm};
 use rsz_workloads::fleet;
 
 use crate::protocol::wire;
@@ -97,28 +95,18 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// Validate the spec against nothing but itself (fleet parse,
-    /// algorithm name, grid) — the checks that can fail before any
-    /// telemetry arrives.
+    /// Validate the spec against nothing but itself (fleet parse, the
+    /// algorithm's spelling against that fleet, grid) — the checks that
+    /// can fail before any telemetry arrives.
     pub fn validate(&self, allow_fault_hooks: bool) -> Result<(), String> {
         let types = fleet::parse(&self.fleet)?;
-        let algo = base_algo(&self.algo);
-        match algo {
-            "a" | "b" | "c" | "rhc" => {}
-            "lcp" => {
-                if types.len() != 1 {
-                    return Err("lcp requires a homogeneous fleet (d = 1)".into());
-                }
+        match panic_slot(&self.algo) {
+            Some(_) if !allow_fault_hooks => {
+                Err("fault hooks are not enabled on this daemon".into())
             }
-            "panic" => {
-                if !allow_fault_hooks {
-                    return Err("fault hooks are not enabled on this daemon".into());
-                }
-            }
-            _ => return Err(format!("unknown algorithm `{}`", self.algo)),
+            Some(at) => at.map(drop),
+            None => Algorithm::parse(&self.algo, types.len()).map(drop),
         }
-        algo_param(&self.algo)?;
-        Ok(())
     }
 
     /// The key under which this tenant's priced-slot pool is shared:
@@ -199,68 +187,15 @@ impl TenantSpec {
     }
 }
 
-/// `"c:0.25"` → `"c"`, `"rhc:4"` → `"rhc"`.
-fn base_algo(algo: &str) -> &str {
-    algo.split_once(':').map_or(algo, |(base, _)| base)
-}
-
-/// The numeric parameter of a parameterized algo spec, validated.
-fn algo_param(algo: &str) -> Result<Option<f64>, String> {
-    match algo.split_once(':') {
-        None => Ok(None),
-        Some((base, param)) => {
-            let v: f64 = param.parse().map_err(|e| format!("bad parameter for `{base}`: {e}"))?;
-            let ok = match base {
-                "c" => v > 0.0 && v.is_finite(),
-                "rhc" | "panic" => v >= 1.0 && v.fract() == 0.0 && v <= 1e9,
-                _ => return Err(format!("algorithm `{base}` takes no parameter")),
-            };
-            if !ok {
-                return Err(format!("parameter {param} out of range for `{base}`"));
-            }
-            Ok(Some(v))
-        }
-    }
-}
-
-/// What the daemon needs from a controller beyond deciding and
-/// checkpointing: its pricing counters and a shared pricing pool. All
-/// five concrete controller types implement it.
-pub trait ServeController: OnlineAlgorithm + Checkpoint + Send {
-    /// Pricing counters of the controller's engine.
-    fn engine_stats(&self) -> Option<EngineStats>;
-    /// Install a shared pricing pool (a no-op for the windowed solver,
-    /// which pools internally).
-    fn share_pool(&mut self, pool: SharedSlotPool);
-}
-
-macro_rules! impl_serve_controller {
-    ($($ty:ty),*) => {$(
-        impl ServeController for $ty {
-            fn engine_stats(&self) -> Option<EngineStats> {
-                Some(self.engine_stats())
-            }
-            fn share_pool(&mut self, pool: SharedSlotPool) {
-                self.share_pool(pool);
-            }
-        }
-    )*};
-}
-
-impl_serve_controller!(
-    AlgorithmA<Dispatcher>,
-    AlgorithmB<Dispatcher>,
-    AlgorithmC<Dispatcher>,
-    LazyCapacityProvisioning<Dispatcher>
-);
-
-// The receding-horizon baseline pools per window internally and does
-// not expose pool injection.
-impl ServeController for RecedingHorizon<Dispatcher> {
-    fn engine_stats(&self) -> Option<EngineStats> {
-        self.engine_stats()
-    }
-    fn share_pool(&mut self, _pool: SharedSlotPool) {}
+/// The slot at which the fault hook `panic:T` panics, if `algo` spells
+/// the hook.
+fn panic_slot(algo: &str) -> Option<Result<usize, String>> {
+    let (name, param) = algo.split_once(':').unwrap_or((algo, ""));
+    (name == "panic").then(|| match param.parse::<f64>() {
+        Ok(t) if (1.0..=1e9).contains(&t) && t.fract() == 0.0 => Ok(t as usize),
+        Ok(_) => Err(format!("parameter {param} out of range for `panic`")),
+        Err(e) => Err(format!("bad parameter for `panic`: {e}")),
+    })
 }
 
 /// A fault-injection hook: behaves exactly like Algorithm B but panics
@@ -270,7 +205,7 @@ impl ServeController for RecedingHorizon<Dispatcher> {
 /// quarantines that tenant, never the daemon.
 struct PanicAt {
     at: usize,
-    inner: AlgorithmB<Dispatcher>,
+    inner: BoxController,
 }
 
 impl OnlineAlgorithm for PanicAt {
@@ -299,76 +234,33 @@ impl Checkpoint for PanicAt {
     }
 }
 
-impl ServeController for PanicAt {
+impl Controller for PanicAt {
     fn engine_stats(&self) -> Option<EngineStats> {
-        Some(self.inner.engine_stats())
+        self.inner.engine_stats()
     }
     fn share_pool(&mut self, pool: SharedSlotPool) {
         self.inner.share_pool(pool);
     }
 }
 
-/// A boxed controller that is itself an [`OnlineAlgorithm`] and a
-/// [`Checkpoint`] — the uniform currency the daemon's degrader wraps.
-pub type BoxController = Box<dyn ServeController>;
-
-impl OnlineAlgorithm for BoxController {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn decide(&mut self, instance: &Instance, t: usize) -> Config {
-        (**self).decide(instance, t)
-    }
-}
-
-impl Checkpoint for BoxController {
-    fn algo_tag(&self) -> &'static str {
-        (**self).algo_tag()
-    }
-    fn save_state(&self, enc: &mut Encoder) {
-        (**self).save_state(enc);
-    }
-    fn restore_state(
-        &mut self,
-        instance: &Instance,
-        dec: &mut Decoder<'_>,
-    ) -> Result<(), SnapshotError> {
-        (**self).restore_state(instance, dec)
-    }
-}
+/// A boxed controller: the uniform currency the daemon's degrader wraps.
+pub type BoxController = Box<dyn Controller>;
 
 /// Build the controller a spec names, against `instance`, on `grid`
-/// (the degrader overrides the spec grid for its coarse twin). The spec
+/// (the degrader overrides the spec grid for its coarse twin), through
+/// the [`Algorithm`] registry, or the `panic:T` fault hook. The spec
 /// must already have passed [`TenantSpec::validate`].
 pub fn build_controller(
     spec: &TenantSpec,
     instance: &Instance,
     grid: GridMode,
 ) -> Result<BoxController, String> {
-    let aopts = AOptions { grid, ..AOptions::default() };
-    let param = algo_param(&spec.algo)?;
-    let oracle = Dispatcher::new();
-    Ok(match base_algo(&spec.algo) {
-        "a" => Box::new(AlgorithmA::new(instance, oracle, aopts)),
-        "b" => Box::new(AlgorithmB::new(instance, oracle, aopts)),
-        "c" => {
-            let copts =
-                COptions { epsilon: param.unwrap_or(0.5), base: aopts, ..COptions::default() };
-            Box::new(AlgorithmC::new(instance, oracle, copts))
-        }
-        "lcp" => {
-            Box::new(LazyCapacityProvisioning::with_options(instance, oracle, aopts.dp_options()))
-        }
-        "rhc" => {
-            let window = param.unwrap_or(4.0) as usize;
-            Box::new(RecedingHorizon::new(oracle, window).with_options(aopts.dp_options()))
-        }
-        "panic" => {
-            let at = param.ok_or("panic:T needs a slot index")? as usize;
-            Box::new(PanicAt { at, inner: AlgorithmB::new(instance, oracle, aopts) })
-        }
-        _ => return Err(format!("unknown algorithm `{}`", spec.algo)),
-    })
+    let options = DpOptions { grid, ..DpOptions::default() };
+    if let Some(at) = panic_slot(&spec.algo) {
+        let inner = Algorithm::B.build(instance, options);
+        return Ok(Box::new(PanicAt { at: at?, inner }));
+    }
+    Ok(Algorithm::parse(&spec.algo, instance.num_types())?.build(instance, options))
 }
 
 #[cfg(test)]
@@ -407,6 +299,28 @@ mod tests {
         spec("panic:3").validate(true).unwrap();
         assert!(spec("c:-1").validate(false).is_err());
         assert!(spec("rhc:0").validate(false).is_err());
+    }
+
+    #[test]
+    fn specs_build_the_registry_controllers() {
+        let instance = Instance::builder()
+            .server_types(fleet::parse("cpu-gpu:3,1").unwrap())
+            .loads(vec![1.0])
+            .build()
+            .unwrap();
+        for (algo, name) in [
+            ("a", "Algorithm A"),
+            ("b", "Algorithm B"),
+            ("c", "Algorithm C(ε=0.5)"),
+            ("c:0.25", "Algorithm C(ε=0.25)"),
+            ("rhc", "RHC(w=4)"),
+            ("rhc:6", "RHC(w=6)"),
+        ] {
+            let built = build_controller(&spec(algo), &instance, GridMode::Full).unwrap();
+            assert_eq!(built.name(), name);
+        }
+        let hook = build_controller(&spec("panic:3"), &instance, GridMode::Full).unwrap();
+        assert_eq!(hook.name(), "panic@3(Algorithm B)");
     }
 
     #[test]

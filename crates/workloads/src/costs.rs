@@ -24,13 +24,6 @@ pub fn dvfs(idle_watts: f64, peak_watts: f64, zmax: f64, alpha: f64) -> CostMode
     CostModel::power(idle_watts, coef, alpha)
 }
 
-/// The "idle at half peak" server the paper's introduction cites
-/// (Delforge'14): idle draw is 50% of peak.
-#[must_use]
-pub fn half_peak_idle(peak_watts: f64, zmax: f64) -> CostModel {
-    energy_proportional(peak_watts * 0.5, peak_watts, zmax)
-}
-
 /// Day/night electricity-price profile: sinusoid between `night` and
 /// `day` price multipliers with the given period (slots per day). Use as
 /// the factor vector of `CostSpec::scaled`.
@@ -70,12 +63,6 @@ mod tests {
         assert!((m.eval(2.0) - 200.0).abs() < 1e-9);
         // strictly convex: midpoint below average
         assert!(m.eval(1.0) < 125.0);
-    }
-
-    #[test]
-    fn half_peak_idle_is_half() {
-        let m = half_peak_idle(200.0, 1.0);
-        assert!((m.idle() - 100.0).abs() < 1e-12);
     }
 
     #[test]

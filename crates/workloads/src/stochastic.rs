@@ -72,38 +72,6 @@ pub fn random_walk(len: usize, start: f64, step: f64, max: f64, seed: u64) -> Tr
     )
 }
 
-/// Self-similar (multifractal) traffic via a conservative binomial
-/// cascade (the "b-model"): total volume `total` is split recursively,
-/// each half receiving a `bias : 1−bias` share in random order. Produces
-/// the bursty-at-every-timescale arrivals observed in real data-center
-/// traces (`bias = 0.5` is uniform; `0.7–0.8` is typical burstiness).
-///
-/// # Panics
-/// Panics unless `0.5 ≤ bias < 1` and `total ≥ 0`.
-#[must_use]
-pub fn self_similar(len: usize, total: f64, bias: f64, seed: u64) -> Trace {
-    assert!((0.5..1.0).contains(&bias), "bias must be in [0.5, 1)");
-    assert!(total >= 0.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Work on the next power of two, then truncate.
-    let n = len.next_power_of_two().max(1);
-    let mut values = vec![0.0_f64; n];
-    cascade(&mut rng, &mut values, 0, n, total, bias);
-    values.truncate(len);
-    Trace::new(values)
-}
-
-fn cascade(rng: &mut StdRng, values: &mut [f64], start: usize, n: usize, mass: f64, bias: f64) {
-    if n == 1 {
-        values[start] = mass;
-        return;
-    }
-    let half = n / 2;
-    let (a, b) = if rng.gen_bool(0.5) { (bias, 1.0 - bias) } else { (1.0 - bias, bias) };
-    cascade(rng, values, start, half, mass * a, bias);
-    cascade(rng, values, start + half, half, mass * b, bias);
-}
-
 /// Sparse heavy spikes on a base level: each slot independently spikes
 /// with probability `p_spike` to a height uniform in
 /// `[base, base + spike_height]`.
@@ -191,34 +159,5 @@ mod tests {
         let t = spiky(100, 1.0, 10.0, 0.1, 2);
         assert!(t.values().iter().all(|&v| v >= 1.0));
         assert!(t.peak() > 1.0);
-    }
-
-    #[test]
-    fn self_similar_conserves_mass() {
-        let t = self_similar(64, 640.0, 0.7, 9);
-        let sum: f64 = t.values().iter().sum();
-        assert!((sum - 640.0).abs() < 1e-9, "cascade must conserve total volume");
-    }
-
-    #[test]
-    fn self_similar_bias_half_is_uniform() {
-        let t = self_similar(8, 8.0, 0.5, 1);
-        for &v in t.values() {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn self_similar_burstiness_grows_with_bias() {
-        let calm = self_similar(256, 256.0, 0.55, 4);
-        let bursty = self_similar(256, 256.0, 0.85, 4);
-        assert!(bursty.peak_to_mean() > calm.peak_to_mean());
-    }
-
-    #[test]
-    fn self_similar_truncates_non_power_of_two() {
-        let t = self_similar(100, 50.0, 0.7, 3);
-        assert_eq!(t.len(), 100);
-        assert!(t.values().iter().all(|&v| v >= 0.0));
     }
 }

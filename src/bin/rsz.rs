@@ -19,11 +19,7 @@ use std::process::ExitCode;
 
 use heterogeneous_rightsizing::core::render;
 use heterogeneous_rightsizing::offline::{self, DpOptions};
-use heterogeneous_rightsizing::online::algo_a::AOptions;
-use heterogeneous_rightsizing::online::algo_c::COptions;
-use heterogeneous_rightsizing::online::{
-    self, AlgorithmA, AlgorithmB, AlgorithmC, LazyCapacityProvisioning, RecedingHorizon,
-};
+use heterogeneous_rightsizing::online::{self, Algorithm, Controller};
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::workloads::{fleet, io, patterns, stochastic};
 
@@ -32,6 +28,9 @@ fn main() -> ExitCode {
     let (command, flags): (fn(&[String]) -> ExitCode, &Flags) =
         match args.first().map(String::as_str) {
             Some("solve") => (solve, &SOLVE_FLAGS),
+            Some("simulate") if args.iter().any(|a| a == "--remote") => {
+                (simulate_remote, &REMOTE_FLAGS)
+            }
             Some("simulate") => (simulate, &SIMULATE_FLAGS),
             Some("generate") => (generate, &GENERATE_FLAGS),
             Some("serve") => (serve_cmd, &SERVE_FLAGS),
@@ -84,12 +83,25 @@ const SIMULATE_FLAGS: Flags = Flags {
         "--resume",
         "--snapshot-every",
         "--out",
+    ],
+    switches: &["--refine"],
+};
+
+/// `rsz simulate --remote`: the daemon decides, so the local solver's
+/// and checkpointing's flags would be ignored and are refused instead.
+const REMOTE_FLAGS: Flags = Flags {
+    valued: &[
+        "--trace",
+        "--fleet",
+        "--algo",
+        "--repair",
+        "--out",
         "--remote",
         "--tenant",
         "--peers",
         "--deadline-us",
     ],
-    switches: &["--refine"],
+    switches: &[],
 };
 
 const SERVE_FLAGS: Flags = Flags {
@@ -134,11 +146,13 @@ const USAGE: &str = "usage:
   rsz solve    --trace FILE --fleet PRESET --algorithm ALGO
                [--refine] [--refine-gamma G] [--refine-epsilon E]
                [--repair POLICY] [--threads N] [--out FILE] [--chart]
-  rsz simulate --trace FILE --fleet PRESET --algo {a|b|c[:EPS]|lcp|rhc[:W]}
-               [--refine] [--repair POLICY]
-               [--resume FILE] [--snapshot-every K] [--out FILE]
-               [--remote ADDR [--tenant NAME] [--peers A,B,...]
-                [--deadline-us N]]
+  rsz simulate --trace FILE --fleet PRESET --algo ALGO
+               [--refine] [--refine-gamma G] [--refine-epsilon E]
+               [--repair POLICY] [--resume FILE] [--snapshot-every K]
+               [--out FILE]
+  rsz simulate --remote ADDR --trace FILE --fleet PRESET --algo ALGO
+               [--tenant NAME] [--peers A,B,...] [--deadline-us N]
+               [--repair POLICY] [--out FILE]
   rsz serve    [--addr HOST:PORT] [--state-dir DIR] [--deadline-us N]
                [--queue-bound N] [--snapshot-every K] [--pool-capacity N]
                [--coarse-gamma G] [--fsync] [--segment-bytes N]
@@ -147,8 +161,17 @@ const USAGE: &str = "usage:
   rsz generate --pattern NAME --len N --peak X [--seed S] [--out FILE]
 
 fleets:      homogeneous:M | cpu-gpu:C,G | old-new:O,N | three-tier:L,C,G
-algorithms:  opt | approx:EPS | a | b | c:EPS
 patterns:    diurnal | constant | mmpp | spiky
+
+online algorithms (solve --algorithm, simulate --algo, serve tenants):
+  spelling  default  fleet  competitive ratio
+  a         -        any    2d+1 (Thm 8); 2d with load-independent costs
+  b         -        any    2d+1+c(I) (Thm 13)
+  c[:EPS]   EPS=0.5  any    2d+1+EPS (Thm 15)
+  lcp       -        d = 1  3 (Albers & Quedenfeld)
+  rhc[:W]   W=4      any    none: reads W slots ahead
+solve also takes opt (exact) and approx:EPS (within 1+EPS of optimal).
+
 exit codes:  2 = usage/input error (including unknown flags and
                  rejected trace lines),
              3 = solver/snapshot failure (malformed λ reaching the
@@ -184,9 +207,12 @@ with backoff; the daemon and all other tenants keep serving.
 GET /health, /livez, /readyz, and /metrics (or the JSON ops) export
 liveness, readiness (role, replication lag, quarantined tenants), and
 counters. simulate --remote ADDR streams the trace to such a daemon
-instead of deciding locally ( --tenant names the stream; re-running
-resumes idempotently) and reports the same cost/latency summary;
---peers lists the whole replica set for transparent failover.
+instead of deciding locally (--tenant names the stream; re-running
+resumes idempotently) and reports the same cost summary; --peers lists
+the whole replica set for transparent failover. The daemon builds the
+controller a local simulate of the same --algo builds, and decides
+alike; it only sees the loads sent so far, so its rhc has no forecast
+and decides as a local rhc:1.
 
 --replica-of ADDR starts the daemon as a pull-based replica of the
 primary at ADDR: it applies the primary's WAL stream through the
@@ -213,8 +239,7 @@ around every decision and reports per-decision latency percentiles plus
 the engine's pricing counters: each slot's dense pricing table is
 pooled per (slot, λ, grid), so recurring loads and Algorithm C's
 sub-slot replays fold a priced slot in with one vectorized add instead
-of per-cell dispatch solves. lcp needs a homogeneous fleet, rhc:W sets
-the forecast window (default 8). With --refine, rhc's window DP runs the
+of per-cell dispatch solves. With --refine, rhc's window DP runs the
 corridor solver: bands warm-start from the previous window's plan and
 overlapping windows answer from the band-keyed pricing pool (identical
 decisions, property-tested; other algorithms step the full grid and
@@ -305,7 +330,6 @@ fn solve(args: &[String]) -> ExitCode {
     }
     let instance = &instance;
     let oracle = Dispatcher::new();
-    let online_opts = AOptions::default();
     let (name, schedule): (String, Schedule) = match algo_spec.split_once(':') {
         None if algo_spec == "opt" => {
             if dp_opts.refine.is_some() {
@@ -326,17 +350,6 @@ fn solve(args: &[String]) -> ExitCode {
                 ("offline optimal".into(), res.schedule)
             }
         }
-        None if algo_spec == "a" => {
-            let mut a = AlgorithmA::new(instance, oracle, online_opts);
-            (
-                "Algorithm A (2d+1)-competitive".into(),
-                online::run(instance, &mut a, &oracle).schedule,
-            )
-        }
-        None if algo_spec == "b" => {
-            let mut b = AlgorithmB::new(instance, oracle, online_opts);
-            ("Algorithm B".into(), online::run(instance, &mut b, &oracle).schedule)
-        }
         Some(("approx", eps)) => match eps.parse::<f64>() {
             Ok(eps) if eps > 0.0 => {
                 let res = offline::approx::approximate_opts(instance, &oracle, eps, dp_opts);
@@ -344,18 +357,13 @@ fn solve(args: &[String]) -> ExitCode {
             }
             _ => return fail("approx:EPS needs a positive EPS"),
         },
-        Some(("c", eps)) => match eps.parse::<f64>() {
-            Ok(eps) if eps > 0.0 => {
-                let mut c = AlgorithmC::new(
-                    instance,
-                    oracle,
-                    COptions { epsilon: eps, base: online_opts, ..Default::default() },
-                );
-                (format!("Algorithm C(ε={eps})"), online::run(instance, &mut c, &oracle).schedule)
+        _ => match Algorithm::parse(&algo_spec, instance.num_types()) {
+            Ok(algo) => {
+                let run = online::run(instance, &mut algo.build(instance, dp_opts), &oracle);
+                (run.name, run.schedule)
             }
-            _ => return fail("c:EPS needs a positive EPS"),
+            Err(e) => return fail(&e),
         },
-        _ => return fail(&format!("unknown algorithm `{algo_spec}`\n{USAGE}")),
     };
 
     if let Err(e) = schedule.check_feasible(instance) {
@@ -436,20 +444,17 @@ fn parse_snapshot(args: &[String]) -> Result<SnapOpts, String> {
     Ok(SnapOpts { path, every })
 }
 
-/// Run one controller through the instrumented runner, or — when
+/// Run the controller through the instrumented runner, or — when
 /// `--resume FILE` is set — through the checkpointed runner: restore
 /// from FILE if it exists, rewrite it every `--snapshot-every K`
 /// decisions. Snapshot failures (corruption, wrong algorithm or
 /// instance) map to exit code 3.
-fn drive<A>(
+fn drive(
     instance: &Instance,
-    algo: &mut A,
+    algo: &mut Box<dyn Controller>,
     oracle: &dyn GtOracle,
     snap: &SnapOpts,
-) -> Result<(online::OnlineRun, online::LatencyProfile), ExitCode>
-where
-    A: online::OnlineAlgorithm + online::Checkpoint,
-{
+) -> Result<(online::OnlineRun, online::LatencyProfile), ExitCode> {
     let Some(path) = &snap.path else {
         return Ok(online::run_instrumented(instance, algo, oracle));
     };
@@ -490,102 +495,42 @@ where
     })
 }
 
+/// The trace's instance and the `--algo` it names, checked against its
+/// fleet: what local and remote simulation both start from.
+fn load_simulation(args: &[String]) -> Result<(Instance, String, Algorithm), String> {
+    let instance = load_instance(args)?;
+    let spelling = flag(args, "--algo").ok_or("--algo ALGO is required")?;
+    let algo = Algorithm::parse(&spelling, instance.num_types())?;
+    Ok((instance, spelling, algo))
+}
+
 fn simulate(args: &[String]) -> ExitCode {
-    if let Some(addr) = flag(args, "--remote") {
-        return simulate_remote(&addr, args);
-    }
-    let instance = match load_instance(args) {
-        Ok(i) => i,
+    let (instance, _, algo) = match load_simulation(args) {
+        Ok(loaded) => loaded,
         Err(e) => return fail(&e),
-    };
-    let algo_spec = match flag(args, "--algo") {
-        Some(a) => a,
-        None => return fail("--algo {a|b|c[:EPS]|lcp|rhc[:W]} is required"),
     };
     let refine = match parse_refine(args) {
         Ok(r) => r,
         Err(e) => return fail(&e),
     };
-    if refine.is_some() && !algo_spec.starts_with("rhc") {
+    if refine.is_some() && !matches!(algo, Algorithm::Rhc { .. }) {
         eprintln!("note: --refine accelerates the rhc window DP; other algorithms ignore it");
     }
     let snap = match parse_snapshot(args) {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    let online_opts = AOptions::default();
-    let dp_opts = online_opts.dp_options();
+    let dp_opts = DpOptions { refine, ..DpOptions::default() };
     if let Err(e) = offline::validate_for_solve(&instance, dp_opts) {
         return fail_solve(&e.to_string());
     }
-    let instance = &instance;
     let oracle = Dispatcher::new();
-    let (kind, param) = match algo_spec.split_once(':') {
-        Some((k, p)) => (k, Some(p)),
-        None => (algo_spec.as_str(), None),
+    let mut controller = algo.build(&instance, dp_opts);
+    let (run, profile) = match drive(&instance, &mut controller, &oracle, &snap) {
+        Ok(rp) => rp,
+        Err(code) => return code,
     };
-    let (run, profile, stats) = match (kind, param) {
-        ("a", None) => {
-            let mut a = AlgorithmA::new(instance, oracle, online_opts);
-            let (run, profile) = match drive(instance, &mut a, &oracle, &snap) {
-                Ok(rp) => rp,
-                Err(code) => return code,
-            };
-            (run, profile, Some(a.engine_stats()))
-        }
-        ("b", None) => {
-            let mut b = AlgorithmB::new(instance, oracle, online_opts);
-            let (run, profile) = match drive(instance, &mut b, &oracle, &snap) {
-                Ok(rp) => rp,
-                Err(code) => return code,
-            };
-            (run, profile, Some(b.engine_stats()))
-        }
-        ("c", param) => {
-            let eps = match param.map(str::parse::<f64>) {
-                None => 0.5,
-                Some(Ok(eps)) if eps > 0.0 => eps,
-                Some(_) => return fail("c:EPS needs a positive EPS"),
-            };
-            let mut c = AlgorithmC::new(
-                instance,
-                oracle,
-                COptions { epsilon: eps, base: online_opts, ..Default::default() },
-            );
-            let (run, profile) = match drive(instance, &mut c, &oracle, &snap) {
-                Ok(rp) => rp,
-                Err(code) => return code,
-            };
-            (run, profile, Some(c.engine_stats()))
-        }
-        ("lcp", None) => {
-            if instance.num_types() != 1 {
-                return fail("lcp needs a homogeneous fleet (homogeneous:M)");
-            }
-            let mut l = LazyCapacityProvisioning::with_options(instance, oracle, dp_opts);
-            let (run, profile) = match drive(instance, &mut l, &oracle, &snap) {
-                Ok(rp) => rp,
-                Err(code) => return code,
-            };
-            (run, profile, Some(l.engine_stats()))
-        }
-        ("rhc", param) => {
-            let window = match param.map(str::parse::<usize>) {
-                None => 8,
-                Some(Ok(w)) if w >= 1 => w,
-                Some(_) => return fail("rhc:W needs a positive window"),
-            };
-            let dp_opts = DpOptions { refine, ..dp_opts };
-            let mut rhc = RecedingHorizon::new(oracle, window).with_options(dp_opts);
-            let (run, profile) = match drive(instance, &mut rhc, &oracle, &snap) {
-                Ok(rp) => rp,
-                Err(code) => return code,
-            };
-            (run, profile, rhc.engine_stats())
-        }
-        _ => return fail(&format!("unknown --algo `{algo_spec}`\n{USAGE}")),
-    };
-    report_simulation(instance, &run, &profile, stats, args)
+    report_simulation(&instance, &run, &profile, controller.engine_stats(), args)
 }
 
 fn report_simulation(
@@ -737,14 +682,15 @@ fn serve_cmd(args: &[String]) -> ExitCode {
 /// instead of deciding locally. Sequence numbers make the stream
 /// idempotent — re-running after a partial run replays the committed
 /// prefix bit-identically and continues from the first new slot.
-fn simulate_remote(addr: &str, args: &[String]) -> ExitCode {
+fn simulate_remote(args: &[String]) -> ExitCode {
     use heterogeneous_rightsizing::serve::{Client, ClientOptions, GridSpec, TenantSpec};
-    let instance = match load_instance(args) {
-        Ok(i) => i,
+    // Refuse what the daemon would refuse before connecting to it.
+    let (instance, algo, _) = match load_simulation(args) {
+        Ok(loaded) => loaded,
         Err(e) => return fail(&e),
     };
+    let addr = flag(args, "--remote").expect("the remote mode is chosen by its flag");
     let fleet_spec = flag(args, "--fleet").unwrap_or_else(|| "homogeneous:10".into());
-    let algo = flag(args, "--algo").unwrap_or_else(|| "b".into());
     let tenant = flag(args, "--tenant").unwrap_or_else(|| "rsz-sim".into());
     let deadline_us = match flag(args, "--deadline-us").as_deref().map(str::parse::<u64>) {
         None => None,

@@ -11,14 +11,14 @@
 
 use std::time::Duration;
 
-use heterogeneous_rightsizing::offline::{RefineOptions, SnapshotError};
+use heterogeneous_rightsizing::offline::{shared_pool, RefineOptions, SnapshotError};
 use heterogeneous_rightsizing::online::algo_a::{AOptions, AlgorithmA};
 use heterogeneous_rightsizing::online::algo_b::AlgorithmB;
 use heterogeneous_rightsizing::online::algo_c::{AlgorithmC, COptions};
 use heterogeneous_rightsizing::online::runner::{run, OnlineAlgorithm};
 use heterogeneous_rightsizing::online::{
-    restore_run, save_run, Checkpoint, DegradeOptions, GracefulDegrader, LazyCapacityProvisioning,
-    RecedingHorizon,
+    restore_run, save_run, Checkpoint, Controller, DegradeOptions, GracefulDegrader,
+    LazyCapacityProvisioning, RecedingHorizon,
 };
 use heterogeneous_rightsizing::prelude::*;
 use heterogeneous_rightsizing::workloads::events::{apply, CapacityEvent, GapPolicy};
@@ -266,13 +266,13 @@ fn zero_deadline_ladder_exercises_every_rung_for_every_algorithm() {
     assert_full_ladder(
         &het,
         AlgorithmA::new(&het, oracle, AOptions::default()),
-        |i, g| AlgorithmA::new(i, oracle, AOptions { grid: g, ..AOptions::default() }),
+        |i, g| AlgorithmA::new(i, oracle, AOptions { grid: g }),
         "a",
     );
     assert_full_ladder(
         &het,
         AlgorithmB::new(&het, oracle, AOptions::default()),
-        |i, g| AlgorithmB::new(i, oracle, AOptions { grid: g, ..AOptions::default() }),
+        |i, g| AlgorithmB::new(i, oracle, AOptions { grid: g }),
         "b",
     );
     assert_full_ladder(
@@ -282,10 +282,7 @@ fn zero_deadline_ladder_exercises_every_rung_for_every_algorithm() {
             AlgorithmC::new(
                 i,
                 oracle,
-                COptions {
-                    base: AOptions { grid: g, ..AOptions::default() },
-                    ..COptions::default()
-                },
+                COptions { base: AOptions { grid: g }, ..COptions::default() },
             )
         },
         "c",
@@ -320,29 +317,34 @@ fn eviction_storm_never_changes_decisions() {
     let oracle = Dispatcher::new();
     for seed in seeds() {
         let plan = faultinject::plan(seed, HORIZON);
-        let storm = AOptions { pool_capacity: Some(plan.pool_capacity), ..AOptions::default() };
+        // The storm: a pool of one or two slots in place of the default.
+        let storm = |inst: &Instance| shared_pool(inst, plan.pool_capacity);
         let calm = AOptions::default();
 
-        let mut a1 = AlgorithmA::new(&het, oracle, storm);
+        let mut a1 = AlgorithmA::new(&het, oracle, calm);
+        a1.share_pool(storm(&het));
         let mut a2 = AlgorithmA::new(&het, oracle, calm);
         let stormy = run(&het, &mut a1, &oracle);
         let smooth = run(&het, &mut a2, &oracle);
         assert_eq!(stormy.schedule, smooth.schedule, "seed {seed}: a");
         assert_eq!(stormy.cost().to_bits(), smooth.cost().to_bits(), "seed {seed}: a");
 
-        let mut c1 = AlgorithmC::new(&het, oracle, COptions { base: storm, ..COptions::default() });
-        let mut c2 = AlgorithmC::new(&het, oracle, COptions { base: calm, ..COptions::default() });
+        let mut c1 = AlgorithmC::new(&het, oracle, COptions::default());
+        c1.share_pool(storm(&het));
+        let mut c2 = AlgorithmC::new(&het, oracle, COptions::default());
         let stormy = run(&het, &mut c1, &oracle);
         let smooth = run(&het, &mut c2, &oracle);
         assert_eq!(stormy.schedule, smooth.schedule, "seed {seed}: c");
 
-        let mut l1 = LazyCapacityProvisioning::with_options(&hom, oracle, storm.dp_options());
+        let mut l1 = LazyCapacityProvisioning::with_options(&hom, oracle, calm.dp_options());
+        l1.share_pool(storm(&hom));
         let mut l2 = LazyCapacityProvisioning::with_options(&hom, oracle, calm.dp_options());
         let stormy = run(&hom, &mut l1, &oracle);
         let smooth = run(&hom, &mut l2, &oracle);
         assert_eq!(stormy.schedule, smooth.schedule, "seed {seed}: lcp");
 
-        let storm_dp = DpOptions { pool_capacity: Some(plan.pool_capacity), ..storm.dp_options() };
+        // RHC pools per window internally: its bound is a window option.
+        let storm_dp = DpOptions { pool_capacity: Some(plan.pool_capacity), ..calm.dp_options() };
         let mut r1 = RecedingHorizon::new(oracle, 4).with_options(storm_dp);
         let mut r2 = RecedingHorizon::new(oracle, 4).with_options(calm.dp_options());
         let stormy = run(&het, &mut r1, &oracle);

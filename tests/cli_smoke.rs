@@ -222,3 +222,177 @@ fn version_one_resume_files_are_refused_with_exit_3() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Write a 24-slot diurnal trace of peak 5 into `dir`.
+fn trace_in(dir: &std::path::Path) -> PathBuf {
+    let trace = dir.join("trace.csv");
+    let gen = rsz()
+        .args(["generate", "--pattern", "diurnal", "--len", "24", "--peak", "5", "--seed", "11"])
+        .args(["--out", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn rsz generate");
+    assert!(gen.status.success(), "generate failed: {}", String::from_utf8_lossy(&gen.stderr));
+    trace
+}
+
+/// Every valid spelling builds one controller everywhere: a daemon
+/// reached with `rsz simulate --remote` (every request goes through
+/// `Daemon::handle`) writes the schedule a local `rsz simulate` writes,
+/// and `rsz solve` runs the same spelling.
+///
+/// RHC is the one algorithm that reads ahead. A local run reads its
+/// forecast from the trace, while a daemon tick carries only the slot's
+/// own load, so a remote `rhc:W` window never reaches past the present
+/// and decides as a local `rhc:1` does, whatever `W`.
+#[test]
+fn every_spelling_decides_alike_locally_and_remotely() {
+    use heterogeneous_rightsizing::serve::{Daemon, ServeOptions, Server};
+    use std::sync::Arc;
+    let dir = std::env::temp_dir().join(format!("rsz-cli-remote-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = trace_in(&dir);
+    let options = ServeOptions { state_dir: dir.join("state"), ..ServeOptions::default() };
+    let daemon = Arc::new(Daemon::new(options).expect("open state dir"));
+    let server = Server::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let accept_loop = std::thread::spawn(move || server.run());
+    let spellings = [
+        ("a", "cpu-gpu:4,2"),
+        ("b", "cpu-gpu:4,2"),
+        ("c", "cpu-gpu:4,2"),
+        ("c:0.25", "cpu-gpu:4,2"),
+        ("lcp", "homogeneous:4"),
+        ("rhc", "cpu-gpu:4,2"),
+        ("rhc:6", "cpu-gpu:4,2"),
+    ];
+    for (i, (algo, fleet)) in spellings.into_iter().enumerate() {
+        let base = ["--trace", trace.to_str().unwrap(), "--fleet", fleet];
+        let local_csv = dir.join(format!("local-{i}.csv"));
+        let local = rsz()
+            .args(["simulate", "--algo", algo])
+            .args(base)
+            .arg("--out")
+            .arg(&local_csv)
+            .output()
+            .expect("spawn rsz simulate");
+        assert!(local.status.success(), "{algo}: {}", String::from_utf8_lossy(&local.stderr));
+        if algo == "rhc" {
+            let stdout = String::from_utf8_lossy(&local.stdout);
+            assert!(stdout.contains("RHC(w=4)"), "rhc's default window: {stdout}");
+        }
+        let expected = if algo.starts_with("rhc") {
+            let csv = dir.join(format!("forecast-free-{i}.csv"));
+            let out = rsz()
+                .args(["simulate", "--algo", "rhc:1"])
+                .args(base)
+                .arg("--out")
+                .arg(&csv)
+                .output()
+                .expect("spawn rsz simulate");
+            assert!(out.status.success(), "rhc:1: {}", String::from_utf8_lossy(&out.stderr));
+            csv
+        } else {
+            local_csv
+        };
+        let remote_csv = dir.join(format!("remote-{i}.csv"));
+        let remote = rsz()
+            .args(["simulate", "--remote", &addr, "--tenant", &format!("t{i}")])
+            .args(["--algo", algo])
+            .args(base)
+            .arg("--out")
+            .arg(&remote_csv)
+            .output()
+            .expect("spawn rsz simulate --remote");
+        assert!(remote.status.success(), "{algo}: {}", String::from_utf8_lossy(&remote.stderr));
+        assert_eq!(
+            std::fs::read_to_string(&remote_csv).unwrap(),
+            std::fs::read_to_string(&expected).unwrap(),
+            "{algo} on {fleet}: the daemon decided otherwise"
+        );
+        let solve = rsz().args(["solve", "--algorithm", algo]).args(base).output().unwrap();
+        assert!(solve.status.success(), "{algo}: {}", String::from_utf8_lossy(&solve.stderr));
+    }
+    daemon.graceful_shutdown();
+    accept_loop.join().expect("accept loop").expect("accept loop ends cleanly");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every invalid spelling is refused with one detail: by `rsz solve`
+/// and a local `rsz simulate` (exit 2), by `rsz simulate --remote`
+/// before it connects (exit 2, where a failed connection exits 3), and
+/// by a daemon `register` (an `input` error).
+#[test]
+fn invalid_spellings_are_refused_alike_everywhere() {
+    use heterogeneous_rightsizing::serve::{Daemon, ServeOptions};
+    let dir = std::env::temp_dir().join(format!("rsz-cli-invalid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = trace_in(&dir);
+    let options = ServeOptions { state_dir: dir.join("state"), ..ServeOptions::default() };
+    let daemon = Daemon::new(options).expect("open state dir");
+    // A port nothing listens on: connecting to it fails.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+    let fleet = "cpu-gpu:4,2";
+    for (algo, detail) in [
+        ("x", "unknown algorithm `x`"),
+        ("a:1", "algorithm `a` takes no parameter"),
+        ("c:0", "parameter 0 out of range for `c`"),
+        ("c:-1", "parameter -1 out of range for `c`"),
+        ("rhc:0", "parameter 0 out of range for `rhc`"),
+        ("rhc:1.5", "parameter 1.5 out of range for `rhc`"),
+        ("lcp", "lcp requires a homogeneous fleet (d = 1)"),
+    ] {
+        let base = ["--trace", trace.to_str().unwrap(), "--fleet", fleet];
+        for (mode, args) in [
+            ("solve", vec!["solve", "--algorithm", algo]),
+            ("simulate", vec!["simulate", "--algo", algo]),
+            ("remote", vec!["simulate", "--algo", algo, "--remote", &closed.to_string()]),
+        ] {
+            let out = rsz().args(&args).args(base).output().expect("spawn rsz");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{mode} {algo}: {stderr}");
+            assert!(stderr.contains(&format!("error: {detail}")), "{mode} {algo}: {stderr}");
+        }
+        let reply = daemon.handle(&format!(
+            r#"{{"op":"register","tenant":"bad","fleet":"{fleet}","algo":"{algo}"}}"#
+        ));
+        let want = format!(r#""error":"input","detail":"{detail}""#);
+        assert!(reply.contains(&want), "register {algo}: {reply}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each `rsz simulate` mode refuses the flags the other needs, as it
+/// refuses any unknown flag.
+#[test]
+fn simulate_refuses_the_flags_its_mode_ignores() {
+    let local = [["--tenant", "t"], ["--peers", "a:1"], ["--deadline-us", "5"]];
+    for extra in local {
+        let out = rsz()
+            .args(["simulate", "--trace", "t.csv", "--algo", "b"])
+            .args(extra)
+            .output()
+            .expect("spawn rsz");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown argument `{}`", extra[0])), "{stderr}");
+    }
+    let remote: [&[&str]; 5] = [
+        &["--refine"],
+        &["--refine-gamma", "1.5"],
+        &["--refine-epsilon", "0.5"],
+        &["--resume", "run.snap"],
+        &["--snapshot-every", "4"],
+    ];
+    for extra in remote {
+        let out = rsz()
+            .args(["simulate", "--remote", "127.0.0.1:9", "--trace", "t.csv", "--algo", "b"])
+            .args(extra)
+            .output()
+            .expect("spawn rsz");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown argument `{}`", extra[0])), "{stderr}");
+    }
+}
